@@ -26,7 +26,6 @@ from .errors import (
     OnePointSpectrum,
     QuadratureDivergence,
     SchemaError,
-    UnwrapAmbiguity,
     ValidationError,
 )
 from .linalg import (

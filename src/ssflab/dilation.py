@@ -41,9 +41,17 @@ class FiniteDilation:
     n: int
     embedding_index: int = 0
 
+    def compressed_powers(self, k_max: int) -> list[np.ndarray]:
+        """Corner blocks of u, u^2, ..., u^k_max, carrying only the top block row."""
+        top, corners = np.eye(self.n, self.m * self.n), []
+        for _ in range(k_max):
+            top = top @ self.u.m
+            corners.append(top[:, : self.n])
+        return corners
+
     def compressed_power(self, k: int) -> np.ndarray:
-        """Corner block (u^k)[0:n, 0:n]."""
-        return np.linalg.matrix_power(self.u.m, k)[: self.n, : self.n]
+        """Corner block (u^k)[0:n, 0:n] for k >= 1."""
+        return self.compressed_powers(k)[-1]
 
 
 def finite_schaffer_dilation(t: Contraction, m: int) -> FiniteDilation:

@@ -38,12 +38,9 @@ class OnePointSpectrum(ArithmeticError):
     """Inverse Cayley transform of a contraction with 1 in (or too near) its spectrum."""
 
 
-class UnwrapAmbiguity(ArithmeticError):
-    """Consecutive determinant phases differ by nearly pi even at the maximum grid size."""
-
-
 class NonzeroWinding(ArithmeticError):
-    """The unwrapped determinant phase failed to close up over a full circle sweep."""
+    """The perturbation determinant winds around 0 on the sampling circle: the
+    two operators have different eigenvalue counts inside it."""
 
 
 class KernelViolation(ArithmeticError):

@@ -108,26 +108,12 @@ def fractional_power(x, sigma: float) -> np.ndarray:
     return hermitize((v * w**sigma) @ v.conj().T)
 
 
-def _sandwich_batch(shifts: np.ndarray, scale: float, x: np.ndarray, y: np.ndarray,
-                    diff: np.ndarray) -> np.ndarray:
-    """G[i] = (shifts[i] I + scale Y)^(-1) diff (shifts[i] I + scale X)^(-1)."""
-    n = x.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    left = shifts[:, None, None] * eye + scale * y[None, :, :]
-    right = shifts[:, None, None] * eye + scale * x[None, :, :]
-    half = np.linalg.solve(left, np.repeat(diff[None, :, :], len(shifts), axis=0))
-    full = np.linalg.solve(right.transpose(0, 2, 1), half.transpose(0, 2, 1))
-    return full.transpose(0, 2, 1)
-
-
-def _unit_sandwich_batch(us: np.ndarray, x: np.ndarray, y: np.ndarray,
-                         diff: np.ndarray) -> np.ndarray:
-    """G[i] = (I + us[i] Y)^(-1) diff (I + us[i] X)^(-1)."""
-    n = x.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    left = eye[None, :, :] + us[:, None, None] * y[None, :, :]
-    right = eye[None, :, :] + us[:, None, None] * x[None, :, :]
-    half = np.linalg.solve(left, np.repeat(diff[None, :, :], len(us), axis=0))
+def _sandwich_batch(a, b, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """G[i] = (a[i] I + b[i] Y)^(-1) diff (a[i] I + b[i] X)^(-1); one of a, b may be a scalar."""
+    eye = np.eye(x.shape[0], dtype=np.complex128)
+    left = np.multiply.outer(a, eye) + np.multiply.outer(b, y)
+    right = np.multiply.outer(a, eye) + np.multiply.outer(b, x)
+    half = np.linalg.solve(left, np.repeat(diff[None, :, :], len(left), axis=0))
     full = np.linalg.solve(right.transpose(0, 2, 1), half.transpose(0, 2, 1))
     return full.transpose(0, 2, 1)
 
@@ -165,7 +151,7 @@ def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
     # integral_0^1 u^(-sigma) (I + uY)^(-1) diff (I + uX)^(-1) du
     xj, wj = roots_jacobi(upper_nodes, 0.0, -sigma)
     u_nodes = (1.0 + xj) / 2.0
-    g_upper = _unit_sandwich_batch(u_nodes, x, y, diff)
+    g_upper = _sandwich_batch(1.0, u_nodes, x, y, diff)
     upper = 2.0 ** (sigma - 1.0) * np.sum(wj[:, None, None] * g_upper, axis=0)
 
     return c_sigma(sigma) * (lower + upper)

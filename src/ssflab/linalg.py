@@ -76,10 +76,12 @@ def schatten_norm(a, p: float = 2) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-def _eigh(a: np.ndarray):
+def _eig(solver, a: np.ndarray):
+    """solver(a) for a numpy eigensolver, with LAPACK failure raised as EigenFailure
+    (LinAlgError subclasses ValueError, which callers read as bad input)."""
     try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
 
 
@@ -90,7 +92,7 @@ def hermitian_sqrt(a, *, herm_tol: float = 1e-12, clamp: float = 1e-8) -> np.nda
     IndefiniteInput. Input must be Hermitian within herm_tol.
     """
     m = require_hermitian(as_matrix(a), herm_tol)
-    w, v = _eigh(m)
+    w, v = _eig(np.linalg.eigh, m)
     if w.size and float(w.min()) < -clamp:
         raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -{clamp:.1e}")
     w = np.clip(w, 0.0, None)
@@ -112,7 +114,7 @@ def hermitian_power(
     are treated as zero for nonnegative exponents.
     """
     m = require_hermitian(as_matrix(a), herm_tol)
-    w, v = _eigh(m)
+    w, v = _eig(np.linalg.eigh, m)
     if exponent < 0:
         if w.size and float(w.min()) < kernel_floor:
             raise KernelViolation(
@@ -167,12 +169,7 @@ def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
     circular distance below cluster_tol merge into one entry whose
     multiplicity is the cluster size.
     """
-    m = as_matrix(u)
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    ph = np.angle(w)
+    ph = np.angle(_eig(np.linalg.eigvals, as_matrix(u)))
     ph = np.where(ph <= 0.0, ph + TWO_PI, ph)
     clustered = _cluster_circle(ph, np.ones(len(ph), dtype=int), cluster_tol)
     return [(p, int(k)) for p, k in clustered]

@@ -47,9 +47,9 @@ from .schrodinger import (
     potential_values,
 )
 from .ssf_circle import (
-    contraction_ssf,
     determinant_ssf,
     hardy_gauge_check,
+    perturbation_determinant,
     real_ssf_conditions_report,
     ssf_trace_integral,
     step_vs_sampled_max_deviation,
@@ -83,6 +83,7 @@ ANCHOR_REGISTRY = {
     "defect-identity": "exact algebraic identity tying defect-square differences to the perturbation",
     "hardy-gauge": "analytic test monomials integrate to zero, so the gauge term is invisible",
     "determinant-consistency": "calibrated determinant SSF matches the step SSF away from jumps",
+    "determinant-lu-crosscheck": "eigenvalue-factor determinant matches the LU perturbation determinant",
     "cayley-defect-factorization": "squared Cayley defects factor through the imaginary part",
     "cayley-resolvent-difference": "Cayley-image difference equals the scaled resolvent difference",
     "line-resolvent-trace": "resolvent trace difference equals the line-SSF sum",
@@ -620,14 +621,18 @@ def _resolvent_lhs(m0: np.ndarray, m1: np.ndarray, z: complex) -> complex:
 
 
 def _run_unitary_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+    ssf = unitary_ssf(*(Unitary(m) for m in sc.matrices))
+    return _circle_pair_checks(sc, record, ssf, "circle-trace-formula", 1e-10, {})
+
+
+def _circle_pair_checks(sc, record, ssf, anchor, tol, flags):
+    """Trace-formula, Hardy-gauge and determinant checks of a circle-kind pair."""
     m0, m1 = sc.matrices
-    u0, u1 = Unitary(m0), Unitary(m1)
-    ssf = unitary_ssf(u0, u1)
     for j, coeffs in enumerate(sc.test_polynomials):
         lhs = np.trace(analytic_poly_eval(m1, coeffs)) - np.trace(analytic_poly_eval(m0, coeffs))
-        record(f"trace-poly-{j}", "circle-trace-formula", lhs, ssf_trace_integral(ssf, coeffs), 1e-10)
+        record(f"trace-poly-{j}", anchor, lhs, ssf_trace_integral(ssf, coeffs), tol)
     record("hardy-gauge", "hardy-gauge", hardy_gauge_check(ssf, 1, sc.test_polynomials[0]), 0.0, 1e-10)
-    flags = {"gauge": ssf.gauge, "jump_count": len(ssf.jumps)}
+    flags = {"gauge": ssf.gauge, "jump_count": len(ssf.jumps), **flags}
     tables = {"circle_step": ssf}
     _determinant_block(sc, record, m0, m1, ssf, flags, tables)
     return flags, tables
@@ -638,12 +643,17 @@ def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
         return
     try:
         sampled = determinant_ssf(m0, m1, radius=sc.determinant["radius"], grid=sc.determinant["grid"])
+        # independent LU evaluation at theta = (k + 1/2) 2pi / 8 on the sampling circle
+        probes = sampled.radius * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+        lu_gap = max(abs(sampled.determinant(z) / perturbation_determinant(m0, m1, z) - 1) for z in probes)
     except ArithmeticError as exc:
         flags["determinant_error"] = f"{type(exc).__name__}: {exc}"
         record("determinant-step-consistency", "determinant-consistency", 0.0, 0.0, 5e-2, residual=None)
+        record("determinant-lu-crosscheck", "determinant-lu-crosscheck", 0.0, 0.0, 1e-8, residual=None)
         return
     deviation = step_vs_sampled_max_deviation(step_ssf, sampled)
     record("determinant-step-consistency", "determinant-consistency", deviation, 0.0, 5e-2)
+    record("determinant-lu-crosscheck", "determinant-lu-crosscheck", lu_gap, 0.0, 1e-8)
     flags["determinant_winding"] = sampled.winding
     tables["sampled"] = sampled
 
@@ -653,24 +663,19 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     t0, t1 = Contraction(m0), Contraction(m1)
     max_deg = max(len(c) - 1 for c in sc.test_polynomials)
     blocks = sc.dilation_order or default_block_count(max_deg)
-    ssf = contraction_ssf(t0, t1, blocks)
-    for j, coeffs in enumerate(sc.test_polynomials):
-        lhs = np.trace(analytic_poly_eval(m1, coeffs)) - np.trace(analytic_poly_eval(m0, coeffs))
-        record(f"trace-poly-{j}", "dilation-trace-formula", lhs, ssf_trace_integral(ssf, coeffs), 1e-9)
     d0, d1 = dilation_pair(t0, t1, blocks)
     worst = 0.0
     for dil, base in ((d0, m0), (d1, m1)):
-        for k in range(1, blocks - 1):
-            worst = max(worst, operator_norm(dil.compressed_power(k) - np.linalg.matrix_power(base, k)))
+        power = base
+        for corner in dil.compressed_powers(blocks - 2):
+            worst = max(worst, operator_norm(corner - power))
+            power = power @ base
     record("power-dilation", "power-dilation", worst, 0.0, 1e-10)
     conditions = real_ssf_conditions_report(
         t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
     record("defect-identity", "defect-identity", conditions.identity_residual, 0.0, 1e-12)
-    record("hardy-gauge", "hardy-gauge", hardy_gauge_check(ssf, 1, sc.test_polynomials[0]), 0.0, 1e-10)
     flags = {
-        "gauge": ssf.gauge,
-        "jump_count": len(ssf.jumps),
         "block_count": blocks,
         "kernel_certified": conditions.kernel_certified,
         "min_defect_eig": conditions.min_defect_eig,
@@ -679,9 +684,8 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         "defect_diff_norm": conditions.defect_diff_norm,
         "defect_adjoint_diff_norm": conditions.defect_adjoint_diff_norm,
     }
-    tables = {"circle_step": ssf}
-    _determinant_block(sc, record, m0, m1, ssf, flags, tables)
-    return flags, tables
+    ssf = unitary_ssf(d0.u, d1.u)
+    return _circle_pair_checks(sc, record, ssf, "dilation-trace-formula", 1e-9, flags)
 
 
 def _line_pair_checks(sc, record, m0, m1, ssf, tol_resolvent, anchor):

@@ -25,7 +25,6 @@ from .errors import (
     KernelViolation,
     NearSingular,
     NonzeroWinding,
-    UnwrapAmbiguity,
     ValidationError,
 )
 from .linalg import (
@@ -33,6 +32,7 @@ from .linalg import (
     Contraction,
     Unitary,
     _cluster_circle,
+    _eig,
     as_matrix,
     defect_operators,
     eigenphases,
@@ -43,7 +43,7 @@ from .linalg import (
 )
 
 # Calibrated normalization of the determinant route: sampled values are
-# kappa * (unwrapped Im log Delta) / (2 pi) + gauge. kappa = -2 is the choice
+# kappa * (continuous Im log Delta) / (2 pi) + gauge. kappa = -2 is the choice
 # that reproduces the eigenphase-counting step function on unitary pairs.
 DETERMINANT_KAPPA = -2
 
@@ -96,14 +96,21 @@ class SampledSSF:
     values: np.ndarray
     winding: int
     kappa: int = DETERMINANT_KAPPA
+    # eigenvalues of (T0, T1) the samples were built from
+    eigenvalues: tuple[np.ndarray, np.ndarray] = (np.zeros(0), np.zeros(0))
 
     def __post_init__(self):
         if self.radius <= 1.0:
             raise ValidationError("sampling radius must exceed 1")
         if not np.isfinite(self.values).all():
             raise ValidationError("sampled values must be finite")
-        self.thetas.setflags(write=False)
-        self.values.setflags(write=False)
+        for a in (self.thetas, self.values, *self.eigenvalues):
+            a.setflags(write=False)
+
+    def determinant(self, zeta: complex) -> complex:
+        """Delta(zeta) = prod (l1 - zeta) / (l0 - zeta) over the stored eigenvalues."""
+        l0, l1 = self.eigenvalues
+        return complex(np.prod((l1 - zeta) / (l0 - zeta)))
 
 
 def unitary_ssf(u0, u1, *, cluster_tol: float = 1e-9) -> StepSSF:
@@ -170,24 +177,25 @@ def perturbation_determinant(t0, t1, zeta: complex, *, cond_limit: float = 1e12)
     return complex(np.linalg.det(np.eye(m0.shape[0]) + x))
 
 
-def _determinant_samples(m0: np.ndarray, m1: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Batched det(I + (T0 - zeta)^(-1)(T1 - T0)) over an array of zeta values."""
-    n = m0.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    a = m0[None, :, :] - zeta[:, None, None] * eye
-    b = np.repeat((m1 - m0)[None, :, :], len(zeta), axis=0)
-    x = np.linalg.solve(a, b)
-    return np.linalg.det(eye + x)
+def _factor_phase(eigs: np.ndarray, zeta: np.ndarray, radius: float) -> np.ndarray:
+    """Sum of arg(1 - l/zeta) over |l| < radius and arg(1 - zeta/l) over the rest."""
+    inside = np.abs(eigs) < radius
+    z = zeta[:, None]
+    return np.angle(1.0 - eigs[inside] / z).sum(axis=1) + np.angle(1.0 - z / eigs[~inside]).sum(axis=1)
 
 
 def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> SampledSSF:
     """SSF from boundary phases of the perturbation determinant.
 
-    Samples Im log Delta on the circle of the given radius, unwraps the
-    phase continuously in theta, checks that the total winding is zero, and
-    rescales by the calibrated kappa with a zero-mean gauge. The grid is
-    doubled (up to 2^16) whenever consecutive raw phases are too far apart
-    to unwrap unambiguously.
+    Delta(zeta) = det(T1 - zeta) / det(T0 - zeta) factors over eigenvalues:
+    l - zeta = -zeta (1 - l/zeta) inside |zeta| = radius, l (1 - zeta/l)
+    outside, and each 1 - ... factor has a continuous phase on the circle.
+    Its winding is the difference of the inside counts (argument principle);
+    when that is zero the -zeta factors cancel, so Im log Delta is the sum of
+    factor phases up to a constant, sampled on exactly `grid` points and
+    rescaled by the calibrated kappa with a zero-mean gauge. A nonzero
+    winding raises NonzeroWinding, an eigenvalue within 1e-12 * radius of
+    the circle NearSingular.
     """
     m0 = as_matrix(t0)
     m1 = as_matrix(t1)
@@ -197,29 +205,20 @@ def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> Sam
         raise ValidationError("sampling radius must be at least 1 + 1e-8")
     if grid < 256:
         raise ValidationError("need at least 256 grid points")
-    n = int(grid)
-    threshold = np.pi * (1.0 - 1e-3)
-    while True:
-        theta = TWO_PI * np.arange(1, n + 1) / n
-        delta = _determinant_samples(m0, m1, radius * np.exp(1j * theta))
-        raw = np.angle(delta)
-        diffs = np.angle(np.exp(1j * np.diff(raw)))
-        closing = float(np.angle(np.exp(1j * (raw[0] - raw[-1]))))
-        worst = max(float(np.max(np.abs(diffs), initial=0.0)), abs(closing))
-        if worst <= threshold:
-            break
-        if n >= 2**16:
-            raise UnwrapAmbiguity(
-                f"consecutive determinant phases differ by {worst:.4f} at {n} grid points"
-            )
-        n *= 2
-    s = raw[0] + np.concatenate([[0.0], np.cumsum(diffs)])
-    winding = int(round((s[-1] + closing - s[0]) / TWO_PI))
+    l0, l1 = _eig(np.linalg.eigvals, m0), _eig(np.linalg.eigvals, m1)
+    gap = float(np.min(np.abs(np.abs(np.concatenate([l0, l1])) - radius), initial=np.inf))
+    if gap <= 1e-12 * radius:
+        raise NearSingular(f"an eigenvalue lies {gap:.3e} from the sampling circle")
+    winding = int(np.sum(np.abs(l1) < radius)) - int(np.sum(np.abs(l0) < radius))
     if winding != 0:
         raise NonzeroWinding(f"determinant winds {winding} times around 0")
-    values = DETERMINANT_KAPPA * s / TWO_PI
+    n = int(grid)
+    theta = TWO_PI * np.arange(1, n + 1) / n
+    zeta = radius * np.exp(1j * theta)
+    phase = _factor_phase(l1, zeta, radius) - _factor_phase(l0, zeta, radius)
+    values = DETERMINANT_KAPPA * phase / TWO_PI
     values = values - values.mean()
-    return SampledSSF(radius=radius, thetas=theta, values=values, winding=winding)
+    return SampledSSF(radius, theta, values, winding, eigenvalues=(l0, l1))
 
 
 def sampled_trace_integral(ssf: SampledSSF, coeffs: Sequence[complex]) -> complex:

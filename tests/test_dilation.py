@@ -80,6 +80,17 @@ def test_schaffer_power_dilation_seed29():
         assert residual <= 1e-10
 
 
+def test_compressed_powers_match_full_matrix_powers_past_the_budget():
+    rng = np.random.default_rng(37)
+    t = random_contraction(rng, 3)
+    d = finite_schaffer_dilation(t, 5)
+    corners = d.compressed_powers(7)
+    assert len(corners) == 7
+    for k, corner in enumerate(corners, start=1):
+        want = np.linalg.matrix_power(d.u.m, k)[:3, :3]
+        assert np.linalg.norm(corner - want) <= 1e-12
+
+
 def test_schaffer_rejects_small_m():
     with pytest.raises(InvalidOrder):
         finite_schaffer_dilation(Contraction(np.zeros((2, 2))), 2)

@@ -64,8 +64,28 @@ def test_unitary_pair_with_determinant_consistency():
     assert report.all_pass
     by_id = {r.check_id: r for r in report.records}
     assert by_id["determinant-step-consistency"].residual <= 5e-2
+    crosscheck = by_id["determinant-lu-crosscheck"]
+    assert crosscheck.anchor == "determinant-lu-crosscheck"
+    assert crosscheck.tolerance == 1e-8 and crosscheck.passed
     assert report.flags["determinant_winding"] == 0
     assert "sampled" in report.tables
+
+
+def test_unitary_pair_double_eigenphase_determinant_block():
+    # U0 has the eigenphase 0.3 twice; the determinant phase swings by 2pi
+    # across it, which a phase sampled modulo 2pi cannot see.
+    u0 = [[[np.cos(0.3), np.sin(0.3)], 0.0], [0.0, [np.cos(0.3), np.sin(0.3)]]]
+    u1 = [[[np.cos(1.0), np.sin(1.0)], 0.0], [0.0, [np.cos(1.0), np.sin(1.0)]]]
+    payload = {
+        "name": "double-phase",
+        "kind": "unitary_pair",
+        "matrices": [u0, u1],
+        "determinant": {"radius": 1.0001, "grid": 4096},
+    }
+    report = run_scenario(parse_scenario(payload))
+    assert report.all_pass
+    assert report.flags["determinant_winding"] == 0
+    assert "determinant_error" not in report.flags
 
 
 def test_fractional_scalar_witness_example():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ssflab.errors import ValidationError
+from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
 from ssflab.linalg import Contraction, Unitary, analytic_poly_eval, operator_norm
 from ssflab.ssf_circle import (
     RealSsfConditions,
@@ -255,6 +257,87 @@ def test_determinant_ssf_validates_inputs():
         determinant_ssf(t, t, grid=64)
     with pytest.raises(ValidationError):
         SampledSSF(radius=1.1, thetas=np.array([1.0]), values=np.array([np.inf]), winding=0)
+
+
+def phase_diag(*phases):
+    return np.diag(np.exp(1j * np.array(phases)))
+
+
+@pytest.mark.parametrize("phases1", [(1.0, 1.5), (1.0, 1.0)])
+def test_determinant_ssf_double_eigenphase(phases1):
+    # A double eigenphase swings the determinant phase by 2pi across one
+    # jump; sampled modulo 2pi that swing is invisible, so the route must
+    # not reconstruct the phase by unwrapping.
+    u0, u1 = phase_diag(0.3, 0.3), phase_diag(*phases1)
+    sampled = determinant_ssf(u0, u1, radius=1 + 1e-4, grid=4096)
+    assert sampled.winding == 0
+    assert step_vs_sampled_max_deviation(unitary_ssf(u0, u1), sampled) <= 5e-2
+
+
+def test_determinant_ssf_lapack_failure_is_eigen_failure(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(EigenFailure):
+        determinant_ssf(np.eye(2), np.eye(2))
+
+
+def raw_matrix(rng, n, scale):
+    """Complex Gaussian matrix with spectral radius near `scale`; not a contraction in general."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * g / np.sqrt(2 * n)
+
+
+dims = st.integers(1, 6)
+seeds = st.integers(0, 2**32 - 1)
+scales = st.floats(0.1, 3.0)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(n=dims, seed=seeds, s0=scales, s1=scales)
+def test_determinant_ssf_winding_is_inside_count_difference(n, seed, s0, s1):
+    rng = np.random.default_rng(seed)
+    m0, m1 = raw_matrix(rng, n, s0), raw_matrix(rng, n, s1)
+    radius = 1 + 1e-4
+    inside = [int(np.sum(np.abs(np.linalg.eigvals(m)) < radius)) for m in (m0, m1)]
+    if inside[0] != inside[1]:
+        with pytest.raises(NonzeroWinding):
+            determinant_ssf(m0, m1, radius=radius, grid=256)
+    else:
+        assert determinant_ssf(m0, m1, radius=radius, grid=256).winding == 0
+
+
+@PROPERTY
+@given(
+    n=dims,
+    seed=seeds,
+    scale=scales,
+    eps=st.floats(0.0, 0.5),
+    rho=st.floats(1.001, 4.0),
+    phi=st.floats(0.0, 2 * np.pi),
+)
+def test_factor_determinant_matches_lu_route(n, seed, scale, eps, rho, phi):
+    rng = np.random.default_rng(seed)
+    m0 = raw_matrix(rng, n, scale)
+    m1 = m0 + raw_matrix(rng, n, eps)
+    try:
+        sampled = determinant_ssf(m0, m1, grid=256)
+    except NonzeroWinding:
+        assume(False)
+    zeta = rho * np.exp(1j * phi)
+    assume(np.min(np.abs(np.concatenate(sampled.eigenvalues) - zeta)) >= 1e-2)
+    assert abs(sampled.determinant(zeta) / perturbation_determinant(m0, m1, zeta) - 1) <= 1e-8
+
+
+@PROPERTY
+@given(n=dims, seed=seeds, scale=scales)
+def test_determinant_ssf_equal_raw_pair_is_identically_zero(n, seed, scale):
+    m = raw_matrix(np.random.default_rng(seed), n, scale)
+    out = determinant_ssf(m, m, grid=256)
+    assert out.winding == 0
+    assert np.all(out.values == 0.0)
 
 
 # ---------------------------------------------------------------------------
