@@ -44,6 +44,7 @@ from .linalg import (
     schatten_norm,
     singular_log_sum,
     singular_value_commute_check,
+    unitary_spectrum,
     von_neumann_gap,
 )
 from .dilation import (
@@ -59,6 +60,7 @@ from .ssf_circle import (
     StepSSF,
     contraction_ssf,
     determinant_ssf,
+    dilation_ssf,
     hardy_gauge_check,
     perturbation_determinant,
     real_ssf_conditions_report,

@@ -77,6 +77,8 @@ def _cmd_run(args) -> int:
             for r in failed:
                 res = "n/a" if r.residual is None else f"{r.residual:.3e}"
                 print(f"  {r.check_id} [{r.anchor}]: residual {res} > tolerance {r.tolerance:.3e}")
+            if "numeric_error" in report.flags:
+                print(f"  {report.flags['numeric_error']}")
         else:
             print(f"{name}: PASS ({len(report.records)} checks)")
     if schema_bad:

@@ -6,16 +6,25 @@ gives a finite unitary whose compression to block 0 reproduces the powers
 T, T^2, ..., T^(m-2). The wrap-around destroys higher powers, which is the
 price of staying finite; callers pick m from the polynomial degree they
 intend to ask about.
+
+`FiniteDilation` owns the block layout and keeps only the 2n-square Julia
+block, which holds T and its defect pair. Everything a run needs works on the
+blocks: the unitarity check on that Julia block, U v as a shift plus two
+dense block rows, the corner powers by a recurrence on the top block row,
+and the Hermitian matrix that `linalg.unitary_spectrum` takes the
+eigenphases from. The dense (m n)-square unitary `u` is built only when
+something reads it (tests, demos, `observed_trace_degree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidOrder
-from .linalg import Contraction, Unitary, defect_operators
+from .linalg import Contraction, Unitary, defect_operators, phase_clusters, unitary_spectrum
 
 
 def julia_block(t: Contraction) -> Unitary:
@@ -28,25 +37,81 @@ def julia_block(t: Contraction) -> Unitary:
     return Unitary(np.vstack([top, bottom]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDilation:
     """Cyclic unitary dilation of a contraction on m blocks of dimension n.
 
     Block 0 carries the original space; powers of u compress to powers of
-    the contraction up to exponent m - 2.
+    the contraction up to exponent m - 2. u maps column blocks (0, 1) to
+    row blocks (m-1, 0) through the Julia block [[D_T, -T*], [T, D_T*]], and
+    every other column block j identically into row block j-1. The Julia
+    block is all the dilation stores.
     """
 
-    u: Unitary
+    julia: np.ndarray
     m: int
-    n: int
     embedding_index: int = 0
 
+    @property
+    def n(self) -> int:
+        return self.julia.shape[0] // 2
+
+    def _shift_rows(self) -> np.ndarray:
+        """Rows n .. (m-1)n - 1, each holding a 1 in the column n further on."""
+        return np.arange(self.n, (self.m - 1) * self.n)
+
+    @cached_property
+    def u(self) -> Unitary:
+        """The dense (m n)-square unitary, built on first access."""
+        n, last = self.n, (self.m - 1) * self.n
+        u = np.zeros((last + n, last + n), dtype=np.complex128)
+        u[last:, : 2 * n] = self.julia[:n]
+        u[:n, : 2 * n] = self.julia[n:]
+        rows = self._shift_rows()
+        u[rows, rows + n] = 1.0
+        return Unitary(u)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """U v for an (m n) x k array v: the Julia block on blocks (0, 1), a shift on the rest."""
+        n, last = self.n, (self.m - 1) * self.n
+        out = np.empty_like(v)
+        jv = self.julia @ v[: 2 * n]
+        out[last:], out[:n] = jv[:n], jv[n:]
+        out[n:last] = v[2 * n :]
+        return out
+
+    def hermitian_part(self, c: complex) -> np.ndarray:
+        """c U + (c U)*, assembled block by block."""
+        n, last = self.n, (self.m - 1) * self.n
+        h = np.zeros((last + n, last + n), dtype=np.complex128)
+        cj = c * self.julia
+        h[last:, : 2 * n] += cj[:n]
+        h[:n, : 2 * n] += cj[n:]
+        h[: 2 * n, last:] += cj[:n].conj().T
+        h[: 2 * n, :n] += cj[n:].conj().T
+        rows = self._shift_rows()
+        h[rows, rows + n] += c
+        h[rows + n, rows] += np.conj(c)
+        return h
+
+    def eigenphases(self) -> list[tuple[float, int]]:
+        """Eigenphases of u as (phase, multiplicity) pairs, as `linalg.eigenphases`
+        gives them, without forming u."""
+        return phase_clusters(unitary_spectrum(self.hermitian_part, self.apply))
+
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
-        """Corner blocks of u, u^2, ..., u^k_max, carrying only the top block row."""
-        top, corners = np.eye(self.n, self.m * self.n), []
+        """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.
+
+        The top block row R of u^k maps to R u: blocks (0, 1) become
+        [R_(m-1), R_0] times the Julia block, and block j >= 2 becomes R_(j-1).
+        """
+        n = self.n
+        blocks = [np.eye(n)] + [np.zeros((n, n))] * (self.m - 1)
+        corners = []
         for _ in range(k_max):
-            top = top @ self.u.m
-            corners.append(top[:, : self.n])
+            r = np.hstack([blocks[-1], blocks[0]]) @ self.julia
+            blocks = [r[:, :n], r[:, n:]] + blocks[1:-1]
+            corners.append(blocks[0])
         return corners
 
     def compressed_power(self, k: int) -> np.ndarray:
@@ -60,27 +125,13 @@ def finite_schaffer_dilation(t: Contraction, m: int) -> FiniteDilation:
     Column block 0 feeds T into block 0 and the defect D_T into block m-1;
     column block 1 feeds D_T* into block 0 and -T* into block m-1; every
     other column block j shifts identically into block j-1. The result is
-    exactly unitary because the non-shift part is the Julia block.
+    exactly unitary because the non-shift part is the Julia block J: up to a
+    permutation, U*U - I is (J*J - I) on two blocks and zero on the rest, so
+    validating the 2n-square J validates all of U.
     """
-    if not isinstance(t, Contraction):
-        t = Contraction(t)
     if m < 3:
         raise InvalidOrder(f"need at least 3 blocks, got {m}")
-    n = t.n
-    d_t, d_t_star = defect_operators(t)
-    u = np.zeros((m * n, m * n), dtype=np.complex128)
-
-    def blk(i, j):
-        return (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
-
-    u[blk(0, 0)] = t.m
-    u[blk(0, 1)] = d_t_star
-    u[blk(m - 1, 0)] = d_t
-    u[blk(m - 1, 1)] = -t.m.conj().T
-    eye = np.eye(n)
-    for j in range(2, m):
-        u[blk(j - 1, j)] = eye
-    return FiniteDilation(u=Unitary(u), m=m, n=n)
+    return FiniteDilation(julia=julia_block(t).m, m=m)
 
 
 def dilation_pair(t0: Contraction, t1: Contraction, m: int) -> tuple[FiniteDilation, FiniteDilation]:

@@ -8,7 +8,7 @@ configs can override them.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,17 +162,91 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     return out
 
 
-def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
-    """Eigenvalue phases of a matrix, as (phase, multiplicity) pairs.
+# Eigenvalues of a unitary U come from the Hermitian H = c U + (c U)* with
+# c = e^(-i phi) / 2: H = Re(e^(-i phi) U) shares U's eigenvectors and puts
+# the eigenvalue e^(i theta) at cos(theta - phi). phi is an irrational
+# multiple of pi, so no two angles that are rational multiples of pi meet
+# the collision theta + theta' = 2 phi (mod 2 pi), where H cannot tell them
+# apart.
+_ROTATION = 0.5 * np.exp(-0.5j * np.pi * (np.sqrt(5.0) - 1.0))
+# eigenvalues of H closer than this share a Ritz block
+_RITZ_GAP = 1e-5
+# largest accepted ||U v - lambda v|| per computed eigenpair
+_RESIDUAL_TOL = 1e-9
 
-    Phases live in (0, 2pi], with phase 0 reported as 2pi. Eigenvalues at
-    circular distance below cluster_tol merge into one entry whose
-    multiplicity is the cluster size.
+
+def unitary_spectrum(hermitian_part: Callable, apply_u: Callable) -> np.ndarray:
+    """Eigenvalues of a unitary U from one eigh of H = c U + (c U)*.
+
+    hermitian_part(c) assembles that H for the complex scalar c, and
+    apply_u(v) returns U v, so a structured U never has to be dense. Each
+    eigenvector v of H yields the Ritz value v* U v. Eigenvalues of H closer
+    than _RITZ_GAP (a multiple eigenvalue of U, or two whose phases are
+    mirror images about phi) are resolved together by eigvals of the small
+    Ritz block V* U V. Every eigenpair is certified by its residual
+    ||U v - lambda v||, which bounds the distance of lambda to the spectrum
+    because U is normal; beyond _RESIDUAL_TOL (a U that is not unitary, say)
+    the call raises EigenFailure.
     """
-    ph = np.angle(_eig(np.linalg.eigvals, as_matrix(u)))
+    w, v = _eig(np.linalg.eigh, hermitian_part(_ROTATION))
+    uv = apply_u(v)
+    lam = _column_dots(v, uv)
+    # runs of close neighbours start and end where this flag flips
+    close = np.concatenate(([False], np.diff(w) < _RITZ_GAP, [False]))
+    flips = np.flatnonzero(close[1:] != close[:-1])
+    for lo, hi in zip(flips[::2], flips[1::2] + 1):
+        lam[lo:hi], s = _eig(np.linalg.eig, v[:, lo:hi].conj().T @ uv[:, lo:hi])
+        v[:, lo:hi] = v[:, lo:hi] @ s
+        uv[:, lo:hi] = uv[:, lo:hi] @ s
+    worst = _worst_residual(v, uv, lam)
+    if worst > _RESIDUAL_TOL:
+        raise EigenFailure(f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+    return lam
+
+
+_CHUNK = 64  # columns per pass, so no N x N temporary is formed
+
+
+def _column_dots(v: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """v[:, j]* uv[:, j] for every column j."""
+    out = np.empty(v.shape[1], dtype=np.complex128)
+    for j in range(0, v.shape[1], _CHUNK):
+        out[j : j + _CHUNK] = np.einsum("ij,ij->j", v[:, j : j + _CHUNK].conj(), uv[:, j : j + _CHUNK])
+    return out
+
+
+def _worst_residual(v: np.ndarray, uv: np.ndarray, lam: np.ndarray) -> float:
+    """max_j ||uv[:, j] - lam[j] v[:, j]||."""
+    worst = 0.0
+    for j in range(0, v.shape[1], _CHUNK):
+        r = uv[:, j : j + _CHUNK] - v[:, j : j + _CHUNK] * lam[j : j + _CHUNK]
+        worst = max(worst, float(np.linalg.norm(r, axis=0).max(initial=0.0)))
+    return worst
+
+
+def phase_clusters(eigs: np.ndarray, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
+    """Phases of unit-modulus eigenvalues in (0, 2pi] as (phase, multiplicity) pairs.
+
+    Phase 0 is reported as 2pi; phases at circular distance below
+    cluster_tol merge into one entry whose multiplicity is the cluster size.
+    """
+    ph = np.angle(eigs)
     ph = np.where(ph <= 0.0, ph + TWO_PI, ph)
     clustered = _cluster_circle(ph, np.ones(len(ph), dtype=int), cluster_tol)
     return [(p, int(k)) for p, k in clustered]
+
+
+def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
+    """Eigenvalue phases of a unitary matrix, as (phase, multiplicity) pairs.
+
+    Phases live in (0, 2pi], with phase 0 reported as 2pi. Eigenvalues at
+    circular distance below cluster_tol merge into one entry whose
+    multiplicity is the cluster size. The eigenvalues come from
+    unitary_spectrum, so a matrix that is not unitary raises EigenFailure.
+    """
+    m = as_matrix(u)
+    hermitian_part = lambda c: c * m + np.conj(c) * m.conj().T  # noqa: E731
+    return phase_clusters(unitary_spectrum(hermitian_part, lambda v: m @ v), cluster_tol)
 
 
 class Unitary:

@@ -48,6 +48,7 @@ from .schrodinger import (
 )
 from .ssf_circle import (
     determinant_ssf,
+    dilation_ssf,
     hardy_gauge_check,
     perturbation_determinant,
     real_ssf_conditions_report,
@@ -97,6 +98,7 @@ ANCHOR_REGISTRY = {
     "kernel-positivity": "kernel matrix stays PSD up to roundoff",
     "kernel-half-l1": "kernel trace matches half the potential's L1 mass",
     "monotone-trace-ladder": "monotone potential ladder converges in trace norm at rate 1/n",
+    "numeric-completion": "the scenario's numerics ran to the end without a numeric exception",
 }
 ANCHORS = frozenset(ANCHOR_REGISTRY)
 
@@ -684,7 +686,7 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         "defect_diff_norm": conditions.defect_diff_norm,
         "defect_adjoint_diff_norm": conditions.defect_adjoint_diff_norm,
     }
-    ssf = unitary_ssf(d0.u, d1.u)
+    ssf = dilation_ssf(d0, d1)
     return _circle_pair_checks(sc, record, ssf, "dilation-trace-formula", 1e-9, flags)
 
 
@@ -883,7 +885,9 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     Data problems that surface during execution (a matrix failing its class
     validation, an inadmissible potential) are reported as SchemaError: the
     file was wrong, not the numerics. Numeric check failures never raise;
-    they become failing records.
+    they become failing records. A numeric exception (an ArithmeticError or
+    a LAPACK LinAlgError) ends the run with the records made so far plus a
+    failing numeric-completion record, with the error text in the flags.
     """
     if not isinstance(tolerance_scale, (int, float)) or tolerance_scale <= 0:
         raise SchemaError("tolerance_scale must be a positive number")
@@ -909,6 +913,9 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
         flags, tables = _RUNNERS[sc.kind](sc, record)
     except SchemaError:
         raise
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        flags, tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
+        record("numeric-completion", "numeric-completion", 0.0, 0.0, 0.0, residual=None)
     except ValueError as exc:
         raise SchemaError(f"scenario {sc.name!r}: {exc}") from exc
     return Report(

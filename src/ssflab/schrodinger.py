@@ -138,6 +138,16 @@ class NystromKernel:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
+def _real_potential(q, what: str) -> np.ndarray:
+    """Real part of potential values, NegativePotential if any |Im q| exceeds 1e-14."""
+    q = np.asarray(q)
+    if np.iscomplexobj(q):
+        if np.max(np.abs(q.imag)) > 1e-14:
+            raise NegativePotential(f"{what} need a real nonnegative potential")
+        q = q.real
+    return q
+
+
 def nystrom_kernel(q_values, r: Callable, grid: Grid1D) -> NystromKernel:
     """Assemble sqrt(w_i q_i) R(x_i, x_j) sqrt(q_j w_j).
 
@@ -147,10 +157,7 @@ def nystrom_kernel(q_values, r: Callable, grid: Grid1D) -> NystromKernel:
     q = np.asarray(q_values)
     if q.shape != grid.points.shape:
         raise ValidationError("potential values must be given on the grid points")
-    if np.iscomplexobj(q):
-        if np.max(np.abs(q.imag)) > 1e-14:
-            raise NegativePotential("Nystrom kernels need a real nonnegative potential")
-        q = q.real
+    q = _real_potential(q, "Nystrom kernels")
     if q.size and float(q.min()) < -1e-14:
         raise NegativePotential(f"potential value {q.min():.3e} is negative")
     q = np.clip(q, 0.0, None)
@@ -292,7 +299,8 @@ def monotone_s1_check(
         raise ValidationError("n_list must be strictly increasing positive integers")
     if variant not in ("scale", "truncate"):
         raise ValidationError(f"unknown variant {variant!r}")
-    qv = np.clip(np.asarray(potential_values(q, grid.points), dtype=float), 0.0, None)
+    qv = _real_potential(potential_values(q, grid.points), "monotone ladders")
+    qv = np.clip(np.asarray(qv, dtype=float), 0.0, None)
     r = greens_function_for(z)
     full = nystrom_kernel(qv, r, grid)
     approx = []

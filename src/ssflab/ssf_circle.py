@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dilation import dilation_pair
+from .dilation import FiniteDilation, dilation_pair
 from .errors import (
     KernelViolation,
     NearSingular,
@@ -125,14 +125,14 @@ def unitary_ssf(u0, u1, *, cluster_tol: float = 1e-9) -> StepSSF:
     u1 = u1 if isinstance(u1, Unitary) else Unitary(u1)
     if u0.n != u1.n:
         raise ValidationError(f"dimension mismatch: {u0.n} vs {u1.n}")
-    phases: list[float] = []
-    weights: list[int] = []
-    for p, mult in eigenphases(u0, cluster_tol=cluster_tol):
-        phases.append(p)
-        weights.append(mult)
-    for p, mult in eigenphases(u1, cluster_tol=cluster_tol):
-        phases.append(p)
-        weights.append(-mult)
+    phases0 = eigenphases(u0, cluster_tol=cluster_tol)
+    return _step_ssf(phases0, eigenphases(u1, cluster_tol=cluster_tol), cluster_tol)
+
+
+def _step_ssf(phases0, phases1, cluster_tol: float) -> StepSSF:
+    """Step SSF with +multiplicity jumps at phases0 and -multiplicity jumps at phases1."""
+    phases = [p for p, _ in phases0] + [p for p, _ in phases1]
+    weights = [k for _, k in phases0] + [-k for _, k in phases1]
     clustered = _cluster_circle(np.array(phases), np.array(weights), cluster_tol)
     jumps = tuple((p, int(w)) for p, w in clustered if w != 0)
     gauge = sum(w * p for p, w in jumps) / TWO_PI
@@ -157,8 +157,12 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
 
     Valid for trace formulas with polynomials of degree at most m - 2.
     """
-    d0, d1 = dilation_pair(t0, t1, m)
-    return unitary_ssf(d0.u, d1.u)
+    return dilation_ssf(*dilation_pair(t0, t1, m))
+
+
+def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
+    """Eigenphase-counting SSF of two dilations, one structured eigensolve each."""
+    return _step_ssf(d0.eigenphases(), d1.eigenphases(), 1e-9)
 
 
 def perturbation_determinant(t0, t1, zeta: complex, *, cond_limit: float = 1e12) -> complex:

@@ -65,6 +65,26 @@ def test_run_numeric_failure_exits_one_but_reports(tmp_path, capsys):
     assert [r["check_id"] for r in failed] == ["hardy-gauge"]
 
 
+def test_numeric_exception_exits_one_with_report_and_summary(tmp_path, capsys):
+    payload = {
+        "name": "singular",
+        "kind": "fractional",
+        "matrices": [[[0, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]],
+    }
+    good = write_json(tmp_path / "hand.json", hand_pair_payload())
+    bad = write_json(tmp_path / "singular.json", payload)
+    rc = main(["run", str(bad), str(good), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "singular: FAIL (1 of 1 checks failed)" in out
+    assert "KernelViolation" in out
+    assert "hand: PASS" in out
+    report = json.loads((tmp_path / "singular.report.json").read_text())
+    assert report["all_pass"] is False
+    assert [r["check_id"] for r in report["records"]] == ["numeric-completion"]
+    assert report["records"][0]["residual"] is None
+
+
 def test_tolerance_scale_rescues(tmp_path):
     payload = hand_pair_payload(name="tight2", tolerances={"hardy-gauge": 1e-30})
     f = write_json(tmp_path / "tight2.json", payload)

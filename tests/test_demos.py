@@ -13,9 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demos that make temp directories make them here
+    env["TMPDIR"] = str(scratch)  # demos that make temp directories make them here
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -25,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(scratch.iterdir()), f"{demo.name} left {sorted(p.name for p in scratch.iterdir())}"

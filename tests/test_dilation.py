@@ -9,7 +9,7 @@ from ssflab.dilation import (
     observed_trace_degree,
 )
 from ssflab.errors import InvalidOrder
-from ssflab.linalg import Contraction, operator_norm, schatten_norm
+from ssflab.linalg import Contraction, operator_norm, phase_clusters, schatten_norm
 
 
 def random_contraction(rng, n, scale=None):
@@ -109,6 +109,37 @@ def test_schaffer_unitary_and_power_dilation_property():
         for k in range(1, m - 1):
             residual = np.linalg.norm(d.compressed_power(k) - np.linalg.matrix_power(t.m, k))
             assert residual <= 1e-10
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_structured_dilation_agrees_with_its_dense_matrix(m):
+    rng = np.random.default_rng(100 + m)
+    for n in (1, 2, 4):
+        t = random_contraction(rng, n)
+        d = finite_schaffer_dilation(t, m)
+        u = d.u.m
+        c = 0.5 * np.exp(-0.7j)
+        assert np.linalg.norm(d.hermitian_part(c) - (c * u + (c * u).conj().T)) <= 1e-15
+        v = rng.standard_normal((m * n, 5)) + 1j * rng.standard_normal((m * n, 5))
+        assert np.linalg.norm(d.apply(v) - u @ v) <= 1e-13
+        for k, corner in enumerate(d.compressed_powers(m + 2), start=1):
+            assert np.linalg.norm(corner - np.linalg.matrix_power(u, k)[:n, :n]) <= 1e-13
+        # U*U - I is the Julia block's defect on two blocks and zero elsewhere
+        w = julia_block(t).m
+        dense_defect = np.linalg.norm(u.conj().T @ u - np.eye(m * n))
+        julia_defect = np.linalg.norm(w.conj().T @ w - np.eye(2 * n))
+        assert abs(dense_defect - julia_defect) <= 1e-14
+        got, want = d.eigenphases(), phase_clusters(np.linalg.eigvals(u))
+        assert [k for _, k in got] == [k for _, k in want]
+        assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+
+
+def test_dilation_build_keeps_only_the_blocks():
+    t = random_contraction(np.random.default_rng(3), 3)
+    d = finite_schaffer_dilation(t, 24)
+    assert "u" not in vars(d)
+    assert d.julia.shape == (6, 6)
+    assert isinstance(d.m, int) and isinstance(d.n, int)
 
 
 # ---------------------------------------------------------------------------

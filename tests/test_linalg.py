@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflab.errors import (
+    EigenFailure,
     IndefiniteInput,
     InvalidExponent,
     KernelViolation,
@@ -22,6 +25,7 @@ from ssflab.linalg import (
     hermitian_sqrt,
     inverse_cayley,
     operator_norm,
+    phase_clusters,
     polar_factors,
     poly_scalar,
     schatten_norm,
@@ -186,6 +190,92 @@ def test_eigenphases_total_multiplicity_and_range():
             assert 0.0 < p <= TWO_PI
         phases = [p for p, _ in got]
         assert phases == sorted(phases)
+
+
+# The eigenphase route (eigh of a rotated Hermitian part, Ritz values, Ritz
+# blocks for close eigenvalues) against dense eigvals as the oracle, on
+# unitaries with planted structure.
+
+_PHI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)  # the rotation unitary_spectrum uses
+
+
+def _oracle(u):
+    return phase_clusters(np.linalg.eigvals(u))
+
+
+def _assert_matches_oracle(u):
+    got, want = eigenphases(u), _oracle(u)
+    assert [k for _, k in got] == [k for _, k in want]
+    for (p, _), (q, _) in zip(got, want):
+        d = abs(p - q)
+        assert min(d, TWO_PI - d) <= 1e-12
+
+
+def _haar(seed, n, real=False):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _planted(seed, phases):
+    q = _haar(seed, len(phases))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_angles = st.floats(0.0, TWO_PI, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, distinct=st.lists(_angles, min_size=1, max_size=4), mults=st.data())
+def test_eigenphases_exact_multiplicities(seed, distinct, mults):
+    distinct = sorted(set(round(a, 3) for a in distinct))
+    counts = [mults.draw(st.integers(1, 4)) for _ in distinct]
+    _assert_matches_oracle(_planted(seed, np.repeat(distinct, counts)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, angles=st.lists(st.floats(0.01, np.pi - 0.01), min_size=1, max_size=5),
+       signs=st.lists(st.sampled_from([1.0, -1.0]), max_size=3))
+def test_eigenphases_conjugate_pairs_of_real_orthogonal_matrices(seed, angles, signs):
+    n = 2 * len(angles) + len(signs)
+    blocks = np.zeros((n, n))
+    for j, a in enumerate(angles):
+        c, s = np.cos(a), np.sin(a)
+        blocks[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[c, -s], [s, c]]
+    for j, sign in enumerate(signs):
+        blocks[2 * len(angles) + j, 2 * len(angles) + j] = sign
+    q = _haar(seed, n, real=True)
+    u = q @ blocks @ q.T
+    assert np.isrealobj(u)
+    _assert_matches_oracle(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, others=st.lists(_angles, max_size=8), copies=st.integers(1, 3))
+def test_eigenphases_with_an_eigenvalue_at_the_rotation_angle(seed, others, copies):
+    _assert_matches_oracle(_planted(seed, [_PHI] * copies + others))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, offsets=st.lists(st.floats(-1e-10, 1e-10), min_size=2, max_size=5),
+       others=st.lists(st.floats(0.1, TWO_PI - 0.1), max_size=6))
+def test_eigenphases_tight_clusters_across_the_seam(seed, offsets, others):
+    u = _planted(seed, list(offsets) + others)
+    got = eigenphases(u)
+    _assert_matches_oracle(u)
+    seam = [(p, k) for p, k in got if p == TWO_PI]
+    assert seam and seam[0][1] == len(offsets)
+
+
+def test_eigenphases_residual_certificate_rejects_non_normal_input():
+    # eigh of the rotated Hermitian part cannot produce eigenvectors of a
+    # Jordan-like block, and the residual says so
+    with pytest.raises(EigenFailure, match="residual"):
+        eigenphases(np.array([[1.0, 1.0], [0.0, 1j]]))
 
 
 # ---------------------------------------------------------------------------

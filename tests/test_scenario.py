@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
 from ssflab.export import canonical_hash, dump_json, report_to_dict
 from ssflab.scenario import (
     ANCHOR_REGISTRY,
     ANCHORS,
+    KINDS,
     generate_scenario,
     parse_scenario,
     run_scenario,
@@ -363,3 +365,43 @@ def test_tolerance_override_and_scale():
     assert rescued.all_pass
     with pytest.raises(SchemaError):
         run_scenario(sc, tolerance_scale=0.0)
+
+
+# ---------------------------------------------------------------------------
+# numeric failures and the structured dilation
+
+
+def test_numeric_exception_becomes_one_failing_record():
+    # a singular operand has no inverse fractional power: KernelViolation
+    payload = {
+        "name": "singular",
+        "kind": "fractional",
+        "matrices": [[[0, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]],
+    }
+    report = run_scenario(parse_scenario(payload))
+    assert not report.all_pass
+    (failed,) = report.failed()
+    assert failed.check_id == failed.anchor == "numeric-completion"
+    assert failed.anchor in ANCHORS
+    assert failed.residual is None
+    assert report.flags["numeric_error"].startswith("KernelViolation: ")
+    assert report.tables == {}
+    # the report still serializes like any other
+    assert report_to_dict(report, "2000-01-01T00:00:00+00:00")["all_pass"] is False
+
+
+@pytest.mark.parametrize("kind", ["contraction_pair", "dissipative_pair", "schrodinger"])
+def test_runs_never_build_the_dense_dilation(kind, monkeypatch):
+    def dense(self):
+        raise AssertionError("a run read FiniteDilation.u")
+
+    monkeypatch.setattr(FiniteDilation, "u", property(dense))
+    report = run_scenario(parse_scenario(generate_scenario(kind, 7, 4)))
+    assert report.all_pass
+
+
+def test_generated_files_of_every_kind_pass():
+    for kind in KINDS:
+        for dim in (1, 3):
+            report = run_scenario(parse_scenario(generate_scenario(kind, 40 + dim, dim)))
+            assert report.all_pass, (kind, dim, [r.check_id for r in report.failed()])

@@ -6,6 +6,8 @@ monotone trace-norm ladder, and the discrete dissipative pair fed through
 the full circle-to-line pipeline.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,26 @@ def test_monotone_validation():
         monotone_s1_check({"kind": "gaussian"}, grid, ())
     with pytest.raises(ValidationError):
         monotone_s1_check({"kind": "gaussian"}, grid, (2, 4), variant="relabel")
+
+
+def test_monotone_rejects_a_complex_potential():
+    grid = make_grid(-1.0, 1.0, 16)
+    with pytest.raises(NegativePotential):
+        monotone_s1_check({"kind": "gaussian", "amplitude": 1.0 + 0.5j}, grid, (2, 4))
+
+
+def test_generated_kernel_trace_file_runs_without_warnings():
+    # the parser stores every amplitude as complex; a zero imaginary part
+    # must be dropped without a ComplexWarning
+    from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
+
+    sc = parse_scenario(generate_scenario("kernel_trace", 3, 4))
+    assert isinstance(sc.potential["amplitude"], complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(sc)
+    assert report.all_pass
+    assert "monotone-ladder" in [r.check_id for r in report.records]
 
 
 # ---------------------------------------------------------------------------
