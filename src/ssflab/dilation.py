@@ -95,8 +95,7 @@ class FiniteDilation:
         return h
 
     def eigenphases(self) -> list[tuple[float, int]]:
-        """Eigenphases of u as (phase, multiplicity) pairs, as `linalg.eigenphases`
-        gives them, without forming u."""
+        """Eigenphases of u as `linalg.eigenphases` gives them, without forming u."""
         return phase_clusters(unitary_spectrum(self.hermitian_part, self.apply))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
