@@ -13,7 +13,8 @@ blocks: the unitarity check on that Julia block, U v as a shift plus two
 dense block rows, the corner powers by a recurrence on the top block row,
 and the Hermitian matrix that `linalg.unitary_spectrum` takes the
 eigenphases from. The dense (m n)-square unitary `u` is built only when
-something reads it (tests, demos, `observed_trace_degree`).
+something reads it (tests, demos, `observed_trace_degree`, and the dense
+eigvals fallback of that eigensolve).
 """
 
 from __future__ import annotations
@@ -95,8 +96,13 @@ class FiniteDilation:
         return h
 
     def eigenphases(self) -> list[tuple[float, int]]:
-        """Eigenphases of u as `linalg.eigenphases` gives them, without forming u."""
-        return phase_clusters(unitary_spectrum(self.hermitian_part, self.apply))
+        """Eigenphases of u as `linalg.eigenphases` gives them.
+
+        u is formed only when the residual certificate fails and the solve
+        falls back to dense eigvals: a Julia block that is not normal and
+        whose defect is near its 1e-10 tolerance can do that.
+        """
+        return phase_clusters(unitary_spectrum(self.hermitian_part, self.apply, lambda: self.u.m))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.

@@ -171,11 +171,11 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 _ROTATION = 0.5 * np.exp(-0.5j * np.pi * (np.sqrt(5.0) - 1.0))
 # eigenvalues of H closer than this share a Ritz block
 _RITZ_GAP = 1e-5
-# largest accepted ||U v - lambda v|| per computed eigenpair
+# largest accepted ||U v - lambda v|| per eigenpair; beyond it, dense eigvals
 _RESIDUAL_TOL = 1e-9
 
 
-def unitary_spectrum(hermitian_part: Callable, apply_u: Callable) -> np.ndarray:
+def unitary_spectrum(hermitian_part: Callable, apply_u: Callable, dense: Callable) -> np.ndarray:
     """Eigenvalues of a unitary U from one eigh of H = c U + (c U)*.
 
     hermitian_part(c) assembles that H for the complex scalar c, and
@@ -185,8 +185,11 @@ def unitary_spectrum(hermitian_part: Callable, apply_u: Callable) -> np.ndarray:
     mirror images about phi) are resolved together by eigvals of the small
     Ritz block V* U V. Every eigenpair is certified by its residual
     ||U v - lambda v||, which bounds the distance of lambda to the spectrum
-    because U is normal; beyond _RESIDUAL_TOL (a U that is not unitary, say)
-    the call raises EigenFailure.
+    when U is normal. A U that passed `Unitary`'s check may still carry a
+    defect up to 1e-10, and if it is not normal the eigenvectors of H are
+    not its own: the residual grows like the defect over the distance of
+    two phases from mirroring about phi. Beyond _RESIDUAL_TOL the
+    eigenvalues therefore come from eigvals of dense(), the dense U.
     """
     w, v = _eig(np.linalg.eigh, hermitian_part(_ROTATION))
     uv = apply_u(v)
@@ -198,9 +201,8 @@ def unitary_spectrum(hermitian_part: Callable, apply_u: Callable) -> np.ndarray:
         lam[lo:hi], s = _eig(np.linalg.eig, v[:, lo:hi].conj().T @ uv[:, lo:hi])
         v[:, lo:hi] = v[:, lo:hi] @ s
         uv[:, lo:hi] = uv[:, lo:hi] @ s
-    worst = _worst_residual(v, uv, lam)
-    if worst > _RESIDUAL_TOL:
-        raise EigenFailure(f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+    if _worst_residual(v, uv, lam) > _RESIDUAL_TOL:
+        return _eig(np.linalg.eigvals, dense())
     return lam
 
 
@@ -242,11 +244,12 @@ def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
     Phases live in (0, 2pi], with phase 0 reported as 2pi. Eigenvalues at
     circular distance below cluster_tol merge into one entry whose
     multiplicity is the cluster size. The eigenvalues come from
-    unitary_spectrum, so a matrix that is not unitary raises EigenFailure.
+    unitary_spectrum, which falls back to eigvals of u when u is too far
+    from normal for the Hermitian route.
     """
     m = as_matrix(u)
     hermitian_part = lambda c: c * m + np.conj(c) * m.conj().T  # noqa: E731
-    return phase_clusters(unitary_spectrum(hermitian_part, lambda v: m @ v), cluster_tol)
+    return phase_clusters(unitary_spectrum(hermitian_part, lambda v: m @ v, lambda: m), cluster_tol)
 
 
 class Unitary:

@@ -885,9 +885,9 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     Data problems that surface during execution (a matrix failing its class
     validation, an inadmissible potential) are reported as SchemaError: the
     file was wrong, not the numerics. Numeric check failures never raise;
-    they become failing records. A numeric exception (an ArithmeticError or
-    a LAPACK LinAlgError) ends the run with the records made so far plus a
-    failing numeric-completion record, with the error text in the flags.
+    they become failing records. A numeric exception (an ArithmeticError)
+    ends the run with the records made so far plus a failing
+    numeric-completion record, with the error text in the flags.
     """
     if not isinstance(tolerance_scale, (int, float)) or tolerance_scale <= 0:
         raise SchemaError("tolerance_scale must be a positive number")
@@ -913,7 +913,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
         flags, tables = _RUNNERS[sc.kind](sc, record)
     except SchemaError:
         raise
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         flags, tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
         record("numeric-completion", "numeric-completion", 0.0, 0.0, 0.0, residual=None)
     except ValueError as exc:

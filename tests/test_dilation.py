@@ -134,6 +134,26 @@ def test_structured_dilation_agrees_with_its_dense_matrix(m):
         assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
 
 
+def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeypatch):
+    # Contraction accepts a norm up to 1 + 1e-8, so the Julia block of a
+    # non-normal T with largest singular value 1 + 3e-11 is a validated,
+    # non-normal unitary; for some T the residual certificate fails and the
+    # eigenphases come from eigvals of the dense u
+    fallbacks = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: fallbacks.append(a.shape) or eigvals(a))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        q0, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        t = Contraction((q0 * [1 + 3e-11, rng.uniform(0.2, 0.9)]) @ q1)
+        d = finite_schaffer_dilation(t, 3)
+        got, want = d.eigenphases(), phase_clusters(eigvals(d.u.m))
+        assert [k for _, k in got] == [k for _, k in want]
+        assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+    assert (6, 6) in fallbacks
+
+
 def test_dilation_build_keeps_only_the_blocks():
     t = random_contraction(np.random.default_rng(3), 3)
     d = finite_schaffer_dilation(t, 24)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssflab.errors import (
-    EigenFailure,
     IndefiniteInput,
     InvalidExponent,
     KernelViolation,
@@ -31,6 +30,7 @@ from ssflab.linalg import (
     schatten_norm,
     singular_log_sum,
     singular_value_commute_check,
+    unitary_spectrum,
     von_neumann_gap,
 )
 
@@ -271,11 +271,43 @@ def test_eigenphases_tight_clusters_across_the_seam(seed, offsets, others):
     assert seam and seam[0][1] == len(offsets)
 
 
-def test_eigenphases_residual_certificate_rejects_non_normal_input():
-    # eigh of the rotated Hermitian part cannot produce eigenvectors of a
-    # Jordan-like block, and the residual says so
-    with pytest.raises(EigenFailure, match="residual"):
-        eigenphases(np.array([[1.0, 1.0], [0.0, 1j]]))
+def _mirrored_triangular(offset, delta=5e-11):
+    """Upper-triangular near-unitary whose phases sum to 2 phi + offset."""
+    a, b = _PHI + 0.3, _PHI - 0.3 + offset
+    return np.array([[np.exp(1j * a), delta], [0.0, np.exp(1j * b)]])
+
+
+@pytest.mark.parametrize("offset", [1e-2, 1e-3, 1e-4])
+def test_eigenphases_of_a_validated_non_normal_unitary_match_the_oracle(offset):
+    # Unitary accepts a defect up to 1e-10; this one is not normal, so the
+    # eigenvectors of the rotated Hermitian part miss its own by about
+    # delta / offset and the certificate hands the solve to dense eigvals
+    u = _mirrored_triangular(offset)
+    assert 5e-11 < np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-10
+    _assert_matches_oracle(Unitary(u).m)
+    got = eigenphases(u)
+    assert [p for p, _ in got] == pytest.approx([_PHI - 0.3 + offset, _PHI + 0.3], abs=1e-15)
+
+
+def test_eigenphases_of_a_non_unitary_matrix_fall_back_to_eigvals():
+    _assert_matches_oracle(np.array([[1.0, 1.0], [0.0, 1j]]))
+
+
+def test_unitary_spectrum_reads_the_dense_matrix_only_when_the_certificate_fails():
+    def dense_of(m):
+        def dense():
+            dense.calls += 1
+            return m
+
+        dense.calls = 0
+        return dense
+
+    for m, calls in ((_haar(5, 6), 0), (_mirrored_triangular(1e-2), 1)):
+        dense = dense_of(m)
+        hermitian_part = lambda c: c * m + np.conj(c) * m.conj().T  # noqa: E731
+        lam = unitary_spectrum(hermitian_part, lambda v: m @ v, dense)
+        assert dense.calls == calls
+        assert np.sort(np.angle(lam)) == pytest.approx(np.sort(np.angle(np.linalg.eigvals(m))), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
