@@ -9,12 +9,12 @@ intend to ask about.
 
 `FiniteDilation` owns the block layout and keeps only the 2n-square Julia
 block, which holds T and its defect pair. Everything a run needs works on the
-blocks: the unitarity check on that Julia block, U v as a shift plus two
-dense block rows, the corner powers by a recurrence on the top block row,
-and the Hermitian matrix that `linalg.unitary_spectrum` takes the
-eigenphases from. The dense (m n)-square unitary `u` is built only when
-something reads it (tests, demos, `observed_trace_degree`, and the dense
-eigvals fallback of that eigensolve).
+blocks: the unitarity check on that Julia block, the corner powers by a
+recurrence on the top block row, and the shifted inverse (I + alpha U)^(-1)
+from one 2n-square solve, whose Cayley transform `linalg.unitary_spectrum`
+takes the eigenphases from. The dense (m n)-square unitary `u` is built only
+when something reads it (tests, demos, `observed_trace_degree`, and the
+dense eigvals fallback of that eigensolve).
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class FiniteDilation:
     def n(self) -> int:
         return self.julia.shape[0] // 2
 
-    def _shift_rows(self) -> np.ndarray:
-        """Rows n .. (m-1)n - 1, each holding a 1 in the column n further on."""
-        return np.arange(self.n, (self.m - 1) * self.n)
-
     @cached_property
     def u(self) -> Unitary:
         """The dense (m n)-square unitary, built on first access."""
@@ -68,41 +64,43 @@ class FiniteDilation:
         u = np.zeros((last + n, last + n), dtype=np.complex128)
         u[last:, : 2 * n] = self.julia[:n]
         u[:n, : 2 * n] = self.julia[n:]
-        rows = self._shift_rows()
+        rows = np.arange(n, last)
         u[rows, rows + n] = 1.0
         return Unitary(u)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """U v for an (m n) x k array v: the Julia block on blocks (0, 1), a shift on the rest."""
-        n, last = self.n, (self.m - 1) * self.n
-        out = np.empty_like(v)
-        jv = self.julia @ v[: 2 * n]
-        out[last:], out[:n] = jv[:n], jv[n:]
-        out[n:last] = v[2 * n :]
-        return out
+    def shifted_inverse(self, alpha: complex) -> np.ndarray:
+        """(I + alpha U)^(-1) as a dense matrix, from one 2n-square solve.
 
-    def hermitian_part(self, c: complex) -> np.ndarray:
-        """c U + (c U)*, assembled block by block."""
-        n, last = self.n, (self.m - 1) * self.n
-        h = np.zeros((last + n, last + n), dtype=np.complex128)
-        cj = c * self.julia
-        h[last:, : 2 * n] += cj[:n]
-        h[:n, : 2 * n] += cj[n:]
-        h[: 2 * n, last:] += cj[:n].conj().T
-        h[: 2 * n, :n] += cj[n:].conj().T
-        rows = self._shift_rows()
-        h[rows, rows + n] += c
-        h[rows + n, rows] += np.conj(c)
-        return h
+        Rows 1 .. m-2 of (I + alpha U) x = b give x_j = b_j - alpha x_(j+1),
+        so every block x_j with j >= 1 is a Toeplitz sum of the b_k plus
+        (-alpha)^(m-1-j) x_(m-1). Rows 0 and m-1 then leave one solve for
+        x_0 and x_(m-1) with the matrix [[I + alpha T, alpha beta D_T*],
+        [alpha D_T, I - alpha beta T*]], beta = (-alpha)^(m-2), whose
+        determinant is det(I + alpha U).
+        """
+        n, m = self.n, self.m
+        powers = (-complex(alpha)) ** np.arange(m - 1)
+        swapped = np.roll(self.julia, n, axis=0)  # [[T, D_T*], [D_T, -T*]]
+        lhs = np.eye(2 * n) + alpha * swapped * np.repeat([1.0, powers[-1]], n)
+        # x_0 over x_(m-1) for b = e_0, for b = e_(m-1), and per unit of x_1's Toeplitz sum
+        s = np.linalg.solve(lhs, np.hstack([np.eye(2 * n), -alpha * swapped[:, n:]]))
+        edge = np.hstack([s[:, :n], np.kron(powers[:-1], s[:, 2 * n :]), s[:, n : 2 * n]])
+        j, k = np.ogrid[:m, :m]
+        toeplitz = np.where((1 <= j) & (j <= k) & (k < m - 1), powers[np.clip(k - j, 0, m - 2)], 0)
+        x = np.kron(toeplitz, np.eye(n))
+        x[:n] = edge[:n]
+        rows = x[n:].reshape(m - 1, n, -1)
+        rows += powers[::-1, None, None] * edge[n:]
+        return x
 
     def eigenphases(self) -> list[tuple[float, int]]:
         """Eigenphases of u as `linalg.eigenphases` gives them.
 
-        u is formed only when the residual certificate fails and the solve
-        falls back to dense eigvals: a Julia block that is not normal and
-        whose defect is near its 1e-10 tolerance can do that.
+        u is formed only when the Cayley solve goes uncertified and falls
+        back to dense eigvals: a Julia block that is not normal and whose
+        defect is near its 1e-10 tolerance can do that.
         """
-        return phase_clusters(unitary_spectrum(self.hermitian_part, self.apply, lambda: self.u.m))
+        return phase_clusters(unitary_spectrum(self.shifted_inverse, lambda: self.u.m))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.

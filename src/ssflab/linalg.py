@@ -138,92 +138,99 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     order = np.argsort(phases)
     phases = phases[order]
     weights = weights[order]
-    groups: list[list[float]] = []
-    sums: list = []
-    for p, w in zip(phases, weights):
-        if groups and p - groups[-1][-1] < tol:
-            groups[-1].append(float(p))
-            sums[-1] += w
-        else:
-            groups.append([float(p)])
-            sums.append(w)
-    if len(groups) > 1 and (groups[0][0] + TWO_PI - groups[-1][-1]) < tol:
-        first = groups.pop(0)
-        w0 = sums.pop(0)
-        groups[-1].extend(p + TWO_PI for p in first)
-        sums[-1] += w0
-    out = []
-    for grp, w in zip(groups, sums):
-        rep = float(np.mean(grp)) % TWO_PI
-        if rep <= tol or rep >= TWO_PI - tol:
-            rep = TWO_PI
-        out.append((rep, w))
-    out.sort(key=lambda it: it[0])
-    return out
+    if phases.size == 0:
+        return []
+    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(phases) < tol))))
+    if len(starts) > 1 and (phases[0] + TWO_PI - phases[-1]) < tol:
+        # the first group wraps past 2pi into the last one
+        first = starts[1]
+        phases = np.concatenate((phases[first:], phases[:first] + TWO_PI))
+        weights = np.concatenate((weights[first:], weights[:first]))
+        starts = starts[1:] - first
+    sums = np.add.reduceat(weights, starts)
+    # each mean as first phase plus mean offset: the offsets are exact, so
+    # the mean is correctly rounded
+    counts = np.diff(starts, append=len(phases))
+    firsts = phases[starts]
+    offsets = np.add.reduceat(phases - np.repeat(firsts, counts), starts)
+    reps = (firsts + offsets / counts) % TWO_PI
+    reps = np.where((reps <= tol) | (reps >= TWO_PI - tol), TWO_PI, reps)
+    order = np.argsort(reps, kind="stable")
+    return list(zip(reps[order].tolist(), sums[order]))
 
 
-# Eigenvalues of a unitary U come from the Hermitian H = c U + (c U)* with
-# c = e^(-i phi) / 2: H = Re(e^(-i phi) U) shares U's eigenvectors and puts
-# the eigenvalue e^(i theta) at cos(theta - phi). phi is an irrational
-# multiple of pi, so no two angles that are rational multiples of pi meet
-# the collision theta + theta' = 2 phi (mod 2 pi), where H cannot tell them
-# apart.
-_ROTATION = 0.5 * np.exp(-0.5j * np.pi * (np.sqrt(5.0) - 1.0))
-# eigenvalues of H closer than this share a Ritz block
-_RITZ_GAP = 1e-5
-# largest accepted ||U v - lambda v|| per eigenpair; beyond it, dense eigvals
-_RESIDUAL_TOL = 1e-9
+# Eigenvalues of a unitary U come from the Cayley transform of W = e^(-i psi) U,
+# A = i (I - W)(I + W)^(-1) = 2i (I + e^(-i psi) U)^(-1) - iI. A is Hermitian
+# and has the eigenvalue tan((theta - psi) / 2) wherever U has e^(i theta);
+# that map is monotone, so eigvalsh alone gives every phase with its
+# multiplicity. psi is an irrational multiple of pi, so the pole
+# theta = psi + pi misses every angle that is a rational multiple of pi.
+_PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
+# the second try when I + e^(-i psi) U is singular
+_PSI_SINGULAR = _PSI + np.pi * (np.sqrt(2.0) - 1.0)
+# a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
+# the others' accuracy; the pole then moves into the widest gap
+_POLE_LIMIT = 2e3
+# largest accepted ||A - A*||_F, which bounds every phase error (Bauer-Fike);
+# beyond it, dense eigvals
+_SKEW_TOL = 1e-9
 
 
-def unitary_spectrum(hermitian_part: Callable, apply_u: Callable, dense: Callable) -> np.ndarray:
-    """Eigenvalues of a unitary U from one eigh of H = c U + (c U)*.
+class _CayleySolve(NamedTuple):
+    theta: np.ndarray
+    pole: float
+    skew: float
 
-    hermitian_part(c) assembles that H for the complex scalar c, and
-    apply_u(v) returns U v, so a structured U never has to be dense. Each
-    eigenvector v of H yields the Ritz value v* U v. Eigenvalues of H closer
-    than _RITZ_GAP (a multiple eigenvalue of U, or two whose phases are
-    mirror images about phi) are resolved together by eigvals of the small
-    Ritz block V* U V. Every eigenpair is certified by its residual
-    ||U v - lambda v||, which bounds the distance of lambda to the spectrum
-    when U is normal. A U that passed `Unitary`'s check may still carry a
-    defect up to 1e-10, and if it is not normal the eigenvectors of H are
-    not its own: the residual grows like the defect over the distance of
-    two phases from mirroring about phi. Beyond _RESIDUAL_TOL the
-    eigenvalues therefore come from eigvals of dense(), the dense U.
+
+def _cayley_solve(shifted_inverse: Callable, psi: float):
+    """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular."""
+    try:
+        a = shifted_inverse(np.exp(-1j * psi))
+    except np.linalg.LinAlgError:
+        return None
+    a *= 2j
+    a[np.diag_indices_from(a)] -= 1j
+    h = a.conj().T
+    skew = float(np.linalg.norm(a - h))
+    if not np.isfinite(skew):
+        return None
+    h += a
+    h *= 0.5
+    w = _eig(np.linalg.eigvalsh, h)
+    return _CayleySolve(psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), skew)
+
+
+def _pole_in_widest_gap(theta: np.ndarray) -> float:
+    """The psi whose pole psi + pi sits mid-way in the widest circular gap of theta."""
+    t = np.sort(theta % TWO_PI)
+    gaps = np.diff(t, append=t[0] + TWO_PI)
+    k = int(np.argmax(gaps))
+    return float(t[k] + 0.5 * gaps[k] - np.pi)
+
+
+def unitary_spectrum(shifted_inverse: Callable, dense: Callable) -> np.ndarray:
+    """Eigenvalues of a unitary U from one eigvalsh of a Cayley transform.
+
+    shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
+    never has to be dense. With alpha = e^(-i psi) it gives the Hermitian
+    A = 2i (I + alpha U)^(-1) - iI, whose eigenvalues a give the phases
+    psi + 2 arctan(a). An eigenvalue near the pole psi + pi (|a| above
+    _POLE_LIMIT) costs the others accuracy, so the solve is repeated once
+    with the pole in the widest gap of the phases just found; a singular
+    I + alpha U is repeated at a fixed other psi. The skew ||A - A*||_F
+    bounds every phase error: a U that passed `Unitary`'s check may carry a
+    defect up to 1e-10, and A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1).
+    Beyond _SKEW_TOL, or when the second try still meets the pole, the
+    eigenvalues come from eigvals of dense(), the dense U.
     """
-    w, v = _eig(np.linalg.eigh, hermitian_part(_ROTATION))
-    uv = apply_u(v)
-    lam = _column_dots(v, uv)
-    # runs of close neighbours start and end where this flag flips
-    close = np.concatenate(([False], np.diff(w) < _RITZ_GAP, [False]))
-    flips = np.flatnonzero(close[1:] != close[:-1])
-    for lo, hi in zip(flips[::2], flips[1::2] + 1):
-        lam[lo:hi], s = _eig(np.linalg.eig, v[:, lo:hi].conj().T @ uv[:, lo:hi])
-        v[:, lo:hi] = v[:, lo:hi] @ s
-        uv[:, lo:hi] = uv[:, lo:hi] @ s
-    if _worst_residual(v, uv, lam) > _RESIDUAL_TOL:
+    solve = _cayley_solve(shifted_inverse, _PSI)
+    if solve is None:
+        solve = _cayley_solve(shifted_inverse, _PSI_SINGULAR)
+    elif solve.pole > _POLE_LIMIT:
+        solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta))
+    if solve is None or solve.pole > _POLE_LIMIT or solve.skew > _SKEW_TOL:
         return _eig(np.linalg.eigvals, dense())
-    return lam
-
-
-_CHUNK = 64  # columns per pass, so no N x N temporary is formed
-
-
-def _column_dots(v: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """v[:, j]* uv[:, j] for every column j."""
-    out = np.empty(v.shape[1], dtype=np.complex128)
-    for j in range(0, v.shape[1], _CHUNK):
-        out[j : j + _CHUNK] = np.einsum("ij,ij->j", v[:, j : j + _CHUNK].conj(), uv[:, j : j + _CHUNK])
-    return out
-
-
-def _worst_residual(v: np.ndarray, uv: np.ndarray, lam: np.ndarray) -> float:
-    """max_j ||uv[:, j] - lam[j] v[:, j]||."""
-    worst = 0.0
-    for j in range(0, v.shape[1], _CHUNK):
-        r = uv[:, j : j + _CHUNK] - v[:, j : j + _CHUNK] * lam[j : j + _CHUNK]
-        worst = max(worst, float(np.linalg.norm(r, axis=0).max(initial=0.0)))
-    return worst
+    return np.exp(1j * solve.theta)
 
 
 def phase_clusters(eigs: np.ndarray, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
@@ -245,11 +252,12 @@ def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
     circular distance below cluster_tol merge into one entry whose
     multiplicity is the cluster size. The eigenvalues come from
     unitary_spectrum, which falls back to eigvals of u when u is too far
-    from normal for the Hermitian route.
+    from unitary for the Cayley route.
     """
     m = as_matrix(u)
-    hermitian_part = lambda c: c * m + np.conj(c) * m.conj().T  # noqa: E731
-    return phase_clusters(unitary_spectrum(hermitian_part, lambda v: m @ v, lambda: m), cluster_tol)
+    eye = np.eye(m.shape[0])
+    lam = unitary_spectrum(lambda a: np.linalg.inv(eye + a * m), lambda: m)
+    return phase_clusters(lam, cluster_tol)
 
 
 class Unitary:

@@ -61,6 +61,7 @@ from .ssf_line import (
     dissipative_condition_report,
     dissipative_ssf,
     perturbation_trace_report,
+    resolvent_trace_sides,
     weighted_abs_integral,
 )
 
@@ -609,19 +610,6 @@ class Report:
 _AUTO = object()
 
 
-def _resolvent_sum(ssf, z: complex) -> complex:
-    if len(ssf.breakpoints) == 0:
-        return 0.0 + 0.0j
-    return complex(-np.sum(ssf.jump_sizes / (ssf.breakpoints - z)))
-
-
-def _resolvent_lhs(m0: np.ndarray, m1: np.ndarray, z: complex) -> complex:
-    eye = np.eye(m0.shape[0])
-    r1 = np.linalg.solve(m1 - z * eye, eye)
-    r0 = np.linalg.solve(m0 - z * eye, eye)
-    return complex(np.trace(r1 - r0))
-
-
 def _run_unitary_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     ssf = unitary_ssf(*(Unitary(m) for m in sc.matrices))
     return _circle_pair_checks(sc, record, ssf, "circle-trace-formula", 1e-10, {})
@@ -673,8 +661,10 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
             worst = max(worst, operator_norm(corner - power))
             power = power @ base
     record("power-dilation", "power-dilation", worst, 0.0, 1e-10)
+    n = t0.n  # the Julia block [[D_T, -T*], [T, D_T*]] holds each defect pair
+    defects = [(d.julia[:n, :n], d.julia[n:, n:]) for d in (d0, d1)]
     conditions = real_ssf_conditions_report(
-        t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
+        t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"], defects
     )
     record("defect-identity", "defect-identity", conditions.identity_residual, 0.0, 1e-12)
     flags = {
@@ -692,9 +682,7 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
 
 def _line_pair_checks(sc, record, m0, m1, ssf, tol_resolvent, anchor):
     for j, z in enumerate(sc.z_values):
-        record(
-            f"resolvent-z{j}", anchor, _resolvent_lhs(m0, m1, z), _resolvent_sum(ssf, z), tol_resolvent
-        )
+        record(f"resolvent-z{j}", anchor, *resolvent_trace_sides(m0, m1, ssf, z), tol_resolvent)
     record(
         "weighted-consistency",
         "weighted-integral-consistency",

@@ -144,10 +144,16 @@ def resolvent_trace_residual(l0, l1, ssf: LineSSF, z: complex) -> float:
         raise ValidationError("need Im z <= -1e-6 (poles in the open lower half-plane)")
     m0 = l0.m if isinstance(l0, Dissipative) else Dissipative(l0).m
     m1 = l1.m if isinstance(l1, Dissipative) else Dissipative(l1).m
+    lhs, rhs = resolvent_trace_sides(m0, m1, ssf, z)
+    return float(abs(lhs - rhs))
+
+
+def resolvent_trace_sides(m0, m1, ssf: LineSSF, z: complex) -> tuple[complex, complex]:
+    """trace((M1-z)^(-1) - (M0-z)^(-1)) and -sum of jump * (t_k - z)^(-1), unvalidated."""
     eye = np.eye(m0.shape[0])
     lhs = np.trace(np.linalg.inv(m1 - z * eye)) - np.trace(np.linalg.inv(m0 - z * eye))
     rhs = -np.sum(ssf.jump_sizes / (ssf.breakpoints - z)) if len(ssf.breakpoints) else 0.0
-    return float(abs(lhs - rhs))
+    return complex(lhs), complex(rhs)
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,9 @@ def test_structured_dilation_agrees_with_its_dense_matrix(m):
         t = random_contraction(rng, n)
         d = finite_schaffer_dilation(t, m)
         u = d.u.m
-        c = 0.5 * np.exp(-0.7j)
-        assert np.linalg.norm(d.hermitian_part(c) - (c * u + (c * u).conj().T)) <= 1e-15
-        v = rng.standard_normal((m * n, 5)) + 1j * rng.standard_normal((m * n, 5))
-        assert np.linalg.norm(d.apply(v) - u @ v) <= 1e-13
+        for alpha in (np.exp(-0.7j), 1.0, -1j):
+            want = np.linalg.inv(np.eye(m * n) + alpha * u)
+            assert np.linalg.norm(d.shifted_inverse(alpha) - want) <= 1e-12 * np.linalg.norm(want)
         for k, corner in enumerate(d.compressed_powers(m + 2), start=1):
             assert np.linalg.norm(corner - np.linalg.matrix_power(u, k)[:n, :n]) <= 1e-13
         # U*U - I is the Julia block's defect on two blocks and zero elsewhere
@@ -152,6 +151,21 @@ def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeyp
         assert [k for _, k in got] == [k for _, k in want]
         assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
     assert (6, 6) in fallbacks
+
+
+def test_dilation_eigenphases_compute_no_eigenvectors(monkeypatch):
+    def refuse(a):
+        raise AssertionError("eigenvectors were computed")
+
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    rng = np.random.default_rng(41)
+    for n, m in ((1, 3), (3, 8), (8, 24)):
+        d = finite_schaffer_dilation(random_contraction(rng, n), m)
+        got, want = d.eigenphases(), phase_clusters(eigvals(d.u.m))
+        assert [k for _, k in got] == [k for _, k in want]
+        assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
 
 
 def test_dilation_build_keeps_only_the_blocks():

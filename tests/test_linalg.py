@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssflab.errors import (
@@ -13,6 +15,7 @@ from ssflab.errors import (
 )
 from ssflab.linalg import (
     Contraction,
+    _cluster_circle,
     Dissipative,
     Unitary,
     analytic_poly_eval,
@@ -192,11 +195,12 @@ def test_eigenphases_total_multiplicity_and_range():
         assert phases == sorted(phases)
 
 
-# The eigenphase route (eigh of a rotated Hermitian part, Ritz values, Ritz
-# blocks for close eigenvalues) against dense eigvals as the oracle, on
+# The eigenphase route (eigvalsh of the Cayley transform of e^(-i phi) U, with
+# the pole moved off an eigenvalue) against dense eigvals as the oracle, on
 # unitaries with planted structure.
 
 _PHI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)  # the rotation unitary_spectrum uses
+_POLE = _PHI + np.pi  # where its Cayley transform has its pole
 
 
 def _oracle(u):
@@ -229,6 +233,19 @@ _seeds = st.integers(0, 2**32 - 1)
 _angles = st.floats(0.0, TWO_PI, allow_nan=False)
 
 
+def _clear_of_the_cluster_thresholds(phases, tol=1e-9, margin=1e-12):
+    """No phase within margin of tol from the 0/2pi seam, and no gap within margin of tol.
+
+    At such a threshold the clustering of a float64 spectrum is decided by
+    rounding: for the phases [_PHI, 1e-9] dense eigvals puts the small one at
+    1.00000008e-9 while the matrix has it at 9.99999984e-10 (40 digits), and
+    any float64 solver lands on either side.
+    """
+    p = np.sort(np.mod(phases, TWO_PI))
+    gaps = np.diff(p, append=p[0] + TWO_PI)
+    return not np.any(np.abs(np.concatenate((gaps, p, TWO_PI - p)) - tol) < margin)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=_seeds, distinct=st.lists(_angles, min_size=1, max_size=4), mults=st.data())
 def test_eigenphases_exact_multiplicities(seed, distinct, mults):
@@ -257,7 +274,46 @@ def test_eigenphases_conjugate_pairs_of_real_orthogonal_matrices(seed, angles, s
 @settings(max_examples=40, deadline=None)
 @given(seed=_seeds, others=st.lists(_angles, max_size=8), copies=st.integers(1, 3))
 def test_eigenphases_with_an_eigenvalue_at_the_rotation_angle(seed, others, copies):
+    assume(_clear_of_the_cluster_thresholds([_PHI] + others))
     _assert_matches_oracle(_planted(seed, [_PHI] * copies + others))
+
+
+def _counting_inverse(u, fail_first=False):
+    """shifted_inverse of a dense u that counts its calls and can raise on the first."""
+    def shifted_inverse(alpha):
+        shifted_inverse.calls += 1
+        if fail_first and shifted_inverse.calls == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.linalg.inv(np.eye(len(u)) + alpha * u)
+
+    shifted_inverse.calls = 0
+    return shifted_inverse
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, offset=st.sampled_from([0.0, 1e-6, -1e-6]), others=st.lists(_angles, max_size=8),
+       copies=st.integers(1, 2))
+def test_eigenphases_with_an_eigenvalue_at_or_near_the_pole(seed, offset, others, copies):
+    # |tan| of the pole eigenvalue is 1e16 or 2e6, far past the limit, so
+    # the solve runs again with the pole in the widest gap
+    assume(_clear_of_the_cluster_thresholds([_POLE + offset] + others))
+    u = _planted(seed, [_POLE + offset] * copies + others)
+    _assert_matches_oracle(u)
+    shifted_inverse = _counting_inverse(u)
+    lam = unitary_spectrum(shifted_inverse, lambda: u)
+    assert shifted_inverse.calls == 2
+    assert phase_clusters(lam) == [(p, k) for p, k in eigenphases(u)]
+
+
+def test_unitary_spectrum_tries_a_second_rotation_when_the_shift_is_singular():
+    u = _haar(11, 5)
+    shifted_inverse = _counting_inverse(u, fail_first=True)
+    lam = unitary_spectrum(shifted_inverse, lambda: pytest.fail("dense eigvals was not needed"))
+    assert shifted_inverse.calls == 2
+    got = phase_clusters(lam)
+    want = _oracle(u)
+    assert [k for _, k in got] == [k for _, k in want]
+    assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,9 +335,8 @@ def _mirrored_triangular(offset, delta=5e-11):
 
 @pytest.mark.parametrize("offset", [1e-2, 1e-3, 1e-4])
 def test_eigenphases_of_a_validated_non_normal_unitary_match_the_oracle(offset):
-    # Unitary accepts a defect up to 1e-10; this one is not normal, so the
-    # eigenvectors of the rotated Hermitian part miss its own by about
-    # delta / offset and the certificate hands the solve to dense eigvals
+    # Unitary accepts a defect up to 1e-10; this one is not normal, and its
+    # phases are nearly mirrored about phi
     u = _mirrored_triangular(offset)
     assert 5e-11 < np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-10
     _assert_matches_oracle(Unitary(u).m)
@@ -302,12 +357,62 @@ def test_unitary_spectrum_reads_the_dense_matrix_only_when_the_certificate_fails
         dense.calls = 0
         return dense
 
-    for m, calls in ((_haar(5, 6), 0), (_mirrored_triangular(1e-2), 1)):
+    # a validated non-normal unitary with a phase 0.01 from the pole: the
+    # skew 2i X*(I - U*U)X of the Cayley transform is above 1e-9
+    near_pole = np.array([[np.exp(1j * (_POLE - 0.01)), 5e-11], [0.0, np.exp(1j * (_PHI + 0.4))]])
+    assert np.linalg.norm(near_pole.conj().T @ near_pole - np.eye(2)) < 1e-10
+    for m, calls in ((_haar(5, 6), 0), (near_pole, 1)):
         dense = dense_of(m)
-        hermitian_part = lambda c: c * m + np.conj(c) * m.conj().T  # noqa: E731
-        lam = unitary_spectrum(hermitian_part, lambda v: m @ v, dense)
+        lam = unitary_spectrum(lambda a: np.linalg.inv(np.eye(len(m)) + a * m), dense)
         assert dense.calls == calls
         assert np.sort(np.angle(lam)) == pytest.approx(np.sort(np.angle(np.linalg.eigvals(m))), abs=1e-12)
+
+
+def _cluster_circle_loop(phases, weights, tol):
+    """The per-phase loop _cluster_circle replaced, kept as its oracle; also returns each group."""
+    order = np.argsort(phases)
+    groups, sums = [], []
+    for p, w in zip(phases[order], weights[order]):
+        if groups and p - groups[-1][-1] < tol:
+            groups[-1].append(float(p))
+            sums[-1] += w
+        else:
+            groups.append([float(p)])
+            sums.append(w)
+    if len(groups) > 1 and (groups[0][0] + TWO_PI - groups[-1][-1]) < tol:
+        first = groups.pop(0)
+        sums[-1] += sums.pop(0)
+        groups[-1].extend(p + TWO_PI for p in first)
+    out = []
+    for grp, w in zip(groups, sums):
+        rep = float(np.mean(grp)) % TWO_PI
+        out.append((TWO_PI if rep <= tol or rep >= TWO_PI - tol else rep, w, grp))
+    out.sort(key=lambda it: it[0])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centres=st.lists(st.one_of(_angles, st.sampled_from([1e-10, TWO_PI - 1e-10, TWO_PI])), max_size=6),
+    spread=st.lists(st.tuples(st.floats(-3e-9, 3e-9), st.integers(-3, 3)), min_size=1, max_size=24),
+    picks=st.data(),
+)
+def test_cluster_circle_matches_the_loop(centres, spread, picks):
+    centres = centres or [1.0]
+    where = [picks.draw(st.integers(0, len(centres) - 1)) for _ in spread]
+    phases = np.array([centres[c] + d for c, (d, _) in zip(where, spread)]) % TWO_PI
+    phases = np.where(phases <= 0.0, phases + TWO_PI, phases)
+    weights = np.array([w for _, w in spread])
+    got = _cluster_circle(phases, weights, 1e-9)
+    want = _cluster_circle_loop(phases, weights, 1e-9)
+    assert [w for _, w in got] == [w for _, w, _ in want]
+    for (p, _), (q, _, grp) in zip(got, want):
+        # np.mean in the loop rounds up to ~3 ulp off the exact mean of a
+        # large group; the vectorised mean is within 1e-15 of the exact one
+        exact = float(sum(Fraction(x) for x in grp) / len(grp)) % TWO_PI
+        exact = TWO_PI if exact <= 1e-9 or exact >= TWO_PI - 1e-9 else exact
+        assert abs(p - exact) <= 1e-15
+        assert abs(p - q) <= 4e-15
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,7 @@ def test_runs_never_build_the_dense_dilation(kind, monkeypatch):
 
 def test_unitary_pair_written_to_eleven_digits_passes():
     # a non-normal matrix inside Unitary's 1e-10 defect tolerance, with its
-    # phases nearly mirrored about the eigensolver's rotation: the residual
-    # certificate fails and the phases come from dense eigvals
+    # phases nearly mirrored about the eigensolver's rotation
     phi = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
     a, b = np.exp(1j * (phi + 0.3)), np.exp(1j * (phi - 0.29))
     u0 = [[[a.real, a.imag], [5e-11, 0.0]], [[0.0, 0.0], [b.real, b.imag]]]
