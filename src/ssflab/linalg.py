@@ -8,6 +8,7 @@ configs can override them.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -166,8 +167,6 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 # multiplicity. psi is an irrational multiple of pi, so the pole
 # theta = psi + pi misses every angle that is a rational multiple of pi.
 _PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
-# the second try when I + e^(-i psi) U is singular
-_PSI_SINGULAR = _PSI + np.pi * (np.sqrt(2.0) - 1.0)
 # a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
 # the others' accuracy; the pole then moves into the widest gap
 _POLE_LIMIT = 2e3
@@ -216,17 +215,15 @@ def unitary_spectrum(shifted_inverse: Callable, dense: Callable) -> np.ndarray:
     A = 2i (I + alpha U)^(-1) - iI, whose eigenvalues a give the phases
     psi + 2 arctan(a). An eigenvalue near the pole psi + pi (|a| above
     _POLE_LIMIT) costs the others accuracy, so the solve is repeated once
-    with the pole in the widest gap of the phases just found; a singular
-    I + alpha U is repeated at a fixed other psi. The skew ||A - A*||_F
+    with the pole in the widest gap of the phases just found. The skew ||A - A*||_F
     bounds every phase error: a U that passed `Unitary`'s check may carry a
     defect up to 1e-10, and A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1).
-    Beyond _SKEW_TOL, or when the second try still meets the pole, the
-    eigenvalues come from eigvals of dense(), the dense U.
+    Beyond _SKEW_TOL, when the second try still meets the pole, or when
+    I + alpha U is singular, the eigenvalues come from eigvals of dense(),
+    the dense U.
     """
     solve = _cayley_solve(shifted_inverse, _PSI)
-    if solve is None:
-        solve = _cayley_solve(shifted_inverse, _PSI_SINGULAR)
-    elif solve.pole > _POLE_LIMIT:
+    if solve is not None and solve.pole > _POLE_LIMIT:
         solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta))
     if solve is None or solve.pole > _POLE_LIMIT or solve.skew > _SKEW_TOL:
         return _eig(np.linalg.eigvals, dense())
@@ -292,6 +289,16 @@ class Contraction:
         self.n = mat.shape[0]
         self.norm = smax
 
+    @cached_property
+    def defects(self) -> DefectPair:
+        """The defect pair of defect_operators, read-only and computed once per contraction."""
+        u, s, vh = np.linalg.svd(self.m)
+        c = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
+        pair = DefectPair(hermitize((vh.conj().T * c) @ vh), hermitize((u * c) @ u.conj().T))
+        for d in pair:
+            d.setflags(write=False)
+        return pair
+
     def __repr__(self):
         return f"Contraction(n={self.n}, norm={self.norm:.6f})"
 
@@ -331,12 +338,7 @@ def defect_operators(t) -> DefectPair:
     both roots in one Schmidt basis and keeps the intertwining relation
     T D_T = D_T* T at roundoff even when T is unitary to machine precision.
     """
-    m = t.m if isinstance(t, Contraction) else Contraction(t).m
-    u, s, vh = np.linalg.svd(m)
-    c = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
-    d_t = hermitize((vh.conj().T * c) @ vh)
-    d_t_star = hermitize((u * c) @ u.conj().T)
-    return DefectPair(d_t, d_t_star)
+    return (t if isinstance(t, Contraction) else Contraction(t)).defects
 
 
 class PolarFactors(NamedTuple):

@@ -661,10 +661,8 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
             worst = max(worst, operator_norm(corner - power))
             power = power @ base
     record("power-dilation", "power-dilation", worst, 0.0, 1e-10)
-    n = t0.n  # the Julia block [[D_T, -T*], [T, D_T*]] holds each defect pair
-    defects = [(d.julia[:n, :n], d.julia[n:, n:]) for d in (d0, d1)]
     conditions = real_ssf_conditions_report(
-        t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"], defects
+        t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
     record("defect-identity", "defect-identity", conditions.identity_residual, 0.0, 1e-12)
     flags = {

@@ -272,7 +272,7 @@ class RealSsfConditions:
 
 
 def real_ssf_conditions_report(
-    t0: Contraction, t1: Contraction, alpha: float, beta: float, p: float, defects=None
+    t0: Contraction, t1: Contraction, alpha: float, beta: float, p: float
 ) -> RealSsfConditions:
     """Evaluate the weighted-difference hypotheses on a concrete pair.
 
@@ -284,8 +284,7 @@ def real_ssf_conditions_report(
 
     When a required inverse defect power does not exist (defect eigenvalue
     below the 1e-12 floor) the weighted norms are reported as None instead
-    of raising. defects, the two defect pairs when the caller has them
-    (a dilation's Julia block holds them), saves computing them again.
+    of raising.
     """
     if alpha < 0 or beta < 0 or not (0.5 < alpha + beta <= 1.0):
         raise ValidationError("need alpha, beta >= 0 with alpha + beta in (1/2, 1]")
@@ -293,7 +292,8 @@ def real_ssf_conditions_report(
     t1 = t1 if isinstance(t1, Contraction) else Contraction(t1)
     if t0.n != t1.n:
         raise ValidationError("dimension mismatch")
-    (d0, d0s), (d1, d1s) = defects or (defect_operators(t0), defect_operators(t1))
+    d0, d0s = defect_operators(t0)
+    d1, d1s = defect_operators(t1)
     min_eig = float(np.linalg.eigvalsh(d0).min())
     diff = t1.m - t0.m
     try:

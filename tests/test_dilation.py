@@ -136,8 +136,8 @@ def test_structured_dilation_agrees_with_its_dense_matrix(m):
 def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeypatch):
     # Contraction accepts a norm up to 1 + 1e-8, so the Julia block of a
     # non-normal T with largest singular value 1 + 3e-11 is a validated,
-    # non-normal unitary; for some T the residual certificate fails and the
-    # eigenphases come from eigvals of the dense u
+    # non-normal unitary; for some T the skew certificate of the Cayley
+    # transform fails and the eigenphases come from eigvals of the dense u
     fallbacks = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: fallbacks.append(a.shape) or eigvals(a))
