@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from html import escape
 
 import numpy as np
@@ -56,10 +57,10 @@ def jsonable(value):
 
 def step_circle_rows(step: StepSSF) -> list[tuple[float, float, float]]:
     """Constant segments covering (0, 2pi]: (theta_start, theta_end, value)."""
-    bounds = [0.0] + [float(t) for t in step.thetas]
-    if not bounds or bounds[-1] < TWO_PI:
+    bounds = [0.0, *step.thetas.tolist()]
+    if bounds[-1] < TWO_PI:
         bounds.append(TWO_PI)
-    return [(bounds[i], bounds[i + 1], float(step.value(bounds[i]))) for i in range(len(bounds) - 1)]
+    return list(zip(bounds, bounds[1:], step.value(bounds[:-1]).tolist()))
 
 
 def line_rows(line: LineSSF) -> list[tuple[float, float, float]]:
@@ -232,7 +233,7 @@ def render_ssf_svg(kind: str, rows: list[tuple], name: str = "ssf") -> str:
         ys = [r[1] for r in rows]
         xlo, xhi = 0.0, TWO_PI
     else:
-        finite = [x for r in rows for x in r[:2] if np.isfinite(x)]
+        finite = [x for r in rows for x in r[:2] if math.isfinite(x)]
         ys = [r[2] for r in rows]
         if kind == "circle_step":
             xlo, xhi = 0.0, TWO_PI
@@ -293,9 +294,9 @@ def render_ssf_svg(kind: str, rows: list[tuple], name: str = "ssf") -> str:
         )
     else:
         for i, (a, b, v) in enumerate(rows):
-            a_px = px(max(a, xlo)) if np.isfinite(a) else _ML
-            b_px = px(min(b, xhi)) if np.isfinite(b) else _W - _MR
-            dash = "" if np.isfinite(a) and np.isfinite(b) else ' stroke-dasharray="6,3"'
+            a_px = px(max(a, xlo)) if math.isfinite(a) else _ML
+            b_px = px(min(b, xhi)) if math.isfinite(b) else _W - _MR
+            dash = "" if math.isfinite(a) and math.isfinite(b) else ' stroke-dasharray="6,3"'
             parts.append(
                 f'<line class="step" x1="{a_px:.2f}" y1="{py(v):.2f}" x2="{b_px:.2f}" '
                 f'y2="{py(v):.2f}" stroke="#1f6feb" stroke-width="2"{dash}/>'

@@ -16,6 +16,7 @@ it is what makes the routes comparable pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,21 +71,28 @@ class StepSSF:
         if sum(s for _, s in self.jumps) != 0:
             raise ValidationError("jump sizes must sum to zero")
 
-    @property
+    @cached_property
     def thetas(self) -> np.ndarray:
-        return np.array([th for th, _ in self.jumps], dtype=float)
+        return _read_only(np.array([th for th, _ in self.jumps], dtype=float))
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.array([s for _, s in self.jumps], dtype=int)
+        return _read_only(np.array([s for _, s in self.jumps], dtype=int))
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """levels[k] is the value past the first k jumps."""
+        return _read_only(self.gauge + np.concatenate([[0.0], np.cumsum(self.sizes)]))
 
     def value(self, theta):
         """Evaluate the step function at theta (scalar or array) in (0, 2pi]."""
-        theta = np.asarray(theta, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self.sizes)]) if self.jumps else np.zeros(1)
-        idx = np.searchsorted(self.thetas, theta, side="right") if self.jumps else np.zeros(theta.shape, dtype=int)
-        out = self.gauge + cum[idx]
+        out = self.levels[np.searchsorted(self.thetas, np.asarray(theta, dtype=float), side="right")]
         return out if out.shape else float(out)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class LineSSF:
 
     @property
     def jump_sizes(self) -> np.ndarray:
-        return np.diff(self.values)
+        """Integer jumps at the breakpoints: the source's interior jump sizes."""
+        return self.source.sizes[: len(self.breakpoints)]
 
     def value(self, t):
         """Evaluate at t (scalar or array); a breakpoint carries its jump."""
@@ -81,20 +82,21 @@ class LineSSF:
         return float(np.sum(self.values * np.diff(edges)))
 
 
+def _interior_count(step: StepSSF) -> int:
+    """Number of interior jumps, those off the boundary point 2pi; sorted jumps put them first."""
+    return int(np.searchsorted(step.thetas, TWO_PI - _BOUNDARY_EPS))
+
+
 def pushforward_line(step: StepSSF) -> LineSSF:
     """Push a circle step SSF to the line along t = -cot(theta/2)."""
-    interior = [(th, s) for th, s in step.jumps if th < TWO_PI - _BOUNDARY_EPS]
-    boundary = sum(s for th, s in step.jumps if th >= TWO_PI - _BOUNDARY_EPS)
-    thetas = np.array([th for th, _ in interior])
-    sizes = np.array([s for _, s in interior], dtype=float)
+    k = _interior_count(step)
     with np.errstate(divide="ignore"):
-        breakpoints = -1.0 / np.tan(thetas / 2.0) if len(interior) else np.zeros(0)
-    values = step.gauge + np.concatenate([[0.0], np.cumsum(sizes)])
+        breakpoints = -1.0 / np.tan(step.thetas[:k] / 2.0)
     return LineSSF(
         breakpoints=breakpoints,
-        values=values,
+        values=step.levels[: k + 1],
         source=step,
-        mass_at_infinity=int(boundary),
+        mass_at_infinity=int(step.sizes[k:].sum()),
     )
 
 
@@ -121,13 +123,9 @@ def weighted_abs_integral(ssf: LineSSF, side: str = "line") -> float:
         return float(np.sum(np.abs(ssf.values) * np.diff(angles)))
     if side == "circle":
         step = ssf.source
-        edges = np.concatenate([[0.0], step.thetas, [TWO_PI]])
-        if len(step.thetas) and edges[-2] >= TWO_PI - _BOUNDARY_EPS:
-            edges = edges[:-1]
-        arc_values = step.gauge + np.concatenate(
-            [[0.0], np.cumsum([s for th, s in step.jumps if th < TWO_PI - _BOUNDARY_EPS])]
-        )
-        return 0.5 * float(np.sum(np.abs(arc_values) * np.diff(edges)))
+        k = _interior_count(step)
+        edges = np.concatenate([[0.0], step.thetas[:k], [TWO_PI]])
+        return 0.5 * float(np.sum(np.abs(step.levels[: k + 1]) * np.diff(edges)))
     raise ValidationError(f"unknown side {side!r}")
 
 

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, files on disk, round trips."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 from ssflab.cli import main
 from ssflab.export import read_ssf_csv, write_ssf_csv
-from ssflab.scenario import ANCHORS
+from ssflab.scenario import ANCHORS, KINDS
 from ssflab.ssf_circle import StepSSF
 from ssflab.ssf_line import pushforward_line
 
@@ -138,6 +139,25 @@ def test_generate_is_byte_identical(tmp_path):
     assert main(["generate", "--kind", "contraction_pair", "--seed", "7", "--dim", "4", "-o", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
     assert main(["run", str(f1), "--out-dir", str(tmp_path)]) == 0
+
+
+def test_run_twice_writes_identical_files(tmp_path):
+    files = []
+    for kind in KINDS:
+        dim = 32 if kind == "contraction_pair" else 3
+        f = tmp_path / f"{kind}.json"
+        assert main(["generate", "--kind", kind, "--seed", "5", "--dim", str(dim), "-o", str(f)]) == 0
+        files.append(str(f))
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["run", *files, "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {n.rsplit(".", 1)[1] for n in names} == {"json", "csv", "svg"}
+    stamp = re.compile(rb'"timestamp": "[^"]*"')
+    for n in names:
+        first, second = (stamp.sub(b"", (out / n).read_bytes()) for out in outs)
+        assert first == second, n
 
 
 def test_generate_default_filename_and_run(tmp_path, monkeypatch, capsys):

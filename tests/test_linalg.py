@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssflab.errors import (
@@ -273,7 +273,10 @@ def test_eigenphases_conjugate_pairs_of_real_orthogonal_matrices(seed, angles, s
 
 @settings(max_examples=40, deadline=None)
 @given(seed=_seeds, others=st.lists(_angles, max_size=8), copies=st.integers(1, 3))
+@example(seed=0, others=[0.5e-9], copies=1)  # snaps to the seam
+@example(seed=0, others=[2e-9], copies=1)  # stays apart from it
 def test_eigenphases_with_an_eigenvalue_at_the_rotation_angle(seed, others, copies):
+    assume(_clear_of_the_cluster_thresholds([_PHI] + others))
     _assert_matches_oracle(_planted(seed, [_PHI] * copies + others))
 
 

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
+from ssflab.export import step_circle_rows
 from ssflab.linalg import Contraction, Unitary, analytic_poly_eval, operator_norm
 from ssflab.ssf_circle import (
     RealSsfConditions,
@@ -94,6 +95,69 @@ def test_unitary_ssf_coincident_phases_cancel():
     assert [s for _, s in ssf.jumps] == [1, -1]
     assert ssf.jumps[0][0] == pytest.approx(0.3, abs=1e-12)
     assert ssf.jumps[1][0] == pytest.approx(1.1, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# step SSF evaluation and its export table
+
+
+@st.composite
+def step_ssfs(draw):
+    """Random StepSSF: 0-40 jumps, optionally one at exactly 2pi, integer sizes summing to 0."""
+    n = draw(st.sampled_from([0, *range(2, 41)]))
+    at_seam = n > 0 and draw(st.booleans())
+    inner = st.floats(0.0, TWO_PI, exclude_min=True, exclude_max=True)
+    thetas = sorted(draw(st.lists(inner, min_size=n - at_seam, max_size=n - at_seam, unique=True)))
+    thetas += [TWO_PI] * at_seam
+    sizes = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    if n and sum(sizes) == 0:
+        sizes[0] += 1 if sizes[0] != -1 else -1
+    sizes += [-sum(sizes)] * (n > 0)
+    gauge = draw(st.floats(-10.0, 10.0))
+    return StepSSF(jumps=tuple(zip(thetas, sizes)), gauge=gauge)
+
+
+def _step_circle_rows_per_segment(step):
+    """The per-segment table that export.step_circle_rows once built, one value() call per row."""
+    bounds = [0.0] + [float(t) for t in step.thetas]
+    if not bounds or bounds[-1] < TWO_PI:
+        bounds.append(TWO_PI)
+    return [(bounds[i], bounds[i + 1], float(step.value(bounds[i]))) for i in range(len(bounds) - 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(step=step_ssfs(), extra=st.lists(st.floats(0.0, TWO_PI), max_size=8))
+def test_step_value_on_an_array_equals_the_scalar_value(step, extra):
+    points = [0.0, *step.thetas.tolist(), *extra, TWO_PI]
+    scalar = [step.value(t) for t in points]
+    assert step.value(np.array(points)).tolist() == scalar
+    # the definition: gauge plus the jumps at or below theta
+    assert scalar == [step.gauge + float(sum(s for th, s in step.jumps if th <= t)) for t in points]
+
+
+@settings(max_examples=80, deadline=None)
+@given(step=step_ssfs())
+def test_step_circle_rows_match_the_per_segment_table(step):
+    assert step_circle_rows(step) == _step_circle_rows_per_segment(step)
+
+
+def test_step_circle_rows_evaluates_the_step_once(monkeypatch):
+    calls = []
+    value = StepSSF.value
+    monkeypatch.setattr(StepSSF, "value", lambda self, theta: calls.append(1) or value(self, theta))
+    step = StepSSF(jumps=tuple((TWO_PI * k / 64, (-1) ** k) for k in range(1, 65)), gauge=0.5)
+    assert len(step_circle_rows(step)) == 64
+    assert len(calls) == 1
+
+
+def test_step_arrays_are_read_only_and_built_once():
+    step = StepSSF(jumps=((1.0, 2), (TWO_PI, -2)), gauge=0.25)
+    for name in ("thetas", "sizes"):
+        a = getattr(step, name)
+        assert not a.flags.writeable
+        assert getattr(step, name) is a
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 # ---------------------------------------------------------------------------

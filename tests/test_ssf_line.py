@@ -3,7 +3,7 @@ import pytest
 
 from ssflab.errors import KernelViolation, ValidationError
 from ssflab.linalg import Dissipative, cayley
-from ssflab.ssf_circle import unitary_ssf
+from ssflab.ssf_circle import StepSSF, unitary_ssf
 from ssflab.ssf_line import (
     LineSSF,
     cayley_identity_residuals,
@@ -48,6 +48,16 @@ def test_pushforward_hand_computed():
     # weighted integral, both closed forms, against the hand value 3 pi / 8
     assert weighted_abs_integral(line, "line") == pytest.approx(3 * np.pi / 8, abs=1e-14)
     assert weighted_abs_integral(line, "circle") == pytest.approx(3 * np.pi / 8, abs=1e-14)
+
+
+def test_pushforward_jumps_are_the_source_integer_sizes():
+    # with this gauge the differences of the line values are not all exact:
+    # -0.9 - (-1.9) rounds to 0.9999999999999999
+    step = StepSSF(jumps=((0.3, 1), (1.1, -3), (2.9, 1), (TWO_PI, 1)), gauge=0.1)
+    line = pushforward_line(step)
+    assert line.jump_sizes.dtype.kind == "i"
+    assert line.jump_sizes.tolist() == [1, -3, 1]
+    assert line.mass_at_infinity == 1
 
 
 def test_pushforward_breakpoints_sorted():
