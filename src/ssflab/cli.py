@@ -136,8 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse set-up costs about a millisecond; one parser serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 from html import escape
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,10 +23,7 @@ from .ssf_circle import SampledSSF, StepSSF
 from .ssf_line import LineSSF
 
 _FMT = "%.17g"
-
-
-def _f(x) -> str:
-    return _FMT % float(x)
+_INDENT = "  "
 
 
 def complex_pair(z) -> list:
@@ -55,23 +54,16 @@ def jsonable(value):
 # SSF tables as rows
 
 
+def _step_circle_array(step: StepSSF) -> np.ndarray:
+    bounds = np.concatenate(([0.0], step.thetas))
+    if bounds[-1] < TWO_PI:
+        bounds = np.append(bounds, TWO_PI)
+    return np.column_stack((bounds[:-1], bounds[1:], step.value(bounds[:-1])))
+
+
 def step_circle_rows(step: StepSSF) -> list[tuple[float, float, float]]:
     """Constant segments covering (0, 2pi]: (theta_start, theta_end, value)."""
-    bounds = [0.0, *step.thetas.tolist()]
-    if bounds[-1] < TWO_PI:
-        bounds.append(TWO_PI)
-    return list(zip(bounds, bounds[1:], step.value(bounds[:-1]).tolist()))
-
-
-def line_rows(line: LineSSF) -> list[tuple[float, float, float]]:
-    """Constant segments covering the real line; outer endpoints are +-inf."""
-    bps = [float(t) for t in line.breakpoints]
-    bounds = [-np.inf] + bps + [np.inf]
-    return [(bounds[i], bounds[i + 1], float(line.values[i])) for i in range(len(bounds) - 1)]
-
-
-def sampled_rows(ssf: SampledSSF) -> list[tuple[float, float]]:
-    return [(float(t), float(v)) for t, v in zip(ssf.thetas, ssf.values)]
+    return list(map(tuple, _step_circle_array(step).tolist()))
 
 
 _HEADERS = {
@@ -91,22 +83,25 @@ def table_kind(table) -> str:
     raise SchemaError(f"not an SSF table: {type(table).__name__}")
 
 
-def table_rows(table) -> list[tuple]:
+def table_array(table) -> np.ndarray:
+    """One float row per segment or sample; a line table's outer endpoints are +-inf."""
     kind = table_kind(table)
     if kind == "circle_step":
-        return step_circle_rows(table)
+        return _step_circle_array(table)
     if kind == "line_step":
-        return line_rows(table)
-    return sampled_rows(table)
+        bounds = np.concatenate(([-np.inf], table.breakpoints, [np.inf]))
+        return np.column_stack((bounds[:-1], bounds[1:], table.values))
+    return np.column_stack((table.thetas, table.values)).astype(float, copy=False)
 
 
 def write_ssf_csv(table, path) -> None:
     kind = table_kind(table)
-    lines = [_HEADERS[kind]]
-    lines += [",".join(_f(x) for x in row) for row in table_rows(table)]
+    rows = table_array(table)
+    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    text = _HEADERS[kind] + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -141,10 +136,10 @@ def read_ssf_csv(path) -> tuple[str, list[tuple]]:
 def table_to_dict(table) -> dict:
     """JSON form of an SSF table; infinite endpoints become string literals."""
     kind = table_kind(table)
-    rows = [
-        [("-inf" if x == -np.inf else "inf" if x == np.inf else x) for x in row]
-        for row in table_rows(table)
-    ]
+    cells = table_array(table)
+    rows = cells.tolist()
+    for i, j in zip(*np.nonzero(np.isinf(cells))):
+        rows[i][j] = "inf" if cells[i, j] > 0 else "-inf"
     out = {"type": kind, "rows": rows}
     if kind == "circle_step":
         out["gauge"] = float(table.gauge)
@@ -185,8 +180,93 @@ def report_to_dict(report, timestamp: str) -> dict:
     }
 
 
-def dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _json_float(x: float) -> str:
+    # json itself raises its ValueError for NaN and +-inf
+    return float.__repr__(x) if math.isfinite(x) else _stdlib_json(x, 0)
+
+
+# Exact types encoded without recursion; subclasses go to json itself.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _scalars(values: list):
+    """The JSON text of each value, or None unless all are plain scalars."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds <= _SCALARS.keys():
+        return [_SCALARS[type(v)](v) for v in values]
+    return None
+
+
+def _table(rows: list, level: int):
+    """A list of equal-width scalar rows in one % format, or None for any other list."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    cells = _scalars(list(chain.from_iterable(rows)))
+    if cells is None:
+        return None
+    inner, outer = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 1)
+    row = "[" + inner + ("," + inner).join(["%s"] * widths.pop()) + outer + "]"
+    template = "[" + outer + ("," + outer).join([row] * len(rows)) + "\n" + _INDENT * level + "]"
+    return template % tuple(cells)
+
+
+def _encode(value, level: int) -> str:
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            return _stdlib_json(value, level)
+        keys = sorted(value)
+        items = _scalars([value[k] for k in keys])
+        if items is None:
+            items = [_encode(value[k], level + 1) for k in keys]
+        inner = "\n" + _INDENT * (level + 1)
+        pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), items))
+        return "{" + inner + ("," + inner).join(pairs) + "\n" + _INDENT * level + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = _scalars(value)
+        if items is None:
+            table = _table(value, level)
+            if table is not None:
+                return table
+            items = [_encode(v, level + 1) for v in value]
+        inner = "\n" + _INDENT * (level + 1)
+        return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "]"
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    return _stdlib_json(value, level)
+
+
+def _stdlib_json(value, level: int) -> str:
+    # JSON strings hold no raw newline, so re-indenting the lines is exact
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", "\n" + _INDENT * level)
+
+
+def dump_json(payload) -> str:
+    """Byte for byte json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\\n".
+
+    That call runs CPython's pure-Python encoder (the C encoder only serves
+    indent=None). Here every container of plain scalars is one join and every
+    table of equal-width scalar rows one % format; values of other types
+    (non-string keys, subclasses, unknown objects) go to json itself.
+    """
+    return _encode(payload, 0) + "\n"
 
 
 def canonical_hash(payload: dict) -> str:
@@ -211,6 +291,14 @@ def write_report_json(report, path, timestamp: str) -> dict:
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 18, 34, 42
+_STEP_LINE = (
+    '<line class="step" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+    'stroke="#1f6feb" stroke-width="2"%s/>'
+)
+_DROP_LINE = (
+    '<line class="drop" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+    'stroke="#8b949e" stroke-dasharray="3,3"/>'
+)
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -221,29 +309,30 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def render_ssf_svg(kind: str, rows: list[tuple], name: str = "ssf") -> str:
+def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
     """Self-contained SVG step/line plot for one SSF table."""
     if kind not in _HEADERS:
         raise SchemaError(f"unknown table kind {kind!r}")
-    if not rows:
+    cells = np.asarray(rows, dtype=float)
+    if not cells.size:
         raise SchemaError("cannot plot an empty table")
 
     if kind == "sampled":
-        xs = [r[0] for r in rows]
-        ys = [r[1] for r in rows]
+        ys = cells[:, 1]
         xlo, xhi = 0.0, TWO_PI
     else:
-        finite = [x for r in rows for x in r[:2] if math.isfinite(x)]
-        ys = [r[2] for r in rows]
+        ends = cells[:, :2]
+        finite = ends[np.isfinite(ends)]
+        ys = cells[:, 2]
         if kind == "circle_step":
             xlo, xhi = 0.0, TWO_PI
-        elif finite:
-            lo, hi = min(finite), max(finite)
+        elif finite.size:
+            lo, hi = float(finite.min()), float(finite.max())
             pad = max(1.0, 0.3 * (hi - lo))
             xlo, xhi = lo - pad, hi + pad
         else:
             xlo, xhi = -5.0, 5.0
-    ylo, yhi = _span(min(ys), max(ys))
+    ylo, yhi = _span(float(ys.min()), float(ys.max()))
 
     def px(x: float) -> float:
         return _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
@@ -288,33 +377,31 @@ def render_ssf_svg(kind: str, rows: list[tuple], name: str = "ssf") -> str:
         )
 
     if kind == "sampled":
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        xy = np.column_stack((px(cells[:, 0]), py(ys)))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>'
         )
     else:
-        for i, (a, b, v) in enumerate(rows):
-            a_px = px(max(a, xlo)) if math.isfinite(a) else _ML
-            b_px = px(min(b, xhi)) if math.isfinite(b) else _W - _MR
-            dash = "" if math.isfinite(a) and math.isfinite(b) else ' stroke-dasharray="6,3"'
-            parts.append(
-                f'<line class="step" x1="{a_px:.2f}" y1="{py(v):.2f}" x2="{b_px:.2f}" '
-                f'y2="{py(v):.2f}" stroke="#1f6feb" stroke-width="2"{dash}/>'
-            )
-            if i + 1 < len(rows):
-                parts.append(
-                    f'<line class="drop" x1="{px(rows[i + 1][0]):.2f}" y1="{py(v):.2f}" '
-                    f'x2="{px(rows[i + 1][0]):.2f}" y2="{py(rows[i + 1][2]):.2f}" '
-                    f'stroke="#8b949e" stroke-dasharray="3,3"/>'
-                )
+        a, b = cells[:, 0], cells[:, 1]
+        y = py(ys).tolist()
+        a_px = np.where(np.isfinite(a), px(np.maximum(a, xlo)), _ML).tolist()
+        b_px = np.where(np.isfinite(b), px(np.minimum(b, xhi)), _W - _MR).tolist()
+        dash = np.where(np.isfinite(a) & np.isfinite(b), "", ' stroke-dasharray="6,3"').tolist()
+        drop_x = px(a[1:]).tolist()
+        lines = [""] * (2 * len(y) - 1)
+        lines[::2] = [_STEP_LINE % r for r in zip(a_px, y, b_px, y, dash)]
+        lines[1::2] = [_DROP_LINE % r for r in zip(drop_x, y, drop_x, y[1:])]
+        parts += lines
         if kind == "line_step":
+            left, right = float(ys[0]), float(ys[-1])
             parts.append(
-                f'<text x="{_ML + 5}" y="{py(rows[0][2]) - 6:.2f}" font-size="11" '
-                f'fill="#24292f">xi(-inf) = {rows[0][2]:.4g}</text>'
+                f'<text x="{_ML + 5}" y="{py(left) - 6:.2f}" font-size="11" '
+                f'fill="#24292f">xi(-inf) = {left:.4g}</text>'
             )
             parts.append(
-                f'<text x="{_W - _MR - 5}" y="{py(rows[-1][2]) - 6:.2f}" text-anchor="end" '
-                f'font-size="11" fill="#24292f">xi(+inf) = {rows[-1][2]:.4g}</text>'
+                f'<text x="{_W - _MR - 5}" y="{py(right) - 6:.2f}" text-anchor="end" '
+                f'font-size="11" fill="#24292f">xi(+inf) = {right:.4g}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -325,7 +412,7 @@ def plot_ssf(table, path, name: str = "ssf") -> None:
     if isinstance(table, tuple) and len(table) == 2 and isinstance(table[0], str):
         kind, rows = table
     else:
-        kind, rows = table_kind(table), table_rows(table)
+        kind, rows = table_kind(table), table_array(table)
     svg = render_ssf_svg(kind, rows, name=name)
     try:
         with open(path, "w", encoding="ascii") as fh:

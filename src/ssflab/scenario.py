@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .dilation import default_block_count, dilation_pair
 from .errors import SchemaError
+from .export import dump_json
 from .fractional import (
     FractionalJob,
     fractional_diff_quadrature,
@@ -159,16 +161,38 @@ def _int_entry(v, where: str, lo: int, hi: int) -> int:
     return v
 
 
+def _matrix_cells(v: list) -> Optional[np.ndarray]:
+    """A square list of real rows, or of rows of [re, im] pairs, as one array.
+
+    None for anything else, including a mix of scalars and pairs; the walk in
+    _matrix_entry then converts or rejects it cell by cell.
+    """
+    n = len(v)
+    if not all(isinstance(row, list) and len(row) == n for row in v):
+        return None
+    cells = list(chain.from_iterable(v))
+    kinds = set(map(type, cells))
+    if kinds <= {float, int}:
+        return np.array(v, dtype=float).astype(np.complex128)
+    if kinds == {list} and set(map(len, cells)) == {2}:
+        if set(map(type, chain.from_iterable(cells))) <= {float, int}:
+            # the trailing [re, im] axis of float64 pairs is exactly complex128 memory
+            return np.array(v, dtype=float).view(np.complex128).reshape(n, n)
+    return None
+
+
 def _matrix_entry(v, where: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         _fail(where, "expected a nonempty nested array")
-    n = len(v)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(v):
-        if not isinstance(row, list) or len(row) != n:
-            _fail(where, f"row {i} does not make the matrix square")
-        for j, cell in enumerate(row):
-            out[i, j] = _complex_entry(cell, f"{where}[{i}][{j}]")
+    out = _matrix_cells(v)
+    if out is None:
+        n = len(v)
+        out = np.zeros((n, n), dtype=np.complex128)
+        for i, row in enumerate(v):
+            if not isinstance(row, list) or len(row) != n:
+                _fail(where, f"row {i} does not make the matrix square")
+            for j, cell in enumerate(row):
+                out[i, j] = _complex_entry(cell, f"{where}[{i}][{j}]")
     if not np.all(np.isfinite(out)):
         _fail(where, "matrix entries must be finite")
     return out
@@ -511,7 +535,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def generate_scenario(kind: str, seed: int, dim: int) -> dict:
@@ -568,7 +592,7 @@ def generate_scenario(kind: str, seed: int, dim: int) -> dict:
 
 
 def write_scenario(payload: dict, path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = dump_json(payload)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

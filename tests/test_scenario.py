@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
@@ -342,6 +344,92 @@ BAD_PAYLOADS = [
 def test_schema_rejection(payload):
     with pytest.raises(SchemaError):
         parse_scenario(payload)
+
+
+MATRIX_ERRORS = [
+    ([[[True]], [[1.0]]], "matrices[0][0][0]: expected a number, got a boolean"),
+    (
+        [[[1.0, 0.0], [0.0, "x"]], [[1.0, 0.0], [0.0, 1.0]]],
+        "matrices[0][1][1]: expected a number or an [re, im] pair",
+    ),
+    ([[[[1.0]]], [[1.0]]], "matrices[0][0][0]: expected a number or an [re, im] pair"),
+    ([[[1.0]], [[[1.0, 0.0, 2.0]]]], "matrices[1][0][0]: expected a number or an [re, im] pair"),
+    ([[[[1.0, True]]], [[1.0]]], "matrices[0][0][0]: expected a number or an [re, im] pair"),
+    ([[[1.0, 0.0], [0.0]], [[1.0]]], "matrices[0]: row 1 does not make the matrix square"),
+    ([[[1.0, 0.0], 5.0], [[1.0]]], "matrices[0]: row 1 does not make the matrix square"),
+    # a bad cell in an earlier row is reported before a later ragged row
+    ([[["a", 0.0], [0.0]], [[1.0]]], "matrices[0][0][0]: expected a number or an [re, im] pair"),
+    ([[], [[1.0]]], "matrices[0]: expected a nonempty nested array"),
+    ([{"re": 1.0}, [[1.0]]], "matrices[0]: expected a nonempty nested array"),
+    ([[[1.0]], [[1.0, 0.0], [0.0, 1.0]]], "matrices: the two matrices must have equal dimensions"),
+]
+
+
+@pytest.mark.parametrize("matrices, message", MATRIX_ERRORS)
+def test_matrix_schema_error_text(matrices, message):
+    with pytest.raises(SchemaError) as info:
+        parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": matrices})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[[[NaN]], [[1.0]]]', "matrices[0]: matrix entries must be finite"),
+        ('[[[1.0]], [[[0.0, Infinity]]]]', "matrices[1]: matrix entries must be finite"),
+        ('[[[1.0]], [[[-Infinity, 0.0]]]]', "matrices[1]: matrix entries must be finite"),
+    ],
+)
+def test_nonfinite_json_matrix_entries_are_rejected(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": json.loads(text)})
+    assert str(info.value) == message
+
+
+def test_matrix_cells_may_mix_scalars_and_pairs():
+    m0 = [[1.0, [0.0, 0.0]], [0, [-0.0, 1.0]]]
+    m1 = [[1, 0], [0, 1]]
+    sc = parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": [m0, m1]})
+    a, b = sc.matrices
+    assert a.dtype == b.dtype == np.complex128
+    np.testing.assert_array_equal(a, [[1.0, 0.0], [0.0, 1j]])
+    np.testing.assert_array_equal(b, np.eye(2))
+    assert np.signbit(a[1, 1].real)
+
+
+def test_pair_cells_keep_signed_zeros_and_large_integers():
+    m = [[[-0.0, 2**53 + 1], [3, -0.0]], [[0.5, 0.25], [1e-300, -1e300]]]
+    sc = parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": [m, m]})
+    a = sc.matrices[0]
+    expected = [[complex(-0.0, 2**53 + 1), complex(3, -0.0)], [complex(0.5, 0.25), complex(1e-300, -1e300)]]
+    assert a.tolist() == expected
+    assert np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 1])
+
+
+def _per_entry_matrix(rows):
+    """The cell-by-cell conversion the parser is checked against."""
+    out = np.zeros((len(rows), len(rows)), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            out[i, j] = complex(*cell) if isinstance(cell, list) else complex(cell)
+    return out
+
+
+@st.composite
+def json_matrices(draw):
+    n = draw(st.integers(1, 6))
+    real = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70) | st.just(-0.0)
+    cell = st.lists(real, min_size=2, max_size=2) if draw(st.booleans()) else real
+    return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=json_matrices())
+def test_matrix_parse_matches_the_per_entry_conversion(m):
+    parsed = parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": [m, m]}).matrices[0]
+    expected = _per_entry_matrix(m)
+    assert parsed.dtype == np.complex128
+    assert parsed.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
 
 
 def test_runtime_data_violations_become_schema_errors():
