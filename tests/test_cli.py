@@ -257,3 +257,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "m: PASS" in proc.stdout
+
+
+def test_no_scenario_kind_loads_scipy(tmp_path):
+    from ssflab.scenario import generate_scenario, write_scenario
+
+    files = []
+    for kind in KINDS:
+        files.append(str(tmp_path / f"{kind}.json"))
+        write_scenario(generate_scenario(kind, 1, 2), files[-1])
+    probe = (
+        "import sys\n"
+        "from ssflab import cli\n"
+        "codes = [cli.main(['run', f, '--out-dir', sys.argv[1]]) for f in sys.argv[2:]]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "out"), *files],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(KINDS)} []"

@@ -13,6 +13,7 @@ from ssflab.fractional import (
     fractional_diff_quadrature,
     fractional_power,
     fractional_power_bound_report,
+    gauss_jacobi,
     resolvent_difference_identity_check,
 )
 from ssflab.linalg import operator_norm
@@ -244,3 +245,61 @@ def test_proof_resolvent_norm_bounds():
         xa = (vx * np.clip(wx, 0, None) ** alpha) @ vx.conj().T
         lhs2 = operator_norm(xa @ np.linalg.inv(t * eye + x))
         assert lhs2 <= t ** (alpha - 1.0) * (1 + 1e-12) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rule for the weight (1 + x)^(-sigma)
+
+RULE_SIZES = (24, 25, 50, 100, 250, 500)
+RULE_SIGMAS = (0.01, 0.05, 0.5, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+@pytest.mark.parametrize("sigma", RULE_SIGMAS)
+def test_gauss_jacobi_integrates_the_moments_exactly(n, sigma):
+    # integral_-1^1 (1+x)^(j - sigma) dx = 2^(j+1-sigma)/(j+1-sigma), exact for j < 2n;
+    # both sides are divided by 2^j so the high powers stay in range
+    x, w = gauss_jacobi(n, 0.0, -sigma)
+    j = np.arange(2 * n)
+    moments = (w * ((1.0 + x) / 2.0) ** j[:, None]).sum(axis=1)
+    exact = 2.0 ** (1.0 - sigma) / (j + 1.0 - sigma)
+    bound = 1e-13 if sigma <= 0.5 else 2e-9
+    assert np.max(np.abs(moments / exact - 1.0)) <= bound
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, *RULE_SIZES))
+@pytest.mark.parametrize("sigma", RULE_SIGMAS)
+def test_gauss_jacobi_nodes_inside_and_weights_sum_to_mu0(n, sigma):
+    x, w = gauss_jacobi(n, 0.0, -sigma)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0)
+    mu0 = 2.0 ** (1.0 - sigma) / (1.0 - sigma)
+    assert abs(w.sum() - mu0) <= 1e-14 * mu0
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, *RULE_SIZES))
+@pytest.mark.parametrize("a, b", [(0.0, -s) for s in RULE_SIGMAS] + [(0.3, -0.4), (-0.3, -0.7), (2.0, 1.5)])
+def test_gauss_jacobi_nodes_match_scipy(n, a, b):
+    special = pytest.importorskip("scipy.special")
+    x, _ = gauss_jacobi(n, a, b)
+    with np.errstate(invalid="ignore"):  # SciPy divides 0/0 at a + b = -1, then patches it
+        ref, _ = special.roots_jacobi(n, a, b)
+    assert np.max(np.abs(x - ref)) <= 1e-14
+
+
+def test_gauss_jacobi_validation():
+    for n, a, b in ((0, 0.0, -0.5), (4, -1.0, 0.0), (4, 0.0, -1.0)):
+        with pytest.raises(ValidationError):
+            gauss_jacobi(n, a, b)
+
+
+def test_min_eig_is_taken_from_validation(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = random_psd_contraction(rng, 4)
+    y = random_psd_contraction(rng, 4)
+    job = FractionalJob(x=x, y=y, sigma=0.5, alpha=0.5, beta=0.25)
+    direct = max(float(min(np.linalg.eigvalsh(job.x).min(), np.linalg.eigvalsh(job.y).min())), 0.0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("min_eig ran an eigensolve"))
+    assert job.min_eig == direct
+    assert job.ill_conditioned == (direct < 1e-3)

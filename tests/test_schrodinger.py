@@ -17,6 +17,8 @@ from ssflab.errors import (
     NegativePotential,
     ValidationError,
 )
+from ssflab import schrodinger
+from ssflab.linalg import schatten_norm
 from ssflab.schrodinger import (
     Grid1D,
     discrete_schrodinger_pair,
@@ -237,6 +239,76 @@ def test_monotone_rejects_a_complex_potential():
     grid = make_grid(-1.0, 1.0, 16)
     with pytest.raises(NegativePotential):
         monotone_s1_check({"kind": "gaussian", "amplitude": 1.0 + 0.5j}, grid, (2, 4))
+
+
+def _ladder_by_svd(q, grid, ns, variant, level=0.01):
+    """The ladder's norms one SVD at a time, as schatten_norm gives them."""
+    r = greens_function_for(-1.0)
+    full = nystrom_kernel(q, r, grid).matrix
+    rungs = [
+        nystrom_kernel(q * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(q, level * n), r, grid).matrix
+        for n in ns
+    ]
+    return (
+        schatten_norm(full, 1),
+        [schatten_norm(k, 1) for k in rungs],
+        [schatten_norm(full - k, 1) for k in rungs],
+    )
+
+
+@pytest.mark.parametrize("variant", ["scale", "truncate"])
+def test_monotone_ladder_takes_one_eigensolve_and_matches_the_svd_norms(variant, monkeypatch):
+    grid = make_grid(-8.0, 8.0, 64)
+    q = potential_values({"kind": "gaussian"}, grid.points)
+    ns = (2, 4, 8, 16, 32, 64, 128)
+    full, approx, residual = _ladder_by_svd(q, grid, ns, variant)
+
+    solves, builds = [], []
+    eigvalsh, build = np.linalg.eigvalsh, schrodinger.nystrom_kernel
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("the ladder ran an SVD"))
+    monkeypatch.setattr(schrodinger, "nystrom_kernel", lambda *a: builds.append(1) or build(*a))
+    report = monotone_s1_check({"kind": "gaussian"}, grid, ns, variant=variant)
+
+    assert solves == [(2 * len(ns) + 1, 64, 64)]
+    assert len(builds) == len(ns) + 1
+    assert report.full_norm == pytest.approx(full, rel=1e-13)
+    assert report.approx_norms == pytest.approx(approx, rel=1e-13)
+    assert report.residual_norms == pytest.approx(residual, rel=1e-13, abs=1e-15)
+
+
+def test_monotone_ladder_splits_large_stacks(monkeypatch):
+    grid = make_grid(-8.0, 8.0, 64)
+    ns = (2, 4, 8)
+    whole = monotone_s1_check({"kind": "gaussian"}, grid, ns)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(schrodinger, "_STACK_BYTES", 3 * 64 * 64 * 16)
+    split = monotone_s1_check({"kind": "gaussian"}, grid, ns)
+    assert solves == [3, 3, 1]
+    assert split.full_norm == pytest.approx(whole.full_norm, rel=1e-15)
+    assert split.approx_norms == pytest.approx(whole.approx_norms, rel=1e-15)
+    assert split.residual_norms == pytest.approx(whole.residual_norms, rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [-1.0, -0.3, -4.0, -1.0 + 1e-13j])
+@pytest.mark.parametrize("twist", [0.0, 0.7])
+def test_kernel_trace_norm_and_min_eigenvalue_share_one_eigensolve(z, twist, monkeypatch):
+    # twist multiplies the kernel by exp(i twist (s - t)): still Hermitian, no longer real
+    grid = make_grid(-8.0, 8.0, 64)
+    q = potential_values({"kind": "bump", "half_width": 2.0}, grid.points)
+    kernel = nystrom_kernel(q, lambda s, t: green_kernel(s, t, z) * np.exp(1j * twist * (s - t)), grid)
+    svd_norm = schatten_norm(kernel.matrix, 1)
+    lowest = float(np.linalg.eigvalsh(kernel.matrix).min())
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.dtype) or eigvalsh(a))
+    assert kernel.trace_norm == pytest.approx(svd_norm, rel=1e-13)
+    assert kernel.min_eigenvalue == pytest.approx(lowest, rel=1e-13, abs=1e-16)
+    assert kernel.trace_norm == pytest.approx(kernel.trace, rel=1e-12)
+    # a symmetric kernel is exactly real once symmetrized, and is solved in float64
+    assert solves == [np.float64 if twist == 0.0 else np.complex128]
 
 
 def test_generated_kernel_trace_file_runs_without_warnings():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflab.errors import KernelViolation, ValidationError
 from ssflab.linalg import Dissipative, cayley
@@ -68,6 +70,56 @@ def test_pushforward_breakpoints_sorted():
         line = dissipative_ssf(l0, l1, 8)
         assert np.all(np.diff(line.breakpoints) > 0)
         assert len(line.values) == len(line.breakpoints) + 1
+
+
+@st.composite
+def circle_steps(draw):
+    """Random StepSSF on a 4096-point angle grid, optionally with jumps at 2pi."""
+    n = draw(st.integers(0, 24))
+    at_seam = n > 0 and draw(st.booleans())
+    cells = draw(st.lists(st.integers(1, 4095), min_size=n, max_size=n, unique=True))
+    thetas = [TWO_PI * k / 4096 for k in sorted(cells)[: n - at_seam]] + [TWO_PI] * at_seam
+    sizes = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n))
+    if n:
+        sizes[-1] -= sum(sizes)
+    jumps = tuple((th, s) for th, s in zip(thetas, sizes) if s)
+    return StepSSF(jumps=jumps, gauge=draw(st.floats(-10.0, 10.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(step=circle_steps())
+def test_pushforward_of_a_random_step(step):
+    line = pushforward_line(step)
+    k = len(line.breakpoints)
+    thetas = step.thetas[:k]
+    assert np.all(thetas < TWO_PI)
+    assert line.breakpoints == pytest.approx(-np.cos(thetas / 2) / np.sin(thetas / 2), rel=1e-14)
+    assert np.all(np.diff(line.breakpoints) > 0)
+    assert line.values.tolist() == step.levels[: k + 1].tolist()
+    # a breakpoint carries its jump
+    assert line.value(line.breakpoints).tolist() == line.values[1:].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(step=circle_steps())
+def test_line_jump_sum_balances_mass_at_infinity(step):
+    line = pushforward_line(step)
+    assert int(line.jump_sizes.sum()) + line.mass_at_infinity == 0
+    scale = 1.0 + abs(step.gauge) + 3 * len(step.jumps)
+    assert np.diff(line.values) == pytest.approx(line.jump_sizes, abs=1e-14 * scale)
+    assert line.values[-1] - line.values[0] == pytest.approx(-line.mass_at_infinity, abs=1e-14 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(step=circle_steps(), shift=st.floats(-5.0, 5.0))
+def test_line_gauge_shift_moves_values_only(step, shift):
+    line = pushforward_line(step)
+    moved = pushforward_line(StepSSF(jumps=step.jumps, gauge=step.gauge + shift))
+    assert moved.breakpoints.tolist() == line.breakpoints.tolist()
+    assert moved.jump_sizes.tolist() == line.jump_sizes.tolist()
+    assert moved.mass_at_infinity == line.mass_at_infinity
+    scale = 1.0 + abs(step.gauge) + abs(shift) + 3 * len(step.jumps)
+    assert moved.values == pytest.approx(line.values + shift, abs=1e-14 * scale)
 
 
 def test_line_ssf_validation():
