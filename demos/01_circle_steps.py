@@ -63,4 +63,4 @@ print(f"worst monomial residual up to degree 8: {worst:.3e}")
 print("\nHardy term invariance, f of degree 4, k = 0..4:")
 coeffs = rng.standard_normal(5)
 for k in range(5):
-    print(f"  k = {k}: |contour integral| = {abs(hardy_gauge_check(ssf, k, coeffs)):.3e}")
+    print(f"  k = {k}: |contour integral| = {abs(hardy_gauge_check(k, coeffs)):.3e}")

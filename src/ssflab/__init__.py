@@ -36,16 +36,15 @@ from .linalg import (
     cayley,
     defect_operators,
     eigenphases,
+    hermitian_function,
     hermitian_power,
     hermitian_sqrt,
     inverse_cayley,
     operator_norm,
     polar_factors,
     schatten_norm,
-    singular_log_sum,
     singular_value_commute_check,
     unitary_spectrum,
-    von_neumann_gap,
 )
 from .dilation import (
     FiniteDilation,

@@ -25,13 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidOrder
-from .linalg import Contraction, Unitary, defect_operators, phase_clusters, unitary_spectrum
+from .linalg import Contraction, Unitary, as_operator, defect_operators, phase_clusters, unitary_spectrum
 
 
 def julia_block(t: Contraction) -> Unitary:
     """The 2n x 2n unitary [[D_T, -T*], [T, D_T*]] around a contraction T."""
-    if not isinstance(t, Contraction):
-        t = Contraction(t)
+    t = as_operator(Contraction, t)
     d_t, d_t_star = defect_operators(t)
     top = np.hstack([d_t, -t.m.conj().T])
     bottom = np.hstack([t.m, d_t_star])

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureDivergence,
     ValidationError,
 )
-from .linalg import as_matrix, hermitize, require_hermitian, schatten_norm
+from .linalg import _eig, as_matrix, hermitian_function, require_hermitian, schatten_norm
 
 # eigenvalues below this make inverse powers meaningless
 _KERNEL_FLOOR = 1e-10
@@ -93,7 +93,7 @@ def c_sigma(sigma: float) -> float:
 def _validated_psd_contraction(a, *, what: str) -> tuple[np.ndarray, float]:
     """The symmetrized matrix and its smallest eigenvalue (0.0 when empty)."""
     m = require_hermitian(as_matrix(a))
-    w = np.linalg.eigvalsh(m)
+    w = _eig(np.linalg.eigvalsh, m)
     lo, hi = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
     if lo < -1e-10:
         raise IndefiniteInput(f"{what} has eigenvalue {lo:.3e} below -1e-10")
@@ -152,9 +152,7 @@ def fractional_power(x, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise InvalidExponent(f"exponent must be positive, got {sigma}")
     m, _ = _validated_psd_contraction(x, what="operand")
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, 1.0)
-    return hermitize((v * w**sigma) @ v.conj().T)
+    return hermitian_function(m, lambda w: np.clip(w, 0.0, 1.0) ** sigma)
 
 
 def _sandwich_batch(a, b, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -206,9 +204,7 @@ def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
     return c_sigma(sigma) * (lower + upper)
 
 
-def fractional_diff_quadrature(
-    job: FractionalJob, nodes: int = 200, *, stabilization_tol: float | None = None
-) -> np.ndarray:
+def fractional_diff_quadrature(job: FractionalJob, nodes: int = 200) -> np.ndarray:
     """Quadrature value of c_sigma * integral t^sigma (tI+Y)^(-1)(Y-X)(tI+X)^(-1) dt.
 
     Converges to Y^sigma - X^sigma. The pass is run at the requested node
@@ -221,8 +217,7 @@ def fractional_diff_quadrature(
         raise ValidationError(f"need at least 32 nodes, got {nodes}")
     coarse = _fractional_diff_pass(job, nodes)
     fine = _fractional_diff_pass(job, 2 * nodes)
-    if stabilization_tol is None:
-        stabilization_tol = 1e-8 if not job.ill_conditioned else 1e-4
+    stabilization_tol = 1e-4 if job.ill_conditioned else 1e-8
     drift = float(np.linalg.norm(fine - coarse))
     if drift > stabilization_tol * (1.0 + float(np.linalg.norm(fine))):
         raise QuadratureDivergence(
@@ -264,10 +259,8 @@ def fractional_power_bound_report(job: FractionalJob) -> FractionalBoundReport:
             "inverse powers in the bound are undefined"
         )
     x, y, sigma = job.x, job.y, job.sigma
-    wx, vx = np.linalg.eigh(x)
-    wy, vy = np.linalg.eigh(y)
-    x_neg_alpha = (vx * np.clip(wx, _KERNEL_FLOOR, None) ** -job.alpha) @ vx.conj().T
-    y_neg_beta = (vy * np.clip(wy, _KERNEL_FLOOR, None) ** -job.beta) @ vy.conj().T
+    x_neg_alpha = hermitian_function(x, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.alpha)
+    y_neg_beta = hermitian_function(y, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.beta)
     lhs = schatten_norm(fractional_power(y, sigma) - fractional_power(x, sigma), job.p)
     weighted = schatten_norm(y_neg_beta @ (y - x) @ x_neg_alpha, job.p)
     plain = schatten_norm(x - y, job.p)

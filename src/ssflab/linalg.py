@@ -2,14 +2,12 @@
 
 Matrices are plain complex128 numpy arrays throughout; the operator classes
 below are thin validated wrappers that freeze their matrix at construction.
-All validation tolerances are constructor or keyword parameters so scenario
-configs can override them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +23,15 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+# eigenphases at circular distance below this are one eigenvalue of higher multiplicity
+CLUSTER_TOL = 1e-9
+
+_Op = TypeVar("_Op")
+
+
+def as_operator(cls: type[_Op], x) -> _Op:
+    """x itself when it is already a cls, else cls(x), which validates it."""
+    return x if isinstance(x, cls) else cls(x)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -37,20 +44,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermitian_residual(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Return the symmetrized matrix, raising NotHermitian beyond tol.
 
     The tolerance is applied relative to 1 + ||a||_F so it means the same
     thing for unit-scale operators and for stiff discrete Laplacians.
     """
-    r = hermitian_residual(a)
+    r = float(np.linalg.norm(a - a.conj().T))
     if r > tol * (1.0 + float(np.linalg.norm(a))):
         raise NotHermitian(f"Hermitian residual {r:.3e} exceeds tolerance {tol:.1e}")
-    return 0.5 * (a + a.conj().T)
+    return hermitize(a)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -86,48 +89,42 @@ def _eig(solver, a: np.ndarray):
         raise EigenFailure(str(exc)) from exc
 
 
-def hermitian_sqrt(a, *, herm_tol: float = 1e-12, clamp: float = 1e-8) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+def hermitian_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(A) = V f(w) V* for a Hermitian A = V diag(w) V*, hermitized.
 
-    Eigenvalues in [-clamp, 0) are set to zero; anything below -clamp raises
-    IndefiniteInput. Input must be Hermitian within herm_tol.
+    The package's one functional calculus (Higham, Functions of Matrices,
+    SIAM 2008, ch. 1). f maps the ascending eigenvalues w to the values on
+    them and may raise to refuse a spectrum; a LAPACK failure raises
+    EigenFailure.
     """
-    m = require_hermitian(as_matrix(a), herm_tol)
-    w, v = _eig(np.linalg.eigh, m)
-    if w.size and float(w.min()) < -clamp:
-        raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -{clamp:.1e}")
-    w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+    w, v = _eig(np.linalg.eigh, a)
+    return hermitize((v * f(w)) @ v.conj().T)
 
 
-def hermitian_power(
-    a,
-    exponent: float,
-    *,
-    herm_tol: float = 1e-12,
-    clamp: float = 1e-10,
-    kernel_floor: float = 1e-12,
-) -> np.ndarray:
-    """f(A) for f(x) = x**exponent on a Hermitian matrix.
+def hermitian_sqrt(a) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix: hermitian_power with clamp 1e-8."""
+    return hermitian_power(a, 0.5, clamp=1e-8)
 
-    Negative exponents require every eigenvalue to clear kernel_floor,
-    otherwise KernelViolation. Small negative eigenvalues (within clamp)
-    are treated as zero for nonnegative exponents.
+
+def hermitian_power(a, exponent: float, *, clamp: float = 1e-10) -> np.ndarray:
+    """f(A) for f(x) = x**exponent on a matrix Hermitian within 1e-12.
+
+    Negative exponents require every eigenvalue to clear 1e-12, otherwise
+    KernelViolation. For nonnegative exponents eigenvalues in [-clamp, 0)
+    count as zero and anything lower raises IndefiniteInput.
     """
-    m = require_hermitian(as_matrix(a), herm_tol)
-    w, v = _eig(np.linalg.eigh, m)
-    if exponent < 0:
-        if w.size and float(w.min()) < kernel_floor:
+
+    def power(w):
+        lo = float(w.min(initial=np.inf))
+        if exponent < 0 and lo < 1e-12:
             raise KernelViolation(
-                f"eigenvalue {w.min():.3e} below the {kernel_floor:.1e} floor, "
-                f"inverse power {exponent} undefined"
+                f"eigenvalue {lo:.3e} below the 1.0e-12 floor, inverse power {exponent} undefined"
             )
-        fw = w**exponent
-    else:
-        if w.size and float(w.min()) < -clamp:
-            raise IndefiniteInput(f"eigenvalue {w.min():.3e} below -{clamp:.1e}")
-        fw = np.clip(w, 0.0, None) ** exponent
-    return hermitize((v * fw) @ v.conj().T)
+        if lo < -clamp:
+            raise IndefiniteInput(f"eigenvalue {lo:.3e} below -{clamp:.1e}")
+        return np.clip(w, 0.0, None) ** exponent
+
+    return hermitian_function(require_hermitian(as_matrix(a)), power)
 
 
 def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
@@ -230,23 +227,23 @@ def unitary_spectrum(shifted_inverse: Callable, dense: Callable) -> np.ndarray:
     return np.exp(1j * solve.theta)
 
 
-def phase_clusters(eigs: np.ndarray, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
+def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:
     """Phases of unit-modulus eigenvalues in (0, 2pi] as (phase, multiplicity) pairs.
 
     Phase 0 is reported as 2pi; phases at circular distance below
-    cluster_tol merge into one entry whose multiplicity is the cluster size.
+    CLUSTER_TOL merge into one entry whose multiplicity is the cluster size.
     """
     ph = np.angle(eigs)
     ph = np.where(ph <= 0.0, ph + TWO_PI, ph)
-    clustered = _cluster_circle(ph, np.ones(len(ph), dtype=int), cluster_tol)
+    clustered = _cluster_circle(ph, np.ones(len(ph), dtype=int), CLUSTER_TOL)
     return [(p, int(k)) for p, k in clustered]
 
 
-def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
+def eigenphases(u) -> list[tuple[float, int]]:
     """Eigenvalue phases of a unitary matrix, as (phase, multiplicity) pairs.
 
     Phases live in (0, 2pi], with phase 0 reported as 2pi. Eigenvalues at
-    circular distance below cluster_tol merge into one entry whose
+    circular distance below CLUSTER_TOL merge into one entry whose
     multiplicity is the cluster size. The eigenvalues come from
     unitary_spectrum, which falls back to eigvals of u when u is too far
     from unitary for the Cayley route.
@@ -254,7 +251,7 @@ def eigenphases(u, *, cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
     m = as_matrix(u)
     eye = np.eye(m.shape[0])
     lam = unitary_spectrum(lambda a: np.linalg.inv(eye + a * m), lambda: m)
-    return phase_clusters(lam, cluster_tol)
+    return phase_clusters(lam)
 
 
 class Unitary:
@@ -276,13 +273,13 @@ class Unitary:
 
 
 class Contraction:
-    """Square matrix with largest singular value at most 1 + tol (default 1e-8)."""
+    """Square matrix with largest singular value at most 1 + 1e-8."""
 
-    def __init__(self, m, *, tol: float = 1e-8):
+    def __init__(self, m):
         mat = as_matrix(m)
         smax = operator_norm(mat)
-        if smax > 1.0 + tol:
-            raise ValidationError(f"largest singular value {smax:.12f} exceeds 1 + {tol:.1e}")
+        if smax > 1.0 + 1e-8:
+            raise ValidationError(f"largest singular value {smax:.12f} exceeds 1 + 1.0e-08")
         mat = mat.copy()
         mat.setflags(write=False)
         self.m = mat
@@ -304,15 +301,15 @@ class Contraction:
 
 
 class Dissipative:
-    """Square matrix whose imaginary part (L - L*)/2i is PSD within tolerance."""
+    """Square matrix whose imaginary part (L - L*)/2i is PSD within 1e-10."""
 
-    def __init__(self, m, *, tol: float = 1e-10):
+    def __init__(self, m):
         mat = as_matrix(m)
         im = (mat - mat.conj().T) / 2j
         w = np.linalg.eigvalsh(im)
         lo = float(w.min()) if w.size else 0.0
-        if lo < -tol:
-            raise ValidationError(f"imaginary part eigenvalue {lo:.3e} below -{tol:.1e}")
+        if lo < -1e-10:
+            raise ValidationError(f"imaginary part eigenvalue {lo:.3e} below -1.0e-10")
         mat = mat.copy()
         mat.setflags(write=False)
         self.m = mat
@@ -338,7 +335,7 @@ def defect_operators(t) -> DefectPair:
     both roots in one Schmidt basis and keeps the intertwining relation
     T D_T = D_T* T at roundoff even when T is unitary to machine precision.
     """
-    return (t if isinstance(t, Contraction) else Contraction(t)).defects
+    return as_operator(Contraction, t).defects
 
 
 class PolarFactors(NamedTuple):
@@ -347,19 +344,19 @@ class PolarFactors(NamedTuple):
     rank_deficient: bool
 
 
-def polar_factors(a, *, rank_tol: float = 1e-12) -> PolarFactors:
+def polar_factors(a) -> PolarFactors:
     """Polar decomposition a = V |a| with |a| = (a*a)^(1/2).
 
     V is unitary (the canonical completion on the kernel); rank_deficient
-    flags inputs whose smallest singular value is at the rank tolerance, in
-    which case the completion on the kernel is one of many valid choices.
+    flags a smallest singular value of at most 1e-12 max(1, ||a||), where the
+    completion on the kernel is one of many valid choices.
     """
     m = as_matrix(a)
     u, s, vh = np.linalg.svd(m)
     v = u @ vh
     modulus = hermitize((vh.conj().T * s) @ vh)
     scale = float(s.max()) if s.size else 0.0
-    deficient = bool(s.size and float(s.min()) <= rank_tol * max(1.0, scale))
+    deficient = bool(s.size and float(s.min()) <= 1e-12 * max(1.0, scale))
     return PolarFactors(v, modulus, deficient)
 
 
@@ -388,67 +385,36 @@ def poly_derivative(coeffs: Sequence[complex]) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
 
 
-def von_neumann_gap(t, coeffs: Sequence[complex], *, samples: int = 8192) -> float:
-    """Advisory check ||f(T)|| <= max_{|z|=1} |f(z)| for contractions.
-
-    Returns ||f(T)||_2 minus the boundary maximum (refined by golden-section
-    around the coarse argmax); nonpositive up to roundoff when T is a
-    contraction.
-    """
-    norm_ft = operator_norm(analytic_poly_eval(t, coeffs))
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    vals = np.abs(poly_scalar(coeffs, np.exp(1j * theta)))
-    j = int(np.argmax(vals))
-    lo = theta[j] - TWO_PI / samples
-    hi = theta[j] + TWO_PI / samples
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = abs(poly_scalar(coeffs, np.exp(1j * x1)))
-    f2 = abs(poly_scalar(coeffs, np.exp(1j * x2)))
-    for _ in range(80):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = abs(poly_scalar(coeffs, np.exp(1j * x2)))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = abs(poly_scalar(coeffs, np.exp(1j * x1)))
-    boundary_max = max(float(vals[j]), float(max(f1, f2)))
-    return norm_ft - boundary_max
-
-
 class CayleyImage(NamedTuple):
     contraction: Contraction
     condition: float
 
 
-def cayley(l, *, cond_limit: float = 1e12, tol: float = 1e-8) -> CayleyImage:
+def cayley(l) -> CayleyImage:
     """Cayley transform T = (L - iI)(L + iI)^(-1) of a dissipative matrix.
 
-    Also reports the condition number of L + iI; NearSingular beyond
-    cond_limit (cannot happen for validated dissipative input, where the
-    shifted inverse has norm at most 1).
+    Also reports the condition number of L + iI; NearSingular beyond 1e12
+    (cannot happen for validated dissipative input, where the shifted
+    inverse has norm at most 1).
     """
-    mat = l.m if isinstance(l, Dissipative) else Dissipative(l).m
+    mat = as_operator(Dissipative, l).m
     eye = np.eye(mat.shape[0])
     shifted = mat + 1j * eye
     cond = float(np.linalg.cond(shifted))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise NearSingular(f"cond(L + iI) = {cond:.3e}")
     t = np.linalg.solve(shifted.T, (mat - 1j * eye).T).T
-    return CayleyImage(Contraction(t, tol=tol), cond)
+    return CayleyImage(Contraction(t), cond)
 
 
-def inverse_cayley(t, *, gap_tol: float = 1e-10) -> Dissipative:
-    """Inverse Cayley transform L = i(I + T)(I - T)^(-1)."""
-    mat = t.m if isinstance(t, Contraction) else Contraction(t).m
+def inverse_cayley(t) -> Dissipative:
+    """Inverse Cayley transform L = i(I + T)(I - T)^(-1); OnePointSpectrum when
+    the smallest singular value of I - T is below 1e-10."""
+    mat = as_operator(Contraction, t).m
     eye = np.eye(mat.shape[0])
     id_minus = eye - mat
     s = np.linalg.svd(id_minus, compute_uv=False)
-    if s.size and float(s.min()) < gap_tol:
+    if s.size and float(s.min()) < 1e-10:
         raise OnePointSpectrum(
             f"smallest singular value of I - T is {s.min():.3e}, spectrum touches 1"
         )
@@ -456,23 +422,13 @@ def inverse_cayley(t, *, gap_tol: float = 1e-10) -> Dissipative:
     return Dissipative(l)
 
 
-def singular_log_sum(t0, t1) -> float:
-    """sum_j s_j log(1 + 1/s_j) over singular values of T1 - T0 (0 terms for s_j = 0)."""
-    d = as_matrix(t1) - as_matrix(t0)
-    s = np.linalg.svd(d, compute_uv=False)
-    mask = s > 1e-300
-    out = np.zeros_like(s)
-    out[mask] = s[mask] * np.log1p(1.0 / s[mask])
-    return float(np.sum(out))
-
-
-def singular_value_commute_check(t1, t2, *, herm_tol: float = 1e-12) -> float:
+def singular_value_commute_check(t1, t2) -> float:
     """Max deviation between sorted singular values of T1 T2 and T2 T1.
 
-    Both inputs must be Hermitian; the products themselves need not be.
+    Both inputs must be Hermitian within 1e-12; the products themselves need not be.
     """
-    a = require_hermitian(as_matrix(t1), herm_tol)
-    b = require_hermitian(as_matrix(t2), herm_tol)
+    a = require_hermitian(as_matrix(t1))
+    b = require_hermitian(as_matrix(t2))
     s_ab = np.linalg.svd(a @ b, compute_uv=False)
     s_ba = np.linalg.svd(b @ a, compute_uv=False)
     return float(np.max(np.abs(s_ab - s_ba))) if s_ab.size else 0.0

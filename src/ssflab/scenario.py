@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Optional
@@ -67,15 +68,6 @@ from .ssf_line import (
     weighted_abs_integral,
 )
 
-KINDS = (
-    "unitary_pair",
-    "contraction_pair",
-    "dissipative_pair",
-    "fractional",
-    "schrodinger",
-    "kernel_trace",
-)
-
 MATRIX_CLASSES = ("unitary", "contraction", "dissipative", "psd_contraction")
 
 # Every report record cites exactly one of these anchors; the value is a
@@ -105,24 +97,8 @@ ANCHOR_REGISTRY = {
 }
 ANCHORS = frozenset(ANCHOR_REGISTRY)
 
-_DEFAULT_CLASS = {
-    "unitary_pair": "unitary",
-    "contraction_pair": "contraction",
-    "dissipative_pair": "dissipative",
-    "fractional": "psd_contraction",
-}
-
-_KIND_KEYS = {
-    "unitary_pair": {"matrices", "test_polynomials", "determinant"},
-    "contraction_pair": {"matrices", "test_polynomials", "determinant", "dilation_order", "exponents"},
-    "dissipative_pair": {"matrices", "dilation_order", "z_values"},
-    "fractional": {"matrices", "exponents", "quadrature_nodes"},
-    "schrodinger": {"grid", "potential", "dilation_order", "z_values"},
-    "kernel_trace": {"grid", "potential", "spectral_point", "monotone"},
-}
-
-_MONOMIALS_DEG4 = ((0, 1), (0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0, 1))
-_MONOMIALS_DEG3 = ((0, 1), (0, 0, 1), (0, 0, 0, 1))
+# dilation block count of the line kinds when the file gives no dilation_order
+LINE_BLOCKS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +113,27 @@ def _complex_entry(v, where: str) -> complex:
     if isinstance(v, bool):
         _fail(where, "expected a number, got a boolean")
     if isinstance(v, (int, float)):
-        return complex(v)
+        return complex(_float_entry(v, where))
     if (
         isinstance(v, list)
         and len(v) == 2
         and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
     ):
-        return complex(v[0], v[1])
+        return complex(_float_entry(v[0], where), _float_entry(v[1], where))
     _fail(where, "expected a number or an [re, im] pair")
 
 
 def _float_entry(v, where: str) -> float:
+    """A finite float; json.load also admits NaN, Infinity and integers of any size."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(where, "expected a real number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        _fail(where, "number exceeds the double-precision range")
+    if not math.isfinite(x):
+        _fail(where, "expected a finite number")
+    return x
 
 
 def _int_entry(v, where: str, lo: int, hi: int) -> int:
@@ -164,20 +147,23 @@ def _int_entry(v, where: str, lo: int, hi: int) -> int:
 def _matrix_cells(v: list) -> Optional[np.ndarray]:
     """A square list of real rows, or of rows of [re, im] pairs, as one array.
 
-    None for anything else, including a mix of scalars and pairs; the walk in
-    _matrix_entry then converts or rejects it cell by cell.
+    None for anything else, such as mixed scalars and pairs or an integer past
+    the float range; _matrix_entry then converts or rejects it cell by cell.
     """
     n = len(v)
     if not all(isinstance(row, list) and len(row) == n for row in v):
         return None
     cells = list(chain.from_iterable(v))
     kinds = set(map(type, cells))
-    if kinds <= {float, int}:
-        return np.array(v, dtype=float).astype(np.complex128)
-    if kinds == {list} and set(map(len, cells)) == {2}:
-        if set(map(type, chain.from_iterable(cells))) <= {float, int}:
-            # the trailing [re, im] axis of float64 pairs is exactly complex128 memory
-            return np.array(v, dtype=float).view(np.complex128).reshape(n, n)
+    try:
+        if kinds <= {float, int}:
+            return np.array(v, dtype=float).astype(np.complex128)
+        if kinds == {list} and set(map(len, cells)) == {2}:
+            if set(map(type, chain.from_iterable(cells))) <= {float, int}:
+                # the trailing [re, im] axis of float64 pairs is exactly complex128 memory
+                return np.array(v, dtype=float).view(np.complex128).reshape(n, n)
+    except OverflowError:
+        pass
     return None
 
 
@@ -228,11 +214,11 @@ def _draw_matrix(rng: np.random.Generator, dim: int, klass: str, allow_boundary:
     raise SchemaError(f"unknown matrix class {klass!r}")
 
 
-def _random_pair(spec: dict, kind: str, where: str) -> tuple[np.ndarray, np.ndarray]:
+def _random_pair(spec: dict, default_class: str, where: str) -> tuple[np.ndarray, np.ndarray]:
     _check_keys(spec, {"seed", "dim", "class", "allow_boundary"}, where)
     seed = _int_entry(spec.get("seed", 0), f"{where}.seed", 0, 2**63 - 1)
     dim = _int_entry(spec.get("dim", 4), f"{where}.dim", 1, 128)
-    klass = spec.get("class", _DEFAULT_CLASS[kind])
+    klass = spec.get("class", default_class)
     if klass not in MATRIX_CLASSES:
         _fail(f"{where}.class", f"must be one of {MATRIX_CLASSES}")
     allow_boundary = spec.get("allow_boundary", False)
@@ -250,7 +236,7 @@ def _parse_matrices(data: dict, kind: str) -> tuple[np.ndarray, np.ndarray]:
         _fail("matrices", f"required for kind {kind!r}")
     raw = data["matrices"]
     if isinstance(raw, dict):
-        return _random_pair(raw, kind, "matrices")
+        return _random_pair(raw, _KINDS[kind].matrix_class, "matrices")
     if isinstance(raw, list) and len(raw) == 2:
         m0 = _matrix_entry(raw[0], "matrices[0]")
         m1 = _matrix_entry(raw[1], "matrices[1]")
@@ -302,21 +288,14 @@ def _parse_potential(raw, where: str = "potential") -> dict:
     return desc
 
 
-def _parse_grid(raw, kind: str) -> dict:
-    defaults = {"lo": -8.0, "hi": 8.0}
-    if kind == "schrodinger":
-        defaults["nodes"] = 64
-        allowed = {"lo", "hi", "nodes"}
-    else:
-        defaults["nodes"] = 1024
-        defaults["scheme"] = "gauss"
-        allowed = {"lo", "hi", "nodes", "scheme"}
+def _parse_grid(raw, defaults: dict) -> dict:
+    """The grid over the kind's defaults; a default scheme makes it a quadrature grid."""
+    out = dict(defaults)
     if raw is None:
-        return defaults
+        return out
     if not isinstance(raw, dict):
         _fail("grid", "expected an object")
-    _check_keys(raw, allowed, "grid")
-    out = dict(defaults)
+    _check_keys(raw, set(defaults), "grid")
     if "lo" in raw:
         out["lo"] = _float_entry(raw["lo"], "grid.lo")
     if "hi" in raw:
@@ -325,26 +304,21 @@ def _parse_grid(raw, kind: str) -> dict:
         _fail("grid", "hi must exceed lo")
     if "nodes" in raw:
         out["nodes"] = _int_entry(raw["nodes"], "grid.nodes", 2, 4096)
-    if kind == "kernel_trace":
-        if "scheme" in raw:
-            if raw["scheme"] not in ("gauss", "trapezoid"):
-                _fail("grid.scheme", "must be 'gauss' or 'trapezoid'")
-            out["scheme"] = raw["scheme"]
-        if out["scheme"] == "gauss" and (out["nodes"] % 16 or out["nodes"] < 16):
-            _fail("grid.nodes", "gauss grids need a positive multiple of 16 nodes")
-    else:
-        if out["nodes"] < 2:
-            _fail("grid.nodes", "need at least 2 lattice points")
+    if "scheme" in raw:
+        if raw["scheme"] not in ("gauss", "trapezoid"):
+            _fail("grid.scheme", "must be 'gauss' or 'trapezoid'")
+        out["scheme"] = raw["scheme"]
+    if out.get("scheme") == "gauss" and (out["nodes"] % 16 or out["nodes"] < 16):
+        _fail("grid.nodes", "gauss grids need a positive multiple of 16 nodes")
     return out
 
 
 def _parse_exponents(raw, kind: str) -> dict:
     if kind == "fractional":
         out = {"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0}
-        allowed = {"sigma", "alpha", "beta", "p"}
     else:
         out = {"alpha": 0.5, "beta": 0.5, "p": 1.0}
-        allowed = {"alpha", "beta", "p"}
+    allowed = set(out)
     if raw is not None:
         if not isinstance(raw, dict):
             _fail("exponents", "expected an object")
@@ -378,9 +352,9 @@ def _parse_z_values(raw) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _parse_polynomials(raw, default) -> tuple[tuple[complex, ...], ...]:
+def _parse_polynomials(raw, degree: int) -> tuple[tuple[complex, ...], ...]:
     if raw is None:
-        return tuple(tuple(complex(c) for c in p) for p in default)
+        return tuple((0j,) * k + (1 + 0j,) for k in range(1, degree + 1))
     if not isinstance(raw, list) or not raw:
         _fail("test_polynomials", "expected a nonempty list of coefficient lists")
     polys = []
@@ -463,9 +437,10 @@ def parse_scenario(data: Any) -> Scenario:
     if not isinstance(name, str) or not name.strip():
         _fail("name", "required nonempty string")
     kind = data.get("kind")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         _fail("kind", f"must be one of {KINDS}")
-    _check_keys(data, {"name", "kind", "outputs", "tolerances"} | _KIND_KEYS[kind], "scenario")
+    spec = _KINDS[kind]
+    _check_keys(data, {"name", "kind", "outputs", "tolerances"} | spec.keys, "scenario")
 
     outputs_raw = data.get("outputs", ["json"])
     if not isinstance(outputs_raw, list) or any(o not in ("json", "csv", "svg") for o in outputs_raw):
@@ -482,16 +457,13 @@ def parse_scenario(data: Any) -> Scenario:
             _fail(f"tolerances.{key}", "must be positive")
         tolerances[str(key)] = t
 
-    matrices = None
-    if kind in _DEFAULT_CLASS:
-        matrices = _parse_matrices(data, kind)
+    matrices = None if spec.matrix_class is None else _parse_matrices(data, kind)
 
     dilation_order = None
     if "dilation_order" in data:
         dilation_order = _int_entry(data["dilation_order"], "dilation_order", 3, 64)
 
-    default_polys = _MONOMIALS_DEG4 if kind == "unitary_pair" else _MONOMIALS_DEG3
-    polys = _parse_polynomials(data.get("test_polynomials"), default_polys)
+    polys = _parse_polynomials(data.get("test_polynomials"), spec.degree)
 
     spectral_point = -1.0
     if "spectral_point" in data:
@@ -510,8 +482,8 @@ def parse_scenario(data: Any) -> Scenario:
         z_values=_parse_z_values(data.get("z_values")),
         exponents=_parse_exponents(data.get("exponents"), kind),
         quadrature_nodes=_int_entry(data.get("quadrature_nodes", 200), "quadrature_nodes", 32, 2000),
-        grid=_parse_grid(data.get("grid"), kind) if kind in ("schrodinger", "kernel_trace") else None,
-        potential=_parse_potential(data.get("potential")) if kind in ("schrodinger", "kernel_trace") else None,
+        grid=None if spec.grid is None else _parse_grid(data.get("grid"), spec.grid),
+        potential=None if spec.grid is None else _parse_potential(data.get("potential")),
         spectral_point=spectral_point,
         monotone=_parse_monotone(data.get("monotone")),
         tolerances=tolerances,
@@ -542,53 +514,47 @@ def generate_scenario(kind: str, seed: int, dim: int) -> dict:
     """Deterministic scenario dict for (kind, seed, dim); see the generator
     recipes in _draw_matrix. The file embeds explicit matrices so reruns and
     re-generations are byte-identical."""
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise SchemaError(f"kind must be one of {KINDS}")
     if not isinstance(seed, int) or seed < 0:
         raise SchemaError("seed must be a nonnegative integer")
     if not isinstance(dim, int) or not (1 <= dim <= 64):
         raise SchemaError("dim must be an integer in [1, 64]")
+    spec = _KINDS[kind]
     rng = np.random.default_rng(seed)
-    name = f"{kind}-seed{seed}-dim{dim}"
-    payload: dict[str, Any] = {"name": name, "kind": kind}
-    if kind in _DEFAULT_CLASS:
-        klass = _DEFAULT_CLASS[kind]
-        payload["matrices"] = [
-            _matrix_to_json(_draw_matrix(rng, dim, klass)),
-            _matrix_to_json(_draw_matrix(rng, dim, klass)),
-        ]
-    if kind == "unitary_pair":
-        payload["outputs"] = ["json", "csv", "svg"]
-    elif kind == "contraction_pair":
-        payload["outputs"] = ["json", "csv", "svg"]
-        payload["dilation_order"] = 6
-    elif kind == "dissipative_pair":
-        payload["outputs"] = ["json", "csv", "svg"]
-        payload["z_values"] = [[0.0, -2.0]]
-        payload["dilation_order"] = 24
-    elif kind == "fractional":
-        payload["outputs"] = ["json"]
-        payload["exponents"] = {"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0}
-    elif kind == "schrodinger":
-        payload["outputs"] = ["json", "csv", "svg"]
-        payload["grid"] = {"lo": -8.0, "hi": 8.0, "nodes": max(2, dim)}
-        payload["potential"] = {
+    payload = {"name": f"{kind}-seed{seed}-dim{dim}", "kind": kind, "outputs": list(spec.outputs)}
+    if spec.matrix_class is not None:
+        payload["matrices"] = [_matrix_to_json(_draw_matrix(rng, dim, spec.matrix_class)) for _ in range(2)]
+    payload.update(spec.generated(rng, dim))
+    return payload
+
+
+def _line_keys(rng: np.random.Generator, dim: int) -> dict:
+    return {"z_values": [[0.0, -2.0]], "dilation_order": LINE_BLOCKS}
+
+
+def _schrodinger_keys(rng: np.random.Generator, dim: int) -> dict:
+    return {
+        "grid": {"lo": -8.0, "hi": 8.0, "nodes": max(2, dim)},
+        "potential": {
             "kind": "gaussian",
             "amplitude": [float(rng.uniform(0.25, 1.0)), float(rng.uniform(0.5, 1.5))],
             "width": float(rng.uniform(0.8, 1.25)),
-        }
-        payload["z_values"] = [[0.0, -2.0]]
-        payload["dilation_order"] = 24
-    else:  # kernel_trace
-        payload["outputs"] = ["json"]
-        payload["grid"] = {"lo": -8.0, "hi": 8.0, "nodes": max(64, 16 * ((dim + 15) // 16))}
-        payload["potential"] = {
+        },
+        **_line_keys(rng, dim),
+    }
+
+
+def _kernel_trace_keys(rng: np.random.Generator, dim: int) -> dict:
+    return {
+        "grid": {"lo": -8.0, "hi": 8.0, "nodes": max(64, 16 * ((dim + 15) // 16))},
+        "potential": {
             "kind": "gaussian",
             "amplitude": float(rng.uniform(0.5, 1.5)),
             "width": float(rng.uniform(0.8, 1.25)),
-        }
-        payload["monotone"] = {"n": [2, 4, 8, 16, 32, 64, 128]}
-    return payload
+        },
+        "monotone": {"n": [2, 4, 8, 16, 32, 64, 128]},
+    }
 
 
 def write_scenario(payload: dict, path) -> None:
@@ -645,7 +611,7 @@ def _circle_pair_checks(sc, record, ssf, anchor, tol, flags):
     for j, coeffs in enumerate(sc.test_polynomials):
         lhs = np.trace(analytic_poly_eval(m1, coeffs)) - np.trace(analytic_poly_eval(m0, coeffs))
         record(f"trace-poly-{j}", anchor, lhs, ssf_trace_integral(ssf, coeffs), tol)
-    record("hardy-gauge", "hardy-gauge", hardy_gauge_check(ssf, 1, sc.test_polynomials[0]), 0.0, 1e-10)
+    record("hardy-gauge", "hardy-gauge", hardy_gauge_check(1, sc.test_polynomials[0]), 0.0, 1e-10)
     flags = {"gauge": ssf.gauge, "jump_count": len(ssf.jumps), **flags}
     tables = {"circle_step": ssf}
     _determinant_block(sc, record, m0, m1, ssf, flags, tables)
@@ -702,9 +668,12 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     return _circle_pair_checks(sc, record, ssf, "dilation-trace-formula", 1e-9, flags)
 
 
-def _line_pair_checks(sc, record, m0, m1, ssf, tol_resolvent, anchor):
+def _line_pair_checks(sc, record, l0, l1, tol_resolvent, anchor):
+    """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables, trace report)."""
+    blocks = sc.dilation_order or LINE_BLOCKS
+    ssf = dissipative_ssf(l0, l1, blocks)
     for j, z in enumerate(sc.z_values):
-        record(f"resolvent-z{j}", anchor, *resolvent_trace_sides(m0, m1, ssf, z), tol_resolvent)
+        record(f"resolvent-z{j}", anchor, *resolvent_trace_sides(l0.m, l1.m, ssf, z), tol_resolvent)
     record(
         "weighted-consistency",
         "weighted-integral-consistency",
@@ -712,11 +681,20 @@ def _line_pair_checks(sc, record, m0, m1, ssf, tol_resolvent, anchor):
         weighted_abs_integral(ssf, side="circle"),
         1e-12,
     )
+    trace_rep = perturbation_trace_report(l0, l1, ssf)
+    flags = {
+        "block_count": blocks,
+        "jump_count": len(ssf.breakpoints),
+        "mass_at_infinity": ssf.mass_at_infinity,
+        "perturbation_trace": trace_rep.perturbation_trace,
+        "real_integrable_possible": trace_rep.real_integrable_possible,
+        "windowed": trace_rep.windowed,
+    }
+    return flags, {"line_step": ssf}, trace_rep
 
 
 def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
-    m0, m1 = sc.matrices
-    l0, l1 = Dissipative(m0), Dissipative(m1)
+    l0, l1 = (Dissipative(m) for m in sc.matrices)
     idents = cayley_identity_residuals(l0, l1)
     record(
         "cayley-defect-factorization",
@@ -732,20 +710,8 @@ def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         0.0,
         1e-9,
     )
-    blocks = sc.dilation_order or 24
-    ssf = dissipative_ssf(l0, l1, blocks)
-    _line_pair_checks(sc, record, m0, m1, ssf, 1e-6, "line-resolvent-trace")
-    trace_rep = perturbation_trace_report(l0, l1, ssf)
-    flags = {
-        "block_count": blocks,
-        "jump_count": len(ssf.breakpoints),
-        "mass_at_infinity": ssf.mass_at_infinity,
-        "perturbation_trace": trace_rep.perturbation_trace,
-        "real_integrable_possible": trace_rep.real_integrable_possible,
-        "left_tail": trace_rep.left_tail,
-        "right_tail": trace_rep.right_tail,
-        "windowed": trace_rep.windowed,
-    }
+    flags, tables, trace_rep = _line_pair_checks(sc, record, l0, l1, 1e-6, "line-resolvent-trace")
+    flags.update(left_tail=trace_rep.left_tail, right_tail=trace_rep.right_tail)
     try:
         cond = dissipative_condition_report(l0, l1, p=sc.exponents.get("p", 1.0))
     except ArithmeticError as exc:
@@ -758,7 +724,7 @@ def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
             "sqrt_im_resolvent_norms": cond.sqrt_im_resolvent_norms,
             "resolvent_sqrt_im_norms": cond.resolvent_sqrt_im_norms,
         }
-    return flags, {"line_step": ssf}
+    return flags, tables
 
 
 def _run_fractional(sc: Scenario, record: Callable) -> tuple[dict, dict]:
@@ -811,20 +777,9 @@ def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         1e-10,
         residual=max(0.0, 1.0 - floor),
     )
-    blocks = sc.dilation_order or 24
-    ssf = dissipative_ssf(l0, l1, blocks)
-    _line_pair_checks(sc, record, l0.m, l1.m, ssf, 1e-5, "schrodinger-resolvent")
-    trace_rep = perturbation_trace_report(l0, l1, ssf)
-    flags = {
-        "nodes": g["nodes"],
-        "block_count": blocks,
-        "jump_count": len(ssf.breakpoints),
-        "mass_at_infinity": ssf.mass_at_infinity,
-        "perturbation_trace": trace_rep.perturbation_trace,
-        "real_integrable_possible": trace_rep.real_integrable_possible,
-        "windowed": trace_rep.windowed,
-    }
-    return flags, {"line_step": ssf}
+    flags, tables, _ = _line_pair_checks(sc, record, l0, l1, 1e-5, "schrodinger-resolvent")
+    flags["nodes"] = g["nodes"]
+    return flags, tables
 
 
 def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
@@ -879,14 +834,56 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     return flags, {}
 
 
-_RUNNERS = {
-    "unitary_pair": _run_unitary_pair,
-    "contraction_pair": _run_contraction_pair,
-    "dissipative_pair": _run_dissipative_pair,
-    "fractional": _run_fractional,
-    "schrodinger": _run_schrodinger,
-    "kernel_trace": _run_kernel_trace,
+@dataclass(frozen=True)
+class _Kind:
+    """What one scenario kind decides. The runner looks its numerics up by name as it runs."""
+
+    run: Callable[[Scenario, Callable], tuple[dict, dict]]  # (sc, record) -> (flags, tables)
+    keys: frozenset  # top-level keys beyond name, kind, outputs and tolerances
+    matrix_class: Optional[str]  # class of a random pair; None for the potential kinds
+    generated: Callable[..., dict] = lambda rng, dim: {}  # (rng, dim) -> its keys in a generated file
+    outputs: tuple[str, ...] = ("json", "csv", "svg")  # outputs a generated file asks for
+    grid: Optional[dict] = None  # grid defaults; their keys are the allowed grid keys
+    degree: int = 3  # the default test polynomials are the monomials z, ..., z^degree
+
+
+_KINDS = {
+    "unitary_pair": _Kind(
+        _run_unitary_pair, frozenset({"matrices", "test_polynomials", "determinant"}), "unitary", degree=4
+    ),
+    "contraction_pair": _Kind(
+        _run_contraction_pair,
+        frozenset({"matrices", "test_polynomials", "determinant", "dilation_order", "exponents"}),
+        "contraction",
+        lambda rng, dim: {"dilation_order": 6},
+    ),
+    "dissipative_pair": _Kind(
+        _run_dissipative_pair, frozenset({"matrices", "dilation_order", "z_values"}), "dissipative", _line_keys
+    ),
+    "fractional": _Kind(
+        _run_fractional,
+        frozenset({"matrices", "exponents", "quadrature_nodes"}),
+        "psd_contraction",
+        lambda rng, dim: {"exponents": {"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0}},
+        outputs=("json",),
+    ),
+    "schrodinger": _Kind(
+        _run_schrodinger,
+        frozenset({"grid", "potential", "dilation_order", "z_values"}),
+        None,
+        _schrodinger_keys,
+        grid={"lo": -8.0, "hi": 8.0, "nodes": 64},
+    ),
+    "kernel_trace": _Kind(
+        _run_kernel_trace,
+        frozenset({"grid", "potential", "spectral_point", "monotone"}),
+        None,
+        _kernel_trace_keys,
+        outputs=("json",),
+        grid={"lo": -8.0, "hi": 8.0, "nodes": 1024, "scheme": "gauss"},
+    ),
 }
+KINDS = tuple(_KINDS)
 
 
 def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
@@ -899,8 +896,8 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     ends the run with the records made so far plus a failing
     numeric-completion record, with the error text in the flags.
     """
-    if not isinstance(tolerance_scale, (int, float)) or tolerance_scale <= 0:
-        raise SchemaError("tolerance_scale must be a positive number")
+    if not isinstance(tolerance_scale, (int, float)) or not 0 < tolerance_scale < math.inf:
+        raise SchemaError("tolerance_scale must be a positive finite number")
     records: list[CheckRecord] = []
 
     def record(check_id, anchor, lhs, rhs, tol, residual=_AUTO):
@@ -920,7 +917,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
         )
 
     try:
-        flags, tables = _RUNNERS[sc.kind](sc, record)
+        flags, tables = _KINDS[sc.kind].run(sc, record)
     except SchemaError:
         raise
     except ArithmeticError as exc:

@@ -29,12 +29,14 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    CLUSTER_TOL,
     TWO_PI,
     Contraction,
     Unitary,
     _cluster_circle,
     _eig,
     as_matrix,
+    as_operator,
     defect_operators,
     eigenphases,
     hermitian_power,
@@ -121,27 +123,25 @@ class SampledSSF:
         return complex(np.prod((l1 - zeta) / (l0 - zeta)))
 
 
-def unitary_ssf(u0, u1, *, cluster_tol: float = 1e-9) -> StepSSF:
+def unitary_ssf(u0, u1) -> StepSSF:
     """Eigenphase-counting SSF of a unitary pair.
 
     Each eigenphase of u0 contributes a +1 jump and each eigenphase of u1 a
-    -1 jump; coincident phases (within the clustering tolerance) cancel.
+    -1 jump; coincident phases (within CLUSTER_TOL) cancel.
     The gauge is set so the mean over the circle is zero, which works out to
     sum(jump * theta) / 2pi.
     """
-    u0 = u0 if isinstance(u0, Unitary) else Unitary(u0)
-    u1 = u1 if isinstance(u1, Unitary) else Unitary(u1)
+    u0, u1 = as_operator(Unitary, u0), as_operator(Unitary, u1)
     if u0.n != u1.n:
         raise ValidationError(f"dimension mismatch: {u0.n} vs {u1.n}")
-    phases0 = eigenphases(u0, cluster_tol=cluster_tol)
-    return _step_ssf(phases0, eigenphases(u1, cluster_tol=cluster_tol), cluster_tol)
+    return _step_ssf(eigenphases(u0), eigenphases(u1))
 
 
-def _step_ssf(phases0, phases1, cluster_tol: float) -> StepSSF:
+def _step_ssf(phases0, phases1) -> StepSSF:
     """Step SSF with +multiplicity jumps at phases0 and -multiplicity jumps at phases1."""
     phases = [p for p, _ in phases0] + [p for p, _ in phases1]
     weights = [k for _, k in phases0] + [-k for _, k in phases1]
-    clustered = _cluster_circle(np.array(phases), np.array(weights), cluster_tol)
+    clustered = _cluster_circle(np.array(phases), np.array(weights), CLUSTER_TOL)
     jumps = tuple((p, int(w)) for p, w in clustered if w != 0)
     gauge = sum(w * p for p, w in jumps) / TWO_PI
     return StepSSF(jumps=jumps, gauge=gauge)
@@ -170,11 +170,12 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
 
 def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
     """Eigenphase-counting SSF of two dilations, one structured eigensolve each."""
-    return _step_ssf(d0.eigenphases(), d1.eigenphases(), 1e-9)
+    return _step_ssf(d0.eigenphases(), d1.eigenphases())
 
 
-def perturbation_determinant(t0, t1, zeta: complex, *, cond_limit: float = 1e12) -> complex:
-    """det(I + (T1 - T0)(T0 - zeta I)^(-1)) for |zeta| >= 1 + 1e-8."""
+def perturbation_determinant(t0, t1, zeta: complex) -> complex:
+    """det(I + (T1 - T0)(T0 - zeta I)^(-1)) for |zeta| >= 1 + 1e-8; NearSingular
+    when cond(T0 - zeta I) exceeds 1e12."""
     m0 = as_matrix(t0)
     m1 = as_matrix(t1)
     if m0.shape != m1.shape:
@@ -183,7 +184,7 @@ def perturbation_determinant(t0, t1, zeta: complex, *, cond_limit: float = 1e12)
         raise ValidationError(f"|zeta| = {abs(zeta):.10f} too close to the unit circle")
     a = m0 - zeta * np.eye(m0.shape[0])
     cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise NearSingular(f"cond(T0 - zeta I) = {cond:.3e}")
     x = np.linalg.solve(a, m1 - m0)
     return complex(np.linalg.det(np.eye(m0.shape[0]) + x))
@@ -245,19 +246,16 @@ def sampled_trace_integral(ssf: SampledSSF, coeffs: Sequence[complex]) -> comple
     return complex(np.mean(integrand) * TWO_PI)
 
 
-def hardy_gauge_check(
-    ssf: Optional[StepSSF], k: int, coeffs: Sequence[complex], *, samples: int = 8192
-) -> complex:
+def hardy_gauge_check(k: int, coeffs: Sequence[complex]) -> complex:
     """Contour integral of f'(zeta) zeta^k, which is the trace-integral change
     from adding the analytic element zeta^k to any SSF.
 
     Should vanish (Cauchy): the SSF family is only determined up to such
-    terms. The ssf argument is accepted for call-site symmetry and does not
-    enter the value.
+    terms. The integral is the mean over 8192 equispaced boundary points.
     """
     if k < 0:
         raise ValidationError("exponent must be nonnegative")
-    theta = TWO_PI * np.arange(samples) / samples
+    theta = TWO_PI * np.arange(8192) / 8192
     boundary = np.exp(1j * theta)
     integrand = poly_scalar(poly_derivative(coeffs), boundary) * boundary**k * 1j * boundary
     return complex(np.mean(integrand) * TWO_PI)
@@ -296,8 +294,7 @@ def real_ssf_conditions_report(
     """
     if alpha < 0 or beta < 0 or not (0.5 < alpha + beta <= 1.0):
         raise ValidationError("need alpha, beta >= 0 with alpha + beta in (1/2, 1]")
-    t0 = t0 if isinstance(t0, Contraction) else Contraction(t0)
-    t1 = t1 if isinstance(t1, Contraction) else Contraction(t1)
+    t0, t1 = as_operator(Contraction, t0), as_operator(Contraction, t1)
     if t0.n != t1.n:
         raise ValidationError("dimension mismatch")
     d0, d0s = defect_operators(t0)

@@ -19,7 +19,9 @@ from .errors import KernelViolation, ValidationError
 from .linalg import (
     TWO_PI,
     Dissipative,
+    as_operator,
     cayley,
+    hermitian_function,
     hermitian_sqrt,
     operator_norm,
     schatten_norm,
@@ -102,8 +104,7 @@ def pushforward_line(step: StepSSF) -> LineSSF:
 
 def dissipative_ssf(l0: Dissipative, l1: Dissipative, m: int) -> LineSSF:
     """SSF of a dissipative pair: Cayley transform, dilate on m blocks, push to the line."""
-    l0 = l0 if isinstance(l0, Dissipative) else Dissipative(l0)
-    l1 = l1 if isinstance(l1, Dissipative) else Dissipative(l1)
+    l0, l1 = as_operator(Dissipative, l0), as_operator(Dissipative, l1)
     if l0.n != l1.n:
         raise ValidationError("dimension mismatch")
     t0 = cayley(l0).contraction
@@ -140,8 +141,7 @@ def resolvent_trace_residual(l0, l1, ssf: LineSSF, z: complex) -> float:
     """
     if z.imag > -1e-6:
         raise ValidationError("need Im z <= -1e-6 (poles in the open lower half-plane)")
-    m0 = l0.m if isinstance(l0, Dissipative) else Dissipative(l0).m
-    m1 = l1.m if isinstance(l1, Dissipative) else Dissipative(l1).m
+    m0, m1 = as_operator(Dissipative, l0).m, as_operator(Dissipative, l1).m
     lhs, rhs = resolvent_trace_sides(m0, m1, ssf, z)
     return float(abs(lhs - rhs))
 
@@ -176,8 +176,7 @@ def perturbation_trace_report(
     values so non-decay at infinity is visible. No integral over the whole
     line is claimed.
     """
-    m0 = l0.m if isinstance(l0, Dissipative) else Dissipative(l0).m
-    m1 = l1.m if isinstance(l1, Dissipative) else Dissipative(l1).m
+    m0, m1 = as_operator(Dissipative, l0).m, as_operator(Dissipative, l1).m
     tr = complex(np.trace(m1 - m0))
     return PerturbationTraceReport(
         perturbation_trace=tr,
@@ -212,14 +211,8 @@ def cayley_identity_residuals(l0, l1) -> CayleyIdentityReport:
     and across the pair T1 - T0 = -2i ((L1 + iI)^(-1) - (L0 + iI)^(-1)).
     Returns Frobenius residuals, all of which should sit at roundoff.
     """
-    ls = [
-        l0 if isinstance(l0, Dissipative) else Dissipative(l0),
-        l1 if isinstance(l1, Dissipative) else Dissipative(l1),
-    ]
-    defect_res = []
-    adjoint_res = []
-    ts = []
-    resolvents = []
+    ls = [as_operator(Dissipative, l0), as_operator(Dissipative, l1)]
+    defect_res, adjoint_res, ts, resolvents = [], [], [], []
     for l in ls:
         eye = np.eye(l.n)
         shifted_inv = np.linalg.inv(l.m + 1j * eye)
@@ -262,33 +255,22 @@ def dissipative_condition_report(l0, l1, p: float = 1) -> DissipativeConditionRe
     diagnostics: in finite dimensions boundedness is automatic, but the
     sizes are what enter the estimates.
     """
-    ls = [
-        l0 if isinstance(l0, Dissipative) else Dissipative(l0),
-        l1 if isinstance(l1, Dissipative) else Dissipative(l1),
-    ]
-    roots = []
-    inv_roots = []
+    ls = [as_operator(Dissipative, l0), as_operator(Dissipative, l1)]
+    inv_roots, res, g_norms, g_twin_norms = [], [], [], []
     for j, l in enumerate(ls):
-        im = l.imag_part
-        w = np.linalg.eigvalsh(im)
-        if float(w.min()) < 1e-12:
-            raise KernelViolation(
-                f"Im L_{j} has eigenvalue {w.min():.3e}, inverse square root undefined"
-            )
-        root = hermitian_sqrt(im)
-        roots.append(root)
-        wr, vr = np.linalg.eigh(im)
-        inv_roots.append((vr * wr**-0.5) @ vr.conj().T)
-    diff = ls[1].m - ls[0].m
-    weighted = float(schatten_norm(inv_roots[1] @ diff @ inv_roots[0], p))
-    res = []
-    g_norms = []
-    g_twin_norms = []
-    for l, root in zip(ls, roots):
+
+        def inverse_root(w, j=j):
+            if float(w.min()) < 1e-12:
+                raise KernelViolation(f"Im L_{j} has eigenvalue {w.min():.3e}, inverse square root undefined")
+            return w**-0.5
+
+        inv_roots.append(hermitian_function(l.imag_part, inverse_root))
+        root = hermitian_sqrt(l.imag_part)
         shifted_inv = np.linalg.inv(l.m + 1j * np.eye(l.n))
         res.append(shifted_inv)
         g_norms.append(operator_norm(root @ shifted_inv))
         g_twin_norms.append(operator_norm(shifted_inv @ root))
+    weighted = float(schatten_norm(inv_roots[1] @ (ls[1].m - ls[0].m) @ inv_roots[0], p))
     return DissipativeConditionReport(
         p=p,
         weighted_diff_norm=weighted,

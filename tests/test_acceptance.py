@@ -372,7 +372,7 @@ def test_12_hardy_gauge_invariance(emit):
         deg = int(rng.integers(0, 9))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         for k in range(9):
-            worst = max(worst, abs(hardy_gauge_check(None, k, coeffs)))
+            worst = max(worst, abs(hardy_gauge_check(k, coeffs)))
     ok = worst <= 1e-10
     emit(12, ok, f"Hardy-term gauge invariance: worst |integral| {worst:.2e} (tol 1e-10)")
     assert worst <= 1e-10

@@ -132,6 +132,29 @@ def test_schema_error_dominates_exit_code(tmp_path):
     assert (tmp_path / "g.report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "bad_text, field",
+    [
+        (
+            '{"name": "b", "kind": "kernel_trace", "tolerances": {"kernel-positivity": NaN}}',
+            "tolerances.kernel-positivity",
+        ),
+        ('{"name": "b", "kind": "unitary_pair", "matrices": [[[1' + "0" * 400 + ']], [[1.0]]]}', "matrices[0][0][0]"),
+    ],
+    ids=["nan-tolerance", "huge-integer-cell"],
+)
+def test_out_of_range_number_fails_only_its_file(tmp_path, capsys, bad_text, field):
+    first = write_json(tmp_path / "g1.json", hand_pair_payload(name="g1"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(bad_text)
+    second = write_json(tmp_path / "g2.json", hand_pair_payload(name="g2"))
+    rc = main(["run", str(first), str(bad), str(second), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"bad.json: schema error: {field}: " in capsys.readouterr().err
+    assert (tmp_path / "g1.report.json").exists()
+    assert (tmp_path / "g2.report.json").exists()
+
+
 def test_generate_is_byte_identical(tmp_path):
     f1 = tmp_path / "one.json"
     f2 = tmp_path / "two.json"

@@ -31,10 +31,8 @@ from ssflab.linalg import (
     polar_factors,
     poly_scalar,
     schatten_norm,
-    singular_log_sum,
     singular_value_commute_check,
     unitary_spectrum,
-    von_neumann_gap,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -534,14 +532,6 @@ def test_poly_eval_matches_powers():
     )
 
 
-def test_von_neumann_gap_nonpositive():
-    for seed in range(15):
-        rng = np.random.default_rng(seed)
-        t = random_contraction(rng, int(rng.integers(2, 7)), scale=float(rng.uniform(0.3, 1.0)))
-        coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert von_neumann_gap(t, coeffs) <= 1e-8
-
-
 # ---------------------------------------------------------------------------
 # Cayley transform
 
@@ -584,13 +574,6 @@ def test_inverse_cayley_rejects_spectrum_at_one():
 
 # ---------------------------------------------------------------------------
 # misc
-
-
-def test_singular_log_sum_oracle():
-    t0 = np.zeros((2, 2))
-    t1 = np.diag([1.0, 0.0])
-    assert singular_log_sum(t0, t1) == pytest.approx(np.log(2.0), abs=1e-14)
-    assert singular_log_sum(t0, t0) == 0.0
 
 
 def test_singular_value_commute_check():

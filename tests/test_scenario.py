@@ -11,6 +11,7 @@ from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
 from ssflab.export import canonical_hash, dump_json, report_to_dict
 from ssflab.scenario import (
+    _KINDS,
     ANCHOR_REGISTRY,
     ANCHORS,
     KINDS,
@@ -337,6 +338,25 @@ BAD_PAYLOADS = [
         "matrices": [[[1.0]], [[1.0]]],
         "test_polynomials": [[]],
     },
+    # json.load admits NaN, Infinity, 1e400 (as inf) and integers of any size
+    {"name": "x", "kind": "kernel_trace", "tolerances": {"kernel-positivity": float("nan")}},
+    {"name": "x", "kind": "kernel_trace", "tolerances": {"kernel-positivity": float("inf")}},
+    {
+        "name": "x",
+        "kind": "dissipative_pair",
+        "matrices": [[[[0.0, 1.0]]], [[[0.0, 2.0]]]],
+        "z_values": [[float("nan"), -2.0]],
+    },
+    {
+        "name": "x",
+        "kind": "unitary_pair",
+        "matrices": [[[1.0]], [[1.0]]],
+        "determinant": {"radius": float("inf")},
+    },
+    {"name": "x", "kind": "fractional", "matrices": [[[0.25]], [[0.75]]], "exponents": {"p": float("inf")}},
+    {"name": "x", "kind": "kernel_trace", "spectral_point": -int("9" * 400)},
+    {"name": "x", "kind": "kernel_trace", "spectral_point": float("-inf")},
+    {"name": "x", "kind": "kernel_trace", "potential": {"kind": "gaussian", "amplitude": [1.0, 10**400]}},
 ]
 
 
@@ -344,6 +364,25 @@ BAD_PAYLOADS = [
 def test_schema_rejection(payload):
     with pytest.raises(SchemaError):
         parse_scenario(payload)
+
+
+COMMON_KEYS = {"name", "kind", "outputs", "tolerances"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_table_rejects_the_keys_of_other_kinds(kind):
+    own = _KINDS[kind].keys
+    others = set().union(*(spec.keys for spec in _KINDS.values())) - own
+    base = generate_scenario(kind, 0, 2)
+    for key in sorted(others):
+        with pytest.raises(SchemaError, match=rf"unknown keys \['{key}'\]"):
+            parse_scenario({**base, key: 1})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_files_hold_only_keys_their_kind_allows(kind):
+    for seed, dim in ((0, 1), (5, 3), (0, 17), (5, 64)):
+        assert set(generate_scenario(kind, seed, dim)) <= COMMON_KEYS | _KINDS[kind].keys
 
 
 MATRIX_ERRORS = [
@@ -362,6 +401,9 @@ MATRIX_ERRORS = [
     ([[], [[1.0]]], "matrices[0]: expected a nonempty nested array"),
     ([{"re": 1.0}, [[1.0]]], "matrices[0]: expected a nonempty nested array"),
     ([[[1.0]], [[1.0, 0.0], [0.0, 1.0]]], "matrices: the two matrices must have equal dimensions"),
+    ([[[10**400]], [[1.0]]], "matrices[0][0][0]: number exceeds the double-precision range"),
+    ([[[1.0]], [[[0.0, -(10**400)]]]], "matrices[1][0][0]: number exceeds the double-precision range"),
+    ([[[1.0, [0.0, float("nan")]], [0.0, 1.0]], [[1.0]]], "matrices[0][0][1]: expected a finite number"),
 ]
 
 
@@ -453,6 +495,13 @@ def test_tolerance_override_and_scale():
     assert rescued.all_pass
     with pytest.raises(SchemaError):
         run_scenario(sc, tolerance_scale=0.0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_non_finite_tolerance_scale_is_a_schema_error(scale):
+    # a NaN or infinite tolerance would reach the report, which JSON cannot hold
+    with pytest.raises(SchemaError, match="positive finite"):
+        run_scenario(parse_scenario(hand_unitary_payload()), tolerance_scale=scale)
 
 
 # ---------------------------------------------------------------------------

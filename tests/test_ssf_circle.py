@@ -404,20 +404,35 @@ def test_determinant_ssf_equal_raw_pair_is_identically_zero(n, seed, scale):
     assert np.all(out.values == 0.0)
 
 
+@PROPERTY
+@given(
+    n=dims, seed=seeds, s0=st.floats(0.05, 1.0), s1=st.floats(0.05, 1.0), m=st.integers(3, 10), data=st.data()
+)
+def test_circle_trace_formula_on_random_contraction_pairs(n, seed, s0, s1, m, data):
+    # the m-block dilation SSF certifies trace(p(T1) - p(T0)) for deg p <= m - 2,
+    # at the scenario's dilation-trace-formula tolerance
+    rng = np.random.default_rng(seed)
+    t0, t1 = random_contraction(rng, n, s0), random_contraction(rng, n, s1)
+    degree = data.draw(st.integers(0, m - 2), label="degree")
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    ssf = contraction_ssf(t0, t1, m)
+    assert abs(ssf_trace_integral(ssf, coeffs) - trace_diff(coeffs, t0, t1)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Hardy-class gauge freedom
 
 
 def test_hardy_check_cauchy_cases():
-    assert abs(hardy_gauge_check(None, 0, [0.0, 1.0])) <= 1e-12
-    assert abs(hardy_gauge_check(None, 2, [0.0, 0.0, 0.0, 1.0])) <= 1e-12
+    assert abs(hardy_gauge_check(0, [0.0, 1.0])) <= 1e-12
+    assert abs(hardy_gauge_check(2, [0.0, 0.0, 0.0, 1.0])) <= 1e-12
 
 
 def test_hardy_check_random_poly_seed53():
     rng = np.random.default_rng(53)
     f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     ssf = unitary_ssf(np.array([[1.0 + 0j]]), np.array([[1j]]))
-    assert abs(hardy_gauge_check(ssf, 5, f)) <= 1e-10
+    assert abs(hardy_gauge_check(5, f)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
