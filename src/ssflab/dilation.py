@@ -15,6 +15,18 @@ from one 2n-square solve, whose Cayley transform `linalg.unitary_spectrum`
 takes the eigenphases from. The dense (m n)-square unitary `u` is built only
 when something reads it (tests, demos, `observed_trace_degree`, and the
 dense eigvals fallback of that eigensolve).
+
+A complex-symmetric T (T^T = T, as the Cayley image of a discrete
+Schrodinger operator -Lap + q is) has D_T^T = D_T*, so its Julia block obeys
+J^T = S J S, S the swap of its two n-halves. The block permutation P:
+j -> -j mod m, an involution, then gives P U P = U^T, and the Hermitian
+Cayley matrix A of U obeys conj(A) = A^T = P A P. With V the unitary whose
+columns are e_0, e_(m/2) (m even), (e_j + e_(m-j))/sqrt(2) and
+i (e_j - e_(m-j))/sqrt(2), conj(V) = P V, so B = V* A V equals its own
+conjugate: a real symmetric matrix with A's eigenvalues (the centrohermitian
+reduction of A. Lee, Linear Algebra Appl. 29, 1980). `FiniteDilation.fold`
+forms B in place, pairing block j with block m - j, and `eigenphases` hands
+it to the eigensolve when the Julia block passes the symmetry test.
 """
 
 from __future__ import annotations
@@ -26,6 +38,11 @@ import numpy as np
 
 from .errors import InvalidOrder
 from .linalg import Contraction, Unitary, as_operator, defect_operators, phase_clusters, unitary_spectrum
+
+# largest ||J^T - S J S||_F at which the eigensolve tries the real fold: far
+# above the ~1e-14 a symmetric T from `cayley` leaves, far below the 1e-9
+# skew the folded matrix must certify
+_SYMMETRY_TOL = 1e-12
 
 
 def julia_block(t: Contraction) -> Unitary:
@@ -92,14 +109,40 @@ class FiniteDilation:
         rows += powers[::-1, None, None] * edge[n:]
         return x
 
+    @cached_property
+    def complex_symmetric(self) -> bool:
+        """Whether the Julia block obeys J^T = S J S within _SYMMETRY_TOL, as it does for T^T = T."""
+        swapped = np.roll(self.julia, (self.n, self.n), axis=(0, 1))
+        return float(np.linalg.norm(self.julia.T - swapped)) <= _SYMMETRY_TOL
+
+    def fold(self, a: np.ndarray) -> None:
+        """V* a V in place on a C-contiguous a, V as in the module docstring up to column order.
+
+        Column block j becomes (a_j + a_(m-j))/sqrt(2) and column block m - j
+        i (a_j - a_(m-j))/sqrt(2), for every pair at once; then the same on
+        the row blocks with -i. Blocks 0 and m/2 stay.
+        """
+        n, m = self.n, self.m
+        pairs = (m - 1) // 2
+        root_half = np.sqrt(0.5)
+        for blocks, unit in ((a.reshape(m * n, m, n).transpose(1, 0, 2), 1j), (a.reshape(m, n, m * n), -1j)):
+            x, y = blocks[1 : pairs + 1], blocks[m - pairs :][::-1]
+            diff = x - y
+            diff *= unit * root_half
+            x += y
+            x *= root_half
+            y[...] = diff
+
     def eigenphases(self) -> list[tuple[float, int]]:
         """Eigenphases of u as `linalg.eigenphases` gives them.
 
-        u is formed only when the Cayley solve goes uncertified and falls
-        back to dense eigvals: a Julia block that is not normal and whose
-        defect is near its 1e-10 tolerance can do that.
+        A complex-symmetric T hands the eigensolve its real fold. u is formed
+        only when the Cayley solve goes uncertified and falls back to dense
+        eigvals: a Julia block that is not normal and whose defect is near
+        its 1e-10 tolerance can do that.
         """
-        return phase_clusters(unitary_spectrum(self.shifted_inverse, lambda: self.u.m))
+        fold = self.fold if self.complex_symmetric else None
+        return phase_clusters(unitary_spectrum(self.shifted_inverse, lambda: self.u.m, fold))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.

@@ -73,7 +73,7 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     diag[1:] = (b * b - a * a) / (c[:-1] * (c[:-1] + 2.0))
     off = 2.0 / c * np.sqrt((k + a) * (k + b) / (c + 1.0))
     off[1:] *= np.sqrt(k[1:] * (k[1:] + a + b) / (c[1:] - 1.0))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    x = _eig(np.linalg.eigvalsh, np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
     q, dq, _ = _orthonormal_values(x, diag, off)
     x = x - q / dq
     w = 1.0 / _orthonormal_values(x, diag, off)[2]

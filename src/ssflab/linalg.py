@@ -7,7 +7,7 @@ below are thin validated wrappers that freeze their matrix at construction.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -163,6 +163,19 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 # that map is monotone, so eigvalsh alone gives every phase with its
 # multiplicity. psi is an irrational multiple of pi, so the pole
 # theta = psi + pi misses every angle that is a rational multiple of pi.
+#
+# When a permutation P gives P U P = U^T, A^T = P A P, and for a Hermitian A
+# that is conj(A) = P A P. A caller that knows such a P passes fold(a), which
+# replaces a by V* a V in place for a unitary V with conj(V) = P V; then
+# B = V* A V is real symmetric, and eigvalsh runs on a real matrix at about a
+# quarter of the complex cost. In floating point B = X + iY: the skew of A is
+# ||B - B*||_F, which the unitary V leaves unchanged, and the Hermitian part
+# of B differs from the real (X + X^T)/2 by i (Y - Y^T)/2. By Weyl that moves
+# every eigenvalue by at most ||(Y - Y^T)/2||_2, and every phase
+# psi + 2 arctan(a) by at most twice that, so ||Y - Y^T||_F = 2 ||Im B||_F is
+# the fold's certificate. The real solve runs only when skew plus certificate
+# stays within _SKEW_TOL; otherwise the complex solve takes the folded B,
+# which has A's eigenvalues.
 _PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
 # a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
 # the others' accuracy; the pole then moves into the widest gap
@@ -178,20 +191,43 @@ class _CayleySolve(NamedTuple):
     skew: float
 
 
-def _cayley_solve(shifted_inverse: Callable, psi: float):
-    """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular."""
+def _real_fold(a: np.ndarray, fold: Callable):
+    """Fold a in place to X + iY; (X + X^T)/2 and the skew, or None when skew plus ||Y - Y^T||_F exceed _SKEW_TOL."""
+    fold(a)
+    x, y = a.real, a.imag
+    h = x - x.T
+    skew = float(np.hypot(np.linalg.norm(h), np.linalg.norm(np.add(y, y.T, out=h))))
+    weyl = float(np.linalg.norm(np.subtract(y, y.T, out=h)))
+    if not skew + weyl <= _SKEW_TOL:
+        return None
+    np.add(x, x.T, out=h)
+    h *= 0.5
+    return h, skew
+
+
+def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None):
+    """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular.
+
+    With fold, eigvalsh runs on the real part of the folded A when its
+    certificate allows, else on the folded A's Hermitian part.
+    """
     try:
         a = shifted_inverse(np.exp(-1j * psi))
     except np.linalg.LinAlgError:
         return None
     a *= 2j
     a[np.diag_indices_from(a)] -= 1j
-    h = a.conj().T
-    skew = float(np.linalg.norm(a - h))
-    if not np.isfinite(skew):
-        return None
-    h += a
-    h *= 0.5
+    real = None if fold is None else _real_fold(a, fold)
+    if real is not None:
+        del a  # the complex matrix goes before the real solve
+        h, skew = real
+    else:
+        h = a.conj().T
+        skew = float(np.linalg.norm(a - h))
+        if not np.isfinite(skew):
+            return None
+        h += a
+        h *= 0.5
     w = _eig(np.linalg.eigvalsh, h)
     return _CayleySolve(psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), skew)
 
@@ -204,7 +240,7 @@ def _pole_in_widest_gap(theta: np.ndarray) -> float:
     return float(t[k] + 0.5 * gaps[k] - np.pi)
 
 
-def unitary_spectrum(shifted_inverse: Callable, dense: Callable) -> np.ndarray:
+def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None) -> np.ndarray:
     """Eigenvalues of a unitary U from one eigvalsh of a Cayley transform.
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
@@ -217,11 +253,12 @@ def unitary_spectrum(shifted_inverse: Callable, dense: Callable) -> np.ndarray:
     defect up to 1e-10, and A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1).
     Beyond _SKEW_TOL, when the second try still meets the pole, or when
     I + alpha U is singular, the eigenvalues come from eigvals of dense(),
-    the dense U.
+    the dense U. fold, when given, folds every A to a real symmetric matrix
+    as the comment above _PSI describes.
     """
-    solve = _cayley_solve(shifted_inverse, _PSI)
+    solve = _cayley_solve(shifted_inverse, _PSI, fold)
     if solve is not None and solve.pole > _POLE_LIMIT:
-        solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta))
+        solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta), fold)
     if solve is None or solve.pole > _POLE_LIMIT or solve.skew > _SKEW_TOL:
         return _eig(np.linalg.eigvals, dense())
     return np.exp(1j * solve.theta)
@@ -306,7 +343,7 @@ class Dissipative:
     def __init__(self, m):
         mat = as_matrix(m)
         im = (mat - mat.conj().T) / 2j
-        w = np.linalg.eigvalsh(im)
+        w = _eig(np.linalg.eigvalsh, im)
         lo = float(w.min()) if w.size else 0.0
         if lo < -1e-10:
             raise ValidationError(f"imaginary part eigenvalue {lo:.3e} below -1.0e-10")

@@ -37,6 +37,7 @@ from .linalg import (
     Contraction,
     Dissipative,
     Unitary,
+    _eig,
     analytic_poly_eval,
     hermitize,
     operator_norm,
@@ -768,7 +769,7 @@ def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     x = np.linspace(g["lo"], g["hi"], g["nodes"])
     q = np.asarray(potential_values(sc.potential, x), dtype=np.complex128)
     l0, l1 = discrete_schrodinger_pair(q, float(x[1] - x[0]))
-    floor = float(np.linalg.eigvalsh(l0.imag_part).min())
+    floor = float(_eig(np.linalg.eigvalsh, l0.imag_part).min())
     record(
         "lattice-dissipativity",
         "lattice-dissipativity",

@@ -23,7 +23,7 @@ from .errors import (
     NegativePotential,
     ValidationError,
 )
-from .linalg import Dissipative, require_hermitian
+from .linalg import Dissipative, _eig, require_hermitian
 
 # a stacked eigensolve takes matrices up to this many bytes at once
 _STACK_BYTES = 1 << 26
@@ -31,7 +31,7 @@ _STACK_BYTES = 1 << 26
 
 def _hermitian_spectrum(a: np.ndarray) -> np.ndarray:
     """eigvalsh of an exactly Hermitian matrix or stack, real when its imaginary part is 0."""
-    return np.linalg.eigvalsh(a if np.any(a.imag) else a.real)
+    return _eig(np.linalg.eigvalsh, a if np.any(a.imag) else a.real)
 
 
 def _hermitian_trace_norms(matrices: Iterable[np.ndarray]) -> list[float]:

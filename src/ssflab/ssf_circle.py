@@ -299,7 +299,7 @@ def real_ssf_conditions_report(
         raise ValidationError("dimension mismatch")
     d0, d0s = defect_operators(t0)
     d1, d1s = defect_operators(t1)
-    min_eig = float(np.linalg.eigvalsh(d0).min())
+    min_eig = float(_eig(np.linalg.eigvalsh, d0).min())
     diff = t1.m - t0.m
     try:
         w_right = hermitian_power(d0, -2.0 * alpha)

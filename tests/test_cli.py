@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from ssflab import scenario
 from ssflab.cli import main
 from ssflab.export import read_ssf_csv, write_ssf_csv
 from ssflab.scenario import ANCHORS, KINDS
@@ -84,6 +85,38 @@ def test_numeric_exception_exits_one_with_report_and_summary(tmp_path, capsys):
     assert report["all_pass"] is False
     assert [r["check_id"] for r in report["records"]] == ["numeric-completion"]
     assert report["records"][0]["residual"] is None
+
+
+def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp_path, monkeypatch, capsys):
+    # eigvalsh fails on the first call after the lattice pair is built: the
+    # lattice-dissipativity floor. That is a numeric failure, not a bad file
+    payload = {
+        "name": "floor",
+        "kind": "schrodinger",
+        "grid": {"lo": -8.0, "hi": 8.0, "nodes": 8},
+        "potential": {"kind": "gaussian", "amplitude": [0.0, 1.0]},
+    }
+    f = write_json(tmp_path / "floor.json", payload)
+    built = []
+    build_pair, eigvalsh = scenario.discrete_schrodinger_pair, np.linalg.eigvalsh
+
+    def build_then_arm(*args):
+        pair = build_pair(*args)
+        built.append(pair)
+        return pair
+
+    def eigvalsh_failing_once_armed(a):
+        if built:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(scenario, "discrete_schrodinger_pair", build_then_arm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing_once_armed)
+    assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 1
+    assert "floor: FAIL" in capsys.readouterr().out
+    report = json.loads((tmp_path / "floor.report.json").read_text())
+    assert [r["check_id"] for r in report["records"]] == ["numeric-completion"]
+    assert report["flags"]["numeric_error"].startswith("EigenFailure: ")
 
 
 def test_tolerance_scale_rescues(tmp_path):

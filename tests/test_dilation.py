@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflab.dilation import (
     default_block_count,
@@ -9,13 +11,29 @@ from ssflab.dilation import (
     observed_trace_degree,
 )
 from ssflab.errors import InvalidOrder
-from ssflab.linalg import Contraction, operator_norm, phase_clusters, schatten_norm
+from ssflab.linalg import TWO_PI, Contraction, operator_norm, phase_clusters, schatten_norm, unitary_spectrum
 
 
 def random_contraction(rng, n, scale=None):
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     s = scale if scale is not None else float(rng.uniform(0.3, 1.0))
     return Contraction(s * g / (operator_norm(g) + 0.1))
+
+
+def symmetric_contraction(rng, n, singular_values=None):
+    """T = Q diag(s) Q^T for a Haar unitary Q (Takagi form), symmetrized exactly."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    s = rng.uniform(0.0, 1.0, n) if singular_values is None else np.asarray(singular_values, dtype=float)
+    t = (q * s) @ q.T
+    return Contraction(0.5 * (t + t.T))
+
+
+def assert_phases_match(got, want, tol):
+    assert [k for _, k in got] == [k for _, k in want]
+    for (p, _), (q, _) in zip(got, want):
+        assert min(abs(p - q), TWO_PI - abs(p - q)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -114,23 +132,118 @@ def test_schaffer_unitary_and_power_dilation_property():
 @pytest.mark.parametrize("m", range(3, 9))
 def test_structured_dilation_agrees_with_its_dense_matrix(m):
     rng = np.random.default_rng(100 + m)
+    symmetric_rng = np.random.default_rng(200 + m)
     for n in (1, 2, 4):
-        t = random_contraction(rng, n)
-        d = finite_schaffer_dilation(t, m)
-        u = d.u.m
-        for alpha in (np.exp(-0.7j), 1.0, -1j):
-            want = np.linalg.inv(np.eye(m * n) + alpha * u)
-            assert np.linalg.norm(d.shifted_inverse(alpha) - want) <= 1e-12 * np.linalg.norm(want)
-        for k, corner in enumerate(d.compressed_powers(m + 2), start=1):
-            assert np.linalg.norm(corner - np.linalg.matrix_power(u, k)[:n, :n]) <= 1e-13
-        # U*U - I is the Julia block's defect on two blocks and zero elsewhere
-        w = julia_block(t).m
-        dense_defect = np.linalg.norm(u.conj().T @ u - np.eye(m * n))
-        julia_defect = np.linalg.norm(w.conj().T @ w - np.eye(2 * n))
-        assert abs(dense_defect - julia_defect) <= 1e-14
-        got, want = d.eigenphases(), phase_clusters(np.linalg.eigvals(u))
-        assert [k for _, k in got] == [k for _, k in want]
-        assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+        # a complex-symmetric T takes its eigenphases from the real fold
+        for t in (random_contraction(rng, n), symmetric_contraction(symmetric_rng, n)):
+            d = finite_schaffer_dilation(t, m)
+            assert d.complex_symmetric is bool(np.array_equal(t.m, t.m.T))
+            u = d.u.m
+            for alpha in (np.exp(-0.7j), 1.0, -1j):
+                want = np.linalg.inv(np.eye(m * n) + alpha * u)
+                assert np.linalg.norm(d.shifted_inverse(alpha) - want) <= 1e-12 * np.linalg.norm(want)
+            for k, corner in enumerate(d.compressed_powers(m + 2), start=1):
+                assert np.linalg.norm(corner - np.linalg.matrix_power(u, k)[:n, :n]) <= 1e-13
+            # U*U - I is the Julia block's defect on two blocks and zero elsewhere
+            w = julia_block(t).m
+            dense_defect = np.linalg.norm(u.conj().T @ u - np.eye(m * n))
+            julia_defect = np.linalg.norm(w.conj().T @ w - np.eye(2 * n))
+            assert abs(dense_defect - julia_defect) <= 1e-14
+            got, want = d.eigenphases(), phase_clusters(np.linalg.eigvals(u))
+            assert [k for _, k in got] == [k for _, k in want]
+            assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+
+
+def _fold_unitary(m, n):
+    """V of the fold in its column order: block j holds (e_j + e_(m-j))/sqrt(2), block m-j i (e_j - e_(m-j))/sqrt(2)."""
+    v = np.eye(m, dtype=np.complex128)
+    for j in range(1, (m + 1) // 2):
+        v[[j, m - j], j] = np.sqrt(0.5)
+        v[[j, m - j], m - j] = np.sqrt(0.5) * np.array([1j, -1j])
+    return np.kron(v, np.eye(n))
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 10])
+def test_fold_is_the_congruence_that_makes_a_symmetric_dilation_real(m):
+    rng = np.random.default_rng(300 + m)
+    n = 3
+    d = finite_schaffer_dilation(symmetric_contraction(rng, n), m)
+    u = d.u.m
+    # P: block j -> -j mod m gives P U P = U^T, and V is unitary with conj(V) = P V
+    p = np.kron(np.eye(m)[-np.arange(m) % m], np.eye(n))
+    assert np.linalg.norm(p @ u @ p - u.T) <= 1e-14
+    v = _fold_unitary(m, n)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(m * n)) <= 1e-14
+    assert np.linalg.norm(v.conj() - p @ v) == 0.0
+    a = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+    folded = a.copy()
+    d.fold(folded)
+    assert np.linalg.norm(folded - v.conj().T @ a @ v) <= 1e-13 * np.linalg.norm(a)
+    # the Cayley matrix folds to a real symmetric matrix with the same eigenvalues
+    cay = 2j * d.shifted_inverse(np.exp(-0.7j)) - 1j * np.eye(m * n)
+    want = np.linalg.eigvalsh(0.5 * (cay + cay.conj().T))
+    d.fold(cay)
+    assert np.linalg.norm(cay.imag) <= 1e-13 * np.linalg.norm(cay)
+    assert np.linalg.norm(cay.real - cay.real.T) <= 1e-13 * np.linalg.norm(cay)
+    assert np.abs(np.linalg.eigvalsh(cay.real) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(3, 11), normal=st.booleans())
+def test_symmetric_dilation_eigenphases_match_eigvals(seed, n, m, normal):
+    rng = np.random.default_rng(seed)
+    if normal:
+        # Q diag(lambda) Q^T with a real orthogonal Q is symmetric and normal;
+        # repeated lambdas, zeros and unimodular ones give multiplicities
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.choice(np.array([0.0, 0.6, -0.3 + 0.4j, 1j, -1.0]), size=n)
+        t = (q * lam) @ q.T
+        t = Contraction(0.5 * (t + t.T))
+    else:
+        sv = rng.choice(np.array([0.0, 1.0, rng.uniform(), rng.uniform(), rng.uniform()]), size=n)
+        t = symmetric_contraction(rng, n, sv)
+    d = finite_schaffer_dilation(t, m)
+    # a singular value at 1 puts a square root of roundoff, about 1e-8, into
+    # the defects, and that asymmetry keeps the fold from being tried
+    assert d.complex_symmetric or t.norm > 1.0 - 1e-6
+    assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+
+
+def _recording_eigvalsh(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.dtype) or eigvalsh(a))
+    return solves
+
+
+def test_nearly_symmetric_dilation_takes_the_complex_solve(monkeypatch):
+    solves = _recording_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(8)
+    for m in (5, 8):
+        t = symmetric_contraction(rng, 4, rng.uniform(0.0, 0.9, 4)).m
+        skew = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        skew -= skew.T
+        d = finite_schaffer_dilation(Contraction(t + 1e-6 * skew / np.linalg.norm(skew)), m)
+        assert not d.complex_symmetric
+        solves.clear()
+        want = phase_clusters(np.linalg.eigvals(d.u.m))
+        assert_phases_match(d.eigenphases(), want, 1e-10)
+        assert set(solves) == {np.dtype(np.complex128)}
+
+
+def test_a_fold_without_the_symmetry_fails_its_certificate(monkeypatch):
+    # folding a non-symmetric dilation leaves conj(B) != B; the certificate
+    # sends the solve to the complex Hermitian part of the folded matrix,
+    # which has the same eigenvalues
+    solves = _recording_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(9)
+    for n, m in ((2, 3), (3, 6), (4, 9)):
+        d = finite_schaffer_dilation(random_contraction(rng, n), m)
+        assert not d.complex_symmetric
+        solves.clear()
+        lam = unitary_spectrum(d.shifted_inverse, lambda: pytest.fail("dense fallback"), d.fold)
+        assert_phases_match(phase_clusters(lam), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-12)
+        assert set(solves) == {np.dtype(np.complex128)}
 
 
 def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ssflab.errors import KernelViolation, ValidationError
 from ssflab.linalg import Dissipative, cayley
+from ssflab.schrodinger import discrete_schrodinger_pair
 from ssflab.ssf_circle import StepSSF, unitary_ssf
 from ssflab.ssf_line import (
     LineSSF,
@@ -143,6 +144,24 @@ def test_dissipative_ssf_equal_pair():
     line = dissipative_ssf(l, l, 6)
     assert len(line.breakpoints) == 0
     assert np.allclose(line.values, [0.0])
+
+
+def test_dilation_solve_is_real_for_a_schrodinger_pair_and_complex_for_a_random_one(monkeypatch):
+    # -Lap + q is complex symmetric, so its dilation eigensolve runs on the
+    # real fold; a random dissipative pair has no such symmetry
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or eigvalsh(a))
+    n, m = 6, 24
+    x = np.linspace(-4.0, 4.0, n)
+    schrodinger_pair = discrete_schrodinger_pair((1.0 + 0.5j) * np.exp(-x * x), float(x[1] - x[0]))
+    rng = np.random.default_rng(73)
+    random_pair = (random_dissipative(rng, n), random_dissipative(rng, n))
+    for pair, dtype in ((schrodinger_pair, np.float64), (random_pair, np.complex128)):
+        solves.clear()
+        dissipative_ssf(*pair, m)
+        dilation_solves = [d for shape, d in solves if shape == (m * n, m * n)]
+        assert len(dilation_solves) >= 2 and set(dilation_solves) == {np.dtype(dtype)}
 
 
 def test_dissipative_ssf_scalar_resolvent_needs_enough_blocks():
