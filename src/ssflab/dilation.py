@@ -27,17 +27,41 @@ conjugate: a real symmetric matrix with A's eigenvalues (the centrohermitian
 reduction of A. Lee, Linear Algebra Appl. 29, 1980). `FiniteDilation.fold`
 forms B in place, pairing block j with block m - j, and `eigenphases` hands
 it to the eigensolve when the Julia block passes the symmetry test.
+
+A normal T = Q diag(tau) Q* (the free lattice operator (1+i) Lap + iI is
+one) has D_T = D_T* = Q diag(d) Q*, d = sqrt(1 - |tau|^2), so its Julia
+block is (I_2 x Q) J~ (I_2 x Q*), J~ the direct sum of the 2 x 2 Julia
+blocks of the tau_k. Through I_m x Q the m-block dilation is then unitarily
+similar to the direct sum of the n scalar m-block dilations of the tau_k,
+and `eigenphases` takes its m n phases from one stacked solve of n m-square
+Cayley matrices. The route is certified by c = ||J - J~||_F for the J~
+rebuilt from the computed (Q, tau): U and the dilation of J~ are unitary
+and differ by c in Frobenius norm, so by Hoffman-Wielandt no eigenvalue
+moves by more than c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvalidOrder
-from .linalg import Contraction, Unitary, as_operator, defect_operators, phase_clusters, unitary_spectrum
+from .linalg import (
+    _PSI,
+    _SKEW_TOL,
+    Contraction,
+    Unitary,
+    _eig,
+    as_operator,
+    defect_operators,
+    defect_values,
+    hermitize,
+    phase_clusters,
+    unitary_spectrum,
+)
 
 # largest ||J^T - S J S||_F at which the eigensolve tries the real fold: far
 # above the ~1e-14 a symmetric T from `cayley` leaves, far below the 1e-9
@@ -62,7 +86,9 @@ class FiniteDilation:
     the contraction up to exponent m - 2. u maps column blocks (0, 1) to
     row blocks (m-1, 0) through the Julia block [[D_T, -T*], [T, D_T*]], and
     every other column block j identically into row block j-1. The Julia
-    block is all the dilation stores.
+    block is all the dilation stores. julia may also hold a stack of Julia
+    blocks of one size along leading axes, one dilation each, for
+    `shifted_inverse` and `fold`; the other members read a single block.
     """
 
     julia: np.ndarray
@@ -71,7 +97,7 @@ class FiniteDilation:
 
     @property
     def n(self) -> int:
-        return self.julia.shape[0] // 2
+        return self.julia.shape[-1] // 2
 
     @cached_property
     def u(self) -> Unitary:
@@ -84,7 +110,7 @@ class FiniteDilation:
         u[rows, rows + n] = 1.0
         return Unitary(u)
 
-    def shifted_inverse(self, alpha: complex) -> np.ndarray:
+    def shifted_inverse(self, alpha) -> np.ndarray:
         """(I + alpha U)^(-1) as a dense matrix, from one 2n-square solve.
 
         Rows 1 .. m-2 of (I + alpha U) x = b give x_j = b_j - alpha x_(j+1),
@@ -92,21 +118,40 @@ class FiniteDilation:
         (-alpha)^(m-1-j) x_(m-1). Rows 0 and m-1 then leave one solve for
         x_0 and x_(m-1) with the matrix [[I + alpha T, alpha beta D_T*],
         [alpha D_T, I - alpha beta T*]], beta = (-alpha)^(m-2), whose
-        determinant is det(I + alpha U).
+        determinant is det(I + alpha U). The result is built in the one
+        (m n)-square buffer it is returned in. For a stack, alpha is a
+        scalar or one shift per member.
         """
-        n, m = self.n, self.m
-        powers = (-complex(alpha)) ** np.arange(m - 1)
-        swapped = np.roll(self.julia, n, axis=0)  # [[T, D_T*], [D_T, -T*]]
-        lhs = np.eye(2 * n) + alpha * swapped * np.repeat([1.0, powers[-1]], n)
+        n, m, julia = self.n, self.m, self.julia
+        size = m * n
+        lead = julia.shape[:-2]
+        alpha = np.broadcast_to(np.asarray(alpha, dtype=np.complex128), lead)[..., None, None]
+        powers = (-alpha[..., 0]) ** np.arange(m - 1)
+        swapped = np.roll(julia, n, axis=-2)  # [[T, D_T*], [D_T, -T*]]
+        columns = np.ones(lead + (1, 2 * n), dtype=np.complex128)
+        columns[..., n:] = powers[..., -1:, None]
+        lhs = np.eye(2 * n) + alpha * swapped * columns
         # x_0 over x_(m-1) for b = e_0, for b = e_(m-1), and per unit of x_1's Toeplitz sum
-        s = np.linalg.solve(lhs, np.hstack([np.eye(2 * n), -alpha * swapped[:, n:]]))
-        edge = np.hstack([s[:, :n], np.kron(powers[:-1], s[:, 2 * n :]), s[:, n : 2 * n]])
-        j, k = np.ogrid[:m, :m]
-        toeplitz = np.where((1 <= j) & (j <= k) & (k < m - 1), powers[np.clip(k - j, 0, m - 2)], 0)
-        x = np.kron(toeplitz, np.eye(n))
-        x[:n] = edge[:n]
-        rows = x[n:].reshape(m - 1, n, -1)
-        rows += powers[::-1, None, None] * edge[n:]
+        rhs = np.concatenate([np.broadcast_to(np.eye(2 * n), lead + (2 * n, 2 * n)), -alpha * swapped[..., n:]], -1)
+        s = np.linalg.solve(lhs, rhs)
+        x = np.empty(lead + (size, size), dtype=np.complex128)
+        blocks = x.reshape(lead + (m, n, m, n))
+        # row blocks 0 and m-1 hold x_0 and x_(m-1): [s_0, p_0 s_2, ..., p_(m-3) s_2, s_1] by column blocks
+        for row, part in ((blocks[..., 0, :, :, :], s[..., :n, :]), (blocks[..., m - 1, :, :, :], s[..., n:, :])):
+            row[..., 0, :] = part[..., :n]
+            np.multiply(powers[..., None, :-1, None], part[..., None, 2 * n :], out=row[..., 1 : m - 1, :])
+            row[..., m - 1, :] = part[..., n : 2 * n]
+        # row block j in 1 .. m-2: (-alpha)^(m-1-j) x_(m-1) plus the Toeplitz sum
+        np.multiply(
+            powers[..., m - 2 : 0 : -1, None, None, None],
+            blocks[..., None, m - 1, :, :, :],
+            out=blocks[..., 1 : m - 1, :, :, :],
+        )
+        flat = x.reshape(lead + (size * size,))
+        for k in range(m - 2):
+            # block (j, j + k) gets p_k on its diagonal, for 1 <= j <= m-2-k
+            start = n * (size + 1) + k * n
+            flat[..., start : start + (m - 2 - k) * n * (size + 1) : size + 1] += powers[..., k, None]
         return x
 
     @cached_property
@@ -120,12 +165,16 @@ class FiniteDilation:
 
         Column block j becomes (a_j + a_(m-j))/sqrt(2) and column block m - j
         i (a_j - a_(m-j))/sqrt(2), for every pair at once; then the same on
-        the row blocks with -i. Blocks 0 and m/2 stay.
+        the row blocks with -i. Blocks 0 and m/2 stay. A stack folds member
+        by member.
         """
         n, m = self.n, self.m
+        lead = a.shape[:-2]
         pairs = (m - 1) // 2
         root_half = np.sqrt(0.5)
-        for blocks, unit in ((a.reshape(m * n, m, n).transpose(1, 0, 2), 1j), (a.reshape(m, n, m * n), -1j)):
+        column_blocks = np.moveaxis(a.reshape(lead + (m * n, m, n)), -2, 0)
+        row_blocks = np.moveaxis(a.reshape(lead + (m, n, m * n)), -3, 0)
+        for blocks, unit in ((column_blocks, 1j), (row_blocks, -1j)):
             x, y = blocks[1 : pairs + 1], blocks[m - pairs :][::-1]
             diff = x - y
             diff *= unit * root_half
@@ -133,16 +182,41 @@ class FiniteDilation:
             x *= root_half
             y[...] = diff
 
+    @cached_property
+    def normal_form(self) -> Optional[NormalForm]:
+        """`normal_diagonal` of the Julia block, or None when D_T and D_T* differ by more than sqrt(2) _SKEW_TOL.
+
+        The rebuilt Julia block has equal diagonal blocks, so
+        ||D_T - D_T*||_F / sqrt(2) bounds the certificate from below: a T
+        that fails this cheap test could not pass it.
+        """
+        n = self.n
+        if not np.linalg.norm(self.julia[:n, :n] - self.julia[n:, n:]) <= np.sqrt(2.0) * _SKEW_TOL:
+            return None
+        return normal_diagonal(self.julia)
+
     def eigenphases(self) -> list[tuple[float, int]]:
         """Eigenphases of u as `linalg.eigenphases` gives them.
 
-        A complex-symmetric T hands the eigensolve its real fold. u is formed
+        A normal T whose certificate holds takes the n scalar dilations of
+        its eigenvalues, one stacked solve of n m-square Cayley matrices,
+        each folded (a 1 x 1 T is complex symmetric). Otherwise a
+        complex-symmetric T hands the eigensolve its real fold. u is formed
         only when the Cayley solve goes uncertified and falls back to dense
         eigvals: a Julia block that is not normal and whose defect is near
         its 1e-10 tolerance can do that.
         """
-        fold = self.fold if self.complex_symmetric else None
-        return phase_clusters(unitary_spectrum(self.shifted_inverse, lambda: self.u.m, fold))
+        normal = self.normal_form
+        if normal is not None and normal.certificate <= _SKEW_TOL:
+            tau, d = normal.tau, defect_values(np.abs(normal.tau), self.n)
+            # the 2 x 2 Julia blocks [[d_k, -conj(tau_k)], [tau_k, d_k]]
+            scalars = FiniteDilation(np.stack([np.stack([d, -tau.conj()], -1), np.stack([tau, d], -1)], -2), self.m)
+            dense = lambda: np.stack([FiniteDilation(j, self.m).u.m for j in scalars.julia])  # noqa: E731
+            lam = unitary_spectrum(scalars.shifted_inverse, dense, scalars.fold)
+        else:
+            fold = self.fold if self.complex_symmetric else None
+            lam = unitary_spectrum(self.shifted_inverse, lambda: self.u.m, fold)
+        return phase_clusters(lam)
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.
@@ -162,6 +236,30 @@ class FiniteDilation:
     def compressed_power(self, k: int) -> np.ndarray:
         """Corner block (u^k)[0:n, 0:n] for k >= 1."""
         return self.compressed_powers(k)[-1]
+
+
+class NormalForm(NamedTuple):
+    """Eigenvalues tau of a normal T and the certificate ||J - J~||_F of its Julia block."""
+
+    tau: np.ndarray
+    certificate: float
+
+
+def normal_diagonal(julia: np.ndarray) -> NormalForm:
+    """T = Q diag(tau) Q* for the T of a Julia block, with the certificate ||J - J~||_F.
+
+    Q comes from eigh of H + psi K, H and K the Hermitian parts of T and of
+    -iT; the eigenvectors of a normal T diagonalize both. J~ is the Julia
+    block rebuilt from (Q, tau).
+    """
+    n = julia.shape[-1] // 2
+    t = julia[n:, :n]
+    _, q = _eig(np.linalg.eigh, hermitize(t) + _PSI * hermitize(-1j * t))
+    tau = np.einsum("ij,ij->j", q.conj(), t @ q)
+    d = (q * defect_values(np.abs(tau), n)) @ q.conj().T
+    t_rebuilt = (q * tau) @ q.conj().T
+    rebuilt = np.block([[d, -t_rebuilt.conj().T], [t_rebuilt, d]])
+    return NormalForm(tau, float(np.linalg.norm(julia - rebuilt)))
 
 
 def finite_schaffer_dilation(t: Contraction, m: int) -> FiniteDilation:

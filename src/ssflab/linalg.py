@@ -89,15 +89,16 @@ def _eig(solver, a: np.ndarray):
         raise EigenFailure(str(exc)) from exc
 
 
-def hermitian_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def hermitian_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """f(A) = V f(w) V* for a Hermitian A = V diag(w) V*, hermitized.
 
     The package's one functional calculus (Higham, Functions of Matrices,
-    SIAM 2008, ch. 1). f maps the ascending eigenvalues w to the values on
-    them and may raise to refuse a spectrum; a LAPACK failure raises
-    EigenFailure.
+    SIAM 2008, ch. 1). a is the matrix A, or its eigendecomposition (w, V)
+    as `np.linalg.eigh` returns it when the caller holds one already. f maps
+    the ascending eigenvalues w to the values on them and may raise to
+    refuse a spectrum; a LAPACK failure raises EigenFailure.
     """
-    w, v = _eig(np.linalg.eigh, a)
+    w, v = a if isinstance(a, tuple) else _eig(np.linalg.eigh, a)
     return hermitize((v * f(w)) @ v.conj().T)
 
 
@@ -107,7 +108,8 @@ def hermitian_sqrt(a) -> np.ndarray:
 
 
 def hermitian_power(a, exponent: float, *, clamp: float = 1e-10) -> np.ndarray:
-    """f(A) for f(x) = x**exponent on a matrix Hermitian within 1e-12.
+    """f(A) for f(x) = x**exponent on a matrix Hermitian within 1e-12, or on
+    an eigendecomposition (w, V) as `hermitian_function` takes it.
 
     Negative exponents require every eigenvalue to clear 1e-12, otherwise
     KernelViolation. For nonnegative exponents eigenvalues in [-clamp, 0)
@@ -124,7 +126,7 @@ def hermitian_power(a, exponent: float, *, clamp: float = 1e-10) -> np.ndarray:
             raise IndefiniteInput(f"eigenvalue {lo:.3e} below -{clamp:.1e}")
         return np.clip(w, 0.0, None) ** exponent
 
-    return hermitian_function(require_hermitian(as_matrix(a)), power)
+    return hermitian_function(a if isinstance(a, tuple) else require_hermitian(as_matrix(a)), power)
 
 
 def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
@@ -176,6 +178,11 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 # the fold's certificate. The real solve runs only when skew plus certificate
 # stays within _SKEW_TOL; otherwise the complex solve takes the folded B,
 # which has A's eigenvalues.
+#
+# The solve also takes a stack of unitaries of one size: shifted_inverse then
+# returns one matrix per member, a shift array gives each member its own
+# psi, and fold folds every member. Each member keeps its own pole retry and
+# skew certificate; the real solve runs only when every member certifies it.
 _PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
 # a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
 # the others' accuracy; the pole then moves into the widest gap
@@ -183,85 +190,131 @@ _POLE_LIMIT = 2e3
 # largest accepted ||A - A*||_F, which bounds every phase error (Bauer-Fike);
 # beyond it, dense eigvals
 _SKEW_TOL = 1e-9
+# columns per strip of the in-place Hermitian part: the strip's temporaries
+# stay a small share of the matrix
+_STRIP = 64
 
 
 class _CayleySolve(NamedTuple):
     theta: np.ndarray
-    pole: float
-    skew: float
+    pole: np.ndarray
+    skew: np.ndarray
+
+
+def _square_sum(x: np.ndarray) -> np.ndarray:
+    """||x||_F^2 of a real matrix, or of each in a stack."""
+    return np.einsum("...ij,...ij->...", x, x)
 
 
 def _real_fold(a: np.ndarray, fold: Callable):
     """Fold a in place to X + iY; (X + X^T)/2 and the skew, or None when skew plus ||Y - Y^T||_F exceed _SKEW_TOL."""
     fold(a)
     x, y = a.real, a.imag
-    h = x - x.T
-    skew = float(np.hypot(np.linalg.norm(h), np.linalg.norm(np.add(y, y.T, out=h))))
-    weyl = float(np.linalg.norm(np.subtract(y, y.T, out=h)))
-    if not skew + weyl <= _SKEW_TOL:
+    xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
+    h = x - xt
+    skew = np.sqrt(_square_sum(h) + _square_sum(np.add(y, yt, out=h)))
+    weyl = np.sqrt(_square_sum(np.subtract(y, yt, out=h)))
+    if not np.all(skew + weyl <= _SKEW_TOL):
         return None
-    np.add(x, x.T, out=h)
+    np.add(x, xt, out=h)
     h *= 0.5
     return h, skew
 
 
-def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None):
+def _hermitian_lower(a: np.ndarray) -> np.ndarray:
+    """Put the lower triangle of (A + A*)/2 into a's lower triangle in place; ||A - A*||_F per matrix.
+
+    Works one strip of _STRIP columns at a time: the entries below the
+    strip's diagonal block meet the conjugates of those right of it. The
+    upper triangle outside the diagonal blocks keeps A's entries, which
+    eigvalsh (UPLO="L") never reads.
+    """
+    size = a.shape[-1]
+    squares = np.zeros(a.shape[:-2])
+    for c0 in range(0, size, _STRIP):
+        c1 = min(c0 + _STRIP, size)
+        # the diagonal block, then the entries below it, each of which stands
+        # for its mirror image in the skew too
+        diagonal, below_it, right_of_it = a[..., c0:c1, c0:c1], a[..., c1:, c0:c1], a[..., c0:c1, c1:]
+        for below, right, weight in ((diagonal, diagonal, 1.0), (below_it, right_of_it, 2.0)):
+            above = right.conj().swapaxes(-1, -2)
+            gap = below - above
+            squares += weight * (_square_sum(gap.real) + _square_sum(gap.imag))
+            np.add(above, below, out=below)
+            below *= 0.5
+    return np.sqrt(squares)
+
+
+def _cayley_solve(shifted_inverse: Callable, psi, fold: Optional[Callable] = None):
     """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular.
 
-    With fold, eigvalsh runs on the real part of the folded A when its
-    certificate allows, else on the folded A's Hermitian part.
+    A is formed in the buffer shifted_inverse returns, and eigvalsh reads
+    the Hermitian part from its lower triangle. With fold, eigvalsh runs on
+    the real part of the folded A when its certificate allows, else on the
+    folded A's Hermitian part.
     """
+    psi = np.asarray(psi, dtype=float)
     try:
         a = shifted_inverse(np.exp(-1j * psi))
     except np.linalg.LinAlgError:
         return None
     a *= 2j
-    a[np.diag_indices_from(a)] -= 1j
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] -= 1j
     real = None if fold is None else _real_fold(a, fold)
     if real is not None:
         del a  # the complex matrix goes before the real solve
         h, skew = real
     else:
-        h = a.conj().T
-        skew = float(np.linalg.norm(a - h))
-        if not np.isfinite(skew):
+        skew = _hermitian_lower(a)
+        if not np.all(np.isfinite(skew)):
             return None
-        h += a
-        h *= 0.5
+        h = a
     w = _eig(np.linalg.eigvalsh, h)
-    return _CayleySolve(psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), skew)
+    return _CayleySolve(psi[..., None] + 2.0 * np.arctan(w), np.abs(w).max(axis=-1, initial=0.0), skew)
 
 
-def _pole_in_widest_gap(theta: np.ndarray) -> float:
-    """The psi whose pole psi + pi sits mid-way in the widest circular gap of theta."""
-    t = np.sort(theta % TWO_PI)
-    gaps = np.diff(t, append=t[0] + TWO_PI)
-    k = int(np.argmax(gaps))
-    return float(t[k] + 0.5 * gaps[k] - np.pi)
+def _pole_in_widest_gap(theta: np.ndarray) -> np.ndarray:
+    """The psi whose pole psi + pi sits mid-way in the widest circular gap of theta, per last-axis row."""
+    t = np.sort(theta % TWO_PI, axis=-1)
+    gaps = np.diff(t, append=t[..., :1] + TWO_PI, axis=-1)
+    k = np.argmax(gaps, axis=-1)[..., None]
+    return (np.take_along_axis(t, k, -1) + 0.5 * np.take_along_axis(gaps, k, -1) - np.pi)[..., 0]
 
 
 def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None) -> np.ndarray:
-    """Eigenvalues of a unitary U from one eigvalsh of a Cayley transform.
+    """Eigenvalues of a unitary U, or of a stack of them, from one eigvalsh of a Cayley transform.
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
-    never has to be dense. With alpha = e^(-i psi) it gives the Hermitian
-    A = 2i (I + alpha U)^(-1) - iI, whose eigenvalues a give the phases
-    psi + 2 arctan(a). An eigenvalue near the pole psi + pi (|a| above
-    _POLE_LIMIT) costs the others accuracy, so the solve is repeated once
-    with the pole in the widest gap of the phases just found. The skew ||A - A*||_F
-    bounds every phase error: a U that passed `Unitary`'s check may carry a
-    defect up to 1e-10, and A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1).
-    Beyond _SKEW_TOL, when the second try still meets the pole, or when
-    I + alpha U is singular, the eigenvalues come from eigvals of dense(),
-    the dense U. fold, when given, folds every A to a real symmetric matrix
-    as the comment above _PSI describes.
+    never has to be dense; for a stack it returns one inverse per member,
+    alpha a scalar or one shift per member. With alpha = e^(-i psi) it
+    gives the Hermitian A = 2i (I + alpha U)^(-1) - iI, whose eigenvalues a
+    give the phases psi + 2 arctan(a). An eigenvalue near the pole psi + pi
+    (|a| above _POLE_LIMIT) costs the others accuracy, so the solve is
+    repeated once with the pole in the widest gap of the phases just found;
+    members of a stack that did not meet the pole keep psi and so their
+    phases. The skew ||A - A*||_F bounds every phase error: a U that passed
+    `Unitary`'s check may carry a defect up to 1e-10, and
+    A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1). Beyond _SKEW_TOL,
+    when the second try still meets the pole, or when I + alpha U is
+    singular, the eigenvalues come from eigvals of dense(), the dense U or
+    the stack of them, for the members concerned. fold, when given, folds
+    every A to a real symmetric matrix as the comment above _PSI describes.
+    A stack's eigenvalues come member by member in one flat array.
     """
     solve = _cayley_solve(shifted_inverse, _PSI, fold)
-    if solve is not None and solve.pole > _POLE_LIMIT:
-        solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta), fold)
-    if solve is None or solve.pole > _POLE_LIMIT or solve.skew > _SKEW_TOL:
-        return _eig(np.linalg.eigvals, dense())
-    return np.exp(1j * solve.theta)
+    if solve is not None and np.any(solve.pole > _POLE_LIMIT):
+        psi = np.where(solve.pole > _POLE_LIMIT, _pole_in_widest_gap(solve.theta), _PSI)
+        solve = _cayley_solve(shifted_inverse, psi, fold)
+    if solve is None:
+        return _eig(np.linalg.eigvals, dense()).ravel()
+    lam = np.exp(1j * solve.theta)
+    bad = (solve.pole > _POLE_LIMIT) | (solve.skew > _SKEW_TOL)
+    if lam.ndim == 1:
+        return _eig(np.linalg.eigvals, dense()) if bad else lam
+    if bad.any():
+        lam[bad] = _eig(np.linalg.eigvals, dense()[bad])
+    return lam.ravel()
 
 
 def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:
@@ -327,7 +380,7 @@ class Contraction:
     def defects(self) -> DefectPair:
         """The defect pair of defect_operators, read-only and computed once per contraction."""
         u, s, vh = np.linalg.svd(self.m)
-        c = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
+        c = defect_values(s, self.n)
         pair = DefectPair(hermitize((vh.conj().T * c) @ vh), hermitize((u * c) @ u.conj().T))
         for d in pair:
             d.setflags(write=False)
@@ -337,8 +390,30 @@ class Contraction:
         return f"Contraction(n={self.n}, norm={self.norm:.6f})"
 
 
+# singular values within this many n eps of 1 are 1 (defect_values)
+_UNIT_SV = 8
+
+
+def defect_values(s: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(1 - s^2) for the singular values s of an n-square contraction.
+
+    A singular value that is exactly 1 comes back from the SVD, or as the
+    modulus of an eigenvalue, a few n eps off (up to 5.5 n eps measured on
+    T = Q diag(tau) Q* with unimodular tau, n <= 8), and sqrt(1 - s^2) turns
+    that into a defect near 1e-8 that hides the defect kernel. So a value
+    with 1 - s <= _UNIT_SV n eps counts as exactly 1 and gets the defect 0.
+    """
+    s = np.asarray(s, dtype=float)
+    return np.where(1.0 - s <= _UNIT_SV * n * np.finfo(float).eps, 0.0, np.sqrt(np.clip(1.0 - s * s, 0.0, None)))
+
+
 class Dissipative:
-    """Square matrix whose imaginary part (L - L*)/2i is PSD within 1e-10."""
+    """Square matrix whose imaginary part (L - L*)/2i is PSD within 1e-10.
+
+    The factorisations the checks share are cached, read-only, and computed
+    on first use: the Cayley image, (L + iI)^(-1), and the eigendecomposition
+    of Im L.
+    """
 
     def __init__(self, m):
         mat = as_matrix(m)
@@ -356,8 +431,37 @@ class Dissipative:
     def imag_part(self) -> np.ndarray:
         return hermitize((self.m - self.m.conj().T) / 2j)
 
+    @cached_property
+    def imag_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with Im L = V diag(w) V*, as `hermitian_function` takes it."""
+        w, v = _eig(np.linalg.eigh, self.imag_part)
+        return _frozen(w), _frozen(v)
+
+    @cached_property
+    def resolvent_minus_i(self) -> np.ndarray:
+        """(L + iI)^(-1), the resolvent at -i."""
+        return _frozen(np.linalg.inv(self.m + 1j * np.eye(self.n)))
+
+    @cached_property
+    def cayley_image(self) -> CayleyImage:
+        """T = (L - iI)(L + iI)^(-1) with the condition number of L + iI; NearSingular beyond 1e12
+        (cannot happen for validated dissipative input, where the shifted
+        inverse has norm at most 1)."""
+        eye = np.eye(self.n)
+        shifted = self.m + 1j * eye
+        cond = float(np.linalg.cond(shifted))
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NearSingular(f"cond(L + iI) = {cond:.3e}")
+        t = np.linalg.solve(shifted.T, (self.m - 1j * eye).T).T
+        return CayleyImage(Contraction(t), cond)
+
     def __repr__(self):
         return f"Dissipative(n={self.n})"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class DefectPair(NamedTuple):
@@ -428,20 +532,9 @@ class CayleyImage(NamedTuple):
 
 
 def cayley(l) -> CayleyImage:
-    """Cayley transform T = (L - iI)(L + iI)^(-1) of a dissipative matrix.
-
-    Also reports the condition number of L + iI; NearSingular beyond 1e12
-    (cannot happen for validated dissipative input, where the shifted
-    inverse has norm at most 1).
-    """
-    mat = as_operator(Dissipative, l).m
-    eye = np.eye(mat.shape[0])
-    shifted = mat + 1j * eye
-    cond = float(np.linalg.cond(shifted))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NearSingular(f"cond(L + iI) = {cond:.3e}")
-    t = np.linalg.solve(shifted.T, (mat - 1j * eye).T).T
-    return CayleyImage(Contraction(t), cond)
+    """Cayley transform T = (L - iI)(L + iI)^(-1) of a dissipative matrix,
+    with the condition number of L + iI: `Dissipative.cayley_image`."""
+    return as_operator(Dissipative, l).cayley_image
 
 
 def inverse_cayley(t) -> Dissipative:

@@ -215,11 +215,11 @@ def cayley_identity_residuals(l0, l1) -> CayleyIdentityReport:
     defect_res, adjoint_res, ts, resolvents = [], [], [], []
     for l in ls:
         eye = np.eye(l.n)
-        shifted_inv = np.linalg.inv(l.m + 1j * eye)
+        shifted_inv = l.resolvent_minus_i
         resolvents.append(shifted_inv)
         t = cayley(l).contraction
         ts.append(t)
-        root = hermitian_sqrt(l.imag_part)
+        root = hermitian_sqrt(l.imag_eigh)
         g = root @ shifted_inv
         g_twin = shifted_inv @ root
         d_sq = eye - t.m.conj().T @ t.m
@@ -264,9 +264,9 @@ def dissipative_condition_report(l0, l1, p: float = 1) -> DissipativeConditionRe
                 raise KernelViolation(f"Im L_{j} has eigenvalue {w.min():.3e}, inverse square root undefined")
             return w**-0.5
 
-        inv_roots.append(hermitian_function(l.imag_part, inverse_root))
-        root = hermitian_sqrt(l.imag_part)
-        shifted_inv = np.linalg.inv(l.m + 1j * np.eye(l.n))
+        inv_roots.append(hermitian_function(l.imag_eigh, inverse_root))
+        root = hermitian_sqrt(l.imag_eigh)
+        shifted_inv = l.resolvent_minus_i
         res.append(shifted_inv)
         g_norms.append(operator_norm(root @ shifted_inv))
         g_twin_norms.append(operator_norm(shifted_inv @ root))

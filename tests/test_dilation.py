@@ -10,8 +10,18 @@ from ssflab.dilation import (
     julia_block,
     observed_trace_degree,
 )
+from ssflab import dilation, linalg
 from ssflab.errors import InvalidOrder
-from ssflab.linalg import TWO_PI, Contraction, operator_norm, phase_clusters, schatten_norm, unitary_spectrum
+from ssflab.linalg import (
+    TWO_PI,
+    Contraction,
+    cayley,
+    operator_norm,
+    phase_clusters,
+    schatten_norm,
+    unitary_spectrum,
+)
+from ssflab.schrodinger import discrete_schrodinger_pair
 
 
 def random_contraction(rng, n, scale=None):
@@ -28,6 +38,15 @@ def symmetric_contraction(rng, n, singular_values=None):
     s = rng.uniform(0.0, 1.0, n) if singular_values is None else np.asarray(singular_values, dtype=float)
     t = (q * s) @ q.T
     return Contraction(0.5 * (t + t.T))
+
+
+def normal_contraction(rng, n, tau=None):
+    """T = Q diag(tau) Q* for a Haar unitary Q; tau uniform in the unit disc unless given."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    if tau is None:
+        tau = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return Contraction((q * tau) @ q.conj().T)
 
 
 def assert_phases_match(got, want, tol):
@@ -203,8 +222,9 @@ def test_symmetric_dilation_eigenphases_match_eigvals(seed, n, m, normal):
         sv = rng.choice(np.array([0.0, 1.0, rng.uniform(), rng.uniform(), rng.uniform()]), size=n)
         t = symmetric_contraction(rng, n, sv)
     d = finite_schaffer_dilation(t, m)
-    # a singular value at 1 puts a square root of roundoff, about 1e-8, into
-    # the defects, and that asymmetry keeps the fold from being tried
+    # a singular value at 1 that the SVD returns more than 8 n eps low still
+    # puts a square root of roundoff, about 1e-8, into the defects, and that
+    # asymmetry keeps the fold from being tried
     assert d.complex_symmetric or t.norm > 1.0 - 1e-6
     assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
 
@@ -267,18 +287,181 @@ def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeyp
 
 
 def test_dilation_eigenphases_compute_no_eigenvectors(monkeypatch):
-    def refuse(a):
-        raise AssertionError("eigenvectors were computed")
+    # the normal route takes the eigenvectors of an n-square matrix; nothing
+    # (m n)-square is ever eigendecomposed with vectors
+    eigvals, eigh, eig = np.linalg.eigvals, np.linalg.eigh, np.linalg.eig
+    size = []
 
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eig", refuse)
+    def refuse_dilation_size(solver):
+        def guarded(a):
+            assert a.shape[-1] != size[0], "eigenvectors of the dilation were computed"
+            return solver(a)
+
+        return guarded
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse_dilation_size(eigh))
+    monkeypatch.setattr(np.linalg, "eig", refuse_dilation_size(eig))
     rng = np.random.default_rng(41)
     for n, m in ((1, 3), (3, 8), (8, 24)):
+        for t in (random_contraction(rng, n), normal_contraction(rng, n)):
+            d = finite_schaffer_dilation(t, m)
+            size[:] = [m * n]
+            got, want = d.eigenphases(), phase_clusters(eigvals(d.u.m))
+            assert [k for _, k in got] == [k for _, k in want]
+            assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# normal contractions: n scalar dilations
+
+
+# unimodular values, a repeated one, zero, and -exp(i psi), which puts an
+# eigenvalue of the scalar dilation on the pole of the first Cayley try
+_SPECIAL_TAU = np.array([1.0, 1j, -1.0, 0.0, 0.5, 0.5, -0.3 + 0.4j, -np.exp(1j * linalg._PSI)])
+
+
+def _recording_shifted_inverse(monkeypatch, record):
+    build = dilation.FiniteDilation.shifted_inverse
+    monkeypatch.setattr(dilation.FiniteDilation, "shifted_inverse", lambda d, a: record(d, a) or build(d, a))
+
+
+def _normal_route_solves(monkeypatch):
+    """Record the Julia block shapes and block counts shifted_inverse builds from, so a test sees which route ran."""
+    shapes = []
+    _recording_shifted_inverse(monkeypatch, lambda d, a: shapes.append((d.julia.shape, d.m)))
+    return shapes
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(3, 12), special=st.integers(0, 8))
+def test_normal_dilation_eigenphases_match_eigvals(seed, n, m, special):
+    rng = np.random.default_rng(seed)
+    tau = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    k = min(special, n)
+    tau[:k] = rng.choice(_SPECIAL_TAU, size=k)
+    d = finite_schaffer_dilation(normal_contraction(rng, n, tau), m)
+    normal = d.normal_form
+    assert normal is not None and normal.certificate <= linalg._SKEW_TOL
+    assert np.abs(np.subtract.outer(normal.tau, tau)).min(axis=0).max() <= 1e-12
+    assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+
+
+def test_normal_dilation_takes_n_scalar_dilations(monkeypatch):
+    shapes = _normal_route_solves(monkeypatch)
+    rng = np.random.default_rng(12)
+    for n, m in ((1, 3), (4, 7), (8, 24)):
+        d = finite_schaffer_dilation(normal_contraction(rng, n), m)
+        shapes.clear()
+        assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-12)
+        assert shapes and set(shapes) == {((n, 2, 2), m)}
+
+
+def test_normal_dilation_with_a_pole_on_a_scalar_moves_that_pole_only(monkeypatch):
+    # -exp(i psi) is an eigenvalue of its own scalar dilation and sits on the
+    # first try's pole: the retry solves the stack again, and only that member
+    # gets a new shift
+    shifts = []
+    _recording_shifted_inverse(monkeypatch, lambda d, a: shifts.append(np.broadcast_to(a, d.julia.shape[:-2]).copy()))
+    tau = np.array([0.3, -np.exp(1j * linalg._PSI), 0.6j])
+    d = finite_schaffer_dilation(normal_contraction(np.random.default_rng(5), 3, tau), 9)
+    assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+    first = np.exp(-1j * linalg._PSI)
+    assert len(shifts) == 2 and np.all(shifts[0] == first)
+    assert [bool(a == first) for a in shifts[1][np.argsort(np.abs(d.normal_form.tau - tau[1]))]] == [False, True, True]
+
+
+def test_nearly_normal_dilation_fails_the_certificate_and_still_matches(monkeypatch):
+    shapes = _normal_route_solves(monkeypatch)
+    rng = np.random.default_rng(21)
+    for n, m in ((2, 5), (4, 8), (6, 12)):
+        t = normal_contraction(rng, n, 0.9 * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        kick = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        d = finite_schaffer_dilation(Contraction(t.m + 1e-6 * kick / np.linalg.norm(kick)), m)
+        # the cheap test already refuses it; the certificate itself would too
+        assert d.normal_form is None
+        assert dilation.normal_diagonal(d.julia).certificate > 1e-9
+        shapes.clear()
+        assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+        assert set(shapes) == {((2 * n, 2 * n), m)}
+
+
+def test_normal_dilation_whose_eigh_mixes_eigenvectors_fails_the_certificate(monkeypatch):
+    # tau_1 - tau_0 along psi - i gives H + psi K a double eigenvalue, so eigh
+    # returns some basis of that plane and Q* T Q is not diagonal; the
+    # certificate then sends the solve to the Julia block
+    shapes = _normal_route_solves(monkeypatch)
+    q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
+    tau = np.array([0.2 + 0.1j, 0.2 + 0.1j + 0.3 * (linalg._PSI - 1j) / abs(linalg._PSI - 1j), -0.5])
+    d = finite_schaffer_dilation(Contraction((q * tau) @ q.conj().T), 6)
+    assert d.normal_form.certificate > 1e-9
+    assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+    assert set(shapes) == {((6, 6), 6)}
+
+
+def test_schrodinger_free_operator_never_builds_its_dilation_inverse(monkeypatch):
+    shapes = _normal_route_solves(monkeypatch)
+    for n in (3, 8, 24):
+        x = np.linspace(-8.0, 8.0, n)
+        l0, _ = discrete_schrodinger_pair(np.exp(-x * x) * (0.5 + 1j), float(x[1] - x[0]))
+        d = finite_schaffer_dilation(cayley(l0).contraction, 24)
+        shapes.clear()
+        d.eigenphases()
+        assert d.normal_form.certificate <= linalg._SKEW_TOL
+        assert shapes and set(shapes) == {((n, 2, 2), 24)}
+
+
+def test_unit_singular_values_reach_the_fold_and_the_normal_route(monkeypatch):
+    # a singular value within n eps of 1 has defect exactly 0, so D_T keeps
+    # the symmetry and the normality of T
+    shapes = _normal_route_solves(monkeypatch)
+    solves = _recording_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(17)
+    for n, m in ((3, 6), (4, 9)):
+        d = finite_schaffer_dilation(symmetric_contraction(rng, n, [1.0, 1.0] + [0.5] * (n - 2)), m)
+        assert d.normal_form is None and d.complex_symmetric
+        solves.clear()
+        assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+        assert set(solves) == {np.dtype(np.float64)}
+        tau = np.r_[np.exp(1j * rng.uniform(0.0, 6.0, 2)), [0.5] * (n - 2)]
+        d = finite_schaffer_dilation(normal_contraction(rng, n, tau), m)
+        assert d.normal_form.certificate <= linalg._SKEW_TOL
+        shapes.clear()
+        assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
+        assert set(shapes) == {((n, 2, 2), m)}
+
+
+def test_one_buffer_cayley_matrix_matches_the_kron_build_bitwise(monkeypatch):
+    def kron_build(d, alpha):
+        n, m = d.n, d.m
+        powers = (-complex(alpha)) ** np.arange(m - 1)
+        swapped = np.roll(d.julia, n, axis=0)
+        lhs = np.eye(2 * n) + alpha * swapped * np.repeat([1.0, powers[-1]], n)
+        s = np.linalg.solve(lhs, np.hstack([np.eye(2 * n), -alpha * swapped[:, n:]]))
+        edge = np.hstack([s[:, :n], np.kron(powers[:-1], s[:, 2 * n :]), s[:, n : 2 * n]])
+        j, k = np.ogrid[:m, :m]
+        toeplitz = np.where((1 <= j) & (j <= k) & (k < m - 1), powers[np.clip(k - j, 0, m - 2)], 0)
+        x = np.kron(toeplitz, np.eye(n))
+        x[:n] = edge[:n]
+        rows = x[n:].reshape(m - 1, n, -1)
+        rows += powers[::-1, None, None] * edge[n:]
+        a = 2j * x
+        a[np.diag_indices_from(a)] -= 1j
+        h = a.conj().T
+        h += a
+        h *= 0.5
+        return h
+
+    handed = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: handed.append(a.copy()) or eigvalsh(a))
+    rng = np.random.default_rng(55)
+    # sizes on both sides of one strip of the in-place Hermitian part
+    for n, m in ((2, 5), (3, 24), (24, 24)):
         d = finite_schaffer_dilation(random_contraction(rng, n), m)
-        got, want = d.eigenphases(), phase_clusters(eigvals(d.u.m))
-        assert [k for _, k in got] == [k for _, k in want]
-        assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+        handed.clear()
+        d.eigenphases()
+        want = kron_build(d, np.exp(-1j * linalg._PSI))
+        assert np.array_equal(np.tril(handed[0]), np.tril(want))
 
 
 def test_dilation_build_keeps_only_the_blocks():

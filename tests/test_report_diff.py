@@ -1,0 +1,92 @@
+"""tools/report_diff.py on two copies of one `ssf-lab run` output directory."""
+
+import importlib.util
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+
+from ssflab import cli
+from ssflab.export import dump_json
+from ssflab.scenario import generate_scenario, write_scenario
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+
+
+@pytest.fixture(scope="module")
+def report_diff():
+    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def outputs(tmp_path):
+    scenario = tmp_path / "s.json"
+    payload = generate_scenario("dissipative_pair", 4, 2)
+    payload["outputs"] = ["json", "csv", "svg"]
+    write_scenario(payload, scenario)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert cli.main(["run", str(scenario), "--out-dir", str(parent)]) == 0
+    shutil.copytree(parent, change)
+    report = change / f"{payload['name']}.report.json"
+    return parent, change, report
+
+
+def _edit(path, change):
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(dump_json(data))
+
+
+def test_a_new_timestamp_keeps_the_report_identical(report_diff, outputs, capsys):
+    parent, change, report = outputs
+    _edit(report, lambda d: d.update(timestamp="1970-01-01T00:00:00+00:00"))
+    assert report_diff.main([str(parent), str(change)]) == 0
+    identical, reports, others, lonely = report_diff.diff_dirs(parent, change)
+    assert len(identical) == 3 and not (reports or others or lonely)
+    assert "3 identical" in capsys.readouterr().out
+
+
+def test_small_moves_are_measured_per_tolerance(report_diff, outputs):
+    parent, change, report = outputs
+
+    def nudge(d):
+        record = d["records"][0]
+        record["lhs"][0] += 0.25 * record["tolerance"]
+        record["residual"] += 0.5 * record["tolerance"]
+        row = d["tables"]["line_step"]["rows"][1]
+        row[0] = -1.0 / math.tan((2.0 * math.atan2(1.0, -row[0]) + 1e-9) / 2.0)
+
+    _edit(report, nudge)
+    _, reports, _, _ = report_diff.diff_dirs(parent, change)
+    (c,) = reports.values()
+    assert c["records_kept"] and c["pass_kept"] and c["tables_kept"]
+    assert c["lhs"] == pytest.approx(0.25) and c["rhs"] == 0.0 and c["residual"] == pytest.approx(0.5)
+    # the shift is read as a phase on the circle, not as a distance on the line
+    assert c["breakpoint_shift"] == pytest.approx(1e-9, rel=1e-3)
+    assert report_diff.main([str(parent), str(change)]) == 0
+
+
+def test_a_flipped_pass_or_a_changed_jump_fails_the_comparison(report_diff, outputs):
+    parent, change, report = outputs
+    _edit(report, lambda d: d["records"][-1].update({"pass": not d["records"][-1]["pass"]}))
+    assert report_diff.main([str(parent), str(change)]) == 1
+    shutil.copy(parent / report.name, report)
+
+    def add_jump(d):
+        d["tables"]["line_step"]["rows"][1][-1] += 1.0
+
+    _edit(report, add_jump)
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["pass_kept"] and not c["tables_kept"]
+    assert report_diff.main([str(parent), str(change)]) == 1
+
+
+def test_a_file_on_one_side_fails_the_comparison(report_diff, outputs):
+    parent, change, report = outputs
+    report.unlink()
+    assert report_diff.main([str(parent), str(change)]) == 1

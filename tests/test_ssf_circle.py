@@ -479,6 +479,18 @@ def test_conditions_report_kernel_violation_marks_fields():
     assert rep.weighted_adjoint_diff_norm is None
 
 
+def test_conditions_report_sees_the_kernel_of_a_defect_with_unit_singular_values():
+    # the SVD returns the two unit singular values of T0 as 1 - 1.1e-16; the
+    # defect must still have its two-dimensional kernel
+    g = np.random.default_rng(3)
+    q, _ = np.linalg.qr(g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)))
+    t0 = Contraction((q * [1.0, 1.0, 0.5, 0.2]) @ q.conj().T)
+    rep = real_ssf_conditions_report(t0, Contraction(t0.m / 2), 0.5, 0.5, 1)
+    assert rep.min_defect_eig <= 1e-14
+    assert not rep.kernel_certified
+    assert rep.weighted_diff_norm is None
+
+
 def test_conditions_report_validates_exponents():
     t = Contraction(np.zeros((2, 2)))
     with pytest.raises(ValidationError):

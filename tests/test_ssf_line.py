@@ -148,7 +148,9 @@ def test_dissipative_ssf_equal_pair():
 
 def test_dilation_solve_is_real_for_a_schrodinger_pair_and_complex_for_a_random_one(monkeypatch):
     # -Lap + q is complex symmetric, so its dilation eigensolve runs on the
-    # real fold; a random dissipative pair has no such symmetry
+    # real fold; a random dissipative pair has no such symmetry. The free
+    # operator L0 is also normal: its solve is one stack of n scalar
+    # m-square dilations, each folded to real, and no (m n)-square one
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or eigvalsh(a))
@@ -157,11 +159,16 @@ def test_dilation_solve_is_real_for_a_schrodinger_pair_and_complex_for_a_random_
     schrodinger_pair = discrete_schrodinger_pair((1.0 + 0.5j) * np.exp(-x * x), float(x[1] - x[0]))
     rng = np.random.default_rng(73)
     random_pair = (random_dissipative(rng, n), random_dissipative(rng, n))
-    for pair, dtype in ((schrodinger_pair, np.float64), (random_pair, np.complex128)):
+    real = {np.dtype(np.float64)}
+    for pair, dtypes, dilations, scalar_dtypes in (
+        (schrodinger_pair, real, 1, real),
+        (random_pair, {np.dtype(np.complex128)}, 2, set()),
+    ):
         solves.clear()
         dissipative_ssf(*pair, m)
         dilation_solves = [d for shape, d in solves if shape == (m * n, m * n)]
-        assert len(dilation_solves) >= 2 and set(dilation_solves) == {np.dtype(dtype)}
+        assert len(dilation_solves) >= dilations and set(dilation_solves) == dtypes
+        assert {d for shape, d in solves if shape == (n, m, m)} == scalar_dtypes
 
 
 def test_dissipative_ssf_scalar_resolvent_needs_enough_blocks():
@@ -288,6 +295,30 @@ def test_cayley_identities_self_adjoint():
 
 # ---------------------------------------------------------------------------
 # weighted-difference condition
+
+
+def test_a_dissipative_pair_is_factorised_once_per_operator(monkeypatch):
+    # the Cayley image, (L + iI)^(-1) and the eigendecomposition of Im L are
+    # cached on each operator, so the identity residuals, the condition
+    # report and the line SSF share them
+    calls = {"eigh": 0, "cond": 0, "inv": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(8)
+    l0, l1 = random_dissipative(rng, 8), random_dissipative(rng, 8)
+    cayley_identity_residuals(l0, l1)
+    dissipative_condition_report(l0, l1)
+    dissipative_ssf(l0, l1, 6)
+    assert calls == {"eigh": 2, "cond": 2, "inv": 2}
+    for l in (l0, l1):
+        for cached in (l.imag_eigh[0], l.imag_eigh[1], l.resolvent_minus_i, l.cayley_image.contraction.m):
+            assert not cached.flags.writeable
 
 
 def test_condition_report_equal_pair():
