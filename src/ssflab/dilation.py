@@ -93,7 +93,6 @@ class FiniteDilation:
 
     julia: np.ndarray
     m: int
-    embedding_index: int = 0
 
     @property
     def n(self) -> int:

@@ -8,7 +8,6 @@ directly with line/text primitives so plots need no external renderer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from html import escape
@@ -54,18 +53,6 @@ def jsonable(value):
 # SSF tables as rows
 
 
-def _step_circle_array(step: StepSSF) -> np.ndarray:
-    bounds = np.concatenate(([0.0], step.thetas))
-    if bounds[-1] < TWO_PI:
-        bounds = np.append(bounds, TWO_PI)
-    return np.column_stack((bounds[:-1], bounds[1:], step.value(bounds[:-1])))
-
-
-def step_circle_rows(step: StepSSF) -> list[tuple[float, float, float]]:
-    """Constant segments covering (0, 2pi]: (theta_start, theta_end, value)."""
-    return list(map(tuple, _step_circle_array(step).tolist()))
-
-
 _HEADERS = {
     "circle_step": "theta_start,theta_end,value",
     "line_step": "t_start,t_end,value",
@@ -84,10 +71,13 @@ def table_kind(table) -> str:
 
 
 def table_array(table) -> np.ndarray:
-    """One float row per segment or sample; a line table's outer endpoints are +-inf."""
+    """One float row per segment or sample; circle segments cover (0, 2pi], a line table's outer endpoints are +-inf."""
     kind = table_kind(table)
     if kind == "circle_step":
-        return _step_circle_array(table)
+        bounds = np.concatenate(([0.0], table.thetas))
+        if bounds[-1] < TWO_PI:
+            bounds = np.append(bounds, TWO_PI)
+        return np.column_stack((bounds[:-1], bounds[1:], table.value(bounds[:-1])))
     if kind == "line_step":
         bounds = np.concatenate(([-np.inf], table.breakpoints, [np.inf]))
         return np.column_stack((bounds[:-1], bounds[1:], table.values))
@@ -120,16 +110,23 @@ def read_ssf_csv(path) -> tuple[str, list[tuple]]:
     if header not in kinds:
         raise SchemaError(f"{path}: unrecognized CSV header {header!r}")
     kind = kinds[header]
-    width = len(header.split(","))
+    names = header.split(",")
+    # the only cells that may be infinite: a line table's outer endpoints
+    ends = {(2, 0): -math.inf, (len(lines), 1): math.inf} if kind == "line_step" else {}
     rows = []
     for i, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
-        if len(cells) != width:
-            raise SchemaError(f"{path}:{i}: expected {width} columns")
+        if len(cells) != len(names):
+            raise SchemaError(f"{path}:{i}: expected {len(names)} columns")
         try:
-            rows.append(tuple(float(c) for c in cells))
+            row = tuple(float(c) for c in cells)
         except ValueError as exc:
             raise SchemaError(f"{path}:{i}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            for j, x in enumerate(row):
+                if not math.isfinite(x) and ends.get((i, j)) != x:
+                    raise SchemaError(f"{path}:{i}: column {j + 1} ({names[j]}) is {x}, not a finite number")
+        rows.append(row)
     return kind, rows
 
 
@@ -267,13 +264,6 @@ def dump_json(payload) -> str:
     (non-string keys, subclasses, unknown objects) go to json itself.
     """
     return _encode(payload, 0) + "\n"
-
-
-def canonical_hash(payload: dict) -> str:
-    """sha256 over the canonical JSON form, timestamp excluded."""
-    trimmed = {k: v for k, v in payload.items() if k != "timestamp"}
-    blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
 def write_report_json(report, path, timestamp: str) -> dict:

@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _eig, as_matrix, hermitian_function, require_hermitian, schatten_norm
+from .schrodinger import make_grid
 
 # eigenvalues below this make inverse powers meaningless
 _KERNEL_FLOOR = 1e-10
@@ -178,12 +179,8 @@ def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
     s_min = (2.0 * np.log(lam) - 30.0) / (2.0 + sigma)
 
     # lower piece: t in (0, 1], log substitution t = e^s
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(s_min, 0.0, panel_count + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    halves = (edges[1:] - edges[:-1]) / 2.0
-    s_nodes = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
-    s_weights = (halves[:, None] * gl_w[None, :]).ravel()
+    lower_grid = make_grid(s_min, 0.0, 16 * panel_count)
+    s_nodes, s_weights = lower_grid.points, lower_grid.weights
     t_nodes = np.exp(s_nodes)
     g_lower = _sandwich_batch(t_nodes, 1.0, x, y, diff)
     factors = s_weights * np.exp((1.0 + sigma) * s_nodes)

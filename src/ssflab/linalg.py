@@ -174,10 +174,12 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 # ||B - B*||_F, which the unitary V leaves unchanged, and the Hermitian part
 # of B differs from the real (X + X^T)/2 by i (Y - Y^T)/2. By Weyl that moves
 # every eigenvalue by at most ||(Y - Y^T)/2||_2, and every phase
-# psi + 2 arctan(a) by at most twice that, so ||Y - Y^T||_F = 2 ||Im B||_F is
-# the fold's certificate. The real solve runs only when skew plus certificate
-# stays within _SKEW_TOL; otherwise the complex solve takes the folded B,
-# which has A's eigenvalues.
+# psi + 2 arctan(a) by at most twice that, so ||Y - Y^T||_F, twice the
+# Frobenius norm of the imaginary part of B's Hermitian part, is the fold's
+# certificate. One pass over B forms that Hermitian part, the skew and the
+# certificate. The real solve takes the real part of that Hermitian part
+# only when skew plus certificate stays within _SKEW_TOL; otherwise the
+# complex solve takes the Hermitian part itself, which has A's eigenvalues.
 #
 # The solve also takes a stack of unitaries of one size: shifted_inverse then
 # returns one matrix per member, a shift array gives each member its own
@@ -206,31 +208,18 @@ def _square_sum(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", x, x)
 
 
-def _real_fold(a: np.ndarray, fold: Callable):
-    """Fold a in place to X + iY; (X + X^T)/2 and the skew, or None when skew plus ||Y - Y^T||_F exceed _SKEW_TOL."""
-    fold(a)
-    x, y = a.real, a.imag
-    xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
-    h = x - xt
-    skew = np.sqrt(_square_sum(h) + _square_sum(np.add(y, yt, out=h)))
-    weyl = np.sqrt(_square_sum(np.subtract(y, yt, out=h)))
-    if not np.all(skew + weyl <= _SKEW_TOL):
-        return None
-    np.add(x, xt, out=h)
-    h *= 0.5
-    return h, skew
-
-
-def _hermitian_lower(a: np.ndarray) -> np.ndarray:
-    """Put the lower triangle of (A + A*)/2 into a's lower triangle in place; ||A - A*||_F per matrix.
+def _hermitian_lower(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower triangle of H = (A + A*)/2 into a's, in place; ||A - A*||_F and 2 ||Im H||_F per matrix.
 
     Works one strip of _STRIP columns at a time: the entries below the
     strip's diagonal block meet the conjugates of those right of it. The
     upper triangle outside the diagonal blocks keeps A's entries, which
-    eigvalsh (UPLO="L") never reads.
+    eigvalsh (UPLO="L") never reads. For a folded A = X + iY the real part
+    of that lower triangle is bitwise the one of (X + X^T)/2, and
+    2 ||Im H||_F = ||Y - Y^T||_F is the fold's Weyl certificate.
     """
     size = a.shape[-1]
-    squares = np.zeros(a.shape[:-2])
+    squares, imag_squares = np.zeros(a.shape[:-2]), np.zeros(a.shape[:-2])
     for c0 in range(0, size, _STRIP):
         c1 = min(c0 + _STRIP, size)
         # the diagonal block, then the entries below it, each of which stands
@@ -242,16 +231,17 @@ def _hermitian_lower(a: np.ndarray) -> np.ndarray:
             squares += weight * (_square_sum(gap.real) + _square_sum(gap.imag))
             np.add(above, below, out=below)
             below *= 0.5
-    return np.sqrt(squares)
+            imag_squares += weight * _square_sum(below.imag)
+    return np.sqrt(squares), 2.0 * np.sqrt(imag_squares)
 
 
 def _cayley_solve(shifted_inverse: Callable, psi, fold: Optional[Callable] = None):
     """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular.
 
     A is formed in the buffer shifted_inverse returns, and eigvalsh reads
-    the Hermitian part from its lower triangle. With fold, eigvalsh runs on
-    the real part of the folded A when its certificate allows, else on the
-    folded A's Hermitian part.
+    the Hermitian part from its lower triangle. With fold, A is folded
+    first, and eigvalsh runs on the real part of that lower triangle when
+    skew plus Weyl certificate stay within _SKEW_TOL.
     """
     psi = np.asarray(psi, dtype=float)
     try:
@@ -261,16 +251,13 @@ def _cayley_solve(shifted_inverse: Callable, psi, fold: Optional[Callable] = Non
     a *= 2j
     diag = np.arange(a.shape[-1])
     a[..., diag, diag] -= 1j
-    real = None if fold is None else _real_fold(a, fold)
-    if real is not None:
-        del a  # the complex matrix goes before the real solve
-        h, skew = real
-    else:
-        skew = _hermitian_lower(a)
-        if not np.all(np.isfinite(skew)):
-            return None
-        h = a
-    w = _eig(np.linalg.eigvalsh, h)
+    if fold is not None:
+        fold(a)
+    skew, weyl = _hermitian_lower(a)
+    if not np.all(np.isfinite(skew)):
+        return None
+    real = fold is not None and np.all(skew + weyl <= _SKEW_TOL)
+    w = _eig(np.linalg.eigvalsh, a.real if real else a)
     return _CayleySolve(psi[..., None] + 2.0 * np.arctan(w), np.abs(w).max(axis=-1, initial=0.0), skew)
 
 

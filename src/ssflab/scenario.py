@@ -251,6 +251,10 @@ def _parse_matrices(data: dict, kind: str) -> tuple[np.ndarray, np.ndarray]:
 # potential / grid / exponent sub-schemas
 
 
+# the real parameters of each analytic potential shape, beside its complex amplitude
+_SHAPE_KEYS = {"gaussian": ("center", "width"), "bump": ("center", "half_width", "taper")}
+
+
 def _parse_potential(raw, where: str = "potential") -> dict:
     if raw is None:
         return {"kind": "gaussian"}
@@ -258,18 +262,11 @@ def _parse_potential(raw, where: str = "potential") -> dict:
         _fail(where, "expected a descriptor object")
     desc = dict(raw)
     kind = desc.get("kind")
-    if kind == "gaussian":
-        _check_keys(desc, {"kind", "amplitude", "center", "width"}, where)
+    if isinstance(kind, str) and kind in _SHAPE_KEYS:
+        _check_keys(desc, {"kind", "amplitude", *_SHAPE_KEYS[kind]}, where)
         if "amplitude" in desc:
             desc["amplitude"] = _complex_entry(desc["amplitude"], f"{where}.amplitude")
-        for key in ("center", "width"):
-            if key in desc:
-                desc[key] = _float_entry(desc[key], f"{where}.{key}")
-    elif kind == "bump":
-        _check_keys(desc, {"kind", "amplitude", "center", "half_width", "taper"}, where)
-        if "amplitude" in desc:
-            desc["amplitude"] = _complex_entry(desc["amplitude"], f"{where}.amplitude")
-        for key in ("center", "half_width", "taper"):
+        for key in _SHAPE_KEYS[kind]:
             if key in desc:
                 desc[key] = _float_entry(desc[key], f"{where}.{key}")
     elif kind == "table":
@@ -601,6 +598,11 @@ class Report:
 _AUTO = object()
 
 
+def _fields(rep, *drop) -> dict:
+    """A report record's fields as flags, without the named ones."""
+    return {k: v for k, v in vars(rep).items() if k not in drop}
+
+
 def _run_unitary_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     ssf = unitary_ssf(*(Unitary(m) for m in sc.matrices))
     return _circle_pair_checks(sc, record, ssf, "circle-trace-formula", 1e-10, {})
@@ -656,15 +658,7 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
     record("defect-identity", "defect-identity", conditions.identity_residual, 0.0, 1e-12)
-    flags = {
-        "block_count": blocks,
-        "kernel_certified": conditions.kernel_certified,
-        "min_defect_eig": conditions.min_defect_eig,
-        "weighted_diff_norm": conditions.weighted_diff_norm,
-        "weighted_adjoint_diff_norm": conditions.weighted_adjoint_diff_norm,
-        "defect_diff_norm": conditions.defect_diff_norm,
-        "defect_adjoint_diff_norm": conditions.defect_adjoint_diff_norm,
-    }
+    flags = {"block_count": blocks, **_fields(conditions, "alpha", "beta", "p", "identity_residual")}
     ssf = dilation_ssf(d0, d1)
     return _circle_pair_checks(sc, record, ssf, "dilation-trace-formula", 1e-9, flags)
 
@@ -687,9 +681,7 @@ def _line_pair_checks(sc, record, l0, l1, tol_resolvent, anchor):
         "block_count": blocks,
         "jump_count": len(ssf.breakpoints),
         "mass_at_infinity": ssf.mass_at_infinity,
-        "perturbation_trace": trace_rep.perturbation_trace,
-        "real_integrable_possible": trace_rep.real_integrable_possible,
-        "windowed": trace_rep.windowed,
+        **_fields(trace_rep, "left_tail", "right_tail"),
     }
     return flags, {"line_step": ssf}, trace_rep
 
@@ -714,17 +706,9 @@ def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     flags, tables, trace_rep = _line_pair_checks(sc, record, l0, l1, 1e-6, "line-resolvent-trace")
     flags.update(left_tail=trace_rep.left_tail, right_tail=trace_rep.right_tail)
     try:
-        cond = dissipative_condition_report(l0, l1, p=sc.exponents.get("p", 1.0))
+        flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents.get("p", 1.0)))
     except ArithmeticError as exc:
         flags["condition_report"] = f"{type(exc).__name__}: {exc}"
-    else:
-        flags["condition_report"] = {
-            "p": cond.p,
-            "weighted_diff_norm": cond.weighted_diff_norm,
-            "resolvent_diff_trace_norm": cond.resolvent_diff_trace_norm,
-            "sqrt_im_resolvent_norms": cond.sqrt_im_resolvent_norms,
-            "resolvent_sqrt_im_norms": cond.resolvent_sqrt_im_norms,
-        }
     return flags, tables
 
 
@@ -747,21 +731,7 @@ def _run_fractional(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     record("fractional-quadrature", "fractional-quadrature", rel, 0.0, 1e-6)
     worst = max(resolvent_difference_identity_check(job.x, job.y, t) for t in (0.01, 1.0, 100.0))
     record("resolvent-identity", "resolvent-difference-identity", worst, 0.0, 1e-11)
-    flags = {
-        "sigma": job.sigma,
-        "alpha": job.alpha,
-        "beta": job.beta,
-        "p": job.p,
-        "lhs": bound_rep.lhs,
-        "bound": bound_rep.bound,
-        "slack": bound_rep.slack,
-        "weighted_norm": bound_rep.weighted_norm,
-        "plain_diff_norm": bound_rep.plain_diff_norm,
-        "min_eig": job.min_eig,
-        "ill_conditioned": bound_rep.ill_conditioned,
-        "corollary_form": bound_rep.corollary_form,
-    }
-    return flags, {}
+    return {**_fields(bound_rep, "holds"), "min_eig": job.min_eig}, {}
 
 
 def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
@@ -798,14 +768,7 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     )
     if abs(sc.spectral_point + 1.0) < 1e-12:
         record("kernel-half-l1", "kernel-half-l1", rep.trace, rep.half_l1_target, 1e-4)
-    flags = {
-        "trace": rep.trace,
-        "trace_norm": rep.trace_norm,
-        "diagonal_integral": rep.diagonal_integral,
-        "half_l1_target": rep.half_l1_target,
-        "min_eigenvalue": rep.min_eigenvalue,
-        "spectral_point": sc.spectral_point,
-    }
+    flags = {**_fields(rep), "spectral_point": sc.spectral_point}
     if sc.monotone is not None:
         mon = monotone_s1_check(
             sc.potential,
@@ -825,13 +788,7 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
                 + [b - a for a, b in zip(mon.residual_norms, mon.residual_norms[1:])]
             )
         record("monotone-ladder", "monotone-trace-ladder", worst, 0.0, 1e-10)
-        flags["monotone"] = {
-            "variant": mon.variant,
-            "n": mon.n_values,
-            "full_norm": mon.full_norm,
-            "approx_norms": mon.approx_norms,
-            "residual_norms": mon.residual_norms,
-        }
+        flags["monotone"] = {**_fields(mon, "n_values"), "n": mon.n_values}
     return flags, {}
 
 

@@ -35,6 +35,7 @@ from .linalg import (
     Unitary,
     _cluster_circle,
     _eig,
+    _frozen,
     as_matrix,
     as_operator,
     defect_operators,
@@ -75,26 +76,21 @@ class StepSSF:
 
     @cached_property
     def thetas(self) -> np.ndarray:
-        return _read_only(np.array([th for th, _ in self.jumps], dtype=float))
+        return _frozen(np.array([th for th, _ in self.jumps], dtype=float))
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return _read_only(np.array([s for _, s in self.jumps], dtype=int))
+        return _frozen(np.array([s for _, s in self.jumps], dtype=int))
 
     @cached_property
     def levels(self) -> np.ndarray:
         """levels[k] is the value past the first k jumps."""
-        return _read_only(self.gauge + np.concatenate([[0.0], np.cumsum(self.sizes)]))
+        return _frozen(self.gauge + np.concatenate([[0.0], np.cumsum(self.sizes)]))
 
     def value(self, theta):
         """Evaluate the step function at theta (scalar or array) in (0, 2pi]."""
         out = self.levels[np.searchsorted(self.thetas, np.asarray(theta, dtype=float), side="right")]
         return out if out.shape else float(out)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

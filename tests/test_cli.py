@@ -10,9 +10,10 @@ import pytest
 
 from ssflab import scenario
 from ssflab.cli import main
-from ssflab.export import read_ssf_csv, write_ssf_csv
+from ssflab.export import read_ssf_csv, table_array, write_ssf_csv
+from ssflab.linalg import TWO_PI
 from ssflab.scenario import ANCHORS, KINDS
-from ssflab.ssf_circle import StepSSF
+from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import pushforward_line
 
 
@@ -284,6 +285,36 @@ def test_plot_unreadable_csv_exits_two(tmp_path):
     junk = tmp_path / "junk.csv"
     junk.write_text("alpha,beta\n1,2\n")
     assert main(["plot", str(junk)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("theta,xi\n1.0,nan\n", ":2: column 2 (xi) is nan"),
+        ("theta_start,theta_end,value\n0.0,3.0,inf\n3.0,6.283185307179586,1.0\n", ":2: column 3 (value) is inf"),
+        ("t_start,t_end,value\n-inf,0.5,1.0\n0.5,inf,2.0\ninf,inf,0.0\n", ":3: column 2 (t_end) is inf"),
+        ("t_start,t_end,value\ninf,inf,1.0\n", ":2: column 1 (t_start) is inf"),
+        ("t_start,t_end,value\n-inf,-inf,1.0\n", ":2: column 2 (t_end) is -inf"),
+    ],
+)
+def test_plot_rejects_non_finite_cells(tmp_path, capsys, text, where):
+    # only a line table's outer endpoints, -inf first and +inf last, may be infinite
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["plot", str(bad)]) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_every_written_table_kind_reads_back(tmp_path):
+    step = StepSSF(jumps=((1.0, 2), (4.0, -1), (TWO_PI, -1)), gauge=-0.5)
+    line = pushforward_line(step)
+    sampled = SampledSSF(1.0001, np.linspace(0.0, TWO_PI, 9)[1:], np.arange(8.0) - 3.5, 1)
+    for table, kind in ((step, "circle_step"), (line, "line_step"), (sampled, "sampled")):
+        path = tmp_path / f"{kind}.csv"
+        write_ssf_csv(table, path)
+        assert read_ssf_csv(path) == (kind, list(map(tuple, table_array(table).tolist())))
+        assert main(["plot", str(path)]) == 0
 
 
 def test_plot_unwritable_destination_exits_one(tmp_path):

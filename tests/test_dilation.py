@@ -142,7 +142,7 @@ def test_schaffer_unitary_and_power_dilation_property():
         d = finite_schaffer_dilation(t, m)
         eye = np.eye(m * n)
         assert np.linalg.norm(d.u.m.conj().T @ d.u.m - eye) <= 1e-10
-        assert d.m == m and d.n == n and d.embedding_index == 0
+        assert d.m == m and d.n == n
         for k in range(1, m - 1):
             residual = np.linalg.norm(d.compressed_power(k) - np.linalg.matrix_power(t.m, k))
             assert residual <= 1e-10
@@ -264,6 +264,47 @@ def test_a_fold_without_the_symmetry_fails_its_certificate(monkeypatch):
         lam = unitary_spectrum(d.shifted_inverse, lambda: pytest.fail("dense fallback"), d.fold)
         assert_phases_match(phase_clusters(lam), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-12)
         assert set(solves) == {np.dtype(np.complex128)}
+
+
+def _full_matrix_real_fold(a, fold):
+    """The fold's certificate and real part over full matrices: fold a in place to X + iY;
+    (X + X^T)/2, or None when skew plus ||Y - Y^T||_F exceed _SKEW_TOL."""
+    fold(a)
+    x, y = a.real, a.imag
+    xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
+    h = x - xt
+    skew = np.sqrt(linalg._square_sum(h) + linalg._square_sum(np.add(y, yt, out=h)))
+    weyl = np.sqrt(linalg._square_sum(np.subtract(y, yt, out=h)))
+    if not np.all(skew + weyl <= linalg._SKEW_TOL):
+        return None
+    np.add(x, xt, out=h)
+    h *= 0.5
+    return h
+
+
+def test_the_one_hermitian_pass_picks_the_real_route_of_the_full_matrix_fold(monkeypatch):
+    # the real route hands eigvalsh a lower triangle bitwise equal to the
+    # full-matrix (X + X^T)/2, and is taken on exactly the dilations where
+    # the full-matrix certificate holds: the folded complex-symmetric ones
+    handed = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: handed.append(a.copy()) or eigvalsh(a))
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        for m in range(3, 13):
+            # a 1 x 1 T is complex symmetric
+            for t, symmetric in ((symmetric_contraction(rng, n), True), (random_contraction(rng, n), n == 1)):
+                d = finite_schaffer_dilation(t, m)
+                assert d.complex_symmetric == symmetric
+                a = d.shifted_inverse(np.exp(-1j * linalg._PSI)) * 2j
+                a[np.diag_indices_from(a)] -= 1j
+                want = _full_matrix_real_fold(a, d.fold)
+                assert (want is not None) == symmetric
+                handed.clear()
+                unitary_spectrum(d.shifted_inverse, lambda: d.u.m, d.fold)
+                assert handed[0].dtype == (np.float64 if symmetric else np.complex128)
+                if symmetric:
+                    assert np.tril(handed[0]).tobytes() == np.tril(want).tobytes()
 
 
 def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeypatch):

@@ -1,0 +1,43 @@
+"""tools/make_corpus.py writes a corpus whose every file parses."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from ssflab.scenario import KINDS, load_scenario
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_corpus.py"
+
+
+@pytest.fixture(scope="module")
+def make_corpus():
+    spec = importlib.util.spec_from_file_location("make_corpus", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
+    assert make_corpus.main([str(tmp_path)]) == 0
+    files = sorted(tmp_path.glob("*.json"))
+    generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
+    assert len(files) == generated + 6
+    assert f"{len(files)} scenario files" in capsys.readouterr().out
+    scenarios = [load_scenario(f) for f in files]
+    assert {sc.name for sc in scenarios} == {f.stem for f in files}
+    assert all(sc.outputs == ("json", "csv", "svg") for sc in scenarios)
+    edges = {sc.name: sc for sc in scenarios if sc.name.startswith("edge-")}
+    assert edges["edge-fractional-beta0"].exponents["beta"] == 0.0
+    assert edges["edge-truncate-ladder"].monotone["variant"] == "truncate"
+    assert edges["edge-spectral-point"].spectral_point == -2.5
+    assert edges["edge-unitary-determinant"].determinant is not None
+    assert edges["edge-contraction-determinant"].determinant is not None
+    im_l0 = json.loads((tmp_path / "edge-singular-im.json").read_text())["matrices"][0]
+    assert [im_l0[k][k][1] for k in range(3)] == [1.0, 0.0, 0.5]
+
+
+def test_usage_without_an_output_directory_exits_two(make_corpus, capsys):
+    assert make_corpus.main([]) == 2
+    assert "usage" in capsys.readouterr().err

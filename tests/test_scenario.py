@@ -1,6 +1,7 @@
 """Scenario schema, generation determinism, and per-kind execution."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
-from ssflab.export import canonical_hash, dump_json, report_to_dict
+from ssflab.export import dump_json, report_to_dict
 from ssflab.scenario import (
     _KINDS,
     ANCHOR_REGISTRY,
@@ -235,8 +236,7 @@ def test_provenance_and_report_determinism():
     assert len(r1.provenance["config_hash"]) == 64
     d1 = report_to_dict(r1, "2000-01-01T00:00:00+00:00")
     d2 = report_to_dict(r2, "2099-01-01T00:00:00+00:00")
-    # identical modulo the timestamp, which the canonical hash excludes
-    assert canonical_hash(d1) == canonical_hash(d2)
+    # identical modulo the timestamp
     d2["timestamp"] = d1["timestamp"]
     assert dump_json(d1) == dump_json(d2)
 
@@ -357,6 +357,7 @@ BAD_PAYLOADS = [
     {"name": "x", "kind": "kernel_trace", "spectral_point": -int("9" * 400)},
     {"name": "x", "kind": "kernel_trace", "spectral_point": float("-inf")},
     {"name": "x", "kind": "kernel_trace", "potential": {"kind": "gaussian", "amplitude": [1.0, 10**400]}},
+    {"name": "x", "kind": "kernel_trace", "potential": {"kind": ["gaussian"]}},
 ]
 
 
@@ -364,6 +365,19 @@ BAD_PAYLOADS = [
 def test_schema_rejection(payload):
     with pytest.raises(SchemaError):
         parse_scenario(payload)
+
+
+@pytest.mark.parametrize(
+    "potential, allowed",
+    [
+        ({"kind": "gaussian", "taper": 1.0}, "['amplitude', 'center', 'kind', 'width']"),
+        ({"kind": "bump", "width": 1.0}, "['amplitude', 'center', 'half_width', 'kind', 'taper']"),
+    ],
+)
+def test_potential_shapes_name_their_allowed_keys(potential, allowed):
+    unknown = [k for k in potential if k != "kind"]
+    with pytest.raises(SchemaError, match=re.escape(f"potential: unknown keys {unknown}; allowed: {allowed}")):
+        parse_scenario({"name": "x", "kind": "kernel_trace", "potential": potential})
 
 
 COMMON_KEYS = {"name", "kind", "outputs", "tolerances"}
@@ -546,3 +560,92 @@ def test_unitary_pair_written_to_eleven_digits_passes():
     payload = {"name": "eleven-digits", "kind": "unitary_pair", "matrices": [u0, [[1.0, 0.0], [0.0, 1.0]]]}
     report = run_scenario(parse_scenario(payload))
     assert report.all_pass, [r.check_id for r in report.failed()]
+
+
+# the flags every kind reports, and the keys of its nested flag records; a
+# renamed field of a report record must show up here
+LINE_FLAGS = [
+    "block_count",
+    "jump_count",
+    "mass_at_infinity",
+    "perturbation_trace",
+    "real_integrable_possible",
+    "windowed",
+]
+DISSIPATIVE_FLAGS = sorted(LINE_FLAGS + ["condition_report", "left_tail", "right_tail"])
+FLAG_KEYS = {
+    "unitary_pair": (["gauge", "jump_count"], {}),
+    "contraction_pair": (
+        [
+            "block_count",
+            "defect_adjoint_diff_norm",
+            "defect_diff_norm",
+            "gauge",
+            "jump_count",
+            "kernel_certified",
+            "min_defect_eig",
+            "weighted_adjoint_diff_norm",
+            "weighted_diff_norm",
+        ],
+        {},
+    ),
+    "dissipative_pair": (
+        DISSIPATIVE_FLAGS,
+        {
+            "condition_report": [
+                "p",
+                "resolvent_diff_trace_norm",
+                "resolvent_sqrt_im_norms",
+                "sqrt_im_resolvent_norms",
+                "weighted_diff_norm",
+            ]
+        },
+    ),
+    "fractional": (
+        [
+            "alpha",
+            "beta",
+            "bound",
+            "corollary_form",
+            "ill_conditioned",
+            "lhs",
+            "min_eig",
+            "p",
+            "plain_diff_norm",
+            "sigma",
+            "slack",
+            "weighted_norm",
+        ],
+        {},
+    ),
+    "schrodinger": (sorted(LINE_FLAGS + ["nodes"]), {}),
+    "kernel_trace": (
+        [
+            "diagonal_integral",
+            "half_l1_target",
+            "min_eigenvalue",
+            "monotone",
+            "spectral_point",
+            "trace",
+            "trace_norm",
+        ],
+        {"monotone": ["approx_norms", "full_norm", "n", "residual_norms", "variant"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_flag_keys_of_every_kind_are_pinned(kind):
+    report = run_scenario(parse_scenario(generate_scenario(kind, 11, 3)))
+    keys, nested = FLAG_KEYS[kind]
+    assert sorted(report.flags) == keys
+    assert {k: sorted(v) for k, v in report.flags.items() if isinstance(v, dict)} == nested
+
+
+def test_a_singular_imaginary_part_reports_the_condition_error_under_the_same_flags():
+    l0 = np.diag([1.0, 2.0, 3.0]) + 1j * np.diag([1.0, 0.0, 0.5])
+    l1 = l0 + 0.1 * np.ones((3, 3)) + 1j * np.diag([0.0, 0.0, 0.2])
+    pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
+    report = run_scenario(parse_scenario({"name": "x", "kind": "dissipative_pair", "matrices": pair}))
+    assert sorted(report.flags) == DISSIPATIVE_FLAGS
+    assert report.flags["condition_report"].startswith("KernelViolation: Im L_0 has eigenvalue")

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
-from ssflab.export import step_circle_rows
+from ssflab.export import table_array
 from ssflab.linalg import Contraction, Unitary, analytic_poly_eval, operator_norm
 from ssflab.ssf_circle import (
     RealSsfConditions,
@@ -118,7 +118,7 @@ def step_ssfs(draw):
 
 
 def _step_circle_rows_per_segment(step):
-    """The per-segment table that export.step_circle_rows once built, one value() call per row."""
+    """The per-segment circle table, one value() call per row."""
     bounds = [0.0] + [float(t) for t in step.thetas]
     if not bounds or bounds[-1] < TWO_PI:
         bounds.append(TWO_PI)
@@ -138,7 +138,7 @@ def test_step_value_on_an_array_equals_the_scalar_value(step, extra):
 @settings(max_examples=80, deadline=None)
 @given(step=step_ssfs())
 def test_step_circle_rows_match_the_per_segment_table(step):
-    assert step_circle_rows(step) == _step_circle_rows_per_segment(step)
+    assert list(map(tuple, table_array(step).tolist())) == _step_circle_rows_per_segment(step)
 
 
 def test_step_circle_rows_evaluates_the_step_once(monkeypatch):
@@ -146,7 +146,7 @@ def test_step_circle_rows_evaluates_the_step_once(monkeypatch):
     value = StepSSF.value
     monkeypatch.setattr(StepSSF, "value", lambda self, theta: calls.append(1) or value(self, theta))
     step = StepSSF(jumps=tuple((TWO_PI * k / 64, (-1) ** k) for k in range(1, 65)), gauge=0.5)
-    assert len(step_circle_rows(step)) == 64
+    assert len(table_array(step)) == 64
     assert len(calls) == 1
 
 

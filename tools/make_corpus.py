@@ -1,0 +1,84 @@
+"""Write the byte-identity corpus: scenario files on which two versions of ssf-lab must write the same reports.
+
+    python3 tools/make_corpus.py OUT_DIR
+
+The corpus holds every kind at dims 1, 2, 3, 5, 8, 12 and 24 for seeds 1
+and 2, each asking for json, csv and svg, plus edge files that generated
+files never reach: a fractional bound with beta = 0 (the corollary form), a
+truncate ladder, a kernel at spectral point -2.5, a dissipative pair whose
+Im L is singular (the condition report becomes an error string), and a
+determinant block on both circle kinds. Run each version on it with one
+BLAS thread and compare the outputs:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m ssflab.cli run OUT_DIR/*.json --out-dir before
+    (the same from the other checkout, --out-dir after)
+    python3 tools/report_diff.py before after
+
+Exit status 1 from a run only means some check failed; the reports are
+still written and compared.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ssflab.scenario import KINDS, generate_scenario, write_scenario  # noqa: E402
+
+SEEDS = (1, 2)
+DIMS = (1, 2, 3, 5, 8, 12, 24)
+OUTPUTS = ["json", "csv", "svg"]
+
+
+def _edge_files() -> list[dict]:
+    def generated(kind, name, **keys):
+        payload = generate_scenario(kind, 3, 4)
+        payload.update(name=f"edge-{name}", outputs=OUTPUTS, **keys)
+        return payload
+
+    # Im L_0 = diag(1, 0, 1/2) has a kernel
+    l0 = np.diag([1.0, 2.0, 3.0]) + 1j * np.diag([1.0, 0.0, 0.5])
+    l1 = l0 + 0.1 + 0.2j * np.diag([0.0, 0.0, 1.0])
+    pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
+    return [
+        generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
+        generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
+        generated("kernel_trace", "spectral-point", spectral_point=-2.5),
+        {"name": "edge-singular-im", "kind": "dissipative_pair", "matrices": pair, "outputs": OUTPUTS},
+        generated("unitary_pair", "unitary-determinant", determinant={"grid": 1024}),
+        generated("contraction_pair", "contraction-determinant", determinant={"grid": 1024}),
+    ]
+
+
+def corpus() -> list[dict]:
+    """Every scenario of the corpus, generated files first."""
+    files = []
+    for kind in KINDS:
+        for seed in SEEDS:
+            for dim in DIMS:
+                payload = generate_scenario(kind, seed, dim)
+                payload["outputs"] = OUTPUTS
+                files.append(payload)
+    return files + _edge_files()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/make_corpus.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(args[0])
+    out.mkdir(parents=True, exist_ok=True)
+    files = corpus()
+    for payload in files:
+        write_scenario(payload, out / f"{payload['name']}.json")
+    print(f"{len(files)} scenario files in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
