@@ -52,6 +52,7 @@ from .errors import InvalidOrder
 from .linalg import (
     _PSI,
     _SKEW_TOL,
+    _STRIP,
     Contraction,
     Unitary,
     _eig,
@@ -88,7 +89,8 @@ class FiniteDilation:
     every other column block j identically into row block j-1. The Julia
     block is all the dilation stores. julia may also hold a stack of Julia
     blocks of one size along leading axes, one dilation each, for
-    `shifted_inverse` and `fold`; the other members read a single block.
+    `shifted_inverse`, `fold` and `complex_symmetric`; the other members
+    read a single block.
     """
 
     julia: np.ndarray
@@ -155,31 +157,34 @@ class FiniteDilation:
 
     @cached_property
     def complex_symmetric(self) -> bool:
-        """Whether the Julia block obeys J^T = S J S within _SYMMETRY_TOL, as it does for T^T = T."""
-        swapped = np.roll(self.julia, (self.n, self.n), axis=(0, 1))
-        return float(np.linalg.norm(self.julia.T - swapped)) <= _SYMMETRY_TOL
+        """Whether the Julia block, or every one of a stack, obeys J^T = S J S within _SYMMETRY_TOL, as for T^T = T."""
+        swapped = np.roll(self.julia, (self.n, self.n), axis=(-2, -1))
+        return float(np.linalg.norm(self.julia.swapaxes(-1, -2) - swapped)) <= _SYMMETRY_TOL
 
     def fold(self, a: np.ndarray) -> None:
         """V* a V in place on a C-contiguous a, V as in the module docstring up to column order.
 
         Column block j becomes (a_j + a_(m-j))/sqrt(2) and column block m - j
-        i (a_j - a_(m-j))/sqrt(2), for every pair at once; then the same on
-        the row blocks with -i. Blocks 0 and m/2 stay. A stack folds member
-        by member.
+        i (a_j - a_(m-j))/sqrt(2), in passes of about _STRIP columns; then
+        the same on the row blocks with -i. Blocks 0 and m/2 stay. A stack
+        folds member by member.
         """
         n, m = self.n, self.m
         lead = a.shape[:-2]
         pairs = (m - 1) // 2
+        step = max(1, _STRIP // n)
         root_half = np.sqrt(0.5)
         column_blocks = np.moveaxis(a.reshape(lead + (m * n, m, n)), -2, 0)
         row_blocks = np.moveaxis(a.reshape(lead + (m, n, m * n)), -3, 0)
         for blocks, unit in ((column_blocks, 1j), (row_blocks, -1j)):
-            x, y = blocks[1 : pairs + 1], blocks[m - pairs :][::-1]
-            diff = x - y
-            diff *= unit * root_half
-            x += y
-            x *= root_half
-            y[...] = diff
+            pair_x, pair_y = blocks[1 : pairs + 1], blocks[m - pairs :][::-1]
+            for p in range(0, pairs, step):
+                x, y = pair_x[p : p + step], pair_y[p : p + step]
+                diff = x - y
+                diff *= unit * root_half
+                x += y
+                x *= root_half
+                y[...] = diff
 
     @cached_property
     def normal_form(self) -> Optional[NormalForm]:
@@ -195,27 +200,20 @@ class FiniteDilation:
         return normal_diagonal(self.julia)
 
     def eigenphases(self) -> list[tuple[float, int]]:
-        """Eigenphases of u as `linalg.eigenphases` gives them.
+        """Eigenphases of u as `linalg.eigenphases` gives them, from one `unitary_spectrum` call.
 
-        A normal T whose certificate holds takes the n scalar dilations of
-        its eigenvalues, one stacked solve of n m-square Cayley matrices,
-        each folded (a 1 x 1 T is complex symmetric). Otherwise a
-        complex-symmetric T hands the eigensolve its real fold. u is formed
-        only when the Cayley solve goes uncertified and falls back to dense
-        eigvals: a Julia block that is not normal and whose defect is near
-        its 1e-10 tolerance can do that.
+        The dilation solved is u, or for a normal T whose certificate holds
+        the similar stack of the n scalar dilations of its eigenvalues,
+        folded when complex symmetric (a 1 x 1 T is). u is formed only for
+        the dense eigvals fallback of an uncertified Cayley solve.
         """
-        normal = self.normal_form
+        d, normal = self, self.normal_form
         if normal is not None and normal.certificate <= _SKEW_TOL:
-            tau, d = normal.tau, defect_values(np.abs(normal.tau), self.n)
-            # the 2 x 2 Julia blocks [[d_k, -conj(tau_k)], [tau_k, d_k]]
-            scalars = FiniteDilation(np.stack([np.stack([d, -tau.conj()], -1), np.stack([tau, d], -1)], -2), self.m)
-            dense = lambda: np.stack([FiniteDilation(j, self.m).u.m for j in scalars.julia])  # noqa: E731
-            lam = unitary_spectrum(scalars.shifted_inverse, dense, scalars.fold)
-        else:
-            fold = self.fold if self.complex_symmetric else None
-            lam = unitary_spectrum(self.shifted_inverse, lambda: self.u.m, fold)
-        return phase_clusters(lam)
+            tau, c = normal.tau, defect_values(np.abs(normal.tau), self.n)
+            # the 2 x 2 Julia blocks [[c_k, -conj(tau_k)], [tau_k, c_k]]
+            d = FiniteDilation(np.stack([np.stack([c, -tau.conj()], -1), np.stack([tau, c], -1)], -2), self.m)
+        fold = d.fold if d.complex_symmetric else None
+        return phase_clusters(unitary_spectrum(d.shifted_inverse, lambda: self.u.m, fold))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.

@@ -97,24 +97,24 @@ def write_ssf_csv(table, path) -> None:
 
 
 def read_ssf_csv(path) -> tuple[str, list[tuple]]:
-    """Read a CSV written by write_ssf_csv; the header names the table kind."""
+    """Read a CSV written by write_ssf_csv; the header names the table kind, errors the physical line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise SchemaError(f"{path}: empty CSV")
-    header = lines[0]
+    (_, header), body = lines[0], lines[1:]
     kinds = {v: k for k, v in _HEADERS.items()}
     if header not in kinds:
         raise SchemaError(f"{path}: unrecognized CSV header {header!r}")
     kind = kinds[header]
     names = header.split(",")
     # the only cells that may be infinite: a line table's outer endpoints
-    ends = {(2, 0): -math.inf, (len(lines), 1): math.inf} if kind == "line_step" else {}
+    ends = {(body[0][0], 0): -math.inf, (body[-1][0], 1): math.inf} if kind == "line_step" and body else {}
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in body:
         cells = ln.split(",")
         if len(cells) != len(names):
             raise SchemaError(f"{path}:{i}: expected {len(names)} columns")

@@ -183,8 +183,9 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 #
 # The solve also takes a stack of unitaries of one size: shifted_inverse then
 # returns one matrix per member, a shift array gives each member its own
-# psi, and fold folds every member. Each member keeps its own pole retry and
-# skew certificate; the real solve runs only when every member certifies it.
+# psi, and fold folds every member. Each member keeps its own pole retry; the
+# real solve runs only when every member certifies it, and the Cayley route
+# only when every member passes its skew certificate.
 _PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
 # a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
 # the others' accuracy; the pole then moves into the widest gap
@@ -282,26 +283,21 @@ def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[
     members of a stack that did not meet the pole keep psi and so their
     phases. The skew ||A - A*||_F bounds every phase error: a U that passed
     `Unitary`'s check may carry a defect up to 1e-10, and
-    A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1). Beyond _SKEW_TOL,
-    when the second try still meets the pole, or when I + alpha U is
-    singular, the eigenvalues come from eigvals of dense(), the dense U or
-    the stack of them, for the members concerned. fold, when given, folds
-    every A to a real symmetric matrix as the comment above _PSI describes.
-    A stack's eigenvalues come member by member in one flat array.
+    A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1). When any skew is
+    beyond _SKEW_TOL, when the second try still meets the pole, or when
+    I + alpha U is singular, the eigenvalues are those of one dense matrix,
+    eigvals(dense()): the dense U, or for a stack one matrix with the same
+    spectrum. fold, when given, folds every A to a real symmetric matrix as
+    the comment above _PSI describes. A stack's eigenvalues come member by
+    member in one flat array.
     """
     solve = _cayley_solve(shifted_inverse, _PSI, fold)
     if solve is not None and np.any(solve.pole > _POLE_LIMIT):
         psi = np.where(solve.pole > _POLE_LIMIT, _pole_in_widest_gap(solve.theta), _PSI)
         solve = _cayley_solve(shifted_inverse, psi, fold)
-    if solve is None:
-        return _eig(np.linalg.eigvals, dense()).ravel()
-    lam = np.exp(1j * solve.theta)
-    bad = (solve.pole > _POLE_LIMIT) | (solve.skew > _SKEW_TOL)
-    if lam.ndim == 1:
-        return _eig(np.linalg.eigvals, dense()) if bad else lam
-    if bad.any():
-        lam[bad] = _eig(np.linalg.eigvals, dense()[bad])
-    return lam.ravel()
+    if solve is None or np.any((solve.pole > _POLE_LIMIT) | (solve.skew > _SKEW_TOL)):
+        return _eig(np.linalg.eigvals, dense())
+    return np.exp(1j * solve.theta).ravel()
 
 
 def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:

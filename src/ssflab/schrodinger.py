@@ -224,7 +224,8 @@ def potential_values(q, x: np.ndarray) -> np.ndarray:
       bump: amplitude * quintic-smoothed indicator of half_width around
             center with the given taper; its integral is exactly
             2 * half_width * amplitude because the taper is symmetric
-      table: linear interpolation of sample arrays xs, qs (0 outside)
+      table: linear interpolation of sample arrays xs, qs (0 outside);
+             xs must increase strictly
     """
     x = np.asarray(x, dtype=float)
     if callable(q):
@@ -251,6 +252,8 @@ def potential_values(q, x: np.ndarray) -> np.ndarray:
         if kind == "table":
             xs = np.asarray(q["x"], dtype=float)
             qs = np.asarray(q["q"])
+            if not np.all(np.diff(xs) > 0):
+                raise ValidationError("table x values must increase strictly")
             if np.iscomplexobj(qs):
                 return np.interp(x, xs, qs.real, left=0.0, right=0.0) + 1j * np.interp(
                     x, xs, qs.imag, left=0.0, right=0.0

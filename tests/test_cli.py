@@ -295,6 +295,9 @@ def test_plot_unreadable_csv_exits_two(tmp_path):
         ("t_start,t_end,value\n-inf,0.5,1.0\n0.5,inf,2.0\ninf,inf,0.0\n", ":3: column 2 (t_end) is inf"),
         ("t_start,t_end,value\ninf,inf,1.0\n", ":2: column 1 (t_start) is inf"),
         ("t_start,t_end,value\n-inf,-inf,1.0\n", ":2: column 2 (t_end) is -inf"),
+        # errors name the physical line, blank lines included
+        ("theta,xi\n\n1.0,0.5\n2.0,nan\n", ":4: column 2 (xi) is nan"),
+        ("t_start,t_end,value\n\n-inf,0.5,1.0\n0.5,inf,2.0\n\n1.0,inf,0.0\n", ":4: column 2 (t_end) is inf"),
     ],
 )
 def test_plot_rejects_non_finite_cells(tmp_path, capsys, text, where):
@@ -304,6 +307,12 @@ def test_plot_rejects_non_finite_cells(tmp_path, capsys, text, where):
     assert main(["plot", str(bad)]) == 2
     assert where in capsys.readouterr().err
     assert not (tmp_path / "bad.svg").exists()
+
+
+def test_line_csv_endpoints_are_its_first_and_last_rows_past_blank_lines(tmp_path):
+    line = tmp_path / "line.csv"
+    line.write_text("\nt_start,t_end,value\n\n-inf,0.5,1.0\n\n0.5,inf,2.0\n\n")
+    assert read_ssf_csv(line) == ("line_step", [(-np.inf, 0.5, 1.0), (0.5, np.inf, 2.0)])
 
 
 def test_every_written_table_kind_reads_back(tmp_path):

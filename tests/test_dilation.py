@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,51 @@ def test_fold_is_the_congruence_that_makes_a_symmetric_dilation_real(m):
     assert np.abs(np.linalg.eigvalsh(cay.real) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _one_pass_fold(a, n, m):
+    """The fold over every block pair at once, with its half-matrix difference temporary."""
+    lead = a.shape[:-2]
+    pairs = (m - 1) // 2
+    root_half = np.sqrt(0.5)
+    column_blocks = np.moveaxis(a.reshape(lead + (m * n, m, n)), -2, 0)
+    row_blocks = np.moveaxis(a.reshape(lead + (m, n, m * n)), -3, 0)
+    for blocks, unit in ((column_blocks, 1j), (row_blocks, -1j)):
+        x, y = blocks[1 : pairs + 1], blocks[m - pairs :][::-1]
+        diff = x - y
+        diff *= unit * root_half
+        x += y
+        x *= root_half
+        y[...] = diff
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 24])
+@pytest.mark.parametrize("m", [3, 4, 9, 24])
+def test_strip_fold_matches_the_one_pass_fold_bitwise(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    d = dilation.FiniteDilation(np.zeros((2 * n, 2 * n)), m)
+    for lead in ((), (3,)):
+        shape = lead + (m * n, m * n)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = a.copy()
+        _one_pass_fold(want, n, m)
+        d.fold(a)
+        assert a.tobytes() == want.tobytes()
+
+
+def test_strip_fold_allocates_a_small_share_of_the_matrix():
+    n, m = 24, 24
+    size = m * n
+    a = np.random.default_rng(4).standard_normal((size, size)) * (1.0 + 1j)
+    d = dilation.FiniteDilation(np.zeros((2 * n, 2 * n)), m)
+    tracemalloc.start()
+    d.fold(a)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the one-pass fold's difference alone held half the matrix, size^2 / 2
+    # complex entries; a strip's difference, numpy's copy of its overlapping
+    # partner and the iterator buffers stay under half of that
+    assert peak <= 0.5 * (size * size // 2) * a.itemsize
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(3, 11), normal=st.booleans())
 def test_symmetric_dilation_eigenphases_match_eigvals(seed, n, m, normal):
@@ -409,6 +456,36 @@ def test_normal_dilation_with_a_pole_on_a_scalar_moves_that_pole_only(monkeypatc
     first = np.exp(-1j * linalg._PSI)
     assert len(shifts) == 2 and np.all(shifts[0] == first)
     assert [bool(a == first) for a in shifts[1][np.argsort(np.abs(d.normal_form.tau - tau[1]))]] == [False, True, True]
+
+
+def test_scalar_julia_stack_is_complex_symmetric_until_a_member_is_perturbed():
+    rng = np.random.default_rng(6)
+    tau = np.r_[np.sqrt(rng.uniform(0.0, 1.0, 5)) * np.exp(2j * np.pi * rng.uniform(size=5)), 1.0, 0.0]
+    c = linalg.defect_values(np.abs(tau), 1)
+    julia = np.stack([np.stack([c, -tau.conj()], -1), np.stack([tau, c], -1)], -2)
+    assert dilation.FiniteDilation(julia, 7).complex_symmetric
+    # a 2 x 2 Julia block obeys J^T = S J S exactly when its diagonal entries agree
+    julia[3, 0, 0] += 1e-9
+    assert not dilation.FiniteDilation(julia, 7).complex_symmetric
+
+
+def test_normal_dilation_whose_stacked_solve_is_refused_reads_u_once(monkeypatch):
+    # only linalg's skew tolerance drops, so the certificate still picks the
+    # stack and the Cayley solve refuses it; the fallback is one dense eigvals
+    # of u, not one per scalar member
+    shapes = _normal_route_solves(monkeypatch)
+    reads, build = [], dilation.FiniteDilation.u.func
+    monkeypatch.setattr(dilation.FiniteDilation, "u", property(lambda d: reads.append(d.julia.shape) or build(d)))
+    monkeypatch.setattr(linalg, "_SKEW_TOL", -1.0)
+    rng = np.random.default_rng(13)
+    for n, m in ((1, 3), (4, 7), (8, 24)):
+        d = finite_schaffer_dilation(normal_contraction(rng, n), m)
+        shapes.clear()
+        reads.clear()
+        got = d.eigenphases()
+        assert reads == [(2 * n, 2 * n)]
+        assert set(shapes) == {((n, 2, 2), m)}
+        assert_phases_match(got, phase_clusters(np.linalg.eigvals(build(d).m)), 1e-12)
 
 
 def test_nearly_normal_dilation_fails_the_certificate_and_still_matches(monkeypatch):

@@ -358,6 +358,9 @@ BAD_PAYLOADS = [
     {"name": "x", "kind": "kernel_trace", "spectral_point": float("-inf")},
     {"name": "x", "kind": "kernel_trace", "potential": {"kind": "gaussian", "amplitude": [1.0, 10**400]}},
     {"name": "x", "kind": "kernel_trace", "potential": {"kind": ["gaussian"]}},
+    # np.interp assumes increasing x: the descending table ran with a trace of 0.0
+    {"name": "x", "kind": "kernel_trace", "potential": {"kind": "table", "x": [1, 0, -1], "q": [1, 2, 0.5]}},
+    {"name": "x", "kind": "kernel_trace", "potential": {"kind": "table", "x": [-1, 0, 0], "q": [1, 2, 0.5]}},
 ]
 
 

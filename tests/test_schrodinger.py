@@ -357,6 +357,13 @@ def test_table_descriptor_interpolates():
     assert vals[0] == pytest.approx(0.5 + 1j)
 
 
+@pytest.mark.parametrize("xs", [[1.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, 0.0]])
+def test_table_descriptor_needs_strictly_increasing_x(xs):
+    # np.interp assumes increasing sample points and is silently wrong otherwise
+    with pytest.raises(ValidationError, match="increase strictly"):
+        potential_values({"kind": "table", "x": xs, "q": [1.0] * len(xs)}, np.zeros(3))
+
+
 def test_potential_descriptor_validation():
     x = np.zeros(4)
     with pytest.raises(ValidationError):
