@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from html import escape
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -70,25 +70,68 @@ def table_kind(table) -> str:
     raise SchemaError(f"not an SSF table: {type(table).__name__}")
 
 
-def table_array(table) -> np.ndarray:
-    """One float row per segment or sample; circle segments cover (0, 2pi], a line table's outer endpoints are +-inf."""
-    kind = table_kind(table)
-    if kind == "circle_step":
+def _step_columns(table) -> tuple[np.ndarray, np.ndarray]:
+    """A step table's segment bounds and values: row i is (bounds[i], bounds[i + 1], values[i])."""
+    if isinstance(table, StepSSF):
         bounds = np.concatenate(([0.0], table.thetas))
         if bounds[-1] < TWO_PI:
             bounds = np.append(bounds, TWO_PI)
-        return np.column_stack((bounds[:-1], bounds[1:], table.value(bounds[:-1])))
-    if kind == "line_step":
-        bounds = np.concatenate(([-np.inf], table.breakpoints, [np.inf]))
-        return np.column_stack((bounds[:-1], bounds[1:], table.values))
-    return np.column_stack((table.thetas, table.values)).astype(float, copy=False)
+        return bounds, table.value(bounds[:-1])
+    return np.concatenate(([-np.inf], table.breakpoints, [np.inf])), table.values
+
+
+def table_array(table) -> np.ndarray:
+    """One float row per segment or sample; circle segments cover (0, 2pi], a line table's outer endpoints are +-inf."""
+    if table_kind(table) == "sampled":
+        return np.column_stack((table.thetas, table.values)).astype(float, copy=False)
+    bounds, values = _step_columns(table)
+    return np.column_stack((bounds[:-1], bounds[1:], values))
+
+
+# Below this many values, finding the distinct ones costs more than formatting them all.
+_FORMAT_ONCE_MIN = 64
+
+
+def _format_once(x: np.ndarray, fmt: str) -> list[str]:
+    """fmt % v for every v in x; from _FORMAT_ONCE_MIN values on, each distinct value is formatted once.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    """
+    if len(x) < _FORMAT_ONCE_MIN:
+        return ((fmt + "\n") * len(x) % tuple(x.tolist())).split("\n")[:-1]
+    bits, where = np.unique(np.ascontiguousarray(x, dtype=float).view(np.uint64), return_inverse=True)
+    texts = ((fmt + "\n") * len(bits) % tuple(bits.view(float).tolist())).split("\n")
+    return np.array(texts, dtype=object)[where].tolist()
+
+
+def _step_texts(table, fmt: str) -> tuple[list[str], list[str], list[str]]:
+    """fmt % cell down a step table's start, end and value columns.
+
+    An interior bound ends one row and starts the next; it is formatted once.
+    """
+    bounds, values = _step_columns(table)
+    texts = _format_once(np.concatenate((bounds, values)), fmt)
+    rows = len(values)
+    return texts[:rows], texts[1 : rows + 1], texts[rows + 1 :]
+
+
+def _lines(template: str, *columns: list[str]) -> list[str]:
+    """template % row for each row of the text columns, without parsing the template once per row."""
+    consts = template.split("%s")
+    pieces = [repeat(consts[0])]
+    for column, const in zip(columns, consts[1:]):
+        pieces += [column, repeat(const)]
+    return list(map("".join, zip(*pieces)))
 
 
 def write_ssf_csv(table, path) -> None:
     kind = table_kind(table)
-    rows = table_array(table)
-    line = ",".join([_FMT] * rows.shape[1]) + "\n"
-    text = _HEADERS[kind] + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+    if kind == "sampled":
+        rows = table_array(table)
+        body = ((_FMT + "," + _FMT + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(_lines("%s,%s,%s\n", *_step_texts(table, _FMT)))
+    text = _HEADERS[kind] + "\n" + body
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -212,10 +255,35 @@ def _table(rows: list, level: int):
     cells = _scalars(list(chain.from_iterable(rows)))
     if cells is None:
         return None
-    inner, outer = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 1)
-    row = "[" + inner + ("," + inner).join(["%s"] * widths.pop()) + outer + "]"
-    template = "[" + outer + ("," + outer).join([row] * len(rows)) + "\n" + _INDENT * level + "]"
-    return template % tuple(cells)
+    return _json_rows([_json_row(widths.pop(), level)] * len(rows), level) % tuple(cells)
+
+
+def _json_row(width: int, level: int) -> str:
+    """The %s template of one row of `width` cells in a list at `level`, laid out as json.dumps(indent=2)."""
+    inner = "\n" + _INDENT * (level + 2)
+    return "[" + inner + ("," + inner).join(["%s"] * width) + "\n" + _INDENT * (level + 1) + "]"
+
+
+def _json_rows(rows: list[str], level: int) -> str:
+    """A list at `level` of rows already laid out."""
+    outer = "\n" + _INDENT * (level + 1)
+    return "[" + outer + ("," + outer).join(rows) + "\n" + _INDENT * level + "]"
+
+
+class _StepRows:
+    """The "rows" of a step table in a report; _encode writes them from the table's columns."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+    def json(self, level: int) -> str:
+        starts, ends, values = _step_texts(self.table, "%r")
+        if isinstance(self.table, LineSSF):
+            # the outer endpoints: the first row's start and the last row's end
+            starts[0], ends[-1] = '"-inf"', '"inf"'
+        return _json_rows(_lines(_json_row(3, level), starts, ends, values), level)
 
 
 def _encode(value, level: int) -> str:
@@ -246,6 +314,8 @@ def _encode(value, level: int) -> str:
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         return scalar(value)
+    if kind is _StepRows:
+        return value.json(level)
     return _stdlib_json(value, level)
 
 
@@ -267,10 +337,15 @@ def dump_json(payload) -> str:
 
 
 def write_report_json(report, path, timestamp: str) -> dict:
+    """Write the report as dump_json(report_to_dict(...)) writes it and return that payload."""
     payload = report_to_dict(report, timestamp)
+    tables = {
+        name: doc if doc["type"] == "sampled" else {**doc, "rows": _StepRows(report.tables[name])}
+        for name, doc in payload["tables"].items()
+    }
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(dump_json(payload))
+            fh.write(dump_json({**payload, "tables": tables}))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return payload
@@ -281,14 +356,9 @@ def write_report_json(report, path, timestamp: str) -> dict:
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 18, 34, 42
-_STEP_LINE = (
-    '<line class="step" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-    'stroke="#1f6feb" stroke-width="2"%s/>'
-)
-_DROP_LINE = (
-    '<line class="drop" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-    'stroke="#8b949e" stroke-dasharray="3,3"/>'
-)
+# a step line and the drop to the next step, with coordinates formatted "%.2f"
+_STEP_LINE = '<line class="step" x1="%s" y1="%s" x2="%s" y2="%s" stroke="#1f6feb" stroke-width="2"%s/>'
+_DROP_LINE = '<line class="drop" x1="%s" y1="%s" x2="%s" y2="%s" stroke="#8b949e" stroke-dasharray="3,3"/>'
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -374,14 +444,15 @@ def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
         )
     else:
         a, b = cells[:, 0], cells[:, 1]
-        y = py(ys).tolist()
-        a_px = np.where(np.isfinite(a), px(np.maximum(a, xlo)), _ML).tolist()
-        b_px = np.where(np.isfinite(b), px(np.minimum(b, xhi)), _W - _MR).tolist()
+        a_px = np.where(np.isfinite(a), px(np.maximum(a, xlo)), _ML)
+        b_px = np.where(np.isfinite(b), px(np.minimum(b, xhi)), _W - _MR)
         dash = np.where(np.isfinite(a) & np.isfinite(b), "", ' stroke-dasharray="6,3"').tolist()
-        drop_x = px(a[1:]).tolist()
-        lines = [""] * (2 * len(y) - 1)
-        lines[::2] = [_STEP_LINE % r for r in zip(a_px, y, b_px, y, dash)]
-        lines[1::2] = [_DROP_LINE % r for r in zip(drop_x, y, drop_x, y[1:])]
+        n = len(a)
+        texts = _format_once(np.concatenate((a_px, b_px, px(a[1:]), py(ys))), "%.2f")
+        a_t, b_t, drop_t, y_t = texts[:n], texts[n : 2 * n], texts[2 * n : 3 * n - 1], texts[3 * n - 1 :]
+        lines = [""] * (2 * n - 1)
+        lines[::2] = _lines(_STEP_LINE, a_t, y_t, b_t, y_t, dash)
+        lines[1::2] = _lines(_DROP_LINE, drop_t, y_t, drop_t, y_t[1:])
         parts += lines
         if kind == "line_step":
             left, right = float(ys[0]), float(ys[-1])

@@ -156,7 +156,7 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     reps = (firsts + offsets / counts) % TWO_PI
     reps = np.where((reps <= tol) | (reps >= TWO_PI - tol), TWO_PI, reps)
     order = np.argsort(reps, kind="stable")
-    return list(zip(reps[order].tolist(), sums[order]))
+    return list(zip(reps[order].tolist(), sums[order].tolist()))
 
 
 # Eigenvalues of a unitary U come from the Cayley transform of W = e^(-i psi) U,
@@ -308,8 +308,7 @@ def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:
     """
     ph = np.angle(eigs)
     ph = np.where(ph <= 0.0, ph + TWO_PI, ph)
-    clustered = _cluster_circle(ph, np.ones(len(ph), dtype=int), CLUSTER_TOL)
-    return [(p, int(k)) for p, k in clustered]
+    return _cluster_circle(ph, np.ones(len(ph), dtype=int), CLUSTER_TOL)
 
 
 def eigenphases(u) -> list[tuple[float, int]]:

@@ -186,9 +186,12 @@ def _real_potential(q, what: str) -> np.ndarray:
     return q
 
 
-def nystrom_kernel(q_values, r: Callable, grid: Grid1D) -> NystromKernel:
+def nystrom_kernel(q_values, r, grid: Grid1D) -> NystromKernel:
     """Assemble sqrt(w_i q_i) R(x_i, x_j) sqrt(q_j w_j).
 
+    r is the kernel R(s, t), or its complex matrix R(x_i, x_j) on the grid
+    points; that matrix does not depend on q, so the kernels of several
+    potentials on one grid can share it.
     The outer-product structure keeps the matrix exactly Hermitian whenever
     R itself is Hermitian-symmetric; that is validated, not assumed.
     """
@@ -199,12 +202,17 @@ def nystrom_kernel(q_values, r: Callable, grid: Grid1D) -> NystromKernel:
     if q.size and float(q.min()) < -1e-14:
         raise NegativePotential(f"potential value {q.min():.3e} is negative")
     q = np.clip(q, 0.0, None)
-    x = grid.points
-    rmat = np.asarray(r(x[:, None], x[None, :]), dtype=np.complex128)
+    rmat = r if isinstance(r, np.ndarray) else _kernel_matrix(r, grid)
     c = np.sqrt(grid.weights * q)
     k = (c[:, None] * c[None, :]) * rmat
     k = require_hermitian(k, 1e-12)
     return NystromKernel(grid=grid, matrix=k)
+
+
+def _kernel_matrix(r: Callable, grid: Grid1D) -> np.ndarray:
+    """R(x_i, x_j) on the grid points, as a complex matrix."""
+    x = grid.points
+    return np.asarray(r(x[:, None], x[None, :]), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +350,16 @@ def monotone_s1_check(
         raise ValidationError(f"unknown variant {variant!r}")
     qv = _real_potential(potential_values(q, grid.points), "monotone ladders")
     qv = np.clip(np.asarray(qv, dtype=float), 0.0, None)
-    r = greens_function_for(z)
 
     def ladder():
-        # every kernel and difference is exactly Hermitian: S1 norm = sum |lambda|
-        full = nystrom_kernel(qv, r, grid).matrix
+        # every kernel and difference is exactly Hermitian: S1 norm = sum |lambda|;
+        # every rung scales the same Green's matrix
+        rmat = _kernel_matrix(greens_function_for(z), grid)
+        full = nystrom_kernel(qv, rmat, grid).matrix
         yield full
         for n in ns:
             phi = qv * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(qv, level * n)
-            kn = nystrom_kernel(phi, r, grid).matrix
+            kn = nystrom_kernel(phi, rmat, grid).matrix
             yield kn
             yield full - kn
 

@@ -64,15 +64,29 @@ class StepSSF:
     gauge: float
 
     def __post_init__(self):
-        thetas = [th for th, _ in self.jumps]
-        if any(not (0.0 < th <= TWO_PI) for th in thetas):
+        thetas, sizes = self.thetas, self.sizes
+        # min and max are NaN when any position is
+        if len(thetas) and not (thetas.min() > 0.0 and thetas.max() <= TWO_PI):
             raise ValidationError("jump positions must lie in (0, 2pi]")
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
+        if (thetas[1:] <= thetas[:-1]).any():
             raise ValidationError("jump positions must be strictly increasing")
-        if any(s == 0 for _, s in self.jumps):
+        if not sizes.all():
             raise ValidationError("zero-size jumps must be dropped before construction")
-        if sum(s for _, s in self.jumps) != 0:
+        if sizes.sum() != 0:
             raise ValidationError("jump sizes must sum to zero")
+
+    @classmethod
+    def _from_arrays(cls, thetas: np.ndarray, sizes: np.ndarray) -> "StepSSF":
+        """The zero-mean step SSF with the given sorted jump positions and sizes.
+
+        The gauge sum(size * theta) / 2pi adds the terms left to right.
+        """
+        gauge = float(np.cumsum(sizes * thetas)[-1]) / TWO_PI if len(thetas) else 0.0
+        step = cls.__new__(cls)
+        # the cached columns, so neither is rebuilt from the jump tuples
+        step.__dict__.update(thetas=_frozen(thetas), sizes=_frozen(sizes))
+        cls.__init__(step, tuple(zip(thetas.tolist(), sizes.tolist())), gauge)
+        return step
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -133,14 +147,19 @@ def unitary_ssf(u0, u1) -> StepSSF:
     return _step_ssf(eigenphases(u0), eigenphases(u1))
 
 
+def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, weight) pairs as a float array of phases and an int array of weights."""
+    phases, weights = zip(*pairs) if pairs else ((), ())
+    return np.array(phases, dtype=float), np.array(weights, dtype=int)
+
+
 def _step_ssf(phases0, phases1) -> StepSSF:
     """Step SSF with +multiplicity jumps at phases0 and -multiplicity jumps at phases1."""
-    phases = [p for p, _ in phases0] + [p for p, _ in phases1]
-    weights = [k for _, k in phases0] + [-k for _, k in phases1]
-    clustered = _cluster_circle(np.array(phases), np.array(weights), CLUSTER_TOL)
-    jumps = tuple((p, int(w)) for p, w in clustered if w != 0)
-    gauge = sum(w * p for p, w in jumps) / TWO_PI
-    return StepSSF(jumps=jumps, gauge=gauge)
+    (p0, k0), (p1, k1) = _columns(phases0), _columns(phases1)
+    clustered = _cluster_circle(np.concatenate((p0, p1)), np.concatenate((k0, -k1)), CLUSTER_TOL)
+    thetas, sizes = _columns(clustered)
+    keep = sizes != 0
+    return StepSSF._from_arrays(thetas[keep], sizes[keep])
 
 
 def ssf_trace_integral(ssf: StepSSF, coeffs: Sequence[complex]) -> complex:
@@ -330,14 +349,17 @@ def step_vs_sampled_max_deviation(
 
     Distance to a jump is circular; points within the exclusion radius of
     any jump (where the smoothed determinant route cannot match a
-    discontinuity) are skipped.
+    discontinuity) are skipped. The nearest jump on the circle is a sorted
+    neighbour of the point, or across the seam the first or the last jump.
     """
     theta = sampled.thetas
+    jumps = step.thetas
     mask = np.ones(theta.shape, dtype=bool)
-    for th in step.thetas:
-        d = np.abs(theta - th)
-        d = np.minimum(d, TWO_PI - d)
-        mask &= d >= exclusion
+    if len(jumps):
+        right = np.searchsorted(jumps, theta).clip(max=len(jumps) - 1)
+        near = jumps[np.stack((right, (right - 1).clip(min=0), np.zeros_like(right), np.full_like(right, -1)))]
+        d = np.abs(theta - near)
+        mask = np.minimum(d, TWO_PI - d).min(axis=0) >= exclusion
     if not mask.any():
         raise ValidationError("exclusion radius removed every grid point")
     return float(np.max(np.abs(sampled.values[mask] - step.value(theta[mask]))))

@@ -375,3 +375,46 @@ def test_no_scenario_kind_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{[0] * len(KINDS)} []"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"name": "x\xff", "kind": "unitary_pair"}', b"[" * 200000 + b"]" * 200000],
+    ids=["invalid-utf8", "nested-past-the-recursion-limit"],
+)
+def test_an_undecodable_file_fails_only_itself(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    good = write_json(tmp_path / "good.json", hand_pair_payload("good"))
+    assert main(["run", str(bad), str(good), "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{bad}: schema error" in captured.err
+    assert "good: PASS" in captured.out
+    assert (tmp_path / "good.report.json").exists()
+
+
+def _diagonal_unitary(phases):
+    m = np.diag(np.exp(1j * phases))
+    return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+def test_a_determinant_block_with_every_grid_point_near_a_jump_is_a_failing_record(tmp_path, capsys):
+    # 100 equispaced phases against the same phases moved by half a spacing:
+    # a jump every pi/100 < 2 * 2e-2 rad leaves no grid point outside the exclusion radius
+    phases = TWO_PI * np.arange(100) / 100 + 0.01
+    payload = {
+        "name": "dense",
+        "kind": "unitary_pair",
+        "matrices": [_diagonal_unitary(phases), _diagonal_unitary(phases + np.pi / 100)],
+        "determinant": {},
+    }
+    assert main(["run", str(write_json(tmp_path / "dense.json", payload)), "--out-dir", str(tmp_path)]) == 1
+    assert "determinant-step-consistency [determinant-consistency]: residual n/a" in capsys.readouterr().out
+    report = json.loads((tmp_path / "dense.report.json").read_text())
+    records = {r["check_id"]: r for r in report["records"]}
+    assert records["determinant-step-consistency"]["residual"] is None
+    assert records["determinant-step-consistency"]["pass"] is False
+    assert records["determinant-lu-crosscheck"]["pass"] is True
+    assert [r["check_id"] for r in report["records"] if not r["pass"]] == ["determinant-step-consistency"]
+    assert report["flags"]["determinant_step_error"] == "ValidationError: exclusion radius removed every grid point"
+    assert report["tables"]["sampled"]["winding"] == 0

@@ -277,6 +277,22 @@ def test_monotone_ladder_takes_one_eigensolve_and_matches_the_svd_norms(variant,
     assert report.residual_norms == pytest.approx(residual, rel=1e-13, abs=1e-15)
 
 
+@pytest.mark.parametrize("variant", ["scale", "truncate"])
+def test_monotone_ladder_evaluates_the_greens_kernel_once_and_keeps_every_kernel_bitwise(variant, monkeypatch):
+    grid = make_grid(-8.0, 8.0, 64)
+    ns = (2, 4, 8, 16)
+    evaluations, rungs = [], []
+    green, build = schrodinger.green_kernel, schrodinger.nystrom_kernel
+    monkeypatch.setattr(schrodinger, "green_kernel", lambda *a: evaluations.append(1) or green(*a))
+    monkeypatch.setattr(schrodinger, "nystrom_kernel", lambda q, r, g: rungs.append((q, r)) or build(q, r, g))
+    monotone_s1_check({"kind": "bump", "half_width": 2.0}, grid, ns, variant=variant, z=-0.7)
+    assert len(evaluations) == 1 and len(rungs) == len(ns) + 1
+    for q, r in rungs:
+        shared = build(q, r, grid).matrix
+        own = build(q, greens_function_for(-0.7), grid).matrix
+        assert shared.tobytes() == own.tobytes()
+
+
 def test_monotone_ladder_splits_large_stacks(monkeypatch):
     grid = make_grid(-8.0, 8.0, 64)
     ns = (2, 4, 8)

@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
 from ssflab.export import table_array
-from ssflab.linalg import Contraction, Unitary, analytic_poly_eval, operator_norm
+from ssflab.dilation import dilation_pair
+from ssflab.linalg import CLUSTER_TOL, Contraction, Unitary, _cluster_circle, analytic_poly_eval, operator_norm
 from ssflab.ssf_circle import (
     RealSsfConditions,
     SampledSSF,
     StepSSF,
+    _step_ssf,
     contraction_ssf,
     determinant_ssf,
+    dilation_ssf,
     hardy_gauge_check,
     perturbation_determinant,
     real_ssf_conditions_report,
@@ -512,3 +515,81 @@ def test_step_ssf_validation():
         StepSSF(jumps=((1.0, 1),), gauge=0.0)  # sum != 0
     with pytest.raises(ValidationError):
         StepSSF(jumps=((7.0, 1), (7.5, -1)), gauge=0.0)  # out of range
+
+
+# ---------------------------------------------------------------------------
+# array-built step SSFs against the per-jump code they replaced
+
+
+def _step_ssf_per_jump(phases0, phases1):
+    """(jumps, gauge) as the per-jump assembly built them."""
+    phases = [p for p, _ in phases0] + [p for p, _ in phases1]
+    weights = [k for _, k in phases0] + [-k for _, k in phases1]
+    clustered = _cluster_circle(np.array(phases), np.array(weights), CLUSTER_TOL)
+    jumps = tuple((p, int(w)) for p, w in clustered if w != 0)
+    return jumps, sum(w * p for p, w in jumps) / TWO_PI
+
+
+@st.composite
+def phase_lists(draw):
+    """Two (phase, multiplicity) lists of one total multiplicity whose phases meet
+    within the cluster tolerance, also across 2pi."""
+    phases = st.floats(0.0, TWO_PI, exclude_min=True) | st.sampled_from([1e-10, TWO_PI])
+    nudges = st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, TWO_PI - 1e-11])
+    lists = ([], [])
+    for _ in range(draw(st.integers(0, 30))):
+        p0, k = draw(phases), draw(st.integers(1, 3))
+        p1 = draw(phases | nudges.map(lambda d: (p0 + d) % TWO_PI or TWO_PI))
+        lists[0].append((p0, k))
+        lists[1].append((p1, k))
+    return sorted(lists[0]), sorted(lists[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=phase_lists())
+def test_step_ssf_from_arrays_is_the_per_jump_assembly(lists):
+    jumps, gauge = _step_ssf_per_jump(*lists)
+    step = _step_ssf(*lists)
+    assert step.jumps == jumps
+    assert all(type(th) is float and type(s) is int for th, s in step.jumps)
+    assert step.gauge.hex() == gauge.hex()
+    assert step.thetas.tolist() == [th for th, _ in jumps] and step.sizes.tolist() == [s for _, s in jumps]
+    assert not step.thetas.flags.writeable and not step.sizes.flags.writeable
+
+
+def test_step_ssf_of_a_dilation_pair_is_the_per_jump_assembly():
+    rng = np.random.default_rng(5)
+    d0, d1 = dilation_pair(random_contraction(rng, 6), random_contraction(rng, 6), 8)
+    jumps, gauge = _step_ssf_per_jump(d0.eigenphases(), d1.eigenphases())
+    step = dilation_ssf(d0, d1)
+    assert step.jumps == jumps and step.gauge.hex() == gauge.hex()
+
+
+def _max_deviation_per_jump(step, sampled, exclusion):
+    """The per-jump mask loop; None where it left no grid point."""
+    theta = sampled.thetas
+    mask = np.ones(theta.shape, dtype=bool)
+    for th in step.thetas:
+        d = np.abs(theta - th)
+        d = np.minimum(d, TWO_PI - d)
+        mask &= d >= exclusion
+    if not mask.any():
+        return None
+    return float(np.max(np.abs(sampled.values[mask] - step.value(theta[mask]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=step_ssfs(), points=st.integers(1, 300), data=st.data())
+def test_max_deviation_masks_exactly_the_grid_points_the_per_jump_loop_masked(step, points, data):
+    thetas = np.linspace(0.0, TWO_PI, points + 1)[1:]
+    values = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=points, max_size=points)))
+    sampled = SampledSSF(1.0 + 1e-4, thetas, values, 0)
+    # an exclusion radius that is some grid point's exact distance to some jump puts a tie on the boundary
+    ties = [float(abs(t - th)) for t in thetas[:5] for th in step.thetas[:5]]
+    exclusion = data.draw(st.sampled_from(ties) | st.floats(0.0, 1.0) if ties else st.floats(0.0, 1.0))
+    want = _max_deviation_per_jump(step, sampled, exclusion)
+    if want is None:
+        with pytest.raises(ValidationError, match="removed every grid point"):
+            step_vs_sampled_max_deviation(step, sampled, exclusion=exclusion)
+    else:
+        assert step_vs_sampled_max_deviation(step, sampled, exclusion=exclusion).hex() == want.hex()
