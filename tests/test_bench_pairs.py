@@ -60,14 +60,39 @@ def _result(value, failed=0):
 
 
 def test_table_reads_each_side_and_counts_failures(bench_pairs):
+    metric = [{"name": "batch_s", "better": "lower", "bound": 0.25}]
+    pairs = [(_result(1.0), _result(0.8)), (_result(1.1), _result(0.9))]
+    assert bench_pairs.table(pairs, metric)[2] == "| `batch_s` | 1.05 | 0.85 | -19.0% | 0.05 | 2/2 | gain |"
+    # the same times with one more failed call on the change's side: the gain does not count
     pairs = [(_result(1.0), _result(0.8, failed=1)), (_result(1.1), _result(0.9))]
-    lines = bench_pairs.table(pairs, [{"name": "batch_s", "better": "lower", "bound": 0.25}])
-    assert lines[2] == "| `batch_s` | 1.05 | 0.85 | -19.0% | 0.05 | 2/2 | gain |"
+    lines = bench_pairs.table(pairs, metric)
+    assert lines[2] == "| `batch_s` | 1.05 | 0.85 | -19.0% | 0.05 | 2/2 | not met, more calls failed |"
     assert lines[3:] == ["parent: 0 of 20 calls failed", "change: 1 of 20 calls failed"]
+    # as many failed calls on both sides leave the gain standing
+    pairs = [(_result(1.0, failed=1), _result(0.8, failed=1)), (_result(1.1), _result(0.9))]
+    assert bench_pairs.table(pairs, metric)[2].endswith("| gain |")
 
 
-def test_the_metrics_come_from_the_benchmark_file(bench_pairs):
-    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
-    names = ["batch_s", "scenario_p50_ms", "scenario_tail_ms", "peak_rss_mb", "setup_s"]
-    assert [m["name"] for m in declared] == names
-    assert all(m["better"] in ("lower", "higher") for m in declared)
+def test_main_runs_the_benchmark_files_length_and_metrics_alternating_sides(bench_pairs, tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    benchmark = {"run_seconds": 7, "end_to_end": [{"name": "batch_s", "better": "lower", "bound": 0.25}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        return _result(1.0 if checkout == parent else 0.5)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--seed", "40"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        ("parent", "w", 40, 7), ("change", "w", 40, 7),
+        ("change", "w", 41, 7), ("parent", "w", 41, 7),
+        ("parent", "w", 42, 7), ("change", "w", 42, 7),
+    ]
+    out = capsys.readouterr().out
+    assert "w, 3 pairs of 7 s runs:" in out
+    assert "| `batch_s` | 1 | 0.5 | -50.0% | 0 | 3/3 | gain |" in out

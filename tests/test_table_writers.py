@@ -215,8 +215,7 @@ def assert_writers_match(table, tmp_path):
     report = Report("t", "unitary_pair", (), {}, {kind: table}, {})
     payload = report_to_dict(report, "2000-01-01T00:00:00+00:00")
     assert payload["tables"][kind]["rows"] == json_rows_per_cell(table)
-    written = write_report_json(report, tmp_path / "t.report.json", "2000-01-01T00:00:00+00:00")
-    assert written == payload
+    write_report_json(report, tmp_path / "t.report.json", "2000-01-01T00:00:00+00:00")
     assert (tmp_path / "t.report.json").read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     plot_ssf(table, tmp_path / "t.svg", name="t")
