@@ -29,7 +29,10 @@ def _timestamp() -> str:
 def _write_outputs(report, sc, out_dir) -> None:
     base = Path(out_dir) if out_dir else Path(".")
     with _write_lock:
-        base.mkdir(parents=True, exist_ok=True)
+        try:
+            base.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create {base}: {exc}") from exc
         write_report_json(report, base / f"{sc.name}.report.json", _timestamp())
         primary = report.tables.get("circle_step") or report.tables.get("line_step")
         if "csv" in sc.outputs and primary is not None:
@@ -89,10 +92,7 @@ def _cmd_run(args) -> int:
 def _cmd_generate(args) -> int:
     payload = generate_scenario(args.kind, args.seed, args.dim)
     out = args.output or f"{payload['name']}.json"
-    try:
-        write_scenario(payload, out)
-    except OSError as exc:
-        raise IoError(f"cannot write {out}: {exc}") from exc
+    write_scenario(payload, out)
     print(out)
     return 0
 

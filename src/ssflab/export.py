@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from html import escape
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -127,6 +127,15 @@ def _lines(template: str, *columns: list[str]) -> list[str]:
     return list(map("".join, zip(*pieces)))
 
 
+def write_text(path, text: str) -> None:
+    """Write text as ASCII; a character outside it (a plot title may hold any) becomes an XML character reference."""
+    try:
+        with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_ssf_csv(table, path) -> None:
     kind = table_kind(table)
     if kind == "sampled":
@@ -135,11 +144,7 @@ def write_ssf_csv(table, path) -> None:
     else:
         body = "".join(_lines("%s,%s,%s\n", *_step_texts(table, _FMT)))
     text = _HEADERS[kind] + "\n" + body
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, text)
 
 
 def read_ssf_csv(path) -> tuple[str, list[tuple]]:
@@ -203,8 +208,8 @@ def _table_doc(table, rows) -> dict:
 # report JSON
 
 
-def report_to_dict(report, timestamp: str, *, table_doc=table_to_dict) -> dict:
-    """JSON form of a report; table_doc gives each table's."""
+def report_to_dict(report, timestamp: str) -> dict:
+    """JSON form of a report."""
     return {
         "scenario": report.scenario,
         "kind": report.kind,
@@ -224,46 +229,17 @@ def report_to_dict(report, timestamp: str, *, table_doc=table_to_dict) -> dict:
             for r in report.records
         ],
         "flags": jsonable(report.flags),
-        "tables": {name: table_doc(t) for name, t in report.tables.items()},
+        "tables": {name: table_to_dict(t) for name, t in report.tables.items()},
     }
 
 
-def _json_float(x: float) -> str:
-    # json itself raises its ValueError for NaN and +-inf
-    return float.__repr__(x) if math.isfinite(x) else _stdlib_json(x, 0)
+# json.dumps(indent=2) runs CPython's pure-Python encoder (the C encoder only
+# serves indent=None); it lays out every document here, but the number arrays
+# (table rows, scenario matrices) are rendered beforehand in one % format each.
 
 
-# Exact types encoded without recursion; subclasses go to json itself.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    float: _json_float,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _scalars(values: list):
-    """The JSON text of each value, or None unless all are plain scalars."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds <= _SCALARS.keys():
-        return [_SCALARS[type(v)](v) for v in values]
-    return None
-
-
-def _table(rows: list, level: int):
-    """A list of equal-width scalar rows in one % format, or None for any other list."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    cells = _scalars(list(chain.from_iterable(rows)))
-    if cells is None:
-        return None
-    return _json_rows([_json_row(widths.pop(), level)] * len(rows), level) % tuple(cells)
+def _stdlib(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _json_row(width: int, level: int) -> str:
@@ -278,87 +254,81 @@ def _json_rows(rows: list[str], level: int) -> str:
     return "[" + outer + ("," + outer).join(rows) + "\n" + _INDENT * level + "]"
 
 
-class _StepRows:
-    """The "rows" of a step table in a report; _encode writes them from the table's columns."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table):
-        self.table = table
-
-    def json(self, level: int) -> str:
-        starts, ends, values = _step_texts(self.table, "%r")
-        if isinstance(self.table, LineSSF):
-            # the outer endpoints: the first row's start and the last row's end
-            starts[0], ends[-1] = '"-inf"', '"inf"'
-        return _json_rows(_lines(_json_row(3, level), starts, ends, values), level)
+def _dumps_filled(doc, at: str, arrays: dict):
+    """_stdlib(doc) with each placeholder key of arrays, if found once right after `at`, replaced by its text; else None."""
+    text = _stdlib(doc)
+    for mark, array in arrays.items():
+        spot = at + json.dumps(mark)
+        if text.count(spot) != 1:
+            return None
+        text = text.replace(spot, at + array)
+    return text
 
 
-def _encode(value, level: int) -> str:
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        if not all(type(k) is str for k in value):
-            return _stdlib_json(value, level)
-        keys = sorted(value)
-        items = _scalars([value[k] for k in keys])
-        if items is None:
-            items = [_encode(value[k], level + 1) for k in keys]
-        inner = "\n" + _INDENT * (level + 1)
-        pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), items))
-        return "{" + inner + ("," + inner).join(pairs) + "\n" + _INDENT * level + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = _scalars(value)
-        if items is None:
-            table = _table(value, level)
-            if table is not None:
-                return table
-            items = [_encode(v, level + 1) for v in value]
-        inner = "\n" + _INDENT * (level + 1)
-        return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "]"
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    if kind is _StepRows:
-        return value.json(level)
-    return _stdlib_json(value, level)
+def _rows_text(table):
+    """A table's "rows" as a report lays them out, or None when a cell is not finite (but a line table's ends)."""
+    if table_kind(table) == "sampled":
+        cells = table_array(table)
+        if not cells.size or not np.isfinite(cells).all():
+            return None
+        return _json_rows([_json_row(2, 3)] * len(cells), 3) % tuple(cells.ravel().tolist())
+    starts, ends, values = _step_texts(table, "%r")
+    if isinstance(table, LineSSF):
+        # the outer endpoints: the first row's start and the last row's end
+        starts[0], ends[-1] = '"-inf"', '"inf"'
+    if not {"nan", "inf", "-inf"}.isdisjoint(chain(starts, ends, values)):
+        return None
+    return _json_rows(_lines(_json_row(3, 3), starts, ends, values), 3)
 
 
-def _stdlib_json(value, level: int) -> str:
-    # JSON strings hold no raw newline, so re-indenting the lines is exact
-    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-    return text.replace("\n", "\n" + _INDENT * level)
+def write_report_json(report, path, timestamp: str) -> None:
+    """Write the report as dump_json(report_to_dict(report, timestamp)) writes it.
+
+    A table with a non-finite cell sends the whole report to json.dumps,
+    which spells that cell or raises its error.
+    """
+    doc = report_to_dict(replace(report, tables={}), timestamp)
+    rows = {}
+    for i, (name, table) in enumerate(report.tables.items()):
+        doc["tables"][name] = _table_doc(table, f"\0rows {i}")
+        rows[f"\0rows {i}"] = _rows_text(table)
+    text = None if None in rows.values() else _dumps_filled(doc, '\n      "rows": ', rows)
+    if text is None:
+        text = _stdlib(report_to_dict(report, timestamp))
+    write_text(path, text)
+
+
+def _matrix_text(m):
+    """A square matrix of [re, im] finite floats as laid out in a top-level "matrices" list, else None."""
+    if type(m) is not list or not m or set(map(type, m)) != {list} or set(map(len, m)) != {len(m)}:
+        return None
+    cells = list(chain.from_iterable(m))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    flat = list(chain.from_iterable(cells))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    return _json_rows([_json_rows([_json_row(2, 3)] * len(m), 3)] * len(m), 2) % tuple(flat)
 
 
 def dump_json(payload) -> str:
     """Byte for byte json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\\n".
 
-    That call runs CPython's pure-Python encoder (the C encoder only serves
-    indent=None). Here every container of plain scalars is one join and every
-    table of equal-width scalar rows one % format; values of other types
-    (non-string keys, subclasses, unknown objects) go to json itself.
+    Each square matrix of [re, im] finite floats in a top-level "matrices"
+    list is laid out in one % format; json.dumps writes everything else and
+    raises its own errors.
     """
-    return _encode(payload, 0) + "\n"
-
-
-def _written_table_doc(table) -> dict:
-    """table_to_dict as dump_json writes it; a step table's rows are written from its columns."""
-    if table_kind(table) == "sampled":
-        return table_to_dict(table)
-    return _table_doc(table, _StepRows(table))
-
-
-def write_report_json(report, path, timestamp: str) -> None:
-    """Write the report as dump_json(report_to_dict(report, timestamp)) writes it."""
-    text = dump_json(report_to_dict(report, timestamp, table_doc=_written_table_doc))
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    matrices = payload.get("matrices") if type(payload) is dict else None
+    if type(matrices) is not list:
+        return _stdlib(payload)
+    arrays, marked = {}, []
+    for i, m in enumerate(matrices):
+        text = _matrix_text(m)
+        if text is not None:
+            arrays[f"\0matrix {i}"] = text
+        marked.append(m if text is None else f"\0matrix {i}")
+    text = _dumps_filled({**payload, "matrices": marked}, "\n    ", arrays)
+    return _stdlib(payload) if text is None else text
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +368,8 @@ def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
             xlo, xhi = 0.0, TWO_PI
         elif finite.size:
             lo, hi = float(finite.min()), float(finite.max())
-            pad = max(1.0, 0.3 * (hi - lo))
+            # one float spacing at the wider end keeps the padding from rounding away
+            pad = max(1.0, 0.3 * (hi - lo), float(np.spacing(max(abs(lo), abs(hi)))))
             xlo, xhi = lo - pad, hi + pad
         else:
             xlo, xhi = -5.0, 5.0
@@ -484,9 +455,4 @@ def plot_ssf(table, path, name: str = "ssf") -> None:
         kind, rows = table
     else:
         kind, rows = table_kind(table), table_array(table)
-    svg = render_ssf_svg(kind, rows, name=name)
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, render_ssf_svg(kind, rows, name=name))

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dilation import default_block_count, dilation_pair
 from .errors import SchemaError, ValidationError
-from .export import dump_json
+from .export import dump_json, write_text
 from .fractional import (
     FractionalJob,
     fractional_diff_quadrature,
@@ -434,6 +434,8 @@ def parse_scenario(data: Any) -> Scenario:
     name = data.get("name")
     if not isinstance(name, str) or not name.strip():
         _fail("name", "required nonempty string")
+    if any(c in name for c in "/\\\0") or name.strip() in (".", ".."):
+        _fail("name", "names the output files: no '/', '\\' or NUL, and not '.' or '..'")
     kind = data.get("kind")
     if kind not in _KINDS:
         _fail("kind", f"must be one of {KINDS}")
@@ -560,9 +562,7 @@ def _kernel_trace_keys(rng: np.random.Generator, dim: int) -> dict:
 
 
 def write_scenario(payload: dict, path) -> None:
-    text = dump_json(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, dump_json(payload))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import re
 import subprocess
 import sys
+import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -281,6 +283,26 @@ def test_plot_flat_zero_table(tmp_path):
     assert svg.count('class="drop"') == 0
 
 
+def test_plot_near_breakpoints_far_out_has_no_nan(tmp_path):
+    # at 1e17 a padding of 1.0 rounds away and the x range would collapse
+    csv_path = tmp_path / "near.csv"
+    csv_path.write_text("t_start,t_end,value\n-inf,1e17,0\n1e17,inf,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plot", str(csv_path)]) == 0
+    svg = (tmp_path / "near.svg").read_text()
+    assert "nan" not in svg
+    assert ET.fromstring(svg).tag.endswith("svg")
+
+
+def test_plot_title_outside_ascii_is_a_character_reference(tmp_path):
+    csv_path = tmp_path / "名.csv"
+    write_ssf_csv(StepSSF(jumps=(), gauge=0.0), csv_path)
+    assert main(["plot", str(csv_path)]) == 0
+    title = ET.parse(tmp_path / "名.svg").getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "名"
+
+
 def test_plot_unreadable_csv_exits_two(tmp_path):
     junk = tmp_path / "junk.csv"
     junk.write_text("alpha,beta\n1,2\n")
@@ -418,3 +440,22 @@ def test_a_determinant_block_with_every_grid_point_near_a_jump_is_a_failing_reco
     assert [r["check_id"] for r in report["records"] if not r["pass"]] == ["determinant-step-consistency"]
     assert report["flags"]["determinant_step_error"] == "ValidationError: exclusion radius removed every grid point"
     assert report["tables"]["sampled"]["winding"] == 0
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/name", "back\\slash", "nul\0byte", ".", " .. "])
+def test_a_name_that_is_not_a_plain_file_name_exits_two_and_writes_nothing(tmp_path, name, capsys):
+    f = write_json(tmp_path / "b.json", hand_pair_payload(name=name))
+    out = tmp_path / "out" / "sub"
+    assert main(["run", str(f), "--out-dir", str(out)]) == 2
+    assert "schema error: name: names the output files" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["b.json"]
+
+
+def test_an_out_dir_that_is_a_file_is_an_io_error_for_each_scenario(tmp_path, capsys):
+    first = write_json(tmp_path / "first.json", hand_pair_payload(name="first"))
+    second = write_json(tmp_path / "second.json", hand_pair_payload(name="second"))
+    (tmp_path / "notadir").touch()
+    assert main(["run", str(first), str(second), "--out-dir", str(tmp_path / "notadir")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in err] == [[str(first), "io error"], [str(second), "io error"]]
+    assert all("cannot create" in line for line in err)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssflab import export
 from ssflab.export import dump_json, read_ssf_csv, table_array, write_ssf_csv
+from ssflab.scenario import KINDS, generate_scenario, write_scenario
 from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import pushforward_line
 
@@ -105,6 +107,77 @@ def test_dump_json_unserializable_raises_the_stdlib_error(payload):
     with pytest.raises(TypeError) as theirs:
         stdlib(payload)
     assert str(ours.value) == str(theirs.value)
+
+
+# ---------------------------------------------------------------------------
+# scenario files: square matrices of [re, im] floats take one % format each
+
+
+def generated_files():
+    for kind in KINDS:
+        for dim in (1, 2, 64):
+            yield generate_scenario(kind, 5, dim)
+    yield {**generate_scenario("unitary_pair", 6, 3), "determinant": {}}
+
+
+@pytest.mark.parametrize("payload", generated_files(), ids=lambda p: p["name"] + "+determinant" * ("determinant" in p))
+def test_write_scenario_writes_the_stdlib_bytes(payload, tmp_path):
+    write_scenario(payload, tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_text() == stdlib(payload)
+    assert all(export._matrix_text(m) is not None for m in payload.get("matrices", []))
+
+
+PAIRS = [[[1.0, 0.0], [0.5, -0.5]], [[0.25, 0.0], [-1.0, 2.0]]]
+MATRIX_FALLBACKS = {
+    "integer-cells": [[1, 0], [0, 1]],
+    "integer-in-a-pair": [[[1, 0.0], [0.5, -0.5]], [[0.25, 0.0], [-1.0, 2.0]]],
+    "mixed-scalars-and-pairs": [[0.5, [0.5, -0.5]], [[0.25, 0.0], 2.0]],
+    "ragged": [PAIRS[0], [[0.25, 0.0]]],
+    "not-square": [PAIRS[0]],
+    "pair-of-three": [[[1.0, 0.0, 0.0]]],
+    "tuple-rows": [tuple(PAIRS[0]), tuple(PAIRS[1])],
+    "float-subclass": [[[np.float64(1.0), 0.0]]],
+    "empty": [],
+    "a-string": "\0matrix 0",
+}
+
+
+@pytest.mark.parametrize("matrix", MATRIX_FALLBACKS.values(), ids=MATRIX_FALLBACKS.keys())
+def test_other_matrices_go_to_the_stdlib(matrix):
+    assert export._matrix_text(matrix) is None
+    payload = {"name": "x", "matrices": [PAIRS, matrix, PAIRS]}
+    assert dump_json(payload) == stdlib(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"matrices": [PAIRS], 3: "a non-string key"},
+        {"matrices": [PAIRS, [[[float("nan"), 0.0]]]]},
+        {"matrices": [PAIRS], "tolerances": {"t": float("inf")}},
+    ],
+    ids=["int-key", "nan-cell", "inf-elsewhere"],
+)
+def test_a_scenario_the_stdlib_rejects_raises_its_error(payload):
+    with pytest.raises((TypeError, ValueError)) as theirs:
+        stdlib(payload)
+    with pytest.raises(theirs.type) as ours:
+        dump_json(payload)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"matrices": [PAIRS, PAIRS], "name": "\0matrix 1"},  # a placeholder text elsewhere
+        {"matrices": [PAIRS], "outputs": ["\0matrix 0"]},  # and laid out where one is looked for
+        {"matrices": [PAIRS], "nested": {"matrices": [PAIRS]}},
+        {"matrices": [PAIRS], "grid": {2.5: "non-string keys", 0.5: "too"}},
+        {"matrices": [PAIRS, PAIRS]},
+    ],
+)
+def test_dump_json_scenario_edge_payloads(payload):
+    assert dump_json(payload) == stdlib(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 6
+    assert len(files) == generated + 9
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -34,6 +34,10 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert edges["edge-spectral-point"].spectral_point == -2.5
     assert edges["edge-unitary-determinant"].determinant is not None
     assert edges["edge-contraction-determinant"].determinant is not None
+    assert edges["edge-determinant-grid256"].determinant["grid"] == 256
+    assert 'edge-quoted-"name"-ünïcode-名前' in edges
+    cells = json.loads((tmp_path / "edge-mixed-cells.json").read_text())["matrices"]
+    assert {type(c) for m in cells for row in m for c in row} == {int, float, list}
     im_l0 = json.loads((tmp_path / "edge-singular-im.json").read_text())["matrices"][0]
     assert [im_l0[k][k][1] for k in range(3)] == [1.0, 0.0, 0.5]
 

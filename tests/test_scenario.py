@@ -291,6 +291,11 @@ BAD_PAYLOADS = [
     "not a dict",
     {"kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]]},  # no name
     {"name": "x", "kind": "mystery"},
+    # a name becomes a file name in --out-dir
+    {"name": "../escaped", "kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]]},
+    {"name": "a\\b", "kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]]},
+    {"name": "a\0b", "kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]]},
+    {"name": " .. ", "kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]]},
     {"name": "x", "kind": "unitary_pair"},  # matrices required
     {"name": "x", "kind": "unitary_pair", "matrices": [[[1.0]]]},  # one matrix
     {"name": "x", "kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]], "extra": 1},

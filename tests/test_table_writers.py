@@ -34,7 +34,7 @@ from ssflab.export import (
 )
 from ssflab.linalg import TWO_PI
 from ssflab.scenario import Report
-from ssflab.ssf_circle import StepSSF
+from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import LineSSF, pushforward_line
 
 _STEP_LINE = (
@@ -86,7 +86,7 @@ def render_per_cell(kind: str, rows, name: str = "ssf") -> str:
             xlo, xhi = 0.0, TWO_PI
         elif finite.size:
             lo, hi = float(finite.min()), float(finite.max())
-            pad = max(1.0, 0.3 * (hi - lo))
+            pad = max(1.0, 0.3 * (hi - lo), float(np.spacing(max(abs(lo), abs(hi)))))
             xlo, xhi = lo - pad, hi + pad
         else:
             xlo, xhi = -5.0, 5.0
@@ -224,9 +224,6 @@ def assert_writers_match(table, tmp_path):
     assert render_ssf_svg(*read_ssf_csv(csv)) == render_per_cell(*read_ssf_csv(csv))
 
 
-# one breakpoint past 2**53 is wider than the plot's 1.0 padding, so both
-# renderers divide 0 by 0 and write the same "nan" coordinates
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("dedup_from", [0, export._FORMAT_ONCE_MIN], ids=["every-table-deduplicated", "short-tables-direct"])
 @settings(max_examples=150, deadline=None)
 @given(table=tables)
@@ -277,3 +274,58 @@ def test_a_non_finite_circle_level_raises_the_stdlib_error(gauge, tmp_path):
     with pytest.raises(ValueError) as theirs:
         json.dumps(report_to_dict(report, "2000-01-01T00:00:00+00:00"), sort_keys=True, indent=2, allow_nan=False)
     assert str(ours.value) == str(theirs.value)
+
+
+STAMP = "2000-01-01T00:00:00+00:00"
+
+
+def stdlib_report(report) -> str:
+    return json.dumps(report_to_dict(report, STAMP), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def written(report, tmp_path) -> str:
+    write_report_json(report, tmp_path / "t.report.json", STAMP)
+    return (tmp_path / "t.report.json").read_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(numbers, min_size=1, max_size=40), radius=st.floats(1.0, 2.0, exclude_min=True))
+def test_a_sampled_table_is_written_as_the_stdlib_writes_it(values, radius, tmp_path_factory):
+    thetas = np.linspace(0.0, TWO_PI, len(values) + 1)[1:]
+    circle = StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.5)
+    tables = {"circle_step": circle, "sampled": SampledSSF(radius, thetas, np.array(values), 1)}
+    report = Report("t", "unitary_pair", (), {"grid": len(values)}, tables, {})
+    assert written(report, tmp_path_factory.mktemp("sampled")) == stdlib_report(report)
+
+
+def test_a_placeholder_text_in_the_flags_falls_back_to_the_stdlib(tmp_path):
+    table = StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.5)
+    # a flag laid out like a table's rows: the placeholder is found twice
+    report = Report("t", "unitary_pair", (), {"x": {"rows": "\0rows 0"}}, {"circle_step": table}, {})
+    with patch.object(export, "table_to_dict", wraps=export.table_to_dict) as per_cell:
+        assert written(report, tmp_path) == stdlib_report(report)
+    assert per_cell.call_count == 2
+
+
+def test_the_first_error_the_stdlib_meets_is_raised(tmp_path):
+    # "flags" sorts before "tables": the NaN flag is met before the inf gauge
+    table = StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=float("inf"))
+    report = Report("t", "unitary_pair", (), {"ratio": float("nan")}, {"circle_step": table}, {})
+    with pytest.raises(ValueError) as ours:
+        written(report, tmp_path)
+    with pytest.raises(ValueError) as theirs:
+        stdlib_report(report)
+    assert str(ours.value) == str(theirs.value) == "Out of range float values are not JSON compliant: nan"
+
+
+def test_the_report_writer_builds_no_per_cell_rows(tmp_path):
+    thetas = TWO_PI * np.arange(1, 9) / 8
+    tables = {
+        "circle_step": StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.5),
+        "line_step": pushforward_line(StepSSF(jumps=((1.0, 1), (2.0, -1)), gauge=0.5)),
+        "sampled": SampledSSF(1.5, thetas, np.cos(thetas), 0),
+    }
+    report = Report("t", "unitary_pair", (), {}, tables, {})
+    expected = stdlib_report(report)
+    with patch.object(export, "table_to_dict", side_effect=AssertionError("table_to_dict called")):
+        assert written(report, tmp_path) == expected

@@ -6,12 +6,17 @@ The corpus holds every kind at dims 1, 2, 3, 5, 8, 12 and 24 for seeds 1
 and 2, each asking for json, csv and svg, plus edge files that generated
 files never reach: a fractional bound with beta = 0 (the corollary form), a
 truncate ladder, a kernel at spectral point -2.5, a dissipative pair whose
-Im L is singular (the condition report becomes an error string), and a
-determinant block on both circle kinds. Run each version on it with one
-BLAS thread and compare the outputs:
+Im L is singular (the condition report becomes an error string), a
+determinant block on both circle kinds and one at the smallest grid (256),
+a name with quotes and non-ASCII characters, and explicit matrices with
+integer and real-scalar cells (the scenario writer's general path). Write
+the corpus from each version, since scenario files are output too, run
+each version on its own corpus with one BLAS thread and compare both:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m ssflab.cli run OUT_DIR/*.json --out-dir before
-    (the same from the other checkout, --out-dir after)
+    python3 tools/make_corpus.py corpus_before
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m ssflab.cli run corpus_before/*.json --out-dir before
+    (the same from the other checkout, into corpus_after and after)
+    python3 tools/report_diff.py corpus_before corpus_after
     python3 tools/report_diff.py before after
 
 Exit status 1 from a run only means some check failed; the reports are
@@ -44,6 +49,8 @@ def _edge_files() -> list[dict]:
     l0 = np.diag([1.0, 2.0, 3.0]) + 1j * np.diag([1.0, 0.0, 0.5])
     l1 = l0 + 0.1 + 0.2j * np.diag([0.0, 0.0, 1.0])
     pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
+    # contractions with integer, real-scalar and [re, im] cells
+    mixed = [[[0, 0.5], [-0.25, [0.25, 0.25]]], [[0.5, 0], [[0.0, 0.25], 0]]]
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
@@ -51,6 +58,9 @@ def _edge_files() -> list[dict]:
         {"name": "edge-singular-im", "kind": "dissipative_pair", "matrices": pair, "outputs": OUTPUTS},
         generated("unitary_pair", "unitary-determinant", determinant={"grid": 1024}),
         generated("contraction_pair", "contraction-determinant", determinant={"grid": 1024}),
+        generated("unitary_pair", "determinant-grid256", determinant={"grid": 256}),
+        generated("contraction_pair", 'quoted-"name"-ünïcode-名前'),
+        {"name": "edge-mixed-cells", "kind": "contraction_pair", "matrices": mixed, "outputs": OUTPUTS},
     ]
 
 
