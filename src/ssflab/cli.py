@@ -2,14 +2,15 @@
 
 Exit codes for `run`: 0 when every record of every report passes, 1 when
 some numeric check failed (reports are still written), 2 when a file does
-not parse against the scenario schema.
+not parse against the scenario schema. A scenario name names the output
+files, so within one run a file that repeats the name of an earlier file
+in argument order is a schema error too, and nothing is written for it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,9 +19,6 @@ from .errors import IoError, SchemaError
 from .export import plot_ssf, read_ssf_csv, write_report_json, write_ssf_csv
 from .scenario import KINDS, generate_scenario, load_scenario, run_scenario, write_scenario
 
-# report/table writes are serialized; scenario execution itself is parallel
-_write_lock = threading.Lock()
-
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -28,65 +26,68 @@ def _timestamp() -> str:
 
 def _write_outputs(report, sc, out_dir) -> None:
     base = Path(out_dir) if out_dir else Path(".")
-    with _write_lock:
-        try:
-            base.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot create {base}: {exc}") from exc
-        write_report_json(report, base / f"{sc.name}.report.json", _timestamp())
-        primary = report.tables.get("circle_step") or report.tables.get("line_step")
-        if "csv" in sc.outputs and primary is not None:
-            write_ssf_csv(primary, base / f"{sc.name}.ssf.csv")
-        if "csv" in sc.outputs and "sampled" in report.tables:
-            write_ssf_csv(report.tables["sampled"], base / f"{sc.name}.determinant.csv")
-        if "svg" in sc.outputs and primary is not None:
-            plot_ssf(primary, base / f"{sc.name}.svg", name=sc.name)
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {base}: {exc}") from exc
+    write_report_json(report, base / f"{sc.name}.report.json", _timestamp())
+    primary = report.tables.get("circle_step") or report.tables.get("line_step")
+    if "csv" in sc.outputs and primary is not None:
+        write_ssf_csv(primary, base / f"{sc.name}.ssf.csv")
+    if "csv" in sc.outputs and "sampled" in report.tables:
+        write_ssf_csv(report.tables["sampled"], base / f"{sc.name}.determinant.csv")
+    if "svg" in sc.outputs and primary is not None:
+        plot_ssf(primary, base / f"{sc.name}.svg", name=sc.name)
 
 
-def _run_file(path: str, out_dir, tolerance_scale: float):
-    """Returns (path, scenario_name, report, error) with error None on success."""
+def _run_file(path: str, tolerance_scale: float):
+    """(scenario, report) of one file, or (None, the SchemaError that stopped it)."""
     try:
         sc = load_scenario(path)
-        report = run_scenario(sc, tolerance_scale=tolerance_scale)
-        _write_outputs(report, sc, out_dir)
-        return path, sc.name, report, None
+        return sc, run_scenario(sc, tolerance_scale=tolerance_scale)
     except SchemaError as exc:
-        return path, None, None, ("schema", str(exc))
-    except IoError as exc:
-        return path, None, None, ("io", str(exc))
+        return None, exc
 
 
 def _cmd_run(args) -> int:
     workers = max(1, args.threads)
-    runner = lambda p: _run_file(p, args.out_dir, args.tolerance_scale)  # noqa: E731
+    runner = lambda p: _run_file(p, args.tolerance_scale)  # noqa: E731
     if workers > 1 and len(args.files) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, args.files))
     else:
-        results = [runner(p) for p in args.files]
+        results = map(runner, args.files)
 
-    schema_bad = other_bad = False
-    for path, name, report, error in results:
-        if error is not None:
-            code, msg = error
-            schema_bad = schema_bad or code == "schema"
-            other_bad = other_bad or code != "schema"
-            print(f"{path}: {code} error: {msg}", file=sys.stderr)
+    # outputs are written here, in argument order, by the first file of each name
+    owners: dict[str, str] = {}
+    bad = set()
+    for path, (sc, report) in zip(args.files, results):
+        try:
+            if sc is None:
+                raise report
+            if sc.name in owners:
+                raise SchemaError(f"scenario name {sc.name!r} is already used by {owners[sc.name]}")
+            owners[sc.name] = path
+            _write_outputs(report, sc, args.out_dir)
+        except (SchemaError, IoError) as exc:
+            code = "schema" if isinstance(exc, SchemaError) else "io"
+            bad.add(code)
+            print(f"{path}: {code} error: {exc}", file=sys.stderr)
             continue
         failed = report.failed()
         if failed:
-            other_bad = True
-            print(f"{name}: FAIL ({len(failed)} of {len(report.records)} checks failed)")
+            bad.add("check")
+            print(f"{sc.name}: FAIL ({len(failed)} of {len(report.records)} checks failed)")
             for r in failed:
                 res = "n/a" if r.residual is None else f"{r.residual:.3e}"
                 print(f"  {r.check_id} [{r.anchor}]: residual {res} > tolerance {r.tolerance:.3e}")
             if "numeric_error" in report.flags:
                 print(f"  {report.flags['numeric_error']}")
         else:
-            print(f"{name}: PASS ({len(report.records)} checks)")
-    if schema_bad:
+            print(f"{sc.name}: PASS ({len(report.records)} checks)")
+    if "schema" in bad:
         return 2
-    return 1 if other_bad else 0
+    return 1 if bad else 0
 
 
 def _cmd_generate(args) -> int:

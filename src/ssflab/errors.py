@@ -7,7 +7,8 @@ and any other failure to exit code 1.
 
 
 class ValidationError(ValueError):
-    """An operator wrapper rejected its matrix at construction time."""
+    """An input an entry point does not admit: a matrix its operator class rejects, a pair
+    on two spaces (`linalg.same_dimension`), exponents outside their window (InvalidExponent)."""
 
 
 class NotHermitian(ValidationError):
@@ -18,8 +19,8 @@ class IndefiniteInput(ValidationError):
     """A matrix expected to be positive semidefinite had an eigenvalue below the clamp window."""
 
 
-class InvalidExponent(ValueError):
-    pass
+class InvalidExponent(ValidationError):
+    """An exponent outside its admissible range (`linalg.check_exponents`)."""
 
 
 class InvalidOrder(ValueError):

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureDivergence,
     ValidationError,
 )
-from .linalg import _eig, as_matrix, hermitian_function, require_hermitian, schatten_norm
+from .linalg import _eig, as_matrix, check_exponents, hermitian_function, require_hermitian, same_dimension, schatten_norm
 from .schrodinger import make_grid
 
 # eigenvalues below this make inverse powers meaningless
@@ -122,21 +122,9 @@ class FractionalJob:
     min_eig: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mx, lx = _validated_psd_contraction(self.x, what="x")
-        my, ly = _validated_psd_contraction(self.y, what="y")
-        if mx.shape != my.shape:
-            raise ValidationError("x and y must have equal dimensions")
-        if not (0.0 < self.sigma < 1.0):
-            raise InvalidExponent(f"sigma must lie in (0, 1), got {self.sigma}")
-        if self.alpha < 0 or self.beta < 0:
-            raise InvalidExponent("alpha and beta must be nonnegative")
-        s = self.alpha + self.beta
-        if not (1.0 - self.sigma < s <= 1.0):
-            raise InvalidExponent(
-                f"alpha + beta = {s} outside (1 - sigma, 1] = ({1 - self.sigma}, 1]"
-            )
-        if self.p < 1:
-            raise InvalidExponent(f"Schatten exponent must be >= 1, got {self.p}")
+        (mx, lx), (my, ly) = _validated_psd_contraction(self.x, what="x"), _validated_psd_contraction(self.y, what="y")
+        same_dimension(len(mx), len(my))
+        check_exponents(self.alpha, self.beta, self.p, self.sigma)
         mx.setflags(write=False)
         my.setflags(write=False)
         object.__setattr__(self, "x", mx)
@@ -287,8 +275,8 @@ def resolvent_difference_identity_check(x, y, t: float) -> float:
     """
     if t < 1e-8:
         raise ValidationError(f"t must be at least 1e-8, got {t}")
-    mx, _ = _validated_psd_contraction(x, what="x")
-    my, _ = _validated_psd_contraction(y, what="y")
+    (mx, _), (my, _) = _validated_psd_contraction(x, what="x"), _validated_psd_contraction(y, what="y")
+    same_dimension(len(mx), len(my))
     n = mx.shape[0]
     eye = np.eye(n)
     ry = np.linalg.inv(t * eye + my)

@@ -34,6 +34,29 @@ def as_operator(cls: type[_Op], x) -> _Op:
     return x if isinstance(x, cls) else cls(x)
 
 
+def same_dimension(n0, n1) -> None:
+    """The pair rule: ValidationError unless the dimensions (or block layouts) of a pair agree."""
+    if n0 != n1:
+        raise ValidationError(f"dimension mismatch: {n0} vs {n1}")
+
+
+def as_pair(cls: type[_Op], a, b) -> tuple[_Op, _Op]:
+    """as_operator(cls, a) and as_operator(cls, b), under the pair rule."""
+    a, b = as_operator(cls, a), as_operator(cls, b)
+    same_dimension(a.n, b.n)
+    return a, b
+
+
+def check_exponents(alpha: float, beta: float, p: float, sigma: Optional[float] = None) -> None:
+    """The exponent window: InvalidExponent unless alpha, beta >= 0, p >= 1 and alpha + beta
+    lies in (1/2, 1], or with sigma in (0, 1), in (1 - sigma, 1] (the fractional bound)."""
+    if sigma is not None and not 0.0 < sigma < 1.0:
+        raise InvalidExponent(f"sigma must lie in (0, 1), got {sigma}")
+    lo = 0.5 if sigma is None else 1.0 - sigma
+    if alpha < 0 or beta < 0 or p < 1 or not lo < alpha + beta <= 1.0:
+        raise InvalidExponent(f"need alpha, beta >= 0, p >= 1 and alpha + beta in ({lo}, 1]; got {alpha}, {beta}, {p}")
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
     m = np.asarray(getattr(a, "m", a), dtype=np.complex128)
@@ -541,6 +564,7 @@ def singular_value_commute_check(t1, t2) -> float:
     """
     a = require_hermitian(as_matrix(t1))
     b = require_hermitian(as_matrix(t2))
+    same_dimension(len(a), len(b))
     s_ab = np.linalg.svd(a @ b, compute_uv=False)
     s_ba = np.linalg.svd(b @ a, compute_uv=False)
     return float(np.max(np.abs(s_ab - s_ba))) if s_ab.size else 0.0

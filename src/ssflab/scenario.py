@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dilation import default_block_count, dilation_pair
-from .errors import SchemaError, ValidationError
+from .errors import InvalidExponent, SchemaError, ValidationError
 from .export import dump_json, write_text
 from .fractional import (
     FractionalJob,
@@ -39,6 +39,7 @@ from .linalg import (
     Unitary,
     _eig,
     analytic_poly_eval,
+    check_exponents,
     hermitize,
     operator_norm,
     polar_factors,
@@ -323,16 +324,10 @@ def _parse_exponents(raw, kind: str) -> dict:
         _check_keys(raw, allowed, "exponents")
         for key in allowed & set(raw):
             out[key] = _float_entry(raw[key], f"exponents.{key}")
-    if out["alpha"] < 0 or out["beta"] < 0 or out["p"] < 1:
-        _fail("exponents", "need alpha, beta >= 0 and p >= 1")
-    s = out["alpha"] + out["beta"]
-    if kind == "fractional":
-        if not (0.0 < out["sigma"] < 1.0):
-            _fail("exponents.sigma", "must lie strictly inside (0, 1)")
-        if not (1.0 - out["sigma"] < s <= 1.0):
-            _fail("exponents", "alpha + beta must lie in (1 - sigma, 1]")
-    elif not (0.5 < s <= 1.0):
-        _fail("exponents", "alpha + beta must lie in (1/2, 1]")
+    try:
+        check_exponents(out["alpha"], out["beta"], out["p"], out.get("sigma"))
+    except InvalidExponent as exc:
+        _fail("exponents", str(exc))
     return out
 
 
@@ -626,8 +621,10 @@ def _circle_pair_checks(sc, record, ssf, anchor, tol, flags):
 
 
 def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
+    """Step-consistency and LU checks of the determinant route; a check that could not run records residual None."""
     if sc.determinant is None:
         return
+    deviation = lu_gap = None
     try:
         sampled = determinant_ssf(m0, m1, radius=sc.determinant["radius"], grid=sc.determinant["grid"])
         # independent LU evaluation at theta = (k + 1/2) 2pi / 8 on the sampling circle
@@ -635,20 +632,17 @@ def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
         lu_gap = max(abs(sampled.determinant(z) / perturbation_determinant(m0, m1, z) - 1) for z in probes)
     except ArithmeticError as exc:
         flags["determinant_error"] = f"{type(exc).__name__}: {exc}"
-        record("determinant-step-consistency", "determinant-consistency", 0.0, 0.0, 5e-2, residual=None)
-        record("determinant-lu-crosscheck", "determinant-lu-crosscheck", 0.0, 0.0, 1e-8, residual=None)
-        return
-    try:
-        deviation = step_vs_sampled_max_deviation(step_ssf, sampled)
-    except ValidationError as exc:
-        # every grid point lies near a jump: nothing to compare, which fails the check
-        flags["determinant_step_error"] = f"{type(exc).__name__}: {exc}"
-        record("determinant-step-consistency", "determinant-consistency", 0.0, 0.0, 5e-2, residual=None)
     else:
-        record("determinant-step-consistency", "determinant-consistency", deviation, 0.0, 5e-2)
-    record("determinant-lu-crosscheck", "determinant-lu-crosscheck", lu_gap, 0.0, 1e-8)
-    flags["determinant_winding"] = sampled.winding
-    tables["sampled"] = sampled
+        try:
+            deviation = step_vs_sampled_max_deviation(step_ssf, sampled)
+        except ValidationError as exc:
+            # every grid point lies near a jump: nothing to compare, which fails the check
+            flags["determinant_step_error"] = f"{type(exc).__name__}: {exc}"
+        flags["determinant_winding"] = sampled.winding
+        tables["sampled"] = sampled
+    # both gaps are nonnegative, so each is its own residual
+    record("determinant-step-consistency", "determinant-consistency", deviation or 0.0, 0.0, 5e-2, residual=deviation)
+    record("determinant-lu-crosscheck", "determinant-lu-crosscheck", lu_gap or 0.0, 0.0, 1e-8, residual=lu_gap)
 
 
 def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
@@ -674,7 +668,7 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
 
 
 def _line_pair_checks(sc, record, l0, l1, tol_resolvent, anchor):
-    """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables, trace report)."""
+    """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables)."""
     blocks = sc.dilation_order or LINE_BLOCKS
     ssf = dissipative_ssf(l0, l1, blocks)
     for j, z in enumerate(sc.z_values):
@@ -686,14 +680,13 @@ def _line_pair_checks(sc, record, l0, l1, tol_resolvent, anchor):
         weighted_abs_integral(ssf, side="circle"),
         1e-12,
     )
-    trace_rep = perturbation_trace_report(l0, l1, ssf)
     flags = {
         "block_count": blocks,
         "jump_count": len(ssf.breakpoints),
         "mass_at_infinity": ssf.mass_at_infinity,
-        **_fields(trace_rep, "left_tail", "right_tail"),
+        **_fields(perturbation_trace_report(l0, l1, ssf)),
     }
-    return flags, {"line_step": ssf}, trace_rep
+    return flags, {"line_step": ssf}
 
 
 def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
@@ -713,8 +706,7 @@ def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         0.0,
         1e-9,
     )
-    flags, tables, trace_rep = _line_pair_checks(sc, record, l0, l1, 1e-6, "line-resolvent-trace")
-    flags.update(left_tail=trace_rep.left_tail, right_tail=trace_rep.right_tail)
+    flags, tables = _line_pair_checks(sc, record, l0, l1, 1e-6, "line-resolvent-trace")
     try:
         flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents.get("p", 1.0)))
     except ArithmeticError as exc:
@@ -758,7 +750,8 @@ def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         1e-10,
         residual=max(0.0, 1.0 - floor),
     )
-    flags, tables, _ = _line_pair_checks(sc, record, l0, l1, 1e-5, "schrodinger-resolvent")
+    flags, tables = _line_pair_checks(sc, record, l0, l1, 1e-5, "schrodinger-resolvent")
+    del flags["left_tail"], flags["right_tail"]
     flags["nodes"] = g["nodes"]
     return flags, tables
 

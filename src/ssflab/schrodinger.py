@@ -23,7 +23,7 @@ from .errors import (
     NegativePotential,
     ValidationError,
 )
-from .linalg import Dissipative, _eig, require_hermitian
+from .linalg import Dissipative, _eig, _frozen, require_hermitian
 
 # a stacked eigensolve takes matrices up to this many bytes at once
 _STACK_BYTES = 1 << 26
@@ -93,6 +93,8 @@ class Grid1D:
 
 
 _PANEL = 16
+# the panel rule, computed once and read-only like gauss_jacobi's cached rules
+_GAUSS_RULE = tuple(_frozen(a) for a in np.polynomial.legendre.leggauss(_PANEL))
 
 
 def make_grid(lo: float, hi: float, n: int, scheme: str = "gauss") -> Grid1D:
@@ -103,7 +105,7 @@ def make_grid(lo: float, hi: float, n: int, scheme: str = "gauss") -> Grid1D:
         if n < _PANEL or n % _PANEL:
             raise ValidationError(f"gauss grids need a positive multiple of {_PANEL} nodes")
         panels = n // _PANEL
-        gx, gw = np.polynomial.legendre.leggauss(_PANEL)
+        gx, gw = _GAUSS_RULE
         edges = np.linspace(lo, hi, panels + 1)
         mids = (edges[:-1] + edges[1:]) / 2.0
         halves = (edges[1:] - edges[:-1]) / 2.0

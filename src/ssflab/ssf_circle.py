@@ -37,12 +37,14 @@ from .linalg import (
     _eig,
     _frozen,
     as_matrix,
-    as_operator,
+    as_pair,
+    check_exponents,
     defect_operators,
     eigenphases,
     hermitian_power,
     poly_derivative,
     poly_scalar,
+    same_dimension,
     schatten_norm,
 )
 
@@ -141,9 +143,7 @@ def unitary_ssf(u0, u1) -> StepSSF:
     The gauge is set so the mean over the circle is zero, which works out to
     sum(jump * theta) / 2pi.
     """
-    u0, u1 = as_operator(Unitary, u0), as_operator(Unitary, u1)
-    if u0.n != u1.n:
-        raise ValidationError(f"dimension mismatch: {u0.n} vs {u1.n}")
+    u0, u1 = as_pair(Unitary, u0, u1)
     return _step_ssf(eigenphases(u0), eigenphases(u1))
 
 
@@ -180,21 +180,21 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
 
     Valid for trace formulas with polynomials of degree at most m - 2.
     """
+    t0, t1 = as_pair(Contraction, t0, t1)
     return dilation_ssf(*dilation_pair(t0, t1, m))
 
 
 def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
-    """Eigenphase-counting SSF of two dilations, one structured eigensolve each."""
+    """Eigenphase-counting SSF of two dilations of one block layout (n, m), one structured eigensolve each."""
+    same_dimension((d0.n, d0.m), (d1.n, d1.m))
     return _step_ssf(d0.eigenphases(), d1.eigenphases())
 
 
 def perturbation_determinant(t0, t1, zeta: complex) -> complex:
     """det(I + (T1 - T0)(T0 - zeta I)^(-1)) for |zeta| >= 1 + 1e-8; NearSingular
     when cond(T0 - zeta I) exceeds 1e12."""
-    m0 = as_matrix(t0)
-    m1 = as_matrix(t1)
-    if m0.shape != m1.shape:
-        raise ValidationError("dimension mismatch")
+    m0, m1 = as_matrix(t0), as_matrix(t1)
+    same_dimension(len(m0), len(m1))
     if abs(zeta) < 1.0 + 1e-8:
         raise ValidationError(f"|zeta| = {abs(zeta):.10f} too close to the unit circle")
     a = m0 - zeta * np.eye(m0.shape[0])
@@ -225,10 +225,8 @@ def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> Sam
     winding raises NonzeroWinding, an eigenvalue within 1e-12 * radius of
     the circle NearSingular.
     """
-    m0 = as_matrix(t0)
-    m1 = as_matrix(t1)
-    if m0.shape != m1.shape:
-        raise ValidationError("dimension mismatch")
+    m0, m1 = as_matrix(t0), as_matrix(t1)
+    same_dimension(len(m0), len(m1))
     if radius < 1.0 + 1e-8:
         raise ValidationError("sampling radius must be at least 1 + 1e-8")
     if grid < 256:
@@ -307,11 +305,8 @@ def real_ssf_conditions_report(
     below the 1e-12 floor) the weighted norms are reported as None instead
     of raising.
     """
-    if alpha < 0 or beta < 0 or not (0.5 < alpha + beta <= 1.0):
-        raise ValidationError("need alpha, beta >= 0 with alpha + beta in (1/2, 1]")
-    t0, t1 = as_operator(Contraction, t0), as_operator(Contraction, t1)
-    if t0.n != t1.n:
-        raise ValidationError("dimension mismatch")
+    check_exponents(alpha, beta, p)
+    t0, t1 = as_pair(Contraction, t0, t1)
     d0, d0s = defect_operators(t0)
     d1, d1s = defect_operators(t1)
     min_eig = float(_eig(np.linalg.eigvalsh, d0).min())

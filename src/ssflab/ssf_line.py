@@ -19,7 +19,7 @@ from .errors import KernelViolation, ValidationError
 from .linalg import (
     TWO_PI,
     Dissipative,
-    as_operator,
+    as_pair,
     cayley,
     hermitian_function,
     hermitian_sqrt,
@@ -104,9 +104,7 @@ def pushforward_line(step: StepSSF) -> LineSSF:
 
 def dissipative_ssf(l0: Dissipative, l1: Dissipative, m: int) -> LineSSF:
     """SSF of a dissipative pair: Cayley transform, dilate on m blocks, push to the line."""
-    l0, l1 = as_operator(Dissipative, l0), as_operator(Dissipative, l1)
-    if l0.n != l1.n:
-        raise ValidationError("dimension mismatch")
+    l0, l1 = as_pair(Dissipative, l0, l1)
     t0 = cayley(l0).contraction
     t1 = cayley(l1).contraction
     return pushforward_line(contraction_ssf(t0, t1, m))
@@ -141,8 +139,8 @@ def resolvent_trace_residual(l0, l1, ssf: LineSSF, z: complex) -> float:
     """
     if z.imag > -1e-6:
         raise ValidationError("need Im z <= -1e-6 (poles in the open lower half-plane)")
-    m0, m1 = as_operator(Dissipative, l0).m, as_operator(Dissipative, l1).m
-    lhs, rhs = resolvent_trace_sides(m0, m1, ssf, z)
+    l0, l1 = as_pair(Dissipative, l0, l1)
+    lhs, rhs = resolvent_trace_sides(l0.m, l1.m, ssf, z)
     return float(abs(lhs - rhs))
 
 
@@ -176,8 +174,8 @@ def perturbation_trace_report(
     values so non-decay at infinity is visible. No integral over the whole
     line is claimed.
     """
-    m0, m1 = as_operator(Dissipative, l0).m, as_operator(Dissipative, l1).m
-    tr = complex(np.trace(m1 - m0))
+    l0, l1 = as_pair(Dissipative, l0, l1)
+    tr = complex(np.trace(l1.m - l0.m))
     return PerturbationTraceReport(
         perturbation_trace=tr,
         real_integrable_possible=bool(abs(tr.imag) <= 1e-10),
@@ -211,24 +209,20 @@ def cayley_identity_residuals(l0, l1) -> CayleyIdentityReport:
     and across the pair T1 - T0 = -2i ((L1 + iI)^(-1) - (L0 + iI)^(-1)).
     Returns Frobenius residuals, all of which should sit at roundoff.
     """
-    ls = [as_operator(Dissipative, l0), as_operator(Dissipative, l1)]
-    defect_res, adjoint_res, ts, resolvents = [], [], [], []
-    for l in ls:
+    ls = as_pair(Dissipative, l0, l1)
+    ts = [cayley(l).contraction.m for l in ls]
+    defect_res, adjoint_res = [], []
+    for l, t in zip(ls, ts):
         eye = np.eye(l.n)
         shifted_inv = l.resolvent_minus_i
-        resolvents.append(shifted_inv)
-        t = cayley(l).contraction
-        ts.append(t)
         root = hermitian_sqrt(l.imag_eigh)
         g = root @ shifted_inv
         g_twin = shifted_inv @ root
-        d_sq = eye - t.m.conj().T @ t.m
-        d_star_sq = eye - t.m @ t.m.conj().T
+        d_sq = eye - t.conj().T @ t
+        d_star_sq = eye - t @ t.conj().T
         defect_res.append(float(np.linalg.norm(d_sq - 4.0 * g.conj().T @ g)))
         adjoint_res.append(float(np.linalg.norm(d_star_sq - 4.0 * g_twin @ g_twin.conj().T)))
-    diff_res = float(
-        np.linalg.norm((ts[1].m - ts[0].m) + 2j * (resolvents[1] - resolvents[0]))
-    )
+    diff_res = float(np.linalg.norm((ts[1] - ts[0]) + 2j * (ls[1].resolvent_minus_i - ls[0].resolvent_minus_i)))
     return CayleyIdentityReport(
         defect_sq_residuals=(defect_res[0], defect_res[1]),
         adjoint_defect_sq_residuals=(adjoint_res[0], adjoint_res[1]),
@@ -255,8 +249,8 @@ def dissipative_condition_report(l0, l1, p: float = 1) -> DissipativeConditionRe
     diagnostics: in finite dimensions boundedness is automatic, but the
     sizes are what enter the estimates.
     """
-    ls = [as_operator(Dissipative, l0), as_operator(Dissipative, l1)]
-    inv_roots, res, g_norms, g_twin_norms = [], [], [], []
+    ls = as_pair(Dissipative, l0, l1)
+    inv_roots, g_norms, g_twin_norms = [], [], []
     for j, l in enumerate(ls):
 
         def inverse_root(w, j=j):
@@ -267,14 +261,13 @@ def dissipative_condition_report(l0, l1, p: float = 1) -> DissipativeConditionRe
         inv_roots.append(hermitian_function(l.imag_eigh, inverse_root))
         root = hermitian_sqrt(l.imag_eigh)
         shifted_inv = l.resolvent_minus_i
-        res.append(shifted_inv)
         g_norms.append(operator_norm(root @ shifted_inv))
         g_twin_norms.append(operator_norm(shifted_inv @ root))
     weighted = float(schatten_norm(inv_roots[1] @ (ls[1].m - ls[0].m) @ inv_roots[0], p))
     return DissipativeConditionReport(
         p=p,
         weighted_diff_norm=weighted,
-        resolvent_diff_trace_norm=float(schatten_norm(res[1] - res[0], 1)),
+        resolvent_diff_trace_norm=float(schatten_norm(ls[1].resolvent_minus_i - ls[0].resolvent_minus_i, 1)),
         sqrt_im_resolvent_norms=(g_norms[0], g_norms[1]),
         resolvent_sqrt_im_norms=(g_twin_norms[0], g_twin_norms[1]),
     )

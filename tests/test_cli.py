@@ -459,3 +459,34 @@ def test_an_out_dir_that_is_a_file_is_an_io_error_for_each_scenario(tmp_path, ca
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == [[str(first), "io error"], [str(second), "io error"]]
     assert all("cannot create" in line for line in err)
+
+
+# ---------------------------------------------------------------------------
+# one name per run: the first file in argument order keeps it
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_repeated_scenario_name_is_a_schema_error_for_the_later_file(tmp_path, capsys, threads):
+    first = write_json(tmp_path / "first.json", scenario.generate_scenario("unitary_pair", 1, 2) | {"name": "same"})
+    second = write_json(tmp_path / "second.json", scenario.generate_scenario("unitary_pair", 2, 3) | {"name": " same "})
+    other = write_json(tmp_path / "other.json", hand_pair_payload(name="other"))
+    out = tmp_path / "out"
+    rc = main(["run", str(first), str(second), str(other), "--threads", threads, "--out-dir", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{second}: schema error: scenario name 'same' is already used by {first}" in captured.err
+    assert str(first) not in captured.err.replace(f"used by {first}", "")
+    assert captured.out.count("same: PASS") == 1 and "other: PASS" in captured.out
+    report = json.loads((out / "same.report.json").read_text())
+    first_hash = scenario.load_scenario(first).config_hash
+    assert report["provenance"]["config_hash"] == first_hash != scenario.load_scenario(second).config_hash
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{n}.{ext}" for n in ("same", "other") for ext in ("report.json", "ssf.csv", "svg")
+    )
+
+
+def test_a_name_whose_first_file_fails_to_parse_is_free(tmp_path):
+    bad = write_json(tmp_path / "bad.json", {"name": "same", "kind": "unitary_pair"})
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="same"))
+    assert main(["run", str(bad), str(good), "--out-dir", str(tmp_path / "out")]) == 2
+    assert (tmp_path / "out" / "same.report.json").exists()

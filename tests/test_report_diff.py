@@ -90,3 +90,58 @@ def test_a_file_on_one_side_fails_the_comparison(report_diff, outputs):
     parent, change, report = outputs
     report.unlink()
     assert report_diff.main([str(parent), str(change)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+def _synthetic_report(path, flags):
+    doc = {"records": [], "tables": {}, "flags": flags, "timestamp": "1970-01-01T00:00:00+00:00"}
+    path.write_text(dump_json(doc))
+
+
+@pytest.fixture
+def flag_dirs(tmp_path):
+    flags = {
+        "min_eig": 0.25,
+        "holds": True,
+        "block_count": 24,
+        "condition_report": {"p": 1.0, "weighted_diff_norm": 2.0, "norms": [1.0, 4.0]},
+        "numeric_error": "none",
+    }
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    _synthetic_report(parent / "r.report.json", flags)
+    return parent, change, flags
+
+
+def test_a_float_flag_change_is_measured_and_kept(report_diff, flag_dirs, capsys):
+    parent, change, flags = flag_dirs
+    nested = {**flags["condition_report"], "norms": [1.0, 4.0 * (1 + 3e-12)]}
+    _synthetic_report(change / "r.report.json", {**flags, "min_eig": 0.25 * (1 + 1e-12), "condition_report": nested})
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["flags_kept"]
+    assert c["flags"] == pytest.approx(3e-12, rel=1e-3)
+    assert report_diff.main([str(parent), str(change)]) == 0
+    assert "flags 3e-12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"numeric_error": "NearSingular: cond 1e13"},
+        {"holds": False},
+        {"block_count": 25},
+        {"condition_report": "KernelViolation: Im L_0 has eigenvalue 0"},
+        {"extra": 1.0},
+    ],
+    ids=["string", "bool", "int", "float-to-string", "new-key"],
+)
+def test_a_changed_string_bool_int_or_key_fails_the_comparison(report_diff, flag_dirs, capsys, edit):
+    parent, change, flags = flag_dirs
+    _synthetic_report(change / "r.report.json", {**flags, **edit})
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert not c["flags_kept"]
+    assert report_diff.main([str(parent), str(change)]) == 1
+    assert "flags CHANGED" in capsys.readouterr().out

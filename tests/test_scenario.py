@@ -657,3 +657,88 @@ def test_a_singular_imaginary_part_reports_the_condition_error_under_the_same_fl
     report = run_scenario(parse_scenario({"name": "x", "kind": "dissipative_pair", "matrices": pair}))
     assert sorted(report.flags) == DISSIPATIVE_FLAGS
     assert report.flags["condition_report"].startswith("KernelViolation: Im L_0 has eigenvalue")
+
+
+# ---------------------------------------------------------------------------
+# the determinant block: one record per check id, whichever way it ends
+
+
+def _determinant_payload(u0, u1, **determinant):
+    pair = [np.stack((m.real, m.imag), -1).tolist() for m in (u0, u1)]
+    return {"name": "det", "kind": "unitary_pair", "matrices": pair, "determinant": determinant}
+
+
+def _determinant_records(report):
+    return [r for r in report.records if r.check_id.startswith("determinant-")]
+
+
+def test_determinant_block_that_runs_records_both_checks_and_the_sampled_table():
+    u0, u1 = np.diag(np.exp(1j * np.array([0.5, 2.0]))), np.diag(np.exp(1j * np.array([1.0, 4.0])))
+    report = run_scenario(parse_scenario(_determinant_payload(u0, u1, grid=1024)))
+    step, lu = _determinant_records(report)
+    assert (step.check_id, step.anchor, step.tolerance) == ("determinant-step-consistency", "determinant-consistency", 5e-2)
+    assert (lu.check_id, lu.anchor, lu.tolerance) == ("determinant-lu-crosscheck", "determinant-lu-crosscheck", 1e-8)
+    assert step.passed and lu.passed
+    assert step.residual == abs(step.lhs) and lu.residual == abs(lu.lhs)
+    assert report.flags["determinant_winding"] == 0
+    assert not {"determinant_error", "determinant_step_error"} & set(report.flags)
+    assert len(report.tables["sampled"].thetas) == 1024
+
+
+def test_determinant_block_with_no_grid_point_off_the_jumps_fails_the_step_check_only():
+    # a jump every pi/100 < 2 * 2e-2 rad leaves no grid point outside the exclusion radius
+    phases = TWO_PI * np.arange(100) / 100 + 0.01
+    u0, u1 = np.diag(np.exp(1j * phases)), np.diag(np.exp(1j * (phases + np.pi / 100)))
+    report = run_scenario(parse_scenario(_determinant_payload(u0, u1)))
+    step, lu = _determinant_records(report)
+    assert step.check_id == "determinant-step-consistency" and step.residual is None and not step.passed
+    assert (step.lhs, step.rhs) == (0.0, 0.0)
+    assert lu.check_id == "determinant-lu-crosscheck" and lu.residual is not None and lu.passed
+    assert report.flags["determinant_step_error"] == "ValidationError: exclusion radius removed every grid point"
+    assert report.flags["determinant_winding"] == 0
+    assert "determinant_error" not in report.flags
+    assert len(report.tables["sampled"].thetas) == 4096
+
+
+def test_determinant_block_whose_route_raises_records_both_checks_as_not_run(monkeypatch):
+    from ssflab import scenario
+    from ssflab.errors import NonzeroWinding
+
+    def refuse(*args, **kwargs):
+        raise NonzeroWinding("determinant winds 1 times around 0")
+
+    monkeypatch.setattr(scenario, "determinant_ssf", refuse)
+    report = run_scenario(parse_scenario(hand_unitary_payload(determinant={})))
+    records = _determinant_records(report)
+    assert [(r.check_id, r.residual, r.passed, r.tolerance) for r in records] == [
+        ("determinant-step-consistency", None, False, 5e-2),
+        ("determinant-lu-crosscheck", None, False, 1e-8),
+    ]
+    assert all((r.lhs, r.rhs) == (0.0, 0.0) for r in records)
+    assert report.flags["determinant_error"] == "NonzeroWinding: determinant winds 1 times around 0"
+    assert not {"determinant_winding", "determinant_step_error"} & set(report.flags)
+    assert "sampled" not in report.tables
+    # every other check still ran
+    assert [r for r in report.records if r not in records and not r.passed] == []
+
+
+def test_a_validation_error_of_the_determinant_route_is_a_schema_error(monkeypatch):
+    from ssflab import scenario
+    from ssflab.errors import ValidationError
+
+    def refuse(*args, **kwargs):
+        raise ValidationError("sampling radius must be at least 1 + 1e-8")
+
+    monkeypatch.setattr(scenario, "determinant_ssf", refuse)
+    with pytest.raises(SchemaError, match="sampling radius"):
+        run_scenario(parse_scenario(hand_unitary_payload(determinant={})))
+
+
+@pytest.mark.parametrize("kind", ["dissipative_pair", "schrodinger"])
+def test_line_kinds_report_the_tails_only_for_dissipative_pairs(kind):
+    report = run_scenario(parse_scenario(generate_scenario(kind, 2, 3)))
+    has_tails = {"left_tail", "right_tail"} <= set(report.flags)
+    assert has_tails == (kind == "dissipative_pair")
+    if has_tails:
+        values = report.tables["line_step"].values
+        assert (report.flags["left_tail"], report.flags["right_tail"]) == (values[0], values[-1])

@@ -434,3 +434,24 @@ def test_end_to_end_gaussian_dissipative_pair():
     assert weighted_abs_integral(ssf) < np.inf
     residual = resolvent_trace_residual(l0.m, l1.m, ssf, -2j)
     assert residual <= 1e-5
+
+
+def test_gauss_grids_reuse_one_read_only_rule(monkeypatch):
+    def parent_grid(lo, hi, n):
+        # the panel assembly with a fresh 16-point rule per call
+        gx, gw = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(lo, hi, n // 16 + 1)
+        mids, halves = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+        return (mids[:, None] + halves[:, None] * gx).ravel(), (halves[:, None] * gw).ravel()
+
+    expected = [parent_grid(lo, hi, n) for lo, hi, n in ((-8.0, 8.0, 1024), (-33.7, 0.0, 48), (0.0, 1.0, 16))]
+
+    def no_rule(deg):
+        raise AssertionError("make_grid recomputed the Gauss-Legendre rule")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    for (lo, hi, n), (points, weights) in zip(((-8.0, 8.0, 1024), (-33.7, 0.0, 48), (0.0, 1.0, 16)), expected):
+        grid = make_grid(lo, hi, n)
+        assert grid.points.tobytes() == points.tobytes() and grid.weights.tobytes() == weights.tobytes()
+    for rule in schrodinger._GAUSS_RULE:
+        assert not rule.flags.writeable

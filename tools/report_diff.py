@@ -14,11 +14,14 @@ byte. For each report that differs the script prints:
   counts, integer jumps and masses at infinity held. Shifts are phases in
   radians: a line breakpoint t goes back to the phase theta = 2 atan2(1, -t)
   it came from, because t = -cot(theta/2) magnifies phase shifts near
-  theta = 0 and 2 pi.
+  theta = 0 and 2 pi;
+- the largest relative change of its float flags, nested ones included,
+  and whether every other flag (keys, strings, bools, ints, None) held.
 
 Other files that differ (CSV, SVG) are listed by name. The exit code is 1
 when a record's pass/fail changed, a record or file is missing on one side,
-or a table changed its rows, jumps or mass at infinity; otherwise 0.
+a table changed its rows, jumps or mass at infinity, or a flag other than
+a float changed; otherwise 0.
 """
 
 from __future__ import annotations
@@ -103,9 +106,38 @@ def compare_tables(old: dict, new: dict) -> dict:
     return out
 
 
+def _flag_gap(a, b) -> float:
+    """Largest relative change between two float flags or nested lists and dicts of them; inf when anything else differs."""
+    if type(a) is not type(b):
+        return math.inf
+    if isinstance(a, dict):
+        if sorted(a) != sorted(b):
+            return math.inf
+        return max((_flag_gap(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((_flag_gap(x, y) for x, y in zip(a, b)), default=0.0)
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b)) if isinstance(a, float) else math.inf
+
+
+def compare_flags(old: dict, new: dict) -> dict:
+    """Every non-float flag kept, and the largest relative change of the float ones."""
+    gaps = [_flag_gap(old[k], new[k]) for k in old if k in new]
+    finite = [g for g in gaps if g != math.inf]
+    kept = sorted(old) == sorted(new) and len(finite) == len(gaps)
+    return {"flags_kept": kept, "flags": max(finite, default=0.0)}
+
+
 def compare_reports(old_path: Path, new_path: Path) -> dict:
     old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
-    return {**compare_records(old["records"], new["records"]), **compare_tables(old["tables"], new["tables"])}
+    return {
+        **compare_records(old["records"], new["records"]),
+        **compare_tables(old["tables"], new["tables"]),
+        **compare_flags(old["flags"], new["flags"]),
+    }
 
 
 def diff_dirs(parent: Path, change: Path) -> tuple[list[str], dict[str, dict], list[str], list[str]]:
@@ -140,18 +172,21 @@ def main(argv=None) -> int:
         print(
             f"report    {name}: records {'kept' if c['records_kept'] else 'CHANGED'}, "
             f"pass/fail {'kept' if c['pass_kept'] else 'CHANGED'}, "
-            f"tables {'kept' if c['tables_kept'] else 'CHANGED'}; per tolerance: "
+            f"tables {'kept' if c['tables_kept'] else 'CHANGED'}, "
+            f"flags {'kept' if c['flags_kept'] else 'CHANGED'}; per tolerance: "
             f"lhs {c['lhs']:.3g}, rhs {c['rhs']:.3g}, residual {c['residual']:.3g}; "
-            f"breakpoint shift {c['breakpoint_shift']:.3g}"
+            f"breakpoint shift {c['breakpoint_shift']:.3g}; relative: flags {c['flags']:.3g}"
         )
-    keys = ("lhs", "rhs", "residual", "breakpoint_shift")
+    keys = ("lhs", "rhs", "residual", "breakpoint_shift", "flags")
     worst = {k: max((c[k] for c in reports.values()), default=0.0) for k in keys}
-    broken = [n for n, c in reports.items() if not (c["records_kept"] and c["pass_kept"] and c["tables_kept"])]
+    kept = ("records_kept", "pass_kept", "tables_kept", "flags_kept")
+    broken = [n for n, c in reports.items() if not all(c[k] for k in kept)]
     print(
         f"{len(identical)} identical, {len(reports)} reports and {len(others)} other files differ, "
-        f"{len(lonely)} on one side only; {len(broken)} reports changed a record, pass/fail or table shape. "
+        f"{len(lonely)} on one side only; {len(broken)} reports changed a record, pass/fail, table shape or flag. "
         f"Largest per tolerance: lhs {worst['lhs']:.3g}, rhs {worst['rhs']:.3g}, "
-        f"residual (headroom shift) {worst['residual']:.3g}; largest breakpoint shift {worst['breakpoint_shift']:.3g}"
+        f"residual (headroom shift) {worst['residual']:.3g}; largest breakpoint shift {worst['breakpoint_shift']:.3g}; "
+        f"largest relative float flag change {worst['flags']:.3g}"
     )
     return 1 if broken or lonely else 0
 
