@@ -58,7 +58,6 @@ def _cmd_run(args) -> int:
     else:
         results = map(runner, args.files)
 
-    # outputs are written here, in argument order, by the first file of each name
     owners: dict[str, str] = {}
     bad = set()
     for path, (sc, report) in zip(args.files, results):

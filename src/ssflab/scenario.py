@@ -621,7 +621,8 @@ def _circle_pair_checks(sc, record, ssf, anchor, tol, flags):
 
 
 def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
-    """Step-consistency and LU checks of the determinant route; a check that could not run records residual None."""
+    """Step-consistency and LU checks of the determinant route. Each gap is nonnegative and
+    so its own residual; a check that could not run records residual None."""
     if sc.determinant is None:
         return
     deviation = lu_gap = None
@@ -640,7 +641,6 @@ def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
             flags["determinant_step_error"] = f"{type(exc).__name__}: {exc}"
         flags["determinant_winding"] = sampled.winding
         tables["sampled"] = sampled
-    # both gaps are nonnegative, so each is its own residual
     record("determinant-step-consistency", "determinant-consistency", deviation or 0.0, 0.0, 5e-2, residual=deviation)
     record("determinant-lu-crosscheck", "determinant-lu-crosscheck", lu_gap or 0.0, 0.0, 1e-8, residual=lu_gap)
 

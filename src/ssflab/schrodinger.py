@@ -12,7 +12,7 @@ integrable potentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,8 +93,12 @@ class Grid1D:
 
 
 _PANEL = 16
-# the panel rule, computed once and read-only like gauss_jacobi's cached rules
-_GAUSS_RULE = tuple(_frozen(a) for a in np.polynomial.legendre.leggauss(_PANEL))
+
+
+@cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The panel's Gauss-Legendre rule, computed on first use and read-only, as gauss_jacobi caches rules."""
+    return tuple(_frozen(a) for a in np.polynomial.legendre.leggauss(_PANEL))
 
 
 def make_grid(lo: float, hi: float, n: int, scheme: str = "gauss") -> Grid1D:
@@ -105,7 +109,7 @@ def make_grid(lo: float, hi: float, n: int, scheme: str = "gauss") -> Grid1D:
         if n < _PANEL or n % _PANEL:
             raise ValidationError(f"gauss grids need a positive multiple of {_PANEL} nodes")
         panels = n // _PANEL
-        gx, gw = _GAUSS_RULE
+        gx, gw = _gauss_rule()
         edges = np.linspace(lo, hi, panels + 1)
         mids = (edges[:-1] + edges[1:]) / 2.0
         halves = (edges[1:] - edges[:-1]) / 2.0
