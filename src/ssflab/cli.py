@@ -13,6 +13,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .errors import IoError, SchemaError
@@ -40,50 +41,42 @@ def _write_outputs(report, sc, out_dir) -> None:
         plot_ssf(primary, base / f"{sc.name}.svg", name=sc.name)
 
 
-def _run_file(path: str, tolerance_scale: float):
-    """(scenario, report) of one file, or (None, the SchemaError that stopped it)."""
-    try:
-        sc = load_scenario(path)
-        return sc, run_scenario(sc, tolerance_scale=tolerance_scale)
-    except SchemaError as exc:
-        return None, exc
+def _load_and_run(path: str, tolerance_scale: float):
+    sc = load_scenario(path)
+    return sc, run_scenario(sc, tolerance_scale=tolerance_scale)
 
 
 def _cmd_run(args) -> int:
-    workers = max(1, args.threads)
-    runner = lambda p: _run_file(p, args.tolerance_scale)  # noqa: E731
-    if workers > 1 and len(args.files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, args.files))
-    else:
-        results = map(runner, args.files)
-
+    run = partial(_load_and_run, tolerance_scale=args.tolerance_scale)
+    parallel = args.threads > 1 and len(args.files) > 1
     owners: dict[str, str] = {}
     bad = set()
-    for path, (sc, report) in zip(args.files, results):
-        try:
-            if sc is None:
-                raise report
-            if sc.name in owners:
-                raise SchemaError(f"scenario name {sc.name!r} is already used by {owners[sc.name]}")
-            owners[sc.name] = path
-            _write_outputs(report, sc, args.out_dir)
-        except (SchemaError, IoError) as exc:
-            code = "schema" if isinstance(exc, SchemaError) else "io"
-            bad.add(code)
-            print(f"{path}: {code} error: {exc}", file=sys.stderr)
-            continue
-        failed = report.failed()
-        if failed:
-            bad.add("check")
-            print(f"{sc.name}: FAIL ({len(failed)} of {len(report.records)} checks failed)")
-            for r in failed:
-                res = "n/a" if r.residual is None else f"{r.residual:.3e}"
-                print(f"  {r.check_id} [{r.anchor}]: residual {res} > tolerance {r.tolerance:.3e}")
-            if "numeric_error" in report.flags:
-                print(f"  {report.flags['numeric_error']}")
-        else:
-            print(f"{sc.name}: PASS ({len(report.records)} checks)")
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        # each outcome runs its file now, or waits for the worker that runs it
+        outcomes = [pool.submit(run, p).result if parallel else partial(run, p) for p in args.files]
+        for path, outcome in zip(args.files, outcomes):
+            try:
+                sc, report = outcome()
+                if sc.name in owners:
+                    raise SchemaError(f"scenario name {sc.name!r} is already used by {owners[sc.name]}")
+                owners[sc.name] = path
+                _write_outputs(report, sc, args.out_dir)
+            except (SchemaError, IoError) as exc:
+                code = "schema" if isinstance(exc, SchemaError) else "io"
+                bad.add(code)
+                print(f"{path}: {code} error: {exc}", file=sys.stderr)
+                continue
+            failed = report.failed()
+            if failed:
+                bad.add("check")
+                print(f"{sc.name}: FAIL ({len(failed)} of {len(report.records)} checks failed)")
+                for r in failed:
+                    res = "n/a" if r.residual is None else f"{r.residual:.3e}"
+                    print(f"  {r.check_id} [{r.anchor}]: residual {res} > tolerance {r.tolerance:.3e}")
+                if "numeric_error" in report.flags:
+                    print(f"  {report.flags['numeric_error']}")
+            else:
+                print(f"{sc.name}: PASS ({len(report.records)} checks)")
     if "schema" in bad:
         return 2
     return 1 if bad else 0
