@@ -57,6 +57,7 @@ from .linalg import (
     Unitary,
     _eig,
     as_operator,
+    as_pair,
     defect_operators,
     defect_values,
     hermitize,
@@ -298,6 +299,7 @@ def observed_trace_degree(t0: Contraction, t1: Contraction, m: int, *, tol: floa
     actually stops holding for the given pair, which is informative because
     the wrap-around term can vanish by accident.
     """
+    t0, t1 = as_pair(Contraction, t0, t1)
     d0, d1 = dilation_pair(t0, t1, m)
     pu0 = np.eye(d0.u.m.shape[0], dtype=np.complex128)
     pu1 = pu0.copy()

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureDivergence,
     ValidationError,
 )
-from .linalg import _eig, as_matrix, check_exponents, hermitian_function, require_hermitian, same_dimension, schatten_norm
+from .linalg import _eig, _frozen, as_matrix, check_exponents, hermitian_function, require_hermitian, same_dimension, schatten_norm
 from .schrodinger import make_grid
 
 # eigenvalues below this make inverse powers meaningless
@@ -81,9 +81,7 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     log_mu0 = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
     mu0 = math.exp(log_mu0 - math.lgamma(a + b + 2.0))
     w *= mu0 / w.sum()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _frozen(x), _frozen(w)
 
 
 def c_sigma(sigma: float) -> float:
@@ -96,9 +94,9 @@ def _validated_psd_contraction(a, *, what: str) -> tuple[np.ndarray, float]:
     m = require_hermitian(as_matrix(a))
     w = _eig(np.linalg.eigvalsh, m)
     lo, hi = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
-    if lo < -1e-10:
+    if not lo >= -1e-10:
         raise IndefiniteInput(f"{what} has eigenvalue {lo:.3e} below -1e-10")
-    if hi > 1.0 + 1e-10:
+    if not hi <= 1.0 + 1e-10:
         raise ValidationError(f"{what} has eigenvalue {hi:.6f} above 1 + 1e-10")
     return m, lo
 
@@ -125,10 +123,8 @@ class FractionalJob:
         (mx, lx), (my, ly) = _validated_psd_contraction(self.x, what="x"), _validated_psd_contraction(self.y, what="y")
         same_dimension(len(mx), len(my))
         check_exponents(self.alpha, self.beta, self.p, self.sigma)
-        mx.setflags(write=False)
-        my.setflags(write=False)
-        object.__setattr__(self, "x", mx)
-        object.__setattr__(self, "y", my)
+        object.__setattr__(self, "x", _frozen(mx))
+        object.__setattr__(self, "y", _frozen(my))
         object.__setattr__(self, "min_eig", max(min(lx, ly), 0.0))
 
     @property

@@ -74,7 +74,7 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     thing for unit-scale operators and for stiff discrete Laplacians.
     """
     r = float(np.linalg.norm(a - a.conj().T))
-    if r > tol * (1.0 + float(np.linalg.norm(a))):
+    if not r <= tol * (1.0 + float(np.linalg.norm(a))):
         raise NotHermitian(f"Hermitian residual {r:.3e} exceeds tolerance {tol:.1e}")
     return hermitize(a)
 
@@ -356,11 +356,9 @@ class Unitary:
         mat = as_matrix(m)
         eye = np.eye(mat.shape[0])
         defect = float(np.linalg.norm(mat.conj().T @ mat - eye))
-        if defect > tol:
+        if not defect <= tol:
             raise ValidationError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        self.m = mat
+        self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
 
     def __repr__(self):
@@ -373,11 +371,9 @@ class Contraction:
     def __init__(self, m):
         mat = as_matrix(m)
         smax = operator_norm(mat)
-        if smax > 1.0 + 1e-8:
+        if not smax <= 1.0 + 1e-8:
             raise ValidationError(f"largest singular value {smax:.12f} exceeds 1 + 1.0e-08")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        self.m = mat
+        self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
         self.norm = smax
 
@@ -386,10 +382,7 @@ class Contraction:
         """The defect pair of defect_operators, read-only and computed once per contraction."""
         u, s, vh = np.linalg.svd(self.m)
         c = defect_values(s, self.n)
-        pair = DefectPair(hermitize((vh.conj().T * c) @ vh), hermitize((u * c) @ u.conj().T))
-        for d in pair:
-            d.setflags(write=False)
-        return pair
+        return DefectPair(_frozen(hermitize((vh.conj().T * c) @ vh)), _frozen(hermitize((u * c) @ u.conj().T)))
 
     def __repr__(self):
         return f"Contraction(n={self.n}, norm={self.norm:.6f})"
@@ -425,11 +418,9 @@ class Dissipative:
         im = (mat - mat.conj().T) / 2j
         w = _eig(np.linalg.eigvalsh, im)
         lo = float(w.min()) if w.size else 0.0
-        if lo < -1e-10:
+        if not lo >= -1e-10:
             raise ValidationError(f"imaginary part eigenvalue {lo:.3e} below -1.0e-10")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        self.m = mat
+        self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
 
     @property

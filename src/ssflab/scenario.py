@@ -402,7 +402,7 @@ class Scenario:
 
     name: str
     kind: str
-    raw: dict
+    config_hash: str
     matrices: Optional[tuple[np.ndarray, np.ndarray]]
     dilation_order: Optional[int]
     test_polynomials: tuple[tuple[complex, ...], ...]
@@ -417,10 +417,18 @@ class Scenario:
     tolerances: dict
     outputs: tuple[str, ...]
 
-    @property
-    def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+def _config_hash(data: dict, matrices: Optional[tuple[np.ndarray, np.ndarray]]) -> str:
+    """sha256 of the canonical JSON of the file without an explicit matrices list, then of
+    each explicit matrix's shape and little-endian complex128 bytes. A random spec stays in
+    the JSON: the matrices drawn from it pass through an SVD whose last bits vary by BLAS."""
+    explicit = isinstance(data.get("matrices"), list)
+    rest = {k: v for k, v in data.items() if k != "matrices"} if explicit else data
+    h = hashlib.sha256(json.dumps(rest, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8"))
+    for m in matrices if explicit else ():
+        h.update(np.asarray(m.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
+    return h.hexdigest()
 
 
 def parse_scenario(data: Any) -> Scenario:
@@ -432,7 +440,7 @@ def parse_scenario(data: Any) -> Scenario:
     if any(c in name for c in "/\\\0") or name.strip() in (".", ".."):
         _fail("name", "names the output files: no '/', '\\' or NUL, and not '.' or '..'")
     kind = data.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         _fail("kind", f"must be one of {KINDS}")
     spec = _KINDS[kind]
     _check_keys(data, {"name", "kind", "outputs", "tolerances"} | spec.keys, "scenario")
@@ -469,7 +477,6 @@ def parse_scenario(data: Any) -> Scenario:
     return Scenario(
         name=name.strip(),
         kind=kind,
-        raw=data,
         matrices=matrices,
         dilation_order=dilation_order,
         test_polynomials=polys,
@@ -483,6 +490,8 @@ def parse_scenario(data: Any) -> Scenario:
         monotone=_parse_monotone(data.get("monotone")),
         tolerances=tolerances,
         outputs=outputs,
+        # hashed last, once every other key is validated: a NaN anywhere is a SchemaError first
+        config_hash=_config_hash(data, matrices),
     )
 
 

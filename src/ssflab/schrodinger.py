@@ -78,10 +78,8 @@ class Grid1D:
             raise ValidationError("grid points must lie inside the domain")
         if abs(float(np.sum(w)) - (self.hi - self.lo)) > 1e-12 * max(1.0, self.hi - self.lo):
             raise ValidationError("weights must sum to the domain length")
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "weights", w)
-        p.setflags(write=False)
-        w.setflags(write=False)
+        object.__setattr__(self, "points", _frozen(p))
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n(self) -> int:

@@ -19,6 +19,7 @@ from .errors import KernelViolation, ValidationError
 from .linalg import (
     TWO_PI,
     Dissipative,
+    _frozen,
     as_pair,
     cayley,
     hermitian_function,
@@ -59,10 +60,8 @@ class LineSSF:
             raise ValidationError("breakpoints must be strictly increasing")
         if self.mass_at_infinity == 0 and abs(vals[0] - vals[-1]) > 1e-12:
             raise ValidationError("tail values must agree when no mass sits at infinity")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        bp.setflags(write=False)
-        vals.setflags(write=False)
+        object.__setattr__(self, "breakpoints", _frozen(bp))
+        object.__setattr__(self, "values", _frozen(vals))
 
     @property
     def jump_sizes(self) -> np.ndarray:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab.dilation import finite_schaffer_dilation
+from ssflab import fractional, linalg
+from ssflab.dilation import finite_schaffer_dilation, observed_trace_degree
 from ssflab.errors import SchemaError, ValidationError
 from ssflab.fractional import FractionalJob, resolvent_difference_identity_check
-from ssflab.linalg import Contraction, singular_value_commute_check
+from ssflab.linalg import Contraction, Dissipative, Unitary, require_hermitian, singular_value_commute_check
 from ssflab.scenario import parse_scenario
 from ssflab.ssf_circle import (
     contraction_ssf,
@@ -59,6 +60,7 @@ PAIR_ENTRY_POINTS = {
         0.5 * np.eye(a), 0.25 * np.eye(b), 1.0
     ),
     "singular_value_commute_check": lambda a, b: singular_value_commute_check(np.eye(a), 2.0 * np.eye(b)),
+    "observed_trace_degree": lambda a, b: observed_trace_degree(0.5 * np.eye(a), 0.25 * np.eye(b), 4),
 }
 
 
@@ -152,3 +154,34 @@ def test_the_window_edges(kind, exps, accepted):
     else:
         with pytest.raises(SchemaError, match="^exponents"):
             parse_scenario(_scenario(kind, **exps))
+
+
+# ---------------------------------------------------------------------------
+# a validator's measure that comes out NaN fails it
+
+
+def _nan_eigenvalues(f, a):
+    return np.full(len(a), np.nan)
+
+
+def _nan_measures(monkeypatch, validator):
+    if validator == "Unitary":
+        # U*U overflows in its cross terms to inf - inf = NaN
+        return lambda: Unitary(np.diag([1e300, 1.0, 1.0]) + 0.5)
+    if validator == "Contraction":
+        monkeypatch.setattr(linalg, "operator_norm", lambda a: np.nan)
+        return lambda: Contraction(0.5 * np.eye(2))
+    if validator == "Dissipative":
+        monkeypatch.setattr(linalg, "_eig", _nan_eigenvalues)
+        return lambda: Dissipative(1j * np.eye(2))
+    if validator == "require_hermitian":
+        return lambda: require_hermitian(np.array([[np.nan]]))
+    monkeypatch.setattr(fractional, "_eig", _nan_eigenvalues)
+    return lambda: FractionalJob(x=0.5 * np.eye(2), y=0.25 * np.eye(2), sigma=0.5, alpha=0.5, beta=0.25)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("validator", ["Unitary", "Contraction", "Dissipative", "require_hermitian", "FractionalJob"])
+def test_a_nan_measure_fails_every_validator(monkeypatch, validator):
+    with pytest.raises(ValidationError):
+        _nan_measures(monkeypatch, validator)()

@@ -490,3 +490,31 @@ def test_a_name_whose_first_file_fails_to_parse_is_free(tmp_path):
     good = write_json(tmp_path / "good.json", hand_pair_payload(name="same"))
     assert main(["run", str(bad), str(good), "--out-dir", str(tmp_path / "out")]) == 2
     assert (tmp_path / "out" / "same.report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# a malformed file fails alone, and files after it are still written
+
+
+def test_a_kind_that_is_not_a_string_is_a_schema_error(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json", hand_pair_payload(name="bad", kind=["unitary_pair"]))
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
+    assert main(["run", str(bad), str(good), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{bad}: schema error: kind: must be one of" in capsys.readouterr().err
+    assert (tmp_path / "out" / "good.report.json").exists()
+    assert not (tmp_path / "out" / "bad.report.json").exists()
+
+
+def test_a_unitarity_defect_that_overflows_to_nan_is_a_schema_error(tmp_path, capsys):
+    payload = scenario.generate_scenario("unitary_pair", 1, 3) | {"name": "huge"}
+    # U*U overflows in the cross terms to inf - inf = NaN, which no `defect > tol` refuses
+    payload["matrices"][0][0][0] = 1e300
+    bad = write_json(tmp_path / "huge.json", payload)
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["run", str(bad), str(good), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{bad}: schema error: " in capsys.readouterr().err
+    assert (tmp_path / "out" / "good.report.json").exists()
+    assert not (tmp_path / "out" / "huge.report.json").exists()

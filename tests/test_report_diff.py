@@ -145,3 +145,29 @@ def test_a_changed_string_bool_int_or_key_fails_the_comparison(report_diff, flag
     assert not c["flags_kept"]
     assert report_diff.main([str(parent), str(change)]) == 1
     assert "flags CHANGED" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# provenance
+
+
+def test_a_changed_hash_is_named_and_keeps_the_exit_status(report_diff, outputs, capsys):
+    parent, change, report = outputs
+    _edit(report, lambda d: d["provenance"].update(config_hash="0" * 64))
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["provenance"] == ["config_hash"]
+    assert c["records_kept"] and c["pass_kept"] and c["tables_kept"] and c["flags_kept"]
+    assert report_diff.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "flags kept, provenance config_hash;" in out
+    assert "provenance keys changed: config_hash" in out
+
+
+def test_kept_provenance_reads_kept(report_diff, flag_dirs, capsys):
+    parent, change, flags = flag_dirs
+    _synthetic_report(change / "r.report.json", {**flags, "min_eig": 0.5})
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["provenance"] == []
+    report_diff.main([str(parent), str(change)])
+    out = capsys.readouterr().out
+    assert "provenance kept;" in out and "provenance keys changed: none" in out

@@ -1,5 +1,6 @@
 """Scenario schema, generation determinism, and per-kind execution."""
 
+import hashlib
 import json
 import re
 
@@ -239,6 +240,66 @@ def test_provenance_and_report_determinism():
     # identical modulo the timestamp
     d2["timestamp"] = d1["timestamp"]
     assert dump_json(d1) == dump_json(d2)
+
+
+def _hash(payload) -> str:
+    return parse_scenario(payload).config_hash
+
+
+def _explicit_pair(cell, name="hash"):
+    return {"name": name, "kind": "contraction_pair", "matrices": [[[0.5, 0.0], [0.0, cell]], [[0.5, 0.0], [0.0, 0.5]]]}
+
+
+def test_config_hash_is_the_json_without_matrices_then_each_matrix():
+    payload = hand_unitary_payload()
+    h = hashlib.sha256(b'{"kind":"unitary_pair","name":"hand-pair"}')
+    for m in (np.array([[1.0 + 0j]]), np.array([[1j]])):
+        h.update(np.array([1, 1], dtype="<i8").tobytes() + m.astype("<c16").tobytes())
+    assert _hash(payload) == h.hexdigest()
+    assert _hash(dict(reversed(payload.items()))) == h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, 1.0), (0.3, [0.3, 0]), (0.3, [0.3, 0.0]), (0, [0.0, 0.0])],
+    ids=["int-float", "real-pair", "real-float-pair", "zero-pair"],
+)
+def test_config_hash_covers_the_numbers_not_their_spelling(a, b):
+    assert _hash(_explicit_pair(a)) == _hash(_explicit_pair(b))
+
+
+def test_config_hash_is_the_same_for_a_matrix_of_reals_and_of_pairs():
+    reals = _explicit_pair(0.3)
+    pairs = reals | {"matrices": [[[[x, 0.0] for x in row] for row in m] for m in reals["matrices"]]}
+    assert _hash(reals) == _hash(pairs)
+
+
+def test_config_hash_tells_apart_a_sign_a_cell_and_a_tolerance():
+    base = _hash(_explicit_pair(0.0))
+    assert _hash(_explicit_pair(-0.0)) != base
+    assert _hash(_explicit_pair(0.1)) != base
+    tolerances = [_hash(_explicit_pair(0.0) | {"tolerances": {"defect-identity": t}}) for t in (1e-12, 1e-11)]
+    assert len({base, *tolerances}) == 3
+    assert _hash(_explicit_pair(0.0, name="other")) != base
+
+
+def test_config_hash_of_a_random_spec_is_its_json():
+    payload = {"name": "rnd", "kind": "contraction_pair", "matrices": {"seed": 11, "dim": 5}}
+    assert _hash(payload) == _hash(json.loads(json.dumps(payload)))
+    assert _hash(payload) != _hash(payload | {"matrices": {"seed": 12, "dim": 5}})
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert _hash(payload) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_scenario_keeps_its_hash_and_not_its_file():
+    sc = parse_scenario(hand_unitary_payload())
+    assert not hasattr(sc, "raw")
+    assert sc.config_hash == vars(sc)["config_hash"]
+
+
+def test_a_nan_outside_the_matrices_is_a_schema_error_before_the_hash():
+    with pytest.raises(SchemaError, match=r"^determinant.radius: "):
+        parse_scenario(hand_unitary_payload(determinant={"radius": float("nan")}))
 
 
 def test_random_pair_is_deterministic_and_distinct():

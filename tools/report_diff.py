@@ -16,7 +16,9 @@ byte. For each report that differs the script prints:
   it came from, because t = -cot(theta/2) magnifies phase shifts near
   theta = 0 and 2 pi;
 - the largest relative change of its float flags, nested ones included,
-  and whether every other flag (keys, strings, bools, ints, None) held.
+  and whether every other flag (keys, strings, bools, ints, None) held;
+- which `provenance` keys changed, such as `config_hash`. A provenance
+  change alone does not set the exit code.
 
 Other files that differ (CSV, SVG) are listed by name. The exit code is 1
 when a record's pass/fail changed, a record or file is missing on one side,
@@ -131,12 +133,19 @@ def compare_flags(old: dict, new: dict) -> dict:
     return {"flags_kept": kept, "flags": max(finite, default=0.0)}
 
 
+def compare_provenance(old: dict, new: dict) -> dict:
+    """The provenance keys whose values differ or that one side lacks, sorted."""
+    changed = old.keys() ^ new.keys() | {k for k in old.keys() & new.keys() if old[k] != new[k]}
+    return {"provenance": sorted(changed)}
+
+
 def compare_reports(old_path: Path, new_path: Path) -> dict:
     old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
     return {
         **compare_records(old["records"], new["records"]),
         **compare_tables(old["tables"], new["tables"]),
         **compare_flags(old["flags"], new["flags"]),
+        **compare_provenance(old.get("provenance", {}), new.get("provenance", {})),
     }
 
 
@@ -173,7 +182,8 @@ def main(argv=None) -> int:
             f"report    {name}: records {'kept' if c['records_kept'] else 'CHANGED'}, "
             f"pass/fail {'kept' if c['pass_kept'] else 'CHANGED'}, "
             f"tables {'kept' if c['tables_kept'] else 'CHANGED'}, "
-            f"flags {'kept' if c['flags_kept'] else 'CHANGED'}; per tolerance: "
+            f"flags {'kept' if c['flags_kept'] else 'CHANGED'}, "
+            f"provenance {', '.join(c['provenance']) or 'kept'}; per tolerance: "
             f"lhs {c['lhs']:.3g}, rhs {c['rhs']:.3g}, residual {c['residual']:.3g}; "
             f"breakpoint shift {c['breakpoint_shift']:.3g}; relative: flags {c['flags']:.3g}"
         )
@@ -181,12 +191,14 @@ def main(argv=None) -> int:
     worst = {k: max((c[k] for c in reports.values()), default=0.0) for k in keys}
     kept = ("records_kept", "pass_kept", "tables_kept", "flags_kept")
     broken = [n for n, c in reports.items() if not all(c[k] for k in kept)]
+    provenance = sorted(set().union(*(c["provenance"] for c in reports.values())))
     print(
         f"{len(identical)} identical, {len(reports)} reports and {len(others)} other files differ, "
         f"{len(lonely)} on one side only; {len(broken)} reports changed a record, pass/fail, table shape or flag. "
         f"Largest per tolerance: lhs {worst['lhs']:.3g}, rhs {worst['rhs']:.3g}, "
         f"residual (headroom shift) {worst['residual']:.3g}; largest breakpoint shift {worst['breakpoint_shift']:.3g}; "
-        f"largest relative float flag change {worst['flags']:.3g}"
+        f"largest relative float flag change {worst['flags']:.3g}; "
+        f"provenance keys changed: {', '.join(provenance) or 'none'}"
     )
     return 1 if broken or lonely else 0
 
