@@ -25,9 +25,15 @@ _FMT = "%.17g"
 _INDENT = "  "
 
 
+def _number(x):
+    """A float as a report holds it: itself when finite, else the string "nan", "inf" or "-inf"."""
+    x = float(x)
+    return x if math.isfinite(x) else repr(x)
+
+
 def complex_pair(z) -> list:
     z = complex(z)
-    return [z.real, z.imag]
+    return [_number(z.real), _number(z.imag)]
 
 
 def jsonable(value):
@@ -35,7 +41,7 @@ def jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return _number(value)
     if isinstance(value, (complex, np.complexfloating)):
         return complex_pair(value)
     if isinstance(value, np.integer):
@@ -186,7 +192,7 @@ def table_to_dict(table) -> dict:
     cells = table_array(table)
     rows = cells.tolist()
     for i, j in zip(*np.nonzero(np.isinf(cells))):
-        rows[i][j] = "inf" if cells[i, j] > 0 else "-inf"
+        rows[i][j] = _number(cells[i, j])
     return _table_doc(table, rows)
 
 
@@ -222,8 +228,8 @@ def report_to_dict(report, timestamp: str) -> dict:
                 "anchor": r.anchor,
                 "lhs": complex_pair(r.lhs),
                 "rhs": complex_pair(r.rhs),
-                "residual": None if r.residual is None else float(r.residual),
-                "tolerance": float(r.tolerance),
+                "residual": None if r.residual is None else _number(r.residual),
+                "tolerance": _number(r.tolerance),
                 "pass": bool(r.passed),
             }
             for r in report.records

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,34 +25,10 @@ from .errors import (
 )
 from .linalg import Dissipative, _eig, _frozen, require_hermitian
 
-# a stacked eigensolve takes matrices up to this many bytes at once
-_STACK_BYTES = 1 << 26
-
 
 def _hermitian_spectrum(a: np.ndarray) -> np.ndarray:
-    """eigvalsh of an exactly Hermitian matrix or stack, real when its imaginary part is 0."""
+    """eigvalsh of an exactly Hermitian matrix, real when its imaginary part is 0."""
     return _eig(np.linalg.eigvalsh, a if np.any(a.imag) else a.real)
-
-
-def _hermitian_trace_norms(matrices: Iterable[np.ndarray]) -> list[float]:
-    """Trace norms sum |lambda| of exactly Hermitian matrices of one shape.
-
-    The matrices go through stacked eigvalsh calls of at most _STACK_BYTES.
-    """
-    norms: list[float] = []
-    batch: list[np.ndarray] = []
-
-    def flush():
-        norms.extend(np.abs(_hermitian_spectrum(np.stack(batch))).sum(axis=-1).tolist())
-        batch.clear()
-
-    for m in matrices:
-        batch.append(m)
-        if len(batch) * m.nbytes >= _STACK_BYTES:
-            flush()
-    if batch:
-        flush()
-    return norms
 
 
 @dataclass(frozen=True)
@@ -355,19 +331,15 @@ def monotone_s1_check(
     qv = _real_potential(potential_values(q, grid.points), "monotone ladders")
     qv = np.clip(np.asarray(qv, dtype=float), 0.0, None)
 
-    def ladder():
-        # every kernel and difference is exactly Hermitian: S1 norm = sum |lambda|;
-        # every rung scales the same Green's matrix
-        rmat = _kernel_matrix(greens_function_for(z), grid)
-        full = nystrom_kernel(qv, rmat, grid).matrix
-        yield full
-        for n in ns:
-            phi = qv * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(qv, level * n)
-            kn = nystrom_kernel(phi, rmat, grid).matrix
-            yield kn
-            yield full - kn
-
-    norms = _hermitian_trace_norms(ladder())
+    # every rung scales the same Green's matrix; every kernel and difference is
+    # exactly Hermitian, so its S1 norm is sum |lambda|
+    rmat = _kernel_matrix(greens_function_for(z), grid)
+    full = nystrom_kernel(qv, rmat, grid).matrix
+    norms = [float(np.abs(_hermitian_spectrum(full)).sum())]
+    for n in ns:
+        phi = qv * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(qv, level * n)
+        kn = nystrom_kernel(phi, rmat, grid).matrix
+        norms += [float(np.abs(_hermitian_spectrum(k)).sum()) for k in (kn, full - kn)]
     return MonotoneReport(
         n_values=tuple(ns),
         variant=variant,

@@ -77,19 +77,6 @@ class StepSSF:
         if sizes.sum() != 0:
             raise ValidationError("jump sizes must sum to zero")
 
-    @classmethod
-    def _from_arrays(cls, thetas: np.ndarray, sizes: np.ndarray) -> "StepSSF":
-        """The zero-mean step SSF with the given sorted jump positions and sizes.
-
-        The gauge sum(size * theta) / 2pi adds the terms left to right.
-        """
-        gauge = float(np.cumsum(sizes * thetas)[-1]) / TWO_PI if len(thetas) else 0.0
-        step = cls.__new__(cls)
-        # the cached columns, so neither is rebuilt from the jump tuples
-        step.__dict__.update(thetas=_frozen(thetas), sizes=_frozen(sizes))
-        cls.__init__(step, tuple(zip(thetas.tolist(), sizes.tolist())), gauge)
-        return step
-
     @cached_property
     def thetas(self) -> np.ndarray:
         return _frozen(np.array([th for th, _ in self.jumps], dtype=float))
@@ -159,7 +146,10 @@ def _step_ssf(phases0, phases1) -> StepSSF:
     clustered = _cluster_circle(np.concatenate((p0, p1)), np.concatenate((k0, -k1)), CLUSTER_TOL)
     thetas, sizes = _columns(clustered)
     keep = sizes != 0
-    return StepSSF._from_arrays(thetas[keep], sizes[keep])
+    thetas, sizes = thetas[keep], sizes[keep]
+    # the zero-mean gauge sum(size * theta) / 2pi, its terms added left to right
+    gauge = float(np.cumsum(sizes * thetas)[-1]) / TWO_PI if len(thetas) else 0.0
+    return StepSSF(tuple(zip(thetas.tolist(), sizes.tolist())), gauge)
 
 
 def ssf_trace_integral(ssf: StepSSF, coeffs: Sequence[complex]) -> complex:

@@ -518,3 +518,45 @@ def test_a_unitarity_defect_that_overflows_to_nan_is_a_schema_error(tmp_path, ca
     assert f"{bad}: schema error: " in capsys.readouterr().err
     assert (tmp_path / "out" / "good.report.json").exists()
     assert not (tmp_path / "out" / "huge.report.json").exists()
+
+
+def _huge_test_polynomial(payload):
+    payload["test_polynomials"] = [[0, 1e308, 1e308]]
+
+
+def _huge_amplitude(payload):
+    payload["potential"]["amplitude"] = 1e308
+
+
+@pytest.mark.parametrize(
+    "kind, dim, mutate, strings, flags",
+    [
+        # the rhs of trace-poly-0 and the lhs of hardy-gauge overflow to NaN
+        ("unitary_pair", 3, _huge_test_polynomial, {"nan"}, {}),
+        # the rhs of kernel-half-l1 and the flag half_l1_target overflow to inf
+        ("kernel_trace", 2, _huge_amplitude, {"inf"}, {"half_l1_target": "inf"}),
+    ],
+    ids=["nan-trace-polynomial", "inf-kernel-amplitude"],
+)
+def test_a_non_finite_number_in_a_report_fails_its_file_and_is_written_as_a_string(
+    tmp_path, capsys, kind, dim, mutate, strings, flags
+):
+    payload = scenario.generate_scenario(kind, 1, dim) | {"name": "huge"}
+    mutate(payload)
+    bad = write_json(tmp_path / "huge.json", payload)
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["run", str(bad), str(good), "--out-dir", str(out)])
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert "huge: FAIL" in stdout and "good: PASS" in stdout
+    with open(out / "huge.report.json") as fh:
+        report = json.load(fh)
+    assert report["all_pass"] is False
+    cells = [x for r in report["records"] for x in (*r["lhs"], *r["rhs"], r["residual"])]
+    assert strings <= set(cells)
+    assert {k: report["flags"][k] for k in flags} == flags
+    for name in ("good.report.json", "good.ssf.csv", "good.svg"):
+        assert (out / name).exists()

@@ -1,0 +1,119 @@
+"""A standing fuzzer of `ssf-lab run`: one mutated generated file before a good one.
+
+Each case takes a generated file of some kind at dim 1-3 and makes one
+mutation: a leaf replaced by an edge value, a key deleted, or a value given
+another JSON type. Whatever the mutation, the batch must not raise, the good
+file is written, every written report is JSON, and each file that ran prints
+one PASS or FAIL line.
+"""
+
+import json
+import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from io import StringIO
+from operator import getitem
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ssflab.cli import main
+from ssflab.scenario import KINDS, generate_scenario
+
+# no integer above 3: a mutation never grows a size, because no cost guard
+# refuses a file that cannot finish
+LEAVES = [1e308, -1e308, 1.7e308, 5e-324, -0.0, 0, -1, "x", [], {}, True, None]
+# without these keys a grid falls back to its kind's default of 64 or 1,024
+# nodes, larger than any generated grid
+KEPT_KEYS = {"grid", "nodes"}
+
+
+def _swapped(value):
+    """The value as another JSON type holding the same content."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return {str(i): v for i, v in enumerate(value)}
+    return list(value.values())
+
+
+def _paths(value, path=()):
+    """The path to every value below the top level, containers included.
+
+    Of each matrix only the first cell's values are kept: every cell takes a
+    mutation the same way, and the cells would outnumber all other keys.
+    """
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        here = (*path, key)
+        if here[0] != "matrices" or here[2:4] in ((), (0,), (0, 0)):
+            yield here
+            yield from _paths(child, here)
+
+
+def _case(kind, seed, dim, how, path, leaf=None):
+    """The generated file of (kind, seed, dim) with one mutation at path."""
+    payload = generate_scenario(kind, seed, dim)
+    *head, last = path
+    parent = reduce(getitem, head, payload)
+    if how == "delete":
+        del parent[last]
+    elif how == "swap":
+        parent[last] = _swapped(parent[last])
+    else:
+        parent[last] = leaf
+    return payload
+
+
+@st.composite
+def cases(draw):
+    kind, seed, dim = draw(st.sampled_from(KINDS)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    how = draw(st.sampled_from(["leaf", "delete", "swap"]))
+    payload = generate_scenario(kind, seed, dim)
+    paths = list(_paths(payload))
+    if how == "leaf":
+        paths = [p for p in paths if not isinstance(reduce(getitem, p, payload), (dict, list))]
+    elif how == "delete":
+        paths = [p for p in paths if isinstance(p[-1], str) and p[-1] not in KEPT_KEYS]
+    path = draw(st.sampled_from(paths))
+    return _case(kind, seed, dim, how, path, draw(st.sampled_from(LEAVES)) if how == "leaf" else None)
+
+
+GOOD = generate_scenario("unitary_pair", 1, 2) | {"name": "good"}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(payload=cases())
+# a kernel_trace rhs and flag overflow to inf
+@example(payload=_case("kernel_trace", 1, 2, "leaf", ("potential", "amplitude"), 1e308))
+# a dim-1 dissipative pair's condition-report flag overflows to NaN
+@example(payload=_case("dissipative_pair", 1, 1, "leaf", ("matrices", 0, 0, 0, 0), 1e308))
+def test_one_mutated_file_never_takes_the_batch_down(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = [tmp / "bad.json", tmp / "good.json"]
+        files[0].write_text(json.dumps(payload))
+        files[1].write_text(json.dumps(GOOD))
+        out, stdout, stderr = tmp / "out", StringIO(), StringIO()
+        with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("ignore")
+            rc = main(["run", *map(str, files), "--out-dir", str(out)])
+        assert rc in (0, 1, 2)
+        ran = [f for f in files if f"{f}: " not in stderr.getvalue()]
+        assert files[1] in ran
+        assert len(re.findall(r"^\S.*: (PASS|FAIL) \(", stdout.getvalue(), re.M)) == len(ran)
+        for name in ("good.report.json", "good.ssf.csv", "good.svg"):
+            assert (out / name).exists()
+        for report in out.glob("*.report.json"):
+            with open(report) as fh:
+                json.load(fh)
+

@@ -270,7 +270,7 @@ def test_monotone_ladder_takes_one_eigensolve_and_matches_the_svd_norms(variant,
     monkeypatch.setattr(schrodinger, "nystrom_kernel", lambda *a: builds.append(1) or build(*a))
     report = monotone_s1_check({"kind": "gaussian"}, grid, ns, variant=variant)
 
-    assert solves == [(2 * len(ns) + 1, 64, 64)]
+    assert solves == [(64, 64)] * (2 * len(ns) + 1)
     assert len(builds) == len(ns) + 1
     assert report.full_norm == pytest.approx(full, rel=1e-13)
     assert report.approx_norms == pytest.approx(approx, rel=1e-13)
@@ -293,19 +293,27 @@ def test_monotone_ladder_evaluates_the_greens_kernel_once_and_keeps_every_kernel
         assert shared.tobytes() == own.tobytes()
 
 
-def test_monotone_ladder_splits_large_stacks(monkeypatch):
-    grid = make_grid(-8.0, 8.0, 64)
-    ns = (2, 4, 8)
-    whole = monotone_s1_check({"kind": "gaussian"}, grid, ns)
-    solves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
-    monkeypatch.setattr(schrodinger, "_STACK_BYTES", 3 * 64 * 64 * 16)
-    split = monotone_s1_check({"kind": "gaussian"}, grid, ns)
-    assert solves == [3, 3, 1]
-    assert split.full_norm == pytest.approx(whole.full_norm, rel=1e-15)
-    assert split.approx_norms == pytest.approx(whole.approx_norms, rel=1e-15)
-    assert split.residual_norms == pytest.approx(whole.residual_norms, rel=1e-15)
+def _ladder_by_one_stacked_solve(q, grid, ns, variant, level=0.01):
+    """The ladder's norms from one eigvalsh of the stacked kernels, as the ladder once took them."""
+    rmat = schrodinger._kernel_matrix(greens_function_for(-1.0), grid)
+    full = nystrom_kernel(q, rmat, grid).matrix
+    ms = [full]
+    for n in ns:
+        kn = nystrom_kernel(q * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(q, level * n), rmat, grid).matrix
+        ms += [kn, full - kn]
+    stack = np.stack(ms)
+    return np.abs(np.linalg.eigvalsh(stack if np.any(stack.imag) else stack.real)).sum(-1).tolist()
+
+
+@pytest.mark.parametrize("nodes", [64, 128])
+@pytest.mark.parametrize("variant", ["scale", "truncate"])
+def test_monotone_ladder_norms_are_the_stacked_solve_bit_for_bit(variant, nodes):
+    grid = make_grid(-8.0, 8.0, nodes)
+    q = potential_values({"kind": "gaussian"}, grid.points)
+    ns = (2, 4, 8, 16, 32, 64, 128)
+    report = monotone_s1_check({"kind": "gaussian"}, grid, ns, variant=variant)
+    norms = [report.full_norm, *sum(zip(report.approx_norms, report.residual_norms), ())]
+    assert [x.hex() for x in norms] == [x.hex() for x in _ladder_by_one_stacked_solve(q, grid, ns, variant)]
 
 
 @pytest.mark.parametrize("z", [-1.0, -0.3, -4.0, -1.0 + 1e-13j])

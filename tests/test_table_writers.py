@@ -33,7 +33,7 @@ from ssflab.export import (
     write_ssf_csv,
 )
 from ssflab.linalg import TWO_PI
-from ssflab.scenario import Report
+from ssflab.scenario import CheckRecord, Report
 from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import LineSSF, pushforward_line
 
@@ -308,14 +308,33 @@ def test_a_placeholder_text_in_the_flags_falls_back_to_the_stdlib(tmp_path):
 
 
 def test_the_first_error_the_stdlib_meets_is_raised(tmp_path):
-    # "flags" sorts before "tables": the NaN flag is met before the inf gauge
-    table = StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=float("inf"))
-    report = Report("t", "unitary_pair", (), {"ratio": float("nan")}, {"circle_step": table}, {})
+    # "circle_step" sorts before "sampled": the NaN gauge is met before the inf radius
+    thetas = TWO_PI * np.arange(1, 9) / 8
+    tables = {
+        "circle_step": StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=float("nan")),
+        "sampled": SampledSSF(float("inf"), thetas, np.cos(thetas), 0),
+    }
+    report = Report("t", "unitary_pair", (), {}, tables, {})
     with pytest.raises(ValueError) as ours:
         written(report, tmp_path)
     with pytest.raises(ValueError) as theirs:
         stdlib_report(report)
     assert str(ours.value) == str(theirs.value) == "Out of range float values are not JSON compliant: nan"
+
+
+def test_a_non_finite_number_in_the_records_or_flags_is_written_as_its_name(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    records = (
+        CheckRecord("a", "hardy-gauge", complex(nan, 1.0), complex(inf, -inf), nan, 1e-10, False),
+        CheckRecord("b", "hardy-gauge", 1.5, np.float64(-inf), inf, 1e-10, False),
+    )
+    flags = {"outer": {"inner": [np.float64(nan), 2.5, complex(1.0, -inf)]}, "half_l1_target": inf}
+    doc = json.loads(written(Report("t", "kernel_trace", records, flags, {}, {}), tmp_path))
+    assert [(r["lhs"], r["rhs"], r["residual"]) for r in doc["records"]] == [
+        (["nan", 1.0], ["inf", "-inf"], "nan"),
+        ([1.5, 0.0], ["-inf", 0.0], "inf"),
+    ]
+    assert doc["flags"] == {"outer": {"inner": ["nan", 2.5, [1.0, "-inf"]]}, "half_l1_target": "inf"}
 
 
 def test_the_report_writer_builds_no_per_cell_rows(tmp_path):

@@ -5,7 +5,8 @@
 The corpus holds every kind at dims 1, 2, 3, 5, 8, 12 and 24 for seeds 1
 and 2, each asking for json, csv and svg, plus edge files that generated
 files never reach: a fractional bound with beta = 0 (the corollary form), a
-truncate ladder, a kernel at spectral point -2.5, a dissipative pair whose
+truncate ladder, a kernel at spectral point -2.5, a kernel file without a
+grid (the schema default of 1,024 Gauss nodes), a dissipative pair whose
 Im L is singular (the condition report becomes an error string), a
 determinant block on both circle kinds and one at the smallest grid (256),
 a name with quotes and non-ASCII characters, and explicit matrices with
@@ -51,10 +52,13 @@ def _edge_files() -> list[dict]:
     pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
     # contractions with integer, real-scalar and [re, im] cells
     mixed = [[[0, 0.5], [-0.25, [0.25, 0.25]]], [[0.5, 0], [[0.0, 0.25], 0]]]
+    default_grid = generated("kernel_trace", "default-grid-kernel")
+    del default_grid["grid"]
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
         generated("kernel_trace", "spectral-point", spectral_point=-2.5),
+        default_grid,
         {"name": "edge-singular-im", "kind": "dissipative_pair", "matrices": pair, "outputs": OUTPUTS},
         generated("unitary_pair", "unitary-determinant", determinant={"grid": 1024}),
         generated("contraction_pair", "contraction-determinant", determinant={"grid": 1024}),
