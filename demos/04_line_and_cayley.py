@@ -37,7 +37,7 @@ l0 = random_dissipative(4)
 l1 = random_dissipative(4)
 
 # Cayley round trip and the defect factorizations D^2 = 4 G* G
-t0 = cayley(l0).contraction
+t0 = cayley(l0)
 back = inverse_cayley(t0)
 print("cayley round trip residual:", np.linalg.norm(back.m - l0.m))
 report = cayley_identity_residuals(l0, l1)

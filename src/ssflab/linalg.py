@@ -439,17 +439,16 @@ class Dissipative:
         return _frozen(np.linalg.inv(self.m + 1j * np.eye(self.n)))
 
     @cached_property
-    def cayley_image(self) -> CayleyImage:
-        """T = (L - iI)(L + iI)^(-1) with the condition number of L + iI; NearSingular beyond 1e12
-        (cannot happen for validated dissipative input, where the shifted
-        inverse has norm at most 1)."""
+    def cayley_image(self) -> Contraction:
+        """T = (L - iI)(L + iI)^(-1); NearSingular when cond(L + iI) exceeds 1e12, which
+        validated input can reach: L = diag(0, 1e13) has cond(L + iI) = 1e13."""
         eye = np.eye(self.n)
         shifted = self.m + 1j * eye
         cond = float(np.linalg.cond(shifted))
         if not np.isfinite(cond) or cond > 1e12:
             raise NearSingular(f"cond(L + iI) = {cond:.3e}")
         t = np.linalg.solve(shifted.T, (self.m - 1j * eye).T).T
-        return CayleyImage(Contraction(t), cond)
+        return Contraction(t)
 
     def __repr__(self):
         return f"Dissipative(n={self.n})"
@@ -522,14 +521,8 @@ def poly_derivative(coeffs: Sequence[complex]) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
 
 
-class CayleyImage(NamedTuple):
-    contraction: Contraction
-    condition: float
-
-
-def cayley(l) -> CayleyImage:
-    """Cayley transform T = (L - iI)(L + iI)^(-1) of a dissipative matrix,
-    with the condition number of L + iI: `Dissipative.cayley_image`."""
+def cayley(l) -> Contraction:
+    """Cayley transform T = (L - iI)(L + iI)^(-1) of a dissipative matrix: `Dissipative.cayley_image`."""
     return as_operator(Dissipative, l).cayley_image
 
 

@@ -856,6 +856,16 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
+def _non_finite_flag(value, path: str) -> Optional[str]:
+    """The path of the first float or complex part of a flag value that is not finite, else None."""
+    if isinstance(value, (float, complex, np.inexact)):
+        return None if np.isfinite(value) else path
+    if isinstance(value, (dict, list, tuple, np.ndarray)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return next(filter(None, (_non_finite_flag(v, f"{path}.{k}") for k, v in items)), None)
+    return None
+
+
 def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     """Execute every check the scenario's kind implies.
 
@@ -864,7 +874,8 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     file was wrong, not the numerics. Numeric check failures never raise;
     they become failing records. A numeric exception (an ArithmeticError)
     ends the run with the records made so far plus a failing
-    numeric-completion record, with the error text in the flags.
+    numeric-completion record, with the error text in the flags; a flag that
+    is not finite adds that record after all the run's records.
     """
     if not isinstance(tolerance_scale, (int, float)) or not 0 < tolerance_scale < math.inf:
         raise SchemaError("tolerance_scale must be a positive finite number")
@@ -888,13 +899,16 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
 
     try:
         flags, tables = _KINDS[sc.kind].run(sc, record)
+        if bad := _non_finite_flag(flags, "flags"):
+            flags["numeric_error"] = f"not finite: {bad}"
     except SchemaError:
         raise
     except ArithmeticError as exc:
         flags, tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
-        record("numeric-completion", "numeric-completion", 0.0, 0.0, 0.0, residual=None)
     except ValueError as exc:
         raise SchemaError(f"scenario {sc.name!r}: {exc}") from exc
+    if "numeric_error" in flags:
+        record("numeric-completion", "numeric-completion", 0.0, 0.0, 0.0, residual=None)
     return Report(
         scenario=sc.name,
         kind=sc.kind,

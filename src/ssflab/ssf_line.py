@@ -10,7 +10,7 @@ windowed integrals are offered; a plain integral over the line is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,39 +34,38 @@ _BOUNDARY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class LineSSF:
-    """Piecewise-constant SSF on the line.
+    """The circle SSF `source` read on the line through t = -cot(theta/2).
 
-    values[j] is the value on (breakpoints[j-1], breakpoints[j]), with
-    values[0] the left tail and values[-1] the right tail. A jump of the
-    source circle SSF exactly at the boundary point theta = 2pi would sit at
-    t = infinity; it is dropped from the breakpoints (every admissible test
-    function vanishes there) and recorded as mass_at_infinity. Without such
-    mass the two tails agree because circle jumps sum to zero.
+    values[j] is the value on (breakpoints[j-1], breakpoints[j]); values[0]
+    and values[-1] are the tails. A source jump at the boundary point
+    theta = 2pi would sit at t = infinity: it is no breakpoint (admissible
+    test functions vanish there) but mass_at_infinity, and without such mass
+    the tails agree. A jump so near theta = 0 that its breakpoint is not
+    finite is refused.
     """
 
-    breakpoints: np.ndarray
-    values: np.ndarray
     source: StepSSF
-    mass_at_infinity: int = 0
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.ndim != 1 or len(vals) != len(bp) + 1:
-            raise ValidationError("need one more interval value than breakpoints")
-        if not np.isfinite(bp).all() or not np.isfinite(vals).all():
-            raise ValidationError("breakpoints and values must be finite")
-        if np.any(np.diff(bp) <= 0):
-            raise ValidationError("breakpoints must be strictly increasing")
-        if self.mass_at_infinity == 0 and abs(vals[0] - vals[-1]) > 1e-12:
-            raise ValidationError("tail values must agree when no mass sits at infinity")
+        with np.errstate(divide="ignore", over="ignore"):
+            bp = -1.0 / np.tan(self.source.thetas[: _interior_count(self.source)] / 2.0)
+        if not np.isfinite(bp).all():
+            raise ValidationError("breakpoints must be finite")
         object.__setattr__(self, "breakpoints", _frozen(bp))
-        object.__setattr__(self, "values", _frozen(vals))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.source.levels[: len(self.breakpoints) + 1]
 
     @property
     def jump_sizes(self) -> np.ndarray:
         """Integer jumps at the breakpoints: the source's interior jump sizes."""
         return self.source.sizes[: len(self.breakpoints)]
+
+    @property
+    def mass_at_infinity(self) -> int:
+        return int(self.source.sizes[len(self.breakpoints) :].sum())
 
     def value(self, t):
         """Evaluate at t (scalar or array); a breakpoint carries its jump."""
@@ -90,23 +89,13 @@ def _interior_count(step: StepSSF) -> int:
 
 def pushforward_line(step: StepSSF) -> LineSSF:
     """Push a circle step SSF to the line along t = -cot(theta/2)."""
-    k = _interior_count(step)
-    with np.errstate(divide="ignore"):
-        breakpoints = -1.0 / np.tan(step.thetas[:k] / 2.0)
-    return LineSSF(
-        breakpoints=breakpoints,
-        values=step.levels[: k + 1],
-        source=step,
-        mass_at_infinity=int(step.sizes[k:].sum()),
-    )
+    return LineSSF(step)
 
 
 def dissipative_ssf(l0: Dissipative, l1: Dissipative, m: int) -> LineSSF:
     """SSF of a dissipative pair: Cayley transform, dilate on m blocks, push to the line."""
     l0, l1 = as_pair(Dissipative, l0, l1)
-    t0 = cayley(l0).contraction
-    t1 = cayley(l1).contraction
-    return pushforward_line(contraction_ssf(t0, t1, m))
+    return pushforward_line(contraction_ssf(cayley(l0), cayley(l1), m))
 
 
 def weighted_abs_integral(ssf: LineSSF, side: str = "line") -> float:
@@ -209,7 +198,7 @@ def cayley_identity_residuals(l0, l1) -> CayleyIdentityReport:
     Returns Frobenius residuals, all of which should sit at roundoff.
     """
     ls = as_pair(Dissipative, l0, l1)
-    ts = [cayley(l).contraction.m for l in ls]
+    ts = [cayley(l).m for l in ls]
     defect_res, adjoint_res = [], []
     for l, t in zip(ls, ts):
         eye = np.eye(l.n)

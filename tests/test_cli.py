@@ -560,3 +560,38 @@ def test_a_non_finite_number_in_a_report_fails_its_file_and_is_written_as_a_stri
     assert {k: report["flags"][k] for k in flags} == flags
     for name in ("good.report.json", "good.ssf.csv", "good.svg"):
         assert (out / name).exists()
+
+
+def test_a_non_finite_flag_fails_its_file_and_the_report_is_still_written(tmp_path, capsys):
+    payload = scenario.generate_scenario("dissipative_pair", 1, 1) | {"name": "huge"}
+    # every record passes, but the condition report's weighted norm overflows to NaN
+    payload["matrices"][0][0][0][0] = 1e308
+    bad = write_json(tmp_path / "huge.json", payload)
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["run", str(bad), str(good), "--out-dir", str(out)])
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert "huge: FAIL (1 of 5 checks failed)" in stdout and "good: PASS" in stdout
+    with open(out / "huge.report.json") as fh:
+        report = json.load(fh)
+    assert report["flags"]["condition_report"]["weighted_diff_norm"] == "nan"
+    assert report["flags"]["numeric_error"] == "not finite: flags.condition_report.weighted_diff_norm"
+    failed = [r for r in report["records"] if not r["pass"]]
+    assert [(r["check_id"], r["residual"]) for r in failed] == [("numeric-completion", None)]
+    assert report["records"][-1] == failed[0]
+    for name in ("good.report.json", "good.ssf.csv", "good.svg"):
+        assert (out / name).exists()
+
+
+def test_a_validated_dissipative_pair_can_trip_the_cayley_guard(tmp_path, capsys):
+    # Im L = 0, so both matrices are dissipative, and cond(L0 + iI) = 1e13
+    payload = {"name": "ns", "kind": "dissipative_pair", "matrices": [[[0, 0], [0, 1e13]], [[0, 0], [0, 2e13]]]}
+    f = write_json(tmp_path / "ns.json", payload)
+    assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 1
+    assert "ns: FAIL" in capsys.readouterr().out
+    report = json.loads((tmp_path / "ns.report.json").read_text())
+    assert [(r["check_id"], r["pass"]) for r in report["records"]] == [("numeric-completion", False)]
+    assert report["flags"] == {"numeric_error": "NearSingular: cond(L + iI) = 1.000e+13"}

@@ -1,10 +1,12 @@
 """A standing fuzzer of `ssf-lab run`: one mutated generated file before a good one.
 
 Each case takes a generated file of some kind at dim 1-3 and makes one
-mutation: a leaf replaced by an edge value, a key deleted, or a value given
-another JSON type. Whatever the mutation, the batch must not raise, the good
-file is written, every written report is JSON, and each file that ran prints
-one PASS or FAIL line.
+mutation: a leaf replaced by an edge value, a key deleted, a value given
+another JSON type, or one byte of the file's text flipped, deleted or
+inserted. Whatever the mutation, the batch must not raise, the good file is
+written, every written report is JSON, each file that ran prints one PASS
+or FAIL line, and a report that passes holds no "nan", "inf" or "-inf"
+but a line table's two infinite ends.
 """
 
 import json
@@ -17,7 +19,7 @@ from io import StringIO
 from operator import getitem
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssflab.cli import main
@@ -88,7 +90,67 @@ def cases(draw):
     return _case(kind, seed, dim, how, path, draw(st.sampled_from(LEAVES)) if how == "leaf" else None)
 
 
+# the keys that size a run's buffers; no cost guard refuses a file that sets
+# one too large, so no byte mutation may grow one
+SIZE_KEYS = [("matrices", "dim"), ("grid", "nodes"), ("dilation_order",), ("quadrature_nodes",), ("determinant", "grid")]
+# most bytes of a file are digits and JSON punctuation
+BYTES = st.sampled_from(b'0123456789-+.eE",:[]{} ') | st.integers(0, 255)
+
+
+def _size(doc, path):
+    try:
+        return reduce(getitem, path, doc)
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
+def _grows(payload, text: bytes) -> bool:
+    """Whether text parses as JSON and sets a size key above, or drops one of, the generated file's."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return False
+    for path in SIZE_KEYS:
+        before, after = _size(payload, path), _size(doc, path)
+        if after is None:
+            if before is not None:
+                return True
+        elif isinstance(after, (int, float)) and not isinstance(after, bool) and (before is None or after > before):
+            return True
+    return False
+
+
+@st.composite
+def byte_cases(draw):
+    kind, seed, dim = draw(st.sampled_from(KINDS)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    payload = generate_scenario(kind, seed, dim)
+    text = json.dumps(payload).encode()
+    i, how, byte = draw(st.integers(0, len(text) - 1)), draw(st.sampled_from(["flip", "delete", "insert"])), draw(BYTES)
+    if how == "flip":
+        assume(byte != text[i])
+    mutant = text[:i] + (b"" if how == "delete" else bytes([byte])) + text[i + (how != "insert") :]
+    assume(not _grows(payload, mutant))
+    return mutant
+
+
 GOOD = generate_scenario("unitary_pair", 1, 2) | {"name": "good"}
+
+
+def _non_finite_strings(doc) -> list:
+    """The strings "nan", "inf" and "-inf" in a report, but a line table's first start and last end."""
+    for table in doc["tables"].values():
+        if table["type"] == "line_step":
+            table["rows"][0][0] = table["rows"][-1][1] = None
+    stack, found = [doc], []
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+        elif value in ("nan", "inf", "-inf"):
+            found.append(value)
+    return found
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -98,10 +160,20 @@ GOOD = generate_scenario("unitary_pair", 1, 2) | {"name": "good"}
 # a dim-1 dissipative pair's condition-report flag overflows to NaN
 @example(payload=_case("dissipative_pair", 1, 1, "leaf", ("matrices", 0, 0, 0, 0), 1e308))
 def test_one_mutated_file_never_takes_the_batch_down(payload):
+    run_bad_then_good(json.dumps(payload).encode())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=byte_cases())
+def test_one_byte_mutated_file_never_takes_the_batch_down(text):
+    run_bad_then_good(text)
+
+
+def run_bad_then_good(bad: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = [tmp / "bad.json", tmp / "good.json"]
-        files[0].write_text(json.dumps(payload))
+        files[0].write_bytes(bad)
         files[1].write_text(json.dumps(GOOD))
         out, stdout, stderr = tmp / "out", StringIO(), StringIO()
         with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
@@ -115,5 +187,6 @@ def test_one_mutated_file_never_takes_the_batch_down(payload):
             assert (out / name).exists()
         for report in out.glob("*.report.json"):
             with open(report) as fh:
-                json.load(fh)
-
+                doc = json.load(fh)
+            if doc["all_pass"]:
+                assert _non_finite_strings(doc) == []

@@ -521,7 +521,7 @@ def test_schrodinger_free_operator_never_builds_its_dilation_inverse(monkeypatch
     for n in (3, 8, 24):
         x = np.linspace(-8.0, 8.0, n)
         l0, _ = discrete_schrodinger_pair(np.exp(-x * x) * (0.5 + 1j), float(x[1] - x[0]))
-        d = finite_schaffer_dilation(cayley(l0).contraction, 24)
+        d = finite_schaffer_dilation(cayley(l0), 24)
         shapes.clear()
         d.eigenphases()
         assert d.normal_form.certificate <= linalg._SKEW_TOL

@@ -124,14 +124,56 @@ def test_line_gauge_shift_moves_values_only(step, shift):
 
 
 def test_line_ssf_validation():
-    src = unitary_ssf(np.eye(2), np.eye(2))
+    # -cot(theta / 2) is -inf at theta = 5e-324
+    with pytest.raises(ValidationError, match="finite"):
+        LineSSF(StepSSF(jumps=((5e-324, 1), (1.0, -1)), gauge=0.0))
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-308])
+def test_a_jump_too_near_zero_for_a_finite_breakpoint_is_refused(theta):
     with pytest.raises(ValidationError):
-        LineSSF(np.array([1.0, 0.5]), np.array([0.0, 1.0, 0.0]), src)
-    with pytest.raises(ValidationError):
-        LineSSF(np.array([0.5]), np.array([0.0]), src)
-    with pytest.raises(ValidationError):
-        # unequal tails without mass at infinity
-        LineSSF(np.array([0.5]), np.array([0.0, 1.0]), src)
+        pushforward_line(StepSSF(jumps=((theta, 1), (TWO_PI, -1)), gauge=0.0))
+    # the smallest normal angle still has a finite breakpoint, about -9e307
+    line = pushforward_line(StepSSF(jumps=((2.2250738585072014e-308, 1), (TWO_PI, -1)), gauge=0.0))
+    assert np.isfinite(line.breakpoints).all() and line.breakpoints[0] < -8e307
+
+
+@st.composite
+def steps_off_zero(draw):
+    """Jumps anywhere in [1e-9, 2pi], at 2pi or not, sizes -2..2, any finite gauge."""
+    positions = st.floats(1e-9, TWO_PI) | st.sampled_from([1e-9, 1e-05, 1e-4, 1.0, np.pi, TWO_PI])
+    thetas = sorted(set(draw(st.lists(positions, max_size=12))))
+    if draw(st.booleans()) and thetas and thetas[-1] < TWO_PI:
+        thetas.append(TWO_PI)
+    if len(thetas) < 2:
+        thetas = []
+    sizes = draw(st.lists(st.integers(-2, 2).filter(bool), min_size=len(thetas), max_size=len(thetas)))
+    if thetas and sum(sizes[:-1]) == 0:
+        sizes[0] += 1 if sizes[0] != -1 else -1
+    sizes[-1:] = [-sum(sizes[:-1])] * bool(thetas)
+    gauge = draw(st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 5e-324, 1e16, 9999999999999998.0]))
+    return StepSSF(jumps=tuple(zip(thetas, sizes)), gauge=gauge)
+
+
+def stored_arrays(step):
+    """Breakpoints, values, jump sizes and mass at infinity as a LineSSF built from arrays stored them."""
+    k = int(np.searchsorted(step.thetas, TWO_PI - 1e-12))
+    with np.errstate(divide="ignore"):
+        breakpoints = -1.0 / np.tan(step.thetas[:k] / 2.0)
+    values = step.levels[: k + 1]
+    return np.asarray(breakpoints, dtype=float), np.asarray(values, dtype=float), step.sizes[:k], int(step.sizes[k:].sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=steps_off_zero())
+def test_a_line_ssf_reads_its_source_bit_for_bit(step):
+    line = pushforward_line(step)
+    assert line.source is step
+    breakpoints, values, sizes, mass = stored_arrays(step)
+    for ours, theirs in ((line.breakpoints, breakpoints), (line.values, values), (line.jump_sizes, sizes)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+    assert type(line.mass_at_infinity) is int and line.mass_at_infinity == mass
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +216,8 @@ def test_dilation_solve_is_real_for_a_schrodinger_pair_and_complex_for_a_random_
 def test_dissipative_ssf_scalar_resolvent_needs_enough_blocks():
     l0 = Dissipative(np.array([[1j]]))
     l1 = Dissipative(np.array([[2j]]))
-    assert np.allclose(cayley(l0).contraction.m, [[0.0]], atol=1e-15)
-    assert np.allclose(cayley(l1).contraction.m, [[1.0 / 3.0]], atol=1e-15)
+    assert np.allclose(cayley(l0).m, [[0.0]], atol=1e-15)
+    assert np.allclose(cayley(l1).m, [[1.0 / 3.0]], atol=1e-15)
     z = -2j
     coarse = resolvent_trace_residual(l0, l1, dissipative_ssf(l0, l1, 6), z)
     fine = resolvent_trace_residual(l0, l1, dissipative_ssf(l0, l1, 20), z)
@@ -317,7 +359,7 @@ def test_a_dissipative_pair_is_factorised_once_per_operator(monkeypatch):
     dissipative_ssf(l0, l1, 6)
     assert calls == {"eigh": 2, "cond": 2, "inv": 2}
     for l in (l0, l1):
-        for cached in (l.imag_eigh[0], l.imag_eigh[1], l.resolvent_minus_i, l.cayley_image.contraction.m):
+        for cached in (l.imag_eigh[0], l.imag_eigh[1], l.resolvent_minus_i, l.cayley_image.m):
             assert not cached.flags.writeable
 
 

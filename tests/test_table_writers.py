@@ -7,6 +7,7 @@ and the SVG renderer.
 """
 
 import json
+import math
 from html import escape
 from unittest.mock import patch
 
@@ -35,7 +36,7 @@ from ssflab.export import (
 from ssflab.linalg import TWO_PI
 from ssflab.scenario import CheckRecord, Report
 from ssflab.ssf_circle import SampledSSF, StepSSF
-from ssflab.ssf_line import LineSSF, pushforward_line
+from ssflab.ssf_line import pushforward_line
 
 _STEP_LINE = (
     '<line class="step" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
@@ -175,9 +176,10 @@ numbers = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(EDGES)
 
 
 @st.composite
-def circle_tables(draw, lowest=5e-324):
-    """Jumps anywhere in [lowest, 2pi], at 2pi or not; levels repeat because the sizes are small."""
-    positions = st.floats(lowest, TWO_PI) | st.sampled_from([lowest, 1e-05, 1e-4, 1.0, TWO_PI])
+def circle_tables(draw, lowest=5e-324, positions=None):
+    """Jumps anywhere in [lowest, 2pi] or at `positions`, at 2pi or not; levels repeat because the sizes are small."""
+    if positions is None:
+        positions = st.floats(lowest, TWO_PI) | st.sampled_from([lowest, 1e-05, 1e-4, 1.0, TWO_PI])
     thetas = sorted(set(draw(st.lists(positions, max_size=12))))
     if draw(st.booleans()) and thetas and thetas[-1] < TWO_PI:
         thetas.append(TWO_PI)
@@ -190,16 +192,18 @@ def circle_tables(draw, lowest=5e-324):
     return StepSSF(jumps=tuple(zip(thetas, sizes)), gauge=draw(numbers))
 
 
+def angle_of(t: float) -> float:
+    """The angle in (0, 2pi] whose breakpoint -cot(theta / 2) is t, up to rounding."""
+    return 2.0 * math.atan2(1.0, -t)
+
+
 @st.composite
 def line_tables(draw):
-    """Finite breakpoints, a few levels repeated along the line, equal tails unless mass sits at infinity."""
-    breakpoints = sorted(set(draw(st.lists(numbers, max_size=12))))
-    levels = draw(st.lists(numbers, min_size=1, max_size=4))
-    values = [draw(st.sampled_from(levels)) for _ in range(len(breakpoints) + 1)]
-    mass = draw(st.integers(-2, 2))
-    if mass == 0:
-        values[-1] = values[0]
-    return LineSSF(np.array(breakpoints), np.array(values), StepSSF(jumps=(), gauge=0.0), mass)
+    """A circle table pushed to the line, its breakpoints near numbers from -1e300 to 1e300.
+
+    The angles are 2e-300 or more, so every breakpoint is finite.
+    """
+    return pushforward_line(draw(circle_tables(positions=numbers.map(angle_of))))
 
 
 # breakpoints -cot(theta / 2) stay finite for theta >= 1e-9
@@ -232,9 +236,6 @@ def test_step_writers_write_the_per_cell_bytes(dedup_from, table, tmp_path_facto
         assert_writers_match(table, tmp_path_factory.mktemp("writers"))
 
 
-NO_SOURCE = StepSSF(jumps=(), gauge=0.0)
-
-
 @pytest.mark.parametrize(
     "table",
     [
@@ -244,11 +245,13 @@ NO_SOURCE = StepSSF(jumps=(), gauge=0.0)
         StepSSF(jumps=((1e-05, 1), (3.0, -1)), gauge=-1e-05),  # none at 2pi
         pushforward_line(StepSSF(jumps=(), gauge=2.5)),  # one row from -inf to inf
         pushforward_line(StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.1)),  # mass at infinity
-        LineSSF(np.array([-5e-324, 0.0, 5e-324]), np.array([-0.0, 0.0, -0.0, -0.0]), NO_SOURCE),
-        LineSSF(np.array([-1e16, 1e-4]), np.array([9999999999999998.0, 1e16, 1e16]), NO_SOURCE, 1),
+        # breakpoints -1e16 and just above 1e-4, values 9999999999999998.0, 1e16 and 1e16
+        pushforward_line(
+            StepSSF(jumps=((angle_of(-1e16), 2), (angle_of(1.001e-4), -1), (TWO_PI, -1)), gauge=9999999999999998.0)
+        ),
     ],
     ids=["flat-circle", "subnormal-gauge", "jump-at-2pi", "no-jump-at-2pi", "flat-line", "mass-at-infinity",
-         "signed-zeros", "repr-switch"],
+         "repr-switch"],
 )
 @pytest.mark.parametrize("dedup_from", [0, export._FORMAT_ONCE_MIN], ids=["deduplicated", "direct"])
 def test_step_writers_on_edge_tables(table, dedup_from, tmp_path):
