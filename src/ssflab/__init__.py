@@ -31,6 +31,7 @@ from .errors import (
 from .linalg import (
     Contraction,
     Dissipative,
+    PsdContraction,
     Unitary,
     analytic_poly_eval,
     cayley,

@@ -160,6 +160,8 @@ def read_ssf_csv(path) -> tuple[str, list[tuple]]:
             lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not ASCII text ({exc})") from exc
     if not lines:
         raise SchemaError(f"{path}: empty CSV")
     (_, header), body = lines[0], lines[1:]

@@ -23,13 +23,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    IndefiniteInput,
     InvalidExponent,
     KernelViolation,
     QuadratureDivergence,
     ValidationError,
 )
-from .linalg import _eig, _frozen, as_matrix, check_exponents, hermitian_function, require_hermitian, same_dimension, schatten_norm
+from .linalg import PsdContraction, _eig, _frozen, as_operator, as_pair, check_exponents, hermitian_function, schatten_norm
 from .schrodinger import make_grid
 
 # eigenvalues below this make inverse powers meaningless
@@ -89,30 +88,18 @@ def c_sigma(sigma: float) -> float:
     return float(np.sin(np.pi * sigma) / np.pi)
 
 
-def _validated_psd_contraction(a, *, what: str) -> tuple[np.ndarray, float]:
-    """The symmetrized matrix and its smallest eigenvalue (0.0 when empty)."""
-    m = require_hermitian(as_matrix(a))
-    w = _eig(np.linalg.eigvalsh, m)
-    lo, hi = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
-    if not lo >= -1e-10:
-        raise IndefiniteInput(f"{what} has eigenvalue {lo:.3e} below -1e-10")
-    if not hi <= 1.0 + 1e-10:
-        raise ValidationError(f"{what} has eigenvalue {hi:.6f} above 1 + 1e-10")
-    return m, lo
-
-
 @dataclass(frozen=True)
 class FractionalJob:
     """One instance of the fractional-difference problem.
 
-    x and y are Hermitian with spectrum in [0, 1]; sigma in (0, 1);
-    alpha, beta >= 0 with alpha + beta in (1 - sigma, 1]; p >= 1.
-    min_eig, the smallest eigenvalue of x and y clipped at 0, comes from
-    their validation.
+    x and y are PsdContraction operands (a matrix is validated into one);
+    sigma in (0, 1); alpha, beta >= 0 with alpha + beta in (1 - sigma, 1];
+    p >= 1. min_eig, the smallest eigenvalue of x and y clipped at 0, comes
+    from their validation.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    x: PsdContraction
+    y: PsdContraction
     sigma: float
     alpha: float
     beta: float
@@ -120,12 +107,11 @@ class FractionalJob:
     min_eig: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (mx, lx), (my, ly) = _validated_psd_contraction(self.x, what="x"), _validated_psd_contraction(self.y, what="y")
-        same_dimension(len(mx), len(my))
+        x, y = as_pair(PsdContraction, self.x, self.y)
         check_exponents(self.alpha, self.beta, self.p, self.sigma)
-        object.__setattr__(self, "x", _frozen(mx))
-        object.__setattr__(self, "y", _frozen(my))
-        object.__setattr__(self, "min_eig", max(min(lx, ly), 0.0))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "min_eig", max(min(x.min_eig, y.min_eig), 0.0))
 
     @property
     def ill_conditioned(self) -> bool:
@@ -133,11 +119,10 @@ class FractionalJob:
 
 
 def fractional_power(x, sigma: float) -> np.ndarray:
-    """x^sigma for Hermitian x with spectrum in [0, 1], by functional calculus."""
+    """x^sigma for a PsdContraction x (a matrix is validated into one), by functional calculus."""
     if sigma <= 0:
         raise InvalidExponent(f"exponent must be positive, got {sigma}")
-    m, _ = _validated_psd_contraction(x, what="operand")
-    return hermitian_function(m, lambda w: np.clip(w, 0.0, 1.0) ** sigma)
+    return hermitian_function(as_operator(PsdContraction, x).eigh, lambda w: np.clip(w, 0.0, 1.0) ** sigma)
 
 
 def _sandwich_batch(a, b, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -151,11 +136,10 @@ def _sandwich_batch(a, b, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> np.
 
 
 def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
-    x, y, sigma = job.x, job.y, job.sigma
-    n = x.shape[0]
+    x, y, sigma = job.x.m, job.y.m, job.sigma
     diff = y - x
     if np.linalg.norm(diff) == 0.0:
-        return np.zeros((n, n), dtype=np.complex128)
+        return np.zeros_like(diff)
 
     upper_nodes = max(24, nodes // 8)
     panel_count = max(2, (nodes - upper_nodes) // 16)
@@ -240,11 +224,11 @@ def fractional_power_bound_report(job: FractionalJob) -> FractionalBoundReport:
             "inverse powers in the bound are undefined"
         )
     x, y, sigma = job.x, job.y, job.sigma
-    x_neg_alpha = hermitian_function(x, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.alpha)
-    y_neg_beta = hermitian_function(y, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.beta)
+    x_neg_alpha = hermitian_function(x.eigh, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.alpha)
+    y_neg_beta = hermitian_function(y.eigh, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.beta)
     lhs = schatten_norm(fractional_power(y, sigma) - fractional_power(x, sigma), job.p)
-    weighted = schatten_norm(y_neg_beta @ (y - x) @ x_neg_alpha, job.p)
-    plain = schatten_norm(x - y, job.p)
+    weighted = schatten_norm(y_neg_beta @ (y.m - x.m) @ x_neg_alpha, job.p)
+    plain = schatten_norm(x.m - y.m, job.p)
     c = c_sigma(sigma)
     bound = c / (job.alpha + job.beta + sigma - 1.0) * weighted + c / (1.0 - sigma) * plain
     return FractionalBoundReport(
@@ -271,10 +255,8 @@ def resolvent_difference_identity_check(x, y, t: float) -> float:
     """
     if t < 1e-8:
         raise ValidationError(f"t must be at least 1e-8, got {t}")
-    (mx, _), (my, _) = _validated_psd_contraction(x, what="x"), _validated_psd_contraction(y, what="y")
-    same_dimension(len(mx), len(my))
-    n = mx.shape[0]
-    eye = np.eye(n)
+    mx, my = (op.m for op in as_pair(PsdContraction, x, y))
+    eye = np.eye(mx.shape[0])
     ry = np.linalg.inv(t * eye + my)
     rx = np.linalg.inv(t * eye + mx)
     lhs = my @ ry - mx @ rx

@@ -408,9 +408,9 @@ def defect_values(s: np.ndarray, n: int) -> np.ndarray:
 class Dissipative:
     """Square matrix whose imaginary part (L - L*)/2i is PSD within 1e-10.
 
-    The factorisations the checks share are cached, read-only, and computed
-    on first use: the Cayley image, (L + iI)^(-1), and the eigendecomposition
-    of Im L.
+    imag_min, the smallest eigenvalue of Im L (0.0 when empty), comes from validation.
+    The factorisations the checks share are cached, read-only, and computed on
+    first use: the Cayley image, (L + iI)^(-1), and the eigendecomposition of Im L.
     """
 
     def __init__(self, m):
@@ -422,6 +422,7 @@ class Dissipative:
             raise ValidationError(f"imaginary part eigenvalue {lo:.3e} below -1.0e-10")
         self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
+        self.imag_min = lo
 
     @property
     def imag_part(self) -> np.ndarray:
@@ -452,6 +453,34 @@ class Dissipative:
 
     def __repr__(self):
         return f"Dissipative(n={self.n})"
+
+
+class PsdContraction:
+    """Hermitian matrix (within 1e-12, symmetrized) with spectrum in [-1e-10, 1 + 1e-10].
+
+    min_eig is its smallest eigenvalue from validation (0.0 when empty); the
+    eigendecomposition is cached, read-only, and computed on first use.
+    """
+
+    def __init__(self, m):
+        mat = require_hermitian(as_matrix(m))
+        w = _eig(np.linalg.eigvalsh, mat)
+        lo, hi = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
+        if not lo >= -1e-10:
+            raise IndefiniteInput(f"eigenvalue {lo:.3e} below -1e-10")
+        if not hi <= 1.0 + 1e-10:
+            raise ValidationError(f"eigenvalue {hi:.6f} above 1 + 1e-10")
+        self.m = _frozen(mat)
+        self.n = mat.shape[0]
+        self.min_eig = lo
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with m = V diag(w) V*, as `hermitian_function` takes it."""
+        return tuple(_frozen(a) for a in _eig(np.linalg.eigh, self.m))
+
+    def __repr__(self):
+        return f"PsdContraction(n={self.n})"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ integrable potentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Callable, Sequence
+from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -120,40 +120,10 @@ def green_kernel(x, t, z: complex):
     return out if out.shape else complex(out)
 
 
-def greens_function_for(z: complex) -> Callable:
-    """The two-argument kernel R(s, t) = green_kernel(s, t, z)."""
-    return lambda s, t: green_kernel(s, t, z)
-
-
-@dataclass(frozen=True)
-class NystromKernel:
-    """Symmetrized Nystrom discretization of f -> q^(1/2) R (q^(1/2) f).
-
-    The matrix is exactly Hermitian, as `nystrom_kernel` builds it, so its
-    trace norm and smallest eigenvalue come from one eigvalsh.
-    """
-
-    grid: Grid1D
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        return _hermitian_spectrum(self.matrix)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @property
-    def trace_norm(self) -> float:
-        return float(np.abs(self._spectrum).sum())
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self._spectrum.min())
+def _green_matrix(grid: Grid1D, z: complex) -> np.ndarray:
+    """R(x_i, x_j) = green_kernel(x_i, x_j, z) on the grid points, as a complex matrix."""
+    x = grid.points
+    return np.asarray(green_kernel(x[:, None], x[None, :], z), dtype=np.complex128)
 
 
 def _real_potential(q, what: str) -> np.ndarray:
@@ -166,12 +136,11 @@ def _real_potential(q, what: str) -> np.ndarray:
     return q
 
 
-def nystrom_kernel(q_values, r, grid: Grid1D) -> NystromKernel:
-    """Assemble sqrt(w_i q_i) R(x_i, x_j) sqrt(q_j w_j).
+def nystrom_kernel(q_values, r: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The read-only matrix sqrt(w_i q_i) R(x_i, x_j) sqrt(q_j w_j).
 
-    r is the kernel R(s, t), or its complex matrix R(x_i, x_j) on the grid
-    points; that matrix does not depend on q, so the kernels of several
-    potentials on one grid can share it.
+    r is the complex matrix R(x_i, x_j) on the grid points; it does not
+    depend on q, so the kernels of several potentials on one grid share it.
     The outer-product structure keeps the matrix exactly Hermitian whenever
     R itself is Hermitian-symmetric; that is validated, not assumed.
     """
@@ -181,18 +150,8 @@ def nystrom_kernel(q_values, r, grid: Grid1D) -> NystromKernel:
     q = _real_potential(q, "Nystrom kernels")
     if q.size and float(q.min()) < -1e-14:
         raise NegativePotential(f"potential value {q.min():.3e} is negative")
-    q = np.clip(q, 0.0, None)
-    rmat = r if isinstance(r, np.ndarray) else _kernel_matrix(r, grid)
-    c = np.sqrt(grid.weights * q)
-    k = (c[:, None] * c[None, :]) * rmat
-    k = require_hermitian(k, 1e-12)
-    return NystromKernel(grid=grid, matrix=k)
-
-
-def _kernel_matrix(r: Callable, grid: Grid1D) -> np.ndarray:
-    """R(x_i, x_j) on the grid points, as a complex matrix."""
-    x = grid.points
-    return np.asarray(r(x[:, None], x[None, :]), dtype=np.complex128)
+    c = np.sqrt(grid.weights * np.clip(q, 0.0, None))
+    return _frozen(require_hermitian((c[:, None] * c[None, :]) * r, 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +240,18 @@ def kernel_trace_report(q, grid: Grid1D, z: complex = -1.0) -> KernelTraceReport
     integral q(x) R(x, x) dx, which at z = -1 is half the L1 norm of q.
     """
     qv = potential_values(q, grid.points)
-    kernel = nystrom_kernel(qv, greens_function_for(z), grid)
+    k = nystrom_kernel(qv, _green_matrix(grid, z), grid)
+    spectrum = _hermitian_spectrum(k)
     qv = np.clip(np.real(np.asarray(qv)).astype(float), 0.0, None)
     diag = green_kernel(grid.points, grid.points, z)
     diagonal_integral = float(np.sum(grid.weights * qv * np.real(diag)))
     half_l1 = 0.5 * float(np.sum(grid.weights * np.abs(qv)))
     return KernelTraceReport(
-        trace=kernel.trace,
-        trace_norm=kernel.trace_norm,
+        trace=float(np.trace(k).real),
+        trace_norm=float(np.abs(spectrum).sum()),
         diagonal_integral=diagonal_integral,
         half_l1_target=half_l1,
-        min_eigenvalue=kernel.min_eigenvalue,
+        min_eigenvalue=float(spectrum.min()),
     )
 
 
@@ -328,17 +288,16 @@ def monotone_s1_check(
         raise ValidationError("n_list must be strictly increasing positive integers")
     if variant not in ("scale", "truncate"):
         raise ValidationError(f"unknown variant {variant!r}")
-    qv = _real_potential(potential_values(q, grid.points), "monotone ladders")
-    qv = np.clip(np.asarray(qv, dtype=float), 0.0, None)
+    qv = np.asarray(_real_potential(potential_values(q, grid.points), "monotone ladders"), dtype=float)
 
     # every rung scales the same Green's matrix; every kernel and difference is
     # exactly Hermitian, so its S1 norm is sum |lambda|
-    rmat = _kernel_matrix(greens_function_for(z), grid)
-    full = nystrom_kernel(qv, rmat, grid).matrix
+    rmat = _green_matrix(grid, z)
+    full = nystrom_kernel(qv, rmat, grid)
     norms = [float(np.abs(_hermitian_spectrum(full)).sum())]
     for n in ns:
         phi = qv * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(qv, level * n)
-        kn = nystrom_kernel(phi, rmat, grid).matrix
+        kn = nystrom_kernel(phi, rmat, grid)
         norms += [float(np.abs(_hermitian_spectrum(k)).sum()) for k in (kn, full - kn)]
     return MonotoneReport(
         n_values=tuple(ns),

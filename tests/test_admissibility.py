@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab import fractional, linalg
+from ssflab import linalg
 from ssflab.dilation import finite_schaffer_dilation, observed_trace_degree
 from ssflab.errors import SchemaError, ValidationError
 from ssflab.fractional import FractionalJob, resolvent_difference_identity_check
@@ -176,7 +176,8 @@ def _nan_measures(monkeypatch, validator):
         return lambda: Dissipative(1j * np.eye(2))
     if validator == "require_hermitian":
         return lambda: require_hermitian(np.array([[np.nan]]))
-    monkeypatch.setattr(fractional, "_eig", _nan_eigenvalues)
+    # the pair is validated as PsdContraction operands, in linalg
+    monkeypatch.setattr(linalg, "_eig", _nan_eigenvalues)
     return lambda: FractionalJob(x=0.5 * np.eye(2), y=0.25 * np.eye(2), sigma=0.5, alpha=0.5, beta=0.25)
 
 

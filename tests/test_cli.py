@@ -91,7 +91,7 @@ def test_numeric_exception_exits_one_with_report_and_summary(tmp_path, capsys):
 
 
 def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp_path, monkeypatch, capsys):
-    # eigvalsh fails on the first call after the lattice pair is built: the
+    # eigvalsh fails on its first call, L0's validation, which also gives the
     # lattice-dissipativity floor. That is a numeric failure, not a bad file
     payload = {
         "name": "floor",
@@ -100,21 +100,11 @@ def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp
         "potential": {"kind": "gaussian", "amplitude": [0.0, 1.0]},
     }
     f = write_json(tmp_path / "floor.json", payload)
-    built = []
-    build_pair, eigvalsh = scenario.discrete_schrodinger_pair, np.linalg.eigvalsh
 
-    def build_then_arm(*args):
-        pair = build_pair(*args)
-        built.append(pair)
-        return pair
+    def eigvalsh_failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def eigvalsh_failing_once_armed(a):
-        if built:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a)
-
-    monkeypatch.setattr(scenario, "discrete_schrodinger_pair", build_then_arm)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing_once_armed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing)
     assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 1
     assert "floor: FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "floor.report.json").read_text())
@@ -307,6 +297,21 @@ def test_plot_unreadable_csv_exits_two(tmp_path):
     junk = tmp_path / "junk.csv"
     junk.write_text("alpha,beta\n1,2\n")
     assert main(["plot", str(junk)]) == 2
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"theta_start,theta_end,value\n0,1,\xc3\xa9\n", b"\xef\xbb\xbftheta_start,theta_end,value\n0,1,2\n"],
+    ids=["utf8-cell", "byte-order-mark"],
+)
+def test_plot_of_a_csv_that_is_not_ascii_is_a_schema_error(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    assert main(["plot", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and f"{bad}: not ASCII text" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad.svg").exists()
 
 
 @pytest.mark.parametrize(

@@ -299,7 +299,7 @@ def test_min_eig_is_taken_from_validation(monkeypatch):
     x = random_psd_contraction(rng, 4)
     y = random_psd_contraction(rng, 4)
     job = FractionalJob(x=x, y=y, sigma=0.5, alpha=0.5, beta=0.25)
-    direct = max(float(min(np.linalg.eigvalsh(job.x).min(), np.linalg.eigvalsh(job.y).min())), 0.0)
+    direct = max(float(min(np.linalg.eigvalsh(job.x.m).min(), np.linalg.eigvalsh(job.y.m).min())), 0.0)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("min_eig ran an eigensolve"))
     assert job.min_eig == direct
     assert job.ill_conditioned == (direct < 1e-3)

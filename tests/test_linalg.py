@@ -17,6 +17,7 @@ from ssflab.linalg import (
     Contraction,
     _cluster_circle,
     Dissipative,
+    PsdContraction,
     Unitary,
     analytic_poly_eval,
     as_matrix,
@@ -431,6 +432,31 @@ def test_wrappers_validate():
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         as_matrix(np.array([[np.nan]]))
+
+
+def test_psd_contraction_keeps_its_validation_and_one_read_only_eigh(monkeypatch):
+    with pytest.raises(IndefiniteInput):
+        PsdContraction(np.diag([-1e-9, 0.5]))
+    with pytest.raises(ValidationError):
+        PsdContraction(np.diag([0.5, 1.0 + 1e-9]))
+    with pytest.raises(NotHermitian):
+        PsdContraction(np.array([[0.5, 0.1], [0.0, 0.5]]))
+    x = PsdContraction(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+    assert (x.n, x.min_eig) == (2, pytest.approx(0.25))
+    assert np.array_equal(x.m, x.m.conj().T) and not x.m.flags.writeable
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+    assert x.eigh is x.eigh and len(eighs) == 1
+    assert not any(a.flags.writeable for a in x.eigh)
+    np.testing.assert_allclose(x.eigh[0], [0.25, 0.75], atol=1e-15)
+    assert PsdContraction(np.zeros((0, 0))).min_eig == 0.0
+
+
+def test_dissipative_keeps_the_smallest_eigenvalue_of_its_imaginary_part():
+    l = Dissipative(np.diag([1.0 + 2j, 3.0 + 0.5j]))
+    assert l.imag_min == 0.5
+    assert l.imag_min == float(np.linalg.eigvalsh(l.imag_part).min())
 
 
 def test_wrapper_matrices_frozen():

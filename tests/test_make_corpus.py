@@ -23,7 +23,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 10
+    assert len(files) == generated + 13
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -34,6 +34,12 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert edges["edge-spectral-point"].spectral_point == -2.5
     assert edges["edge-default-grid-kernel"].grid == {"lo": -8.0, "hi": 8.0, "nodes": 1024, "scheme": "gauss"}
     assert "grid" not in json.loads((tmp_path / "edge-default-grid-kernel.json").read_text())
+    assert edges["edge-trapezoid-bump"].grid == {"lo": -8.0, "hi": 8.0, "nodes": 257, "scheme": "trapezoid"}
+    assert edges["edge-trapezoid-bump"].potential["kind"] == "bump"
+    assert edges["edge-table-kernel"].potential["kind"] == "table"
+    table = edges["edge-complex-table"].potential
+    assert edges["edge-complex-table"].kind == "schrodinger" and table["kind"] == "table"
+    assert any(complex(q).imag for q in table["q"])
     assert edges["edge-unitary-determinant"].determinant is not None
     assert edges["edge-contraction-determinant"].determinant is not None
     assert edges["edge-determinant-grid256"].determinant["grid"] == 256

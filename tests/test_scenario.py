@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssflab import scenario
 from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
 from ssflab.export import dump_json, report_to_dict
@@ -164,6 +165,46 @@ def test_schrodinger_scenario_small_lattice():
     assert ids.count("resolvent-z0") == 1 and ids.count("resolvent-z1") == 1
     assert "line_step" in report.tables
     assert report.flags["real_integrable_possible"] is False
+
+
+def count_square_solves(monkeypatch, n):
+    """The names of the eigvalsh and eigh calls on an n-square matrix, in call order."""
+    calls = []
+
+    def counted(name, solver):
+        def run(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                calls.append(name)
+            return solver(a, *args, **kwargs)
+
+        return run
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_a_schrodinger_run_reads_the_lattice_floor_off_validation(monkeypatch):
+    sc = parse_scenario(
+        {"name": "lattice", "kind": "schrodinger", "grid": {"nodes": 24}, "dilation_order": 8, "z_values": [[0.0, -2.0]]}
+    )
+    pairs = []
+    build = scenario.discrete_schrodinger_pair
+    monkeypatch.setattr(scenario, "discrete_schrodinger_pair", lambda q, h: pairs.append(build(q, h)) or pairs[-1])
+    calls = count_square_solves(monkeypatch, 24)
+    report = run_scenario(sc)
+    # one eigvalsh per operator, in its validation; the lattice floor is read off L0's
+    assert calls.count("eigvalsh") == 2
+    floor = next(r for r in report.records if r.check_id == "lattice-dissipativity")
+    assert floor.lhs == pairs[0][0].imag_min and floor.passed
+
+
+def test_a_fractional_run_validates_and_factors_each_matrix_once(monkeypatch):
+    sc = parse_scenario(generate_scenario("fractional", 4, 3))
+    calls = count_square_solves(monkeypatch, 3)
+    report = run_scenario(sc)
+    assert report.all_pass
+    assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
 
 
 def test_kernel_trace_scenario_with_monotone():

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflab.errors import (
     BranchCut,
@@ -23,7 +25,6 @@ from ssflab.schrodinger import (
     Grid1D,
     discrete_schrodinger_pair,
     green_kernel,
-    greens_function_for,
     kernel_trace_report,
     make_grid,
     monotone_s1_check,
@@ -135,26 +136,36 @@ def single_point_grid():
     )
 
 
+def green_matrix(grid, z=-1.0):
+    """R(x_i, x_j) on the grid points, evaluated here rather than by the module."""
+    x = grid.points
+    return np.asarray(green_kernel(x[:, None], x[None, :], z), dtype=np.complex128)
+
+
 def test_single_point_kernel_value():
-    kernel = nystrom_kernel(np.array([4.0]), greens_function_for(-1.0), single_point_grid())
-    np.testing.assert_allclose(kernel.matrix, [[2.0]], atol=1e-15)
-    assert kernel.trace == pytest.approx(2.0, abs=1e-15)
-    assert kernel.trace_norm == pytest.approx(2.0, abs=1e-14)
+    grid = single_point_grid()
+    kernel = nystrom_kernel(np.array([4.0]), green_matrix(grid), grid)
+    assert isinstance(kernel, np.ndarray) and not kernel.flags.writeable
+    np.testing.assert_allclose(kernel, [[2.0]], atol=1e-15)
+    report = kernel_trace_report(np.array([4.0]), grid)
+    assert report.trace == pytest.approx(2.0, abs=1e-15)
+    assert report.trace_norm == pytest.approx(2.0, abs=1e-14)
 
 
 def test_nystrom_rejects_bad_potentials():
     grid = make_grid(-1.0, 1.0, 16)
+    r = green_matrix(grid)
     with pytest.raises(NegativePotential):
-        nystrom_kernel(np.full(grid.n, -1e-3), greens_function_for(-1.0), grid)
+        nystrom_kernel(np.full(grid.n, -1e-3), r, grid)
     with pytest.raises(NegativePotential):
-        nystrom_kernel(np.full(grid.n, 1.0 + 0.5j), greens_function_for(-1.0), grid)
+        nystrom_kernel(np.full(grid.n, 1.0 + 0.5j), r, grid)
     with pytest.raises(ValidationError):
-        nystrom_kernel(np.ones(3), greens_function_for(-1.0), grid)
+        nystrom_kernel(np.ones(3), r, grid)
     # a tiny negative excursion is clipped, not fatal
     q = np.full(grid.n, 0.5)
     q[0] = -1e-15
-    kernel = nystrom_kernel(q, greens_function_for(-1.0), grid)
-    assert kernel.min_eigenvalue >= -1e-12
+    kernel = nystrom_kernel(q, r, grid)
+    assert np.linalg.eigvalsh(kernel).min() >= -1e-12
 
 
 def test_gaussian_trace_hits_half_sqrt_pi():
@@ -241,12 +252,22 @@ def test_monotone_rejects_a_complex_potential():
         monotone_s1_check({"kind": "gaussian", "amplitude": 1.0 + 0.5j}, grid, (2, 4))
 
 
+@pytest.mark.parametrize("variant", ["scale", "truncate"])
+@pytest.mark.parametrize("q", [{"kind": "gaussian", "amplitude": -1.0}, lambda x: x], ids=["negative", "mixed-sign"])
+def test_monotone_refuses_a_negative_potential_as_the_kernel_does(q, variant):
+    grid = make_grid(-8.0, 8.0, 64)
+    with pytest.raises(NegativePotential):
+        monotone_s1_check(q, grid, (2, 4), variant=variant)
+    with pytest.raises(NegativePotential):
+        kernel_trace_report(q, grid)
+
+
 def _ladder_by_svd(q, grid, ns, variant, level=0.01):
     """The ladder's norms one SVD at a time, as schatten_norm gives them."""
-    r = greens_function_for(-1.0)
-    full = nystrom_kernel(q, r, grid).matrix
+    r = green_matrix(grid)
+    full = nystrom_kernel(q, r, grid)
     rungs = [
-        nystrom_kernel(q * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(q, level * n), r, grid).matrix
+        nystrom_kernel(q * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(q, level * n), r, grid)
         for n in ns
     ]
     return (
@@ -288,18 +309,18 @@ def test_monotone_ladder_evaluates_the_greens_kernel_once_and_keeps_every_kernel
     monotone_s1_check({"kind": "bump", "half_width": 2.0}, grid, ns, variant=variant, z=-0.7)
     assert len(evaluations) == 1 and len(rungs) == len(ns) + 1
     for q, r in rungs:
-        shared = build(q, r, grid).matrix
-        own = build(q, greens_function_for(-0.7), grid).matrix
+        shared = build(q, r, grid)
+        own = build(q, green_matrix(grid, -0.7), grid)
         assert shared.tobytes() == own.tobytes()
 
 
 def _ladder_by_one_stacked_solve(q, grid, ns, variant, level=0.01):
     """The ladder's norms from one eigvalsh of the stacked kernels, as the ladder once took them."""
-    rmat = schrodinger._kernel_matrix(greens_function_for(-1.0), grid)
-    full = nystrom_kernel(q, rmat, grid).matrix
+    rmat = green_matrix(grid)
+    full = nystrom_kernel(q, rmat, grid)
     ms = [full]
     for n in ns:
-        kn = nystrom_kernel(q * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(q, level * n), rmat, grid).matrix
+        kn = nystrom_kernel(q * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(q, level * n), rmat, grid)
         ms += [kn, full - kn]
     stack = np.stack(ms)
     return np.abs(np.linalg.eigvalsh(stack if np.any(stack.imag) else stack.real)).sum(-1).tolist()
@@ -321,18 +342,58 @@ def test_monotone_ladder_norms_are_the_stacked_solve_bit_for_bit(variant, nodes)
 def test_kernel_trace_norm_and_min_eigenvalue_share_one_eigensolve(z, twist, monkeypatch):
     # twist multiplies the kernel by exp(i twist (s - t)): still Hermitian, no longer real
     grid = make_grid(-8.0, 8.0, 64)
-    q = potential_values({"kind": "bump", "half_width": 2.0}, grid.points)
-    kernel = nystrom_kernel(q, lambda s, t: green_kernel(s, t, z) * np.exp(1j * twist * (s - t)), grid)
-    svd_norm = schatten_norm(kernel.matrix, 1)
-    lowest = float(np.linalg.eigvalsh(kernel.matrix).min())
+    bump = {"kind": "bump", "half_width": 2.0}
+    x = grid.points
+    twisted = green_matrix(grid, z) * np.exp(1j * twist * (x[:, None] - x[None, :]))
+    kernel = nystrom_kernel(potential_values(bump, x), twisted, grid)
+    assert not kernel.flags.writeable
+    assert np.array_equal(kernel, kernel.conj().T)
+    svd_norm = schatten_norm(kernel, 1)
+    lowest = float(np.linalg.eigvalsh(kernel).min())
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.dtype) or eigvalsh(a))
-    assert kernel.trace_norm == pytest.approx(svd_norm, rel=1e-13)
-    assert kernel.min_eigenvalue == pytest.approx(lowest, rel=1e-13, abs=1e-16)
-    assert kernel.trace_norm == pytest.approx(kernel.trace, rel=1e-12)
+    monkeypatch.setattr(schrodinger, "_green_matrix", lambda g, z: twisted)
+    report = kernel_trace_report(bump, grid, z=z)
+    assert report.trace_norm == pytest.approx(svd_norm, rel=1e-13)
+    assert report.min_eigenvalue == pytest.approx(lowest, rel=1e-13, abs=1e-16)
+    assert report.trace_norm == pytest.approx(report.trace, rel=1e-12)
     # a symmetric kernel is exactly real once symmetrized, and is solved in float64
     assert solves == [np.float64 if twist == 0.0 else np.complex128]
+
+
+_POTENTIALS = st.one_of(
+    st.builds(
+        lambda a, c, w: {"kind": "gaussian", "amplitude": a, "center": c, "width": w},
+        st.floats(0.0, 3.0), st.floats(-4.0, 4.0), st.floats(0.2, 3.0),
+    ),
+    st.builds(
+        lambda a, c, h, t: {"kind": "bump", "amplitude": a, "center": c, "half_width": h, "taper": t * h},
+        st.floats(0.0, 3.0), st.floats(-4.0, 4.0), st.floats(0.2, 3.0), st.floats(0.05, 1.0),
+    ),
+    st.lists(st.floats(0.0, 3.0), min_size=2, max_size=8).map(
+        lambda qs: {"kind": "table", "x": np.linspace(-6.0, 6.0, len(qs)).tolist(), "q": qs}
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=_POTENTIALS,
+    scheme=st.sampled_from(["gauss", "trapezoid"]),
+    nodes=st.integers(16, 128),
+    z=st.sampled_from([-1.0, -0.3, -4.0]),
+)
+def test_nystrom_kernel_is_a_read_only_exactly_hermitian_matrix(q, scheme, nodes, z):
+    if scheme == "gauss":
+        nodes -= nodes % 16  # whole 16-point panels
+    grid = make_grid(-8.0, 8.0, nodes, scheme=scheme)
+    kernel = nystrom_kernel(potential_values(q, grid.points), green_matrix(grid, z), grid)
+    assert isinstance(kernel, np.ndarray) and kernel.shape == (nodes, nodes)
+    assert not kernel.flags.writeable
+    assert np.array_equal(kernel, kernel.conj().T)
+    report = kernel_trace_report(q, grid, z=z)
+    assert report.trace_norm == pytest.approx(schatten_norm(kernel, 1), rel=1e-12, abs=1e-300)
 
 
 def test_generated_kernel_trace_file_runs_without_warnings():

@@ -6,11 +6,13 @@ The corpus holds every kind at dims 1, 2, 3, 5, 8, 12 and 24 for seeds 1
 and 2, each asking for json, csv and svg, plus edge files that generated
 files never reach: a fractional bound with beta = 0 (the corollary form), a
 truncate ladder, a kernel at spectral point -2.5, a kernel file without a
-grid (the schema default of 1,024 Gauss nodes), a dissipative pair whose
-Im L is singular (the condition report becomes an error string), a
-determinant block on both circle kinds and one at the smallest grid (256),
-a name with quotes and non-ASCII characters, and explicit matrices with
-integer and real-scalar cells (the scenario writer's general path). Write
+grid (the schema default of 1,024 Gauss nodes), a bump kernel on a
+257-node trapezoid grid, a table-potential kernel, a Schrodinger file with
+a complex table potential, a dissipative pair whose Im L is singular (the
+condition report becomes an error string), a determinant block on both
+circle kinds and one at the smallest grid (256), a name with quotes and
+non-ASCII characters, and explicit matrices with integer and real-scalar
+cells (the scenario writer's general path). Write
 the corpus from each version, since scenario files are output too, run
 each version on its own corpus with one BLAS thread and compare both:
 
@@ -59,6 +61,19 @@ def _edge_files() -> list[dict]:
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
         generated("kernel_trace", "spectral-point", spectral_point=-2.5),
         default_grid,
+        generated(
+            "kernel_trace",
+            "trapezoid-bump",
+            grid={"lo": -8.0, "hi": 8.0, "nodes": 257, "scheme": "trapezoid"},
+            potential={"kind": "bump", "amplitude": 0.5, "half_width": 2.0, "taper": 0.5},
+        ),
+        generated("kernel_trace", "table-kernel", potential={"kind": "table", "x": [-2.0, 0.0, 2.0], "q": [0.0, 1.0, 0.0]}),
+        generated(
+            "schrodinger",
+            "complex-table",
+            grid={"lo": -8.0, "hi": 8.0, "nodes": 24},
+            potential={"kind": "table", "x": [-2.0, 0.0, 2.0], "q": [[0.0, 0.0], [0.5, 1.0], [0.0, 0.25]]},
+        ),
         {"name": "edge-singular-im", "kind": "dissipative_pair", "matrices": pair, "outputs": OUTPUTS},
         generated("unitary_pair", "unitary-determinant", determinant={"grid": 1024}),
         generated("contraction_pair", "contraction-determinant", determinant={"grid": 1024}),
