@@ -1,9 +1,9 @@
-"""Serialization: SSF tables to CSV, reports to JSON, step plots to SVG.
+"""Serialization: SSF tables to CSV, reports to JSON, SSF plots to SVG.
 
 CSV uses comma separators, '.' decimal points, 17 significant digits, and
 the literals inf / -inf for unbounded line segments. Complex values in JSON
 are [re, im] pairs; matrices are row-major nested arrays. SVG is emitted
-directly with line/text primitives so plots need no external renderer.
+directly, every graph one polyline, so plots need no external renderer.
 """
 
 from __future__ import annotations
@@ -340,13 +340,10 @@ def dump_json(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SVG step plots
+# SVG plots
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 18, 34, 42
-# a step line and the drop to the next step, with coordinates formatted "%.2f"
-_STEP_LINE = '<line class="step" x1="%s" y1="%s" x2="%s" y2="%s" stroke="#1f6feb" stroke-width="2"%s/>'
-_DROP_LINE = '<line class="drop" x1="%s" y1="%s" x2="%s" y2="%s" stroke="#8b949e" stroke-dasharray="3,3"/>'
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -358,7 +355,7 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
 
 
 def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
-    """Self-contained SVG step/line plot for one SSF table."""
+    """Self-contained SVG plot of one SSF table: one polyline, a staircase for step and line tables."""
     if kind not in _HEADERS:
         raise SchemaError(f"unknown table kind {kind!r}")
     cells = np.asarray(rows, dtype=float)
@@ -366,12 +363,12 @@ def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
         raise SchemaError("cannot plot an empty table")
 
     if kind == "sampled":
-        ys = cells[:, 1]
+        xs, ys = cells[:, 0], cells[:, 1]
         xlo, xhi = 0.0, TWO_PI
     else:
-        ends = cells[:, :2]
-        finite = ends[np.isfinite(ends)]
-        ys = cells[:, 2]
+        # the staircase: each row's (start, value) and (end, value), in row order
+        xs, ys = cells[:, :2].ravel(), cells[:, 2].repeat(2)
+        finite = xs[np.isfinite(xs)]
         if kind == "circle_step":
             xlo, xhi = 0.0, TWO_PI
         elif finite.size:
@@ -381,6 +378,8 @@ def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
             xlo, xhi = lo - pad, hi + pad
         else:
             xlo, xhi = -5.0, 5.0
+        # an unbounded end runs to the frame
+        xs = xs.clip(xlo, xhi)
     ylo, yhi = _span(float(ys.min()), float(ys.max()))
 
     def px(x: float) -> float:
@@ -425,34 +424,21 @@ def render_ssf_svg(kind: str, rows, name: str = "ssf") -> str:
             f'stroke="#d0d7de" stroke-dasharray="2,3"/>'
         )
 
-    if kind == "sampled":
-        xy = np.column_stack((px(cells[:, 0]), py(ys)))
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    xy = np.column_stack((px(xs), py(ys)))
+    pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>'
+    )
+    if kind == "line_step":
+        left, right = float(ys[0]), float(ys[-1])
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>'
+            f'<text x="{_ML + 5}" y="{py(left) - 6:.2f}" font-size="11" '
+            f'fill="#24292f">xi(-inf) = {left:.4g}</text>'
         )
-    else:
-        a, b = cells[:, 0], cells[:, 1]
-        a_px = np.where(np.isfinite(a), px(np.maximum(a, xlo)), _ML)
-        b_px = np.where(np.isfinite(b), px(np.minimum(b, xhi)), _W - _MR)
-        dash = np.where(np.isfinite(a) & np.isfinite(b), "", ' stroke-dasharray="6,3"').tolist()
-        n = len(a)
-        texts = _format_once(np.concatenate((a_px, b_px, px(a[1:]), py(ys))), "%.2f")
-        a_t, b_t, drop_t, y_t = texts[:n], texts[n : 2 * n], texts[2 * n : 3 * n - 1], texts[3 * n - 1 :]
-        lines = [""] * (2 * n - 1)
-        lines[::2] = _lines(_STEP_LINE, a_t, y_t, b_t, y_t, dash)
-        lines[1::2] = _lines(_DROP_LINE, drop_t, y_t, drop_t, y_t[1:])
-        parts += lines
-        if kind == "line_step":
-            left, right = float(ys[0]), float(ys[-1])
-            parts.append(
-                f'<text x="{_ML + 5}" y="{py(left) - 6:.2f}" font-size="11" '
-                f'fill="#24292f">xi(-inf) = {left:.4g}</text>'
-            )
-            parts.append(
-                f'<text x="{_W - _MR - 5}" y="{py(right) - 6:.2f}" text-anchor="end" '
-                f'font-size="11" fill="#24292f">xi(+inf) = {right:.4g}</text>'
-            )
+        parts.append(
+            f'<text x="{_W - _MR - 5}" y="{py(right) - 6:.2f}" text-anchor="end" '
+            f'font-size="11" fill="#24292f">xi(+inf) = {right:.4g}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -196,10 +196,17 @@ def perturbation_determinant(t0, t1, zeta: complex) -> complex:
 
 
 def _factor_phase(eigs: np.ndarray, zeta: np.ndarray, radius: float) -> np.ndarray:
-    """Sum of arg(1 - l/zeta) over |l| < radius and arg(1 - zeta/l) over the rest."""
+    """Sum of arg(1 - l/zeta) over |l| < radius and arg(1 - zeta/l) over the rest.
+
+    The grid is taken 256 points at a time, so at most 256 x n factors are held.
+    """
     inside = np.abs(eigs) < radius
-    z = zeta[:, None]
-    return np.angle(1.0 - eigs[inside] / z).sum(axis=1) + np.angle(1.0 - z / eigs[~inside]).sum(axis=1)
+    l_in, l_out = eigs[inside], eigs[~inside]
+    phase = np.empty(len(zeta))
+    for s in range(0, len(zeta), 256):
+        z = zeta[s : s + 256, None]
+        phase[s : s + 256] = np.angle(1.0 - l_in / z).sum(axis=1) + np.angle(1.0 - z / l_out).sum(axis=1)
+    return phase
 
 
 def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> SampledSSF:

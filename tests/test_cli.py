@@ -54,8 +54,9 @@ def test_run_success_writes_all_outputs(tmp_path, capsys):
 
     svg = (tmp_path / "hand.svg").read_text()
     assert svg.startswith("<svg")
-    assert svg.count('class="step"') == 2
-    assert svg.count('class="drop"') == 1
+    # one polyline: two steps, two points each
+    assert svg.count("<polyline") == 1
+    assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 4
 
 
 def test_run_numeric_failure_exits_one_but_reports(tmp_path, capsys):
@@ -245,7 +246,8 @@ def test_plot_from_csv(tmp_path):
     assert main(["plot", str(csv_path), "-o", str(out)]) == 0
     svg = out.read_text()
     assert svg.startswith("<svg")
-    assert svg.count('class="step"') == 2
+    assert svg.count("<polyline") == 1
+    assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 4
 
     # default output name: swap the suffix
     assert main(["plot", str(csv_path)]) == 0
@@ -269,8 +271,8 @@ def test_plot_flat_zero_table(tmp_path):
     write_ssf_csv(flat, csv_path)
     assert main(["plot", str(csv_path)]) == 0
     svg = (tmp_path / "flat.svg").read_text()
-    assert svg.count('class="step"') == 1
-    assert svg.count('class="drop"') == 0
+    assert svg.count("<polyline") == 1
+    assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 2
 
 
 def test_plot_near_breakpoints_far_out_has_no_nan(tmp_path):

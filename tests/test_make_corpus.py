@@ -23,11 +23,11 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 13
+    assert len(files) == generated + 14
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
-    assert all(sc.outputs == ("json", "csv", "svg") for sc in scenarios)
+    assert all(sc.outputs == ("json", "csv", "svg") for sc in scenarios if sc.name != "edge-determinant-limit")
     edges = {sc.name: sc for sc in scenarios if sc.name.startswith("edge-")}
     assert edges["edge-fractional-beta0"].exponents["beta"] == 0.0
     assert edges["edge-truncate-ladder"].monotone["variant"] == "truncate"
@@ -43,6 +43,9 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert edges["edge-unitary-determinant"].determinant is not None
     assert edges["edge-contraction-determinant"].determinant is not None
     assert edges["edge-determinant-grid256"].determinant["grid"] == 256
+    limit = edges["edge-determinant-limit"]
+    assert (limit.kind, limit.determinant["grid"], limit.outputs) == ("unitary_pair", 65536, ("json", "csv"))
+    assert limit.matrices[0].shape == (128, 128)
     assert 'edge-quoted-"name"-ünïcode-名前' in edges
     cells = json.loads((tmp_path / "edge-mixed-cells.json").read_text())["matrices"]
     assert {type(c) for m in cells for row in m for c in row} == {int, float, list}

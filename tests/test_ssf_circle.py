@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
+from ssflab import ssf_circle
 from ssflab.export import table_array
 from ssflab.dilation import dilation_pair
 from ssflab.linalg import CLUSTER_TOL, Contraction, Unitary, _cluster_circle, analytic_poly_eval, operator_norm
+from ssflab.scenario import parse_scenario, run_scenario
 from ssflab.ssf_circle import (
     RealSsfConditions,
     SampledSSF,
@@ -405,6 +409,48 @@ def test_determinant_ssf_equal_raw_pair_is_identically_zero(n, seed, scale):
     out = determinant_ssf(m, m, grid=256)
     assert out.winding == 0
     assert np.all(out.values == 0.0)
+
+
+def one_shot_factor_phase(eigs, zeta, radius):
+    """_factor_phase on the whole grid at once: grid x n factors held together."""
+    inside = np.abs(eigs) < radius
+    z = zeta[:, None]
+    return np.angle(1.0 - eigs[inside] / z).sum(axis=1) + np.angle(1.0 - z / eigs[~inside]).sum(axis=1)
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 128),
+    grid=st.integers(256, 8192) | st.sampled_from([256, 257, 511, 4096, 8192]),
+    seed=seeds,
+    spread=st.floats(0.1, 3.0),
+)
+@example(n=128, grid=8192, seed=3, spread=2.0)
+@example(n=128, grid=4097, seed=4, spread=0.5)
+@example(n=1, grid=300, seed=5, spread=3.0)
+def test_blocked_factor_phase_is_the_one_shot_phase_bit_for_bit(n, grid, seed, spread):
+    rng = np.random.default_rng(seed)
+    # moduli on both sides of the radius
+    eigs = rng.uniform(0.0, spread, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+    radius = 1.0 + 1e-4
+    zeta = radius * np.exp(1j * TWO_PI * np.arange(1, grid + 1) / grid)
+    blocked = ssf_circle._factor_phase(eigs, zeta, radius)
+    assert blocked.tobytes() == one_shot_factor_phase(eigs, zeta, radius).tobytes()
+
+
+def test_a_determinant_run_at_the_schema_limits_holds_one_block_of_the_grid():
+    sc = parse_scenario(
+        {"name": "limit", "kind": "unitary_pair", "matrices": {"seed": 3, "dim": 128}, "determinant": {"grid": 65536}}
+    )
+    tracemalloc.start()
+    try:
+        report = run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tables["sampled"].values.shape == (65536,)
+    # one grid x n complex array alone is 65536 * 128 * 16 B = 128 MiB
+    assert peak <= 32 * 2**20
 
 
 @PROPERTY

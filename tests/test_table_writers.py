@@ -2,8 +2,9 @@
 bytes that the per-cell writers they replaced wrote.
 
 The oracles below are copies of those per-cell writers: the table rows, the
-CSV text, the report JSON (the standard library's json.dumps of the rows),
-and the SVG renderer.
+CSV text and the report JSON (the standard library's json.dumps of the rows).
+The SVG oracle formats every point of the plot's one polyline on its own: a
+sample, or a step row's start and end at its value.
 """
 
 import json
@@ -38,14 +39,6 @@ from ssflab.scenario import CheckRecord, Report
 from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import pushforward_line
 
-_STEP_LINE = (
-    '<line class="step" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-    'stroke="#1f6feb" stroke-width="2"%s/>'
-)
-_DROP_LINE = (
-    '<line class="drop" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-    'stroke="#8b949e" stroke-dasharray="3,3"/>'
-)
 HEADERS = {"circle_step": "theta_start,theta_end,value", "line_step": "t_start,t_end,value"}
 
 
@@ -73,7 +66,7 @@ def json_rows_per_cell(table) -> list:
 
 
 def render_per_cell(kind: str, rows, name: str = "ssf") -> str:
-    """render_ssf_svg as it formatted every coordinate of every line."""
+    """render_ssf_svg with every point of its polyline formatted on its own."""
     cells = np.asarray(rows, dtype=float)
 
     if kind == "sampled":
@@ -136,32 +129,23 @@ def render_per_cell(kind: str, rows, name: str = "ssf") -> str:
         )
 
     if kind == "sampled":
-        xy = np.column_stack((px(cells[:, 0]), py(ys)))
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>'
-        )
+        points = [f"{px(x):.2f},{py(y):.2f}" for x, y in cells.tolist()]
     else:
-        a, b = cells[:, 0], cells[:, 1]
-        y = py(ys).tolist()
-        a_px = np.where(np.isfinite(a), px(np.maximum(a, xlo)), _ML).tolist()
-        b_px = np.where(np.isfinite(b), px(np.minimum(b, xhi)), _W - _MR).tolist()
-        dash = np.where(np.isfinite(a) & np.isfinite(b), "", ' stroke-dasharray="6,3"').tolist()
-        drop_x = px(a[1:]).tolist()
-        lines = [""] * (2 * len(y) - 1)
-        lines[::2] = [_STEP_LINE % r for r in zip(a_px, y, b_px, y, dash)]
-        lines[1::2] = [_DROP_LINE % r for r in zip(drop_x, y, drop_x, y[1:])]
-        parts += lines
-        if kind == "line_step":
-            left, right = float(ys[0]), float(ys[-1])
-            parts.append(
-                f'<text x="{_ML + 5}" y="{py(left) - 6:.2f}" font-size="11" '
-                f'fill="#24292f">xi(-inf) = {left:.4g}</text>'
-            )
-            parts.append(
-                f'<text x="{_W - _MR - 5}" y="{py(right) - 6:.2f}" text-anchor="end" '
-                f'font-size="11" fill="#24292f">xi(+inf) = {right:.4g}</text>'
-            )
+        # the staircase; an unbounded end runs to the frame
+        points = []
+        for a, b, y in cells.tolist():
+            points += [f"{px(max(a, xlo)):.2f},{py(y):.2f}", f"{px(min(b, xhi)):.2f},{py(y):.2f}"]
+    parts.append(f'<polyline points="{" ".join(points)}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>')
+    if kind == "line_step":
+        left, right = float(ys[0]), float(ys[-1])
+        parts.append(
+            f'<text x="{_ML + 5}" y="{py(left) - 6:.2f}" font-size="11" '
+            f'fill="#24292f">xi(-inf) = {left:.4g}</text>'
+        )
+        parts.append(
+            f'<text x="{_W - _MR - 5}" y="{py(right) - 6:.2f}" text-anchor="end" '
+            f'font-size="11" fill="#24292f">xi(+inf) = {right:.4g}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -210,6 +194,10 @@ def line_tables(draw):
 tables = circle_tables() | circle_tables(1e-9).map(pushforward_line) | line_tables()
 
 
+def polyline_points(svg: str) -> list[str]:
+    return svg.split('<polyline points="')[1].split('"')[0].split(" ")
+
+
 def assert_writers_match(table, tmp_path):
     kind = table_kind(table)
     csv = tmp_path / "t.csv"
@@ -223,7 +211,11 @@ def assert_writers_match(table, tmp_path):
     assert (tmp_path / "t.report.json").read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     plot_ssf(table, tmp_path / "t.svg", name="t")
-    assert (tmp_path / "t.svg").read_text() == render_per_cell(kind, rows_per_cell(table), name="t")
+    svg = (tmp_path / "t.svg").read_text()
+    assert svg == render_per_cell(kind, rows_per_cell(table), name="t")
+    # the ticks and the zero line are the only <line> elements
+    assert svg.count("<polyline") == 1 and svg.count("<line") == 10 + ('stroke-dasharray="2,3"' in svg)
+    assert len(polyline_points(svg)) == 2 * len(rows_per_cell(table))
     # the plot command renders the rows it reads back from the CSV
     assert render_ssf_svg(*read_ssf_csv(csv)) == render_per_cell(*read_ssf_csv(csv))
 
@@ -299,6 +291,16 @@ def test_a_sampled_table_is_written_as_the_stdlib_writes_it(values, radius, tmp_
     tables = {"circle_step": circle, "sampled": SampledSSF(radius, thetas, np.array(values), 1)}
     report = Report("t", "unitary_pair", (), {"grid": len(values)}, tables, {})
     assert written(report, tmp_path_factory.mktemp("sampled")) == stdlib_report(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_a_sampled_plot_is_one_polyline_point_per_sample(values):
+    thetas = np.linspace(0.0, TWO_PI, len(values) + 1)[1:]
+    rows = np.column_stack((thetas, values))
+    svg = render_ssf_svg("sampled", rows, name="t")
+    assert svg == render_per_cell("sampled", rows, name="t")
+    assert svg.count("<polyline") == 1 and len(polyline_points(svg)) == len(values)
 
 
 def test_a_placeholder_text_in_the_flags_falls_back_to_the_stdlib(tmp_path):

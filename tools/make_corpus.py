@@ -10,11 +10,12 @@ grid (the schema default of 1,024 Gauss nodes), a bump kernel on a
 257-node trapezoid grid, a table-potential kernel, a Schrodinger file with
 a complex table potential, a dissipative pair whose Im L is singular (the
 condition report becomes an error string), a determinant block on both
-circle kinds and one at the smallest grid (256), a name with quotes and
-non-ASCII characters, and explicit matrices with integer and real-scalar
-cells (the scenario writer's general path). Write
-the corpus from each version, since scenario files are output too, run
-each version on its own corpus with one BLAS thread and compare both:
+circle kinds, one at the smallest grid (256) and one at the schema's
+limits (a random dim-128 unitary pair on 65,536 points, json and csv
+only), a name with quotes and non-ASCII characters, and explicit matrices
+with integer and real-scalar cells (the scenario writer's general path).
+Write the corpus from each version, since scenario files are output too,
+run each version on its own corpus with one BLAS thread and compare both:
 
     python3 tools/make_corpus.py corpus_before
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m ssflab.cli run corpus_before/*.json --out-dir before
@@ -78,6 +79,13 @@ def _edge_files() -> list[dict]:
         generated("unitary_pair", "unitary-determinant", determinant={"grid": 1024}),
         generated("contraction_pair", "contraction-determinant", determinant={"grid": 1024}),
         generated("unitary_pair", "determinant-grid256", determinant={"grid": 256}),
+        {
+            "name": "edge-determinant-limit",
+            "kind": "unitary_pair",
+            "matrices": {"seed": 3, "dim": 128},
+            "determinant": {"grid": 65536},
+            "outputs": ["json", "csv"],
+        },
         generated("contraction_pair", 'quoted-"name"-ünïcode-名前'),
         {"name": "edge-mixed-cells", "kind": "contraction_pair", "matrices": mixed, "outputs": OUTPUTS},
     ]
