@@ -97,7 +97,7 @@ def table_array(table) -> np.ndarray:
 # Below this many values, finding the distinct ones costs more than it saves.
 # Timed on step tables (a few distinct levels, every bound repeated; Xeon VM,
 # CPython 3.11): the direct path is faster up to about 100 values, the
-# deduplicating one from about 130, for "%r", "%.17g" and "%.2f" alike.
+# deduplicating one from about 130, for "%r" and "%.17g" alike.
 _FORMAT_ONCE_MIN = 128
 
 

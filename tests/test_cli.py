@@ -35,6 +35,10 @@ def hand_pair_payload(name="hand", **extra):
     return payload
 
 
+def polyline_points(svg: str) -> list[str]:
+    return svg.split('<polyline points="')[1].split('"')[0].split()
+
+
 def test_run_success_writes_all_outputs(tmp_path, capsys):
     f = write_json(tmp_path / "hand.json", hand_pair_payload())
     rc = main(["run", str(f), "--out-dir", str(tmp_path)])
@@ -56,7 +60,7 @@ def test_run_success_writes_all_outputs(tmp_path, capsys):
     assert svg.startswith("<svg")
     # one polyline: two steps, two points each
     assert svg.count("<polyline") == 1
-    assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 4
+    assert len(polyline_points(svg)) == 4
 
 
 def test_run_numeric_failure_exits_one_but_reports(tmp_path, capsys):
@@ -247,7 +251,7 @@ def test_plot_from_csv(tmp_path):
     svg = out.read_text()
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 1
-    assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 4
+    assert len(polyline_points(svg)) == 4
 
     # default output name: swap the suffix
     assert main(["plot", str(csv_path)]) == 0
@@ -272,7 +276,7 @@ def test_plot_flat_zero_table(tmp_path):
     assert main(["plot", str(csv_path)]) == 0
     svg = (tmp_path / "flat.svg").read_text()
     assert svg.count("<polyline") == 1
-    assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 2
+    assert len(polyline_points(svg)) == 2
 
 
 def test_plot_near_breakpoints_far_out_has_no_nan(tmp_path):
