@@ -1,10 +1,10 @@
 """Scenario files: schema validation, deterministic generation, execution.
 
 A scenario is a small JSON object naming a pair (or a potential) and the
-checks to run on it. Parsing is strict: unknown keys, inadmissible
-exponents, or malformed matrices raise SchemaError before any numerics
-start. Execution turns every check into a CheckRecord whose anchor names
-the verified statement; the registry of anchor strings is fixed here.
+checks to run on it. Parsing is strict: unknown keys, inadmissible exponents,
+malformed matrices or a tolerance that names no check of the file raise
+SchemaError before any numerics start. Parsing fixes each check's anchor and
+tolerance from ANCHOR_CHECKS; execution turns each check into a CheckRecord.
 
 Complex JSON entries are [re, im] pairs, matrices row-major nested lists.
 Random instances are drawn from a single seeded generator per scenario so
@@ -71,31 +71,60 @@ from .ssf_line import (
 
 MATRIX_CLASSES = ("unitary", "contraction", "dissipative", "psd_contraction")
 
-# Every report record cites exactly one of these anchors; the value is a
-# one-line statement of what the residual measures.
-ANCHOR_REGISTRY = {
-    "circle-trace-formula": "trace(f(U1) - f(U0)) equals the boundary integral of f' against the step SSF",
-    "dilation-trace-formula": "contraction-pair trace identity through the block-dilation SSF",
-    "power-dilation": "compressed dilation powers reproduce contraction powers up to order m - 2",
-    "defect-identity": "exact algebraic identity tying defect-square differences to the perturbation",
-    "hardy-gauge": "analytic test monomials integrate to zero, so the gauge term is invisible",
-    "determinant-consistency": "calibrated determinant SSF matches the step SSF away from jumps",
-    "determinant-lu-crosscheck": "eigenvalue-factor determinant matches the LU perturbation determinant",
-    "cayley-defect-factorization": "squared Cayley defects factor through the imaginary part",
-    "cayley-resolvent-difference": "Cayley-image difference equals the scaled resolvent difference",
-    "line-resolvent-trace": "resolvent trace difference equals the line-SSF sum",
-    "weighted-integral-consistency": "weighted line integral equals half the circle integral",
-    "fractional-power-bound": "fractional-power difference norm obeys the weighted two-term bound",
-    "fractional-quadrature": "integral-representation quadrature matches the eigendecomposition",
-    "resolvent-difference-identity": "exact two-sided resolvent difference identity",
-    "lattice-dissipativity": "discrete pair keeps its imaginary part at or above the identity",
-    "schrodinger-resolvent": "lattice-pair resolvent trace formula through the line SSF",
-    "kernel-trace-identity": "PSD kernel trace equals its trace norm",
-    "kernel-positivity": "kernel matrix stays PSD up to roundoff",
-    "kernel-half-l1": "kernel trace matches half the potential's L1 mass",
-    "monotone-trace-ladder": "monotone potential ladder converges in trace norm at rate 1/n",
-    "numeric-completion": "the scenario's numerics ran to the end without a numeric exception",
+# Every report record cites exactly one of these anchors. Each row holds the anchor's check id ({j} indexes
+# a family of checks), its default tolerance and a one-line statement of what the residual measures.
+ANCHOR_CHECKS = {
+    "circle-trace-formula": (
+        "trace-poly-{j}", 1e-10, "trace(f(U1) - f(U0)) equals the boundary integral of f' against the step SSF"
+    ),
+    "dilation-trace-formula": (
+        "trace-poly-{j}", 1e-9, "contraction-pair trace identity through the block-dilation SSF"
+    ),
+    "power-dilation": (
+        "power-dilation", 1e-10, "compressed dilation powers reproduce contraction powers up to order m - 2"
+    ),
+    "defect-identity": (
+        "defect-identity", 1e-12, "exact algebraic identity tying defect-square differences to the perturbation"
+    ),
+    "hardy-gauge": ("hardy-gauge", 1e-10, "analytic test monomials integrate to zero, so the gauge term is invisible"),
+    "determinant-consistency": (
+        "determinant-step-consistency", 5e-2, "calibrated determinant SSF matches the step SSF away from jumps"
+    ),
+    "determinant-lu-crosscheck": (
+        "determinant-lu-crosscheck", 1e-8, "eigenvalue-factor determinant matches the LU perturbation determinant"
+    ),
+    "cayley-defect-factorization": (
+        "cayley-defect-factorization", 1e-9, "squared Cayley defects factor through the imaginary part"
+    ),
+    "cayley-resolvent-difference": (
+        "cayley-resolvent-difference", 1e-9, "Cayley-image difference equals the scaled resolvent difference"
+    ),
+    "line-resolvent-trace": ("resolvent-z{j}", 1e-6, "resolvent trace difference equals the line-SSF sum"),
+    "weighted-integral-consistency": (
+        "weighted-consistency", 1e-12, "weighted line integral equals half the circle integral"
+    ),
+    "fractional-power-bound": (
+        "fractional-bound", 1e-10, "fractional-power difference norm obeys the weighted two-term bound"
+    ),
+    "fractional-quadrature": (
+        "fractional-quadrature", 1e-6, "integral-representation quadrature matches the eigendecomposition"
+    ),
+    "resolvent-difference-identity": ("resolvent-identity", 1e-11, "exact two-sided resolvent difference identity"),
+    "lattice-dissipativity": (
+        "lattice-dissipativity", 1e-10, "discrete pair keeps its imaginary part at or above the identity"
+    ),
+    "schrodinger-resolvent": ("resolvent-z{j}", 1e-5, "lattice-pair resolvent trace formula through the line SSF"),
+    "kernel-trace-identity": ("kernel-trace-identity", 1e-10, "PSD kernel trace equals its trace norm"),
+    "kernel-positivity": ("kernel-positivity", 1e-10, "kernel matrix stays PSD up to roundoff"),
+    "kernel-half-l1": ("kernel-half-l1", 1e-4, "kernel trace matches half the potential's L1 mass"),
+    "monotone-trace-ladder": (
+        "monotone-ladder", 1e-10, "monotone potential ladder converges in trace norm at rate 1/n"
+    ),
+    "numeric-completion": (
+        "numeric-completion", 0.0, "the scenario's numerics ran to the end without a numeric exception"
+    ),
 }
+ANCHOR_REGISTRY = {anchor: statement for anchor, (_, _, statement) in ANCHOR_CHECKS.items()}
 ANCHORS = frozenset(ANCHOR_REGISTRY)
 
 # dilation block count of the line kinds when the file gives no dilation_order
@@ -413,7 +442,7 @@ class Scenario:
     potential: Optional[dict]
     spectral_point: float
     monotone: Optional[dict]
-    tolerances: dict
+    checks: dict  # check id -> (anchor, tolerance) of every check the file makes, in record order
     outputs: tuple[str, ...]
 
 
@@ -449,16 +478,6 @@ def parse_scenario(data: Any) -> Scenario:
         _fail("outputs", "expected a list drawn from ['json', 'csv', 'svg']")
     outputs = tuple(dict.fromkeys(outputs_raw))
 
-    tol_raw = data.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        _fail("tolerances", "expected an object of check_id to tolerance")
-    tolerances = {}
-    for key, v in tol_raw.items():
-        t = _float_entry(v, f"tolerances.{key}")
-        if t <= 0:
-            _fail(f"tolerances.{key}", "must be positive")
-        tolerances[str(key)] = t
-
     matrices = None if spec.matrix_class is None else _parse_matrices(data, kind)
 
     dilation_order = None
@@ -473,21 +492,50 @@ def parse_scenario(data: Any) -> Scenario:
         if spectral_point >= -1e-12:
             _fail("spectral_point", "must be strictly negative (below the branch cut)")
 
+    determinant = _parse_determinant(data.get("determinant"))
+    z_values = _parse_z_values(data.get("z_values"))
+    monotone = _parse_monotone(data.get("monotone"))
+    # the records of each check id: one per index of a family, none of an optional check not asked for
+    counts = {
+        "trace-poly-{j}": len(polys),
+        "resolvent-z{j}": len(z_values),
+        "determinant-step-consistency": determinant is not None,
+        "determinant-lu-crosscheck": determinant is not None,
+        # the half-L1 target holds at the spectral point -1 only
+        "kernel-half-l1": abs(spectral_point + 1.0) < 1e-12,
+        "monotone-ladder": monotone is not None,
+    }
+    checks = {}
+    for anchor in (*spec.anchors, "numeric-completion"):
+        check_id, tol, _ = ANCHOR_CHECKS[anchor]
+        checks.update((check_id.format(j=j), (anchor, tol)) for j in range(counts.get(check_id, 1)))
+
+    tol_raw = data.get("tolerances", {})
+    if not isinstance(tol_raw, dict):
+        _fail("tolerances", "expected an object of check_id to tolerance")
+    for key, v in tol_raw.items():
+        t = _float_entry(v, f"tolerances.{key}")
+        if t <= 0:
+            _fail(f"tolerances.{key}", "must be positive")
+        if key not in checks:
+            _fail(f"tolerances.{key}", f"names no check of this file; its checks are {list(checks)}")
+        checks[key] = (checks[key][0], t)
+
     return Scenario(
         name=name.strip(),
         kind=kind,
         matrices=matrices,
         dilation_order=dilation_order,
         test_polynomials=polys,
-        determinant=_parse_determinant(data.get("determinant")),
-        z_values=_parse_z_values(data.get("z_values")),
+        determinant=determinant,
+        z_values=z_values,
         exponents=_parse_exponents(data.get("exponents"), kind),
         quadrature_nodes=_int_entry(data.get("quadrature_nodes", 200), "quadrature_nodes", 32, 2000),
         grid=None if spec.grid is None else _parse_grid(data.get("grid"), spec.grid),
         potential=None if spec.grid is None else _parse_potential(data.get("potential")),
         spectral_point=spectral_point,
-        monotone=_parse_monotone(data.get("monotone")),
-        tolerances=tolerances,
+        monotone=monotone,
+        checks=checks,
         outputs=outputs,
         # hashed last, once every other key is validated: a NaN anywhere is a SchemaError first
         config_hash=_config_hash(data, matrices),
@@ -612,16 +660,16 @@ def _fields(rep, *drop) -> dict:
 
 def _run_unitary_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     ssf = unitary_ssf(*(Unitary(m) for m in sc.matrices))
-    return _circle_pair_checks(sc, record, ssf, "circle-trace-formula", 1e-10, {})
+    return _circle_pair_checks(sc, record, ssf, {})
 
 
-def _circle_pair_checks(sc, record, ssf, anchor, tol, flags):
+def _circle_pair_checks(sc, record, ssf, flags):
     """Trace-formula, Hardy-gauge and determinant checks of a circle-kind pair."""
     m0, m1 = sc.matrices
     for j, coeffs in enumerate(sc.test_polynomials):
         lhs = np.trace(analytic_poly_eval(m1, coeffs)) - np.trace(analytic_poly_eval(m0, coeffs))
-        record(f"trace-poly-{j}", anchor, lhs, ssf_trace_integral(ssf, coeffs), tol)
-    record("hardy-gauge", "hardy-gauge", hardy_gauge_check(1, sc.test_polynomials[0]), 0.0, 1e-10)
+        record(f"trace-poly-{j}", lhs, ssf_trace_integral(ssf, coeffs))
+    record("hardy-gauge", hardy_gauge_check(1, sc.test_polynomials[0]), 0.0)
     flags = {"gauge": ssf.gauge, "jump_count": len(ssf.jumps), **flags}
     tables = {"circle_step": ssf}
     _determinant_block(sc, record, m0, m1, ssf, flags, tables)
@@ -631,7 +679,7 @@ def _circle_pair_checks(sc, record, ssf, anchor, tol, flags):
 def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
     """Step-consistency and LU checks of the determinant route. Each gap is nonnegative and
     so its own residual; a check that could not run records residual None."""
-    if sc.determinant is None:
+    if "determinant-lu-crosscheck" not in sc.checks:
         return
     deviation = lu_gap = None
     try:
@@ -649,8 +697,8 @@ def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
             flags["determinant_step_error"] = f"{type(exc).__name__}: {exc}"
         flags["determinant_winding"] = sampled.winding
         tables["sampled"] = sampled
-    record("determinant-step-consistency", "determinant-consistency", deviation or 0.0, 0.0, 5e-2, residual=deviation)
-    record("determinant-lu-crosscheck", "determinant-lu-crosscheck", lu_gap or 0.0, 0.0, 1e-8, residual=lu_gap)
+    record("determinant-step-consistency", deviation or 0.0, 0.0, residual=deviation)
+    record("determinant-lu-crosscheck", lu_gap or 0.0, 0.0, residual=lu_gap)
 
 
 def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
@@ -665,29 +713,23 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         for corner in dil.compressed_powers(blocks - 2):
             worst = max(worst, operator_norm(corner - power))
             power = power @ base
-    record("power-dilation", "power-dilation", worst, 0.0, 1e-10)
+    record("power-dilation", worst, 0.0)
     conditions = real_ssf_conditions_report(
         t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
-    record("defect-identity", "defect-identity", conditions.identity_residual, 0.0, 1e-12)
+    record("defect-identity", conditions.identity_residual, 0.0)
     flags = {"block_count": blocks, **_fields(conditions, "alpha", "beta", "p", "identity_residual")}
     ssf = dilation_ssf(d0, d1)
-    return _circle_pair_checks(sc, record, ssf, "dilation-trace-formula", 1e-9, flags)
+    return _circle_pair_checks(sc, record, ssf, flags)
 
 
-def _line_pair_checks(sc, record, l0, l1, tol_resolvent, anchor):
+def _line_pair_checks(sc, record, l0, l1):
     """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables)."""
     blocks = sc.dilation_order or LINE_BLOCKS
     ssf = dissipative_ssf(l0, l1, blocks)
     for j, z in enumerate(sc.z_values):
-        record(f"resolvent-z{j}", anchor, *resolvent_trace_sides(l0.m, l1.m, ssf, z), tol_resolvent)
-    record(
-        "weighted-consistency",
-        "weighted-integral-consistency",
-        weighted_abs_integral(ssf, side="line"),
-        weighted_abs_integral(ssf, side="circle"),
-        1e-12,
-    )
+        record(f"resolvent-z{j}", *resolvent_trace_sides(l0.m, l1.m, ssf, z))
+    record("weighted-consistency", weighted_abs_integral(ssf, side="line"), weighted_abs_integral(ssf, side="circle"))
     flags = {
         "block_count": blocks,
         "jump_count": len(ssf.breakpoints),
@@ -700,21 +742,10 @@ def _line_pair_checks(sc, record, l0, l1, tol_resolvent, anchor):
 def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     l0, l1 = (Dissipative(m) for m in sc.matrices)
     idents = cayley_identity_residuals(l0, l1)
-    record(
-        "cayley-defect-factorization",
-        "cayley-defect-factorization",
-        max(max(idents.defect_sq_residuals), max(idents.adjoint_defect_sq_residuals)),
-        0.0,
-        1e-9,
-    )
-    record(
-        "cayley-resolvent-difference",
-        "cayley-resolvent-difference",
-        idents.resolvent_difference_residual,
-        0.0,
-        1e-9,
-    )
-    flags, tables = _line_pair_checks(sc, record, l0, l1, 1e-6, "line-resolvent-trace")
+    defect = max(max(idents.defect_sq_residuals), max(idents.adjoint_defect_sq_residuals))
+    record("cayley-defect-factorization", defect, 0.0)
+    record("cayley-resolvent-difference", idents.resolvent_difference_residual, 0.0)
+    flags, tables = _line_pair_checks(sc, record, l0, l1)
     try:
         flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents.get("p", 1.0)))
     except ArithmeticError as exc:
@@ -727,20 +758,13 @@ def _run_fractional(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     e = sc.exponents
     job = FractionalJob(x=x, y=y, sigma=e["sigma"], alpha=e["alpha"], beta=e["beta"], p=e["p"])
     bound_rep = fractional_power_bound_report(job)
-    record(
-        "fractional-bound",
-        "fractional-power-bound",
-        bound_rep.lhs,
-        bound_rep.bound,
-        1e-10,
-        residual=max(0.0, bound_rep.lhs - bound_rep.bound),
-    )
+    record("fractional-bound", bound_rep.lhs, bound_rep.bound, residual=max(0.0, bound_rep.lhs - bound_rep.bound))
     exact = fractional_power(job.y, job.sigma) - fractional_power(job.x, job.sigma)
     quad = fractional_diff_quadrature(job, nodes=sc.quadrature_nodes)
     rel = float(np.linalg.norm(quad - exact) / max(np.linalg.norm(exact), 1e-12))
-    record("fractional-quadrature", "fractional-quadrature", rel, 0.0, 1e-6)
+    record("fractional-quadrature", rel, 0.0)
     worst = max(resolvent_difference_identity_check(job.x, job.y, t) for t in (0.01, 1.0, 100.0))
-    record("resolvent-identity", "resolvent-difference-identity", worst, 0.0, 1e-11)
+    record("resolvent-identity", worst, 0.0)
     return {**_fields(bound_rep, "holds"), "min_eig": job.min_eig}, {}
 
 
@@ -749,15 +773,8 @@ def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     x = np.linspace(g["lo"], g["hi"], g["nodes"])
     q = np.asarray(potential_values(sc.potential, x), dtype=np.complex128)
     l0, l1 = discrete_schrodinger_pair(q, float(x[1] - x[0]))
-    record(
-        "lattice-dissipativity",
-        "lattice-dissipativity",
-        l0.imag_min,
-        1.0,
-        1e-10,
-        residual=max(0.0, 1.0 - l0.imag_min),
-    )
-    flags, tables = _line_pair_checks(sc, record, l0, l1, 1e-5, "schrodinger-resolvent")
+    record("lattice-dissipativity", l0.imag_min, 1.0, residual=max(0.0, 1.0 - l0.imag_min))
+    flags, tables = _line_pair_checks(sc, record, l0, l1)
     del flags["left_tail"], flags["right_tail"]
     flags["nodes"] = g["nodes"]
     return flags, tables
@@ -767,19 +784,12 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     g = sc.grid
     grid = make_grid(g["lo"], g["hi"], g["nodes"], scheme=g["scheme"])
     rep = kernel_trace_report(sc.potential, grid, z=sc.spectral_point)
-    record("kernel-trace-identity", "kernel-trace-identity", rep.trace, rep.trace_norm, 1e-10)
-    record(
-        "kernel-positivity",
-        "kernel-positivity",
-        rep.min_eigenvalue,
-        0.0,
-        1e-10,
-        residual=max(0.0, -rep.min_eigenvalue),
-    )
-    if abs(sc.spectral_point + 1.0) < 1e-12:
-        record("kernel-half-l1", "kernel-half-l1", rep.trace, rep.half_l1_target, 1e-4)
+    record("kernel-trace-identity", rep.trace, rep.trace_norm)
+    record("kernel-positivity", rep.min_eigenvalue, 0.0, residual=max(0.0, -rep.min_eigenvalue))
+    if "kernel-half-l1" in sc.checks:
+        record("kernel-half-l1", rep.trace, rep.half_l1_target)
     flags = {**_fields(rep), "spectral_point": sc.spectral_point}
-    if sc.monotone is not None:
+    if "monotone-ladder" in sc.checks:
         mon = monotone_s1_check(
             sc.potential,
             grid,
@@ -797,7 +807,7 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
                 + [a - b for a, b in zip(mon.approx_norms, mon.approx_norms[1:])]
                 + [b - a for a, b in zip(mon.residual_norms, mon.residual_norms[1:])]
             )
-        record("monotone-ladder", "monotone-trace-ladder", worst, 0.0, 1e-10)
+        record("monotone-ladder", worst, 0.0)
         flags["monotone"] = {**_fields(mon, "n_values"), "n": mon.n_values}
     return flags, {}
 
@@ -808,6 +818,7 @@ class _Kind:
 
     run: Callable[[Scenario, Callable], tuple[dict, dict]]  # (sc, record) -> (flags, tables)
     keys: frozenset  # top-level keys beyond name, kind, outputs and tolerances
+    anchors: tuple[str, ...]  # the anchors its records cite, in record order
     matrix_class: Optional[str]  # class of a random pair; None for the potential kinds
     generated: Callable[..., dict] = lambda rng, dim: {}  # (rng, dim) -> its keys in a generated file
     outputs: tuple[str, ...] = ("json", "csv", "svg")  # outputs a generated file asks for
@@ -815,22 +826,34 @@ class _Kind:
     degree: int = 3  # the default test polynomials are the monomials z, ..., z^degree
 
 
+_CIRCLE_ANCHORS = ("hardy-gauge", "determinant-consistency", "determinant-lu-crosscheck")  # after a trace formula
 _KINDS = {
     "unitary_pair": _Kind(
-        _run_unitary_pair, frozenset({"matrices", "test_polynomials", "determinant"}), "unitary", degree=4
+        _run_unitary_pair,
+        frozenset({"matrices", "test_polynomials", "determinant"}),
+        ("circle-trace-formula", *_CIRCLE_ANCHORS),
+        "unitary",
+        degree=4,
     ),
     "contraction_pair": _Kind(
         _run_contraction_pair,
         frozenset({"matrices", "test_polynomials", "determinant", "dilation_order", "exponents"}),
+        ("power-dilation", "defect-identity", "dilation-trace-formula", *_CIRCLE_ANCHORS),
         "contraction",
         lambda rng, dim: {"dilation_order": 6},
     ),
     "dissipative_pair": _Kind(
-        _run_dissipative_pair, frozenset({"matrices", "dilation_order", "z_values"}), "dissipative", _line_keys
+        _run_dissipative_pair,
+        frozenset({"matrices", "dilation_order", "z_values"}),
+        ("cayley-defect-factorization", "cayley-resolvent-difference", "line-resolvent-trace")
+        + ("weighted-integral-consistency",),
+        "dissipative",
+        _line_keys,
     ),
     "fractional": _Kind(
         _run_fractional,
         frozenset({"matrices", "exponents", "quadrature_nodes"}),
+        ("fractional-power-bound", "fractional-quadrature", "resolvent-difference-identity"),
         "psd_contraction",
         lambda rng, dim: {"exponents": {"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0}},
         outputs=("json",),
@@ -838,6 +861,7 @@ _KINDS = {
     "schrodinger": _Kind(
         _run_schrodinger,
         frozenset({"grid", "potential", "dilation_order", "z_values"}),
+        ("lattice-dissipativity", "schrodinger-resolvent", "weighted-integral-consistency"),
         None,
         _schrodinger_keys,
         grid={"lo": -8.0, "hi": 8.0, "nodes": 64},
@@ -845,6 +869,7 @@ _KINDS = {
     "kernel_trace": _Kind(
         _run_kernel_trace,
         frozenset({"grid", "potential", "spectral_point", "monotone"}),
+        ("kernel-trace-identity", "kernel-positivity", "kernel-half-l1", "monotone-trace-ladder"),
         None,
         _kernel_trace_keys,
         outputs=("json",),
@@ -865,7 +890,7 @@ def _non_finite_flag(value, path: str) -> Optional[str]:
 
 
 def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
-    """Execute every check the scenario's kind implies.
+    """Execute the checks of sc.checks, each at its tolerance times tolerance_scale.
 
     Data problems that surface during execution (a matrix failing its class
     validation, an inadmissible potential) are reported as SchemaError: the
@@ -879,10 +904,9 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
         raise SchemaError("tolerance_scale must be a positive finite number")
     records: list[CheckRecord] = []
 
-    def record(check_id, anchor, lhs, rhs, tol, residual=_AUTO):
-        if anchor not in ANCHORS:
-            raise RuntimeError(f"internal: unregistered anchor {anchor!r}")
-        tol_val = float(sc.tolerances.get(check_id, tol)) * float(tolerance_scale)
+    def record(check_id, lhs, rhs, residual=_AUTO):
+        anchor, tol = sc.checks[check_id]
+        tol_val = float(tol) * float(tolerance_scale)
         if residual is _AUTO:
             res: Optional[float] = abs(complex(lhs) - complex(rhs))
             passed = res <= tol_val
@@ -906,7 +930,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     except ValueError as exc:
         raise SchemaError(f"scenario {sc.name!r}: {exc}") from exc
     if "numeric_error" in flags:
-        record("numeric-completion", "numeric-completion", 0.0, 0.0, 0.0, residual=None)
+        record("numeric-completion", 0.0, 0.0, residual=None)
     return Report(
         scenario=sc.name,
         kind=sc.kind,

@@ -23,7 +23,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 14
+    assert len(files) == generated + 15
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -51,6 +51,9 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert {type(c) for m in cells for row in m for c in row} == {int, float, list}
     im_l0 = json.loads((tmp_path / "edge-singular-im.json").read_text())["matrices"][0]
     assert [im_l0[k][k][1] for k in range(3)] == [1.0, 0.0, 0.5]
+    overrides = edges["edge-tolerance-overrides"].checks
+    assert overrides["resolvent-z0"] == ("line-resolvent-trace", 1e-5)
+    assert overrides["weighted-consistency"] == ("weighted-integral-consistency", 1e-10)
 
 
 def test_usage_without_an_output_directory_exits_two(make_corpus, capsys):

@@ -12,8 +12,10 @@ a complex table potential, a dissipative pair whose Im L is singular (the
 condition report becomes an error string), a determinant block on both
 circle kinds, one at the smallest grid (256) and one at the schema's
 limits (a random dim-128 unitary pair on 65,536 points, json and csv
-only), a name with quotes and non-ASCII characters, and explicit matrices
-with integer and real-scalar cells (the scenario writer's general path).
+only), a name with quotes and non-ASCII characters, explicit matrices
+with integer and real-scalar cells (the scenario writer's general path), and
+a dissipative pair whose `tolerances` override one check of an indexed
+family (resolvent-z0) and one plain check (weighted-consistency).
 Write the corpus from each version, since scenario files are output too,
 run each version on its own corpus with one BLAS thread and compare both:
 
@@ -88,6 +90,11 @@ def _edge_files() -> list[dict]:
         },
         generated("contraction_pair", 'quoted-"name"-ünïcode-名前'),
         {"name": "edge-mixed-cells", "kind": "contraction_pair", "matrices": mixed, "outputs": OUTPUTS},
+        generated(
+            "dissipative_pair",
+            "tolerance-overrides",
+            tolerances={"resolvent-z0": 1e-5, "weighted-consistency": 1e-10},
+        ),
     ]
 
 
