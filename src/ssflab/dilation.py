@@ -278,12 +278,12 @@ def finite_schaffer_dilation(t: Contraction, m: int) -> FiniteDilation:
 def dilation_pair(t0: Contraction, t1: Contraction, m: int) -> tuple[FiniteDilation, FiniteDilation]:
     """Dilate two same-dimension contractions with the identical block layout.
 
+    Arrays and nested lists are validated as contractions under the pair rule.
     The difference of the two dilations is then supported on the four Julia
     positions only (the shift part cancels), so it has rank at most 2n and
     its trace norm equals that of the Julia block difference.
     """
-    if t0.n != t1.n:
-        raise InvalidOrder(f"dimension mismatch: {t0.n} vs {t1.n}")
+    t0, t1 = as_pair(Contraction, t0, t1)
     return finite_schaffer_dilation(t0, m), finite_schaffer_dilation(t1, m)
 
 

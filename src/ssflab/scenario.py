@@ -4,7 +4,8 @@ A scenario is a small JSON object naming a pair (or a potential) and the
 checks to run on it. Parsing is strict: unknown keys, inadmissible exponents,
 malformed matrices or a tolerance that names no check of the file raise
 SchemaError before any numerics start. Parsing fixes each check's anchor and
-tolerance from ANCHOR_CHECKS; execution turns each check into a CheckRecord.
+tolerance from ANCHOR_CHECKS, and a dilation kind's block count from its
+_KINDS record; execution turns each check into a CheckRecord.
 
 Complex JSON entries are [re, im] pairs, matrices row-major nested lists.
 Random instances are drawn from a single seeded generator per scenario so
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Optional
 
@@ -340,11 +341,9 @@ def _parse_grid(raw, defaults: dict) -> dict:
     return out
 
 
-def _parse_exponents(raw, kind: str) -> dict:
-    if kind == "fractional":
-        out = {"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0}
-    else:
-        out = {"alpha": 0.5, "beta": 0.5, "p": 1.0}
+def _parse_exponents(raw, defaults: dict) -> dict:
+    """The exponents over the kind's defaults; their keys are the allowed exponent keys."""
+    out = dict(defaults)
     allowed = set(out)
     if raw is not None:
         if not isinstance(raw, dict):
@@ -432,7 +431,7 @@ class Scenario:
     kind: str
     config_hash: str
     matrices: Optional[tuple[np.ndarray, np.ndarray]]
-    dilation_order: Optional[int]
+    dilation_order: Optional[int]  # the block count m of a dilation kind: the file's, else its kind's rule
     test_polynomials: tuple[tuple[complex, ...], ...]
     determinant: Optional[dict]
     z_values: tuple[complex, ...]
@@ -480,10 +479,7 @@ def parse_scenario(data: Any) -> Scenario:
 
     matrices = None if spec.matrix_class is None else _parse_matrices(data, kind)
 
-    dilation_order = None
-    if "dilation_order" in data:
-        dilation_order = _int_entry(data["dilation_order"], "dilation_order", 3, 64)
-
+    order = _int_entry(data["dilation_order"], "dilation_order", 3, 64) if "dilation_order" in data else None
     polys = _parse_polynomials(data.get("test_polynomials"), spec.degree)
 
     spectral_point = -1.0
@@ -525,11 +521,11 @@ def parse_scenario(data: Any) -> Scenario:
         name=name.strip(),
         kind=kind,
         matrices=matrices,
-        dilation_order=dilation_order,
+        dilation_order=order or (None if spec.blocks is None else spec.blocks(polys)),
         test_polynomials=polys,
         determinant=determinant,
         z_values=z_values,
-        exponents=_parse_exponents(data.get("exponents"), kind),
+        exponents=_parse_exponents(data.get("exponents"), spec.exponents),
         quadrature_nodes=_int_entry(data.get("quadrature_nodes", 200), "quadrature_nodes", 32, 2000),
         grid=None if spec.grid is None else _parse_grid(data.get("grid"), spec.grid),
         potential=None if spec.grid is None else _parse_potential(data.get("potential")),
@@ -581,11 +577,13 @@ def generate_scenario(kind: str, seed: int, dim: int) -> dict:
     if spec.matrix_class is not None:
         payload["matrices"] = [_matrix_to_json(_draw_matrix(rng, dim, spec.matrix_class)) for _ in range(2)]
     payload.update(spec.generated(rng, dim))
+    if spec.blocks is not None:
+        payload["dilation_order"] = spec.blocks(_parse_polynomials(None, spec.degree))
     return payload
 
 
 def _line_keys(rng: np.random.Generator, dim: int) -> dict:
-    return {"z_values": [[0.0, -2.0]], "dilation_order": LINE_BLOCKS}
+    return {"z_values": [[0.0, -2.0]]}
 
 
 def _schrodinger_keys(rng: np.random.Generator, dim: int) -> dict:
@@ -704,13 +702,11 @@ def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
 def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     m0, m1 = sc.matrices
     t0, t1 = Contraction(m0), Contraction(m1)
-    max_deg = max(len(c) - 1 for c in sc.test_polynomials)
-    blocks = sc.dilation_order or default_block_count(max_deg)
-    d0, d1 = dilation_pair(t0, t1, blocks)
+    d0, d1 = dilation_pair(t0, t1, sc.dilation_order)
     worst = 0.0
     for dil, base in ((d0, m0), (d1, m1)):
         power = base
-        for corner in dil.compressed_powers(blocks - 2):
+        for corner in dil.compressed_powers(sc.dilation_order - 2):
             worst = max(worst, operator_norm(corner - power))
             power = power @ base
     record("power-dilation", worst, 0.0)
@@ -718,20 +714,19 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
     record("defect-identity", conditions.identity_residual, 0.0)
-    flags = {"block_count": blocks, **_fields(conditions, "alpha", "beta", "p", "identity_residual")}
+    flags = {"block_count": sc.dilation_order, **_fields(conditions, "alpha", "beta", "p", "identity_residual")}
     ssf = dilation_ssf(d0, d1)
     return _circle_pair_checks(sc, record, ssf, flags)
 
 
 def _line_pair_checks(sc, record, l0, l1):
     """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables)."""
-    blocks = sc.dilation_order or LINE_BLOCKS
-    ssf = dissipative_ssf(l0, l1, blocks)
+    ssf = dissipative_ssf(l0, l1, sc.dilation_order)
     for j, z in enumerate(sc.z_values):
         record(f"resolvent-z{j}", *resolvent_trace_sides(l0.m, l1.m, ssf, z))
     record("weighted-consistency", weighted_abs_integral(ssf, side="line"), weighted_abs_integral(ssf, side="circle"))
     flags = {
-        "block_count": blocks,
+        "block_count": sc.dilation_order,
         "jump_count": len(ssf.breakpoints),
         "mass_at_infinity": ssf.mass_at_infinity,
         **_fields(perturbation_trace_report(l0, l1, ssf)),
@@ -747,7 +742,7 @@ def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     record("cayley-resolvent-difference", idents.resolvent_difference_residual, 0.0)
     flags, tables = _line_pair_checks(sc, record, l0, l1)
     try:
-        flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents.get("p", 1.0)))
+        flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents["p"]))
     except ArithmeticError as exc:
         flags["condition_report"] = f"{type(exc).__name__}: {exc}"
     return flags, tables
@@ -824,6 +819,8 @@ class _Kind:
     outputs: tuple[str, ...] = ("json", "csv", "svg")  # outputs a generated file asks for
     grid: Optional[dict] = None  # grid defaults; their keys are the allowed grid keys
     degree: int = 3  # the default test polynomials are the monomials z, ..., z^degree
+    blocks: Optional[Callable[[tuple], int]] = None  # test polynomials -> dilation block count m; None: no dilation
+    exponents: dict = field(default_factory=lambda: {"alpha": 0.5, "beta": 0.5, "p": 1.0})  # exponent defaults
 
 
 _CIRCLE_ANCHORS = ("hardy-gauge", "determinant-consistency", "determinant-lu-crosscheck")  # after a trace formula
@@ -840,7 +837,7 @@ _KINDS = {
         frozenset({"matrices", "test_polynomials", "determinant", "dilation_order", "exponents"}),
         ("power-dilation", "defect-identity", "dilation-trace-formula", *_CIRCLE_ANCHORS),
         "contraction",
-        lambda rng, dim: {"dilation_order": 6},
+        blocks=lambda polys: default_block_count(max(len(c) - 1 for c in polys)),
     ),
     "dissipative_pair": _Kind(
         _run_dissipative_pair,
@@ -849,14 +846,16 @@ _KINDS = {
         + ("weighted-integral-consistency",),
         "dissipative",
         _line_keys,
+        blocks=lambda polys: LINE_BLOCKS,
     ),
     "fractional": _Kind(
         _run_fractional,
         frozenset({"matrices", "exponents", "quadrature_nodes"}),
         ("fractional-power-bound", "fractional-quadrature", "resolvent-difference-identity"),
         "psd_contraction",
-        lambda rng, dim: {"exponents": {"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0}},
+        lambda rng, dim: {"exponents": dict(_KINDS["fractional"].exponents)},
         outputs=("json",),
+        exponents={"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 1.0},
     ),
     "schrodinger": _Kind(
         _run_schrodinger,
@@ -865,6 +864,7 @@ _KINDS = {
         None,
         _schrodinger_keys,
         grid={"lo": -8.0, "hi": 8.0, "nodes": 64},
+        blocks=lambda polys: LINE_BLOCKS,
     ),
     "kernel_trace": _Kind(
         _run_kernel_trace,
@@ -895,8 +895,8 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     Data problems that surface during execution (a matrix failing its class
     validation, an inadmissible potential) are reported as SchemaError: the
     file was wrong, not the numerics. Numeric check failures never raise;
-    they become failing records. A numeric exception (an ArithmeticError)
-    ends the run with the records made so far plus a failing
+    they become failing records. A numeric exception (an ArithmeticError,
+    or a MemoryError from a size the schema admits) ends the run with the records made so far plus a failing
     numeric-completion record, with the error text in the flags; a flag that
     is not finite adds that record after all the run's records.
     """
@@ -925,7 +925,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
             flags["numeric_error"] = f"not finite: {bad}"
     except SchemaError:
         raise
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         flags, tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
     except ValueError as exc:
         raise SchemaError(f"scenario {sc.name!r}: {exc}") from exc

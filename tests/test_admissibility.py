@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssflab import linalg
-from ssflab.dilation import finite_schaffer_dilation, observed_trace_degree
+from ssflab.dilation import dilation_pair, finite_schaffer_dilation, observed_trace_degree
 from ssflab.errors import SchemaError, ValidationError
 from ssflab.fractional import FractionalJob, resolvent_difference_identity_check
 from ssflab.linalg import Contraction, Dissipative, Unitary, require_hermitian, singular_value_commute_check
@@ -61,6 +61,7 @@ PAIR_ENTRY_POINTS = {
     ),
     "singular_value_commute_check": lambda a, b: singular_value_commute_check(np.eye(a), 2.0 * np.eye(b)),
     "observed_trace_degree": lambda a, b: observed_trace_degree(0.5 * np.eye(a), 0.25 * np.eye(b), 4),
+    "dilation_pair": lambda a, b: dilation_pair(0.5 * np.eye(a), 0.25 * np.eye(b), 4),
 }
 
 

@@ -3,7 +3,8 @@
 `parse_scenario` fills `Scenario.checks` from ANCHOR_CHECKS, the anchors of the
 file's kind and the file's `tolerances` overrides. A run makes exactly those
 records in that order, and a `tolerances` key that names no check of the file
-is a schema error before any numerics.
+is a schema error before any numerics. Parsing fixes a dilation kind's block
+count too: the file's `dilation_order`, else its kind's rule.
 """
 
 import importlib.util
@@ -118,6 +119,21 @@ def test_a_numeric_error_records_a_prefix_of_the_checks(monkeypatch, kind, stage
     assert report.flags["numeric_error"] == "FloatingPointError: injected"
     assert len(report.records) == made + 1
     assert_records_match_checks(sc, report, 1.0)
+
+
+@pytest.mark.parametrize("payload", GENERATED + EDGE_FILES, ids=lambda p: p["name"])
+def test_the_parsed_block_count_is_the_one_the_run_uses(payload):
+    sc = parse_scenario(payload)
+    if sc.kind in ("contraction_pair", "dissipative_pair", "schrodinger"):
+        assert run_scenario(sc).flags["block_count"] == sc.dilation_order
+    else:
+        assert sc.dilation_order is None
+
+
+@pytest.mark.parametrize("payload", GENERATED, ids=lambda p: p["name"])
+def test_a_generated_block_count_is_the_kinds_rule(payload):
+    bare = {key: value for key, value in payload.items() if key != "dilation_order"}
+    assert parse_scenario(bare).dilation_order == payload.get("dilation_order")
 
 
 def test_every_anchor_is_cited_by_some_kind():

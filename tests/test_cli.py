@@ -117,6 +117,32 @@ def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp
     assert report["flags"]["numeric_error"].startswith("EigenFailure: ")
 
 
+def test_a_memory_error_fails_only_its_file(tmp_path, monkeypatch, capsys):
+    # the second of three files runs out of memory in its SSF; nothing is allocated
+    files = [write_json(tmp_path / f"{name}.json", hand_pair_payload(name)) for name in ("first", "second", "third")]
+    unitary_ssf, calls = scenario.unitary_ssf, []
+
+    def ssf_out_of_memory(u0, u1):
+        calls.append(u0)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 512. GiB for an array")
+        return unitary_ssf(u0, u1)
+
+    monkeypatch.setattr(scenario, "unitary_ssf", ssf_out_of_memory)
+    assert main(["run", *map(str, files), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "first: PASS (5 checks)",
+        "second: FAIL (1 of 1 checks failed)",
+        "  numeric-completion [numeric-completion]: residual n/a > tolerance 0.000e+00",
+        "  MemoryError: Unable to allocate 512. GiB for an array",
+        "third: PASS (5 checks)",
+    ]
+    reports = {f.stem: json.loads((tmp_path / f"{f.stem}.report.json").read_text()) for f in files}
+    assert [r["all_pass"] for r in reports.values()] == [True, False, True]
+    assert [r["check_id"] for r in reports["second"]["records"]] == ["numeric-completion"]
+    assert reports["second"]["flags"] == {"numeric_error": "MemoryError: Unable to allocate 512. GiB for an array"}
+
+
 def test_tolerance_scale_rescues(tmp_path):
     payload = hand_pair_payload(name="tight2", tolerances={"hardy-gauge": 1e-30})
     f = write_json(tmp_path / "tight2.json", payload)

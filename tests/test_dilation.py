@@ -13,7 +13,7 @@ from ssflab.dilation import (
     observed_trace_degree,
 )
 from ssflab import dilation, linalg
-from ssflab.errors import InvalidOrder
+from ssflab.errors import InvalidOrder, ValidationError
 from ssflab.linalg import (
     TWO_PI,
     Contraction,
@@ -641,8 +641,19 @@ def test_pair_trace_norm_matches_julia_difference():
 
 
 def test_pair_dimension_mismatch():
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(ValidationError, match="dimension mismatch"):
         dilation_pair(Contraction(np.zeros((2, 2))), Contraction(np.zeros((3, 3))), 4)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        dilation_pair(np.zeros((2, 2)), [[0.5]], 4)
+
+
+def test_pair_takes_arrays_and_lists_as_contractions():
+    built = dilation_pair(Contraction(0.5 * np.eye(2)), Contraction(0.25 * np.eye(2)), 4)
+    for t0, t1 in ((0.5 * np.eye(2), 0.25 * np.eye(2)), ([[0.5, 0.0], [0.0, 0.5]], [[0.25, 0], [0, 0.25]])):
+        for d, ref in zip(dilation_pair(t0, t1, 4), built):
+            assert (d.m, d.n) == (ref.m, ref.n) and np.array_equal(d.u.m, ref.u.m)
+    with pytest.raises(ValidationError):
+        dilation_pair(2.0 * np.eye(2), np.eye(2), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ limits (a random dim-128 unitary pair on 65,536 points, json and csv
 only), a name with quotes and non-ASCII characters, explicit matrices
 with integer and real-scalar cells (the scenario writer's general path), and
 a dissipative pair whose `tolerances` override one check of an indexed
-family (resolvent-z0) and one plain check (weighted-consistency).
+family (resolvent-z0) and one plain check (weighted-consistency), and two
+files without a `dilation_order`, so their kind's rule gives the block
+count: a Schrodinger file (m = 24) and a contraction pair whose test
+polynomials reach degree 5 (m = 8). The dissipative singular-Im file and the
+mixed-cells contraction file give no `dilation_order` either.
 Write the corpus from each version, since scenario files are output too,
 run each version on its own corpus with one BLAS thread and compare both:
 
@@ -46,8 +50,9 @@ OUTPUTS = ["json", "csv", "svg"]
 
 
 def _edge_files() -> list[dict]:
-    def generated(kind, name, **keys):
+    def generated(kind, name, drop=None, **keys):
         payload = generate_scenario(kind, 3, 4)
+        payload.pop(drop, None)
         payload.update(name=f"edge-{name}", outputs=OUTPUTS, **keys)
         return payload
 
@@ -57,13 +62,11 @@ def _edge_files() -> list[dict]:
     pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
     # contractions with integer, real-scalar and [re, im] cells
     mixed = [[[0, 0.5], [-0.25, [0.25, 0.25]]], [[0.5, 0], [[0.0, 0.25], 0]]]
-    default_grid = generated("kernel_trace", "default-grid-kernel")
-    del default_grid["grid"]
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
         generated("kernel_trace", "spectral-point", spectral_point=-2.5),
-        default_grid,
+        generated("kernel_trace", "default-grid-kernel", drop="grid"),
         generated(
             "kernel_trace",
             "trapezoid-bump",
@@ -94,6 +97,13 @@ def _edge_files() -> list[dict]:
             "dissipative_pair",
             "tolerance-overrides",
             tolerances={"resolvent-z0": 1e-5, "weighted-consistency": 1e-10},
+        ),
+        generated("schrodinger", "default-blocks-schrodinger", drop="dilation_order"),
+        generated(
+            "contraction_pair",
+            "default-blocks-degree5",
+            drop="dilation_order",
+            test_polynomials=[[0, 1], [0, 0, 0, 0, 0, [1.0, 0.5]]],
         ),
     ]
 
