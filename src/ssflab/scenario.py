@@ -895,10 +895,10 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     Data problems that surface during execution (a matrix failing its class
     validation, an inadmissible potential) are reported as SchemaError: the
     file was wrong, not the numerics. Numeric check failures never raise;
-    they become failing records. A numeric exception (an ArithmeticError,
-    or a MemoryError from a size the schema admits) ends the run with the records made so far plus a failing
-    numeric-completion record, with the error text in the flags; a flag that
-    is not finite adds that record after all the run's records.
+    they become failing records. A numeric exception (an ArithmeticError, or
+    a MemoryError at a size the schema admits) ends the run with the records
+    made so far plus a failing numeric-completion record, with the error text
+    in the flags; a flag that is not finite adds that record after the others.
     """
     if not isinstance(tolerance_scale, (int, float)) or not 0 < tolerance_scale < math.inf:
         raise SchemaError("tolerance_scale must be a positive finite number")
