@@ -1,8 +1,10 @@
 """ssf-lab command line: run scenario batches, generate instances, plot tables.
 
-Exit codes for `run`: 0 when every record of every report passes, 1 when
-some numeric check failed (reports are still written), 2 when a file does
-not parse against the scenario schema. A scenario name names the output
+Each file that ran prints one PASS or FAIL line with its worst headroom,
+the largest residual / tolerance among its records. Exit codes for `run`:
+0 when every record of every report passes, 1 when some numeric check
+failed (reports are still written), 2 when a file does not parse against
+the scenario schema. A scenario name names the output
 files, so within one run a file that repeats the name of an earlier file
 in argument order is a schema error too, and nothing is written for it.
 """
@@ -10,6 +12,7 @@ in argument order is a schema error too, and nothing is written for it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -41,6 +44,14 @@ def _write_outputs(report, sc, out_dir) -> None:
         plot_ssf(primary, base / f"{sc.name}.svg", name=sc.name)
 
 
+def _worst_headroom(report) -> str:
+    """The largest residual / tolerance over the records with a residual and a positive tolerance; a NaN wins."""
+    ratios = [r.residual / r.tolerance for r in report.records if r.residual is not None and r.tolerance > 0]
+    if not ratios:
+        return "n/a"
+    return f"{math.nan if any(map(math.isnan, ratios)) else max(ratios):.3e}"
+
+
 def _load_and_run(path: str, tolerance_scale: float):
     sc = load_scenario(path)
     return sc, run_scenario(sc, tolerance_scale=tolerance_scale)
@@ -67,16 +78,17 @@ def _cmd_run(args) -> int:
                 print(f"{path}: {code} error: {exc}", file=sys.stderr)
                 continue
             failed = report.failed()
+            worst = f"worst headroom {_worst_headroom(report)}"
             if failed:
                 bad.add("check")
-                print(f"{sc.name}: FAIL ({len(failed)} of {len(report.records)} checks failed)")
+                print(f"{sc.name}: FAIL ({len(failed)} of {len(report.records)} checks failed), {worst}")
                 for r in failed:
                     res = "n/a" if r.residual is None else f"{r.residual:.3e}"
                     print(f"  {r.check_id} [{r.anchor}]: residual {res} > tolerance {r.tolerance:.3e}")
                 if "numeric_error" in report.flags:
                     print(f"  {report.flags['numeric_error']}")
             else:
-                print(f"{sc.name}: PASS ({len(report.records)} checks)")
+                print(f"{sc.name}: PASS ({len(report.records)} checks), {worst}")
     if "schema" in bad:
         return 2
     return 1 if bad else 0

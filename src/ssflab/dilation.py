@@ -287,6 +287,32 @@ def dilation_pair(t0: Contraction, t1: Contraction, m: int) -> tuple[FiniteDilat
     return finite_schaffer_dilation(t0, m), finite_schaffer_dilation(t1, m)
 
 
+def shifted_inverse_excess(t: Contraction, alpha: complex, blocks) -> np.ndarray:
+    """q(m) with tr (I + alpha U)^(-1) = m n + alpha q(m), U the m-block dilation of t, per m in blocks.
+
+    In `shifted_inverse`'s 2n-square matrix the block count enters only
+    through beta = (-alpha)^(m-2). With A = I + alpha T, the Schur
+    complement of A is S = I - alpha beta W, W = T* + alpha D_T A^(-1) D_T*,
+    and the trace of the inverse is
+    tr A^(-1) + alpha^2 beta tr(S^(-1) D_T A^(-2) D_T*) + (m - 1) tr S^(-1).
+    So one inverse of A and one stacked n-square solve, one S per m, give
+    every candidate m, with no eigensolve and no (m n)-square matrix. The
+    trace is returned less its leading m n, over alpha, which stays exact as
+    alpha goes to 0. |alpha| < 1 keeps A and every S invertible.
+    """
+    t = as_operator(Contraction, t)
+    n, (d_t, d_t_star) = t.n, t.defects
+    a_inv = np.linalg.inv(np.eye(n) + alpha * t.m)
+    x = a_inv @ d_t_star
+    w = t.m.conj().T + alpha * (d_t @ x)
+    blocks = np.asarray(blocks)
+    beta = (-alpha) ** (blocks - 2)
+    # S^(-1) times [D_T A^(-2) D_T*, W], one member per m
+    y = np.linalg.solve(np.eye(n) - (alpha * beta)[:, None, None] * w, np.hstack([d_t @ a_inv @ x, w]))
+    trace_k, trace_w = np.einsum("kii->k", y[..., :n]), np.einsum("kii->k", y[..., n:])
+    return -np.sum(a_inv * t.m.T) + beta * (alpha * trace_k + (blocks - 1) * trace_w)
+
+
 def default_block_count(degree: int) -> int:
     """Block count for a requested polynomial degree, with one block of margin."""
     return max(int(degree), 0) + 3

@@ -4,8 +4,9 @@ A scenario is a small JSON object naming a pair (or a potential) and the
 checks to run on it. Parsing is strict: unknown keys, inadmissible exponents,
 malformed matrices or a tolerance that names no check of the file raise
 SchemaError before any numerics start. Parsing fixes each check's anchor and
-tolerance from ANCHOR_CHECKS, and a dilation kind's block count from its
-_KINDS record; execution turns each check into a CheckRecord.
+tolerance from ANCHOR_CHECKS, and the block count of a contraction pair
+from its _KINDS record; execution sizes a line kind's block count from the
+dilation's truncation error and turns each check into a CheckRecord.
 
 Complex JSON entries are [re, im] pairs, matrices row-major nested lists.
 Random instances are drawn from a single seeded generator per scenario so
@@ -66,7 +67,9 @@ from .ssf_line import (
     dissipative_condition_report,
     dissipative_ssf,
     perturbation_trace_report,
-    resolvent_trace_sides,
+    resolvent_trace_difference,
+    resolvent_trace_integral,
+    resolvent_truncation_errors,
     weighted_abs_integral,
 )
 
@@ -128,8 +131,10 @@ ANCHOR_CHECKS = {
 ANCHOR_REGISTRY = {anchor: statement for anchor, (_, _, statement) in ANCHOR_CHECKS.items()}
 ANCHORS = frozenset(ANCHOR_REGISTRY)
 
-# dilation block count of the line kinds when the file gives no dilation_order
+# A line kind's file without a dilation_order takes the least m in [3, LINE_BLOCKS] whose exact truncation
+# error is at most 1/TRUNCATION_MARGIN of every resolvent record's effective tolerance, else LINE_BLOCKS.
 LINE_BLOCKS = 24
+TRUNCATION_MARGIN = 100
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,7 @@ class Scenario:
     kind: str
     config_hash: str
     matrices: Optional[tuple[np.ndarray, np.ndarray]]
-    dilation_order: Optional[int]  # the block count m of a dilation kind: the file's, else its kind's rule
+    dilation_order: Optional[int]  # the file's block count m, else a contraction pair's rule; None: sized in the run
     test_polynomials: tuple[tuple[complex, ...], ...]
     determinant: Optional[dict]
     z_values: tuple[complex, ...]
@@ -651,6 +656,29 @@ class Report:
 _AUTO = object()
 
 
+class _Records(list):
+    """The records of one run; calling it records a check at its parsed tolerance times the run's scale."""
+
+    def __init__(self, checks: dict, scale: float):
+        super().__init__()
+        self.checks, self.scale = checks, scale
+
+    def tolerance(self, check_id: str) -> float:
+        return float(self.checks[check_id][1]) * float(self.scale)
+
+    def __call__(self, check_id, lhs, rhs, residual=_AUTO):
+        anchor, tol_val = self.checks[check_id][0], self.tolerance(check_id)
+        if residual is _AUTO:
+            res: Optional[float] = abs(complex(lhs) - complex(rhs))
+            passed = res <= tol_val
+        elif residual is None:
+            res, passed = None, False
+        else:
+            res = float(residual)
+            passed = res <= tol_val
+        self.append(CheckRecord(str(check_id), anchor, complex(lhs), complex(rhs), res, tol_val, bool(passed)))
+
+
 def _fields(rep, *drop) -> dict:
     """A report record's fields as flags, without the named ones."""
     return {k: v for k, v in vars(rep).items() if k not in drop}
@@ -720,13 +748,27 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
 
 
 def _line_pair_checks(sc, record, l0, l1):
-    """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables)."""
-    ssf = dissipative_ssf(l0, l1, sc.dilation_order)
+    """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables).
+
+    The block count is the file's, or the least candidate whose truncation
+    error sits TRUNCATION_MARGIN times under each resolvent record's
+    effective tolerance (LINE_BLOCKS when none does). That error is a
+    property of the dilation, known before the eigensolve; the records still
+    compare the computed phases with the resolvent of L.
+    """
+    lhs = [resolvent_trace_difference(l0.m, l1.m, z) for z in sc.z_values]
+    blocks = np.arange(3, LINE_BLOCKS + 1) if sc.dilation_order is None else np.array([sc.dilation_order])
+    errors = np.abs([resolvent_truncation_errors(l0, l1, z, s, blocks) for z, s in zip(sc.z_values, lhs)])
+    limits = np.array([[record.tolerance(f"resolvent-z{j}") / TRUNCATION_MARGIN] for j in range(len(lhs))])
+    fits = np.all(errors <= limits, axis=0)
+    k = int(np.argmax(fits)) if fits.any() else len(blocks) - 1
+    ssf = dissipative_ssf(l0, l1, int(blocks[k]))
     for j, z in enumerate(sc.z_values):
-        record(f"resolvent-z{j}", *resolvent_trace_sides(l0.m, l1.m, ssf, z))
+        record(f"resolvent-z{j}", lhs[j], resolvent_trace_integral(ssf, z))
     record("weighted-consistency", weighted_abs_integral(ssf, side="line"), weighted_abs_integral(ssf, side="circle"))
     flags = {
-        "block_count": sc.dilation_order,
+        "block_count": int(blocks[k]),
+        "truncation_estimate": [float(e) for e in errors[:, k]],
         "jump_count": len(ssf.breakpoints),
         "mass_at_infinity": ssf.mass_at_infinity,
         **_fields(perturbation_trace_report(l0, l1, ssf)),
@@ -819,7 +861,7 @@ class _Kind:
     outputs: tuple[str, ...] = ("json", "csv", "svg")  # outputs a generated file asks for
     grid: Optional[dict] = None  # grid defaults; their keys are the allowed grid keys
     degree: int = 3  # the default test polynomials are the monomials z, ..., z^degree
-    blocks: Optional[Callable[[tuple], int]] = None  # test polynomials -> dilation block count m; None: no dilation
+    blocks: Optional[Callable[[tuple], int]] = None  # test polynomials -> block count m; None: none at parse time
     exponents: dict = field(default_factory=lambda: {"alpha": 0.5, "beta": 0.5, "p": 1.0})  # exponent defaults
 
 
@@ -846,7 +888,6 @@ _KINDS = {
         + ("weighted-integral-consistency",),
         "dissipative",
         _line_keys,
-        blocks=lambda polys: LINE_BLOCKS,
     ),
     "fractional": _Kind(
         _run_fractional,
@@ -864,7 +905,6 @@ _KINDS = {
         None,
         _schrodinger_keys,
         grid={"lo": -8.0, "hi": 8.0, "nodes": 64},
-        blocks=lambda polys: LINE_BLOCKS,
     ),
     "kernel_trace": _Kind(
         _run_kernel_trace,
@@ -902,23 +942,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     """
     if not isinstance(tolerance_scale, (int, float)) or not 0 < tolerance_scale < math.inf:
         raise SchemaError("tolerance_scale must be a positive finite number")
-    records: list[CheckRecord] = []
-
-    def record(check_id, lhs, rhs, residual=_AUTO):
-        anchor, tol = sc.checks[check_id]
-        tol_val = float(tol) * float(tolerance_scale)
-        if residual is _AUTO:
-            res: Optional[float] = abs(complex(lhs) - complex(rhs))
-            passed = res <= tol_val
-        elif residual is None:
-            res, passed = None, False
-        else:
-            res = float(residual)
-            passed = res <= tol_val
-        records.append(
-            CheckRecord(str(check_id), anchor, complex(lhs), complex(rhs), res, tol_val, bool(passed))
-        )
-
+    record = _Records(sc.checks, tolerance_scale)
     try:
         flags, tables = _KINDS[sc.kind].run(sc, record)
         if bad := _non_finite_flag(flags, "flags"):
@@ -934,7 +958,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     return Report(
         scenario=sc.name,
         kind=sc.kind,
-        records=tuple(records),
+        records=tuple(record),
         flags=flags,
         tables=tables,
         provenance={"config_hash": sc.config_hash, "library_version": __version__},

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dilation import shifted_inverse_excess
 from .errors import KernelViolation, ValidationError
 from .linalg import (
     TWO_PI,
@@ -123,21 +124,42 @@ def resolvent_trace_residual(l0, l1, ssf: LineSSF, z: complex) -> float:
     the breakpoints; the test function vanishes at infinity so neither the
     tails nor mass at infinity contribute. The residual decays geometrically
     in the dilation block count because the dilation only certifies
-    polynomial degrees up to m - 2 in the Cayley variable.
+    polynomial degrees up to m - 2 in the Cayley variable;
+    `resolvent_truncation_errors` gives its exact value before any eigensolve.
     """
     if z.imag > -1e-6:
         raise ValidationError("need Im z <= -1e-6 (poles in the open lower half-plane)")
     l0, l1 = as_pair(Dissipative, l0, l1)
-    lhs, rhs = resolvent_trace_sides(l0.m, l1.m, ssf, z)
-    return float(abs(lhs - rhs))
+    return float(abs(resolvent_trace_difference(l0.m, l1.m, z) - resolvent_trace_integral(ssf, z)))
 
 
-def resolvent_trace_sides(m0, m1, ssf: LineSSF, z: complex) -> tuple[complex, complex]:
-    """trace((M1-z)^(-1) - (M0-z)^(-1)) and -sum of jump * (t_k - z)^(-1), unvalidated."""
+def resolvent_trace_difference(m0, m1, z: complex) -> complex:
+    """trace((M1-z)^(-1) - (M0-z)^(-1)), unvalidated."""
     eye = np.eye(m0.shape[0])
-    lhs = np.trace(np.linalg.inv(m1 - z * eye)) - np.trace(np.linalg.inv(m0 - z * eye))
-    rhs = -np.sum(ssf.jump_sizes / (ssf.breakpoints - z)) if len(ssf.breakpoints) else 0.0
-    return complex(lhs), complex(rhs)
+    return complex(np.trace(np.linalg.inv(m1 - z * eye)) - np.trace(np.linalg.inv(m0 - z * eye)))
+
+
+def resolvent_trace_integral(ssf: LineSSF, z: complex) -> complex:
+    """-sum of jump * (t_k - z)^(-1) over the breakpoints of the SSF."""
+    return complex(-np.sum(ssf.jump_sizes / (ssf.breakpoints - z)) if len(ssf.breakpoints) else 0.0)
+
+
+def resolvent_truncation_errors(l0: Dissipative, l1: Dissipative, z: complex, lhs: complex, blocks) -> np.ndarray:
+    """lhs - [tr f(U1) - tr f(U0)] for each block count m in blocks, f(zeta) = 1/(t(zeta) - z).
+
+    U_j is the m-block dilation of the Cayley image T_j and t(zeta) =
+    i(1 + zeta)/(1 - zeta) the boundary map, so with lhs the resolvent trace
+    difference this is the exact truncation error of `dissipative_ssf` at m:
+    the resolvent record's residual when every phase is exact, known before
+    the eigensolve. With a = i - z and alpha = (i + z)/a, |alpha| < 1 for
+    Im z < 0, f(zeta) = (1 - zeta)/(a (1 + alpha zeta)), so
+    tr f(U) = (m n + (1 + alpha) q(m))/a with q from `shifted_inverse_excess`,
+    and the m n cancels between the pair: (1 + alpha)/a = 2i/a^2.
+    """
+    a = 1j - z
+    alpha = (1j + z) / a
+    q0, q1 = (shifted_inverse_excess(cayley(l), alpha, blocks) for l in (l0, l1))
+    return lhs - 2j / a**2 * (q1 - q0)
 
 
 @dataclass(frozen=True)

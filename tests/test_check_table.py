@@ -3,8 +3,9 @@
 `parse_scenario` fills `Scenario.checks` from ANCHOR_CHECKS, the anchors of the
 file's kind and the file's `tolerances` overrides. A run makes exactly those
 records in that order, and a `tolerances` key that names no check of the file
-is a schema error before any numerics. Parsing fixes a dilation kind's block
-count too: the file's `dilation_order`, else its kind's rule.
+is a schema error before any numerics. Parsing fixes a contraction pair's block
+count too: the file's `dilation_order`, else its kind's rule. A line kind takes
+the file's value, else the run sizes it, at most `LINE_BLOCKS`.
 """
 
 import importlib.util
@@ -124,8 +125,11 @@ def test_a_numeric_error_records_a_prefix_of_the_checks(monkeypatch, kind, stage
 @pytest.mark.parametrize("payload", GENERATED + EDGE_FILES, ids=lambda p: p["name"])
 def test_the_parsed_block_count_is_the_one_the_run_uses(payload):
     sc = parse_scenario(payload)
-    if sc.kind in ("contraction_pair", "dissipative_pair", "schrodinger"):
+    if sc.kind == "contraction_pair" or sc.dilation_order is not None:
         assert run_scenario(sc).flags["block_count"] == sc.dilation_order
+    elif sc.kind in ("dissipative_pair", "schrodinger"):
+        # a line file without the key is sized in the run, never above the parse-time worst case
+        assert 3 <= run_scenario(sc).flags["block_count"] <= scenario.LINE_BLOCKS
     else:
         assert sc.dilation_order is None
 

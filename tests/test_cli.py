@@ -75,6 +75,24 @@ def test_run_numeric_failure_exits_one_but_reports(tmp_path, capsys):
     assert [r["check_id"] for r in failed] == ["hardy-gauge"]
 
 
+def test_the_summary_line_gives_the_worst_headroom_of_the_report(tmp_path, capsys):
+    files = [
+        write_json(tmp_path / "tight.json", hand_pair_payload(name="tight", tolerances={"hardy-gauge": 1e-30})),
+        write_json(tmp_path / "line.json", scenario.generate_scenario("dissipative_pair", 2, 3) | {"name": "line"}),
+    ]
+    assert main(["run", *map(str, files), "--out-dir", str(tmp_path)]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    expected = []
+    for name, verdict in (("tight", "FAIL (1 of 5 checks failed)"), ("line", "PASS (4 checks)")):
+        records = json.loads((tmp_path / f"{name}.report.json").read_text())["records"]
+        worst = max(r["residual"] / r["tolerance"] for r in records if r["residual"] is not None and r["tolerance"] > 0)
+        expected.append(f"{name}: {verdict}, worst headroom {worst:.3e}")
+    assert lines == expected
+    # the failing record sets the worst headroom, and the line file's resolvent record sits 100x under its tolerance
+    assert float(lines[0].rsplit(" ", 1)[1]) > 1.0
+    assert float(lines[1].rsplit(" ", 1)[1]) <= 1.1e-2
+
+
 def test_numeric_exception_exits_one_with_report_and_summary(tmp_path, capsys):
     payload = {
         "name": "singular",
@@ -131,11 +149,11 @@ def test_a_memory_error_fails_only_its_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scenario, "unitary_ssf", ssf_out_of_memory)
     assert main(["run", *map(str, files), "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "first: PASS (5 checks)",
-        "second: FAIL (1 of 1 checks failed)",
+        "first: PASS (5 checks), worst headroom 8.083e-06",
+        "second: FAIL (1 of 1 checks failed), worst headroom n/a",
         "  numeric-completion [numeric-completion]: residual n/a > tolerance 0.000e+00",
         "  MemoryError: Unable to allocate 512. GiB for an array",
-        "third: PASS (5 checks)",
+        "third: PASS (5 checks), worst headroom 8.083e-06",
     ]
     reports = {f.stem: json.loads((tmp_path / f"{f.stem}.report.json").read_text()) for f in files}
     assert [r["all_pass"] for r in reports.values()] == [True, False, True]

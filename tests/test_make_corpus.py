@@ -23,7 +23,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 17
+    assert len(files) == generated + 18
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -54,11 +54,13 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     overrides = edges["edge-tolerance-overrides"].checks
     assert overrides["resolvent-z0"] == ("line-resolvent-trace", 1e-5)
     assert overrides["weighted-consistency"] == ("weighted-integral-consistency", 1e-10)
-    # the kind's rule gives the block count of a file without one
-    for name, kind, blocks in (("schrodinger", "schrodinger", 24), ("degree5", "contraction_pair", 8)):
+    # the kind's rule gives the block count of a file without one; a line kind's is sized in the run
+    for name, kind, blocks in (("schrodinger", "schrodinger", None), ("degree5", "contraction_pair", 8)):
         sc = edges[f"edge-default-blocks-{name}"]
         assert (sc.kind, sc.dilation_order) == (kind, blocks)
         assert "dilation_order" not in json.loads((tmp_path / f"edge-default-blocks-{name}.json").read_text())
+    explicit = edges["edge-explicit-blocks-dissipative"]
+    assert (explicit.kind, explicit.dilation_order) == ("dissipative_pair", 24)
 
 
 def test_usage_without_an_output_directory_exits_two(make_corpus, capsys):

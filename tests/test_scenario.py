@@ -680,6 +680,7 @@ LINE_FLAGS = [
     "mass_at_infinity",
     "perturbation_trace",
     "real_integrable_possible",
+    "truncation_estimate",
     "windowed",
 ]
 DISSIPATIVE_FLAGS = sorted(LINE_FLAGS + ["condition_report", "left_tail", "right_tail"])

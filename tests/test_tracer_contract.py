@@ -56,5 +56,5 @@ def test_traced_run_of_every_kind_completes(tracing):
     names = {s.name for s in tracer.spans}
     assert {"scenario.run", "ssf_line.dissipative_ssf", "dilation.build", "linalg.eigenphases"} <= names
     metrics = tracing.layer_metrics(tracer.spans)
-    assert metrics["dilation.dim_max"] == 24 * 3
+    assert metrics["dilation.dim_max"] == 20 * 3
     assert metrics["linalg.eigenphases.calls"] > 0

@@ -15,11 +15,13 @@ limits (a random dim-128 unitary pair on 65,536 points, json and csv
 only), a name with quotes and non-ASCII characters, explicit matrices
 with integer and real-scalar cells (the scenario writer's general path), and
 a dissipative pair whose `tolerances` override one check of an indexed
-family (resolvent-z0) and one plain check (weighted-consistency), and two
-files without a `dilation_order`, so their kind's rule gives the block
-count: a Schrodinger file (m = 24) and a contraction pair whose test
-polynomials reach degree 5 (m = 8). The dissipative singular-Im file and the
-mixed-cells contraction file give no `dilation_order` either.
+family (resolvent-z0) and one plain check (weighted-consistency), two
+files without a `dilation_order`, a Schrodinger file (the run sizes its
+block count) and a contraction pair whose test polynomials reach degree 5
+(its kind's rule gives m = 8), and a dissipative pair with an explicit
+`dilation_order` of 24, since generated line files no longer carry one. The
+dissipative singular-Im file and the mixed-cells contraction file give no
+`dilation_order` either.
 Write the corpus from each version, since scenario files are output too,
 run each version on its own corpus with one BLAS thread and compare both:
 
@@ -99,6 +101,7 @@ def _edge_files() -> list[dict]:
             tolerances={"resolvent-z0": 1e-5, "weighted-consistency": 1e-10},
         ),
         generated("schrodinger", "default-blocks-schrodinger", drop="dilation_order"),
+        generated("dissipative_pair", "explicit-blocks-dissipative", dilation_order=24),
         generated(
             "contraction_pair",
             "default-blocks-degree5",
