@@ -200,13 +200,14 @@ class FiniteDilation:
             return None
         return normal_diagonal(self.julia)
 
-    def eigenphases(self) -> list[tuple[float, int]]:
+    def eigenphases(self, psi: float = _PSI) -> list[tuple[float, int]]:
         """Eigenphases of u as `linalg.eigenphases` gives them, from one `unitary_spectrum` call.
 
         The dilation solved is u, or for a normal T whose certificate holds
         the similar stack of the n scalar dilations of its eigenvalues,
         folded when complex symmetric (a 1 x 1 T is). u is formed only for
-        the dense eigvals fallback of an uncertified Cayley solve.
+        the dense eigvals fallback of an uncertified Cayley solve. psi places
+        the first Cayley pole at psi + pi.
         """
         d, normal = self, self.normal_form
         if normal is not None and normal.certificate <= _SKEW_TOL:
@@ -214,7 +215,7 @@ class FiniteDilation:
             # the 2 x 2 Julia blocks [[c_k, -conj(tau_k)], [tau_k, c_k]]
             d = FiniteDilation(np.stack([np.stack([c, -tau.conj()], -1), np.stack([tau, c], -1)], -2), self.m)
         fold = d.fold if d.complex_symmetric else None
-        return phase_clusters(unitary_spectrum(d.shifted_inverse, lambda: self.u.m, fold))
+        return phase_clusters(unitary_spectrum(d.shifted_inverse, lambda: self.u.m, fold, psi))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.

@@ -293,14 +293,17 @@ def _pole_in_widest_gap(theta: np.ndarray) -> np.ndarray:
     return (np.take_along_axis(t, k, -1) + 0.5 * np.take_along_axis(gaps, k, -1) - np.pi)[..., 0]
 
 
-def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None) -> np.ndarray:
+def unitary_spectrum(
+    shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None, psi: float = _PSI
+) -> np.ndarray:
     """Eigenvalues of a unitary U, or of a stack of them, from one eigvalsh of a Cayley transform.
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
     never has to be dense; for a stack it returns one inverse per member,
     alpha a scalar or one shift per member. With alpha = e^(-i psi) it
     gives the Hermitian A = 2i (I + alpha U)^(-1) - iI, whose eigenvalues a
-    give the phases psi + 2 arctan(a). An eigenvalue near the pole psi + pi
+    give the phases psi + 2 arctan(a), psi = _PSI unless the caller knows
+    an emptier place for the first pole psi + pi. An eigenvalue near the pole
     (|a| above _POLE_LIMIT) costs the others accuracy, so the solve is
     repeated once with the pole in the widest gap of the phases just found;
     members of a stack that did not meet the pole keep psi and so their
@@ -314,9 +317,9 @@ def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[
     the comment above _PSI describes. A stack's eigenvalues come member by
     member in one flat array.
     """
-    solve = _cayley_solve(shifted_inverse, _PSI, fold)
+    solve = _cayley_solve(shifted_inverse, psi, fold)
     if solve is not None and np.any(solve.pole > _POLE_LIMIT):
-        psi = np.where(solve.pole > _POLE_LIMIT, _pole_in_widest_gap(solve.theta), _PSI)
+        psi = np.where(solve.pole > _POLE_LIMIT, _pole_in_widest_gap(solve.theta), psi)
         solve = _cayley_solve(shifted_inverse, psi, fold)
     if solve is None or np.any((solve.pole > _POLE_LIMIT) | (solve.skew > _SKEW_TOL)):
         return _eig(np.linalg.eigvals, dense())

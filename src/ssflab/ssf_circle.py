@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    _PSI,
     CLUSTER_TOL,
     TWO_PI,
     Contraction,
@@ -174,10 +175,13 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
     return dilation_ssf(*dilation_pair(t0, t1, m))
 
 
-def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
-    """Eigenphase-counting SSF of two dilations of one block layout (n, m), one structured eigensolve each."""
+def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation, psi: float = _PSI) -> StepSSF:
+    """Eigenphase-counting SSF of two dilations of one block layout (n, m), one structured eigensolve each.
+
+    psi places each solve's first Cayley pole at psi + pi.
+    """
     same_dimension((d0.n, d0.m), (d1.n, d1.m))
-    return _step_ssf(d0.eigenphases(), d1.eigenphases())
+    return _step_ssf(d0.eigenphases(psi), d1.eigenphases(psi))
 
 
 def perturbation_determinant(t0, t1, zeta: complex) -> complex:

@@ -267,6 +267,20 @@ def test_resolvent_residual_geometric_decay():
     assert coarse / max(fine, 1e-300) >= 1e3
 
 
+@pytest.mark.parametrize("m", range(16, 25))
+def test_the_line_dilations_first_pole_is_not_moved(monkeypatch, m):
+    # with the fixed first pole of unitary_spectrum, solves of these pairs moved it at m = 20 and 21
+    rng = np.random.default_rng(2027)
+    pairs = [(random_dissipative(rng, n), random_dissipative(rng, n)) for n in (3, 5, 8, 12) for _ in range(2)]
+    eigvalsh, solves = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: solves.append(a.shape) or eigvalsh(a, *args))
+    for l0, l1 in pairs:
+        cayley(l0).defects, cayley(l1).defects  # validated and factored before counting
+        solves.clear()
+        dissipative_ssf(l0, l1, m)
+        assert solves == [(m * l0.n, m * l0.n)] * 2
+
+
 def test_resolvent_residual_rejects_upper_half_plane():
     l = Dissipative(np.array([[1j]]))
     line = dissipative_ssf(l, l, 4)
