@@ -69,6 +69,9 @@ from .linalg import (
 # above the ~1e-14 a symmetric T from `cayley` leaves, far below the 1e-9
 # skew the folded matrix must certify
 _SYMMETRY_TOL = 1e-12
+# most entries of one stack of n-square solves in `shifted_inverse_excess`: 32 MiB of complex128, all
+# 22 candidate block counts at once up to n = 308, and far less than the dilation of any n it splits
+_STACK_ENTRIES = 1 << 21
 
 
 def julia_block(t: Contraction) -> Unitary:
@@ -296,10 +299,11 @@ def shifted_inverse_excess(t: Contraction, alpha: complex, blocks) -> np.ndarray
     complement of A is S = I - alpha beta W, W = T* + alpha D_T A^(-1) D_T*,
     and the trace of the inverse is
     tr A^(-1) + alpha^2 beta tr(S^(-1) D_T A^(-2) D_T*) + (m - 1) tr S^(-1).
-    So one inverse of A and one stacked n-square solve, one S per m, give
-    every candidate m, with no eigensolve and no (m n)-square matrix. The
-    trace is returned less its leading m n, over alpha, which stays exact as
-    alpha goes to 0. |alpha| < 1 keeps A and every S invertible.
+    So one inverse of A and stacked n-square solves, one S per m, give
+    every candidate m, with no eigensolve and no (m n)-square matrix. A
+    stack holds at most _STACK_ENTRIES entries, so a large n takes several.
+    The trace is returned less its leading m n, over alpha, which stays
+    exact as alpha goes to 0. |alpha| < 1 keeps A and every S invertible.
     """
     t = as_operator(Contraction, t)
     n, (d_t, d_t_star) = t.n, t.defects
@@ -308,10 +312,13 @@ def shifted_inverse_excess(t: Contraction, alpha: complex, blocks) -> np.ndarray
     w = t.m.conj().T + alpha * (d_t @ x)
     blocks = np.asarray(blocks)
     beta = (-alpha) ** (blocks - 2)
-    # S^(-1) times [D_T A^(-2) D_T*, W], one member per m
-    y = np.linalg.solve(np.eye(n) - (alpha * beta)[:, None, None] * w, np.hstack([d_t @ a_inv @ x, w]))
-    trace_k, trace_w = np.einsum("kii->k", y[..., :n]), np.einsum("kii->k", y[..., n:])
-    return -np.sum(a_inv * t.m.T) + beta * (alpha * trace_k + (blocks - 1) * trace_w)
+    rhs, traces = np.hstack([d_t @ a_inv @ x, w]), np.empty((2, len(blocks)), dtype=np.complex128)
+    step = max(1, _STACK_ENTRIES // (n * n))
+    for k in range(0, len(blocks), step):
+        # S^(-1) times [D_T A^(-2) D_T*, W], one member per m
+        y = np.linalg.solve(np.eye(n) - (alpha * beta[k : k + step])[:, None, None] * w, rhs)
+        traces[:, k : k + step] = np.einsum("kii->k", y[..., :n]), np.einsum("kii->k", y[..., n:])
+    return -np.sum(a_inv * t.m.T) + beta * (alpha * traces[0] + (blocks - 1) * traces[1])
 
 
 def default_block_count(degree: int) -> int:
