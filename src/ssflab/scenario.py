@@ -762,12 +762,13 @@ def _line_pair_checks(sc, record, l0, l1):
     limits = np.array([[record.tolerance(f"resolvent-z{j}") / TRUNCATION_MARGIN] for j in range(len(lhs))])
     fits = np.all(errors <= limits, axis=0)
     k = int(np.argmax(fits)) if fits.any() else len(blocks) - 1
-    ssf = dissipative_ssf(l0, l1, int(blocks[k]))
+    m = int(blocks[k])
+    ssf = dissipative_ssf(l0, l1, m)
     for j, z in enumerate(sc.z_values):
         record(f"resolvent-z{j}", lhs[j], resolvent_trace_integral(ssf, z))
     record("weighted-consistency", weighted_abs_integral(ssf, side="line"), weighted_abs_integral(ssf, side="circle"))
     flags = {
-        "block_count": int(blocks[k]),
+        "block_count": m,
         "truncation_estimate": [float(e) for e in errors[:, k]],
         "jump_count": len(ssf.breakpoints),
         "mass_at_infinity": ssf.mass_at_infinity,

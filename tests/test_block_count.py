@@ -25,8 +25,9 @@ from ssflab.ssf_line import (
     resolvent_truncation_errors,
 )
 
-# how far E_j(m) may sit from a record's lhs - rhs: the eigensolve's phase roundoff, measured at up to
-# about 8e-11 on generated files (a dim-5 Schrodinger pair, whose breakpoints reach 2.9e3)
+# how far E_j(m) may sit from a record's lhs - rhs. The step SSF cancels a U0 and a U1 phase closer than
+# CLUSTER_TOL = 1e-9: a dim-5 Schrodinger pair, whose potential is 8e-10 to 6e-8 at two of its nodes,
+# loses up to 8e-10 that way (7.8e-11 at seed 1); elsewhere the two agree to about 1e-13
 ROUNDOFF = 1e-9
 LINE_KINDS = ("dissipative_pair", "schrodinger")
 CANDIDATES = np.arange(3, LINE_BLOCKS + 1)
@@ -44,8 +45,8 @@ def line_pair(sc):
 def truncation_errors(sc):
     """|E_j(m)| of every z value (rows) and candidate m (columns)."""
     l0, l1 = line_pair(sc)
-    rows = [resolvent_truncation_errors(l0, l1, z, resolvent_trace_difference(l0.m, l1.m, z), CANDIDATES) for z in sc.z_values]
-    return np.abs(rows)
+    lhs = [resolvent_trace_difference(l0.m, l1.m, z) for z in sc.z_values]
+    return np.abs([resolvent_truncation_errors(l0, l1, z, s, CANDIDATES) for z, s in zip(sc.z_values, lhs)])
 
 
 def resolvent_limits(sc, scale=1.0):
@@ -126,7 +127,8 @@ def test_an_explicit_block_count_wins_and_gets_its_estimate(kind):
     assert report.flags["block_count"] == 24
     assert report.flags["truncation_estimate"] == pytest.approx(truncation_errors(sc)[:, -1], rel=1e-9, abs=1e-15)
     # above the rule's range too
-    assert run_scenario(parse_scenario(generate_scenario(kind, 3, 2) | {"dilation_order": 30})).flags["block_count"] == 30
+    above = parse_scenario(generate_scenario(kind, 3, 2) | {"dilation_order": 30})
+    assert run_scenario(above).flags["block_count"] == 30
 
 
 @pytest.mark.parametrize("kind", LINE_KINDS)
