@@ -124,17 +124,16 @@ class FiniteDilation:
         x_0 and x_(m-1) with the matrix [[I + alpha T, alpha beta D_T*],
         [alpha D_T, I - alpha beta T*]], beta = (-alpha)^(m-2), whose
         determinant is det(I + alpha U). The result is built in the one
-        (m n)-square buffer it is returned in. For a stack, alpha is a
-        scalar or one shift per member.
+        (m n)-square buffer it is returned in. A stack shares the one alpha.
         """
         n, m, julia = self.n, self.m, self.julia
         size = m * n
         lead = julia.shape[:-2]
-        alpha = np.broadcast_to(np.asarray(alpha, dtype=np.complex128), lead)[..., None, None]
-        powers = (-alpha[..., 0]) ** np.arange(m - 1)
+        alpha = np.complex128(alpha)
+        powers = (-alpha) ** np.arange(m - 1)
         swapped = np.roll(julia, n, axis=-2)  # [[T, D_T*], [D_T, -T*]]
-        columns = np.ones(lead + (1, 2 * n), dtype=np.complex128)
-        columns[..., n:] = powers[..., -1:, None]
+        columns = np.ones(2 * n, dtype=np.complex128)
+        columns[n:] = powers[-1]
         lhs = np.eye(2 * n) + alpha * swapped * columns
         # x_0 over x_(m-1) for b = e_0, for b = e_(m-1), and per unit of x_1's Toeplitz sum
         rhs = np.concatenate([np.broadcast_to(np.eye(2 * n), lead + (2 * n, 2 * n)), -alpha * swapped[..., n:]], -1)
@@ -144,19 +143,16 @@ class FiniteDilation:
         # row blocks 0 and m-1 hold x_0 and x_(m-1): [s_0, p_0 s_2, ..., p_(m-3) s_2, s_1] by column blocks
         for row, part in ((blocks[..., 0, :, :, :], s[..., :n, :]), (blocks[..., m - 1, :, :, :], s[..., n:, :])):
             row[..., 0, :] = part[..., :n]
-            np.multiply(powers[..., None, :-1, None], part[..., None, 2 * n :], out=row[..., 1 : m - 1, :])
+            np.multiply(powers[:-1, None], part[..., None, 2 * n :], out=row[..., 1 : m - 1, :])
             row[..., m - 1, :] = part[..., n : 2 * n]
         # row block j in 1 .. m-2: (-alpha)^(m-1-j) x_(m-1) plus the Toeplitz sum
-        np.multiply(
-            powers[..., m - 2 : 0 : -1, None, None, None],
-            blocks[..., None, m - 1, :, :, :],
-            out=blocks[..., 1 : m - 1, :, :, :],
-        )
+        tail = powers[m - 2 : 0 : -1, None, None, None]
+        np.multiply(tail, blocks[..., None, m - 1, :, :, :], out=blocks[..., 1 : m - 1, :, :, :])
         flat = x.reshape(lead + (size * size,))
         for k in range(m - 2):
             # block (j, j + k) gets p_k on its diagonal, for 1 <= j <= m-2-k
             start = n * (size + 1) + k * n
-            flat[..., start : start + (m - 2 - k) * n * (size + 1) : size + 1] += powers[..., k, None]
+            flat[..., start : start + (m - 2 - k) * n * (size + 1) : size + 1] += powers[k]
         return x
 
     @cached_property
@@ -203,14 +199,24 @@ class FiniteDilation:
             return None
         return normal_diagonal(self.julia)
 
-    def eigenphases(self, psi: float = _PSI) -> list[tuple[float, int]]:
+    def eigenphases(self) -> list[tuple[float, int]]:
         """Eigenphases of u as `linalg.eigenphases` gives them, from one `unitary_spectrum` call.
 
         The dilation solved is u, or for a normal T whose certificate holds
         the similar stack of the n scalar dilations of its eigenvalues,
         folded when complex symmetric (a 1 x 1 T is). u is formed only for
-        the dense eigvals fallback of an uncertified Cayley solve. psi places
-        the first Cayley pole at psi + pi.
+        the dense eigvals fallback of an uncertified Cayley solve.
+
+        The first Cayley pole psi + pi sits mid-way between two m-th roots of
+        unity: psi = pi/m for even m and 0 for odd m. The phases of u gather
+        near those roots: lambda = e^(i theta) is an eigenvalue of u exactly
+        when lambda^(m-1) is one of G(lambda) = -T* + D_T (lambda - T)^(-1) D_T*,
+        the characteristic function (Sz.-Nagy-Foias, ch. VI), and every phase
+        obeys dist(m theta, 2 pi Z) <= 2 arcsin ||T||, a bound a scalar T = tau
+        attains, where lambda^m = (1 - conj(tau) lambda)/(1 - tau conj(lambda)).
+        So the first try's |a| is at most cot((pi - 2 arcsin ||T||)/(2 m)),
+        and only a T with ||T|| > cos(m/2000) can meet the pole (|a| above
+        `linalg._POLE_LIMIT`).
         """
         d, normal = self, self.normal_form
         if normal is not None and normal.certificate <= _SKEW_TOL:
@@ -218,6 +224,7 @@ class FiniteDilation:
             # the 2 x 2 Julia blocks [[c_k, -conj(tau_k)], [tau_k, c_k]]
             d = FiniteDilation(np.stack([np.stack([c, -tau.conj()], -1), np.stack([tau, c], -1)], -2), self.m)
         fold = d.fold if d.complex_symmetric else None
+        psi = np.pi / self.m if self.m % 2 == 0 else 0.0
         return phase_clusters(unitary_spectrum(d.shifted_inverse, lambda: self.u.m, fold, psi))
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:

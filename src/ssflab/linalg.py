@@ -205,10 +205,10 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
 # complex solve takes the Hermitian part itself, which has A's eigenvalues.
 #
 # The solve also takes a stack of unitaries of one size: shifted_inverse then
-# returns one matrix per member, a shift array gives each member its own
-# psi, and fold folds every member. Each member keeps its own pole retry; the
-# real solve runs only when every member certifies it, and the Cayley route
-# only when every member passes its skew certificate.
+# returns one matrix per member, every member shares the one pole, and fold
+# folds every member. A retry solves the whole stack again; the real solve
+# runs only when every member certifies it, and the Cayley route only when
+# every member passes its skew certificate.
 _PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
 # a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
 # the others' accuracy; the pole then moves into the widest gap
@@ -223,7 +223,7 @@ _STRIP = 64
 
 class _CayleySolve(NamedTuple):
     theta: np.ndarray
-    pole: np.ndarray
+    pole: float
     skew: np.ndarray
 
 
@@ -259,15 +259,15 @@ def _hermitian_lower(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(squares), 2.0 * np.sqrt(imag_squares)
 
 
-def _cayley_solve(shifted_inverse: Callable, psi, fold: Optional[Callable] = None):
+def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None):
     """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular.
 
     A is formed in the buffer shifted_inverse returns, and eigvalsh reads
     the Hermitian part from its lower triangle. With fold, A is folded
     first, and eigvalsh runs on the real part of that lower triangle when
-    skew plus Weyl certificate stay within _SKEW_TOL.
+    skew plus Weyl certificate stay within _SKEW_TOL. pole is the largest
+    |a| over the whole stack.
     """
-    psi = np.asarray(psi, dtype=float)
     try:
         a = shifted_inverse(np.exp(-1j * psi))
     except np.linalg.LinAlgError:
@@ -282,15 +282,15 @@ def _cayley_solve(shifted_inverse: Callable, psi, fold: Optional[Callable] = Non
         return None
     real = fold is not None and np.all(skew + weyl <= _SKEW_TOL)
     w = _eig(np.linalg.eigvalsh, a.real if real else a)
-    return _CayleySolve(psi[..., None] + 2.0 * np.arctan(w), np.abs(w).max(axis=-1, initial=0.0), skew)
+    return _CayleySolve(psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), skew)
 
 
-def _pole_in_widest_gap(theta: np.ndarray) -> np.ndarray:
-    """The psi whose pole psi + pi sits mid-way in the widest circular gap of theta, per last-axis row."""
-    t = np.sort(theta % TWO_PI, axis=-1)
-    gaps = np.diff(t, append=t[..., :1] + TWO_PI, axis=-1)
-    k = np.argmax(gaps, axis=-1)[..., None]
-    return (np.take_along_axis(t, k, -1) + 0.5 * np.take_along_axis(gaps, k, -1) - np.pi)[..., 0]
+def _pole_in_widest_gap(theta: np.ndarray) -> float:
+    """The psi whose pole psi + pi sits mid-way in the widest circular gap of all the phases theta."""
+    t = np.sort(theta.ravel() % TWO_PI)
+    gaps = np.diff(t, append=t[:1] + TWO_PI)
+    k = np.argmax(gaps)
+    return float(t[k] + 0.5 * gaps[k] - np.pi)
 
 
 def unitary_spectrum(
@@ -299,16 +299,15 @@ def unitary_spectrum(
     """Eigenvalues of a unitary U, or of a stack of them, from one eigvalsh of a Cayley transform.
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
-    never has to be dense; for a stack it returns one inverse per member,
-    alpha a scalar or one shift per member. With alpha = e^(-i psi) it
-    gives the Hermitian A = 2i (I + alpha U)^(-1) - iI, whose eigenvalues a
-    give the phases psi + 2 arctan(a), psi = _PSI unless the caller knows
-    an emptier place for the first pole psi + pi. An eigenvalue near the pole
-    (|a| above _POLE_LIMIT) costs the others accuracy, so the solve is
-    repeated once with the pole in the widest gap of the phases just found;
-    members of a stack that did not meet the pole keep psi and so their
-    phases. The skew ||A - A*||_F bounds every phase error: a U that passed
-    `Unitary`'s check may carry a defect up to 1e-10, and
+    never has to be dense; for a stack it returns one inverse per member.
+    With alpha = e^(-i psi) it gives the Hermitian A = 2i (I + alpha U)^(-1)
+    - iI, whose eigenvalues a give the phases psi + 2 arctan(a), psi = _PSI
+    unless the caller knows an emptier place for the first pole psi + pi.
+    An eigenvalue near the pole (|a| above _POLE_LIMIT) costs the others
+    accuracy, so the solve is repeated once, the whole stack at one pole in
+    the widest gap of all the phases just found. The skew ||A - A*||_F
+    bounds every phase error: a U that passed `Unitary`'s check may carry a
+    defect up to 1e-10, and
     A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1). When any skew is
     beyond _SKEW_TOL, when the second try still meets the pole, or when
     I + alpha U is singular, the eigenvalues are those of one dense matrix,
@@ -318,10 +317,9 @@ def unitary_spectrum(
     member in one flat array.
     """
     solve = _cayley_solve(shifted_inverse, psi, fold)
-    if solve is not None and np.any(solve.pole > _POLE_LIMIT):
-        psi = np.where(solve.pole > _POLE_LIMIT, _pole_in_widest_gap(solve.theta), psi)
-        solve = _cayley_solve(shifted_inverse, psi, fold)
-    if solve is None or np.any((solve.pole > _POLE_LIMIT) | (solve.skew > _SKEW_TOL)):
+    if solve is not None and solve.pole > _POLE_LIMIT:
+        solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta), fold)
+    if solve is None or solve.pole > _POLE_LIMIT or np.any(solve.skew > _SKEW_TOL):
         return _eig(np.linalg.eigvals, dense())
     return np.exp(1j * solve.theta).ravel()
 

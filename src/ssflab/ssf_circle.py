@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    _PSI,
     CLUSTER_TOL,
     TWO_PI,
     Contraction,
@@ -53,6 +52,8 @@ from .linalg import (
 # kappa * (continuous Im log Delta) / (2 pi) + gauge. kappa = -2 is the choice
 # that reproduces the eigenphase-counting step function on unitary pairs.
 DETERMINANT_KAPPA = -2
+# the 8192 equispaced boundary points of `hardy_gauge_check`, formed once
+_HARDY_BOUNDARY = _frozen(np.exp(1j * (TWO_PI * np.arange(8192) / 8192)))
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,10 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
     return dilation_ssf(*dilation_pair(t0, t1, m))
 
 
-def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation, psi: float = _PSI) -> StepSSF:
-    """Eigenphase-counting SSF of two dilations of one block layout (n, m), one structured eigensolve each.
-
-    psi places each solve's first Cayley pole at psi + pi.
-    """
+def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
+    """Eigenphase-counting SSF of two dilations of one block layout (n, m), one structured eigensolve each."""
     same_dimension((d0.n, d0.m), (d1.n, d1.m))
-    return _step_ssf(d0.eigenphases(psi), d1.eigenphases(psi))
+    return _step_ssf(d0.eigenphases(), d1.eigenphases())
 
 
 def perturbation_determinant(t0, t1, zeta: complex) -> complex:
@@ -269,8 +267,7 @@ def hardy_gauge_check(k: int, coeffs: Sequence[complex]) -> complex:
     """
     if k < 0:
         raise ValidationError("exponent must be nonnegative")
-    theta = TWO_PI * np.arange(8192) / 8192
-    boundary = np.exp(1j * theta)
+    boundary = _HARDY_BOUNDARY
     integrand = poly_scalar(poly_derivative(coeffs), boundary) * boundary**k * 1j * boundary
     return complex(np.mean(integrand) * TWO_PI)
 

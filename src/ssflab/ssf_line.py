@@ -94,19 +94,9 @@ def pushforward_line(step: StepSSF) -> LineSSF:
 
 
 def dissipative_ssf(l0: Dissipative, l1: Dissipative, m: int) -> LineSSF:
-    """SSF of a dissipative pair: Cayley transform, dilate on m blocks, push to the line.
-
-    On generated dissipative and Schrodinger pairs the phases of the m-block
-    dilations gather near the m-th roots of unity, the phases of the
-    dilation of T = 0 (the Cayley image of L = iI). So each eigensolve's
-    first pole sits mid-way between two of those roots: at -1 for odd m, at
-    e^(i pi (1 + 1/m)) for even m. On such pairs at m = 16..24 no solve had
-    to move that pole, where the fixed first pole of
-    `linalg.unitary_spectrum` moved in up to 37% of the solves (m = 19).
-    """
+    """SSF of a dissipative pair: Cayley transform, dilate on m blocks, push to the line."""
     l0, l1 = as_pair(Dissipative, l0, l1)
-    psi = np.pi / m if m % 2 == 0 else 0.0
-    return pushforward_line(dilation_ssf(*dilation_pair(cayley(l0), cayley(l1), m), psi=psi))
+    return pushforward_line(dilation_ssf(*dilation_pair(cayley(l0), cayley(l1), m)))
 
 
 def weighted_abs_integral(ssf: LineSSF, side: str = "line") -> float:

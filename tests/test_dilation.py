@@ -357,21 +357,25 @@ def test_the_one_hermitian_pass_picks_the_real_route_of_the_full_matrix_fold(mon
 def test_dilation_of_a_contraction_at_its_norm_tolerance_matches_eigvals(monkeypatch):
     # Contraction accepts a norm up to 1 + 1e-8, so the Julia block of a
     # non-normal T with largest singular value 1 + 3e-11 is a validated,
-    # non-normal unitary; for some T the skew certificate of the Cayley
-    # transform fails and the eigenphases come from eigvals of the dense u
+    # non-normal unitary. T = -Q diag(1 + 3e-11, s) Q* R, R a rotation by up
+    # to 2 rad, has a phase near pi, the first pole at m = 3; for some T the
+    # skew certificate of the Cayley transform fails and the eigenphases come
+    # from eigvals of the dense u, for the others from the Cayley route
     fallbacks = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: fallbacks.append(a.shape) or eigvals(a))
     rng = np.random.default_rng(0)
     for _ in range(20):
-        q0, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        t = Contraction((q0 * [1 + 3e-11, rng.uniform(0.2, 0.9)]) @ q1)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        rotation = (v * np.exp(1j * rng.uniform(0.0, 2.0) * w / np.abs(w).max())) @ v.conj().T
+        t = Contraction((q * [1 + 3e-11, rng.uniform(0.2, 0.9)]) @ (-q.conj().T @ rotation))
         d = finite_schaffer_dilation(t, 3)
         got, want = d.eigenphases(), phase_clusters(eigvals(d.u.m))
         assert [k for _, k in got] == [k for _, k in want]
         assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
-    assert (6, 6) in fallbacks
+    assert (6, 6) in fallbacks and len(fallbacks) < 20
 
 
 def test_dilation_eigenphases_compute_no_eigenvectors(monkeypatch):
@@ -403,9 +407,15 @@ def test_dilation_eigenphases_compute_no_eigenvectors(monkeypatch):
 # normal contractions: n scalar dilations
 
 
-# unimodular values, a repeated one, zero, and -exp(i psi), which puts an
-# eigenvalue of the scalar dilation on the pole of the first Cayley try
-_SPECIAL_TAU = np.array([1.0, 1j, -1.0, 0.0, 0.5, 0.5, -0.3 + 0.4j, -np.exp(1j * linalg._PSI)])
+def _first_psi(m):
+    """The psi of an m-block dilation's first Cayley pole psi + pi: mid-way between two m-th roots of unity."""
+    return np.pi / m if m % 2 == 0 else 0.0
+
+
+def _special_tau(m):
+    """Unimodular values, a repeated one, zero, and -exp(i psi), which puts an
+    eigenvalue of the scalar m-block dilation on the pole of the first Cayley try."""
+    return np.array([1.0, 1j, -1.0, 0.0, 0.5, 0.5, -0.3 + 0.4j, -np.exp(1j * _first_psi(m))])
 
 
 def _recording_shifted_inverse(monkeypatch, record):
@@ -426,7 +436,7 @@ def test_normal_dilation_eigenphases_match_eigvals(seed, n, m, special):
     rng = np.random.default_rng(seed)
     tau = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
     k = min(special, n)
-    tau[:k] = rng.choice(_SPECIAL_TAU, size=k)
+    tau[:k] = rng.choice(_special_tau(m), size=k)
     d = finite_schaffer_dilation(normal_contraction(rng, n, tau), m)
     normal = d.normal_form
     assert normal is not None and normal.certificate <= linalg._SKEW_TOL
@@ -444,18 +454,52 @@ def test_normal_dilation_takes_n_scalar_dilations(monkeypatch):
         assert shapes and set(shapes) == {((n, 2, 2), m)}
 
 
-def test_normal_dilation_with_a_pole_on_a_scalar_moves_that_pole_only(monkeypatch):
+@pytest.mark.parametrize("m", [8, 9])
+def test_normal_dilation_with_a_pole_on_a_scalar_moves_the_stacks_pole(monkeypatch, m):
     # -exp(i psi) is an eigenvalue of its own scalar dilation and sits on the
-    # first try's pole: the retry solves the stack again, and only that member
-    # gets a new shift
+    # first try's pole: the retry solves the whole stack again, every member
+    # at one second pole
     shifts = []
-    _recording_shifted_inverse(monkeypatch, lambda d, a: shifts.append(np.broadcast_to(a, d.julia.shape[:-2]).copy()))
-    tau = np.array([0.3, -np.exp(1j * linalg._PSI), 0.6j])
-    d = finite_schaffer_dilation(normal_contraction(np.random.default_rng(5), 3, tau), 9)
+    _recording_shifted_inverse(monkeypatch, lambda d, a: shifts.append((d.julia.shape, a)))
+    tau = np.array([0.3, -np.exp(1j * _first_psi(m)), 0.6j])
+    d = finite_schaffer_dilation(normal_contraction(np.random.default_rng(5), 3, tau), m)
     assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
-    first = np.exp(-1j * linalg._PSI)
-    assert len(shifts) == 2 and np.all(shifts[0] == first)
-    assert [bool(a == first) for a in shifts[1][np.argsort(np.abs(d.normal_form.tau - tau[1]))]] == [False, True, True]
+    assert [shape for shape, _ in shifts] == [(3, 2, 2)] * 2
+    (_, first), (_, second) = shifts
+    assert first == np.exp(-1j * _first_psi(m))
+    assert np.ndim(second) == 0 and abs(second - first) > 1e-3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(3, 24),
+    kind=st.sampled_from(["normal", "non-normal", "strictly upper-triangular"]),
+    norm=st.floats(0.0, 1.0 - 1e-6),
+)
+def test_dilation_phases_sit_near_the_mth_roots_and_the_first_pole_between_them(seed, n, m, kind, norm):
+    # every phase theta of the m-block dilation of T obeys
+    # dist(m theta, 2 pi Z) <= 2 arcsin ||T||, and the first pole is mid-way
+    # between two m-th roots, so the first try's |a| is at most
+    # cot((pi - 2 arcsin ||T||)/(2 m)); equality for T = 0
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        g = normal_contraction(rng, n).m
+    else:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "strictly upper-triangular":
+            g = np.triu(g, 1)
+    size = operator_norm(g)
+    d = finite_schaffer_dilation(Contraction(g * (norm / size) if size > 0 else g), m)
+    spread = 2.0 * np.arcsin(operator_norm(d.julia[n:, :n]))
+    theta = np.angle(np.linalg.eigvals(d.u.m))
+    assert np.abs(np.angle(np.exp(1j * m * theta))).max() <= spread + 1e-9
+    tries, solve = [], linalg._cayley_solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_cayley_solve", lambda *args: tries.append(solve(*args)) or tries[-1])
+        d.eigenphases()
+    assert tries[0].pole <= (1.0 + 1e-9) / np.tan((np.pi - spread) / (2 * m))
 
 
 def test_scalar_julia_stack_is_complex_symmetric_until_a_member_is_perturbed():
@@ -578,7 +622,7 @@ def test_one_buffer_cayley_matrix_matches_the_kron_build_bitwise(monkeypatch):
         d = finite_schaffer_dilation(random_contraction(rng, n), m)
         handed.clear()
         d.eigenphases()
-        want = kron_build(d, np.exp(-1j * linalg._PSI))
+        want = kron_build(d, np.exp(-1j * _first_psi(m)))
         assert np.array_equal(np.tril(handed[0]), np.tril(want))
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ssflab.scenario import KINDS, load_scenario
+from ssflab import linalg
+from ssflab.scenario import KINDS, load_scenario, parse_scenario, run_scenario
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_corpus.py"
 
@@ -23,7 +24,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 18
+    assert len(files) == generated + 19
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -61,6 +62,19 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
         assert "dilation_order" not in json.loads((tmp_path / f"edge-default-blocks-{name}.json").read_text())
     explicit = edges["edge-explicit-blocks-dissipative"]
     assert (explicit.kind, explicit.dilation_order) == ("dissipative_pair", 24)
+    on_pole = edges["edge-eigenvalue-on-the-pole"]
+    assert (on_pole.kind, on_pole.dilation_order) == ("contraction_pair", 6)
+
+
+def test_the_pole_file_takes_a_second_cayley_try(make_corpus, monkeypatch):
+    # its operators share the eigenvalue e^(i 7 pi/6), on the first pole of an m = 6 dilation
+    payload = next(f for f in make_corpus.corpus() if f["name"] == "edge-eigenvalue-on-the-pole")
+    tries, solve = [], linalg._cayley_solve
+    monkeypatch.setattr(linalg, "_cayley_solve", lambda *args: tries.append(solve(*args)) or tries[-1])
+    report = run_scenario(parse_scenario(payload))
+    assert all(r.passed for r in report.records)
+    assert len(tries) == 4 and all(t.pole > linalg._POLE_LIMIT for t in tries[::2])
+    assert all(t.pole <= linalg._POLE_LIMIT for t in tries[1::2])
 
 
 def test_usage_without_an_output_directory_exits_two(make_corpus, capsys):

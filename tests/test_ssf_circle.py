@@ -477,6 +477,14 @@ def test_hardy_check_cauchy_cases():
     assert abs(hardy_gauge_check(2, [0.0, 0.0, 0.0, 1.0])) <= 1e-12
 
 
+def test_hardy_check_reads_the_boundary_it_would_form_per_call():
+    # the shared boundary is bitwise the one a call formed for itself, so the
+    # hardy-gauge lhs is unchanged, and no caller can write to it
+    theta = 2.0 * np.pi * np.arange(8192) / 8192
+    assert ssf_circle._HARDY_BOUNDARY.tobytes() == np.exp(1j * theta).tobytes()
+    assert not ssf_circle._HARDY_BOUNDARY.flags.writeable
+
+
 def test_hardy_check_random_poly_seed53():
     rng = np.random.default_rng(53)
     f = rng.standard_normal(5) + 1j * rng.standard_normal(5)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssflab.dilation import dilation_pair
 from ssflab.errors import KernelViolation, ValidationError
 from ssflab.linalg import Dissipative, cayley
+from ssflab.scenario import generate_scenario, parse_scenario
 from ssflab.schrodinger import discrete_schrodinger_pair
 from ssflab.ssf_circle import StepSSF, unitary_ssf
 from ssflab.ssf_line import (
@@ -267,13 +269,29 @@ def test_resolvent_residual_geometric_decay():
     assert coarse / max(fine, 1e-300) >= 1e3
 
 
-@pytest.mark.parametrize("m", range(16, 25))
-def test_the_line_dilations_first_pole_is_not_moved(monkeypatch, m):
-    # with the fixed first pole of unitary_spectrum, solves of these pairs moved it at m = 20 and 21
-    rng = np.random.default_rng(2027)
-    pairs = [(random_dissipative(rng, n), random_dissipative(rng, n)) for n in (3, 5, 8, 12) for _ in range(2)]
+# generated contraction pairs (m = 6) whose solves moved the fixed first pole of unitary_spectrum
+_RETRIED_CONTRACTION_FILES = [(200, 32), (200, 64), (500, 48), (500, 64), (1400, 32), (1400, 48), (1400, 64)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*range(16, 25), *(pytest.param(f, id=f"contraction_pair-{f[0]}-{f[1]}") for f in _RETRIED_CONTRACTION_FILES)],
+)
+def test_the_line_dilations_first_pole_is_not_moved(monkeypatch, case):
+    # with the fixed first pole of unitary_spectrum, solves of these line
+    # pairs moved it at m = 20 and 21, and so did solves of those generated
+    # contraction files
     eigvalsh, solves = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: solves.append(a.shape) or eigvalsh(a, *args))
+    if not isinstance(case, int):
+        sc = parse_scenario(generate_scenario("contraction_pair", *case))
+        for d in dilation_pair(*sc.matrices, sc.dilation_order):
+            solves.clear()
+            d.eigenphases()
+            assert solves == [(d.m * d.n, d.m * d.n)]
+        return
+    m, rng = case, np.random.default_rng(2027)
+    pairs = [(random_dissipative(rng, n), random_dissipative(rng, n)) for n in (3, 5, 8, 12) for _ in range(2)]
     for l0, l1 in pairs:
         cayley(l0).defects, cayley(l1).defects  # validated and factored before counting
         solves.clear()

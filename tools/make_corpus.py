@@ -21,7 +21,10 @@ block count) and a contraction pair whose test polynomials reach degree 5
 (its kind's rule gives m = 8), and a dissipative pair with an explicit
 `dilation_order` of 24, since generated line files no longer carry one. The
 dissipative singular-Im file and the mixed-cells contraction file give no
-`dilation_order` either.
+`dilation_order` either. Last, a contraction pair on m = 6 blocks whose
+operators share the unimodular eigenvalue e^(i 7 pi/6): that is an eigenvalue
+of both dilations and sits on their first Cayley pole, so each eigensolve
+takes the second try.
 Write the corpus from each version, since scenario files are output too,
 run each version on its own corpus with one BLAS thread and compare both:
 
@@ -64,6 +67,11 @@ def _edge_files() -> list[dict]:
     pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
     # contractions with integer, real-scalar and [re, im] cells
     mixed = [[[0, 0.5], [-0.25, [0.25, 0.25]]], [[0.5, 0], [[0.0, 0.25], 0]]]
+    # e^(i 7 pi/6) next to a non-normal 2 x 2 block of norm below 1
+    tau = np.exp(7j * np.pi / 6)
+    t0 = np.array([[tau, 0, 0], [0, 0.3, 0.4], [0, 0, -0.2]])
+    t1 = np.array([[tau, 0, 0], [0, 0.3, 0.5], [0, 0.1, -0.2]])
+    on_pole = [np.stack((m.real, m.imag), -1).tolist() for m in (t0, t1)]
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
@@ -108,6 +116,13 @@ def _edge_files() -> list[dict]:
             drop="dilation_order",
             test_polynomials=[[0, 1], [0, 0, 0, 0, 0, [1.0, 0.5]]],
         ),
+        {
+            "name": "edge-eigenvalue-on-the-pole",
+            "kind": "contraction_pair",
+            "matrices": on_pole,
+            "dilation_order": 6,
+            "outputs": OUTPUTS,
+        },
     ]
 
 
