@@ -13,8 +13,8 @@ blocks: the unitarity check on that Julia block, the corner powers by a
 recurrence on the top block row, and the shifted inverse (I + alpha U)^(-1)
 from one 2n-square solve, whose Cayley transform `linalg.unitary_spectrum`
 takes the eigenphases from. The dense (m n)-square unitary `u` is built only
-when something reads it (tests, demos, `observed_trace_degree`, and the
-dense eigvals fallback of that eigensolve).
+when something reads it (tests, demos, and the dense eigvals fallback of
+that eigensolve).
 
 A complex-symmetric T (T^T = T, as the Cayley image of a discrete
 Schrodinger operator -Lap + q is) has D_T^T = D_T*, so its Julia block obeys
@@ -338,23 +338,18 @@ def observed_trace_degree(t0: Contraction, t1: Contraction, m: int, *, tol: floa
 
     The certified range is k <= m - 2; this reports where the identity
     actually stops holding for the given pair, which is informative because
-    the wrap-around term can vanish by accident.
+    the wrap-around term can vanish by accident. tr U^k is read off the
+    eigenphases as the sum of multiplicity times e^(i k theta).
     """
     t0, t1 = as_pair(Contraction, t0, t1)
-    d0, d1 = dilation_pair(t0, t1, m)
-    pu0 = np.eye(d0.u.m.shape[0], dtype=np.complex128)
-    pu1 = pu0.copy()
-    pt0 = np.eye(t0.n, dtype=np.complex128)
-    pt1 = pt0.copy()
-    last_good = 0
+    traces = []
+    for d in dilation_pair(t0, t1, m):
+        theta, mult = np.array(d.eigenphases()).T
+        traces.append(np.exp(1j * np.outer(np.arange(1, m + 3), theta)) @ mult)
+    pt0, pt1 = t0.m, t1.m
     for k in range(1, m + 3):
-        pu0 = pu0 @ d0.u.m
-        pu1 = pu1 @ d1.u.m
-        pt0 = pt0 @ t0.m
-        pt1 = pt1 @ t1.m
-        lhs = np.trace(pu1) - np.trace(pu0)
         rhs = np.trace(pt1) - np.trace(pt0)
-        if abs(lhs - rhs) > tol * (1.0 + abs(rhs)):
-            break
-        last_good = k
-    return last_good
+        if abs(traces[1][k - 1] - traces[0][k - 1] - rhs) > tol * (1.0 + abs(rhs)):
+            return k - 1
+        pt0, pt1 = pt0 @ t0.m, pt1 @ t1.m
+    return m + 2

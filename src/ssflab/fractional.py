@@ -28,7 +28,8 @@ from .errors import (
     QuadratureDivergence,
     ValidationError,
 )
-from .linalg import PsdContraction, _eig, _frozen, as_operator, as_pair, check_exponents, hermitian_function, schatten_norm
+from .linalg import PsdContraction, _eig, _frozen, as_operator, as_pair, check_exponents, hermitian_function
+from .linalg import schatten_norm, weighted_norm
 from .schrodinger import make_grid
 
 # eigenvalues below this make inverse powers meaningless
@@ -214,9 +215,10 @@ def fractional_power_bound_report(job: FractionalJob) -> FractionalBoundReport:
     """Compare ||Y^s - X^s||_p against its weighted-difference bound.
 
     The bound is c_s/(a + b + s - 1) * ||Y^(-b) (Y - X) X^(-a)||_p
-    + c_s/(1 - s) * ||X - Y||_p. Requires both matrices invertible (smallest
-    eigenvalue at least 1e-10) so the inverse powers exist; beta = 0 is the
-    corollary form where only X gets inverted.
+    + c_s/(1 - s) * ||X - Y||_p, the weighted norm on the eigh of X and Y.
+    Requires both matrices invertible (smallest eigenvalue at least 1e-10) so
+    the inverse powers exist; beta = 0 is the corollary form where only X
+    gets inverted.
     """
     if job.min_eig < _KERNEL_FLOOR:
         raise KernelViolation(
@@ -224,10 +226,8 @@ def fractional_power_bound_report(job: FractionalJob) -> FractionalBoundReport:
             "inverse powers in the bound are undefined"
         )
     x, y, sigma = job.x, job.y, job.sigma
-    x_neg_alpha = hermitian_function(x.eigh, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.alpha)
-    y_neg_beta = hermitian_function(y.eigh, lambda w: np.clip(w, _KERNEL_FLOOR, None) ** -job.beta)
     lhs = schatten_norm(fractional_power(y, sigma) - fractional_power(x, sigma), job.p)
-    weighted = schatten_norm(y_neg_beta @ (y.m - x.m) @ x_neg_alpha, job.p)
+    weighted = weighted_norm(y.eigh, y.m - x.m, x.eigh, (-job.beta, -job.alpha), job.p)
     plain = schatten_norm(x.m - y.m, job.p)
     c = c_sigma(sigma)
     bound = c / (job.alpha + job.beta + sigma - 1.0) * weighted + c / (1.0 - sigma) * plain

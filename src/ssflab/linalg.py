@@ -130,26 +130,30 @@ def hermitian_sqrt(a) -> np.ndarray:
     return hermitian_power(a, 0.5, clamp=1e-8)
 
 
+def power_values(w: np.ndarray, exponent: float, clamp: float = 1e-10) -> np.ndarray:
+    """w**exponent on a Hermitian spectrum w, the package's one power rule. A negative exponent
+    needs every eigenvalue to clear 1e-12, else KernelViolation (-0.0 is not negative). For the
+    others eigenvalues in [-clamp, 0) count as zero and anything lower raises IndefiniteInput."""
+    lo = float(w.min(initial=np.inf))
+    if exponent < 0 and lo < 1e-12:
+        raise KernelViolation(f"eigenvalue {lo:.3e} below the 1.0e-12 floor, inverse power {exponent} undefined")
+    if lo < -clamp:
+        raise IndefiniteInput(f"eigenvalue {lo:.3e} below -{clamp:.1e}")
+    return np.clip(w, 0.0, None) ** exponent
+
+
 def hermitian_power(a, exponent: float, *, clamp: float = 1e-10) -> np.ndarray:
-    """f(A) for f(x) = x**exponent on a matrix Hermitian within 1e-12, or on
-    an eigendecomposition (w, V) as `hermitian_function` takes it.
+    """f(A) for f(x) = x**exponent by `power_values`, on a matrix Hermitian within
+    1e-12, or on an eigendecomposition (w, V) as `hermitian_function` takes it."""
+    a = a if isinstance(a, tuple) else require_hermitian(as_matrix(a))
+    return hermitian_function(a, lambda w: power_values(w, exponent, clamp))
 
-    Negative exponents require every eigenvalue to clear 1e-12, otherwise
-    KernelViolation. For nonnegative exponents eigenvalues in [-clamp, 0)
-    count as zero and anything lower raises IndefiniteInput.
-    """
 
-    def power(w):
-        lo = float(w.min(initial=np.inf))
-        if exponent < 0 and lo < 1e-12:
-            raise KernelViolation(
-                f"eigenvalue {lo:.3e} below the 1.0e-12 floor, inverse power {exponent} undefined"
-            )
-        if lo < -clamp:
-            raise IndefiniteInput(f"eigenvalue {lo:.3e} below -{clamp:.1e}")
-        return np.clip(w, 0.0, None) ** exponent
-
-    return hermitian_function(a if isinstance(a, tuple) else require_hermitian(as_matrix(a)), power)
+def weighted_norm(left, delta: np.ndarray, right, exponents: tuple[float, float], p: float) -> float:
+    """||A^a delta B^b||_p for Hermitian A = U diag(w) U* and B = Q diag(v) Q*, given as (w, U) and (v, Q):
+    the unitarily invariant norm of diag(w^a) U* delta Q diag(v^b), powers by `power_values`."""
+    (w, u), (v, q), (a, b) = left, right, exponents
+    return schatten_norm(power_values(w, a)[:, None] * (u.conj().T @ delta @ q) * power_values(v, b), p)
 
 
 def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
@@ -379,11 +383,17 @@ class Contraction:
         self.norm = smax
 
     @cached_property
-    def defects(self) -> DefectPair:
-        """The defect pair of defect_operators, read-only and computed once per contraction."""
+    def defect_eighs(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """((c, V), (c, U)) from one SVD T = U diag(s) V*, c = `defect_values`(s): D_T = V diag(c) V*
+        and D_T* = U diag(c) U*, as `hermitian_function` takes them; read-only, computed once."""
         u, s, vh = np.linalg.svd(self.m)
-        c = defect_values(s, self.n)
-        return DefectPair(_frozen(hermitize((vh.conj().T * c) @ vh)), _frozen(hermitize((u * c) @ u.conj().T)))
+        c = _frozen(defect_values(s, self.n))
+        return (c, _frozen(vh.conj().T)), (c, _frozen(u))
+
+    @cached_property
+    def defects(self) -> DefectPair:
+        """The defect pair of defect_operators, built from `defect_eighs`, read-only."""
+        return DefectPair(*(_frozen(hermitize((v * c) @ v.conj().T)) for c, v in self.defect_eighs))
 
     def __repr__(self):
         return f"Contraction(n={self.n}, norm={self.norm:.6f})"
@@ -411,7 +421,7 @@ class Dissipative:
 
     imag_min, the smallest eigenvalue of Im L (0.0 when empty), comes from validation.
     The factorisations the checks share are cached, read-only, and computed on
-    first use: the Cayley image, (L + iI)^(-1), and the eigendecomposition of Im L.
+    first use: the Cayley image, (L + iI)^(-1), the eigh of Im L and `g_pair`.
     """
 
     def __init__(self, m):
@@ -439,6 +449,12 @@ class Dissipative:
     def resolvent_minus_i(self) -> np.ndarray:
         """(L + iI)^(-1), the resolvent at -i."""
         return _frozen(np.linalg.inv(self.m + 1j * np.eye(self.n)))
+
+    @cached_property
+    def g_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """G = (Im L)^(1/2) (L + iI)^(-1) and its reversed-order twin (L + iI)^(-1) (Im L)^(1/2)."""
+        root = hermitian_sqrt(self.imag_eigh)
+        return _frozen(root @ self.resolvent_minus_i), _frozen(self.resolvent_minus_i @ root)
 
     @cached_property
     def cayley_image(self) -> Contraction:

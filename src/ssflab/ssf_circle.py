@@ -41,11 +41,11 @@ from .linalg import (
     check_exponents,
     defect_operators,
     eigenphases,
-    hermitian_power,
     poly_derivative,
     poly_scalar,
     same_dimension,
     schatten_norm,
+    weighted_norm,
 )
 
 # Calibrated normalization of the determinant route: sampled values are
@@ -78,6 +78,8 @@ class StepSSF:
             raise ValidationError("zero-size jumps must be dropped before construction")
         if sizes.sum() != 0:
             raise ValidationError("jump sizes must sum to zero")
+        if not np.isfinite(self.gauge):
+            raise ValidationError("gauge must be finite")
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -113,6 +115,8 @@ class SampledSSF:
     def __post_init__(self):
         if self.radius <= 1.0:
             raise ValidationError("sampling radius must exceed 1")
+        if not np.isfinite(self.thetas).all():
+            raise ValidationError("sampled thetas must be finite")
         if not np.isfinite(self.values).all():
             raise ValidationError("sampled values must be finite")
         for a in (self.thetas, self.values, *self.eigenvalues):
@@ -299,25 +303,23 @@ def real_ssf_conditions_report(
     difference norms, and the residual of the exact algebraic identity
     (I - T1*T1) - (I - T0*T0) = -(T1* - T0*) T0 - T1* (T1 - T0).
 
-    When a required inverse defect power does not exist (defect eigenvalue
-    below the 1e-12 floor) the weighted norms are reported as None instead
-    of raising.
+    Defect eigenvalues and weighted norms are read off `defect_eighs`. When a
+    required inverse defect power does not exist (defect eigenvalue below the
+    1e-12 floor) the weighted norms are reported as None instead of raising.
     """
     check_exponents(alpha, beta, p)
     t0, t1 = as_pair(Contraction, t0, t1)
     d0, d0s = defect_operators(t0)
     d1, d1s = defect_operators(t1)
-    min_eig = float(_eig(np.linalg.eigvalsh, d0).min())
+    e0, (e1, e1s) = t0.defect_eighs[0], t1.defect_eighs
+    min_eig = float(e0[0].min())
     diff = t1.m - t0.m
+    exponents = (-2.0 * beta, -2.0 * alpha)
     try:
-        w_right = hermitian_power(d0, -2.0 * alpha)
-        w_left = hermitian_power(d1s, -2.0 * beta)
-        weighted = float(schatten_norm(w_left @ diff @ w_right, p))
-        w_left_adj = hermitian_power(d1, -2.0 * beta)
-        weighted_adj = float(schatten_norm(w_left_adj @ diff.conj().T @ w_right, p))
+        weighted = weighted_norm(e1s, diff, e0, exponents, p)
+        weighted_adj = weighted_norm(e1, diff.conj().T, e0, exponents, p)
     except KernelViolation:
-        weighted = None
-        weighted_adj = None
+        weighted = weighted_adj = None
     eye = np.eye(t0.n)
     lhs = (eye - t1.m.conj().T @ t1.m) - (eye - t0.m.conj().T @ t0.m)
     rhs = -diff.conj().T @ t0.m - t1.m.conj().T @ diff

@@ -23,10 +23,9 @@ from .linalg import (
     _frozen,
     as_pair,
     cayley,
-    hermitian_function,
-    hermitian_sqrt,
     operator_norm,
     schatten_norm,
+    weighted_norm,
 )
 from .ssf_circle import StepSSF, dilation_ssf
 
@@ -223,19 +222,13 @@ def cayley_identity_residuals(l0, l1) -> CayleyIdentityReport:
     ts = [cayley(l).m for l in ls]
     defect_res, adjoint_res = [], []
     for l, t in zip(ls, ts):
-        eye = np.eye(l.n)
-        shifted_inv = l.resolvent_minus_i
-        root = hermitian_sqrt(l.imag_eigh)
-        g = root @ shifted_inv
-        g_twin = shifted_inv @ root
-        d_sq = eye - t.conj().T @ t
-        d_star_sq = eye - t @ t.conj().T
-        defect_res.append(float(np.linalg.norm(d_sq - 4.0 * g.conj().T @ g)))
-        adjoint_res.append(float(np.linalg.norm(d_star_sq - 4.0 * g_twin @ g_twin.conj().T)))
+        eye, (g, g_twin) = np.eye(l.n), l.g_pair
+        defect_res.append(float(np.linalg.norm(eye - t.conj().T @ t - 4.0 * g.conj().T @ g)))
+        adjoint_res.append(float(np.linalg.norm(eye - t @ t.conj().T - 4.0 * g_twin @ g_twin.conj().T)))
     diff_res = float(np.linalg.norm((ts[1] - ts[0]) + 2j * (ls[1].resolvent_minus_i - ls[0].resolvent_minus_i)))
     return CayleyIdentityReport(
-        defect_sq_residuals=(defect_res[0], defect_res[1]),
-        adjoint_defect_sq_residuals=(adjoint_res[0], adjoint_res[1]),
+        defect_sq_residuals=tuple(defect_res),
+        adjoint_defect_sq_residuals=tuple(adjoint_res),
         resolvent_difference_residual=diff_res,
     )
 
@@ -255,29 +248,21 @@ def dissipative_condition_report(l0, l1, p: float = 1) -> DissipativeConditionRe
     """Evaluate (Im L1)^(-1/2) (L1 - L0) (Im L0)^(-1/2) and companions.
 
     Requires both imaginary parts to be nonsingular (smallest eigenvalue at
-    least 1e-12), else KernelViolation. The four G-type operator norms are
-    diagnostics: in finite dimensions boundedness is automatic, but the
-    sizes are what enter the estimates.
+    least 1e-12), else KernelViolation. The weighted norm is read off the
+    eigendecompositions of Im L_j. The four G-type operator norms, of
+    `Dissipative.g_pair`, are diagnostics: in finite dimensions boundedness
+    is automatic, but the sizes are what enter the estimates.
     """
     ls = as_pair(Dissipative, l0, l1)
-    inv_roots, g_norms, g_twin_norms = [], [], []
     for j, l in enumerate(ls):
-
-        def inverse_root(w, j=j):
-            if float(w.min()) < 1e-12:
-                raise KernelViolation(f"Im L_{j} has eigenvalue {w.min():.3e}, inverse square root undefined")
-            return w**-0.5
-
-        inv_roots.append(hermitian_function(l.imag_eigh, inverse_root))
-        root = hermitian_sqrt(l.imag_eigh)
-        shifted_inv = l.resolvent_minus_i
-        g_norms.append(operator_norm(root @ shifted_inv))
-        g_twin_norms.append(operator_norm(shifted_inv @ root))
-    weighted = float(schatten_norm(inv_roots[1] @ (ls[1].m - ls[0].m) @ inv_roots[0], p))
+        lo = float(l.imag_eigh[0].min())
+        if lo < 1e-12:
+            raise KernelViolation(f"Im L_{j} has eigenvalue {lo:.3e}, inverse square root undefined")
+    g_norms, g_twin_norms = (tuple(operator_norm(l.g_pair[k]) for l in ls) for k in (0, 1))
     return DissipativeConditionReport(
         p=p,
-        weighted_diff_norm=weighted,
+        weighted_diff_norm=weighted_norm(ls[1].imag_eigh, ls[1].m - ls[0].m, ls[0].imag_eigh, (-0.5, -0.5), p),
         resolvent_diff_trace_norm=float(schatten_norm(ls[1].resolvent_minus_i - ls[0].resolvent_minus_i, 1)),
-        sqrt_im_resolvent_norms=(g_norms[0], g_norms[1]),
-        resolvent_sqrt_im_norms=(g_twin_norms[0], g_twin_norms[1]),
+        sqrt_im_resolvent_norms=g_norms,
+        resolvent_sqrt_im_norms=g_twin_norms,
     )

@@ -734,6 +734,40 @@ def test_observed_trace_degree_generic_boundary():
     assert observed_trace_degree(a, b, 6) == 4
 
 
+def _dense_trace_degree(t0, t1, m, tol=1e-9):
+    """The dense power loop observed_trace_degree replaced: powers of the (m n)-square dilations."""
+    d0, d1 = dilation_pair(t0, t1, m)
+    pu0, pu1, pt0, pt1 = np.eye(m * t0.n), np.eye(m * t0.n), np.eye(t0.n), np.eye(t0.n)
+    for k in range(1, m + 3):
+        pu0, pu1, pt0, pt1 = pu0 @ d0.u.m, pu1 @ d1.u.m, pt0 @ t0.m, pt1 @ t1.m
+        rhs = np.trace(pt1) - np.trace(pt0)
+        if abs(np.trace(pu1) - np.trace(pu0) - rhs) > tol * (1.0 + abs(rhs)):
+            return k - 1
+    return m + 2
+
+
+def test_observed_trace_degree_reads_phases_and_matches_the_dense_power_loop(monkeypatch):
+    rng = np.random.default_rng(2025)
+    cases = []
+    for i in range(200):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(3, 10))
+        if i % 4 == 0:
+            # T0 = 0 with T1 nilpotent: the wrap-around vanishes and the identity holds past m - 2
+            t1 = np.triu(random_contraction(rng, n).m, 1)
+            cases.append((Contraction(np.zeros((n, n))), Contraction(t1), m))
+        else:
+            cases.append((random_contraction(rng, n), random_contraction(rng, n), m))
+    want = [_dense_trace_degree(*case) for case in cases]
+
+    def dense(self):
+        raise AssertionError("observed_trace_degree read FiniteDilation.u")
+
+    monkeypatch.setattr(dilation.FiniteDilation, "u", property(dense))
+    assert [observed_trace_degree(*case) for case in cases] == want
+    # the cases reach both the certified m - 2 and the whole scanned range m + 2
+    assert {w - case[2] for w, case in zip(want, cases)} >= {-2, 2}
+
+
 def test_default_block_count():
     assert default_block_count(5) == 8
     assert default_block_count(0) == 3

@@ -26,6 +26,7 @@ from ssflab.linalg import (
     eigenphases,
     hermitian_power,
     hermitian_sqrt,
+    hermitize,
     inverse_cayley,
     operator_norm,
     phase_clusters,
@@ -34,6 +35,7 @@ from ssflab.linalg import (
     schatten_norm,
     singular_value_commute_check,
     unitary_spectrum,
+    weighted_norm,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -123,6 +125,46 @@ def test_power_matches_eig_route():
         for p in (0.5, 0.3, -0.25, 2.0):
             direct = (v * w**p) @ v.conj().T
             assert np.linalg.norm(hermitian_power(a, p) - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def _psd_with_kernel(rng, n, kernel):
+    """An exactly Hermitian V diag(w) V* whose first `kernel` eigenvalues are 0 and the rest in [1e-3, 1]."""
+    w = rng.uniform(1e-3, 1.0, n)
+    w[:kernel] = 0.0
+    v = random_unitary(rng, n).m
+    return hermitize((v * w) @ v.conj().T)
+
+
+def _unless_kernel(f):
+    try:
+        return f()
+    except KernelViolation:
+        return None
+
+
+_EXPONENTS = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, -0.5]), st.floats(-1.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    p=st.sampled_from([1.0, 1.5, 2.0]),
+    exponents=st.tuples(_EXPONENTS, _EXPONENTS),
+    kernels=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_weighted_norm_is_the_norm_of_the_matrix_powers(seed, n, p, exponents, kernels):
+    # -0.0 is no inverse power, so a kernel passes it on both sides
+    rng = np.random.default_rng(seed)
+    a, b = (_psd_with_kernel(rng, n, min(k, n)) for k in kernels)
+    delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    got = _unless_kernel(lambda: weighted_norm(np.linalg.eigh(a), delta, np.linalg.eigh(b), exponents, p))
+    want = _unless_kernel(
+        lambda: schatten_norm(hermitian_power(a, exponents[0]) @ delta @ hermitian_power(b, exponents[1]), p)
+    )
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +538,19 @@ def test_defect_identities():
         assert np.linalg.norm(d_ts @ d_ts - (eye - t.m @ t.m.conj().T)) <= 1e-13
         # intertwining, the reason the defects come from one svd
         assert np.linalg.norm(t.m @ d_t - d_ts @ t.m) <= 1e-13
+
+
+def test_the_defect_pair_is_built_from_the_defect_eighs():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 6):
+        t = random_contraction(rng, n)
+        (c, v), (c_star, u) = t.defect_eighs
+        assert t.defect_eighs is t.defect_eighs and c is c_star
+        assert not any(a.flags.writeable for a in (c, v, u))
+        d_t, d_ts = t.defects
+        assert np.linalg.norm(d_t - (v * c) @ v.conj().T) <= 1e-15 * n
+        assert np.linalg.norm(d_ts - (u * c) @ u.conj().T) <= 1e-15 * n
+        assert np.allclose(u @ np.diag(np.sqrt(1.0 - c**2)) @ v.conj().T, t.m, atol=1e-14)
 
 
 def test_a_contraction_keeps_one_read_only_defect_pair():

@@ -24,7 +24,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 19
+    assert len(files) == generated + 21
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -64,6 +64,18 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert (explicit.kind, explicit.dilation_order) == ("dissipative_pair", 24)
     on_pole = edges["edge-eigenvalue-on-the-pole"]
     assert (on_pole.kind, on_pole.dilation_order) == ("contraction_pair", 6)
+    kernel, kernel_alpha0 = edges["edge-defect-kernel"], edges["edge-defect-kernel-alpha0"]
+    assert kernel.kind == kernel_alpha0.kind == "contraction_pair"
+    assert (kernel.exponents["alpha"], kernel_alpha0.exponents["alpha"], kernel_alpha0.exponents["beta"]) == (0.5, 0.0, 0.75)
+
+
+@pytest.mark.parametrize("name, defined", [("edge-defect-kernel-alpha0", True), ("edge-defect-kernel", False)])
+def test_the_defect_kernel_files_reach_both_kernel_paths(make_corpus, name, defined):
+    # T0 has two unit singular values: the weighted norms exist at alpha = 0 only
+    payload = next(f for f in make_corpus.corpus() if f["name"] == name)
+    flags = run_scenario(parse_scenario(payload)).flags
+    assert flags["min_defect_eig"] == 0.0 and flags["kernel_certified"] is False
+    assert (flags["weighted_diff_norm"] is not None) == (flags["weighted_adjoint_diff_norm"] is not None) == defined
 
 
 def test_the_pole_file_takes_a_second_cayley_try(make_corpus, monkeypatch):

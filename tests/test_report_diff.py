@@ -127,6 +127,38 @@ def test_a_float_flag_change_is_measured_and_kept(report_diff, flag_dirs, capsys
     assert "flags 3e-12" in capsys.readouterr().out
 
 
+def test_roundoff_on_a_flag_near_zero_reads_as_roundoff(report_diff, flag_dirs, capsys):
+    parent, change, flags = flag_dirs
+    _synthetic_report(parent / "r.report.json", {**flags, "gauge": 8.5e-16})
+    _synthetic_report(change / "r.report.json", {**flags, "gauge": -4.5e-15})
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["flags_kept"] and c["flags"] <= 1e-5 and c["flag_path"] == "gauge"
+    assert report_diff.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "flags 5.35e-06 at gauge\n" in out and "flag change 5.35e-06 at gauge of r.report.json;" in out
+
+
+def test_the_largest_flag_change_is_named_by_its_path(report_diff, flag_dirs, capsys):
+    parent, change, flags = flag_dirs
+    nested = {**flags["condition_report"], "norms": [1.0 * (1 + 1e-13), 4.0 * (1 + 3e-12)]}
+    _synthetic_report(change / "r.report.json", {**flags, "min_eig": 0.25 * (1 + 1e-12), "condition_report": nested})
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["flag_path"] == "condition_report.norms[1]"
+    assert report_diff.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "flags 3e-12 at condition_report.norms[1]" in out
+    assert "largest relative float flag change 3e-12 at condition_report.norms[1] of r.report.json" in out
+
+
+def test_unchanged_flags_name_no_path(report_diff, outputs, capsys):
+    parent, change, report = outputs
+    _edit(report, lambda d: d["records"][0].update(residual=d["records"][0]["residual"] + 1e-3))
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["flags"] == 0.0 and c["flag_path"] == ""
+    assert report_diff.main([str(parent), str(change)]) == 0
+    assert "largest relative float flag change 0;" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -9,8 +9,17 @@ from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
 from ssflab import ssf_circle
 from ssflab.export import table_array
 from ssflab.dilation import dilation_pair
-from ssflab.linalg import CLUSTER_TOL, Contraction, Unitary, _cluster_circle, analytic_poly_eval, operator_norm
-from ssflab.scenario import parse_scenario, run_scenario
+from ssflab.linalg import (
+    CLUSTER_TOL,
+    Contraction,
+    Unitary,
+    _cluster_circle,
+    analytic_poly_eval,
+    hermitian_power,
+    operator_norm,
+    schatten_norm,
+)
+from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
 from ssflab.ssf_circle import (
     RealSsfConditions,
     SampledSSF,
@@ -548,6 +557,52 @@ def test_conditions_report_sees_the_kernel_of_a_defect_with_unit_singular_values
     assert rep.weighted_diff_norm is None
 
 
+def _unit_singular_pair():
+    """T0 = Q diag(1, 1, 0.5, 0.2) Q*, whose defect has a two-dimensional kernel, and the strict T1 = T0 / 2."""
+    g = np.random.default_rng(3)
+    q, _ = np.linalg.qr(g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)))
+    t0 = Contraction((q * [1.0, 1.0, 0.5, 0.2]) @ q.conj().T)
+    return t0, Contraction(t0.m / 2)
+
+
+def test_conditions_report_at_alpha_zero_passes_the_kernel():
+    # D_T0^(-0.0) is the identity on the kernel too, so the weighted norms exist
+    t0, t1 = _unit_singular_pair()
+    rep = real_ssf_conditions_report(t0, t1, 0.0, 0.75, 1)
+    assert rep.min_defect_eig == 0.0 and not rep.kernel_certified
+    diff = t1.m - t0.m
+    d1, d1s = t1.defects
+    assert rep.weighted_diff_norm == pytest.approx(schatten_norm(hermitian_power(d1s, -1.5) @ diff, 1), rel=1e-12)
+    assert rep.weighted_adjoint_diff_norm == pytest.approx(
+        schatten_norm(hermitian_power(d1, -1.5) @ diff.conj().T, 1), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("alpha, beta, p", [(0.5, 0.25, 2), (0.3, 0.7, 1), (0.0, 0.6, 1.5)])
+def test_conditions_report_weighted_norms_are_those_of_the_defect_powers(alpha, beta, p):
+    rng = np.random.default_rng(21)
+    for n in (1, 3, 5):
+        t0, t1 = random_contraction(rng, n, scale=0.9), random_contraction(rng, n, scale=0.9)
+        rep = real_ssf_conditions_report(t0, t1, alpha, beta, p)
+        (d0, _), (d1, d1s) = t0.defects, t1.defects
+        right, diff = hermitian_power(d0, -2 * alpha), t1.m - t0.m
+        weighted = schatten_norm(hermitian_power(d1s, -2 * beta) @ diff @ right, p)
+        adjoint = schatten_norm(hermitian_power(d1, -2 * beta) @ diff.conj().T @ right, p)
+        assert rep.weighted_diff_norm == pytest.approx(weighted, rel=1e-11)
+        assert rep.weighted_adjoint_diff_norm == pytest.approx(adjoint, rel=1e-11)
+        assert rep.min_defect_eig == pytest.approx(float(np.linalg.eigvalsh(d0).min()), abs=1e-14)
+
+
+def test_conditions_report_takes_no_eigensolve(monkeypatch):
+    # the defect eigenvalues and weighted norms come from each contraction's one SVD
+    t0, t1 = (Contraction(m) for m in parse_scenario(generate_scenario("contraction_pair", 201, 16)).matrices)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    rep = real_ssf_conditions_report(t0, t1, 0.5, 0.25, 1)
+    assert calls == [] and rep.weighted_diff_norm is not None
+
+
 def test_conditions_report_validates_exponents():
     t = Contraction(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
@@ -569,6 +624,20 @@ def test_step_ssf_validation():
         StepSSF(jumps=((1.0, 1),), gauge=0.0)  # sum != 0
     with pytest.raises(ValidationError):
         StepSSF(jumps=((7.0, 1), (7.5, -1)), gauge=0.0)  # out of range
+
+
+@pytest.mark.parametrize("gauge", [np.nan, np.inf, -np.inf])
+def test_step_ssf_rejects_a_non_finite_gauge(gauge):
+    # a NaN gauge would reach every value, the line SSF and the written tables
+    with pytest.raises(ValidationError, match="gauge must be finite"):
+        StepSSF(((1.0, 1), (2.0, -1)), gauge)
+    assert StepSSF(((1.0, 1), (2.0, -1)), 0.25).value(1.5) == 1.25
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_sampled_ssf_rejects_non_finite_thetas(theta):
+    with pytest.raises(ValidationError, match="sampled thetas must be finite"):
+        SampledSSF(1.1, np.array([theta, 1.0]), np.zeros(2), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ssflab.dilation import dilation_pair
 from ssflab.errors import KernelViolation, ValidationError
+from ssflab import linalg
 from ssflab.linalg import Dissipative, cayley
 from ssflab.scenario import generate_scenario, parse_scenario
 from ssflab.schrodinger import discrete_schrodinger_pair
@@ -393,6 +394,25 @@ def test_a_dissipative_pair_is_factorised_once_per_operator(monkeypatch):
     for l in (l0, l1):
         for cached in (l.imag_eigh[0], l.imag_eigh[1], l.resolvent_minus_i, l.cayley_image.m):
             assert not cached.flags.writeable
+
+
+def test_each_operator_forms_its_root_of_im_l_once_across_both_reports(monkeypatch):
+    # G and its twin are cached on the operator; the weighted norm forms no inverse root
+    formed, function = [], linalg.hermitian_function
+    monkeypatch.setattr(linalg, "hermitian_function", lambda a, f: formed.append(a[1].shape) or function(a, f))
+    rng = np.random.default_rng(9)
+    l0, l1 = random_dissipative(rng, 5), random_dissipative(rng, 5)
+    identities = cayley_identity_residuals(l0, l1)
+    condition = dissipative_condition_report(l0, l1, p=2)
+    assert formed == [(5, 5), (5, 5)]
+    for l in (l0, l1):
+        root = (l.imag_eigh[1] * np.sqrt(l.imag_eigh[0])) @ l.imag_eigh[1].conj().T
+        g, g_twin = l.g_pair
+        assert l.g_pair is l.g_pair and not g.flags.writeable and not g_twin.flags.writeable
+        assert np.linalg.norm(g - root @ l.resolvent_minus_i) <= 1e-13
+        assert np.linalg.norm(g_twin - l.resolvent_minus_i @ root) <= 1e-13
+    assert identities.max_residual() <= 1e-12
+    assert condition.sqrt_im_resolvent_norms == tuple(np.linalg.norm(l.g_pair[0], 2) for l in (l0, l1))
 
 
 def test_condition_report_equal_pair():

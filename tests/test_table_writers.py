@@ -34,6 +34,7 @@ from ssflab.export import (
     write_report_json,
     write_ssf_csv,
 )
+from ssflab.errors import ValidationError
 from ssflab.linalg import TWO_PI
 from ssflab.scenario import CheckRecord, Report
 from ssflab.ssf_circle import SampledSSF, StepSSF
@@ -259,10 +260,20 @@ def test_long_tables_take_the_deduplicating_path_and_write_the_per_cell_bytes(tm
     assert_writers_match(pushforward_line(table), tmp_path)
 
 
+def _unchecked_step(jumps, gauge) -> StepSSF:
+    """A StepSSF with a gauge its constructor refuses, built past the check to reach the writers' non-finite path."""
+    with pytest.raises(ValidationError, match="gauge must be finite"):
+        StepSSF(jumps, gauge)
+    table = object.__new__(StepSSF)
+    object.__setattr__(table, "jumps", jumps)
+    object.__setattr__(table, "gauge", gauge)
+    return table
+
+
 @pytest.mark.parametrize("gauge", [float("nan"), float("inf")])
 def test_a_non_finite_circle_level_raises_the_stdlib_error(gauge, tmp_path):
     # a level is gauge plus an integer, and "gauge" sorts before "rows"
-    table = StepSSF(jumps=((1.0, 1), (2.0, -1)), gauge=gauge)
+    table = _unchecked_step(((1.0, 1), (2.0, -1)), gauge)
     report = Report("t", "unitary_pair", (), {}, {"circle_step": table}, {})
     with pytest.raises(ValueError) as ours:
         write_report_json(report, tmp_path / "t.report.json", "2000-01-01T00:00:00+00:00")
@@ -316,7 +327,7 @@ def test_the_first_error_the_stdlib_meets_is_raised(tmp_path):
     # "circle_step" sorts before "sampled": the NaN gauge is met before the inf radius
     thetas = TWO_PI * np.arange(1, 9) / 8
     tables = {
-        "circle_step": StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=float("nan")),
+        "circle_step": _unchecked_step(((1.0, 1), (TWO_PI, -1)), float("nan")),
         "sampled": SampledSSF(float("inf"), thetas, np.cos(thetas), 0),
     }
     report = Report("t", "unitary_pair", (), {}, tables, {})

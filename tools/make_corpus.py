@@ -21,10 +21,13 @@ block count) and a contraction pair whose test polynomials reach degree 5
 (its kind's rule gives m = 8), and a dissipative pair with an explicit
 `dilation_order` of 24, since generated line files no longer carry one. The
 dissipative singular-Im file and the mixed-cells contraction file give no
-`dilation_order` either. Last, a contraction pair on m = 6 blocks whose
+`dilation_order` either. Then a contraction pair on m = 6 blocks whose
 operators share the unimodular eigenvalue e^(i 7 pi/6): that is an eigenvalue
 of both dilations and sits on their first Cayley pole, so each eigensolve
-takes the second try.
+takes the second try. Last of all, two contraction pairs whose T0 has two
+unit singular values, so that its defect has a kernel: at alpha = 0 the
+weighted norms exist (the exponent -0.0 is no inverse power), and at the
+default alpha = 1/2 they are None and the kernel is not certified.
 Write the corpus from each version, since scenario files are output too,
 run each version on its own corpus with one BLAS thread and compare both:
 
@@ -72,6 +75,13 @@ def _edge_files() -> list[dict]:
     t0 = np.array([[tau, 0, 0], [0, 0.3, 0.4], [0, 0, -0.2]])
     t1 = np.array([[tau, 0, 0], [0, 0.3, 0.5], [0, 0.1, -0.2]])
     on_pole = [np.stack((m.real, m.imag), -1).tolist() for m in (t0, t1)]
+    # T0 = Q diag(1, 1, 1/2, 1/5) Q*, Q a Householder reflection, has two unit
+    # singular values, so its defect has a kernel; T1 is a strict contraction
+    v = np.array([1.0, 1j, -1.0, 0.5])
+    q = np.eye(4) - 2.0 * np.outer(v, v.conj()) / (v.conj() @ v).real
+    t0 = (q * [1.0, 1.0, 0.5, 0.2]) @ q.conj().T
+    t1 = 0.9 * t0 + 0.05 * np.eye(4, k=1)
+    unit_singular = [np.stack((m.real, m.imag), -1).tolist() for m in (t0, t1)]
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
@@ -123,6 +133,14 @@ def _edge_files() -> list[dict]:
             "dilation_order": 6,
             "outputs": OUTPUTS,
         },
+        {
+            "name": "edge-defect-kernel-alpha0",
+            "kind": "contraction_pair",
+            "matrices": unit_singular,
+            "exponents": {"alpha": 0.0, "beta": 0.75, "p": 1.0},
+            "outputs": OUTPUTS,
+        },
+        {"name": "edge-defect-kernel", "kind": "contraction_pair", "matrices": unit_singular, "outputs": OUTPUTS},
     ]
 
 

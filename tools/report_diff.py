@@ -16,11 +16,15 @@ byte. For each report that differs the script prints:
   it came from, because t = -cot(theta/2) magnifies phase shifts near
   theta = 0 and 2 pi;
 - the largest relative change of its float flags, nested ones included,
-  and whether every other flag (keys, strings, bools, ints, None) held;
+  with the path of that flag (such as `condition_report.norms[1]`), and
+  whether every other flag (keys, strings, bools, ints, None) held. A
+  change is taken relative to max(|a|, |b|, 1e-9), so roundoff on a flag
+  near 0 reads as roundoff and not as a change of order 1;
 - which `provenance` keys changed, such as `config_hash`. A provenance
   change alone does not set the exit code.
 
-Other files that differ (CSV, SVG) are listed by name. The exit code is 1
+Other files that differ (CSV, SVG) are listed by name. The summary line
+names the flag path and the report of the largest float flag change. The exit code is 1
 when a record's pass/fail changed, a record or file is missing on one side,
 a table changed its rows, jumps or mass at infinity, or a flag other than
 a float changed; otherwise 0.
@@ -108,29 +112,40 @@ def compare_tables(old: dict, new: dict) -> dict:
     return out
 
 
-def _flag_gap(a, b) -> float:
-    """Largest relative change between two float flags or nested lists and dicts of them; inf when anything else differs."""
+# a float flag's change is measured against max(|a|, |b|, _FLAG_FLOOR), so that
+# roundoff on a flag that is nearly 0 does not read as a change of order 1
+_FLAG_FLOOR = 1e-9
+
+
+def _flag_gap(a, b, path: str = "") -> tuple[float, str]:
+    """The largest relative change between two float flags, or nested lists and dicts of them, and its path.
+
+    The change is inf when anything else differs; the path is "" when nothing changed.
+    """
     if type(a) is not type(b):
-        return math.inf
+        return math.inf, path
     if isinstance(a, dict):
         if sorted(a) != sorted(b):
-            return math.inf
-        return max((_flag_gap(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list):
+            return math.inf, path
+        gaps = [_flag_gap(a[k], b[k], f"{path}.{k}" if path else k) for k in a]
+    elif isinstance(a, list):
         if len(a) != len(b):
-            return math.inf
-        return max((_flag_gap(x, y) for x, y in zip(a, b)), default=0.0)
-    if a == b:
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b)) if isinstance(a, float) else math.inf
+            return math.inf, path
+        gaps = [_flag_gap(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif a == b:
+        return 0.0, ""
+    else:
+        return (abs(a - b) / max(abs(a), abs(b), _FLAG_FLOOR) if isinstance(a, float) else math.inf), path
+    return max(gaps, key=lambda g: g[0], default=(0.0, ""))
 
 
 def compare_flags(old: dict, new: dict) -> dict:
-    """Every non-float flag kept, and the largest relative change of the float ones."""
-    gaps = [_flag_gap(old[k], new[k]) for k in old if k in new]
-    finite = [g for g in gaps if g != math.inf]
+    """Every non-float flag kept, and the largest relative change of the float ones with its path."""
+    gaps = [_flag_gap(old[k], new[k], k) for k in old if k in new]
+    finite = [g for g in gaps if g[0] != math.inf]
     kept = sorted(old) == sorted(new) and len(finite) == len(gaps)
-    return {"flags_kept": kept, "flags": max(finite, default=0.0)}
+    worst, path = max(finite, key=lambda g: g[0], default=(0.0, ""))
+    return {"flags_kept": kept, "flags": worst, "flag_path": path}
 
 
 def compare_provenance(old: dict, new: dict) -> dict:
@@ -165,6 +180,11 @@ def diff_dirs(parent: Path, change: Path) -> tuple[list[str], dict[str, dict], l
     return identical, reports, others, sorted(names_a ^ names_b)
 
 
+def _at(path: str, name: str = "") -> str:
+    """ " at <path>" (of <name>) for the flag that changed most, "" when none did."""
+    return f" at {path}" + (f" of {name}" if name else "") if path else ""
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -185,10 +205,11 @@ def main(argv=None) -> int:
             f"flags {'kept' if c['flags_kept'] else 'CHANGED'}, "
             f"provenance {', '.join(c['provenance']) or 'kept'}; per tolerance: "
             f"lhs {c['lhs']:.3g}, rhs {c['rhs']:.3g}, residual {c['residual']:.3g}; "
-            f"breakpoint shift {c['breakpoint_shift']:.3g}; relative: flags {c['flags']:.3g}"
+            f"breakpoint shift {c['breakpoint_shift']:.3g}; relative: flags {c['flags']:.3g}{_at(c['flag_path'])}"
         )
     keys = ("lhs", "rhs", "residual", "breakpoint_shift", "flags")
     worst = {k: max((c[k] for c in reports.values()), default=0.0) for k in keys}
+    flag_name, flag = max(reports.items(), key=lambda r: r[1]["flags"], default=("", {"flag_path": ""}))
     kept = ("records_kept", "pass_kept", "tables_kept", "flags_kept")
     broken = [n for n, c in reports.items() if not all(c[k] for k in kept)]
     provenance = sorted(set().union(*(c["provenance"] for c in reports.values())))
@@ -197,7 +218,7 @@ def main(argv=None) -> int:
         f"{len(lonely)} on one side only; {len(broken)} reports changed a record, pass/fail, table shape or flag. "
         f"Largest per tolerance: lhs {worst['lhs']:.3g}, rhs {worst['rhs']:.3g}, "
         f"residual (headroom shift) {worst['residual']:.3g}; largest breakpoint shift {worst['breakpoint_shift']:.3g}; "
-        f"largest relative float flag change {worst['flags']:.3g}; "
+        f"largest relative float flag change {worst['flags']:.3g}{_at(flag['flag_path'], flag_name)}; "
         f"provenance keys changed: {', '.join(provenance) or 'none'}"
     )
     return 1 if broken or lonely else 0
