@@ -2,8 +2,8 @@
 
 CSV uses comma separators, '.' decimal points, 17 significant digits, and
 the literals inf / -inf for unbounded line segments. Complex values in JSON
-are [re, im] pairs; matrices are row-major nested arrays. SVG is emitted
-directly, every graph one polyline, so plots need no external renderer.
+are [re, im] pairs. SVG is emitted directly, every graph one polyline, so
+plots need no external renderer.
 """
 
 from __future__ import annotations
@@ -241,13 +241,14 @@ def report_to_dict(report, timestamp: str) -> dict:
     }
 
 
+def dump_json(payload) -> str:
+    """Every JSON file's layout: json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\\n"."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 # json.dumps(indent=2) runs CPython's pure-Python encoder (the C encoder only
-# serves indent=None); it lays out every document here, but the number arrays
-# (table rows, scenario matrices) are rendered beforehand in one % format each.
-
-
-def _stdlib(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+# serves indent=None); it lays out every report, but the table rows are
+# rendered beforehand in one % format each.
 
 
 def _json_row(width: int, level: int) -> str:
@@ -263,8 +264,8 @@ def _json_rows(rows: list[str], level: int) -> str:
 
 
 def _dumps_filled(doc, at: str, arrays: dict):
-    """_stdlib(doc) with each placeholder key of arrays, if found once right after `at`, replaced by its text; else None."""
-    text = _stdlib(doc)
+    """dump_json(doc), each placeholder key of arrays found once right after `at` replaced by its text; else None."""
+    text = dump_json(doc)
     for mark, array in arrays.items():
         spot = at + json.dumps(mark)
         if text.count(spot) != 1:
@@ -302,41 +303,8 @@ def write_report_json(report, path, timestamp: str) -> None:
         rows[f"\0rows {i}"] = _rows_text(table)
     text = None if None in rows.values() else _dumps_filled(doc, '\n      "rows": ', rows)
     if text is None:
-        text = _stdlib(report_to_dict(report, timestamp))
+        text = dump_json(report_to_dict(report, timestamp))
     write_text(path, text)
-
-
-def _matrix_text(m):
-    """A square matrix of [re, im] finite floats as laid out in a top-level "matrices" list, else None."""
-    if type(m) is not list or not m or set(map(type, m)) != {list} or set(map(len, m)) != {len(m)}:
-        return None
-    cells = list(chain.from_iterable(m))
-    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
-        return None
-    flat = list(chain.from_iterable(cells))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    return _json_rows([_json_rows([_json_row(2, 3)] * len(m), 3)] * len(m), 2) % tuple(flat)
-
-
-def dump_json(payload) -> str:
-    """Byte for byte json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\\n".
-
-    Each square matrix of [re, im] finite floats in a top-level "matrices"
-    list is laid out in one % format; json.dumps writes everything else and
-    raises its own errors.
-    """
-    matrices = payload.get("matrices") if type(payload) is dict else None
-    if type(matrices) is not list:
-        return _stdlib(payload)
-    arrays, marked = {}, []
-    for i, m in enumerate(matrices):
-        text = _matrix_text(m)
-        if text is not None:
-            arrays[f"\0matrix {i}"] = text
-        marked.append(m if text is None else f"\0matrix {i}")
-    text = _dumps_filled({**payload, "matrices": marked}, "\n    ", arrays)
-    return _stdlib(payload) if text is None else text
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ tolerance from ANCHOR_CHECKS, and the block count of a contraction pair
 from its _KINDS record; execution sizes a line kind's block count from the
 dilation's truncation error and turns each check into a CheckRecord.
 
-Complex JSON entries are [re, im] pairs, matrices row-major nested lists.
-Random instances are drawn from a single seeded generator per scenario so
-files and reruns are bit-reproducible.
+Complex JSON entries are [re, im] pairs. An explicit matrix is a row-major
+nested list of such entries (or of reals), or an object {"shape": [n, n],
+"complex128": "<base64>"} holding its row-major little-endian complex128
+bytes in standard base64; generated files use the object. Random instances
+are drawn from a single seeded generator per scenario so files and reruns
+are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -47,6 +51,7 @@ from .linalg import (
 )
 from .schrodinger import (
     discrete_schrodinger_pair,
+    full_kernel,
     kernel_trace_report,
     make_grid,
     monotone_s1_check,
@@ -203,10 +208,43 @@ def _matrix_cells(v: list) -> Optional[np.ndarray]:
     return None
 
 
+# the keys of a matrix given as complex128 bytes
+_BYTES_KEYS = ("complex128", "shape")
+
+
+def _matrix_bytes(v: dict, where: str) -> np.ndarray:
+    """A {"shape": [n, n], "complex128": base64} object as the n-square array it owns.
+
+    The byte count is checked on the base64 text, in Python ints, before
+    anything is decoded or allocated.
+    """
+    if sorted(v) != list(_BYTES_KEYS):
+        _fail(where, f"a matrix object holds exactly the keys {list(_BYTES_KEYS)}, not {sorted(v)}")
+    shape, text = v["shape"], v["complex128"]
+    square = type(shape) is list and len(shape) == 2 and shape[0] == shape[1]
+    if not square or any(type(k) is not int or k < 1 for k in shape):
+        _fail(f"{where}.shape", "expected [n, n] with n a positive integer")
+    if not isinstance(text, str):
+        _fail(f"{where}.complex128", "expected a base64 string")
+    size = 16 * shape[0] ** 2
+    if len(text) != 4 * -(-size // 3):
+        _fail(f"{where}.complex128", f"expected {size} bytes of complex128, {4 * -(-size // 3)} base64 characters")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        _fail(f"{where}.complex128", f"not standard padded base64 ({exc})")
+    if len(raw) != size:
+        _fail(f"{where}.complex128", f"expected {size} bytes of complex128, got {len(raw)}")
+    return np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)
+
+
 def _matrix_entry(v, where: str) -> np.ndarray:
-    if not isinstance(v, list) or not v:
+    if isinstance(v, dict) and not v.keys().isdisjoint(_BYTES_KEYS):
+        out = _matrix_bytes(v, where)
+    elif not isinstance(v, list) or not v:
         _fail(where, "expected a nonempty nested array")
-    out = _matrix_cells(v)
+    else:
+        out = _matrix_cells(v)
     if out is None:
         n = len(v)
         out = np.zeros((n, n), dtype=np.complex128)
@@ -562,14 +600,16 @@ def load_scenario(path) -> Scenario:
 # generation
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+def _matrix_to_json(m: np.ndarray) -> dict:
+    """The matrix as the object _matrix_bytes reads: its exact bits, in a quarter of the decimal text."""
+    data = base64.b64encode(np.ascontiguousarray(m, dtype="<c16").tobytes()).decode("ascii")
+    return {"shape": list(m.shape), "complex128": data}
 
 
 def generate_scenario(kind: str, seed: int, dim: int) -> dict:
     """Deterministic scenario dict for (kind, seed, dim); see the generator
-    recipes in _draw_matrix. The file embeds explicit matrices so reruns and
-    re-generations are byte-identical."""
+    recipes in _draw_matrix. The file embeds explicit matrices, as complex128
+    bytes, so reruns and re-generations are byte-identical."""
     if kind not in _KINDS:
         raise SchemaError(f"kind must be one of {KINDS}")
     if not isinstance(seed, int) or seed < 0:
@@ -821,7 +861,8 @@ def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
 def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     g = sc.grid
     grid = make_grid(g["lo"], g["hi"], g["nodes"], scheme=g["scheme"])
-    rep = kernel_trace_report(sc.potential, grid, z=sc.spectral_point)
+    full = full_kernel(sc.potential, grid, sc.spectral_point)
+    rep = kernel_trace_report(sc.potential, grid, z=sc.spectral_point, full=full)
     record("kernel-trace-identity", rep.trace, rep.trace_norm)
     record("kernel-positivity", rep.min_eigenvalue, 0.0, residual=max(0.0, -rep.min_eigenvalue))
     if "kernel-half-l1" in sc.checks:
@@ -834,6 +875,8 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
             sc.monotone["n"],
             variant=sc.monotone["variant"],
             level=sc.monotone["level"],
+            # the ladder runs at z = -1, so it shares the full kernel of that spectral point only
+            full=full if sc.spectral_point == -1.0 else None,
         )
         if mon.variant == "scale":
             worst = max(

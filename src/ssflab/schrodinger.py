@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -154,6 +154,13 @@ def nystrom_kernel(q_values, r: np.ndarray, grid: Grid1D) -> np.ndarray:
     return _frozen(require_hermitian((c[:, None] * c[None, :]) * r, 1e-12))
 
 
+def full_kernel(q, grid: Grid1D, z: complex = -1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, K, eigenvalues of K): the Green matrix at z, q's Nystrom kernel on it and its spectrum."""
+    r = _green_matrix(grid, z)
+    k = nystrom_kernel(potential_values(q, grid.points), r, grid)
+    return r, k, _hermitian_spectrum(k)
+
+
 # ---------------------------------------------------------------------------
 # potential descriptors
 
@@ -232,16 +239,16 @@ class KernelTraceReport:
         return abs(self.trace - self.trace_norm)
 
 
-def kernel_trace_report(q, grid: Grid1D, z: complex = -1.0) -> KernelTraceReport:
+def kernel_trace_report(q, grid: Grid1D, z: complex = -1.0, *, full: Optional[tuple] = None) -> KernelTraceReport:
     """Assemble the kernel for potential q and report its trace identities.
 
     For q >= 0 and the decaying Green's kernel the operator is PSD, so
     trace and trace norm agree and both equal the diagonal integral
     integral q(x) R(x, x) dx, which at z = -1 is half the L1 norm of q.
+    full is full_kernel(q, grid, z) when the caller already holds it.
     """
     qv = potential_values(q, grid.points)
-    k = nystrom_kernel(qv, _green_matrix(grid, z), grid)
-    spectrum = _hermitian_spectrum(k)
+    _, k, spectrum = full or full_kernel(qv, grid, z)
     qv = np.clip(np.real(np.asarray(qv)).astype(float), 0.0, None)
     diag = green_kernel(grid.points, grid.points, z)
     diagonal_integral = float(np.sum(grid.weights * qv * np.real(diag)))
@@ -274,6 +281,7 @@ def monotone_s1_check(
     variant: str = "scale",
     level: float = 0.01,
     z: complex = -1.0,
+    full: Optional[tuple] = None,
 ) -> MonotoneReport:
     """Norms of kernels built from potentials increasing pointwise to q.
 
@@ -282,6 +290,7 @@ def monotone_s1_check(
     variant="truncate" uses phi_n = min(q, level * n). Both sequences are
     pointwise nondecreasing and bounded by q, so for PSD kernels the approx
     norms must not decrease and the residual norms must not increase.
+    full is full_kernel(q, grid, z) when the caller already holds it.
     """
     ns = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns or ns[0] < 1:
@@ -292,13 +301,12 @@ def monotone_s1_check(
 
     # every rung scales the same Green's matrix; every kernel and difference is
     # exactly Hermitian, so its S1 norm is sum |lambda|
-    rmat = _green_matrix(grid, z)
-    full = nystrom_kernel(qv, rmat, grid)
-    norms = [float(np.abs(_hermitian_spectrum(full)).sum())]
+    rmat, kfull, spectrum = full or full_kernel(qv, grid, z)
+    norms = [float(np.abs(spectrum).sum())]
     for n in ns:
         phi = qv * (1.0 - 1.0 / n) if variant == "scale" else np.minimum(qv, level * n)
         kn = nystrom_kernel(phi, rmat, grid)
-        norms += [float(np.abs(_hermitian_spectrum(k)).sum()) for k in (kn, full - kn)]
+        norms += [float(np.abs(_hermitian_spectrum(k)).sum()) for k in (kn, kfull - kn)]
     return MonotoneReport(
         n_values=tuple(ns),
         variant=variant,

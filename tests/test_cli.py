@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ssflab import scenario
+from ssflab import cli, scenario
 from ssflab.cli import main
 from ssflab.export import read_ssf_csv, table_array, write_ssf_csv
 from ssflab.linalg import TWO_PI
@@ -22,6 +22,19 @@ from ssflab.ssf_line import pushforward_line
 def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
+
+
+def decimal_twin(payload):
+    """The payload with its explicit matrices as nested [re, im] floats: the same numbers in decimal form."""
+    matrices = scenario.parse_scenario(payload).matrices
+    return payload | {"matrices": [np.stack((m.real, m.imag), -1).tolist() for m in matrices]}
+
+
+def with_first_cell(payload, value):
+    """The payload, its matrices in byte form, with the first matrix's (0, 0) entry set to value."""
+    m0, m1 = (m.copy() for m in scenario.parse_scenario(payload).matrices)
+    m0[0, 0] = value
+    return payload | {"matrices": [scenario._matrix_to_json(m) for m in (m0, m1)]}
 
 
 def hand_pair_payload(name="hand", **extra):
@@ -256,6 +269,81 @@ def test_run_twice_writes_identical_files(tmp_path):
     for n in names:
         first, second = (stamp.sub(b"", (out / n).read_bytes()) for out in outs)
         assert first == second, n
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if scenario._KINDS[k].matrix_class is not None])
+def test_a_generated_file_and_its_decimal_twin_write_the_same_bytes(kind, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00+00:00")
+    payload = scenario.generate_scenario(kind, 4, 3)
+    if kind == "unitary_pair":
+        payload["determinant"] = {"grid": 256}
+    payload["outputs"] = ["json", "csv", "svg"]
+    files = [write_json(tmp_path / "bytes.json", payload), write_json(tmp_path / "decimal.json", decimal_twin(payload))]
+    parsed = [scenario.load_scenario(f) for f in files]
+    assert [m.tobytes() for m in parsed[0].matrices] == [m.tobytes() for m in parsed[1].matrices]
+    assert parsed[0].config_hash == parsed[1].config_hash
+    outs = [tmp_path / "out-bytes", tmp_path / "out-decimal"]
+    for f, out in zip(files, outs):
+        assert main(["run", str(f), "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    # the report and CSV of every kind but fractional (the report alone), the SVG, and the unitary determinant CSV
+    assert len(names) == {"unitary_pair": 4, "fractional": 1}.get(kind, 3)
+    for n in names:
+        assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes(), n
+
+
+def _bytes_entry(m):
+    return scenario._matrix_to_json(np.asarray(m, dtype=np.complex128))
+
+
+def _with_text(text, shape=(2, 2)):
+    return {"shape": list(shape), "complex128": text}
+
+
+EYE2, EYE3 = (_bytes_entry(np.eye(n))["complex128"] for n in (2, 3))
+LENGTH = "matrices[0].complex128: expected 64 bytes of complex128, 88 base64 characters"
+DECODED = "matrices[0].complex128: expected {} bytes of complex128, got {}"
+SHAPE = "matrices[0].shape: expected [n, n] with n a positive integer"
+BASE64 = "matrices[0].complex128: not standard padded base64 "
+KEYS = "matrices[0]: a matrix object holds exactly the keys ['complex128', 'shape'], not "
+BYTE_MATRIX_ERRORS = {
+    "short-text": (_with_text(EYE2[:-4]), LENGTH),
+    "a-3x3-text-under-a-2x2-shape": (_with_text(EYE3), LENGTH),
+    "shape-of-one": (_with_text(EYE2, [2]), SHAPE),
+    "shape-of-three": (_with_text(EYE2, [2, 2, 1]), SHAPE),
+    "zero-shape": (_with_text("", [0, 0]), SHAPE),
+    "negative-shape": (_with_text(EYE2, [-2, -2]), SHAPE),
+    "bool-shape": (_with_text("A" * 24, [True, True]), SHAPE),
+    "float-shape": (_with_text(EYE2, [2.0, 2.0]), SHAPE),
+    "string-shape": (_with_text(EYE2, "2x2"), SHAPE),
+    "not-square": (_with_text(EYE2, [2, 1]), SHAPE),
+    "text-not-a-string": (_with_text([EYE2]), "matrices[0].complex128: expected a base64 string"),
+    "url-safe-alphabet": (_with_text("-_" + EYE2[2:]), BASE64 + "(Only base64 data is allowed)"),
+    "a-space": (_with_text(" " + EYE2[1:]), BASE64 + "(Only base64 data is allowed)"),
+    "a-newline": (_with_text(EYE2[:40] + "\n" + EYE2[41:]), BASE64 + "(Only base64 data is allowed)"),
+    "non-ascii": (_with_text("\u00e9" + EYE2[1:]), BASE64 + "(string argument should contain only ASCII characters)"),
+    "padding-in-the-middle": (_with_text(EYE2[:40] + "=" + EYE2[41:]), BASE64 + "(Discontinuous padding not allowed)"),
+    "data-after-padding": (_with_text(EYE2[:80] + "AA==AAAA"), BASE64 + "(Excess data after padding)"),
+    "missing-padding": (_with_text(EYE2[:-2] + "AA"), DECODED.format(64, 66)),
+    "padding-for-a-shorter-text": (_with_text(EYE3[:-2] + "==", (3, 3)), DECODED.format(144, 142)),
+    "nan": (_bytes_entry([[1.0, np.nan], [0.0, 1.0]]), "matrices[0]: matrix entries must be finite"),
+    "inf": (_bytes_entry([[1.0, 0.0], [complex(0.0, -np.inf), 1.0]]), "matrices[0]: matrix entries must be finite"),
+    "missing-shape": ({"complex128": EYE2}, KEYS + "['complex128']"),
+    "missing-text": ({"shape": [2, 2]}, KEYS + "['shape']"),
+    "extra-key": ({**_bytes_entry(np.eye(2)), "dtype": "<c16"}, KEYS + "['complex128', 'dtype', 'shape']"),
+}
+
+
+@pytest.mark.parametrize("entry, message", BYTE_MATRIX_ERRORS.values(), ids=BYTE_MATRIX_ERRORS.keys())
+def test_a_malformed_byte_matrix_is_a_schema_error(entry, message, tmp_path, capsys):
+    payload = {"name": "bad", "kind": "unitary_pair", "matrices": [entry, _bytes_entry(np.eye(2))]}
+    bad = write_json(tmp_path / "bad.json", payload)
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
+    assert main(["run", str(bad), str(good), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{bad}: schema error: {message}\n" in capsys.readouterr().err
+    assert (tmp_path / "out" / "good.report.json").exists()
+    assert not (tmp_path / "out" / "bad.report.json").exists()
 
 
 def test_generate_default_filename_and_run(tmp_path, monkeypatch, capsys):
@@ -561,9 +649,18 @@ def test_a_kind_that_is_not_a_string_is_a_schema_error(tmp_path, capsys):
 
 
 def test_a_unitarity_defect_that_overflows_to_nan_is_a_schema_error(tmp_path, capsys):
-    payload = scenario.generate_scenario("unitary_pair", 1, 3) | {"name": "huge"}
+    payload = decimal_twin(scenario.generate_scenario("unitary_pair", 1, 3) | {"name": "huge"})
     # U*U overflows in the cross terms to inf - inf = NaN, which no `defect > tol` refuses
     payload["matrices"][0][0][0] = 1e300
+    assert_a_bad_file_beside_a_good_one_is_a_schema_error(tmp_path, capsys, payload)
+
+
+def test_a_unitarity_defect_that_overflows_to_nan_in_byte_form_is_a_schema_error(tmp_path, capsys):
+    payload = with_first_cell(scenario.generate_scenario("unitary_pair", 1, 3) | {"name": "huge"}, 1e300)
+    assert_a_bad_file_beside_a_good_one_is_a_schema_error(tmp_path, capsys, payload)
+
+
+def assert_a_bad_file_beside_a_good_one_is_a_schema_error(tmp_path, capsys, payload):
     bad = write_json(tmp_path / "huge.json", payload)
     good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
     with warnings.catch_warnings():
@@ -618,9 +715,19 @@ def test_a_non_finite_number_in_a_report_fails_its_file_and_is_written_as_a_stri
 
 
 def test_a_non_finite_flag_fails_its_file_and_the_report_is_still_written(tmp_path, capsys):
-    payload = scenario.generate_scenario("dissipative_pair", 1, 1) | {"name": "huge"}
+    payload = decimal_twin(scenario.generate_scenario("dissipative_pair", 1, 1) | {"name": "huge"})
     # every record passes, but the condition report's weighted norm overflows to NaN
     payload["matrices"][0][0][0][0] = 1e308
+    assert_a_non_finite_flag_fails_the_file(tmp_path, capsys, payload)
+
+
+def test_a_non_finite_flag_from_a_byte_matrix_fails_its_file_and_the_report_is_still_written(tmp_path, capsys):
+    payload = scenario.generate_scenario("dissipative_pair", 1, 1) | {"name": "huge"}
+    entry = scenario.parse_scenario(payload).matrices[0][0, 0]
+    assert_a_non_finite_flag_fails_the_file(tmp_path, capsys, with_first_cell(payload, complex(1e308, entry.imag)))
+
+
+def assert_a_non_finite_flag_fails_the_file(tmp_path, capsys, payload):
     bad = write_json(tmp_path / "huge.json", payload)
     good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
     out = tmp_path / "out"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab import export
 from ssflab.export import dump_json, read_ssf_csv, table_array, write_ssf_csv
 from ssflab.scenario import KINDS, generate_scenario, write_scenario
 from ssflab.ssf_circle import SampledSSF, StepSSF
@@ -110,7 +109,7 @@ def test_dump_json_unserializable_raises_the_stdlib_error(payload):
 
 
 # ---------------------------------------------------------------------------
-# scenario files: square matrices of [re, im] floats take one % format each
+# scenario files, their matrices in complex128 bytes or in [re, im] floats
 
 
 def generated_files():
@@ -124,7 +123,7 @@ def generated_files():
 def test_write_scenario_writes_the_stdlib_bytes(payload, tmp_path):
     write_scenario(payload, tmp_path / "s.json")
     assert (tmp_path / "s.json").read_text() == stdlib(payload)
-    assert all(export._matrix_text(m) is not None for m in payload.get("matrices", []))
+    assert all(set(m) == {"shape", "complex128"} for m in payload.get("matrices", []))
 
 
 PAIRS = [[[1.0, 0.0], [0.5, -0.5]], [[0.25, 0.0], [-1.0, 2.0]]]
@@ -144,7 +143,6 @@ MATRIX_FALLBACKS = {
 
 @pytest.mark.parametrize("matrix", MATRIX_FALLBACKS.values(), ids=MATRIX_FALLBACKS.keys())
 def test_other_matrices_go_to_the_stdlib(matrix):
-    assert export._matrix_text(matrix) is None
     payload = {"name": "x", "matrices": [PAIRS, matrix, PAIRS]}
     assert dump_json(payload) == stdlib(payload)
 

@@ -24,7 +24,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 21
+    assert len(files) == generated + 22
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
@@ -67,6 +67,15 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     kernel, kernel_alpha0 = edges["edge-defect-kernel"], edges["edge-defect-kernel-alpha0"]
     assert kernel.kind == kernel_alpha0.kind == "contraction_pair"
     assert (kernel.exponents["alpha"], kernel_alpha0.exponents["alpha"], kernel_alpha0.exponents["beta"]) == (0.5, 0.0, 0.75)
+    # the corpus holds both matrix forms at a size where the decimal cells take the one-array parse
+    sibling_name = "contraction_pair-seed1-dim24"
+    twin, sibling = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("edge-decimal-twin", sibling_name))
+    assert isinstance(twin["matrices"][0], list) and set(sibling["matrices"][0]) == {"shape", "complex128"}
+    # the name is hashed too: renamed, the generated file hashes like its twin
+    assert parse_scenario(sibling | {"name": twin["name"]}).config_hash == edges["edge-decimal-twin"].config_hash
+    matrices = (edges["edge-decimal-twin"].matrices, next(sc for sc in scenarios if sc.name == sibling_name).matrices)
+    assert [m.tobytes() for m in matrices[0]] == [m.tobytes() for m in matrices[1]]
+    assert matrices[0][0].shape == (24, 24)
 
 
 @pytest.mark.parametrize("name, defined", [("edge-defect-kernel-alpha0", True), ("edge-defect-kernel", False)])

@@ -1,5 +1,6 @@
 """Scenario schema, generation determinism, and per-kind execution."""
 
+import base64
 import hashlib
 import json
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab import scenario
+from ssflab import scenario, schrodinger
 from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
 from ssflab.export import dump_json, report_to_dict
@@ -234,6 +235,18 @@ def test_kernel_trace_truncate_variant_and_deeper_point():
     assert report.all_pass
     ids = [r.check_id for r in report.records]
     assert "kernel-half-l1" not in ids  # closed form is specific to z = -1
+
+
+@pytest.mark.parametrize("spectral_point, builds", [(-1.0, [1, 8, 15]), (-2.5, [2, 9, 16])])
+def test_a_kernel_file_builds_the_kernel_of_each_spectral_point_once(monkeypatch, spectral_point, builds):
+    # the report runs at the file's spectral point and the 7-rung ladder at -1: at -1 they share one full kernel
+    calls = []
+    for name in ("_green_matrix", "nystrom_kernel", "_hermitian_spectrum"):
+        f = getattr(schrodinger, name)
+        monkeypatch.setattr(schrodinger, name, lambda *a, _f=f, _n=name: calls.append(_n) or _f(*a))
+    payload = generate_scenario("kernel_trace", 3, 4) | {"spectral_point": spectral_point}
+    assert run_scenario(parse_scenario(payload)).all_pass
+    assert [calls.count(n) for n in ("_green_matrix", "nystrom_kernel", "_hermitian_spectrum")] == builds
 
 
 def test_kernel_trace_trapezoid_scheme():
@@ -596,6 +609,50 @@ def test_matrix_parse_matches_the_per_entry_conversion(m):
     expected = _per_entry_matrix(m)
     assert parsed.dtype == np.complex128
     assert parsed.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
+
+# byte matrices: {"shape": [n, n], "complex128": base64 of row-major little-endian complex128}
+
+EDGE_PARTS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def complex_matrices(draw):
+    n = draw(st.integers(1, 6))
+    part = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_PARTS)
+    parts = draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(parts).view(np.complex128).reshape(n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=complex_matrices())
+def test_a_byte_matrix_round_trips_bit_for_bit(m):
+    entry = json.loads(json.dumps(scenario._matrix_to_json(m)))
+    assert entry["shape"] == list(m.shape)
+    base64.b64decode(entry["complex128"], validate=True)
+    decimal = np.stack((m.real, m.imag), -1).tolist()
+    parsed, twin = parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": [entry, decimal]}).matrices
+    # the array owns its memory: it is not a view of the decoded bytes
+    assert parsed.dtype == np.complex128 and parsed.flags.owndata and parsed.flags.writeable
+    assert parsed.tobytes() == twin.tobytes() == m.tobytes()
+
+
+def test_a_byte_matrix_hashes_like_its_decimal_twin():
+    payload = generate_scenario("contraction_pair", 7, 5)
+    sc = parse_scenario(payload)
+    twin = payload | {"matrices": [np.stack((m.real, m.imag), -1).tolist() for m in sc.matrices]}
+    assert parse_scenario(twin).config_hash == sc.config_hash
+    assert [m.tobytes() for m in parse_scenario(twin).matrices] == [m.tobytes() for m in sc.matrices]
+
+
+def test_a_huge_shape_is_refused_by_its_length_before_any_decoding(monkeypatch):
+    monkeypatch.setattr(scenario.base64, "b64decode", lambda *a, **k: pytest.fail("decoded a huge matrix"))
+    entry = {"shape": [10**6, 10**6], "complex128": "AAAA"}
+    with pytest.raises(SchemaError) as info:
+        parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": [entry, entry]})
+    assert str(info.value) == (
+        "matrices[0].complex128: expected 16000000000000 bytes of complex128, 21333333333336 base64 characters"
+    )
 
 
 def test_runtime_data_violations_become_schema_errors():

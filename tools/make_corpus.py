@@ -27,7 +27,10 @@ of both dilations and sits on their first Cayley pole, so each eigensolve
 takes the second try. Last of all, two contraction pairs whose T0 has two
 unit singular values, so that its defect has a kernel: at alpha = 0 the
 weighted norms exist (the exponent -0.0 is no inverse power), and at the
-default alpha = 1/2 they are None and the kernel is not certified.
+default alpha = 1/2 they are None and the kernel is not certified. Generated
+files hold their matrices as complex128 bytes, so the corpus ends with the
+decimal twin of the dim-24 contraction pair of seed 1: the same numbers as
+nested [re, im] floats, which parse cell by cell and hash alike.
 Write the corpus from each version, since scenario files are output too,
 run each version on its own corpus with one BLAS thread and compare both:
 
@@ -50,11 +53,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ssflab.scenario import KINDS, generate_scenario, write_scenario  # noqa: E402
+from ssflab.scenario import KINDS, generate_scenario, parse_scenario, write_scenario  # noqa: E402
 
 SEEDS = (1, 2)
 DIMS = (1, 2, 3, 5, 8, 12, 24)
 OUTPUTS = ["json", "csv", "svg"]
+
+
+def _decimal(matrices) -> list:
+    """Each matrix as nested [re, im] floats, the decimal form of a scenario file's matrices."""
+    return [np.stack((m.real, m.imag), -1).tolist() for m in matrices]
 
 
 def _edge_files() -> list[dict]:
@@ -67,21 +75,22 @@ def _edge_files() -> list[dict]:
     # Im L_0 = diag(1, 0, 1/2) has a kernel
     l0 = np.diag([1.0, 2.0, 3.0]) + 1j * np.diag([1.0, 0.0, 0.5])
     l1 = l0 + 0.1 + 0.2j * np.diag([0.0, 0.0, 1.0])
-    pair = [np.stack((m.real, m.imag), -1).tolist() for m in (l0, l1)]
+    pair = _decimal((l0, l1))
     # contractions with integer, real-scalar and [re, im] cells
     mixed = [[[0, 0.5], [-0.25, [0.25, 0.25]]], [[0.5, 0], [[0.0, 0.25], 0]]]
     # e^(i 7 pi/6) next to a non-normal 2 x 2 block of norm below 1
     tau = np.exp(7j * np.pi / 6)
     t0 = np.array([[tau, 0, 0], [0, 0.3, 0.4], [0, 0, -0.2]])
     t1 = np.array([[tau, 0, 0], [0, 0.3, 0.5], [0, 0.1, -0.2]])
-    on_pole = [np.stack((m.real, m.imag), -1).tolist() for m in (t0, t1)]
+    on_pole = _decimal((t0, t1))
     # T0 = Q diag(1, 1, 1/2, 1/5) Q*, Q a Householder reflection, has two unit
     # singular values, so its defect has a kernel; T1 is a strict contraction
     v = np.array([1.0, 1j, -1.0, 0.5])
     q = np.eye(4) - 2.0 * np.outer(v, v.conj()) / (v.conj() @ v).real
     t0 = (q * [1.0, 1.0, 0.5, 0.2]) @ q.conj().T
     t1 = 0.9 * t0 + 0.05 * np.eye(4, k=1)
-    unit_singular = [np.stack((m.real, m.imag), -1).tolist() for m in (t0, t1)]
+    unit_singular = _decimal((t0, t1))
+    sibling = generate_scenario("contraction_pair", 1, 24) | {"outputs": OUTPUTS}
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
@@ -141,6 +150,7 @@ def _edge_files() -> list[dict]:
             "outputs": OUTPUTS,
         },
         {"name": "edge-defect-kernel", "kind": "contraction_pair", "matrices": unit_singular, "outputs": OUTPUTS},
+        {**sibling, "name": "edge-decimal-twin", "matrices": _decimal(parse_scenario(sibling).matrices)},
     ]
 
 
