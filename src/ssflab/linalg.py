@@ -346,16 +346,24 @@ def eigenphases(u) -> list[tuple[float, int]]:
     circular distance below CLUSTER_TOL merge into one entry whose
     multiplicity is the cluster size. The eigenvalues come from
     unitary_spectrum, which falls back to eigvals of u when u is too far
-    from unitary for the Cayley route.
+    from unitary for the Cayley route; a `Unitary` u gives its cached
+    `spectrum`.
     """
-    m = as_matrix(u)
+    return phase_clusters(u.spectrum if isinstance(u, Unitary) else _dense_unitary_spectrum(as_matrix(u)))
+
+
+def _dense_unitary_spectrum(m: np.ndarray) -> np.ndarray:
+    """unitary_spectrum of a dense matrix m, with eigvals(m) as its fallback."""
     eye = np.eye(m.shape[0])
-    lam = unitary_spectrum(lambda a: np.linalg.inv(eye + a * m), lambda: m)
-    return phase_clusters(lam)
+    return unitary_spectrum(lambda a: np.linalg.inv(eye + a * m), lambda: m)
 
 
 class Unitary:
-    """Square matrix with ||U*U - I||_F within tolerance (default 1e-10)."""
+    """Square matrix with ||U*U - I||_F within tolerance (default 1e-10).
+
+    `spectrum`, its eigenvalues from `unitary_spectrum`, is cached, read-only
+    and computed on first use; `eigenphases` and `determinant_ssf` both read it.
+    """
 
     def __init__(self, m, *, tol: float = 1e-10):
         mat = as_matrix(m)
@@ -366,29 +374,35 @@ class Unitary:
         self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues from `unitary_spectrum`, dense `eigvals` of m only as its fallback."""
+        return _frozen(_dense_unitary_spectrum(self.m))
+
     def __repr__(self):
         return f"Unitary(n={self.n})"
 
 
 class Contraction:
-    """Square matrix with largest singular value at most 1 + 1e-8."""
+    """Square matrix with largest singular value at most 1 + 1e-8.
+
+    Validation reads that value, `norm`, off the full SVD T = U diag(s) V*,
+    which `defect_eighs` keeps: ((c, V), (c, U)) with c = `defect_values`(s),
+    so D_T = V diag(c) V* and D_T* = U diag(c) U*, as `hermitian_function`
+    takes them, read-only.
+    """
 
     def __init__(self, m):
         mat = as_matrix(m)
-        smax = operator_norm(mat)
+        u, s, vh = np.linalg.svd(mat)
+        smax = float(s[0]) if s.size else 0.0
         if not smax <= 1.0 + 1e-8:
             raise ValidationError(f"largest singular value {smax:.12f} exceeds 1 + 1.0e-08")
         self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
         self.norm = smax
-
-    @cached_property
-    def defect_eighs(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """((c, V), (c, U)) from one SVD T = U diag(s) V*, c = `defect_values`(s): D_T = V diag(c) V*
-        and D_T* = U diag(c) U*, as `hermitian_function` takes them; read-only, computed once."""
-        u, s, vh = np.linalg.svd(self.m)
         c = _frozen(defect_values(s, self.n))
-        return (c, _frozen(vh.conj().T)), (c, _frozen(u))
+        self.defect_eighs = (c, _frozen(vh.conj().T)), (c, _frozen(u))
 
     @cached_property
     def defects(self) -> DefectPair:

@@ -725,12 +725,13 @@ def _fields(rep, *drop) -> dict:
 
 
 def _run_unitary_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
-    ssf = unitary_ssf(*(Unitary(m) for m in sc.matrices))
-    return _circle_pair_checks(sc, record, ssf, {})
+    u0, u1 = (Unitary(m) for m in sc.matrices)
+    return _circle_pair_checks(sc, record, unitary_ssf(u0, u1), {}, (u0, u1))
 
 
-def _circle_pair_checks(sc, record, ssf, flags):
-    """Trace-formula, Hardy-gauge and determinant checks of a circle-kind pair."""
+def _circle_pair_checks(sc, record, ssf, flags, operands):
+    """Trace-formula, Hardy-gauge and determinant checks of a circle-kind pair; the determinant
+    route reads the eigenvalues of the operands, a `Unitary`'s the ones its step SSF used."""
     m0, m1 = sc.matrices
     for j, coeffs in enumerate(sc.test_polynomials):
         lhs = np.trace(analytic_poly_eval(m1, coeffs)) - np.trace(analytic_poly_eval(m0, coeffs))
@@ -738,21 +739,22 @@ def _circle_pair_checks(sc, record, ssf, flags):
     record("hardy-gauge", hardy_gauge_check(1, sc.test_polynomials[0]), 0.0)
     flags = {"gauge": ssf.gauge, "jump_count": len(ssf.jumps), **flags}
     tables = {"circle_step": ssf}
-    _determinant_block(sc, record, m0, m1, ssf, flags, tables)
+    _determinant_block(sc, record, operands, ssf, flags, tables)
     return flags, tables
 
 
-def _determinant_block(sc, record, m0, m1, step_ssf, flags, tables):
+def _determinant_block(sc, record, operands, step_ssf, flags, tables):
     """Step-consistency and LU checks of the determinant route. Each gap is nonnegative and
     so its own residual; a check that could not run records residual None."""
     if "determinant-lu-crosscheck" not in sc.checks:
         return
     deviation = lu_gap = None
     try:
-        sampled = determinant_ssf(m0, m1, radius=sc.determinant["radius"], grid=sc.determinant["grid"])
+        sampled = determinant_ssf(*operands, radius=sc.determinant["radius"], grid=sc.determinant["grid"])
         # independent LU evaluation at theta = (k + 1/2) 2pi / 8 on the sampling circle
         probes = sampled.radius * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
-        lu_gap = max(abs(sampled.determinant(z) / perturbation_determinant(m0, m1, z) - 1) for z in probes)
+        lu = perturbation_determinant(*operands, probes).tolist()
+        lu_gap = max(abs(sampled.determinant(z) / d - 1) for z, d in zip(probes, lu))
     except ArithmeticError as exc:
         flags["determinant_error"] = f"{type(exc).__name__}: {exc}"
     else:
@@ -784,7 +786,7 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
     record("defect-identity", conditions.identity_residual, 0.0)
     flags = {"block_count": sc.dilation_order, **_fields(conditions, "alpha", "beta", "p", "identity_residual")}
     ssf = dilation_ssf(d0, d1)
-    return _circle_pair_checks(sc, record, ssf, flags)
+    return _circle_pair_checks(sc, record, ssf, flags, (t0, t1))
 
 
 def _line_pair_checks(sc, record, l0, l1):

@@ -41,6 +41,7 @@ from .linalg import (
     check_exponents,
     defect_operators,
     eigenphases,
+    operator_norm,
     poly_derivative,
     poly_scalar,
     same_dimension,
@@ -186,32 +187,60 @@ def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
     return _step_ssf(d0.eigenphases(), d1.eigenphases())
 
 
-def perturbation_determinant(t0, t1, zeta: complex) -> complex:
-    """det(I + (T1 - T0)(T0 - zeta I)^(-1)) for |zeta| >= 1 + 1e-8; NearSingular
-    when cond(T0 - zeta I) exceeds 1e12."""
+def perturbation_determinant(t0, t1, zeta):
+    """det(I + (T1 - T0)(T0 - zeta I)^(-1)) for |zeta| >= 1 + 1e-8, at one zeta or at each of a
+    1-D array of them (an array of values then); NearSingular when any cond(T0 - zeta I) exceeds 1e12.
+
+    The solves and determinants run stacked, each member as its own call
+    would. ||T0||_2 is taken once: cond(T0 - zeta I) <= (||T0||_2 + |zeta|) /
+    (|zeta| - ||T0||_2) when |zeta| > ||T0||_2, so a zeta with that bound at
+    most 5e11 needs no SVD of its own, and every other zeta takes the exact cond.
+    """
     m0, m1 = as_matrix(t0), as_matrix(t1)
     same_dimension(len(m0), len(m1))
-    if abs(zeta) < 1.0 + 1e-8:
-        raise ValidationError(f"|zeta| = {abs(zeta):.10f} too close to the unit circle")
-    a = m0 - zeta * np.eye(m0.shape[0])
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NearSingular(f"cond(T0 - zeta I) = {cond:.3e}")
-    x = np.linalg.solve(a, m1 - m0)
-    return complex(np.linalg.det(np.eye(m0.shape[0]) + x))
+    z = np.asarray(zeta, dtype=np.complex128)
+    radii = np.abs(z.ravel())
+    near = radii < 1.0 + 1e-8
+    if near.any():
+        raise ValidationError(f"|zeta| = {radii[near][0]:.10f} too close to the unit circle")
+    eye = np.eye(m0.shape[0])
+    a = m0 - z.reshape(-1, 1, 1) * eye
+    norm = operator_norm(m0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        certified = (radii > norm) & ((norm + radii) / (radii - norm) <= 5e11)
+    for k in np.flatnonzero(~certified):
+        cond = float(np.linalg.cond(a[k]))
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NearSingular(f"cond(T0 - zeta I) = {cond:.3e}")
+    det = np.linalg.det(eye + np.linalg.solve(a, m1 - m0))
+    return det.reshape(z.shape) if z.ndim else complex(det[0])
 
 
-def _factor_phase(eigs: np.ndarray, zeta: np.ndarray, radius: float) -> np.ndarray:
-    """Sum of arg(1 - l/zeta) over |l| < radius and arg(1 - zeta/l) over the rest.
+def _factor_phase_difference(l0: np.ndarray, l1: np.ndarray, zeta: np.ndarray, radius: float) -> np.ndarray:
+    """Sum of the factor phases of l1 minus those of l0: arg(1 - l/zeta) for |l| < radius, arg(1 - zeta/l) else.
 
-    The grid is taken 256 points at a time, so at most 256 x n factors are held.
+    Every factor has a positive real part, so its argument lies in
+    (-pi/2, pi/2), and the argument of a l1 factor times the conjugate of a
+    l0 factor is the difference of theirs, with no wrap: one arctan2 per
+    pair, for l0 and l1 of one length. The product is formed in real
+    arithmetic, each term rounded on its own, so equal factors give an
+    imaginary part of exactly 0. The grid is taken 256 points at a time,
+    so at most 2 x 256 x n factors are held.
     """
-    inside = np.abs(eigs) < radius
-    l_in, l_out = eigs[inside], eigs[~inside]
+    sides = [(l[inside], l[~inside]) for l in (l0, l1) for inside in [np.abs(l) < radius]]
     phase = np.empty(len(zeta))
     for s in range(0, len(zeta), 256):
         z = zeta[s : s + 256, None]
-        phase[s : s + 256] = np.angle(1.0 - l_in / z).sum(axis=1) + np.angle(1.0 - z / l_out).sum(axis=1)
+        factors = np.empty((2, len(z), len(l0)), dtype=np.complex128)
+        for f, (l_in, l_out) in zip(factors, sides):
+            np.divide(l_in, z, out=f[:, : len(l_in)])
+            np.divide(z, l_out, out=f[:, len(l_in) :])
+        np.subtract(1.0, factors, out=factors)
+        (x0, x1), (y0, y1) = factors.real, factors.imag
+        re, im = x1 * x0, y1 * x0
+        re += y1 * y0
+        im -= x1 * y0
+        phase[s : s + 256] = np.arctan2(im, re).sum(axis=1)
     return phase
 
 
@@ -226,7 +255,9 @@ def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> Sam
     factor phases up to a constant, sampled on exactly `grid` points and
     rescaled by the calibrated kappa with a zero-mean gauge. A nonzero
     winding raises NonzeroWinding, an eigenvalue within 1e-12 * radius of
-    the circle NearSingular.
+    the circle NearSingular. A `Unitary` operand gives its cached
+    `spectrum`, the eigenvalues its step SSF's eigenphases come from; any
+    other operand takes dense eigvals.
     """
     m0, m1 = as_matrix(t0), as_matrix(t1)
     same_dimension(len(m0), len(m1))
@@ -234,7 +265,7 @@ def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> Sam
         raise ValidationError("sampling radius must be at least 1 + 1e-8")
     if grid < 256:
         raise ValidationError("need at least 256 grid points")
-    l0, l1 = _eig(np.linalg.eigvals, m0), _eig(np.linalg.eigvals, m1)
+    l0, l1 = (t.spectrum if isinstance(t, Unitary) else _eig(np.linalg.eigvals, m) for t, m in ((t0, m0), (t1, m1)))
     gap = float(np.min(np.abs(np.abs(np.concatenate([l0, l1])) - radius), initial=np.inf))
     if gap <= 1e-12 * radius:
         raise NearSingular(f"an eigenvalue lies {gap:.3e} from the sampling circle")
@@ -244,7 +275,7 @@ def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> Sam
     n = int(grid)
     theta = TWO_PI * np.arange(1, n + 1) / n
     zeta = radius * np.exp(1j * theta)
-    phase = _factor_phase(l1, zeta, radius) - _factor_phase(l0, zeta, radius)
+    phase = _factor_phase_difference(l0, l1, zeta, radius)
     values = DETERMINANT_KAPPA * phase / TWO_PI
     values = values - values.mean()
     return SampledSSF(radius, theta, values, winding, eigenvalues=(l0, l1))

@@ -553,6 +553,35 @@ def test_the_defect_pair_is_built_from_the_defect_eighs():
         assert np.allclose(u @ np.diag(np.sqrt(1.0 - c**2)) @ v.conj().T, t.m, atol=1e-14)
 
 
+def test_a_contraction_validates_from_the_one_svd_its_defects_keep(monkeypatch):
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m = 0.9 * g / np.linalg.norm(g, 2)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(kwargs) or svd(a, *args, **kwargs))
+    t = Contraction(m)
+    defect_operators(t)
+    # one full SVD: the norm validation reads and the defects are built from
+    assert calls == [{}]
+    assert t.norm == svd(m)[1][0] == pytest.approx(0.9, abs=1e-14)
+    assert not t.defect_eighs[0][0].flags.writeable
+    with pytest.raises(ValidationError):
+        Contraction(m / 0.8)
+
+
+def test_a_unitary_keeps_its_spectrum_and_eigenphases_reads_it(monkeypatch):
+    u = random_unitary(np.random.default_rng(13), 6)
+    spectrum = u.spectrum
+    assert u.spectrum is spectrum and not spectrum.flags.writeable
+    inv, solves = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: solves.append(a.shape) or inv(a))
+    assert eigenphases(u) == phase_clusters(spectrum)
+    assert solves == []
+    # a plain matrix takes the same Cayley solve, bit for bit
+    assert eigenphases(u.m) == eigenphases(u)
+    assert solves == [(6, 6)]
+
+
 def test_a_contraction_keeps_one_read_only_defect_pair():
     t = random_contraction(np.random.default_rng(5), 4)
     pair = defect_operators(t)

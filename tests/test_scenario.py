@@ -14,6 +14,7 @@ from ssflab import scenario, schrodinger
 from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError
 from ssflab.export import dump_json, report_to_dict
+from ssflab.linalg import Unitary
 from ssflab.scenario import (
     _KINDS,
     ANCHOR_REGISTRY,
@@ -843,6 +844,31 @@ def test_determinant_block_that_runs_records_both_checks_and_the_sampled_table()
     assert report.flags["determinant_winding"] == 0
     assert not {"determinant_error", "determinant_step_error"} & set(report.flags)
     assert len(report.tables["sampled"].thetas) == 1024
+
+
+@pytest.mark.parametrize("dim", [4, 32, 48, 64])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_generated_unitary_determinant_file_passes_its_lu_crosscheck(dim, seed):
+    # the benchmark's unitary+determinant files, whose reference lists no such record
+    report = run_scenario(parse_scenario(generate_scenario("unitary_pair", seed, dim) | {"determinant": {}}))
+    lu = _determinant_records(report)[1]
+    assert lu.check_id == "determinant-lu-crosscheck" and lu.tolerance <= 1e-8
+    assert lu.passed and lu.residual <= 1e-10
+
+
+def test_a_unitary_determinant_run_reads_the_step_spectra_and_takes_one_probe_svd(monkeypatch):
+    sc = parse_scenario(generate_scenario("unitary_pair", 5, 32) | {"determinant": {}})
+    calls = []
+    for name in ("eigvals", "svd", "cond"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    report = run_scenario(sc)
+    assert report.all_pass
+    # no dense eigvals, and the norm of U0 certifies all eight LU probes
+    assert calls == ["svd"]
+    monkeypatch.undo()
+    for lam, m in zip(report.tables["sampled"].eigenvalues, sc.matrices):
+        assert lam.tobytes() == Unitary(m).spectrum.tobytes()
 
 
 def test_determinant_block_with_no_grid_point_off_the_jumps_fails_the_step_check_only():

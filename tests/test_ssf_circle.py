@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ssflab.errors import EigenFailure, NonzeroWinding, ValidationError
-from ssflab import ssf_circle
+from ssflab.errors import EigenFailure, NearSingular, NonzeroWinding, ValidationError
+from ssflab import linalg, ssf_circle
 from ssflab.export import table_array
 from ssflab.dilation import dilation_pair
 from ssflab.linalg import (
@@ -17,6 +17,7 @@ from ssflab.linalg import (
     analytic_poly_eval,
     hermitian_power,
     operator_norm,
+    polar_factors,
     schatten_norm,
 )
 from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
@@ -296,6 +297,82 @@ def test_determinant_rejects_zeta_near_circle():
         perturbation_determinant(np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
 
 
+# the scenario's eight LU probes on the default sampling circle
+PROBES = (1.0 + 1e-4) * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_eight_probes_are_the_scalar_calls_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for t0, t1 in ((random_unitary(rng, n), random_unitary(rng, n)), (random_contraction(rng, n), random_contraction(rng, n))):
+        stacked = perturbation_determinant(t0, t1, PROBES)
+        assert stacked.shape == (8,)
+        assert stacked.tobytes() == np.array([perturbation_determinant(t0, t1, z) for z in PROBES]).tobytes()
+        # and each is one LU solve and one LU determinant of its own
+        eye = np.eye(n)
+        alone = [np.linalg.det(eye + np.linalg.solve(t0.m - z * eye, t1.m - t0.m)) for z in PROBES]
+        assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+def test_one_near_singular_probe_fails_the_stack():
+    # T0 - zeta_3 I has the singular values |delta| and about 1.5: cond about 1.5e13
+    for delta in (1e-13, 0.0):
+        t0 = np.diag([PROBES[3] + delta, -0.5])
+        with pytest.raises(NearSingular, match=r"cond\(T0 - zeta I\)"):
+            perturbation_determinant(t0, 0.5 * np.eye(2), PROBES)
+    # at delta = 1e-10 the exact cond, about 1.5e10, passes where the norm bound does not
+    t0 = np.diag([PROBES[3] + 1e-10, -0.5])
+    assert np.isfinite(perturbation_determinant(t0, 0.5 * np.eye(2), PROBES)).all()
+
+
+def _counting_svds(monkeypatch):
+    calls = []
+    for name in ("svd", "cond"):
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=getattr(np.linalg, name), _n=name, **kwargs: calls.append(_n) or _f(a, *args, **kwargs))
+    return calls
+
+
+def test_the_norm_bound_spares_the_svd_of_every_probe_it_certifies(monkeypatch):
+    rng = np.random.default_rng(17)
+    u0, u1 = random_unitary(rng, 5), random_unitary(rng, 5)
+    calls = _counting_svds(monkeypatch)
+    # ||U0|| = 1: the bound is about 2 / 1e-4 = 2e4 at every probe
+    perturbation_determinant(u0, u1, PROBES)
+    assert calls == ["svd"]
+    # ||T0|| = 1.2 exceeds the four probes of modulus 1 + 1e-4, but not the four of modulus 3
+    del calls[:]
+    t0 = np.diag([1.2, 0.0, 0.3j, 0.0, 0.0])
+    zeta = np.concatenate((PROBES[:4], 3.0 * PROBES[4:]))
+    perturbation_determinant(t0, u1, zeta)
+    assert calls == ["svd"] + ["cond"] * 4
+    # a T0 just under the probes' modulus: the bound 2 / 1e-12 certifies none, and each exact cond passes
+    del calls[:]
+    perturbation_determinant((1.0 + 1e-4 - 1e-12) * u0.m, u1, PROBES)
+    assert calls == ["svd"] + ["cond"] * 8
+
+
+def test_a_unitary_pole_spectrum_keeps_the_lu_record(monkeypatch):
+    # the first 1 + 3 Haar direct sum from this seed, drawn as test_metamorphic
+    # draws it, solves at |a| = 731 on its first Cayley try: under the pole
+    # limit, so its spectrum is kept as solved
+    rng = np.random.default_rng(8192)
+
+    def haar(n):
+        return polar_factors((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)).partial_isometry
+
+    u0 = Unitary(np.block([[haar(1), np.zeros((1, 3))], [np.zeros((3, 1)), haar(3)]]))
+    u1 = Unitary(haar(4))
+    solve, tries = linalg._cayley_solve, []
+    monkeypatch.setattr(linalg, "_cayley_solve", lambda *args: tries.append(solve(*args).pole) or solve(*args))
+    sampled = determinant_ssf(u0, u1)
+    assert 700 < tries[0] < linalg._POLE_LIMIT
+    assert sampled.eigenvalues[0] is u0.spectrum and sampled.eigenvalues[1] is u1.spectrum
+    lu = perturbation_determinant(u0, u1, PROBES)
+    gap = max(abs(sampled.determinant(z) / d - 1) for z, d in zip(PROBES, lu))
+    # the scenario's determinant-lu-crosscheck tolerance is 1e-8
+    assert gap <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # determinant-route sampled SSF
 
@@ -420,11 +497,20 @@ def test_determinant_ssf_equal_raw_pair_is_identically_zero(n, seed, scale):
     assert np.all(out.values == 0.0)
 
 
-def one_shot_factor_phase(eigs, zeta, radius):
-    """_factor_phase on the whole grid at once: grid x n factors held together."""
+def unpaired_factor_phase(eigs, zeta, radius):
+    """The factor phases of one spectrum, summed on their own: the route before the pairs."""
     inside = np.abs(eigs) < radius
     z = zeta[:, None]
     return np.angle(1.0 - eigs[inside] / z).sum(axis=1) + np.angle(1.0 - z / eigs[~inside]).sum(axis=1)
+
+
+def one_shot_factor_phase_difference(l0, l1, zeta, radius):
+    """_factor_phase_difference on the whole grid at once: grid x n factor pairs held together."""
+    z = zeta[:, None]
+    f0, f1 = (np.concatenate((1.0 - l[inside] / z, 1.0 - z / l[~inside]), axis=1) for l in (l0, l1) for inside in [np.abs(l) < radius])
+    re = f1.real * f0.real + f1.imag * f0.imag
+    im = f1.imag * f0.real - f1.real * f0.imag
+    return np.arctan2(im, re).sum(axis=1)
 
 
 @PROPERTY
@@ -440,11 +526,41 @@ def one_shot_factor_phase(eigs, zeta, radius):
 def test_blocked_factor_phase_is_the_one_shot_phase_bit_for_bit(n, grid, seed, spread):
     rng = np.random.default_rng(seed)
     # moduli on both sides of the radius
-    eigs = rng.uniform(0.0, spread, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+    l0, l1 = (rng.uniform(0.0, spread, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n)) for _ in range(2))
     radius = 1.0 + 1e-4
     zeta = radius * np.exp(1j * TWO_PI * np.arange(1, grid + 1) / grid)
-    blocked = ssf_circle._factor_phase(eigs, zeta, radius)
-    assert blocked.tobytes() == one_shot_factor_phase(eigs, zeta, radius).tobytes()
+    blocked = ssf_circle._factor_phase_difference(l0, l1, zeta, radius)
+    assert blocked.tobytes() == one_shot_factor_phase_difference(l0, l1, zeta, radius).tobytes()
+
+
+# Pairing against the unpaired sums, for n <= 16. Both routes form the same
+# factors. Per pair, the product's real and imaginary parts are off by at most
+# 2 eps |f1| |f0|, which turns its angle by under 3 eps, and each arctan2 is
+# within 2 ulp of values below pi (ulp(pi) = 2 eps). numpy sums n <= 16 terms
+# in at most 6 rounded levels, each off by at most eps times the sum of the
+# |terms|, which is at most n pi. That is under (3 + 8 + 8 + 2 x 6 pi) n eps
+# between the two: PAIRED_BOUND n eps.
+PAIRED_BOUND = 64
+
+
+sides = st.lists(st.booleans(), min_size=16, max_size=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 16), inside0=sides, inside1=sides, seed=seeds, radius=st.sampled_from([1.0, 1.0 + 1e-4]))
+@example(n=16, inside0=[True] * 8 + [False] * 8, inside1=[False, True] * 8, seed=7, radius=1.0)
+def test_paired_factor_phase_is_the_unpaired_difference(n, inside0, inside1, seed, radius):
+    rng = np.random.default_rng(seed)
+    l0, l1 = (
+        # moduli from 1e-9 of the radius out to 0 inside it and to twice it outside
+        radius * np.where(inside[:n], -1.0, 1.0) * 10.0 ** rng.uniform(-9.0, 0.0, n) + radius
+        for inside in (inside0, inside1)
+    )
+    l0, l1 = (l * np.exp(1j * rng.uniform(0.0, TWO_PI, n)) for l in (l0, l1))
+    zeta = radius * np.exp(1j * TWO_PI * np.arange(1, 513) / 512)
+    paired = ssf_circle._factor_phase_difference(l0, l1, zeta, radius)
+    unpaired = unpaired_factor_phase(l1, zeta, radius) - unpaired_factor_phase(l0, zeta, radius)
+    assert np.abs(paired - unpaired).max() <= PAIRED_BOUND * n * np.finfo(float).eps
 
 
 def test_a_determinant_run_at_the_schema_limits_holds_one_block_of_the_grid():
