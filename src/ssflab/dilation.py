@@ -333,8 +333,8 @@ def default_block_count(degree: int) -> int:
     return max(int(degree), 0) + 3
 
 
-def observed_trace_degree(t0: Contraction, t1: Contraction, m: int, *, tol: float = 1e-9) -> int:
-    """Largest k with trace(U1^k - U0^k) = trace(T1^k - T0^k) within tol, scanned from 1.
+def observed_trace_degree(t0: Contraction, t1: Contraction, m: int) -> int:
+    """Largest k with trace(U1^k - U0^k) = trace(T1^k - T0^k) within 1e-9 (1 + |rhs|), scanned from 1.
 
     The certified range is k <= m - 2; this reports where the identity
     actually stops holding for the given pair, which is informative because
@@ -349,7 +349,7 @@ def observed_trace_degree(t0: Contraction, t1: Contraction, m: int, *, tol: floa
     pt0, pt1 = t0.m, t1.m
     for k in range(1, m + 3):
         rhs = np.trace(pt1) - np.trace(pt0)
-        if abs(traces[1][k - 1] - traces[0][k - 1] - rhs) > tol * (1.0 + abs(rhs)):
+        if abs(traces[1][k - 1] - traces[0][k - 1] - rhs) > 1e-9 * (1.0 + abs(rhs)):
             return k - 1
         pt0, pt1 = pt0 @ t0.m, pt1 @ t1.m
     return m + 2

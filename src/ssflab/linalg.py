@@ -67,15 +67,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Return the symmetrized matrix, raising NotHermitian beyond tol.
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Return the symmetrized matrix, raising NotHermitian beyond the fixed tolerance 1e-12.
 
     The tolerance is applied relative to 1 + ||a||_F so it means the same
     thing for unit-scale operators and for stiff discrete Laplacians.
     """
     r = float(np.linalg.norm(a - a.conj().T))
-    if not r <= tol * (1.0 + float(np.linalg.norm(a))):
-        raise NotHermitian(f"Hermitian residual {r:.3e} exceeds tolerance {tol:.1e}")
+    if not r <= 1e-12 * (1.0 + float(np.linalg.norm(a))):
+        raise NotHermitian(f"Hermitian residual {r:.3e} exceeds tolerance 1.0e-12")
     return hermitize(a)
 
 
@@ -386,10 +386,10 @@ class Unitary:
 class Contraction:
     """Square matrix with largest singular value at most 1 + 1e-8.
 
-    Validation reads that value, `norm`, off the full SVD T = U diag(s) V*,
-    which `defect_eighs` keeps: ((c, V), (c, U)) with c = `defect_values`(s),
-    so D_T = V diag(c) V* and D_T* = U diag(c) U*, as `hermitian_function`
-    takes them, read-only.
+    Validation takes the one full SVD T = U diag(s) V*, reads that value,
+    `norm`, off it and keeps it, read-only, as `defect_eighs`: ((c, V), (c, U))
+    with c = `defect_values`(s), so D_T = V diag(c) V* and D_T* = U diag(c) U*,
+    as `hermitian_function` takes them.
     """
 
     def __init__(self, m):
@@ -433,31 +433,24 @@ def defect_values(s: np.ndarray, n: int) -> np.ndarray:
 class Dissipative:
     """Square matrix whose imaginary part (L - L*)/2i is PSD within 1e-10.
 
-    imag_min, the smallest eigenvalue of Im L (0.0 when empty), comes from validation.
-    The factorisations the checks share are cached, read-only, and computed on
-    first use: the Cayley image, (L + iI)^(-1), the eigh of Im L and `g_pair`.
+    Validation takes the one eigh of the hermitized Im L and keeps it, read-only,
+    as `imag_eigh`: (w, V) with Im L = V diag(w) V*, as `hermitian_function` takes it;
+    `imag_min` is min w (0.0 when empty). The Cayley image, (L + iI)^(-1) and
+    `g_pair` are cached, read-only, and computed on first use.
     """
 
     def __init__(self, m):
-        mat = as_matrix(m)
-        im = (mat - mat.conj().T) / 2j
-        w = _eig(np.linalg.eigvalsh, im)
-        lo = float(w.min()) if w.size else 0.0
-        if not lo >= -1e-10:
-            raise ValidationError(f"imaginary part eigenvalue {lo:.3e} below -1.0e-10")
-        self.m = _frozen(mat.copy())
-        self.n = mat.shape[0]
-        self.imag_min = lo
+        self.m = _frozen(as_matrix(m).copy())
+        self.n = self.m.shape[0]
+        w, v = _eig(np.linalg.eigh, self.imag_part)
+        self.imag_min = float(w.min()) if w.size else 0.0
+        if not self.imag_min >= -1e-10:
+            raise ValidationError(f"imaginary part eigenvalue {self.imag_min:.3e} below -1.0e-10")
+        self.imag_eigh = _frozen(w), _frozen(v)
 
     @property
     def imag_part(self) -> np.ndarray:
         return hermitize((self.m - self.m.conj().T) / 2j)
-
-    @cached_property
-    def imag_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) with Im L = V diag(w) V*, as `hermitian_function` takes it."""
-        w, v = _eig(np.linalg.eigh, self.imag_part)
-        return _frozen(w), _frozen(v)
 
     @cached_property
     def resolvent_minus_i(self) -> np.ndarray:
@@ -489,13 +482,14 @@ class Dissipative:
 class PsdContraction:
     """Hermitian matrix (within 1e-12, symmetrized) with spectrum in [-1e-10, 1 + 1e-10].
 
-    min_eig is its smallest eigenvalue from validation (0.0 when empty); the
-    eigendecomposition is cached, read-only, and computed on first use.
+    Validation takes the one eigh of m and keeps it, read-only, as `eigh`,
+    (w, V) with m = V diag(w) V* as `hermitian_function` takes it; `min_eig`
+    is its smallest eigenvalue (0.0 when empty).
     """
 
     def __init__(self, m):
         mat = require_hermitian(as_matrix(m))
-        w = _eig(np.linalg.eigvalsh, mat)
+        w, v = _eig(np.linalg.eigh, mat)
         lo, hi = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
         if not lo >= -1e-10:
             raise IndefiniteInput(f"eigenvalue {lo:.3e} below -1e-10")
@@ -504,11 +498,7 @@ class PsdContraction:
         self.m = _frozen(mat)
         self.n = mat.shape[0]
         self.min_eig = lo
-
-    @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) with m = V diag(w) V*, as `hermitian_function` takes it."""
-        return tuple(_frozen(a) for a in _eig(np.linalg.eigh, self.m))
+        self.eigh = _frozen(w), _frozen(v)
 
     def __repr__(self):
         return f"PsdContraction(n={self.n})"

@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -185,35 +184,12 @@ def _int_entry(v, where: str, lo: int, hi: int) -> int:
     return v
 
 
-def _matrix_cells(v: list) -> Optional[np.ndarray]:
-    """A square list of real rows, or of rows of [re, im] pairs, as one array.
-
-    None for anything else, such as mixed scalars and pairs or an integer past
-    the float range; _matrix_entry then converts or rejects it cell by cell.
-    """
-    n = len(v)
-    if not all(isinstance(row, list) and len(row) == n for row in v):
-        return None
-    cells = list(chain.from_iterable(v))
-    kinds = set(map(type, cells))
-    try:
-        if kinds <= {float, int}:
-            return np.array(v, dtype=float).astype(np.complex128)
-        if kinds == {list} and set(map(len, cells)) == {2}:
-            if set(map(type, chain.from_iterable(cells))) <= {float, int}:
-                # the trailing [re, im] axis of float64 pairs is exactly complex128 memory
-                return np.array(v, dtype=float).view(np.complex128).reshape(n, n)
-    except OverflowError:
-        pass
-    return None
-
-
 # the keys of a matrix given as complex128 bytes
 _BYTES_KEYS = ("complex128", "shape")
 
 
 def _matrix_bytes(v: dict, where: str) -> np.ndarray:
-    """A {"shape": [n, n], "complex128": base64} object as the n-square array it owns.
+    """A {"shape": [n, n], "complex128": base64} object as the finite n-square array it owns.
 
     The byte count is checked on the base64 text, in Python ints, before
     anything is decoded or allocated.
@@ -235,26 +211,26 @@ def _matrix_bytes(v: dict, where: str) -> np.ndarray:
         _fail(f"{where}.complex128", f"not standard padded base64 ({exc})")
     if len(raw) != size:
         _fail(f"{where}.complex128", f"expected {size} bytes of complex128, got {len(raw)}")
-    return np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)
+    out = np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)
+    if not np.all(np.isfinite(out)):
+        _fail(where, "matrix entries must be finite")
+    return out
 
 
 def _matrix_entry(v, where: str) -> np.ndarray:
+    """An explicit matrix, in bytes form or as a square nested list of real or [re, im] cells,
+    which is converted cell by cell so that a bad cell is named."""
     if isinstance(v, dict) and not v.keys().isdisjoint(_BYTES_KEYS):
-        out = _matrix_bytes(v, where)
-    elif not isinstance(v, list) or not v:
+        return _matrix_bytes(v, where)
+    if not isinstance(v, list) or not v:
         _fail(where, "expected a nonempty nested array")
-    else:
-        out = _matrix_cells(v)
-    if out is None:
-        n = len(v)
-        out = np.zeros((n, n), dtype=np.complex128)
-        for i, row in enumerate(v):
-            if not isinstance(row, list) or len(row) != n:
-                _fail(where, f"row {i} does not make the matrix square")
-            for j, cell in enumerate(row):
-                out[i, j] = _complex_entry(cell, f"{where}[{i}][{j}]")
-    if not np.all(np.isfinite(out)):
-        _fail(where, "matrix entries must be finite")
+    n = len(v)
+    out = np.zeros((n, n), dtype=np.complex128)
+    for i, row in enumerate(v):
+        if not isinstance(row, list) or len(row) != n:
+            _fail(where, f"row {i} does not make the matrix square")
+        for j, cell in enumerate(row):
+            out[i, j] = _complex_entry(cell, f"{where}[{i}][{j}]")
     return out
 
 

@@ -151,7 +151,7 @@ def nystrom_kernel(q_values, r: np.ndarray, grid: Grid1D) -> np.ndarray:
     if q.size and float(q.min()) < -1e-14:
         raise NegativePotential(f"potential value {q.min():.3e} is negative")
     c = np.sqrt(grid.weights * np.clip(q, 0.0, None))
-    return _frozen(require_hermitian((c[:, None] * c[None, :]) * r, 1e-12))
+    return _frozen(require_hermitian((c[:, None] * c[None, :]) * r))
 
 
 def full_kernel(q, grid: Grid1D, z: complex = -1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -192,7 +192,8 @@ def perturbation_determinant(t0, t1, zeta):
     1-D array of them (an array of values then); NearSingular when any cond(T0 - zeta I) exceeds 1e12.
 
     The solves and determinants run stacked, each member as its own call
-    would. ||T0||_2 is taken once: cond(T0 - zeta I) <= (||T0||_2 + |zeta|) /
+    would. ||T0||_2 is taken once, or read off a `Contraction` T0's `norm`
+    with no SVD: cond(T0 - zeta I) <= (||T0||_2 + |zeta|) /
     (|zeta| - ||T0||_2) when |zeta| > ||T0||_2, so a zeta with that bound at
     most 5e11 needs no SVD of its own, and every other zeta takes the exact cond.
     """
@@ -205,7 +206,7 @@ def perturbation_determinant(t0, t1, zeta):
         raise ValidationError(f"|zeta| = {radii[near][0]:.10f} too close to the unit circle")
     eye = np.eye(m0.shape[0])
     a = m0 - z.reshape(-1, 1, 1) * eye
-    norm = operator_norm(m0)
+    norm = t0.norm if isinstance(t0, Contraction) else operator_norm(m0)
     with np.errstate(divide="ignore", invalid="ignore"):
         certified = (radii > norm) & ((norm + radii) / (radii - norm) <= 5e11)
     for k in np.flatnonzero(~certified):

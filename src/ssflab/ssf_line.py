@@ -255,9 +255,8 @@ def dissipative_condition_report(l0, l1, p: float = 1) -> DissipativeConditionRe
     """
     ls = as_pair(Dissipative, l0, l1)
     for j, l in enumerate(ls):
-        lo = float(l.imag_eigh[0].min())
-        if lo < 1e-12:
-            raise KernelViolation(f"Im L_{j} has eigenvalue {lo:.3e}, inverse square root undefined")
+        if l.imag_min < 1e-12:
+            raise KernelViolation(f"Im L_{j} has eigenvalue {l.imag_min:.3e}, inverse square root undefined")
     g_norms, g_twin_norms = (tuple(operator_norm(l.g_pair[k]) for l in ls) for k in (0, 1))
     return DissipativeConditionReport(
         p=p,

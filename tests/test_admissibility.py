@@ -162,7 +162,8 @@ def test_the_window_edges(kind, exps, accepted):
 
 
 def _nan_eigenvalues(f, a):
-    return np.full(len(a), np.nan)
+    """The eigendecomposition (w, V) that validation takes, with NaN eigenvalues."""
+    return np.full(len(a), np.nan), np.eye(len(a))
 
 
 def _nan_measures(monkeypatch, validator):

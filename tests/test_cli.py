@@ -127,7 +127,7 @@ def test_numeric_exception_exits_one_with_report_and_summary(tmp_path, capsys):
 
 
 def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp_path, monkeypatch, capsys):
-    # eigvalsh fails on its first call, L0's validation, which also gives the
+    # eigh fails on its first call, L0's validation, which also gives the
     # lattice-dissipativity floor. That is a numeric failure, not a bad file
     payload = {
         "name": "floor",
@@ -137,10 +137,10 @@ def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp
     }
     f = write_json(tmp_path / "floor.json", payload)
 
-    def eigvalsh_failing(a):
+    def eigh_failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
     assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 1
     assert "floor: FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "floor.report.json").read_text())

@@ -483,22 +483,30 @@ def test_psd_contraction_keeps_its_validation_and_one_read_only_eigh(monkeypatch
         PsdContraction(np.diag([0.5, 1.0 + 1e-9]))
     with pytest.raises(NotHermitian):
         PsdContraction(np.array([[0.5, 0.1], [0.0, 0.5]]))
-    x = PsdContraction(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
-    assert (x.n, x.min_eig) == (2, pytest.approx(0.25))
-    assert np.array_equal(x.m, x.m.conj().T) and not x.m.flags.writeable
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+    x = PsdContraction(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+    assert (x.n, x.min_eig) == (2, pytest.approx(0.25))
+    assert np.array_equal(x.m, x.m.conj().T) and not x.m.flags.writeable
+    # validation takes the one eigh; reading it takes no further call
     assert x.eigh is x.eigh and len(eighs) == 1
     assert not any(a.flags.writeable for a in x.eigh)
     np.testing.assert_allclose(x.eigh[0], [0.25, 0.75], atol=1e-15)
     assert PsdContraction(np.zeros((0, 0))).min_eig == 0.0
 
 
-def test_dissipative_keeps_the_smallest_eigenvalue_of_its_imaginary_part():
+def test_dissipative_keeps_the_smallest_eigenvalue_of_its_imaginary_part(monkeypatch):
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
     l = Dissipative(np.diag([1.0 + 2j, 3.0 + 0.5j]))
     assert l.imag_min == 0.5
     assert l.imag_min == float(np.linalg.eigvalsh(l.imag_part).min())
+    # validation takes the one eigh of Im L, which it keeps read-only
+    assert l.imag_eigh is l.imag_eigh and len(eighs) == 1
+    assert not any(a.flags.writeable for a in l.imag_eigh)
+    assert l.imag_min == l.imag_eigh[0][0]
 
 
 def test_wrapper_matrices_frozen():

@@ -195,10 +195,20 @@ def test_a_schrodinger_run_reads_the_lattice_floor_off_validation(monkeypatch):
     monkeypatch.setattr(scenario, "discrete_schrodinger_pair", lambda q, h: pairs.append(build(q, h)) or pairs[-1])
     calls = count_square_solves(monkeypatch, 24)
     report = run_scenario(sc)
-    # one eigvalsh per operator, in its validation; the lattice floor is read off L0's
-    assert calls.count("eigvalsh") == 2
+    # one eigh per operator, in its validation, then the dilation's normal form;
+    # the lattice floor is read off L0's validation
+    assert calls == ["eigh", "eigh", "eigh"]
     floor = next(r for r in report.records if r.check_id == "lattice-dissipativity")
     assert floor.lhs == pairs[0][0].imag_min and floor.passed
+
+
+def test_a_dissipative_run_factors_each_imaginary_part_once(monkeypatch):
+    sc = parse_scenario(generate_scenario("dissipative_pair", 2, 24))
+    calls = count_square_solves(monkeypatch, 24)
+    report = run_scenario(sc)
+    assert report.all_pass
+    # one eigh of Im L per operator, in its validation; the checks read it
+    assert calls == ["eigh", "eigh"]
 
 
 def test_a_fractional_run_validates_and_factors_each_matrix_once(monkeypatch):
@@ -206,7 +216,7 @@ def test_a_fractional_run_validates_and_factors_each_matrix_once(monkeypatch):
     calls = count_square_solves(monkeypatch, 3)
     report = run_scenario(sc)
     assert report.all_pass
-    assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
+    assert calls == ["eigh", "eigh"]
 
 
 def test_kernel_trace_scenario_with_monotone():
@@ -555,9 +565,9 @@ def test_matrix_schema_error_text(matrices, message):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('[[[NaN]], [[1.0]]]', "matrices[0]: matrix entries must be finite"),
-        ('[[[1.0]], [[[0.0, Infinity]]]]', "matrices[1]: matrix entries must be finite"),
-        ('[[[1.0]], [[[-Infinity, 0.0]]]]', "matrices[1]: matrix entries must be finite"),
+        ('[[[NaN]], [[1.0]]]', "matrices[0][0][0]: expected a finite number"),
+        ('[[[1.0]], [[[0.0, Infinity]]]]', "matrices[1][0][0]: expected a finite number"),
+        ('[[[1.0]], [[[-Infinity, 0.0]]]]', "matrices[1][0][0]: expected a finite number"),
     ],
 )
 def test_nonfinite_json_matrix_entries_are_rejected(text, message):
@@ -644,6 +654,25 @@ def test_a_byte_matrix_hashes_like_its_decimal_twin():
     twin = payload | {"matrices": [np.stack((m.real, m.imag), -1).tolist() for m in sc.matrices]}
     assert parse_scenario(twin).config_hash == sc.config_hash
     assert [m.tobytes() for m in parse_scenario(twin).matrices] == [m.tobytes() for m in sc.matrices]
+
+
+@pytest.mark.parametrize("cells", ["real", "pairs"])
+def test_a_dim64_decimal_matrix_decodes_as_its_bytes_twin(cells):
+    rng = np.random.default_rng(64)
+    if cells == "real":
+        # integers, signed zeros and reals, every cell a scalar
+        m = rng.standard_normal((64, 64))
+        m[::3] = rng.integers(-(2**60), 2**60, (22, 64))
+        m[1::3, ::5] = -0.0
+        decimal = [[int(x) if k % 3 == 0 else float(x) for x in row] for k, row in enumerate(m)]
+        m = m.astype(np.complex128)
+    else:
+        m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        m.real[1::3, ::5] = m.imag[2::3, ::7] = -0.0
+        decimal = np.stack((m.real, m.imag), -1).tolist()
+    entry = scenario._matrix_to_json(m)
+    parsed, twin = parse_scenario({"name": "x", "kind": "unitary_pair", "matrices": [decimal, entry]}).matrices
+    assert parsed.tobytes() == twin.tobytes() == m.tobytes()
 
 
 def test_a_huge_shape_is_refused_by_its_length_before_any_decoding(monkeypatch):
@@ -869,6 +898,19 @@ def test_a_unitary_determinant_run_reads_the_step_spectra_and_takes_one_probe_sv
     monkeypatch.undo()
     for lam, m in zip(report.tables["sampled"].eigenvalues, sc.matrices):
         assert lam.tobytes() == Unitary(m).spectrum.tobytes()
+
+
+def test_a_contraction_determinant_run_takes_one_svd_of_t0(monkeypatch):
+    sc = parse_scenario(generate_scenario("contraction_pair", 3, 8) | {"determinant": {}})
+    t0_svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda a, *args, **k: t0_svds.extend([1] * np.array_equal(a, sc.matrices[0])) or svd(a, *args, **k)
+    )
+    report = run_scenario(sc)
+    # the step check fails on contraction pairs by design (ROADMAP item 4)
+    assert next(r for r in report.records if r.check_id == "determinant-lu-crosscheck").passed
+    # validation's full SVD; the LU probes' guard reads the norm it kept
+    assert len(t0_svds) == 1
 
 
 def test_determinant_block_with_no_grid_point_off_the_jumps_fails_the_step_check_only():

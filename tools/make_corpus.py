@@ -13,9 +13,10 @@ condition report becomes an error string), a determinant block on both
 circle kinds, one at the smallest grid (256) and one at the schema's
 limits (a random dim-128 unitary pair on 65,536 points, json and csv
 only), a name with quotes and non-ASCII characters, explicit matrices
-with integer and real-scalar cells (the scenario writer's general path), and
-a dissipative pair whose `tolerances` override one check of an indexed
-family (resolvent-z0) and one plain check (weighted-consistency), two
+with integer and real-scalar cells (decoded cell by cell, as every decimal
+matrix is), and a dissipative pair whose `tolerances` override one check
+of an indexed family (resolvent-z0) and one plain check
+(weighted-consistency), two
 files without a `dilation_order`, a Schrodinger file (the run sizes its
 block count) and a contraction pair whose test polynomials reach degree 5
 (its kind's rule gives m = 8), and a dissipative pair with an explicit
