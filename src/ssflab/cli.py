@@ -58,11 +58,13 @@ def _load_and_run(path: str, tolerance_scale: float):
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        raise SchemaError(f"--threads must be at least 1, got {args.threads}")
     run = partial(_load_and_run, tolerance_scale=args.tolerance_scale)
     parallel = args.threads > 1 and len(args.files) > 1
     owners: dict[str, str] = {}
     bad = set()
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         # each outcome runs its file now, or waits for the worker that runs it
         outcomes = [pool.submit(run, p).result if parallel else partial(run, p) for p in args.files]
         for path, outcome in zip(args.files, outcomes):

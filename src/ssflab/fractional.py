@@ -12,6 +12,12 @@ analytic small-t tail; the upper part is transformed by t -> 1/u onto (0, 1]
 where the t^(s-2) decay becomes a u^(-s) endpoint singularity handled by a
 single Gauss-Jacobi rule. Every pass is evaluated twice (nodes and 2*nodes)
 and the difference is the stabilization certificate.
+
+A pass is a double operator integral on the eigendecompositions the operands
+keep, X = Vx diag(a) Vx* and Y = Vy diag(b) Vy*: a node t adds
+1/((t + b_i)(t + a_j)) to one real n-square kernel K, and the pass is
+c_s Vy (C o K) Vx* with C = Vy* (Y - X) Vx, in O(nodes n^2 + n^3) time and
+O(nodes n) memory.
 """
 
 from __future__ import annotations
@@ -126,22 +132,8 @@ def fractional_power(x, sigma: float) -> np.ndarray:
     return hermitian_function(as_operator(PsdContraction, x).eigh, lambda w: np.clip(w, 0.0, 1.0) ** sigma)
 
 
-def _sandwich_batch(a, b, x: np.ndarray, y: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """G[i] = (a[i] I + b[i] Y)^(-1) diff (a[i] I + b[i] X)^(-1); one of a, b may be a scalar."""
-    eye = np.eye(x.shape[0], dtype=np.complex128)
-    left = np.multiply.outer(a, eye) + np.multiply.outer(b, y)
-    right = np.multiply.outer(a, eye) + np.multiply.outer(b, x)
-    half = np.linalg.solve(left, np.repeat(diff[None, :, :], len(left), axis=0))
-    full = np.linalg.solve(right.transpose(0, 2, 1), half.transpose(0, 2, 1))
-    return full.transpose(0, 2, 1)
-
-
 def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
-    x, y, sigma = job.x.m, job.y.m, job.sigma
-    diff = y - x
-    if np.linalg.norm(diff) == 0.0:
-        return np.zeros_like(diff)
-
+    (a, vx), (b, vy), sigma = job.x.eigh, job.y.eigh, job.sigma
     upper_nodes = max(24, nodes // 8)
     panel_count = max(2, (nodes - upper_nodes) // 16)
     lam = max(job.min_eig, 1e-12)
@@ -150,24 +142,23 @@ def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
     # lower piece: t in (0, 1], log substitution t = e^s
     lower_grid = make_grid(s_min, 0.0, 16 * panel_count)
     s_nodes, s_weights = lower_grid.points, lower_grid.weights
-    t_nodes = np.exp(s_nodes)
-    g_lower = _sandwich_batch(t_nodes, 1.0, x, y, diff)
-    factors = s_weights * np.exp((1.0 + sigma) * s_nodes)
-    lower = np.sum(factors[:, None, None] * g_lower, axis=0)
-
-    # analytic tail below t_min: G(t) ~ Y^(-1) diff X^(-1) = X^(-1) - Y^(-1)
-    if job.min_eig >= _KERNEL_FLOOR:
-        tail_coef = np.exp((1.0 + sigma) * s_min) / (1.0 + sigma)
-        lower = lower + tail_coef * (np.linalg.inv(x) - np.linalg.inv(y))
-
     # upper piece: t in [1, inf), substitution t = 1/u gives
-    # integral_0^1 u^(-sigma) (I + uY)^(-1) diff (I + uX)^(-1) du
+    # integral_0^1 u^(-sigma) (I + uY)^(-1) diff (I + uX)^(-1) du; as (I + uY)^(-1) = t (tI + Y)^(-1),
+    # the Gauss-Jacobi node u is the node t = 1/u with its weight over u^2
     xj, wj = gauss_jacobi(upper_nodes, 0.0, -sigma)
     u_nodes = (1.0 + xj) / 2.0
-    g_upper = _sandwich_batch(1.0, u_nodes, x, y, diff)
-    upper = 2.0 ** (sigma - 1.0) * np.sum(wj[:, None, None] * g_upper, axis=0)
+    t_nodes = np.concatenate([np.exp(s_nodes), 1.0 / u_nodes])
+    weights = np.concatenate([s_weights * np.exp((1.0 + sigma) * s_nodes), 2.0 ** (sigma - 1.0) * wj / u_nodes**2])
+    # analytic tail below t_min: G(t) ~ Y^(-1) diff X^(-1), the node t = 0
+    if job.min_eig >= _KERNEL_FLOOR:
+        t_nodes = np.append(t_nodes, 0.0)
+        weights = np.append(weights, np.exp((1.0 + sigma) * s_min) / (1.0 + sigma))
 
-    return c_sigma(sigma) * (lower + upper)
+    # node t_k adds weights_k / ((t_k + b_i)(t_k + a_j)) to the kernel K_ij
+    inv_b, inv_a = (1.0 / (t_nodes[:, None] + w) for w in (b, a))
+    kernel = (weights[:, None] * inv_b).T @ inv_a
+    coupling = vy.conj().T @ (job.y.m - job.x.m) @ vx
+    return c_sigma(sigma) * (vy @ (coupling * kernel) @ vx.conj().T)
 
 
 def fractional_diff_quadrature(job: FractionalJob, nodes: int = 200) -> np.ndarray:

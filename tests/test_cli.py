@@ -210,6 +210,15 @@ def test_run_many_files_threaded(tmp_path):
     assert (tmp_path / "b.report.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_two_and_writes_nothing(tmp_path, capsys, threads):
+    f = write_json(tmp_path / "t.json", hand_pair_payload(name="t"))
+    out = tmp_path / "out"
+    assert main(["run", str(f), "--threads", threads, "--out-dir", str(out)]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_schema_error_dominates_exit_code(tmp_path):
     good = write_json(tmp_path / "g.json", hand_pair_payload(name="g"))
     bad = tmp_path / "broken.json"

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflab.errors import (
     IndefiniteInput,
@@ -8,7 +12,9 @@ from ssflab.errors import (
     ValidationError,
 )
 from ssflab.fractional import (
+    _KERNEL_FLOOR,
     FractionalJob,
+    _fractional_diff_pass,
     c_sigma,
     fractional_diff_quadrature,
     fractional_power,
@@ -17,6 +23,8 @@ from ssflab.fractional import (
     resolvent_difference_identity_check,
 )
 from ssflab.linalg import operator_norm
+from ssflab.scenario import generate_scenario, parse_scenario
+from ssflab.schrodinger import make_grid
 
 
 def random_psd_contraction(rng, n, lo=0.05, hi=0.95):
@@ -156,6 +164,91 @@ def test_quadrature_rejects_tiny_node_count():
     x = np.diag([0.5])
     with pytest.raises(ValidationError):
         fractional_diff_quadrature(job_for(x, x), nodes=16)
+
+
+def _solve_based_pass(job, nodes):
+    """The pass with two stacked resolvent solves per node and two inverses
+    for the tail: the oracle for the kernel form on the kept eigenbases."""
+    x, y, sigma = job.x.m, job.y.m, job.sigma
+    diff = y - x
+    if np.linalg.norm(diff) == 0.0:
+        return np.zeros_like(diff)
+    eye = np.eye(len(x), dtype=complex)
+
+    def sandwich(a, b):  # (a I + b Y)^(-1) diff (a I + b X)^(-1), stacked over the nodes
+        left = np.multiply.outer(a, eye) + np.multiply.outer(b, y)
+        right = np.multiply.outer(a, eye) + np.multiply.outer(b, x)
+        half = np.linalg.solve(left, np.repeat(diff[None], len(left), axis=0))
+        return np.linalg.solve(right.transpose(0, 2, 1), half.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    upper_nodes = max(24, nodes // 8)
+    panel_count = max(2, (nodes - upper_nodes) // 16)
+    s_min = (2.0 * np.log(max(job.min_eig, 1e-12)) - 30.0) / (2.0 + sigma)
+    grid = make_grid(s_min, 0.0, 16 * panel_count)
+    t_nodes = np.exp(grid.points)
+    factors = grid.weights * np.exp((1.0 + sigma) * grid.points)
+    lower = np.sum(factors[:, None, None] * sandwich(t_nodes, 1.0), axis=0)
+    if job.min_eig >= _KERNEL_FLOOR:
+        lower += np.exp((1.0 + sigma) * s_min) / (1.0 + sigma) * (np.linalg.inv(x) - np.linalg.inv(y))
+    xj, wj = gauss_jacobi(upper_nodes, 0.0, -sigma)
+    upper = 2.0 ** (sigma - 1.0) * np.sum(wj[:, None, None] * sandwich(1.0, (1.0 + xj) / 2.0), axis=0)
+    return c_sigma(sigma) * (lower + upper)
+
+
+PASS_CASES = ("general", "zero-eigenvalue", "unit-eigenvalue", "equal", "commuting-diagonal")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    sigma=st.floats(0.05, 0.95),
+    case=st.sampled_from(PASS_CASES),
+    nodes=st.sampled_from((200, 400)),
+)
+def test_kernel_pass_matches_the_solve_based_pass(seed, n, sigma, case, nodes):
+    # an exact zero eigenvalue needs the diagonal form: rotated, eigh returns about +-1e-17 and
+    # both passes sample the integrand where t is that small
+    rng = np.random.default_rng(seed)
+    y = random_psd_contraction(rng, n)
+    if case == "general":
+        x = random_psd_contraction(rng, n)
+    elif case == "equal":
+        x = y
+    else:
+        d = rng.uniform(0.05, 0.95, size=n)
+        d[0] = {"zero-eigenvalue": 0.0, "unit-eigenvalue": 1.0}.get(case, d[0])
+        x = np.diag(d)
+        y = np.diag(rng.uniform(0.05, 0.95, size=n)) if case == "commuting-diagonal" else y
+    job = FractionalJob(x=x, y=y, sigma=sigma, alpha=1.0, beta=0.0)
+    want = _solve_based_pass(job, nodes)
+    assert np.linalg.norm(_fractional_diff_pass(job, nodes) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_quadrature_takes_no_solve_and_no_inverse(monkeypatch):
+    rng = np.random.default_rng(11)
+    job = FractionalJob(x=random_psd_contraction(rng, 6), y=random_psd_contraction(rng, 6),
+                        sigma=0.4, alpha=0.8, beta=0.1)
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: pytest.fail(f"the quadrature called {name}"))
+    out = fractional_diff_quadrature(job)
+    want = fractional_power(job.y, 0.4) - fractional_power(job.x, 0.4)
+    assert np.linalg.norm(out - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_quadrature_memory_on_a_dim64_job_stays_under_4_mib():
+    # a pass holds (nodes x n) node tables and n-square matrices, no (nodes x n x n) stack
+    sc = parse_scenario(generate_scenario("fractional", 3, 64))
+    e = sc.exponents
+    job = FractionalJob(x=sc.matrices[0], y=sc.matrices[1], sigma=e["sigma"], alpha=e["alpha"], beta=e["beta"])
+    fractional_diff_quadrature(job, nodes=sc.quadrature_nodes)  # warm the Gauss-Jacobi cache
+    tracemalloc.start()
+    try:
+        fractional_diff_quadrature(job, nodes=sc.quadrature_nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,15 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 22
+    assert len(files) == generated + 23
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}
     assert all(sc.outputs == ("json", "csv", "svg") for sc in scenarios if sc.name != "edge-determinant-limit")
     edges = {sc.name: sc for sc in scenarios if sc.name.startswith("edge-")}
     assert edges["edge-fractional-beta0"].exponents["beta"] == 0.0
+    dim64 = edges["edge-fractional-dim64"]
+    assert dim64.kind == "fractional" and dim64.matrices[0].shape == (64, 64)
     assert edges["edge-truncate-ladder"].monotone["variant"] == "truncate"
     assert edges["edge-spectral-point"].spectral_point == -2.5
     assert edges["edge-default-grid-kernel"].grid == {"lo": -8.0, "hi": 8.0, "nodes": 1024, "scheme": "gauss"}

@@ -5,7 +5,8 @@
 The corpus holds every kind at dims 1, 2, 3, 5, 8, 12 and 24 for seeds 1
 and 2, each asking for json, csv and svg, plus edge files that generated
 files never reach: a fractional bound with beta = 0 (the corollary form), a
-truncate ladder, a kernel at spectral point -2.5, a kernel file without a
+generated fractional pair at dim 64 (the generator's limit, where the
+quadrature pass scales most with n), a truncate ladder, a kernel at spectral point -2.5, a kernel file without a
 grid (the schema default of 1,024 Gauss nodes), a bump kernel on a
 257-node trapezoid grid, a table-potential kernel, a Schrodinger file with
 a complex table potential, a dissipative pair whose Im L is singular (the
@@ -94,6 +95,7 @@ def _edge_files() -> list[dict]:
     sibling = generate_scenario("contraction_pair", 1, 24) | {"outputs": OUTPUTS}
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
+        generate_scenario("fractional", 3, 64) | {"name": "edge-fractional-dim64", "outputs": OUTPUTS},
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
         generated("kernel_trace", "spectral-point", spectral_point=-2.5),
         generated("kernel_trace", "default-grid-kernel", drop="grid"),
