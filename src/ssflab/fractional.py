@@ -14,8 +14,8 @@ single Gauss-Jacobi rule. Every pass is evaluated twice (nodes and 2*nodes)
 and the difference is the stabilization certificate.
 
 A pass is a double operator integral on the eigendecompositions the operands
-keep, X = Vx diag(a) Vx* and Y = Vy diag(b) Vy*: a node t adds
-1/((t + b_i)(t + a_j)) to one real n-square kernel K, and the pass is
+keep, X = Vx diag(a) Vx* and Y = Vy diag(b) Vy*: a node t of weight w adds
+w/((t + b_i)(t + a_j)) to one real n-square kernel K, and the pass is
 c_s Vy (C o K) Vx* with C = Vy* (Y - X) Vx, in O(nodes n^2 + n^3) time and
 O(nodes n) memory.
 """

@@ -195,19 +195,16 @@ def _solve_based_pass(job, nodes):
     return c_sigma(sigma) * (lower + upper)
 
 
-PASS_CASES = ("general", "zero-eigenvalue", "unit-eigenvalue", "equal", "commuting-diagonal")
-
-
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),
     sigma=st.floats(0.05, 0.95),
-    case=st.sampled_from(PASS_CASES),
+    case=st.sampled_from(("general", "zero-eigenvalue", "unit-eigenvalue", "equal", "commuting-diagonal")),
     nodes=st.sampled_from((200, 400)),
 )
 def test_kernel_pass_matches_the_solve_based_pass(seed, n, sigma, case, nodes):
-    # an exact zero eigenvalue needs the diagonal form: rotated, eigh returns about +-1e-17 and
+    # an exact zero eigenvalue needs the diagonal form: rotated, eigh returns about +-1e-16 and
     # both passes sample the integrand where t is that small
     rng = np.random.default_rng(seed)
     y = random_psd_contraction(rng, n)
