@@ -359,7 +359,7 @@ def _dense_unitary_spectrum(m: np.ndarray) -> np.ndarray:
 
 
 class Unitary:
-    """Square matrix with ||U*U - I||_F within tolerance (default 1e-10).
+    """Square matrix with ||U*U - I||_F, its `defect`, within tolerance (default 1e-10).
 
     `spectrum`, its eigenvalues from `unitary_spectrum`, is cached, read-only
     and computed on first use; `eigenphases` and `determinant_ssf` both read it.
@@ -373,6 +373,7 @@ class Unitary:
             raise ValidationError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
         self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
+        self.defect = defect
 
     @cached_property
     def spectrum(self) -> np.ndarray:

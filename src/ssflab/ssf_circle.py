@@ -116,6 +116,9 @@ class SampledSSF:
     def __post_init__(self):
         if self.radius <= 1.0:
             raise ValidationError("sampling radius must exceed 1")
+        arrays = isinstance(self.thetas, np.ndarray) and isinstance(self.values, np.ndarray)
+        if not (arrays and self.thetas.ndim == 1 and self.thetas.shape == self.values.shape):
+            raise ValidationError("sampled thetas and values must be 1-D arrays of one length")
         if not np.isfinite(self.thetas).all():
             raise ValidationError("sampled thetas must be finite")
         if not np.isfinite(self.values).all():
@@ -191,11 +194,14 @@ def perturbation_determinant(t0, t1, zeta):
     """det(I + (T1 - T0)(T0 - zeta I)^(-1)) for |zeta| >= 1 + 1e-8, at one zeta or at each of a
     1-D array of them (an array of values then); NearSingular when any cond(T0 - zeta I) exceeds 1e12.
 
-    The solves and determinants run stacked, each member as its own call
-    would. ||T0||_2 is taken once, or read off a `Contraction` T0's `norm`
-    with no SVD: cond(T0 - zeta I) <= (||T0||_2 + |zeta|) /
+    The value is det(T1 - zeta I) / det(T0 - zeta I), from two stacked
+    `slogdet` calls (one LU each per zeta), each member as its own call
+    would take it. cond(T0 - zeta I) <= (||T0||_2 + |zeta|) /
     (|zeta| - ||T0||_2) when |zeta| > ||T0||_2, so a zeta with that bound at
-    most 5e11 needs no SVD of its own, and every other zeta takes the exact cond.
+    most 5e11 needs no SVD of its own, and every other zeta takes the exact
+    cond. Any upper bound on ||T0||_2 keeps the certificate: a `Contraction`
+    T0 gives its `norm`, a `Unitary` sqrt(1 + its `defect`), since
+    ||U*U||_2 <= 1 + ||U*U - I||_F; any other T0 takes one SVD.
     """
     m0, m1 = as_matrix(t0), as_matrix(t1)
     same_dimension(len(m0), len(m1))
@@ -204,16 +210,22 @@ def perturbation_determinant(t0, t1, zeta):
     near = radii < 1.0 + 1e-8
     if near.any():
         raise ValidationError(f"|zeta| = {radii[near][0]:.10f} too close to the unit circle")
-    eye = np.eye(m0.shape[0])
-    a = m0 - z.reshape(-1, 1, 1) * eye
-    norm = t0.norm if isinstance(t0, Contraction) else operator_norm(m0)
+    shift = z.reshape(-1, 1, 1) * np.eye(m0.shape[0])
+    a = m0 - shift
+    if isinstance(t0, Contraction):
+        norm = t0.norm
+    elif isinstance(t0, Unitary):
+        norm = np.sqrt(1.0 + t0.defect)
+    else:
+        norm = operator_norm(m0)
     with np.errstate(divide="ignore", invalid="ignore"):
         certified = (radii > norm) & ((norm + radii) / (radii - norm) <= 5e11)
     for k in np.flatnonzero(~certified):
         cond = float(np.linalg.cond(a[k]))
         if not np.isfinite(cond) or cond > 1e12:
             raise NearSingular(f"cond(T0 - zeta I) = {cond:.3e}")
-    det = np.linalg.det(eye + np.linalg.solve(a, m1 - m0))
+    (sign0, log0), (sign1, log1) = np.linalg.slogdet(a), np.linalg.slogdet(m1 - shift)
+    det = sign1 / sign0 * np.exp(log1 - log0)
     return det.reshape(z.shape) if z.ndim else complex(det[0])
 
 

@@ -92,6 +92,27 @@ def test_a_file_on_one_side_fails_the_comparison(report_diff, outputs):
     assert report_diff.main([str(parent), str(change)]) == 1
 
 
+def _sampled_report(path, values):
+    rows = [[theta, v] for theta, v in zip([1.5, 3.0, 4.5, 6.0], values)]
+    tables = {"sampled": {"type": "sampled", "rows": rows, "radius": 1.0001, "winding": 0, "calibration": -2.0}}
+    path.write_text(dump_json({"records": [], "tables": tables, "flags": {}, "timestamp": "1970-01-01T00:00:00+00:00"}))
+
+
+def test_every_moved_sampled_value_is_measured_and_keeps_the_exit_status(report_diff, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    _sampled_report(parent / "r.report.json", [0.25, -0.5, 0.75, -0.5])
+    # every value moves, no theta does
+    _sampled_report(change / "r.report.json", [0.25 + 1e-6, -0.5 - 3e-6, 0.75 + 2e-6, -0.5 + 1e-6])
+    (c,) = report_diff.diff_dirs(parent, change)[1].values()
+    assert c["tables_kept"] and c["breakpoint_shift"] == 0.0
+    assert c["sampled_change"] == pytest.approx(3e-6, rel=1e-6)
+    assert report_diff.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "breakpoint shift 0; sampled value change 3e-06;" in out
+    assert "largest sampled value change 3e-06;" in out
+
+
 # ---------------------------------------------------------------------------
 # flags
 

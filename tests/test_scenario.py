@@ -885,7 +885,7 @@ def test_every_generated_unitary_determinant_file_passes_its_lu_crosscheck(dim, 
     assert lu.passed and lu.residual <= 1e-10
 
 
-def test_a_unitary_determinant_run_reads_the_step_spectra_and_takes_one_probe_svd(monkeypatch):
+def test_a_unitary_determinant_run_reads_the_step_spectra_and_takes_no_svd(monkeypatch):
     sc = parse_scenario(generate_scenario("unitary_pair", 5, 32) | {"determinant": {}})
     calls = []
     for name in ("eigvals", "svd", "cond"):
@@ -893,8 +893,8 @@ def test_a_unitary_determinant_run_reads_the_step_spectra_and_takes_one_probe_sv
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, _n=name, **k: calls.append(_n) or _f(*a, **k))
     report = run_scenario(sc)
     assert report.all_pass
-    # no dense eigvals, and the norm of U0 certifies all eight LU probes
-    assert calls == ["svd"]
+    # no dense eigvals, and the norm bound from U0's validated defect certifies all eight LU probes
+    assert calls == []
     monkeypatch.undo()
     for lam, m in zip(report.tables["sampled"].eigenvalues, sc.matrices):
         assert lam.tobytes() == Unitary(m).spectrum.tobytes()

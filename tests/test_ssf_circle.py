@@ -308,10 +308,24 @@ def test_eight_probes_are_the_scalar_calls_bit_for_bit(n):
         stacked = perturbation_determinant(t0, t1, PROBES)
         assert stacked.shape == (8,)
         assert stacked.tobytes() == np.array([perturbation_determinant(t0, t1, z) for z in PROBES]).tobytes()
-        # and each is one LU solve and one LU determinant of its own
+        # and each is det(T1 - z) / det(T0 - z) from two slogdets of its own
         eye = np.eye(n)
-        alone = [np.linalg.det(eye + np.linalg.solve(t0.m - z * eye, t1.m - t0.m)) for z in PROBES]
+        alone = []
+        for z in PROBES:
+            (sign0, log0), (sign1, log1) = (np.linalg.slogdet(t.m - z * eye) for t in (t0, t1))
+            alone.append(sign1 / sign0 * np.exp(log1 - log0))
         assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+def test_a_diagonal_pair_at_dim_64_is_the_product_of_its_factor_ratios():
+    rng = np.random.default_rng(64)
+    t0, t1 = (np.sqrt(rng.uniform(0.0, 0.95, 64)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 64)) for _ in range(2))
+    got = perturbation_determinant(Contraction(np.diag(t0)), Contraction(np.diag(t1)), PROBES)
+    for z, d in zip(PROBES.tolist(), got.tolist()):
+        exact = 1.0 + 0.0j
+        for a, b in zip(t0.tolist(), t1.tolist()):
+            exact *= (b - z) / (a - z)
+        assert abs(d / exact - 1) <= 1e-13
 
 
 def test_one_near_singular_probe_fails_the_stack():
@@ -336,9 +350,9 @@ def test_the_norm_bound_spares_the_svd_of_every_probe_it_certifies(monkeypatch):
     rng = np.random.default_rng(17)
     u0, u1 = random_unitary(rng, 5), random_unitary(rng, 5)
     calls = _counting_svds(monkeypatch)
-    # ||U0|| = 1: the bound is about 2 / 1e-4 = 2e4 at every probe
+    # ||U0|| <= sqrt(1 + its defect), read off validation: the bound is about 2 / 1e-4 = 2e4 at every probe
     perturbation_determinant(u0, u1, PROBES)
-    assert calls == ["svd"]
+    assert calls == []
     # ||T0|| = 1.2 exceeds the four probes of modulus 1 + 1e-4, but not the four of modulus 3
     del calls[:]
     t0 = np.diag([1.2, 0.0, 0.3j, 0.0, 0.0])
@@ -414,6 +428,22 @@ def test_determinant_ssf_validates_inputs():
         determinant_ssf(t, t, grid=64)
     with pytest.raises(ValidationError):
         SampledSSF(radius=1.1, thetas=np.array([1.0]), values=np.array([np.inf]), winding=0)
+
+
+@pytest.mark.parametrize(
+    "thetas, values",
+    [
+        (np.linspace(0.1, 6, 8), np.zeros(9)),
+        (np.linspace(0.1, 6, 8), np.zeros(7)),
+        (np.linspace(0.1, 6, 8).reshape(2, 4), np.zeros((2, 4))),
+        (np.float64(1.0), np.float64(0.0)),
+        (list(np.linspace(0.1, 6, 8)), np.zeros(8)),
+    ],
+    ids=["values-longer", "values-shorter", "two-dimensional", "scalars", "thetas-a-list"],
+)
+def test_sampled_ssf_refuses_columns_that_are_not_one_length_1d_arrays(thetas, values):
+    with pytest.raises(ValidationError, match="1-D arrays of one length"):
+        SampledSSF(1.1, thetas, values, 0)
 
 
 def phase_diag(*phases):

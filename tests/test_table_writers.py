@@ -297,11 +297,32 @@ def written(report, tmp_path) -> str:
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(numbers, min_size=1, max_size=40), radius=st.floats(1.0, 2.0, exclude_min=True))
 def test_a_sampled_table_is_written_as_the_stdlib_writes_it(values, radius, tmp_path_factory):
-    thetas = np.linspace(0.0, TWO_PI, len(values) + 1)[1:]
     circle = StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.5)
-    tables = {"circle_step": circle, "sampled": SampledSSF(radius, thetas, np.array(values), 1)}
-    report = Report("t", "unitary_pair", (), {"grid": len(values)}, tables, {})
-    assert written(report, tmp_path_factory.mktemp("sampled")) == stdlib_report(report)
+    tmp_path = tmp_path_factory.mktemp("sampled")
+    # the first table lays its grid out, the second reuses that layout, and the
+    # third, on a grid of the same length with one theta moved, must not
+    for thetas, ys in sampled_grids(values):
+        tables = {"circle_step": circle, "sampled": SampledSSF(radius, thetas, ys, 1)}
+        report = Report("t", "unitary_pair", (), {"grid": len(values)}, tables, {})
+        assert written(report, tmp_path) == stdlib_report(report)
+
+
+def sampled_grids(values):
+    """(thetas, values) on a grid, again on that grid with other values, and on that grid with one theta moved."""
+    thetas, ys = np.linspace(0.0, TWO_PI, len(values) + 1)[1:], np.array(values)
+    moved = thetas.copy()
+    moved[len(moved) // 2] = np.nextafter(moved[len(moved) // 2], np.inf)
+    return (thetas, ys), (thetas, ys[::-1].copy()), (moved, ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(numbers, min_size=1, max_size=40))
+def test_a_sampled_csv_is_written_as_the_stdlib_writes_it(values, tmp_path_factory):
+    csv = tmp_path_factory.mktemp("sampled") / "t.csv"
+    for thetas, ys in sampled_grids(values):
+        write_ssf_csv(SampledSSF(1.5, thetas, ys, 0), csv)
+        rows = np.column_stack((thetas, ys))
+        assert csv.read_text() == "theta,xi\n" + ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 @settings(max_examples=60, deadline=None)

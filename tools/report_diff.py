@@ -15,6 +15,8 @@ byte. For each report that differs the script prints:
   radians: a line breakpoint t goes back to the phase theta = 2 atan2(1, -t)
   it came from, because t = -cot(theta/2) magnifies phase shifts near
   theta = 0 and 2 pi;
+- the largest absolute change of a sampled table's values, which the
+  breakpoint shift (its theta column) does not see;
 - the largest relative change of its float flags, nested ones included,
   with the path of that flag (such as `condition_report.norms[1]`), and
   whether every other flag (keys, strings, bools, ints, None) held. A
@@ -27,7 +29,8 @@ Other files that differ (CSV, SVG) are listed by name. The summary line
 names the flag path and the report of the largest float flag change. The exit code is 1
 when a record's pass/fail changed, a record or file is missing on one side,
 a table changed its rows, jumps or mass at infinity, or a flag other than
-a float changed; otherwise 0.
+a float changed; otherwise 0. A moved sampled value, like a moved float flag,
+does not set it.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ def _phase(x: float, table_type: str) -> float:
 
 
 def compare_tables(old: dict, new: dict) -> dict:
-    """Row counts, integer jumps and mass at infinity kept, and the largest breakpoint shift as a phase."""
-    out = {"tables_kept": sorted(old) == sorted(new), "breakpoint_shift": 0.0}
+    """Row counts, integer jumps and mass at infinity kept, the largest breakpoint shift as a phase,
+    and the largest absolute change of a sampled value."""
+    out = {"tables_kept": sorted(old) == sorted(new), "breakpoint_shift": 0.0, "sampled_change": 0.0}
     for name in set(old) & set(new):
         a, b = old[name], new[name]
         rows_a, rows_b = a["rows"], b["rows"]
@@ -109,6 +113,9 @@ def compare_tables(old: dict, new: dict) -> dict:
             for x, y in zip(row_a[:-1], row_b[:-1]):
                 x, y = _phase(_number(x), a["type"]), _phase(_number(y), a["type"])
                 out["breakpoint_shift"] = max(out["breakpoint_shift"], abs(x - y))
+        if a["type"] == "sampled":
+            values = ([row[-1] for row in rows] for rows in (rows_a, rows_b))
+            out["sampled_change"] = max(out["sampled_change"], _max_gap(*values))
     return out
 
 
@@ -205,9 +212,10 @@ def main(argv=None) -> int:
             f"flags {'kept' if c['flags_kept'] else 'CHANGED'}, "
             f"provenance {', '.join(c['provenance']) or 'kept'}; per tolerance: "
             f"lhs {c['lhs']:.3g}, rhs {c['rhs']:.3g}, residual {c['residual']:.3g}; "
-            f"breakpoint shift {c['breakpoint_shift']:.3g}; relative: flags {c['flags']:.3g}{_at(c['flag_path'])}"
+            f"breakpoint shift {c['breakpoint_shift']:.3g}; sampled value change {c['sampled_change']:.3g}; "
+            f"relative: flags {c['flags']:.3g}{_at(c['flag_path'])}"
         )
-    keys = ("lhs", "rhs", "residual", "breakpoint_shift", "flags")
+    keys = ("lhs", "rhs", "residual", "breakpoint_shift", "sampled_change", "flags")
     worst = {k: max((c[k] for c in reports.values()), default=0.0) for k in keys}
     flag_name, flag = max(reports.items(), key=lambda r: r[1]["flags"], default=("", {"flag_path": ""}))
     kept = ("records_kept", "pass_kept", "tables_kept", "flags_kept")
@@ -218,6 +226,7 @@ def main(argv=None) -> int:
         f"{len(lonely)} on one side only; {len(broken)} reports changed a record, pass/fail, table shape or flag. "
         f"Largest per tolerance: lhs {worst['lhs']:.3g}, rhs {worst['rhs']:.3g}, "
         f"residual (headroom shift) {worst['residual']:.3g}; largest breakpoint shift {worst['breakpoint_shift']:.3g}; "
+        f"largest sampled value change {worst['sampled_change']:.3g}; "
         f"largest relative float flag change {worst['flags']:.3g}{_at(flag['flag_path'], flag_name)}; "
         f"provenance keys changed: {', '.join(provenance) or 'none'}"
     )
