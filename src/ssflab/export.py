@@ -13,7 +13,7 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 from html import escape
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .linalg import TWO_PI
 from .ssf_circle import SampledSSF, StepSSF
 from .ssf_line import LineSSF
 
-_FMT = "%.17g"
+# a cell's format: 17 significant digits in a CSV, and in a report the repr
+# that json.dumps writes for a float
+_CELL = {"csv": "%.17g", "json": "%r"}
 _INDENT = "  "
 
 
@@ -95,45 +97,6 @@ def table_array(table) -> np.ndarray:
     return np.column_stack((bounds[:-1], bounds[1:], values))
 
 
-# Below this many values, finding the distinct ones costs more than it saves.
-# Timed on step tables (a few distinct levels, every bound repeated; Xeon VM,
-# CPython 3.11): the direct path is faster up to about 100 values, the
-# deduplicating one from about 130, for "%r" and "%.17g" alike.
-_FORMAT_ONCE_MIN = 128
-
-
-def _format_once(x: np.ndarray, fmt: str) -> list[str]:
-    """fmt % v for every v in x; from _FORMAT_ONCE_MIN values on, each distinct value is formatted once.
-
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
-    """
-    if len(x) < _FORMAT_ONCE_MIN:
-        return ((fmt + "\n") * len(x) % tuple(x.tolist())).split("\n")[:-1]
-    bits, where = np.unique(np.ascontiguousarray(x, dtype=float).view(np.uint64), return_inverse=True)
-    texts = ((fmt + "\n") * len(bits) % tuple(bits.view(float).tolist())).split("\n")
-    return np.array(texts, dtype=object)[where].tolist()
-
-
-def _step_texts(table, fmt: str) -> tuple[list[str], list[str], list[str]]:
-    """fmt % cell down a step table's start, end and value columns.
-
-    An interior bound ends one row and starts the next; it is formatted once.
-    """
-    bounds, values = _step_columns(table)
-    texts = _format_once(np.concatenate((bounds, values)), fmt)
-    rows = len(values)
-    return texts[:rows], texts[1 : rows + 1], texts[rows + 1 :]
-
-
-def _lines(template: str, *columns: list[str]) -> list[str]:
-    """template % row for each row of the text columns, without parsing the template once per row."""
-    consts = template.split("%s")
-    pieces = [repeat(consts[0])]
-    for column, const in zip(columns, consts[1:]):
-        pieces += [column, repeat(const)]
-    return list(map("".join, zip(*pieces)))
-
-
 def write_text(path, text: str) -> None:
     """Write text as ASCII; a character outside it (a plot title may hold any) becomes an XML character reference."""
     try:
@@ -143,35 +106,57 @@ def write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _layout(cells: list[str], rows: int, layout: str) -> str:
+    """The % template of a table body of `rows` rows with these cell formats: CSV lines (layout "csv"),
+    or a report's "rows" as json.dumps(indent=2) lays them out at a table's depth (layout "json")."""
+    if layout == "csv":
+        return (",".join(cells) + "\n") * rows
+    cell, row = "\n" + _INDENT * 5, "\n" + _INDENT * 4
+    one = "[" + cell + ("," + cell).join(cells) + row + "]"
+    return "[" + row + ("," + row).join([one] * rows) + "\n" + _INDENT * 3 + "]"
+
+
+def _texts(x: np.ndarray, fmt: str) -> list[str]:
+    """fmt % v for each v in x, in one % format."""
+    return ((fmt + "\n") * len(x) % tuple(x.tolist())).split("\n")[:-1]
+
+
 # The files of a batch often share a determinant grid, so a grid's sampled
 # text is laid out once and each later table on it only formats its values.
 # At the 65,536-point grid limit a template holds about 4.2 MB of text (report)
 # or 1.6 MB (CSV), and its key 0.5 MB, so four entries stay under 20 MB.
 @lru_cache(maxsize=4)
 def _sampled_template(theta_bits: bytes, layout: str) -> str:
-    """The report's "rows" (layout "json", thetas as repr writes them) or the CSV body ("csv", as %.17g
-    writes them) of a sampled table on the grid with these exact theta bits, one slot per value."""
+    """The _table_text template of a sampled table on the grid with these exact theta bits: the thetas
+    written in, one slot per value."""
     thetas = tuple(np.frombuffer(theta_bits).tolist())
     # one % format writes each theta and turns each value's %% slot into a plain one
-    if layout == "csv":
-        return f"{_FMT},%{_FMT}\n" * len(thetas) % thetas
-    return _json_rows([_json_row(2, 3) % ("%r", "%%s")] * len(thetas), 3) % thetas
+    return _layout([_CELL[layout], "%" + _CELL[layout]], len(thetas), layout) % thetas
 
 
-def _sampled_text(table, layout: str) -> str:
-    """A sampled table's report rows or CSV body: its grid's template filled with its values."""
-    bits = np.ascontiguousarray(table.thetas, dtype=float).tobytes()
-    return _sampled_template(bits, layout) % tuple(np.asarray(table.values, dtype=float).tolist())
+def _table_text(table, layout: str) -> str:
+    """A table's CSV body (layout "csv") or its report "rows" (layout "json"), from one % template."""
+    if table_kind(table) == "sampled":
+        bits = np.ascontiguousarray(table.thetas, dtype=float).tobytes()
+        return _sampled_template(bits, layout) % tuple(np.asarray(table.values, dtype=float).tolist())
+    bounds, values = _step_columns(table)
+    # an interior bound ends one row and starts the next; the bounds strictly
+    # increase, so each is formatted once, and each distinct level (told apart
+    # by its bits, so 0.0 and -0.0 keep their own text) is formatted once
+    ends = _texts(bounds, _CELL[layout])
+    if layout == "json" and isinstance(table, LineSSF):
+        ends[0], ends[-1] = '"-inf"', '"inf"'
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on its first call (about 10 ms)
+    distinct = np.sort(bits)
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    levels = _texts(distinct.view(float), _CELL[layout])
+    cells = chain.from_iterable(zip(ends, ends[1:], map(levels.__getitem__, np.searchsorted(distinct, bits).tolist())))
+    return _layout(["%s"] * 3, len(values), layout) % tuple(cells)
 
 
 def write_ssf_csv(table, path) -> None:
-    kind = table_kind(table)
-    if kind == "sampled":
-        body = _sampled_text(table, "csv")
-    else:
-        body = "".join(_lines("%s,%s,%s\n", *_step_texts(table, _FMT)))
-    text = _HEADERS[kind] + "\n" + body
-    write_text(path, text)
+    write_text(path, _HEADERS[table_kind(table)] + "\n" + _table_text(table, "csv"))
 
 
 def read_ssf_csv(path) -> tuple[str, list[tuple]]:
@@ -267,64 +252,23 @@ def dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# json.dumps(indent=2) runs CPython's pure-Python encoder (the C encoder only
-# serves indent=None); it lays out every report, but the table rows are
-# rendered beforehand in one % format each.
-
-
-def _json_row(width: int, level: int) -> str:
-    """The %s template of one row of `width` cells in a list at `level`, laid out as json.dumps(indent=2)."""
-    inner = "\n" + _INDENT * (level + 2)
-    return "[" + inner + ("," + inner).join(["%s"] * width) + "\n" + _INDENT * (level + 1) + "]"
-
-
-def _json_rows(rows: list[str], level: int) -> str:
-    """A list at `level` of rows already laid out."""
-    outer = "\n" + _INDENT * (level + 1)
-    return "[" + outer + ("," + outer).join(rows) + "\n" + _INDENT * level + "]"
-
-
-def _dumps_filled(doc, at: str, arrays: dict):
-    """dump_json(doc), each placeholder key of arrays found once right after `at` replaced by its text; else None."""
-    text = dump_json(doc)
-    for mark, array in arrays.items():
-        spot = at + json.dumps(mark)
-        if text.count(spot) != 1:
-            return None
-        text = text.replace(spot, at + array)
-    return text
-
-
-def _rows_text(table):
-    """A table's "rows" as a report lays them out, or None when a cell is not finite (but a line table's ends)."""
-    if table_kind(table) == "sampled":
-        if not len(table.thetas) or not (np.isfinite(table.thetas).all() and np.isfinite(table.values).all()):
-            return None
-        return _sampled_text(table, "json")
-    starts, ends, values = _step_texts(table, "%r")
-    if isinstance(table, LineSSF):
-        # the outer endpoints: the first row's start and the last row's end
-        starts[0], ends[-1] = '"-inf"', '"inf"'
-    if not {"nan", "inf", "-inf"}.isdisjoint(chain(starts, ends, values)):
-        return None
-    return _json_rows(_lines(_json_row(3, 3), starts, ends, values), 3)
-
-
 def write_report_json(report, path, timestamp: str) -> None:
     """Write the report as dump_json(report_to_dict(report, timestamp)) writes it.
 
-    A table with a non-finite cell sends the whole report to json.dumps,
-    which spells that cell or raises its error.
+    json.dumps(indent=2) runs CPython's pure-Python encoder, so the table rows
+    are laid out by _table_text instead. The report is dumped first, with a
+    placeholder for each table's rows: json.dumps meets every other value,
+    and raises its errors, before any row is made. The placeholders are
+    filled only past the top-level "tables" key, where nothing but the
+    tables can hold one.
     """
     doc = report_to_dict(replace(report, tables={}), timestamp)
-    rows = {}
     for i, (name, table) in enumerate(report.tables.items()):
         doc["tables"][name] = _table_doc(table, f"\0rows {i}")
-        rows[f"\0rows {i}"] = _rows_text(table)
-    text = None if None in rows.values() else _dumps_filled(doc, '\n      "rows": ', rows)
-    if text is None:
-        text = dump_json(report_to_dict(report, timestamp))
-    write_text(path, text)
+    head, at, tables = dump_json(doc).partition('\n  "tables": ')
+    for i, table in enumerate(report.tables.values()):
+        tables = tables.replace('"rows": ' + json.dumps(f"\0rows {i}"), '"rows": ' + _table_text(table, "json"))
+    write_text(path, head + at + tables)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,8 @@ class SampledSSF:
         arrays = isinstance(self.thetas, np.ndarray) and isinstance(self.values, np.ndarray)
         if not (arrays and self.thetas.ndim == 1 and self.thetas.shape == self.values.shape):
             raise ValidationError("sampled thetas and values must be 1-D arrays of one length")
+        if not len(self.thetas):
+            raise ValidationError("a sampled SSF needs at least one sample")
         if not np.isfinite(self.thetas).all():
             raise ValidationError("sampled thetas must be finite")
         if not np.isfinite(self.values).all():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssflab import fractional
 from ssflab.errors import (
     IndefiniteInput,
     InvalidExponent,
     KernelViolation,
+    QuadratureDivergence,
     ValidationError,
 )
 from ssflab.fractional import (
@@ -23,7 +25,7 @@ from ssflab.fractional import (
     resolvent_difference_identity_check,
 )
 from ssflab.linalg import operator_norm
-from ssflab.scenario import generate_scenario, parse_scenario
+from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
 from ssflab.schrodinger import make_grid
 
 
@@ -246,6 +248,50 @@ def test_quadrature_memory_on_a_dim64_job_stays_under_4_mib():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def coarse_pass_moved(monkeypatch, job, nodes, drift) -> np.ndarray:
+    """Make the coarse pass the fine one moved by drift * (1 + |fine|) in Frobenius norm; return the fine pass."""
+    fine = _fractional_diff_pass(job, 2 * nodes)
+    n = fine.shape[0]
+    coarse = fine + drift * (1.0 + np.linalg.norm(fine)) * np.eye(n) / np.sqrt(n)
+    monkeypatch.setattr(fractional, "_fractional_diff_pass", lambda job, k: coarse if k == nodes else fine)
+    return fine
+
+
+def quadrature_job(smallest: float) -> FractionalJob:
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    x = (q * np.array([smallest, 0.3, 0.6, 0.9])) @ q.conj().T
+    return FractionalJob(x=x, y=random_psd_contraction(rng, 4), sigma=0.4, alpha=0.8, beta=0.1)
+
+
+@pytest.mark.parametrize("smallest, tolerance", [(0.05, 1e-8), (1e-4, 1e-4)], ids=["well-conditioned", "ill-conditioned"])
+def test_node_doubling_that_moves_the_result_past_its_tolerance_raises(monkeypatch, smallest, tolerance):
+    job = quadrature_job(smallest)
+    assert job.ill_conditioned == (tolerance == 1e-4)
+    fine = coarse_pass_moved(monkeypatch, job, 200, 0.5 * tolerance)
+    assert fractional_diff_quadrature(job) is fine
+    coarse_pass_moved(monkeypatch, job, 200, 2.0 * tolerance)
+    with pytest.raises(QuadratureDivergence, match=f"tolerance {tolerance:.1e}"):
+        fractional_diff_quadrature(job)
+
+
+def test_an_ill_conditioned_job_takes_a_drift_the_well_conditioned_tolerance_refuses(monkeypatch):
+    job = quadrature_job(1e-4)
+    fine = coarse_pass_moved(monkeypatch, job, 200, 1e3 * 1e-8)
+    assert fractional_diff_quadrature(job) is fine
+
+
+def test_a_diverging_quadrature_fails_the_run_as_a_numeric_error(monkeypatch):
+    # each pass moved by 1 / nodes in every entry: node doubling no longer settles
+    exact = fractional._fractional_diff_pass
+    monkeypatch.setattr(fractional, "_fractional_diff_pass", lambda job, k: exact(job, k) + 1.0 / k)
+    report = run_scenario(parse_scenario(generate_scenario("fractional", 1, 3)))
+    assert not report.all_pass
+    last = report.records[-1]
+    assert (last.check_id, last.passed) == ("numeric-completion", False)
+    assert report.flags["numeric_error"].startswith("QuadratureDivergence: node doubling moved the result by ")
 
 
 # ---------------------------------------------------------------------------

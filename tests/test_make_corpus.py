@@ -103,3 +103,19 @@ def test_the_pole_file_takes_a_second_cayley_try(make_corpus, monkeypatch):
 def test_usage_without_an_output_directory_exits_two(make_corpus, capsys):
     assert make_corpus.main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_writes_nothing(make_corpus, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert make_corpus.main([flag]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [["--out"], ["-"], ["-x", "corpus"], ["corpus", "more"]])
+def test_an_option_or_a_second_argument_exits_two_and_writes_nothing(make_corpus, args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert make_corpus.main(args) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert not any(tmp_path.iterdir())

@@ -446,6 +446,12 @@ def test_sampled_ssf_refuses_columns_that_are_not_one_length_1d_arrays(thetas, v
         SampledSSF(1.1, thetas, values, 0)
 
 
+def test_sampled_ssf_refuses_a_grid_with_no_samples():
+    # its trace integral would be the mean of nothing, and its report rows an empty list
+    with pytest.raises(ValidationError, match="at least one sample"):
+        SampledSSF(1.5, np.zeros(0), np.zeros(0), 0)
+
+
 def phase_diag(*phases):
     return np.diag(np.exp(1j * np.array(phases)))
 

@@ -36,7 +36,7 @@ from ssflab.export import (
 )
 from ssflab.errors import ValidationError
 from ssflab.linalg import TWO_PI
-from ssflab.scenario import CheckRecord, Report
+from ssflab.scenario import KINDS, CheckRecord, Report, generate_scenario, parse_scenario, run_scenario
 from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import pushforward_line
 
@@ -221,12 +221,10 @@ def assert_writers_match(table, tmp_path):
     assert render_ssf_svg(*read_ssf_csv(csv)) == render_per_cell(*read_ssf_csv(csv))
 
 
-@pytest.mark.parametrize("dedup_from", [0, export._FORMAT_ONCE_MIN], ids=["every-table-deduplicated", "short-tables-direct"])
 @settings(max_examples=150, deadline=None)
 @given(table=tables)
-def test_step_writers_write_the_per_cell_bytes(dedup_from, table, tmp_path_factory):
-    with patch.object(export, "_FORMAT_ONCE_MIN", dedup_from):
-        assert_writers_match(table, tmp_path_factory.mktemp("writers"))
+def test_step_writers_write_the_per_cell_bytes(table, tmp_path_factory):
+    assert_writers_match(table, tmp_path_factory.mktemp("writers"))
 
 
 @pytest.mark.parametrize(
@@ -246,16 +244,13 @@ def test_step_writers_write_the_per_cell_bytes(dedup_from, table, tmp_path_facto
     ids=["flat-circle", "subnormal-gauge", "jump-at-2pi", "no-jump-at-2pi", "flat-line", "mass-at-infinity",
          "repr-switch"],
 )
-@pytest.mark.parametrize("dedup_from", [0, export._FORMAT_ONCE_MIN], ids=["deduplicated", "direct"])
-def test_step_writers_on_edge_tables(table, dedup_from, tmp_path):
-    with patch.object(export, "_FORMAT_ONCE_MIN", dedup_from):
-        assert_writers_match(table, tmp_path)
+def test_step_writers_on_edge_tables(table, tmp_path):
+    assert_writers_match(table, tmp_path)
 
 
 def test_long_tables_take_the_deduplicating_path_and_write_the_per_cell_bytes(tmp_path):
     thetas = TWO_PI * np.arange(1, 151) / 151
     table = StepSSF(jumps=tuple(zip(thetas, [1, -1] * 75)), gauge=-0.0)
-    assert 2 * len(thetas) > export._FORMAT_ONCE_MIN
     assert_writers_match(table, tmp_path)
     assert_writers_match(pushforward_line(table), tmp_path)
 
@@ -335,13 +330,11 @@ def test_a_sampled_plot_is_one_polyline_point_per_sample(values):
     assert svg.count("<polyline") == 1 and len(polyline_points(svg)) == len(values)
 
 
-def test_a_placeholder_text_in_the_flags_falls_back_to_the_stdlib(tmp_path):
+def test_a_placeholder_text_in_the_flags_is_left_alone(tmp_path):
     table = StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.5)
-    # a flag laid out like a table's rows: the placeholder is found twice
+    # a flag laid out like a table's rows: only the placeholder past "tables" is filled
     report = Report("t", "unitary_pair", (), {"x": {"rows": "\0rows 0"}}, {"circle_step": table}, {})
-    with patch.object(export, "table_to_dict", wraps=export.table_to_dict) as per_cell:
-        assert written(report, tmp_path) == stdlib_report(report)
-    assert per_cell.call_count == 2
+    assert written(report, tmp_path) == stdlib_report(report)
 
 
 def test_the_first_error_the_stdlib_meets_is_raised(tmp_path):
@@ -385,3 +378,33 @@ def test_the_report_writer_builds_no_per_cell_rows(tmp_path):
     expected = stdlib_report(report)
     with patch.object(export, "table_to_dict", side_effect=AssertionError("table_to_dict called")):
         assert written(report, tmp_path) == expected
+
+
+def flag_keys(value) -> set:
+    """Every key of a nested flag dict, and "complex" where a complex number sits."""
+    if isinstance(value, dict):
+        return set(value).union(*map(flag_keys, value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(flag_keys, value))
+    return {"complex"} if isinstance(value, (complex, np.complexfloating)) else set()
+
+
+REAL_FILES = [generate_scenario(kind, 1, dim) for kind in KINDS for dim in (1, 2, 3, 4)]
+REAL_FILES += [generate_scenario(kind, 1, dim) | {"determinant": {}} for kind in ("unitary_pair", "contraction_pair")
+               for dim in (1, 2, 3, 4)]
+
+
+@pytest.fixture(scope="module")
+def real_reports():
+    return [run_scenario(parse_scenario(payload)) for payload in REAL_FILES]
+
+
+def test_real_reports_carry_nested_and_complex_flags(real_reports):
+    keys = set().union(*(flag_keys(r.flags) for r in real_reports))
+    assert {"condition_report", "monotone", "truncation_estimate", "windowed", "complex"} <= keys
+    assert {table_kind(t) for r in real_reports for t in r.tables.values()} == {"circle_step", "line_step", "sampled"}
+
+
+def test_real_reports_are_written_as_the_stdlib_writes_them(real_reports, tmp_path):
+    for report in real_reports:
+        assert written(report, tmp_path) == stdlib_report(report), report.scenario

@@ -169,10 +169,17 @@ def corpus() -> list[dict]:
     return files + _edge_files()
 
 
+USAGE = "usage: python3 tools/make_corpus.py OUT_DIR"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 tools/make_corpus.py OUT_DIR", file=sys.stderr)
+    if "-h" in args or "--help" in args:
+        print(USAGE)
+        return 0
+    # an option is never taken for the output directory
+    if len(args) != 1 or args[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
         return 2
     out = Path(args[0])
     out.mkdir(parents=True, exist_ok=True)
