@@ -134,6 +134,12 @@ def _sampled_template(theta_bits: bytes, layout: str) -> str:
     return _layout([_CELL[layout], "%" + _CELL[layout]], len(thetas), layout) % thetas
 
 
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The distinct values of bits, sorted; by hand, as np.unique imports numpy.ma on its first call (about 10 ms)."""
+    bits = np.sort(bits)
+    return bits[np.append(True, bits[1:] != bits[:-1])]
+
+
 def _table_text(table, layout: str) -> str:
     """A table's CSV body (layout "csv") or its report "rows" (layout "json"), from one % template."""
     if table_kind(table) == "sampled":
@@ -147,9 +153,7 @@ def _table_text(table, layout: str) -> str:
     if layout == "json" and isinstance(table, LineSSF):
         ends[0], ends[-1] = '"-inf"', '"inf"'
     bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-    # sorted and deduplicated by hand: np.unique imports numpy.ma on its first call (about 10 ms)
-    distinct = np.sort(bits)
-    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    distinct = _distinct(bits)
     levels = _texts(distinct.view(float), _CELL[layout])
     cells = chain.from_iterable(zip(ends, ends[1:], map(levels.__getitem__, np.searchsorted(distinct, bits).tolist())))
     return _layout(["%s"] * 3, len(values), layout) % tuple(cells)

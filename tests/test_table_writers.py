@@ -9,6 +9,7 @@ sample, or a step row's start and end at its value.
 
 import json
 import math
+from contextlib import nullcontext
 from html import escape
 from unittest.mock import patch
 
@@ -221,10 +222,19 @@ def assert_writers_match(table, tmp_path):
     assert render_ssf_svg(*read_ssf_csv(csv)) == render_per_cell(*read_ssf_csv(csv))
 
 
+def level_texts(deduplicated: bool):
+    """The writers as they run, or with every row's level formatted on its own (the sort kept, the dedupe
+    dropped): both must write the per-cell bytes, so the dedupe's row-to-text mapping changes no byte."""
+    return nullcontext() if deduplicated else patch.object(export, "_distinct", np.sort)
+
+
+# "direct": every row's level formatted on its own, as the per-cell writers formatted it
+@pytest.mark.parametrize("deduplicated", [True, False], ids=["every-table-deduplicated", "short-tables-direct"])
 @settings(max_examples=150, deadline=None)
 @given(table=tables)
-def test_step_writers_write_the_per_cell_bytes(table, tmp_path_factory):
-    assert_writers_match(table, tmp_path_factory.mktemp("writers"))
+def test_step_writers_write_the_per_cell_bytes(deduplicated, table, tmp_path_factory):
+    with level_texts(deduplicated):
+        assert_writers_match(table, tmp_path_factory.mktemp("writers"))
 
 
 @pytest.mark.parametrize(
@@ -244,8 +254,10 @@ def test_step_writers_write_the_per_cell_bytes(table, tmp_path_factory):
     ids=["flat-circle", "subnormal-gauge", "jump-at-2pi", "no-jump-at-2pi", "flat-line", "mass-at-infinity",
          "repr-switch"],
 )
-def test_step_writers_on_edge_tables(table, tmp_path):
-    assert_writers_match(table, tmp_path)
+@pytest.mark.parametrize("deduplicated", [True, False], ids=["deduplicated", "direct"])
+def test_step_writers_on_edge_tables(table, deduplicated, tmp_path):
+    with level_texts(deduplicated):
+        assert_writers_match(table, tmp_path)
 
 
 def test_long_tables_take_the_deduplicating_path_and_write_the_per_cell_bytes(tmp_path):
