@@ -4,9 +4,10 @@ A scenario is a small JSON object naming a pair (or a potential) and the
 checks to run on it. Parsing is strict: unknown keys, inadmissible exponents,
 malformed matrices or a tolerance that names no check of the file raise
 SchemaError before any numerics start. Parsing fixes each check's anchor and
-tolerance from ANCHOR_CHECKS, and the block count of a contraction pair
-from its _KINDS record; execution sizes a line kind's block count from the
-dilation's truncation error and turns each check into a CheckRecord.
+tolerance from ANCHOR_CHECKS, the block count of a contraction pair from
+its _KINDS record, and a potential kind's grid and potential values on it;
+execution sizes a line kind's block count from the dilation's truncation
+error and turns each check into a CheckRecord.
 
 Complex JSON entries are [re, im] pairs. An explicit matrix is a row-major
 nested list of such entries (or of reals), or an object {"shape": [n, n],
@@ -42,6 +43,7 @@ from .linalg import (
     Contraction,
     Dissipative,
     Unitary,
+    _frozen,
     analytic_poly_eval,
     check_exponents,
     hermitize,
@@ -49,6 +51,7 @@ from .linalg import (
     polar_factors,
 )
 from .schrodinger import (
+    Grid1D,
     discrete_schrodinger_pair,
     full_kernel,
     kernel_trace_report,
@@ -304,9 +307,10 @@ def _parse_matrices(data: dict, kind: str) -> tuple[np.ndarray, np.ndarray]:
 _SHAPE_KEYS = {"gaussian": ("center", "width"), "bump": ("center", "half_width", "taper")}
 
 
-def _parse_potential(raw, where: str = "potential") -> dict:
+def _parse_potential(raw, grid: Grid1D, where: str = "potential") -> np.ndarray:
+    """The potential's values on the grid's points, as a read-only complex128 array."""
     if raw is None:
-        return {"kind": "gaussian"}
+        raw = {"kind": "gaussian"}
     if not isinstance(raw, dict):
         _fail(where, "expected a descriptor object")
     desc = dict(raw)
@@ -329,35 +333,23 @@ def _parse_potential(raw, where: str = "potential") -> dict:
     else:
         _fail(where, f"unknown potential kind {kind!r}")
     try:
-        potential_values(desc, np.linspace(-1.0, 1.0, 5))
+        return _frozen(np.asarray(potential_values(desc, grid.points), dtype=np.complex128))
     except ValueError as exc:
         _fail(where, str(exc))
-    return desc
 
 
-def _parse_grid(raw, defaults: dict) -> dict:
-    """The grid over the kind's defaults; a default scheme makes it a quadrature grid."""
-    out = dict(defaults)
-    if raw is None:
-        return out
-    if not isinstance(raw, dict):
+def _parse_grid(raw, defaults: dict) -> Grid1D:
+    """make_grid's grid over the kind's defaults: of the scheme they or the file name, else trapezoid."""
+    if not isinstance(raw, (dict, type(None))):
         _fail("grid", "expected an object")
-    _check_keys(raw, set(defaults), "grid")
-    if "lo" in raw:
-        out["lo"] = _float_entry(raw["lo"], "grid.lo")
-    if "hi" in raw:
-        out["hi"] = _float_entry(raw["hi"], "grid.hi")
-    if out["hi"] <= out["lo"]:
-        _fail("grid", "hi must exceed lo")
-    if "nodes" in raw:
-        out["nodes"] = _int_entry(raw["nodes"], "grid.nodes", 2, 4096)
-    if "scheme" in raw:
-        if raw["scheme"] not in ("gauss", "trapezoid"):
-            _fail("grid.scheme", "must be 'gauss' or 'trapezoid'")
-        out["scheme"] = raw["scheme"]
-    if out.get("scheme") == "gauss" and (out["nodes"] % 16 or out["nodes"] < 16):
-        _fail("grid.nodes", "gauss grids need a positive multiple of 16 nodes")
-    return out
+    out = {**defaults, **(raw or {})}
+    _check_keys(out, set(defaults), "grid")
+    lo, hi = (_float_entry(out[key], f"grid.{key}") for key in ("lo", "hi"))
+    nodes = _int_entry(out["nodes"], "grid.nodes", 2, 4096)
+    try:
+        return make_grid(lo, hi, nodes, scheme=out.get("scheme", "trapezoid"))
+    except ValidationError as exc:
+        _fail("grid", str(exc))
 
 
 def _parse_exponents(raw, defaults: dict) -> dict:
@@ -456,8 +448,8 @@ class Scenario:
     z_values: tuple[complex, ...]
     exponents: dict
     quadrature_nodes: int
-    grid: Optional[dict]
-    potential: Optional[dict]
+    grid: Optional[Grid1D]
+    potential: Optional[np.ndarray]  # the potential's values on grid.points
     spectral_point: float
     monotone: Optional[dict]
     checks: dict  # check id -> (anchor, tolerance) of every check the file makes, in record order
@@ -508,6 +500,7 @@ def parse_scenario(data: Any) -> Scenario:
             _fail("spectral_point", "must be strictly negative (below the branch cut)")
 
     determinant = _parse_determinant(data.get("determinant"))
+    grid = None if spec.grid is None else _parse_grid(data.get("grid"), spec.grid)
     z_values = _parse_z_values(data.get("z_values"))
     monotone = _parse_monotone(data.get("monotone"))
     # the records of each check id: one per index of a family, none of an optional check not asked for
@@ -546,8 +539,8 @@ def parse_scenario(data: Any) -> Scenario:
         z_values=z_values,
         exponents=_parse_exponents(data.get("exponents"), spec.exponents),
         quadrature_nodes=_int_entry(data.get("quadrature_nodes", 200), "quadrature_nodes", 32, 2000),
-        grid=None if spec.grid is None else _parse_grid(data.get("grid"), spec.grid),
-        potential=None if spec.grid is None else _parse_potential(data.get("potential")),
+        grid=grid,
+        potential=None if grid is None else _parse_potential(data.get("potential"), grid),
         spectral_point=spectral_point,
         monotone=monotone,
         checks=checks,
@@ -825,20 +818,17 @@ def _run_fractional(sc: Scenario, record: Callable) -> tuple[dict, dict]:
 
 
 def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
-    g = sc.grid
-    x = np.linspace(g["lo"], g["hi"], g["nodes"])
-    q = np.asarray(potential_values(sc.potential, x), dtype=np.complex128)
-    l0, l1 = discrete_schrodinger_pair(q, float(x[1] - x[0]))
+    x = sc.grid.points
+    l0, l1 = discrete_schrodinger_pair(sc.potential, float(x[1] - x[0]))
     record("lattice-dissipativity", l0.imag_min, 1.0, residual=max(0.0, 1.0 - l0.imag_min))
     flags, tables = _line_pair_checks(sc, record, l0, l1)
     del flags["left_tail"], flags["right_tail"]
-    flags["nodes"] = g["nodes"]
+    flags["nodes"] = sc.grid.n
     return flags, tables
 
 
 def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
-    g = sc.grid
-    grid = make_grid(g["lo"], g["hi"], g["nodes"], scheme=g["scheme"])
+    grid = sc.grid
     full = full_kernel(sc.potential, grid, sc.spectral_point)
     rep = kernel_trace_report(sc.potential, grid, z=sc.spectral_point, full=full)
     record("kernel-trace-identity", rep.trace, rep.trace_norm)
@@ -957,10 +947,11 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     Data problems that surface during execution (a matrix failing its class
     validation, an inadmissible potential) are reported as SchemaError: the
     file was wrong, not the numerics. Numeric check failures never raise;
-    they become failing records. A numeric exception (an ArithmeticError, or
-    a MemoryError at a size the schema admits) ends the run with the records
-    made so far plus a failing numeric-completion record, with the error text
-    in the flags; a flag that is not finite adds that record after the others.
+    they become failing records. A numeric exception (an ArithmeticError, a
+    LinAlgError from LAPACK, or a MemoryError at a size the schema admits)
+    ends the run with the records made so far plus a failing
+    numeric-completion record, with the error text in the flags; a flag that
+    is not finite adds that record after the others.
     """
     if not isinstance(tolerance_scale, (int, float)) or not 0 < tolerance_scale < math.inf:
         raise SchemaError("tolerance_scale must be a positive finite number")
@@ -971,7 +962,7 @@ def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
             flags["numeric_error"] = f"not finite: {bad}"
     except SchemaError:
         raise
-    except (ArithmeticError, MemoryError) as exc:
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         flags, tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
     except ValueError as exc:
         raise SchemaError(f"scenario {sc.name!r}: {exc}") from exc

@@ -114,8 +114,8 @@ class SampledSSF:
     eigenvalues: tuple[np.ndarray, np.ndarray] = (np.zeros(0), np.zeros(0))
 
     def __post_init__(self):
-        if self.radius <= 1.0:
-            raise ValidationError("sampling radius must exceed 1")
+        if not (np.isfinite(self.radius) and self.radius > 1.0):
+            raise ValidationError("sampling radius must be finite and exceed 1")
         arrays = isinstance(self.thetas, np.ndarray) and isinstance(self.values, np.ndarray)
         if not (arrays and self.thetas.ndim == 1 and self.thetas.shape == self.values.shape):
             raise ValidationError("sampled thetas and values must be 1-D arrays of one length")
@@ -297,14 +297,16 @@ def determinant_ssf(t0, t1, radius: float = 1.0 + 1e-4, grid: int = 4096) -> Sam
 
 
 def sampled_trace_integral(ssf: SampledSSF, coeffs: Sequence[complex]) -> complex:
-    """Trapezoid trace integral of an analytic polynomial against sampled values.
+    """Trapezoid trace integral of an analytic polynomial p against sampled values.
 
-    The grid is uniform and periodic, so the trapezoid rule is the plain
-    average times 2pi.
+    The integrand p'(z) xi(z) i z is taken at the samples' points z on |z| =
+    radius, and the uniform periodic grid makes the trapezoid rule the plain
+    average times 2pi. A contraction pair's integral is tr(p(T1) - p(T0)) to
+    roundoff. A unitary pair's eigenvalues lie radius - 1 inside the circle,
+    so its integral aliases: up to about 2e-3 deg radius^deg at 4096 points.
     """
-    dcoeffs = poly_derivative(coeffs)
-    boundary = np.exp(1j * ssf.thetas)
-    integrand = poly_scalar(dcoeffs, boundary) * ssf.values * 1j * boundary
+    z = ssf.radius * np.exp(1j * ssf.thetas)
+    integrand = poly_scalar(poly_derivative(coeffs), z) * ssf.values * 1j * z
     return complex(np.mean(integrand) * TWO_PI)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ssflab.dilation import finite_schaffer_dilation, shifted_inverse_excess
 from ssflab.linalg import Contraction, Dissipative
 from ssflab.scenario import LINE_BLOCKS, TRUNCATION_MARGIN, generate_scenario, parse_scenario, run_scenario
-from ssflab.schrodinger import discrete_schrodinger_pair, potential_values
+from ssflab.schrodinger import discrete_schrodinger_pair
 from ssflab.ssf_line import (
     dissipative_ssf,
     resolvent_trace_difference,
@@ -37,9 +37,8 @@ def line_pair(sc):
     """The pair (L0, L1) a line scenario's run checks."""
     if sc.kind == "dissipative_pair":
         return tuple(Dissipative(m) for m in sc.matrices)
-    g = sc.grid
-    x = np.linspace(g["lo"], g["hi"], g["nodes"])
-    return discrete_schrodinger_pair(np.asarray(potential_values(sc.potential, x), dtype=np.complex128), x[1] - x[0])
+    x = sc.grid.points
+    return discrete_schrodinger_pair(sc.potential, x[1] - x[0])
 
 
 def truncation_errors(sc):

@@ -148,6 +148,26 @@ def test_lapack_failure_at_the_lattice_floor_exits_one_with_a_failing_record(tmp
     assert report["flags"]["numeric_error"].startswith("EigenFailure: ")
 
 
+@pytest.mark.parametrize("kind, routine", [("contraction_pair", "svd"), ("dissipative_pair", "inv")])
+def test_a_lapack_failure_outside_the_eigensolvers_exits_one_with_a_failing_record(
+    tmp_path, monkeypatch, capsys, kind, routine
+):
+    # np.linalg.LinAlgError is a ValueError, but a failed SVD or inverse is a
+    # numeric failure, not a bad file
+    payload = scenario.generate_scenario(kind, 1, 3)
+    f = write_json(tmp_path / "lapack.json", payload)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 1
+    assert f"{payload['name']}: FAIL" in capsys.readouterr().out
+    report = json.loads((tmp_path / f"{payload['name']}.report.json").read_text())
+    assert report["records"][-1]["check_id"] == "numeric-completion"
+    assert report["flags"]["numeric_error"] == f"LinAlgError: {routine} did not converge"
+
+
 def test_a_memory_error_fails_only_its_file(tmp_path, monkeypatch, capsys):
     # the second of three files runs out of memory in its SSF; nothing is allocated
     files = [write_json(tmp_path / f"{name}.json", hand_pair_payload(name)) for name in ("first", "second", "third")]

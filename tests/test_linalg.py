@@ -321,13 +321,16 @@ def test_eigenphases_with_an_eigenvalue_at_the_rotation_angle(seed, others, copi
     _assert_matches_oracle(_planted(seed, [_PHI] * copies + others))
 
 
-def _counting_inverse(u, fail_first=False):
-    """shifted_inverse of a dense u that counts its calls and can raise on the first."""
+def _counting_inverse(u, fail_first=False, nan=False):
+    """shifted_inverse of a dense u that counts its calls and can raise on the first, or put a NaN in each inverse."""
     def shifted_inverse(alpha):
         shifted_inverse.calls += 1
         if fail_first and shifted_inverse.calls == 1:
             raise np.linalg.LinAlgError("Singular matrix")
-        return np.linalg.inv(np.eye(len(u)) + alpha * u)
+        out = np.linalg.inv(np.eye(len(u)) + alpha * u)
+        if nan:
+            out[-1, 0] = np.nan
+        return out
 
     shifted_inverse.calls = 0
     return shifted_inverse
@@ -358,6 +361,16 @@ def test_unitary_spectrum_reads_the_dense_matrix_when_the_shift_is_singular():
     want = _oracle(u)
     assert [k for _, k in got] == [k for _, k in want]
     assert max(abs(p - q) for (p, _), (q, _) in zip(got, want)) <= 1e-12
+
+
+def test_unitary_spectrum_reads_the_dense_matrix_when_the_skew_is_not_finite():
+    # a NaN in the inverse makes the skew of A non-finite: no phase of its eigvalsh can be trusted
+    u = _haar(11, 5)
+    shifted_inverse = _counting_inverse(u, nan=True)
+    dense_calls = []
+    lam = unitary_spectrum(shifted_inverse, lambda: dense_calls.append(1) or u)
+    assert shifted_inverse.calls == 1 and len(dense_calls) == 1
+    assert phase_clusters(lam) == _oracle(u)
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,14 +35,17 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert dim64.kind == "fractional" and dim64.matrices[0].shape == (64, 64)
     assert edges["edge-truncate-ladder"].monotone["variant"] == "truncate"
     assert edges["edge-spectral-point"].spectral_point == -2.5
-    assert edges["edge-default-grid-kernel"].grid == {"lo": -8.0, "hi": 8.0, "nodes": 1024, "scheme": "gauss"}
-    assert "grid" not in json.loads((tmp_path / "edge-default-grid-kernel.json").read_text())
-    assert edges["edge-trapezoid-bump"].grid == {"lo": -8.0, "hi": 8.0, "nodes": 257, "scheme": "trapezoid"}
-    assert edges["edge-trapezoid-bump"].potential["kind"] == "bump"
-    assert edges["edge-table-kernel"].potential["kind"] == "table"
-    table = edges["edge-complex-table"].potential
-    assert edges["edge-complex-table"].kind == "schrodinger" and table["kind"] == "table"
-    assert any(complex(q).imag for q in table["q"])
+    written = {name: json.loads((tmp_path / f"{name}.json").read_text()) for name in edges}
+    default = edges["edge-default-grid-kernel"].grid
+    assert (default.lo, default.hi, default.n, default.scheme) == (-8.0, 8.0, 1024, "gauss16")
+    assert "grid" not in written["edge-default-grid-kernel"]
+    bump = edges["edge-trapezoid-bump"].grid
+    assert (bump.lo, bump.hi, bump.n, bump.scheme) == (-8.0, 8.0, 257, "trapezoid")
+    assert written["edge-trapezoid-bump"]["potential"]["kind"] == "bump"
+    assert written["edge-table-kernel"]["potential"]["kind"] == "table"
+    assert edges["edge-complex-table"].kind == "schrodinger"
+    assert written["edge-complex-table"]["potential"]["kind"] == "table"
+    assert edges["edge-complex-table"].potential.imag.any()
     assert edges["edge-unitary-determinant"].determinant is not None
     assert edges["edge-contraction-determinant"].determinant is not None
     assert edges["edge-determinant-grid256"].determinant["grid"] == 256

@@ -92,6 +92,18 @@ def test_a_file_on_one_side_fails_the_comparison(report_diff, outputs):
     assert report_diff.main([str(parent), str(change)]) == 1
 
 
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("how", ["missing", "empty"])
+def test_a_side_that_is_missing_or_holds_no_files_is_refused(report_diff, outputs, tmp_path, capsys, side, how):
+    parent, change, _ = outputs
+    bare = tmp_path / "bare"
+    if how == "empty":
+        (bare / "subdirectory").mkdir(parents=True)
+    args = [str(bare), str(change)] if side == "parent" else [str(parent), str(bare)]
+    assert report_diff.main(args) == 2
+    assert capsys.readouterr() == ("", f"report_diff: {bare} is missing or holds no files\n")
+
+
 def _sampled_report(path, values):
     rows = [[theta, v] for theta, v in zip([1.5, 3.0, 4.5, 6.0], values)]
     tables = {"sampled": {"type": "sampled", "rows": rows, "radius": 1.0001, "winding": 0, "calibration": -2.0}}

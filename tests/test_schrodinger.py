@@ -397,14 +397,14 @@ def test_nystrom_kernel_is_a_read_only_exactly_hermitian_matrix(q, scheme, nodes
 
 
 def test_generated_kernel_trace_file_runs_without_warnings():
-    # the parser stores every amplitude as complex; a zero imaginary part
-    # must be dropped without a ComplexWarning
+    # the parser stores the potential's values as complex; a zero imaginary
+    # part must be dropped without a ComplexWarning
     from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
 
-    sc = parse_scenario(generate_scenario("kernel_trace", 3, 4))
-    assert isinstance(sc.potential["amplitude"], complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        sc = parse_scenario(generate_scenario("kernel_trace", 3, 4))
+        assert sc.potential.dtype == np.complex128 and sc.potential.shape == sc.grid.points.shape
         report = run_scenario(sc)
     assert report.all_pass
     assert "monotone-ladder" in [r.check_id for r in report.records]

@@ -420,6 +420,18 @@ def test_determinant_ssf_trace_integrals_seed47():
         assert abs(got - want) <= 1e-3
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("degree", [10, 40])
+def test_sampled_trace_integral_of_a_high_monomial_is_the_trace_difference(seed, degree):
+    # generated contraction pairs run at m = 6 blocks, so their step SSF reaches degree m - 2 = 4 only;
+    # the determinant route's samples on |z| = radius give every degree to roundoff
+    sc = parse_scenario(generate_scenario("contraction_pair", seed, 8))
+    sampled = determinant_ssf(*sc.matrices)
+    monomial = [0.0] * degree + [1.0]
+    got = sampled_trace_integral(sampled, monomial)
+    assert abs(got - trace_diff(monomial, *sc.matrices)) <= 1e-12 * degree * sampled.radius**degree
+
+
 def test_determinant_ssf_validates_inputs():
     t = np.zeros((1, 1))
     with pytest.raises(ValidationError):
@@ -450,6 +462,13 @@ def test_sampled_ssf_refuses_a_grid_with_no_samples():
     # its trace integral would be the mean of nothing, and its report rows an empty list
     with pytest.raises(ValidationError, match="at least one sample"):
         SampledSSF(1.5, np.zeros(0), np.zeros(0), 0)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_sampled_ssf_refuses_a_radius_that_is_not_finite(radius):
+    t = np.linspace(0.1, 6, 8)
+    with pytest.raises(ValidationError, match="sampling radius must be finite and exceed 1"):
+        SampledSSF(radius, t, np.cos(t), 0)
 
 
 def phase_diag(*phases):

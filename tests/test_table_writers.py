@@ -277,6 +277,15 @@ def _unchecked_step(jumps, gauge) -> StepSSF:
     return table
 
 
+def _unchecked_sampled(radius, thetas, values) -> SampledSSF:
+    """A SampledSSF with a radius its constructor refuses, built past the check as _unchecked_step is."""
+    with pytest.raises(ValidationError, match="sampling radius must be finite"):
+        SampledSSF(radius, thetas, values, 0)
+    table = SampledSSF(2.0, thetas, values, 0)
+    object.__setattr__(table, "radius", radius)
+    return table
+
+
 @pytest.mark.parametrize("gauge", [float("nan"), float("inf")])
 def test_a_non_finite_circle_level_raises_the_stdlib_error(gauge, tmp_path):
     # a level is gauge plus an integer, and "gauge" sorts before "rows"
@@ -354,7 +363,7 @@ def test_the_first_error_the_stdlib_meets_is_raised(tmp_path):
     thetas = TWO_PI * np.arange(1, 9) / 8
     tables = {
         "circle_step": _unchecked_step(((1.0, 1), (TWO_PI, -1)), float("nan")),
-        "sampled": SampledSSF(float("inf"), thetas, np.cos(thetas), 0),
+        "sampled": _unchecked_sampled(float("inf"), thetas, np.cos(thetas)),
     }
     report = Report("t", "unitary_pair", (), {}, tables, {})
     with pytest.raises(ValueError) as ours:

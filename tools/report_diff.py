@@ -30,7 +30,9 @@ names the flag path and the report of the largest float flag change. The exit co
 when a record's pass/fail changed, a record or file is missing on one side,
 a table changed its rows, jumps or mass at infinity, or a flag other than
 a float changed; otherwise 0. A moved sampled value, like a moved float flag,
-does not set it.
+does not set it. A side that is missing or holds no files is refused with
+exit code 2, as a wrong argument count is: comparing nothing with nothing
+would read as a clean byte-identity check.
 """
 
 from __future__ import annotations
@@ -197,6 +199,10 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print("usage: python3 tools/report_diff.py <parent_out> <change_out>", file=sys.stderr)
         return 2
+    for side in args:
+        if not any(p.is_file() for p in Path(side).rglob("*")):
+            print(f"report_diff: {side} is missing or holds no files", file=sys.stderr)
+            return 2
     identical, reports, others, lonely = diff_dirs(Path(args[0]), Path(args[1]))
     for name in identical:
         print(f"identical {name}")
