@@ -47,10 +47,6 @@ def jsonable(value):
         return _number(value)
     if isinstance(value, (complex, np.complexfloating)):
         return complex_pair(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -359,18 +359,18 @@ def _dense_unitary_spectrum(m: np.ndarray) -> np.ndarray:
 
 
 class Unitary:
-    """Square matrix with ||U*U - I||_F, its `defect`, within tolerance (default 1e-10).
+    """Square matrix with ||U*U - I||_F, its `defect`, at most 1e-10.
 
     `spectrum`, its eigenvalues from `unitary_spectrum`, is cached, read-only
     and computed on first use; `eigenphases` and `determinant_ssf` both read it.
     """
 
-    def __init__(self, m, *, tol: float = 1e-10):
+    def __init__(self, m):
         mat = as_matrix(m)
         eye = np.eye(mat.shape[0])
         defect = float(np.linalg.norm(mat.conj().T @ mat - eye))
-        if not defect <= tol:
-            raise ValidationError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+        if not defect <= 1e-10:
+            raise ValidationError(f"unitarity defect {defect:.3e} exceeds 1.0e-10")
         self.m = _frozen(mat.copy())
         self.n = mat.shape[0]
         self.defect = defect

@@ -243,6 +243,14 @@ def _check_keys(d: dict, allowed: set, where: str):
         _fail(where, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def _object(raw, where: str, defaults: dict) -> dict:
+    """The defaults overlaid by the file's object (None reads as {}); their keys are its allowed keys."""
+    if not isinstance(raw, (dict, type(None))):
+        _fail(where, "expected an object")
+    _check_keys(raw or {}, set(defaults), where)
+    return {**defaults, **(raw or {})}
+
+
 # ---------------------------------------------------------------------------
 # random instances
 
@@ -267,14 +275,13 @@ def _draw_matrix(rng: np.random.Generator, dim: int, klass: str, allow_boundary:
     raise SchemaError(f"unknown matrix class {klass!r}")
 
 
-def _random_pair(spec: dict, default_class: str, where: str) -> tuple[np.ndarray, np.ndarray]:
-    _check_keys(spec, {"seed", "dim", "class", "allow_boundary"}, where)
-    seed = _int_entry(spec.get("seed", 0), f"{where}.seed", 0, 2**63 - 1)
-    dim = _int_entry(spec.get("dim", 4), f"{where}.dim", 1, 128)
-    klass = spec.get("class", default_class)
+def _random_pair(raw: dict, default_class: str, where: str) -> tuple[np.ndarray, np.ndarray]:
+    spec = _object(raw, where, {"seed": 0, "dim": 4, "class": default_class, "allow_boundary": False})
+    seed = _int_entry(spec["seed"], f"{where}.seed", 0, 2**63 - 1)
+    dim = _int_entry(spec["dim"], f"{where}.dim", 1, 128)
+    klass, allow_boundary = spec["class"], spec["allow_boundary"]
     if klass not in MATRIX_CLASSES:
         _fail(f"{where}.class", f"must be one of {MATRIX_CLASSES}")
-    allow_boundary = spec.get("allow_boundary", False)
     if not isinstance(allow_boundary, bool):
         _fail(f"{where}.allow_boundary", "expected a boolean")
     rng = np.random.default_rng(seed)
@@ -340,10 +347,7 @@ def _parse_potential(raw, grid: Grid1D, where: str = "potential") -> np.ndarray:
 
 def _parse_grid(raw, defaults: dict) -> Grid1D:
     """make_grid's grid over the kind's defaults: of the scheme they or the file name, else trapezoid."""
-    if not isinstance(raw, (dict, type(None))):
-        _fail("grid", "expected an object")
-    out = {**defaults, **(raw or {})}
-    _check_keys(out, set(defaults), "grid")
+    out = _object(raw, "grid", defaults)
     lo, hi = (_float_entry(out[key], f"grid.{key}") for key in ("lo", "hi"))
     nodes = _int_entry(out["nodes"], "grid.nodes", 2, 4096)
     try:
@@ -354,16 +358,9 @@ def _parse_grid(raw, defaults: dict) -> Grid1D:
 
 def _parse_exponents(raw, defaults: dict) -> dict:
     """The exponents over the kind's defaults; their keys are the allowed exponent keys."""
-    out = dict(defaults)
-    allowed = set(out)
-    if raw is not None:
-        if not isinstance(raw, dict):
-            _fail("exponents", "expected an object")
-        _check_keys(raw, allowed, "exponents")
-        for key in allowed & set(raw):
-            out[key] = _float_entry(raw[key], f"exponents.{key}")
+    out = {key: _float_entry(v, f"exponents.{key}") for key, v in _object(raw, "exponents", defaults).items()}
     try:
-        check_exponents(out["alpha"], out["beta"], out["p"], out.get("sigma"))
+        check_exponents(**out)
     except InvalidExponent as exc:
         _fail("exponents", str(exc))
     return out
@@ -399,32 +396,28 @@ def _parse_polynomials(raw, degree: int) -> tuple[tuple[complex, ...], ...]:
 def _parse_determinant(raw) -> Optional[dict]:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        _fail("determinant", "expected an object")
-    _check_keys(raw, {"radius", "grid"}, "determinant")
-    radius = _float_entry(raw.get("radius", 1.0 + 1e-4), "determinant.radius")
+    out = _object(raw, "determinant", {"radius": 1.0 + 1e-4, "grid": 4096})
+    radius = _float_entry(out["radius"], "determinant.radius")
     if radius <= 1.0 + 1e-8:
         _fail("determinant.radius", "must exceed 1 + 1e-8")
-    grid = _int_entry(raw.get("grid", 4096), "determinant.grid", 256, 1 << 16)
+    grid = _int_entry(out["grid"], "determinant.grid", 256, 1 << 16)
     return {"radius": radius, "grid": grid}
 
 
 def _parse_monotone(raw) -> Optional[dict]:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        _fail("monotone", "expected an object")
-    _check_keys(raw, {"n", "variant", "level"}, "monotone")
-    ns = raw.get("n")
+    out = _object(raw, "monotone", {"n": None, "variant": "scale", "level": 0.01})  # n is required
+    ns = out["n"]
     if not isinstance(ns, list) or not ns or len(ns) > 16:
         _fail("monotone.n", "expected a list of 1 to 16 integers")
     ns = [_int_entry(v, f"monotone.n[{i}]", 1, 1 << 20) for i, v in enumerate(ns)]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         _fail("monotone.n", "must be strictly increasing")
-    variant = raw.get("variant", "scale")
+    variant = out["variant"]
     if variant not in ("scale", "truncate"):
         _fail("monotone.variant", "must be 'scale' or 'truncate'")
-    level = _float_entry(raw.get("level", 0.01), "monotone.level")
+    level = _float_entry(out["level"], "monotone.level")
     if level <= 0:
         _fail("monotone.level", "must be positive")
     return {"n": ns, "variant": variant, "level": level}
@@ -640,9 +633,12 @@ class CheckRecord:
     anchor: str
     lhs: complex
     rhs: complex
-    residual: Optional[float]
+    residual: Optional[float]  # None: the check could not run
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.residual is not None and self.residual <= self.tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -676,16 +672,12 @@ class _Records(list):
         return float(self.checks[check_id][1]) * float(self.scale)
 
     def __call__(self, check_id, lhs, rhs, residual=_AUTO):
-        anchor, tol_val = self.checks[check_id][0], self.tolerance(check_id)
         if residual is _AUTO:
-            res: Optional[float] = abs(complex(lhs) - complex(rhs))
-            passed = res <= tol_val
-        elif residual is None:
-            res, passed = None, False
-        else:
-            res = float(residual)
-            passed = res <= tol_val
-        self.append(CheckRecord(str(check_id), anchor, complex(lhs), complex(rhs), res, tol_val, bool(passed)))
+            residual = abs(complex(lhs) - complex(rhs))
+        elif residual is not None:
+            residual = float(residual)
+        anchor = self.checks[check_id][0]
+        self.append(CheckRecord(str(check_id), anchor, complex(lhs), complex(rhs), residual, self.tolerance(check_id)))
 
 
 def _fields(rep, *drop) -> dict:
@@ -935,7 +927,7 @@ def _non_finite_flag(value, path: str) -> Optional[str]:
     """The path of the first float or complex part of a flag value that is not finite, else None."""
     if isinstance(value, (float, complex, np.inexact)):
         return None if np.isfinite(value) else path
-    if isinstance(value, (dict, list, tuple, np.ndarray)):
+    if isinstance(value, (dict, list, tuple)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         return next(filter(None, (_non_finite_flag(v, f"{path}.{k}") for k, v in items)), None)
     return None

@@ -46,6 +46,8 @@ class Grid1D:
         w = np.asarray(self.weights, dtype=float)
         if p.ndim != 1 or p.shape != w.shape or len(p) == 0:
             raise ValidationError("points and weights must be matching 1-d arrays")
+        if not (np.isfinite(p).all() and np.isfinite(w).all()):
+            raise ValidationError("grid points and weights must be finite")
         if np.any(np.diff(p) <= 0):
             raise ValidationError("grid points must be strictly increasing")
         if np.any(w <= 0):

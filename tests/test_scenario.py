@@ -562,6 +562,61 @@ def test_matrix_schema_error_text(matrices, message):
     assert str(info.value) == message
 
 
+UNITARY = {"kind": "unitary_pair", "matrices": [[[1.0]], [[1.0]]]}
+CONTRACTION = {"kind": "contraction_pair", "matrices": [[[0.5]], [[0.0]]]}
+KERNEL = {"kind": "kernel_trace"}
+SUB_OBJECT_ERRORS = [
+    (UNITARY, {"determinant": 1}, "determinant: expected an object"),
+    (UNITARY, {"determinant": {"extra": 1}}, "determinant: unknown keys ['extra']; allowed: ['grid', 'radius']"),
+    (KERNEL, {"monotone": [2, 4]}, "monotone: expected an object"),
+    (
+        KERNEL,
+        {"monotone": {"n": [2, 4], "rungs": 3}},
+        "monotone: unknown keys ['rungs']; allowed: ['level', 'n', 'variant']",
+    ),
+    (KERNEL, {"monotone": {"n": [2, 4], "level": 0}}, "monotone.level: must be positive"),
+    (KERNEL, {"grid": [1]}, "grid: expected an object"),
+    (KERNEL, {"grid": {"panels": 4}}, "grid: unknown keys ['panels']; allowed: ['hi', 'lo', 'nodes', 'scheme']"),
+    (CONTRACTION, {"exponents": 1}, "exponents: expected an object"),
+    (CONTRACTION, {"exponents": {"gamma": 1}}, "exponents: unknown keys ['gamma']; allowed: ['alpha', 'beta', 'p']"),
+    (UNITARY, {"matrices": {"allow_boundary": 1}}, "matrices.allow_boundary: expected a boolean"),
+    (
+        UNITARY,
+        {"matrices": {"size": 2}},
+        "matrices: unknown keys ['size']; allowed: ['allow_boundary', 'class', 'dim', 'seed']",
+    ),
+    (KERNEL, {"potential": 1}, "potential: expected a descriptor object"),
+    (
+        KERNEL,
+        {"potential": {"kind": "table", "x": [0.0], "q": []}},
+        "potential: table needs equal-length nonempty x and q lists",
+    ),
+    (UNITARY, {"test_polynomials": []}, "test_polynomials: expected a nonempty list of coefficient lists"),
+    (KERNEL, {"tolerances": []}, "tolerances: expected an object of check_id to tolerance"),
+]
+
+
+@pytest.mark.parametrize("base, keys, message", SUB_OBJECT_ERRORS)
+def test_sub_object_schema_error_text(base, keys, message):
+    with pytest.raises(SchemaError) as info:
+        parse_scenario({"name": "x", **base, **keys})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "grid, kind",
+    [
+        ({"lo": -1e308, "hi": 1e308, "nodes": 16}, "kernel_trace"),
+        ({"lo": -1e308, "hi": 1e308, "nodes": 16, "scheme": "trapezoid"}, "kernel_trace"),
+        ({"lo": -1e308, "hi": 1e308, "nodes": 5}, "schrodinger"),
+    ],
+)
+def test_a_grid_that_overflows_is_refused_at_parse(grid, kind):
+    with pytest.raises(SchemaError) as info:
+        parse_scenario({"name": "x", "kind": kind, "grid": grid})
+    assert str(info.value) == "grid: grid points and weights must be finite"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -122,6 +122,20 @@ def test_grid_validation():
         Grid1D(points=np.array([0.0, 0.0]), weights=np.array([0.5, 0.5]), scheme="x", lo=-0.5, hi=0.5)
 
 
+@pytest.mark.parametrize("scheme, n", [("gauss", 16), ("trapezoid", 5)])
+def test_a_grid_whose_points_or_weights_overflow_is_refused(scheme, n):
+    with pytest.raises(ValidationError, match="^grid points and weights must be finite$"):
+        make_grid(-1e308, 1e308, n, scheme=scheme)
+
+
+@pytest.mark.parametrize("bad", ["points", "weights"])
+def test_a_grid_of_non_finite_points_or_weights_is_refused(bad):
+    arrays = {"points": np.array([-0.25, 0.25]), "weights": np.array([0.5, 0.5])}
+    arrays[bad] = np.array([arrays[bad][0], np.nan])
+    with pytest.raises(ValidationError, match="^grid points and weights must be finite$"):
+        Grid1D(**arrays, scheme="x", lo=-0.5, hi=0.5)
+
+
 # ---------------------------------------------------------------------------
 # Nystrom kernels
 

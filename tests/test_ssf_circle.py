@@ -12,6 +12,7 @@ from ssflab.dilation import dilation_pair
 from ssflab.linalg import (
     CLUSTER_TOL,
     Contraction,
+    Dissipative,
     Unitary,
     _cluster_circle,
     analytic_poly_eval,
@@ -21,6 +22,7 @@ from ssflab.linalg import (
     schatten_norm,
 )
 from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
+from ssflab.schrodinger import Grid1D
 from ssflab.ssf_circle import (
     RealSsfConditions,
     SampledSSF,
@@ -37,6 +39,7 @@ from ssflab.ssf_circle import (
     step_vs_sampled_max_deviation,
     unitary_ssf,
 )
+from ssflab.ssf_line import dissipative_ssf, weighted_abs_integral
 
 TWO_PI = 2.0 * np.pi
 
@@ -887,3 +890,27 @@ def test_max_deviation_masks_exactly_the_grid_points_the_per_jump_loop_masked(st
             step_vs_sampled_max_deviation(step, sampled, exclusion=exclusion)
     else:
         assert step_vs_sampled_max_deviation(step, sampled, exclusion=exclusion).hex() == want.hex()
+
+
+def _line_ssf():
+    return dissipative_ssf(Dissipative(np.diag([1j])), Dissipative(np.diag([2j])), 4)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # an eigenvalue of T0 on the sampling circle
+        (lambda: determinant_ssf(np.diag([1.5]), np.diag([0.5]), radius=1.5), NearSingular),
+        (lambda: hardy_gauge_check(-1, [0.0, 1.0]), ValidationError),
+        (lambda: _line_ssf().windowed_integral(0.0), ValidationError),
+        (lambda: weighted_abs_integral(_line_ssf(), side="disk"), ValidationError),
+        (lambda: analytic_poly_eval(np.eye(2), []), ValueError),
+        (lambda: Grid1D(np.array([0.0, 0.5]), np.array([1.0]), "x", -0.5, 0.5), ValidationError),
+        (lambda: Grid1D(np.array([-0.25, 0.25]), np.array([1.0, 0.0]), "x", -0.5, 0.5), ValidationError),
+        (lambda: Grid1D(np.array([0.0, 0.75]), np.array([0.5, 0.5]), "x", -0.5, 0.5), ValidationError),
+    ],
+    ids=["near-singular", "hardy-exponent", "window", "side", "empty-poly", "grid-shape", "grid-weight", "grid-domain"],
+)
+def test_library_guards_refuse_what_they_name(call, error):
+    with pytest.raises(error):
+        call()

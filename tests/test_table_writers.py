@@ -376,8 +376,8 @@ def test_the_first_error_the_stdlib_meets_is_raised(tmp_path):
 def test_a_non_finite_number_in_the_records_or_flags_is_written_as_its_name(tmp_path):
     nan, inf = float("nan"), float("inf")
     records = (
-        CheckRecord("a", "hardy-gauge", complex(nan, 1.0), complex(inf, -inf), nan, 1e-10, False),
-        CheckRecord("b", "hardy-gauge", 1.5, np.float64(-inf), inf, 1e-10, False),
+        CheckRecord("a", "hardy-gauge", complex(nan, 1.0), complex(inf, -inf), nan, 1e-10),
+        CheckRecord("b", "hardy-gauge", 1.5, np.float64(-inf), inf, 1e-10),
     )
     flags = {"outer": {"inner": [np.float64(nan), 2.5, complex(1.0, -inf)]}, "half_l1_target": inf}
     doc = json.loads(written(Report("t", "kernel_trace", records, flags, {}, {}), tmp_path))
