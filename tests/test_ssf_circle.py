@@ -897,20 +897,20 @@ def _line_ssf():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
         # an eigenvalue of T0 on the sampling circle
-        (lambda: determinant_ssf(np.diag([1.5]), np.diag([0.5]), radius=1.5), NearSingular),
-        (lambda: hardy_gauge_check(-1, [0.0, 1.0]), ValidationError),
-        (lambda: _line_ssf().windowed_integral(0.0), ValidationError),
-        (lambda: weighted_abs_integral(_line_ssf(), side="disk"), ValidationError),
-        (lambda: analytic_poly_eval(np.eye(2), []), ValueError),
-        (lambda: Grid1D(np.array([0.0, 0.5]), np.array([1.0]), "x", -0.5, 0.5), ValidationError),
-        (lambda: Grid1D(np.array([-0.25, 0.25]), np.array([1.0, 0.0]), "x", -0.5, 0.5), ValidationError),
-        (lambda: Grid1D(np.array([0.0, 0.75]), np.array([0.5, 0.5]), "x", -0.5, 0.5), ValidationError),
+        (lambda: determinant_ssf(np.diag([1.5]), np.diag([0.5]), radius=1.5), NearSingular, "sampling circle"),
+        (lambda: hardy_gauge_check(-1, [0.0, 1.0]), ValidationError, "nonnegative"),
+        (lambda: _line_ssf().windowed_integral(0.0), ValidationError, "window radius"),
+        (lambda: weighted_abs_integral(_line_ssf(), side="disk"), ValidationError, "unknown side"),
+        (lambda: analytic_poly_eval(np.eye(2), []), ValueError, "empty coefficient list"),
+        (lambda: Grid1D(np.array([0.0, 0.5]), np.array([1.0]), "x", -0.5, 0.5), ValidationError, "matching"),
+        (lambda: Grid1D(np.array([-0.25, 0.25]), np.array([1.0, 0.0]), "x", -0.5, 0.5), ValidationError, "positive"),
+        (lambda: Grid1D(np.array([0.0, 0.75]), np.array([0.5, 0.5]), "x", -0.5, 0.5), ValidationError, "domain"),
     ],
     ids=["near-singular", "hardy-exponent", "window", "side", "empty-poly", "grid-shape", "grid-weight", "grid-domain"],
 )
-def test_library_guards_refuse_what_they_name(call, error):
-    with pytest.raises(error):
+def test_library_guards_refuse_what_they_name(call, error, message):
+    with pytest.raises(error, match=message):
         call()
