@@ -149,14 +149,21 @@ def _fractional_diff_pass(job: FractionalJob, nodes: int) -> np.ndarray:
     u_nodes = (1.0 + xj) / 2.0
     t_nodes = np.concatenate([np.exp(s_nodes), 1.0 / u_nodes])
     weights = np.concatenate([s_weights * np.exp((1.0 + sigma) * s_nodes), 2.0 ** (sigma - 1.0) * wj / u_nodes**2])
-    # analytic tail below t_min: G(t) ~ Y^(-1) diff X^(-1), the node t = 0
+    # analytic tail below t_min: G(t) ~ Y^(-1) diff X^(-1), the node t = 0 of weight w0
+    w0, tail = np.exp((1.0 + sigma) * s_min) / (1.0 + sigma), 0.0
     if job.min_eig >= _KERNEL_FLOOR:
-        t_nodes = np.append(t_nodes, 0.0)
-        weights = np.append(weights, np.exp((1.0 + sigma) * s_min) / (1.0 + sigma))
+        t_nodes, weights = np.append(t_nodes, 0.0), np.append(weights, w0)
+    else:
+        # a zero eigenvalue's entries decay only as t^sigma: each entry integrates
+        # t^sigma/((t + b_i)(t + a_j)) below t_min on its own, and C_ij = 0 where a_j = b_i = 0
+        a, b = np.clip(a, 0.0, None), np.clip(b, 0.0, None)
+        edge, bi, aj = np.exp(sigma * s_min) / sigma, b[:, None], a[None, :]
+        with np.errstate(divide="ignore"):
+            tail = np.where(aj > 0, np.where(bi > 0, w0 / (aj * bi), edge / aj), np.where(bi > 0, edge / bi, 0.0))
 
     # node t_k adds weights_k / ((t_k + b_i)(t_k + a_j)) to the kernel K_ij
     inv_b, inv_a = (1.0 / (t_nodes[:, None] + w) for w in (b, a))
-    kernel = (weights[:, None] * inv_b).T @ inv_a
+    kernel = (weights[:, None] * inv_b).T @ inv_a + tail
     coupling = vy.conj().T @ (job.y.m - job.x.m) @ vx
     return c_sigma(sigma) * (vy @ (coupling * kernel) @ vx.conj().T)
 

@@ -160,7 +160,8 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     """Cluster sorted phases on (0, 2pi] whose circular gap is below tol.
 
     Returns (representative, total weight) pairs sorted by phase, with
-    representatives within tol of the 0/2pi seam snapped to 2pi.
+    representatives within tol of the 0/2pi seam snapped to 2pi and the
+    groups snapped there merged into one entry.
     """
     order = np.argsort(phases)
     phases = phases[order]
@@ -183,7 +184,11 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     reps = (firsts + offsets / counts) % TWO_PI
     reps = np.where((reps <= tol) | (reps >= TWO_PI - tol), TWO_PI, reps)
     order = np.argsort(reps, kind="stable")
-    return list(zip(reps[order].tolist(), sums[order].tolist()))
+    reps, sums = reps[order], sums[order]
+    seam = int(np.searchsorted(reps, TWO_PI))
+    if len(reps) - seam > 1:
+        reps, sums = reps[: seam + 1], np.append(sums[:seam], sums[seam:].sum())
+    return list(zip(reps.tolist(), sums.tolist()))
 
 
 # Eigenvalues of a unitary U come from the Cayley transform of W = e^(-i psi) U,

@@ -51,6 +51,7 @@ from .linalg import (
     polar_factors,
 )
 from .schrodinger import (
+    POTENTIAL_KEYS,
     Grid1D,
     discrete_schrodinger_pair,
     full_kernel,
@@ -310,35 +311,23 @@ def _parse_matrices(data: dict, kind: str) -> tuple[np.ndarray, np.ndarray]:
 # potential / grid / exponent sub-schemas
 
 
-# the real parameters of each analytic potential shape, beside its complex amplitude
-_SHAPE_KEYS = {"gaussian": ("center", "width"), "bump": ("center", "half_width", "taper")}
-
-
 def _parse_potential(raw, grid: Grid1D, where: str = "potential") -> np.ndarray:
     """The potential's values on the grid's points, as a read-only complex128 array."""
-    if raw is None:
-        raw = {"kind": "gaussian"}
+    raw = {"kind": "gaussian"} if raw is None else raw
     if not isinstance(raw, dict):
         _fail(where, "expected a descriptor object")
-    desc = dict(raw)
-    kind = desc.get("kind")
-    if isinstance(kind, str) and kind in _SHAPE_KEYS:
-        _check_keys(desc, {"kind", "amplitude", *_SHAPE_KEYS[kind]}, where)
-        if "amplitude" in desc:
-            desc["amplitude"] = _complex_entry(desc["amplitude"], f"{where}.amplitude")
-        for key in _SHAPE_KEYS[kind]:
-            if key in desc:
-                desc[key] = _float_entry(desc[key], f"{where}.{key}")
-    elif kind == "table":
-        _check_keys(desc, {"kind", "x", "q"}, where)
-        xs = desc.get("x")
-        qs = desc.get("q")
-        if not isinstance(xs, list) or not isinstance(qs, list) or len(xs) != len(qs) or not xs:
-            _fail(where, "table needs equal-length nonempty x and q lists")
-        desc["x"] = [_float_entry(v, f"{where}.x[{i}]") for i, v in enumerate(xs)]
-        desc["q"] = [_complex_entry(v, f"{where}.q[{i}]") for i, v in enumerate(qs)]
-    else:
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in POTENTIAL_KEYS:
         _fail(where, f"unknown potential kind {kind!r}")
+    desc = _object(raw, where, {"kind": kind, **POTENTIAL_KEYS[kind]})
+    if kind == "table":
+        xs, qs = desc["x"], desc["q"]
+        if not (isinstance(xs, list) and isinstance(qs, list) and len(xs) == len(qs) and xs):
+            _fail(where, "table needs equal-length nonempty x and q lists")
+    # the keys the file gave, in POTENTIAL_KEYS order: a table's are lists of entries
+    for key in (k for k in POTENTIAL_KEYS[kind] if k in raw):
+        entry, at = _complex_entry if key in ("amplitude", "q") else _float_entry, f"{where}.{key}"
+        desc[key] = [entry(v, f"{at}[{i}]") for i, v in enumerate(raw[key])] if kind == "table" else entry(raw[key], at)
     try:
         return _frozen(np.asarray(potential_values(desc, grid.points), dtype=np.complex128))
     except ValueError as exc:

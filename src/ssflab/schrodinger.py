@@ -78,7 +78,8 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_grid(lo: float, hi: float, n: int, scheme: str = "gauss") -> Grid1D:
-    """Composite 16-point Gauss-Legendre grid (n a multiple of 16), or trapezoid."""
+    """Composite 16-point Gauss-Legendre grid (n a multiple of 16), or trapezoid; a domain too
+    long for doubles overflows quietly into points or weights that Grid1D refuses."""
     if hi <= lo:
         raise ValidationError("domain must have positive length")
     if scheme == "gauss":
@@ -86,17 +87,19 @@ def make_grid(lo: float, hi: float, n: int, scheme: str = "gauss") -> Grid1D:
             raise ValidationError(f"gauss grids need a positive multiple of {_PANEL} nodes")
         panels = n // _PANEL
         gx, gw = _gauss_rule()
-        edges = np.linspace(lo, hi, panels + 1)
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        halves = (edges[1:] - edges[:-1]) / 2.0
-        pts = (mids[:, None] + halves[:, None] * gx[None, :]).ravel()
-        wts = (halves[:, None] * gw[None, :]).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.linspace(lo, hi, panels + 1)
+            mids = (edges[:-1] + edges[1:]) / 2.0
+            halves = (edges[1:] - edges[:-1]) / 2.0
+            pts = (mids[:, None] + halves[:, None] * gx[None, :]).ravel()
+            wts = (halves[:, None] * gw[None, :]).ravel()
         return Grid1D(points=pts, weights=wts, scheme=f"gauss{_PANEL}", lo=lo, hi=hi)
     if scheme == "trapezoid":
         if n < 2:
             raise ValidationError("trapezoid grids need at least 2 nodes")
-        pts = np.linspace(lo, hi, n)
-        h = (hi - lo) / (n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = np.linspace(lo, hi, n)
+            h = (hi - lo) / (n - 1)
         wts = np.full(n, h)
         wts[0] = wts[-1] = h / 2.0
         return Grid1D(points=pts, weights=wts, scheme="trapezoid", lo=lo, hi=hi)
@@ -172,10 +175,18 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
+# each descriptor kind's keys and their defaults; a bump's taper None means min(0.75, half_width)
+POTENTIAL_KEYS = {
+    "gaussian": {"amplitude": 1.0, "center": 0.0, "width": 1.0},
+    "bump": {"amplitude": 1.0, "center": 0.0, "half_width": 1.0, "taper": None},
+    "table": {"x": None, "q": None},
+}
+
+
 def potential_values(q, x: np.ndarray) -> np.ndarray:
     """Evaluate a potential given as callable, array, or descriptor dict.
 
-    Descriptor kinds:
+    A descriptor overlays its kind's POTENTIAL_KEYS defaults:
       gaussian: amplitude * exp(-((x - center)/width)^2)
       bump: amplitude * quintic-smoothed indicator of half_width around
             center with the given taper; its integral is exactly
@@ -188,34 +199,30 @@ def potential_values(q, x: np.ndarray) -> np.ndarray:
         return np.asarray(q(x))
     if isinstance(q, dict):
         kind = q.get("kind")
+        if not isinstance(kind, str) or kind not in POTENTIAL_KEYS:
+            raise ValidationError(f"unknown potential kind {kind!r}")
+        p = {**POTENTIAL_KEYS[kind], **q}
         if kind == "gaussian":
-            amp = q.get("amplitude", 1.0)
-            center = q.get("center", 0.0)
-            width = q.get("width", 1.0)
-            if width <= 0:
+            if p["width"] <= 0:
                 raise ValidationError("gaussian width must be positive")
-            return amp * np.exp(-(((x - center) / width) ** 2))
+            return p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
         if kind == "bump":
-            amp = q.get("amplitude", 1.0)
-            center = q.get("center", 0.0)
-            a = q.get("half_width", 1.0)
-            taper = q.get("taper", min(0.75, a))
+            a = p["half_width"]
+            taper = min(0.75, a) if p["taper"] is None else p["taper"]
             if not (0 < taper <= a):
                 raise ValidationError("bump taper must lie in (0, half_width]")
-            u = np.abs(x - center)
+            u = np.abs(x - p["center"])
             ramp = 1.0 - _smoothstep((u - (a - taper)) / (2.0 * taper))
-            return amp * np.where(u <= a - taper, 1.0, np.where(u >= a + taper, 0.0, ramp))
-        if kind == "table":
-            xs = np.asarray(q["x"], dtype=float)
-            qs = np.asarray(q["q"])
-            if not np.all(np.diff(xs) > 0):
-                raise ValidationError("table x values must increase strictly")
-            if np.iscomplexobj(qs):
-                return np.interp(x, xs, qs.real, left=0.0, right=0.0) + 1j * np.interp(
-                    x, xs, qs.imag, left=0.0, right=0.0
-                )
-            return np.interp(x, xs, qs, left=0.0, right=0.0)
-        raise ValidationError(f"unknown potential kind {kind!r}")
+            return p["amplitude"] * np.where(u <= a - taper, 1.0, np.where(u >= a + taper, 0.0, ramp))
+        xs = np.asarray(p["x"], dtype=float)
+        qs = np.asarray(p["q"])
+        if not np.all(np.diff(xs) > 0):
+            raise ValidationError("table x values must increase strictly")
+        if np.iscomplexobj(qs):
+            return np.interp(x, xs, qs.real, left=0.0, right=0.0) + 1j * np.interp(
+                x, xs, qs.imag, left=0.0, right=0.0
+            )
+        return np.interp(x, xs, qs, left=0.0, right=0.0)
     arr = np.asarray(q)
     if arr.shape != x.shape:
         raise ValidationError("potential array length must match the grid")

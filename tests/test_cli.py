@@ -786,3 +786,43 @@ def test_a_validated_dissipative_pair_can_trip_the_cayley_guard(tmp_path, capsys
     report = json.loads((tmp_path / "ns.report.json").read_text())
     assert [(r["check_id"], r["pass"]) for r in report["records"]] == [("numeric-completion", False)]
     assert report["flags"] == {"numeric_error": "NearSingular: cond(L + iI) = 1.000e+13"}
+
+
+@pytest.mark.parametrize(
+    "name, text, code, message",
+    [
+        ("empty.csv", "", 2, "schema error: empty.csv: empty CSV\n"),
+        ("short.csv", "theta,xi\n1.0\n", 2, "schema error: short.csv:2: expected 2 columns\n"),
+        ("word.csv", "theta,xi\n1.0,abc\n", 2, "schema error: word.csv:2: could not convert string to float: 'abc'\n"),
+        ("missing.csv", None, 1, "io error: cannot read missing.csv: "),
+    ],
+    ids=["empty", "short-row", "word-cell", "missing"],
+)
+def test_plot_refuses_a_csv_it_cannot_read_and_writes_nothing(tmp_path, monkeypatch, capsys, name, text, code, message):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.iterdir())
+    assert main(["plot", name]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and (text is not None or "No such file" in err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be a nonnegative integer"),
+        ("--dim", "0", "dim must be an integer in [1, 64]"),
+        ("--dim", "65", "dim must be an integer in [1, 64]"),
+    ],
+    ids=["seed-1", "dim0", "dim65"],
+)
+def test_generate_refuses_a_seed_or_dim_out_of_range_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, flag, value, message
+):
+    monkeypatch.chdir(tmp_path)
+    args = {"--seed": "1", "--dim": "2", flag: value}
+    assert main(["generate", "--kind", "unitary_pair", *(x for kv in args.items() for x in kv)]) == 2
+    assert capsys.readouterr() == ("", f"schema error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab.export import dump_json, read_ssf_csv, table_array, write_ssf_csv
+from ssflab.errors import SchemaError
+from ssflab.export import dump_json, jsonable, read_ssf_csv, render_ssf_svg, table_array, table_kind, write_ssf_csv
 from ssflab.scenario import KINDS, generate_scenario, write_scenario
 from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import pushforward_line
@@ -236,3 +237,20 @@ def test_sampled_csv_round_trip_is_exact(values, radius, winding, tmp_path_facto
     kind, rows = round_trip(sampled, tmp_path_factory.mktemp("csv"))
     assert kind == "sampled"
     assert rows == list(zip(thetas.tolist(), values))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generate_scenario("nope", 1, 2), f"kind must be one of {KINDS}"),
+        (lambda: jsonable(object()), "cannot serialize object into a report"),
+        (lambda: table_kind(object()), "not an SSF table: object"),
+        (lambda: render_ssf_svg("histogram", [[0.0, 1.0]]), "unknown table kind 'histogram'"),
+        (lambda: render_ssf_svg("sampled", []), "cannot plot an empty table"),
+    ],
+    ids=["generate-kind", "jsonable", "table-kind", "svg-kind", "svg-empty"],
+)
+def test_library_refusals_are_schema_errors(call, message):
+    with pytest.raises(SchemaError) as info:
+        call()
+    assert str(info.value) == message

@@ -192,6 +192,10 @@ def _solve_based_pass(job, nodes):
     lower = np.sum(factors[:, None, None] * sandwich(t_nodes, 1.0), axis=0)
     if job.min_eig >= _KERNEL_FLOOR:
         lower += np.exp((1.0 + sigma) * s_min) / (1.0 + sigma) * (np.linalg.inv(x) - np.linalg.inv(y))
+    else:
+        # the tail below t_min of a zero eigenvalue: t_min^sigma / sigma (P_ker X - P_ker Y)
+        p_ker = [v[:, w <= 0] @ v[:, w <= 0].conj().T for w, v in map(np.linalg.eigh, (x, y))]
+        lower += np.exp(sigma * s_min) / sigma * (p_ker[0] - p_ker[1])
     xj, wj = gauss_jacobi(upper_nodes, 0.0, -sigma)
     upper = 2.0 ** (sigma - 1.0) * np.sum(wj[:, None, None] * sandwich(1.0, (1.0 + xj) / 2.0), axis=0)
     return c_sigma(sigma) * (lower + upper)
@@ -222,6 +226,22 @@ def test_kernel_pass_matches_the_solve_based_pass(seed, n, sigma, case, nodes):
     job = FractionalJob(x=x, y=y, sigma=sigma, alpha=1.0, beta=0.0)
     want = _solve_based_pass(job, nodes)
     assert np.linalg.norm(_fractional_diff_pass(job, nodes) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "x, y, sigma",
+    [
+        ((0.0, 0.5), (0.3, 0.6), 0.05),
+        ((0.0, 0.5), (0.3, 0.6), 0.1),
+        ((0.0, 0.5), (0.3, 0.6), 0.2),
+        ((0.4, 0.5), (0.0, 0.7), 0.1),
+    ],
+)
+def test_quadrature_keeps_the_small_t_tail_of_a_zero_eigenvalue(x, y, sigma):
+    # at a zero eigenvalue the integrand decays only as t^sigma below t_min, a mass of t_min^sigma / sigma
+    job = FractionalJob(x=np.diag(x), y=np.diag(y), sigma=sigma, alpha=1.0, beta=0.0)
+    want = fractional_power(job.y, sigma) - fractional_power(job.x, sigma)
+    assert np.linalg.norm(fractional_diff_quadrature(job) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_quadrature_takes_no_solve_and_no_inverse(monkeypatch):

@@ -444,6 +444,11 @@ def _cluster_circle_loop(phases, weights, tol):
     for grp, w in zip(groups, sums):
         rep = float(np.mean(grp)) % TWO_PI
         out.append((TWO_PI if rep <= tol or rep >= TWO_PI - tol else rep, w, grp))
+    # the groups snapped to the seam are one entry, its near-0 phases shifted by 2pi as in the wrap merge
+    seam = [it for it in out if it[0] == TWO_PI]
+    if len(seam) > 1:
+        grp = [p + TWO_PI if p < np.pi else p for _, _, g in seam for p in g]
+        out = [it for it in out if it[0] != TWO_PI] + [(TWO_PI, sum(w for _, w, _ in seam), grp)]
     out.sort(key=lambda it: it[0])
     return out
 

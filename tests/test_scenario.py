@@ -4,6 +4,7 @@ import base64
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from ssflab import scenario, schrodinger
 from ssflab.dilation import FiniteDilation
-from ssflab.errors import SchemaError
+from ssflab.errors import SchemaError, ValidationError
 from ssflab.export import dump_json, report_to_dict
 from ssflab.linalg import Unitary
 from ssflab.scenario import (
@@ -593,6 +594,45 @@ SUB_OBJECT_ERRORS = [
     ),
     (UNITARY, {"test_polynomials": []}, "test_polynomials: expected a nonempty list of coefficient lists"),
     (KERNEL, {"tolerances": []}, "tolerances: expected an object of check_id to tolerance"),
+    (
+        KERNEL,
+        {"potential": {"kind": "table", "x": [0.0], "q": [1.0], "y": 1}},
+        "potential: unknown keys ['y']; allowed: ['kind', 'q', 'x']",
+    ),
+    (
+        KERNEL,
+        {"potential": {"kind": "gaussian", "amplitude": "a"}},
+        "potential.amplitude: expected a number or an [re, im] pair",
+    ),
+    (
+        KERNEL,
+        {"potential": {"kind": "gaussian", "width": "w", "amplitude": "a"}},
+        "potential.amplitude: expected a number or an [re, im] pair",
+    ),
+    (KERNEL, {"potential": {"kind": "bump", "center": "c"}}, "potential.center: expected a real number"),
+    (
+        KERNEL,
+        {"potential": {"kind": "bump", "taper": "t", "half_width": "h"}},
+        "potential.half_width: expected a real number",
+    ),
+    (KERNEL, {"potential": {"kind": "mesa"}}, "potential: unknown potential kind 'mesa'"),
+    (KERNEL, {"potential": {}}, "potential: unknown potential kind None"),
+    (KERNEL, {"potential": {"kind": "gaussian", "width": 0}}, "potential: gaussian width must be positive"),
+    (
+        KERNEL,
+        {"potential": {"kind": "bump", "half_width": 0.5, "taper": 0.75}},
+        "potential: bump taper must lie in (0, half_width]",
+    ),
+    (
+        KERNEL,
+        {"potential": {"kind": "table", "x": [0.0, "a"], "q": [1.0, 2.0]}},
+        "potential.x[1]: expected a real number",
+    ),
+    (
+        KERNEL,
+        {"potential": {"kind": "table", "x": [0.0, 1.0], "q": [1.0, "b"]}},
+        "potential.q[1]: expected a number or an [re, im] pair",
+    ),
 ]
 
 
@@ -615,6 +655,21 @@ def test_a_grid_that_overflows_is_refused_at_parse(grid, kind):
     with pytest.raises(SchemaError) as info:
         parse_scenario({"name": "x", "kind": kind, "grid": grid})
     assert str(info.value) == "grid: grid points and weights must be finite"
+
+
+@pytest.mark.parametrize(
+    "lo, hi, nodes, scheme",
+    [(-1e308, 1e308, 16, "gauss"), (-1e308, 1e308, 5, "trapezoid"), (1e308, 1.7e308, 16, "gauss")],
+)
+def test_a_grid_that_overflows_is_refused_without_a_numpy_warning(lo, hi, nodes, scheme):
+    # the last domain's length is finite, but its panel midpoints overflow
+    grid = {"lo": lo, "hi": hi, "nodes": nodes, "scheme": scheme}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^grid points and weights must be finite$"):
+            schrodinger.make_grid(lo, hi, nodes, scheme)
+        with pytest.raises(SchemaError, match=r"^grid: grid points and weights must be finite$"):
+            parse_scenario({"name": "x", "kind": "kernel_trace", "grid": grid})
 
 
 @pytest.mark.parametrize(

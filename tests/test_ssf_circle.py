@@ -854,6 +854,16 @@ def test_step_ssf_from_arrays_is_the_per_jump_assembly(lists):
     assert not step.thetas.flags.writeable and not step.sizes.flags.writeable
 
 
+def test_groups_on_both_sides_of_the_seam_are_one_entry():
+    # each group lies within CLUSTER_TOL of the seam and snaps to 2pi, though the two are 1.2e-9 apart
+    got = _cluster_circle(np.array([0.6e-9, 1.0, TWO_PI - 0.6e-9]), np.array([1, 1, 2]), CLUSTER_TOL)
+    assert got == [(1.0, 1), (TWO_PI, 3)]
+    phases = linalg.eigenphases(np.diag(np.exp(1j * np.array([0.6e-9, -0.6e-9, 1.0]))))
+    assert [k for _, k in phases] == [1, 2] and phases[0][0] == pytest.approx(1.0) and phases[1][0] == TWO_PI
+    # a +1 and a -1 jump that both snap to the seam cancel
+    assert _step_ssf([(1e-9, 1)], [(5e-324, 1)]) == StepSSF(jumps=(), gauge=0.0)
+
+
 def test_step_ssf_of_a_dilation_pair_is_the_per_jump_assembly():
     rng = np.random.default_rng(5)
     d0, d1 = dilation_pair(random_contraction(rng, 6), random_contraction(rng, 6), 8)
