@@ -75,7 +75,6 @@ from .ssf_line import (
     dissipative_condition_report,
     dissipative_ssf,
     perturbation_trace_report,
-    pushforward_line,
     resolvent_trace_residual,
     weighted_abs_integral,
 )

@@ -3,8 +3,13 @@
 Each file that ran prints one PASS or FAIL line with its worst headroom,
 the largest residual / tolerance among its records. Exit codes for `run`:
 0 when every record of every report passes, 1 when some numeric check
-failed (reports are still written), 2 when a file does not parse against
-the scenario schema. A scenario name names the output
+failed (reports are still written), an output could not be written or a
+file crashed, 2 when a file does not parse against the scenario schema.
+A crash (any `Exception`; Ctrl-C still ends the batch) prints
+`<path>: internal error: <type>: <message>` to stderr, and the batch goes
+on. After the last file, one `batch:` line on stderr counts the files that
+passed, failed, were refused or crashed, and gives the batch's worst
+headroom. A scenario name names the output
 files, so within one run a file that repeats the name of an earlier file
 in argument order is a schema error too, and nothing is written for it.
 """
@@ -44,9 +49,8 @@ def _write_outputs(report, sc, out_dir) -> None:
         plot_ssf(primary, base / f"{sc.name}.svg", name=sc.name)
 
 
-def _worst_headroom(report) -> str:
-    """The largest residual / tolerance over the records with a residual and a positive tolerance; a NaN wins."""
-    ratios = [r.residual / r.tolerance for r in report.records if r.residual is not None and r.tolerance > 0]
+def _worst_headroom(ratios: list[float]) -> str:
+    """The largest residual / tolerance ratio; a NaN wins, and n/a when there is none."""
     if not ratios:
         return "n/a"
     return f"{math.nan if any(map(math.isnan, ratios)) else max(ratios):.3e}"
@@ -63,7 +67,8 @@ def _cmd_run(args) -> int:
     run = partial(_load_and_run, tolerance_scale=args.tolerance_scale)
     parallel = args.threads > 1 and len(args.files) > 1
     owners: dict[str, str] = {}
-    bad = set()
+    counts = dict.fromkeys(("passed", "failed", "schema", "io", "internal"), 0)
+    batch_ratios: list[float] = []
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         # each outcome runs its file now, or waits for the worker that runs it
         outcomes = [pool.submit(run, p).result if parallel else partial(run, p) for p in args.files]
@@ -76,13 +81,19 @@ def _cmd_run(args) -> int:
                 _write_outputs(report, sc, args.out_dir)
             except (SchemaError, IoError) as exc:
                 code = "schema" if isinstance(exc, SchemaError) else "io"
-                bad.add(code)
+                counts[code] += 1
                 print(f"{path}: {code} error: {exc}", file=sys.stderr)
                 continue
+            except Exception as exc:  # a crash ends its file, not the batch
+                counts["internal"] += 1
+                print(f"{path}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                continue
             failed = report.failed()
-            worst = f"worst headroom {_worst_headroom(report)}"
+            ratios = [r.residual / r.tolerance for r in report.records if r.residual is not None and r.tolerance > 0]
+            batch_ratios += ratios
+            worst = f"worst headroom {_worst_headroom(ratios)}"
+            counts["failed" if failed else "passed"] += 1
             if failed:
-                bad.add("check")
                 print(f"{sc.name}: FAIL ({len(failed)} of {len(report.records)} checks failed), {worst}")
                 for r in failed:
                     res = "n/a" if r.residual is None else f"{r.residual:.3e}"
@@ -91,9 +102,15 @@ def _cmd_run(args) -> int:
                     print(f"  {report.flags['numeric_error']}")
             else:
                 print(f"{sc.name}: PASS ({len(report.records)} checks), {worst}")
-    if "schema" in bad:
+    print(
+        f"batch: files {len(args.files)}, passed {counts['passed']}, failed {counts['failed']}, "
+        f"schema errors {counts['schema']}, io errors {counts['io']}, internal errors {counts['internal']}, "
+        f"worst headroom {_worst_headroom(batch_ratios)}",
+        file=sys.stderr,
+    )
+    if counts["schema"]:
         return 2
-    return 1 if bad else 0
+    return 0 if counts["passed"] == len(args.files) else 1
 
 
 def _cmd_generate(args) -> int:

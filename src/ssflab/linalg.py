@@ -156,11 +156,11 @@ def weighted_norm(left, delta: np.ndarray, right, exponents: tuple[float, float]
     return schatten_norm(power_values(w, a)[:, None] * (u.conj().T @ delta @ q) * power_values(v, b), p)
 
 
-def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
-    """Cluster sorted phases on (0, 2pi] whose circular gap is below tol.
+def _cluster_circle(phases: np.ndarray, weights: np.ndarray):
+    """Cluster sorted phases on (0, 2pi] whose circular gap is below CLUSTER_TOL.
 
     Returns (representative, total weight) pairs sorted by phase, with
-    representatives within tol of the 0/2pi seam snapped to 2pi and the
+    representatives within CLUSTER_TOL of the 0/2pi seam snapped to 2pi and the
     groups snapped there merged into one entry.
     """
     order = np.argsort(phases)
@@ -168,8 +168,8 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     weights = weights[order]
     if phases.size == 0:
         return []
-    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(phases) < tol))))
-    if len(starts) > 1 and (phases[0] + TWO_PI - phases[-1]) < tol:
+    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(phases) < CLUSTER_TOL))))
+    if len(starts) > 1 and (phases[0] + TWO_PI - phases[-1]) < CLUSTER_TOL:
         # the first group wraps past 2pi into the last one
         first = starts[1]
         phases = np.concatenate((phases[first:], phases[:first] + TWO_PI))
@@ -182,7 +182,7 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray, tol: float):
     firsts = phases[starts]
     offsets = np.add.reduceat(phases - np.repeat(firsts, counts), starts)
     reps = (firsts + offsets / counts) % TWO_PI
-    reps = np.where((reps <= tol) | (reps >= TWO_PI - tol), TWO_PI, reps)
+    reps = np.where((reps <= CLUSTER_TOL) | (reps >= TWO_PI - CLUSTER_TOL), TWO_PI, reps)
     order = np.argsort(reps, kind="stable")
     reps, sums = reps[order], sums[order]
     seam = int(np.searchsorted(reps, TWO_PI))
@@ -341,7 +341,7 @@ def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:
     """
     ph = np.angle(eigs)
     ph = np.where(ph <= 0.0, ph + TWO_PI, ph)
-    return _cluster_circle(ph, np.ones(len(ph), dtype=int), CLUSTER_TOL)
+    return _cluster_circle(ph, np.ones(len(ph), dtype=int))
 
 
 def eigenphases(u) -> list[tuple[float, int]]:
@@ -385,9 +385,6 @@ class Unitary:
         """The eigenvalues from `unitary_spectrum`, dense `eigvals` of m only as its fallback."""
         return _frozen(_dense_unitary_spectrum(self.m))
 
-    def __repr__(self):
-        return f"Unitary(n={self.n})"
-
 
 class Contraction:
     """Square matrix with largest singular value at most 1 + 1e-8.
@@ -414,9 +411,6 @@ class Contraction:
     def defects(self) -> DefectPair:
         """The defect pair of defect_operators, built from `defect_eighs`, read-only."""
         return DefectPair(*(_frozen(hermitize((v * c) @ v.conj().T)) for c, v in self.defect_eighs))
-
-    def __repr__(self):
-        return f"Contraction(n={self.n}, norm={self.norm:.6f})"
 
 
 # singular values within this many n eps of 1 are 1 (defect_values)
@@ -481,9 +475,6 @@ class Dissipative:
         t = np.linalg.solve(shifted.T, (self.m - 1j * eye).T).T
         return Contraction(t)
 
-    def __repr__(self):
-        return f"Dissipative(n={self.n})"
-
 
 class PsdContraction:
     """Hermitian matrix (within 1e-12, symmetrized) with spectrum in [-1e-10, 1 + 1e-10].
@@ -505,9 +496,6 @@ class PsdContraction:
         self.n = mat.shape[0]
         self.min_eig = lo
         self.eigh = _frozen(w), _frozen(v)
-
-    def __repr__(self):
-        return f"PsdContraction(n={self.n})"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

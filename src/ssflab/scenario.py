@@ -270,10 +270,9 @@ def _draw_matrix(rng: np.random.Generator, dim: int, klass: str, allow_boundary:
     if klass == "dissipative":
         b = _gaussian_matrix(rng, dim)
         return hermitize(g) + 1j * (b @ b.conj().T) / dim
-    if klass == "psd_contraction":
-        u = polar_factors(g).partial_isometry
-        return hermitize((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T)
-    raise SchemaError(f"unknown matrix class {klass!r}")
+    # psd_contraction: _random_pair refuses every class outside MATRIX_CLASSES
+    u = polar_factors(g).partial_isometry
+    return hermitize((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T)
 
 
 def _random_pair(raw: dict, default_class: str, where: str) -> tuple[np.ndarray, np.ndarray]:

@@ -63,10 +63,6 @@ class Grid1D:
     def n(self) -> int:
         return len(self.points)
 
-    def integrate(self, values) -> float | complex:
-        out = np.sum(self.weights * np.asarray(values))
-        return complex(out) if np.iscomplexobj(values) else float(out)
-
 
 _PANEL = 16
 
@@ -192,7 +188,7 @@ def potential_values(q, x: np.ndarray) -> np.ndarray:
             center with the given taper; its integral is exactly
             2 * half_width * amplitude because the taper is symmetric
       table: linear interpolation of sample arrays xs, qs (0 outside);
-             xs must increase strictly
+             xs must increase strictly, in finite steps
     """
     x = np.asarray(x, dtype=float)
     if callable(q):
@@ -205,7 +201,8 @@ def potential_values(q, x: np.ndarray) -> np.ndarray:
         if kind == "gaussian":
             if p["width"] <= 0:
                 raise ValidationError("gaussian width must be positive")
-            return p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
+            with np.errstate(over="ignore"):  # a square that overflows to inf is exp(-inf) = 0
+                return p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2))
         if kind == "bump":
             a = p["half_width"]
             taper = min(0.75, a) if p["taper"] is None else p["taper"]
@@ -216,8 +213,11 @@ def potential_values(q, x: np.ndarray) -> np.ndarray:
             return p["amplitude"] * np.where(u <= a - taper, 1.0, np.where(u >= a + taper, 0.0, ramp))
         xs = np.asarray(p["x"], dtype=float)
         qs = np.asarray(p["q"])
-        if not np.all(np.diff(xs) > 0):
-            raise ValidationError("table x values must increase strictly")
+        with np.errstate(over="ignore"):
+            steps = np.diff(xs)
+        # np.interp reads an infinite step as slope 0
+        if not np.all((steps > 0) & np.isfinite(steps)):
+            raise ValidationError("table x values must increase strictly, in finite steps")
         if np.iscomplexobj(qs):
             return np.interp(x, xs, qs.real, left=0.0, right=0.0) + 1j * np.interp(
                 x, xs, qs.imag, left=0.0, right=0.0

@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    CLUSTER_TOL,
     TWO_PI,
     Contraction,
     Unitary,
@@ -155,7 +154,7 @@ def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
 def _step_ssf(phases0, phases1) -> StepSSF:
     """Step SSF with +multiplicity jumps at phases0 and -multiplicity jumps at phases1."""
     (p0, k0), (p1, k1) = _columns(phases0), _columns(phases1)
-    clustered = _cluster_circle(np.concatenate((p0, p1)), np.concatenate((k0, -k1)), CLUSTER_TOL)
+    clustered = _cluster_circle(np.concatenate((p0, p1)), np.concatenate((k0, -k1)))
     thetas, sizes = _columns(clustered)
     keep = sizes != 0
     thetas, sizes = thetas[keep], sizes[keep]
@@ -182,7 +181,6 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
 
     Valid for trace formulas with polynomials of degree at most m - 2.
     """
-    t0, t1 = as_pair(Contraction, t0, t1)
     return dilation_ssf(*dilation_pair(t0, t1, m))
 
 

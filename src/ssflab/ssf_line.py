@@ -67,13 +67,6 @@ class LineSSF:
     def mass_at_infinity(self) -> int:
         return int(self.source.sizes[len(self.breakpoints) :].sum())
 
-    def value(self, t):
-        """Evaluate at t (scalar or array); a breakpoint carries its jump."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breakpoints, t, side="right")
-        out = self.values[idx]
-        return out if out.shape else float(out)
-
     def windowed_integral(self, r: float) -> float:
         """Exact integral of the step function over [-r, r]."""
         if r <= 0:
@@ -87,15 +80,10 @@ def _interior_count(step: StepSSF) -> int:
     return int(np.searchsorted(step.thetas, TWO_PI - _BOUNDARY_EPS))
 
 
-def pushforward_line(step: StepSSF) -> LineSSF:
-    """Push a circle step SSF to the line along t = -cot(theta/2)."""
-    return LineSSF(step)
-
-
 def dissipative_ssf(l0: Dissipative, l1: Dissipative, m: int) -> LineSSF:
     """SSF of a dissipative pair: Cayley transform, dilate on m blocks, push to the line."""
     l0, l1 = as_pair(Dissipative, l0, l1)
-    return pushforward_line(dilation_ssf(*dilation_pair(cayley(l0), cayley(l1), m)))
+    return LineSSF(dilation_ssf(*dilation_pair(cayley(l0), cayley(l1), m)))
 
 
 def weighted_abs_integral(ssf: LineSSF, side: str = "line") -> float:

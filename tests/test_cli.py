@@ -1,6 +1,8 @@
 """Command line surface: exit codes, files on disk, round trips."""
 
+import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -12,11 +14,12 @@ import pytest
 
 from ssflab import cli, scenario
 from ssflab.cli import main
+from ssflab.errors import SchemaError
 from ssflab.export import read_ssf_csv, table_array, write_ssf_csv
 from ssflab.linalg import TWO_PI
 from ssflab.scenario import ANCHORS, KINDS
 from ssflab.ssf_circle import SampledSSF, StepSSF
-from ssflab.ssf_line import pushforward_line
+from ssflab.ssf_line import LineSSF
 
 
 def write_json(path, payload):
@@ -192,6 +195,74 @@ def test_a_memory_error_fails_only_its_file(tmp_path, monkeypatch, capsys):
     assert [r["all_pass"] for r in reports.values()] == [True, False, True]
     assert [r["check_id"] for r in reports["second"]["records"]] == ["numeric-completion"]
     assert reports["second"]["flags"] == {"numeric_error": "MemoryError: Unable to allocate 512. GiB for an array"}
+
+
+def with_runner(monkeypatch, kind, run):
+    """Replace the runner of one scenario kind for the test."""
+    monkeypatch.setitem(scenario._KINDS, kind, dataclasses.replace(scenario._KINDS[kind], run=run))
+
+
+def three_kinds(tmp_path):
+    kinds = ("unitary_pair", "dissipative_pair", "fractional")
+    return [write_json(tmp_path / f"{k}.json", scenario.generate_scenario(k, 1, 2) | {"name": k}) for k in kinds]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_crash_in_one_file_does_not_end_the_batch(tmp_path, monkeypatch, capsys, threads):
+    def crash(sc, record):
+        raise TypeError("unsupported operand type(s)")
+
+    with_runner(monkeypatch, "unitary_pair", crash)
+    files, out = three_kinds(tmp_path), tmp_path / "out"
+    assert main(["run", *map(str, files), "--threads", threads, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["dissipative_pair", "fractional"]
+    err = captured.err.splitlines()
+    assert err[0] == f"{files[0]}: internal error: TypeError: unsupported operand type(s)"
+    assert err[1].startswith("batch: files 3, passed 2, failed 0, schema errors 0, io errors 0, internal errors 1, ")
+    assert len(err) == 2
+    assert sorted(p.name for p in out.glob("*.report.json")) == ["dissipative_pair.report.json", "fractional.report.json"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ctrl_c_in_a_file_ends_the_batch(tmp_path, monkeypatch, threads):
+    def interrupt(sc, record):
+        raise KeyboardInterrupt
+
+    with_runner(monkeypatch, "unitary_pair", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", *map(str, three_kinds(tmp_path)), "--threads", threads, "--out-dir", str(tmp_path / "out")])
+
+
+def test_the_batch_line_counts_every_outcome_and_gives_the_worst_headroom(tmp_path, capsys):
+    good = write_json(tmp_path / "good.json", hand_pair_payload(name="good"))
+    tight = write_json(tmp_path / "tight.json", hand_pair_payload(name="tight", tolerances={"hardy-gauge": 1e-30}))
+    bad = write_json(tmp_path / "bad.json", {"name": "bad", "kind": "unitary_pair"})
+    assert main(["run", str(good), str(tight), str(bad), "--out-dir", str(tmp_path)]) == 2
+    records = [r for n in ("good", "tight") for r in json.loads((tmp_path / f"{n}.report.json").read_text())["records"]]
+    worst = max(r["residual"] / r["tolerance"] for r in records if r["residual"] is not None and r["tolerance"] > 0)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "batch: files 3, passed 1, failed 1, schema errors 1, io errors 0, internal errors 0, "
+        f"worst headroom {worst:.3e}"
+    )
+
+
+def test_the_worst_headroom_is_nan_when_any_ratio_is_nan():
+    assert cli._worst_headroom([2.0, math.nan, 1.0]) == "nan"
+    assert cli._worst_headroom([2.0, 1.0]) == "2.000e+00"
+    assert cli._worst_headroom([]) == "n/a"
+
+
+def test_a_schema_error_inside_a_runner_is_passed_through_unchanged(tmp_path, monkeypatch, capsys):
+    def refuse(sc, record):
+        raise SchemaError("matrices: refused by the runner")
+
+    with_runner(monkeypatch, "unitary_pair", refuse)
+    f = write_json(tmp_path / "hand.json", hand_pair_payload())
+    with pytest.raises(SchemaError, match="^matrices: refused by the runner$"):
+        scenario.run_scenario(scenario.load_scenario(f))
+    assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{f}: schema error: matrices: refused by the runner\n")
 
 
 def test_tolerance_scale_rescues(tmp_path):
@@ -421,7 +492,7 @@ def test_plot_from_csv(tmp_path):
 
 def test_plot_line_kind_labels_tails(tmp_path):
     step = StepSSF(jumps=((np.pi / 2.0, -1), (2.0 * np.pi, 1)), gauge=0.75)
-    line = pushforward_line(step)
+    line = LineSSF(step)
     csv_path = tmp_path / "line.csv"
     write_ssf_csv(line, csv_path)
     out = tmp_path / "line.svg"
@@ -511,7 +582,7 @@ def test_line_csv_endpoints_are_its_first_and_last_rows_past_blank_lines(tmp_pat
 
 def test_every_written_table_kind_reads_back(tmp_path):
     step = StepSSF(jumps=((1.0, 2), (4.0, -1), (TWO_PI, -1)), gauge=-0.5)
-    line = pushforward_line(step)
+    line = LineSSF(step)
     sampled = SampledSSF(1.0001, np.linspace(0.0, TWO_PI, 9)[1:], np.arange(8.0) - 3.5, 1)
     for table, kind in ((step, "circle_step"), (line, "line_step"), (sampled, "sampled")):
         path = tmp_path / f"{kind}.csv"
@@ -628,9 +699,10 @@ def test_an_out_dir_that_is_a_file_is_an_io_error_for_each_scenario(tmp_path, ca
     second = write_json(tmp_path / "second.json", hand_pair_payload(name="second"))
     (tmp_path / "notadir").touch()
     assert main(["run", str(first), str(second), "--out-dir", str(tmp_path / "notadir")]) == 1
-    err = capsys.readouterr().err.splitlines()
+    *err, batch = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == [[str(first), "io error"], [str(second), "io error"]]
     assert all("cannot create" in line for line in err)
+    assert batch == "batch: files 2, passed 0, failed 0, schema errors 0, io errors 2, internal errors 0, worst headroom n/a"
 
 
 # ---------------------------------------------------------------------------

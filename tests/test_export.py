@@ -11,7 +11,7 @@ from ssflab.errors import SchemaError
 from ssflab.export import dump_json, jsonable, read_ssf_csv, render_ssf_svg, table_array, table_kind, write_ssf_csv
 from ssflab.scenario import KINDS, generate_scenario, write_scenario
 from ssflab.ssf_circle import SampledSSF, StepSSF
-from ssflab.ssf_line import pushforward_line
+from ssflab.ssf_line import LineSSF
 
 TWO_PI = 2.0 * np.pi
 
@@ -218,7 +218,7 @@ def test_step_csv_round_trip_is_exact(step, tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(step=step_ssfs())
 def test_line_csv_round_trip_is_exact(step, tmp_path_factory):
-    line = pushforward_line(step)
+    line = LineSSF(step)
     kind, rows = round_trip(line, tmp_path_factory.mktemp("csv"))
     assert kind == "line_step"
     assert rows == list(map(tuple, table_array(line).tolist()))

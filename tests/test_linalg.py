@@ -179,6 +179,10 @@ def test_schatten_oracles():
     assert operator_norm(a) == pytest.approx(4.0, abs=1e-14)
 
 
+def test_the_operator_norm_of_an_empty_matrix_is_zero():
+    assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
 def test_schatten_rejects_quasinorm():
     with pytest.raises(InvalidExponent):
         schatten_norm(np.eye(2), 0.5)
@@ -465,7 +469,7 @@ def test_cluster_circle_matches_the_loop(centres, spread, picks):
     phases = np.array([centres[c] + d for c, (d, _) in zip(where, spread)]) % TWO_PI
     phases = np.where(phases <= 0.0, phases + TWO_PI, phases)
     weights = np.array([w for _, w in spread])
-    got = _cluster_circle(phases, weights, 1e-9)
+    got = _cluster_circle(phases, weights)
     want = _cluster_circle_loop(phases, weights, 1e-9)
     assert [w for _, w in got] == [w for _, w, _ in want]
     for (p, _), (q, _, grp) in zip(got, want):

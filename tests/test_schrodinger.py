@@ -17,6 +17,7 @@ from ssflab.errors import (
     BranchCut,
     DissipativityViolation,
     NegativePotential,
+    SchemaError,
     ValidationError,
 )
 from ssflab import schrodinger
@@ -97,7 +98,7 @@ def test_gauss_grid_weights_sum_to_length():
     assert np.all(np.diff(grid.points) > 0)
     # a degree-31 monomial is integrated exactly by 16-point panels
     poly = grid.points**5
-    assert grid.integrate(poly) == pytest.approx(0.0, abs=1e-9)
+    assert np.sum(grid.weights * poly) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_trapezoid_grid():
@@ -437,14 +438,14 @@ def test_gaussian_descriptor_shape():
 def test_bump_descriptor_mass_is_exact():
     grid = make_grid(-4.0, 4.0, 2048)
     q = potential_values({"kind": "bump", "half_width": 1.0, "taper": 0.75}, grid.points)
-    assert grid.integrate(q) == pytest.approx(2.0, abs=1e-8)
+    assert np.sum(grid.weights * q) == pytest.approx(2.0, abs=1e-8)
     assert float(np.max(q)) == pytest.approx(1.0, abs=1e-15)
     assert np.all(q >= 0)
     # mass scales with both knobs
     q2 = potential_values(
         {"kind": "bump", "amplitude": 0.5, "half_width": 2.0, "taper": 0.5}, grid.points
     )
-    assert grid.integrate(q2) == pytest.approx(2.0, abs=1e-8)
+    assert np.sum(grid.weights * q2) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_table_descriptor_interpolates():
@@ -461,6 +462,34 @@ def test_table_descriptor_needs_strictly_increasing_x(xs):
     # np.interp assumes increasing sample points and is silently wrong otherwise
     with pytest.raises(ValidationError, match="increase strictly"):
         potential_values({"kind": "table", "x": xs, "q": [1.0] * len(xs)}, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "extreme", [{"center": 1e308}, {"width": 1e-300}, {"amplitude": 1e308, "width": 1e-300}]
+)
+def test_a_gaussian_whose_square_overflows_is_zero_without_a_warning(extreme):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = potential_values({"kind": "gaussian", **extreme}, np.linspace(-8.0, 8.0, 16))
+    assert vals.tolist() == [0.0] * 16
+
+
+def test_a_table_whose_x_step_overflows_is_refused_at_parse():
+    # the step 2e308 is inf, and np.interp would read the table as the constant 1.0
+    from ssflab.scenario import parse_scenario
+
+    payload = {
+        "name": "wide",
+        "kind": "kernel_trace",
+        "grid": {"lo": -8.0, "hi": 8.0, "nodes": 16},
+        "potential": {"kind": "table", "x": [-1e308, 1e308], "q": [1.0, 2.0]},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="^potential: table x values must increase strictly, in finite steps$"):
+            parse_scenario(payload)
+        sc = parse_scenario(payload | {"potential": {"kind": "table", "x": [-1e300, 1e300], "q": [1.0, 2.0]}})
+    assert sc.potential.real.tolist() == [1.5] * 16
 
 
 def test_potential_descriptor_validation():

@@ -10,7 +10,6 @@ from ssflab import linalg, ssf_circle
 from ssflab.export import table_array
 from ssflab.dilation import dilation_pair
 from ssflab.linalg import (
-    CLUSTER_TOL,
     Contraction,
     Dissipative,
     Unitary,
@@ -822,7 +821,7 @@ def _step_ssf_per_jump(phases0, phases1):
     """(jumps, gauge) as the per-jump assembly built them."""
     phases = [p for p, _ in phases0] + [p for p, _ in phases1]
     weights = [k for _, k in phases0] + [-k for _, k in phases1]
-    clustered = _cluster_circle(np.array(phases), np.array(weights), CLUSTER_TOL)
+    clustered = _cluster_circle(np.array(phases), np.array(weights))
     jumps = tuple((p, int(w)) for p, w in clustered if w != 0)
     return jumps, sum(w * p for p, w in jumps) / TWO_PI
 
@@ -856,7 +855,7 @@ def test_step_ssf_from_arrays_is_the_per_jump_assembly(lists):
 
 def test_groups_on_both_sides_of_the_seam_are_one_entry():
     # each group lies within CLUSTER_TOL of the seam and snaps to 2pi, though the two are 1.2e-9 apart
-    got = _cluster_circle(np.array([0.6e-9, 1.0, TWO_PI - 0.6e-9]), np.array([1, 1, 2]), CLUSTER_TOL)
+    got = _cluster_circle(np.array([0.6e-9, 1.0, TWO_PI - 0.6e-9]), np.array([1, 1, 2]))
     assert got == [(1.0, 1), (TWO_PI, 3)]
     phases = linalg.eigenphases(np.diag(np.exp(1j * np.array([0.6e-9, -0.6e-9, 1.0]))))
     assert [k for _, k in phases] == [1, 2] and phases[0][0] == pytest.approx(1.0) and phases[1][0] == TWO_PI

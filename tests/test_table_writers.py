@@ -39,7 +39,7 @@ from ssflab.errors import ValidationError
 from ssflab.linalg import TWO_PI
 from ssflab.scenario import KINDS, CheckRecord, Report, generate_scenario, parse_scenario, run_scenario
 from ssflab.ssf_circle import SampledSSF, StepSSF
-from ssflab.ssf_line import pushforward_line
+from ssflab.ssf_line import LineSSF
 
 HEADERS = {"circle_step": "theta_start,theta_end,value", "line_step": "t_start,t_end,value"}
 
@@ -189,11 +189,11 @@ def line_tables(draw):
 
     The angles are 2e-300 or more, so every breakpoint is finite.
     """
-    return pushforward_line(draw(circle_tables(positions=numbers.map(angle_of))))
+    return LineSSF(draw(circle_tables(positions=numbers.map(angle_of))))
 
 
 # breakpoints -cot(theta / 2) stay finite for theta >= 1e-9
-tables = circle_tables() | circle_tables(1e-9).map(pushforward_line) | line_tables()
+tables = circle_tables() | circle_tables(1e-9).map(LineSSF) | line_tables()
 
 
 def polyline_points(svg: str) -> list[str]:
@@ -244,10 +244,10 @@ def test_step_writers_write_the_per_cell_bytes(deduplicated, table, tmp_path_fac
         StepSSF(jumps=(), gauge=-5e-324),
         StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=1e16),  # a jump at 2pi
         StepSSF(jumps=((1e-05, 1), (3.0, -1)), gauge=-1e-05),  # none at 2pi
-        pushforward_line(StepSSF(jumps=(), gauge=2.5)),  # one row from -inf to inf
-        pushforward_line(StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.1)),  # mass at infinity
+        LineSSF(StepSSF(jumps=(), gauge=2.5)),  # one row from -inf to inf
+        LineSSF(StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.1)),  # mass at infinity
         # breakpoints -1e16 and just above 1e-4, values 9999999999999998.0, 1e16 and 1e16
-        pushforward_line(
+        LineSSF(
             StepSSF(jumps=((angle_of(-1e16), 2), (angle_of(1.001e-4), -1), (TWO_PI, -1)), gauge=9999999999999998.0)
         ),
     ],
@@ -264,7 +264,7 @@ def test_long_tables_take_the_deduplicating_path_and_write_the_per_cell_bytes(tm
     thetas = TWO_PI * np.arange(1, 151) / 151
     table = StepSSF(jumps=tuple(zip(thetas, [1, -1] * 75)), gauge=-0.0)
     assert_writers_match(table, tmp_path)
-    assert_writers_match(pushforward_line(table), tmp_path)
+    assert_writers_match(LineSSF(table), tmp_path)
 
 
 def _unchecked_step(jumps, gauge) -> StepSSF:
@@ -392,7 +392,7 @@ def test_the_report_writer_builds_no_per_cell_rows(tmp_path):
     thetas = TWO_PI * np.arange(1, 9) / 8
     tables = {
         "circle_step": StepSSF(jumps=((1.0, 1), (TWO_PI, -1)), gauge=0.5),
-        "line_step": pushforward_line(StepSSF(jumps=((1.0, 1), (2.0, -1)), gauge=0.5)),
+        "line_step": LineSSF(StepSSF(jumps=((1.0, 1), (2.0, -1)), gauge=0.5)),
         "sampled": SampledSSF(1.5, thetas, np.cos(thetas), 0),
     }
     report = Report("t", "unitary_pair", (), {}, tables, {})
