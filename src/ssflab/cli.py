@@ -4,14 +4,17 @@ Each file that ran prints one PASS or FAIL line with its worst headroom,
 the largest residual / tolerance among its records. Exit codes for `run`:
 0 when every record of every report passes, 1 when some numeric check
 failed (reports are still written), an output could not be written or a
-file crashed, 2 when a file does not parse against the scenario schema.
-A crash (any `Exception`; Ctrl-C still ends the batch) prints
-`<path>: internal error: <type>: <message>` to stderr, and the batch goes
-on. After the last file, one `batch:` line on stderr counts the files that
-passed, failed, were refused or crashed, and gives the batch's worst
-headroom. A scenario name names the output
-files, so within one run a file that repeats the name of an earlier file
-in argument order is a schema error too, and nothing is written for it.
+file crashed, 2 when the scenario schema or the file's kind refuses a file
+(any ValidationError). A crash (any other `Exception`; Ctrl-C still ends
+the batch) prints `<path>: internal error: <type>: <message>` to stderr,
+then its traceback indented by two spaces, and the batch goes on. After
+the last file, one `batch:` line on stderr counts the files that passed,
+failed, were refused or crashed, and gives the batch's worst headroom. A
+`--threads` below 1 or a `--tolerance-scale` that is not positive and
+finite is refused before any file runs, exit 2, with no batch line. A
+scenario name names the output files, so within one run a file that
+repeats the name of an earlier file in argument order is a schema error
+too, and nothing is written for it.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-from .errors import IoError, SchemaError
+from .errors import IoError, SchemaError, ValidationError
 from .export import plot_ssf, read_ssf_csv, write_report_json, write_ssf_csv
 from .scenario import KINDS, generate_scenario, load_scenario, run_scenario, write_scenario
 
@@ -64,6 +68,8 @@ def _load_and_run(path: str, tolerance_scale: float):
 def _cmd_run(args) -> int:
     if args.threads < 1:
         raise SchemaError(f"--threads must be at least 1, got {args.threads}")
+    if not 0 < args.tolerance_scale < math.inf:
+        raise SchemaError(f"--tolerance-scale must be positive and finite, got {args.tolerance_scale}")
     run = partial(_load_and_run, tolerance_scale=args.tolerance_scale)
     parallel = args.threads > 1 and len(args.files) > 1
     owners: dict[str, str] = {}
@@ -79,14 +85,15 @@ def _cmd_run(args) -> int:
                     raise SchemaError(f"scenario name {sc.name!r} is already used by {owners[sc.name]}")
                 owners[sc.name] = path
                 _write_outputs(report, sc, args.out_dir)
-            except (SchemaError, IoError) as exc:
-                code = "schema" if isinstance(exc, SchemaError) else "io"
+            except (ValidationError, IoError) as exc:
+                code = "schema" if isinstance(exc, ValidationError) else "io"
                 counts[code] += 1
                 print(f"{path}: {code} error: {exc}", file=sys.stderr)
                 continue
             except Exception as exc:  # a crash ends its file, not the batch
                 counts["internal"] += 1
                 print(f"{path}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                print("".join("  " + line for line in traceback.format_exc().splitlines(True)), end="", file=sys.stderr)
                 continue
             failed = report.failed()
             ratios = [r.residual / r.tolerance for r in report.records if r.residual is not None and r.tolerance > 0]
@@ -172,7 +179,7 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_plot(args)
-    except SchemaError as exc:
+    except ValidationError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except IoError as exc:

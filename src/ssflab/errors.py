@@ -1,8 +1,8 @@
-"""Exception types raised across the laboratory.
+"""Exception types raised across the laboratory, in three classes.
 
-Everything numerical derives from ValueError or ArithmeticError so that
-callers can catch broad classes; the CLI maps SchemaError to exit code 2
-and any other failure to exit code 1.
+An input refusal is a ValidationError, SchemaError included: CLI exit code 2. A numeric failure is an
+ArithmeticError (or LAPACK's LinAlgError, or a MemoryError): a failing record, exit code 1. A write
+failure is an IoError, exit code 1. Anything else is a program fault: an internal error, exit code 1.
 """
 
 
@@ -23,7 +23,7 @@ class InvalidExponent(ValidationError):
     """An exponent outside its admissible range (`linalg.check_exponents`)."""
 
 
-class InvalidOrder(ValueError):
+class InvalidOrder(ValidationError):
     """Dilation order m below the minimum of 3."""
 
 
@@ -52,11 +52,11 @@ class QuadratureDivergence(ArithmeticError):
     """Node doubling failed to stabilize the fractional-power quadrature."""
 
 
-class BranchCut(ValueError):
+class BranchCut(ValidationError):
     """Green kernel evaluated on (or within tolerance of) the branch cut [0, infinity)."""
 
 
-class NegativePotential(ValueError):
+class NegativePotential(ValidationError):
     pass
 
 
@@ -64,7 +64,7 @@ class DissipativityViolation(ValidationError):
     """A potential with negative imaginary part would break dissipativity."""
 
 
-class SchemaError(ValueError):
+class SchemaError(ValidationError):
     """A scenario file failed structural validation. CLI exit code 2."""
 
 

@@ -105,7 +105,7 @@ def schatten_norm(a, p: float = 2) -> float:
 
 def _eig(solver, a: np.ndarray):
     """solver(a) for a numpy eigensolver, with LAPACK failure raised as EigenFailure
-    (LinAlgError subclasses ValueError, which callers read as bad input)."""
+    (LinAlgError subclasses ValueError, the class of input refusals)."""
     try:
         return solver(a)
     except np.linalg.LinAlgError as exc:
@@ -544,7 +544,7 @@ def analytic_poly_eval(t, coeffs: Sequence[complex]) -> np.ndarray:
     """Evaluate an analytic polynomial sum_k coeffs[k] T^k by Horner's scheme."""
     m = as_matrix(t)
     if len(coeffs) == 0:
-        raise ValueError("empty coefficient list")
+        raise ValidationError("empty coefficient list")
     c = np.asarray(coeffs, dtype=np.complex128)
     eye = np.eye(m.shape[0], dtype=np.complex128)
     out = c[-1] * eye

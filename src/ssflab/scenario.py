@@ -329,7 +329,7 @@ def _parse_potential(raw, grid: Grid1D, where: str = "potential") -> np.ndarray:
         desc[key] = [entry(v, f"{at}[{i}]") for i, v in enumerate(raw[key])] if kind == "table" else entry(raw[key], at)
     try:
         return _frozen(np.asarray(potential_values(desc, grid.points), dtype=np.complex128))
-    except ValueError as exc:
+    except ValidationError as exc:
         _fail(where, str(exc))
 
 
@@ -649,12 +649,13 @@ class Report:
 _AUTO = object()
 
 
-class _Records(list):
-    """The records of one run; calling it records a check at its parsed tolerance times the run's scale."""
+class _Run(list):
+    """One run's records, flags and tables; calling it records a check at its tolerance times the scale."""
 
     def __init__(self, checks: dict, scale: float):
         super().__init__()
         self.checks, self.scale = checks, scale
+        self.flags, self.tables = {}, {}
 
     def tolerance(self, check_id: str) -> float:
         return float(self.checks[check_id][1]) * float(self.scale)
@@ -673,26 +674,25 @@ def _fields(rep, *drop) -> dict:
     return {k: v for k, v in vars(rep).items() if k not in drop}
 
 
-def _run_unitary_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+def _run_unitary_pair(sc: Scenario, run: _Run) -> None:
     u0, u1 = (Unitary(m) for m in sc.matrices)
-    return _circle_pair_checks(sc, record, unitary_ssf(u0, u1), {}, (u0, u1))
+    _circle_pair_checks(sc, run, unitary_ssf(u0, u1), (u0, u1))
 
 
-def _circle_pair_checks(sc, record, ssf, flags, operands):
+def _circle_pair_checks(sc, run, ssf, operands):
     """Trace-formula, Hardy-gauge and determinant checks of a circle-kind pair; the determinant
     route reads the eigenvalues of the operands, a `Unitary`'s the ones its step SSF used."""
     m0, m1 = sc.matrices
     for j, coeffs in enumerate(sc.test_polynomials):
         lhs = np.trace(analytic_poly_eval(m1, coeffs)) - np.trace(analytic_poly_eval(m0, coeffs))
-        record(f"trace-poly-{j}", lhs, ssf_trace_integral(ssf, coeffs))
-    record("hardy-gauge", hardy_gauge_check(1, sc.test_polynomials[0]), 0.0)
-    flags = {"gauge": ssf.gauge, "jump_count": len(ssf.jumps), **flags}
-    tables = {"circle_step": ssf}
-    _determinant_block(sc, record, operands, ssf, flags, tables)
-    return flags, tables
+        run(f"trace-poly-{j}", lhs, ssf_trace_integral(ssf, coeffs))
+    run("hardy-gauge", hardy_gauge_check(1, sc.test_polynomials[0]), 0.0)
+    run.flags.update(gauge=ssf.gauge, jump_count=len(ssf.jumps))
+    run.tables["circle_step"] = ssf
+    _determinant_block(sc, run, operands, ssf)
 
 
-def _determinant_block(sc, record, operands, step_ssf, flags, tables):
+def _determinant_block(sc, run, operands, step_ssf):
     """Step-consistency and LU checks of the determinant route. Each gap is nonnegative and
     so its own residual; a check that could not run records residual None."""
     if "determinant-lu-crosscheck" not in sc.checks:
@@ -705,20 +705,20 @@ def _determinant_block(sc, record, operands, step_ssf, flags, tables):
         lu = perturbation_determinant(*operands, probes).tolist()
         lu_gap = max(abs(sampled.determinant(z) / d - 1) for z, d in zip(probes, lu))
     except ArithmeticError as exc:
-        flags["determinant_error"] = f"{type(exc).__name__}: {exc}"
+        run.flags["determinant_error"] = f"{type(exc).__name__}: {exc}"
     else:
         try:
             deviation = step_vs_sampled_max_deviation(step_ssf, sampled)
         except ValidationError as exc:
             # every grid point lies near a jump: nothing to compare, which fails the check
-            flags["determinant_step_error"] = f"{type(exc).__name__}: {exc}"
-        flags["determinant_winding"] = sampled.winding
-        tables["sampled"] = sampled
-    record("determinant-step-consistency", deviation or 0.0, 0.0, residual=deviation)
-    record("determinant-lu-crosscheck", lu_gap or 0.0, 0.0, residual=lu_gap)
+            run.flags["determinant_step_error"] = f"{type(exc).__name__}: {exc}"
+        run.flags["determinant_winding"] = sampled.winding
+        run.tables["sampled"] = sampled
+    run("determinant-step-consistency", deviation or 0.0, 0.0, residual=deviation)
+    run("determinant-lu-crosscheck", lu_gap or 0.0, 0.0, residual=lu_gap)
 
 
-def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+def _run_contraction_pair(sc: Scenario, run: _Run) -> None:
     m0, m1 = sc.matrices
     t0, t1 = Contraction(m0), Contraction(m1)
     d0, d1 = dilation_pair(t0, t1, sc.dilation_order)
@@ -728,18 +728,17 @@ def _run_contraction_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
         for corner in dil.compressed_powers(sc.dilation_order - 2):
             worst = max(worst, operator_norm(corner - power))
             power = power @ base
-    record("power-dilation", worst, 0.0)
+    run("power-dilation", worst, 0.0)
     conditions = real_ssf_conditions_report(
         t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
-    record("defect-identity", conditions.identity_residual, 0.0)
-    flags = {"block_count": sc.dilation_order, **_fields(conditions, "alpha", "beta", "p", "identity_residual")}
-    ssf = dilation_ssf(d0, d1)
-    return _circle_pair_checks(sc, record, ssf, flags, (t0, t1))
+    run("defect-identity", conditions.identity_residual, 0.0)
+    run.flags.update(block_count=sc.dilation_order, **_fields(conditions, "alpha", "beta", "p", "identity_residual"))
+    _circle_pair_checks(sc, run, dilation_ssf(d0, d1), (t0, t1))
 
 
-def _line_pair_checks(sc, record, l0, l1):
-    """Line SSF, resolvent and weighted checks of a dissipative pair: (flags, tables).
+def _line_pair_checks(sc, run, l0, l1):
+    """Line SSF, resolvent and weighted checks of a dissipative pair.
 
     The block count is the file's, or the least candidate whose truncation
     error sits TRUNCATION_MARGIN times under each resolvent record's
@@ -750,72 +749,70 @@ def _line_pair_checks(sc, record, l0, l1):
     lhs = [resolvent_trace_difference(l0.m, l1.m, z) for z in sc.z_values]
     blocks = np.arange(3, LINE_BLOCKS + 1) if sc.dilation_order is None else np.array([sc.dilation_order])
     errors = np.abs([resolvent_truncation_errors(l0, l1, z, s, blocks) for z, s in zip(sc.z_values, lhs)])
-    limits = np.array([[record.tolerance(f"resolvent-z{j}") / TRUNCATION_MARGIN] for j in range(len(lhs))])
+    limits = np.array([[run.tolerance(f"resolvent-z{j}") / TRUNCATION_MARGIN] for j in range(len(lhs))])
     fits = np.all(errors <= limits, axis=0)
     k = int(np.argmax(fits)) if fits.any() else len(blocks) - 1
     m = int(blocks[k])
     ssf = dissipative_ssf(l0, l1, m)
     for j, z in enumerate(sc.z_values):
-        record(f"resolvent-z{j}", lhs[j], resolvent_trace_integral(ssf, z))
-    record("weighted-consistency", weighted_abs_integral(ssf, side="line"), weighted_abs_integral(ssf, side="circle"))
-    flags = {
-        "block_count": m,
-        "truncation_estimate": [float(e) for e in errors[:, k]],
-        "jump_count": len(ssf.breakpoints),
-        "mass_at_infinity": ssf.mass_at_infinity,
+        run(f"resolvent-z{j}", lhs[j], resolvent_trace_integral(ssf, z))
+    run("weighted-consistency", weighted_abs_integral(ssf, side="line"), weighted_abs_integral(ssf, side="circle"))
+    run.flags.update(
+        block_count=m,
+        truncation_estimate=[float(e) for e in errors[:, k]],
+        jump_count=len(ssf.breakpoints),
+        mass_at_infinity=ssf.mass_at_infinity,
         **_fields(perturbation_trace_report(l0, l1, ssf)),
-    }
-    return flags, {"line_step": ssf}
+    )
+    run.tables["line_step"] = ssf
 
 
-def _run_dissipative_pair(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+def _run_dissipative_pair(sc: Scenario, run: _Run) -> None:
     l0, l1 = (Dissipative(m) for m in sc.matrices)
     idents = cayley_identity_residuals(l0, l1)
     defect = max(max(idents.defect_sq_residuals), max(idents.adjoint_defect_sq_residuals))
-    record("cayley-defect-factorization", defect, 0.0)
-    record("cayley-resolvent-difference", idents.resolvent_difference_residual, 0.0)
-    flags, tables = _line_pair_checks(sc, record, l0, l1)
+    run("cayley-defect-factorization", defect, 0.0)
+    run("cayley-resolvent-difference", idents.resolvent_difference_residual, 0.0)
+    _line_pair_checks(sc, run, l0, l1)
     try:
-        flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents["p"]))
+        run.flags["condition_report"] = _fields(dissipative_condition_report(l0, l1, p=sc.exponents["p"]))
     except ArithmeticError as exc:
-        flags["condition_report"] = f"{type(exc).__name__}: {exc}"
-    return flags, tables
+        run.flags["condition_report"] = f"{type(exc).__name__}: {exc}"
 
 
-def _run_fractional(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+def _run_fractional(sc: Scenario, run: _Run) -> None:
     x, y = sc.matrices
     e = sc.exponents
     job = FractionalJob(x=x, y=y, sigma=e["sigma"], alpha=e["alpha"], beta=e["beta"], p=e["p"])
     bound_rep = fractional_power_bound_report(job)
-    record("fractional-bound", bound_rep.lhs, bound_rep.bound, residual=max(0.0, bound_rep.lhs - bound_rep.bound))
+    run("fractional-bound", bound_rep.lhs, bound_rep.bound, residual=max(0.0, bound_rep.lhs - bound_rep.bound))
     exact = fractional_power(job.y, job.sigma) - fractional_power(job.x, job.sigma)
     quad = fractional_diff_quadrature(job, nodes=sc.quadrature_nodes)
     rel = float(np.linalg.norm(quad - exact) / max(np.linalg.norm(exact), 1e-12))
-    record("fractional-quadrature", rel, 0.0)
+    run("fractional-quadrature", rel, 0.0)
     worst = max(resolvent_difference_identity_check(job.x, job.y, t) for t in (0.01, 1.0, 100.0))
-    record("resolvent-identity", worst, 0.0)
-    return {**_fields(bound_rep, "holds"), "min_eig": job.min_eig}, {}
+    run("resolvent-identity", worst, 0.0)
+    run.flags.update(_fields(bound_rep, "holds"), min_eig=job.min_eig)
 
 
-def _run_schrodinger(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+def _run_schrodinger(sc: Scenario, run: _Run) -> None:
     x = sc.grid.points
     l0, l1 = discrete_schrodinger_pair(sc.potential, float(x[1] - x[0]))
-    record("lattice-dissipativity", l0.imag_min, 1.0, residual=max(0.0, 1.0 - l0.imag_min))
-    flags, tables = _line_pair_checks(sc, record, l0, l1)
-    del flags["left_tail"], flags["right_tail"]
-    flags["nodes"] = sc.grid.n
-    return flags, tables
+    run("lattice-dissipativity", l0.imag_min, 1.0, residual=max(0.0, 1.0 - l0.imag_min))
+    _line_pair_checks(sc, run, l0, l1)
+    del run.flags["left_tail"], run.flags["right_tail"]
+    run.flags["nodes"] = sc.grid.n
 
 
-def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
+def _run_kernel_trace(sc: Scenario, run: _Run) -> None:
     grid = sc.grid
     full = full_kernel(sc.potential, grid, sc.spectral_point)
     rep = kernel_trace_report(sc.potential, grid, z=sc.spectral_point, full=full)
-    record("kernel-trace-identity", rep.trace, rep.trace_norm)
-    record("kernel-positivity", rep.min_eigenvalue, 0.0, residual=max(0.0, -rep.min_eigenvalue))
+    run("kernel-trace-identity", rep.trace, rep.trace_norm)
+    run("kernel-positivity", rep.min_eigenvalue, 0.0, residual=max(0.0, -rep.min_eigenvalue))
     if "kernel-half-l1" in sc.checks:
-        record("kernel-half-l1", rep.trace, rep.half_l1_target)
-    flags = {**_fields(rep), "spectral_point": sc.spectral_point}
+        run("kernel-half-l1", rep.trace, rep.half_l1_target)
+    run.flags.update(_fields(rep), spectral_point=sc.spectral_point)
     if "monotone-ladder" in sc.checks:
         mon = monotone_s1_check(
             sc.potential,
@@ -836,16 +833,15 @@ def _run_kernel_trace(sc: Scenario, record: Callable) -> tuple[dict, dict]:
                 + [a - b for a, b in zip(mon.approx_norms, mon.approx_norms[1:])]
                 + [b - a for a, b in zip(mon.residual_norms, mon.residual_norms[1:])]
             )
-        record("monotone-ladder", worst, 0.0)
-        flags["monotone"] = {**_fields(mon, "n_values"), "n": mon.n_values}
-    return flags, {}
+        run("monotone-ladder", worst, 0.0)
+        run.flags["monotone"] = {**_fields(mon, "n_values"), "n": mon.n_values}
 
 
 @dataclass(frozen=True)
 class _Kind:
     """What one scenario kind decides. The runner looks its numerics up by name as it runs."""
 
-    run: Callable[[Scenario, Callable], tuple[dict, dict]]  # (sc, record) -> (flags, tables)
+    run: Callable[[Scenario, _Run], None]  # (sc, run): makes the run's records, flags and tables
     keys: frozenset  # top-level keys beyond name, kind, outputs and tolerances
     anchors: tuple[str, ...]  # the anchors its records cite, in record order
     matrix_class: Optional[str]  # class of a random pair; None for the potential kinds
@@ -924,35 +920,31 @@ def _non_finite_flag(value, path: str) -> Optional[str]:
 def run_scenario(sc: Scenario, tolerance_scale: float = 1.0) -> Report:
     """Execute the checks of sc.checks, each at its tolerance times tolerance_scale.
 
-    Data problems that surface during execution (a matrix failing its class
-    validation, an inadmissible potential) are reported as SchemaError: the
-    file was wrong, not the numerics. Numeric check failures never raise;
-    they become failing records. A numeric exception (an ArithmeticError, a
-    LinAlgError from LAPACK, or a MemoryError at a size the schema admits)
-    ends the run with the records made so far plus a failing
-    numeric-completion record, with the error text in the flags; a flag that
-    is not finite adds that record after the others.
+    Data the kind refuses during execution (a matrix failing its class validation,
+    an inadmissible potential) raises the library's own ValidationError, unwrapped:
+    the file was wrong, not the numerics. Numeric check failures never raise; they
+    become failing records. A numeric exception (an ArithmeticError, a LinAlgError
+    from LAPACK, or a MemoryError at a size the schema admits) ends the run with the
+    records made so far plus a failing numeric-completion record, with the error text
+    in the flags; a flag that is not finite adds that record after the others. Any
+    other exception is a program fault and propagates unchanged.
     """
     if not isinstance(tolerance_scale, (int, float)) or not 0 < tolerance_scale < math.inf:
         raise SchemaError("tolerance_scale must be a positive finite number")
-    record = _Records(sc.checks, tolerance_scale)
+    run = _Run(sc.checks, tolerance_scale)
     try:
-        flags, tables = _KINDS[sc.kind].run(sc, record)
-        if bad := _non_finite_flag(flags, "flags"):
-            flags["numeric_error"] = f"not finite: {bad}"
-    except SchemaError:
-        raise
+        _KINDS[sc.kind].run(sc, run)
+        if bad := _non_finite_flag(run.flags, "flags"):
+            run.flags["numeric_error"] = f"not finite: {bad}"
     except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
-        flags, tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
-    except ValueError as exc:
-        raise SchemaError(f"scenario {sc.name!r}: {exc}") from exc
-    if "numeric_error" in flags:
-        record("numeric-completion", 0.0, 0.0, residual=None)
+        run.flags, run.tables = {"numeric_error": f"{type(exc).__name__}: {exc}"}, {}
+    if "numeric_error" in run.flags:
+        run("numeric-completion", 0.0, 0.0, residual=None)
     return Report(
         scenario=sc.name,
         kind=sc.kind,
-        records=tuple(record),
-        flags=flags,
-        tables=tables,
+        records=tuple(run),
+        flags=run.flags,
+        tables=run.tables,
         provenance={"config_hash": sc.config_hash, "library_version": __version__},
     )

@@ -207,10 +207,15 @@ def three_kinds(tmp_path):
     return [write_json(tmp_path / f"{k}.json", scenario.generate_scenario(k, 1, 2) | {"name": k}) for k in kinds]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_a_crash_in_one_file_does_not_end_the_batch(tmp_path, monkeypatch, capsys, threads):
-    def crash(sc, record):
-        raise TypeError("unsupported operand type(s)")
+@pytest.mark.parametrize(
+    "threads, error",
+    [("1", TypeError), ("2", TypeError), ("1", ValueError), ("2", ValueError)],
+    ids=["1", "2", "1-ValueError", "2-ValueError"],
+)
+def test_a_crash_in_one_file_does_not_end_the_batch(tmp_path, monkeypatch, capsys, threads, error):
+    # a plain ValueError is a program fault, as numpy raises on mismatched shapes, not a refusal of the file
+    def crash(sc, run):
+        raise error("operands could not be broadcast together")
 
     with_runner(monkeypatch, "unitary_pair", crash)
     files, out = three_kinds(tmp_path), tmp_path / "out"
@@ -218,9 +223,13 @@ def test_a_crash_in_one_file_does_not_end_the_batch(tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert [line.split(":")[0] for line in captured.out.splitlines()] == ["dissipative_pair", "fractional"]
     err = captured.err.splitlines()
-    assert err[0] == f"{files[0]}: internal error: TypeError: unsupported operand type(s)"
-    assert err[1].startswith("batch: files 3, passed 2, failed 0, schema errors 0, io errors 0, internal errors 1, ")
-    assert len(err) == 2
+    assert err[0] == f"{files[0]}: internal error: {error.__name__}: operands could not be broadcast together"
+    # the traceback, every line indented, names the runner that crashed
+    assert err[1] == "  Traceback (most recent call last):"
+    assert all(line.startswith("  ") for line in err[1:-1])
+    assert any(line.endswith(", in crash") for line in err[1:-1])
+    assert err[-2] == f"  {error.__name__}: operands could not be broadcast together"
+    assert err[-1].startswith("batch: files 3, passed 2, failed 0, schema errors 0, io errors 0, internal errors 1, ")
     assert sorted(p.name for p in out.glob("*.report.json")) == ["dissipative_pair.report.json", "fractional.report.json"]
 
 
@@ -263,6 +272,56 @@ def test_a_schema_error_inside_a_runner_is_passed_through_unchanged(tmp_path, mo
         scenario.run_scenario(scenario.load_scenario(f))
     assert main(["run", str(f), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"{f}: schema error: matrices: refused by the runner\n")
+
+
+def test_a_plain_value_error_of_a_runner_leaves_run_scenario_unwrapped(tmp_path, monkeypatch):
+    def fault(sc, run):
+        raise ValueError("operands could not be broadcast together")
+
+    with_runner(monkeypatch, "unitary_pair", fault)
+    with pytest.raises(ValueError) as info:
+        scenario.run_scenario(scenario.parse_scenario(hand_pair_payload()))
+    assert type(info.value) is ValueError and str(info.value) == "operands could not be broadcast together"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kind": "unitary_pair", "matrices": [[[2.0]], [[1.0]]]}, "unitarity defect 3.000e+00 exceeds 1.0e-10"),
+        (
+            {"kind": "schrodinger", "potential": {"kind": "gaussian", "amplitude": [0.5, -1.0]}},
+            "Im q has a negative value -9.840e-01; the pair would not be dissipative",
+        ),
+        (
+            {"kind": "kernel_trace", "potential": {"kind": "gaussian", "amplitude": -1.0}},
+            "potential value -1.000e+00 is negative",
+        ),
+    ],
+    ids=["non-unitary", "negative-im-q", "negative-kernel-potential"],
+)
+def test_data_its_kind_refuses_during_the_run_is_a_schema_error(tmp_path, capsys, payload, message):
+    f = write_json(tmp_path / "bad.json", {"name": "bad", **payload})
+    assert main(["run", str(f), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{f}: schema error: {message}",
+        "batch: files 1, passed 0, failed 0, schema errors 1, io errors 0, internal errors 0, worst headroom n/a",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_a_bad_tolerance_scale_is_refused_once_before_any_file_runs(tmp_path, capsys, scale):
+    files = [write_json(tmp_path / f"{n}.json", hand_pair_payload(name=n)) for n in ("a", "b")]
+    out = tmp_path / "out"
+    assert main(["run", *map(str, files), f"--tolerance-scale={scale}", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"schema error: --tolerance-scale must be positive and finite, got {float(scale)}"
+    ]
+    assert not out.exists()
 
 
 def test_tolerance_scale_rescues(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab import scenario, schrodinger
+from ssflab import cli, scenario, schrodinger
 from ssflab.dilation import FiniteDilation
 from ssflab.errors import SchemaError, ValidationError
 from ssflab.export import dump_json, report_to_dict
@@ -795,15 +795,26 @@ def test_a_huge_shape_is_refused_by_its_length_before_any_decoding(monkeypatch):
     )
 
 
-def test_runtime_data_violations_become_schema_errors():
-    # parses fine, but [[2]] is not unitary: the data violates the kind
-    payload = {"name": "x", "kind": "unitary_pair", "matrices": [[[2.0]], [[1.0]]]}
-    with pytest.raises(SchemaError):
-        run_scenario(parse_scenario(payload))
-    # imaginary part with a negative eigenvalue is not dissipative
-    payload = {"name": "x", "kind": "dissipative_pair", "matrices": [[[[0.0, -1.0]]], [[[0.0, 1.0]]]]}
-    with pytest.raises(SchemaError):
-        run_scenario(parse_scenario(payload))
+def test_runtime_data_violations_become_schema_errors(tmp_path, capsys):
+    # each parses fine, but its kind refuses the data: the library's refusal leaves the run unwrapped
+    cases = [
+        # [[2]] is not unitary
+        ({"kind": "unitary_pair", "matrices": [[[2.0]], [[1.0]]]}, "unitarity defect 3.000e+00 exceeds 1.0e-10"),
+        # imaginary part with a negative eigenvalue is not dissipative
+        (
+            {"kind": "dissipative_pair", "matrices": [[[[0.0, -1.0]]], [[[0.0, 1.0]]]]},
+            "imaginary part eigenvalue -1.000e+00 below -1.0e-10",
+        ),
+    ]
+    for payload, message in cases:
+        with pytest.raises(ValidationError) as info:
+            run_scenario(parse_scenario({"name": "x", **payload}))
+        assert not isinstance(info.value, SchemaError) and str(info.value) == message
+        # the CLI counts it as the file's schema error
+        path = tmp_path / f"{payload['kind']}.json"
+        path.write_text(json.dumps({"name": "x", **payload}))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{path}: schema error: {message}\n")
 
 
 def test_tolerance_override_and_scale():
@@ -1063,7 +1074,7 @@ def test_determinant_block_whose_route_raises_records_both_checks_as_not_run(mon
     assert [r for r in report.records if r not in records and not r.passed] == []
 
 
-def test_a_validation_error_of_the_determinant_route_is_a_schema_error(monkeypatch):
+def test_a_validation_error_of_the_determinant_route_is_a_schema_error(monkeypatch, tmp_path, capsys):
     from ssflab import scenario
     from ssflab.errors import ValidationError
 
@@ -1071,8 +1082,13 @@ def test_a_validation_error_of_the_determinant_route_is_a_schema_error(monkeypat
         raise ValidationError("sampling radius must be at least 1 + 1e-8")
 
     monkeypatch.setattr(scenario, "determinant_ssf", refuse)
-    with pytest.raises(SchemaError, match="sampling radius"):
+    with pytest.raises(ValidationError) as info:
         run_scenario(parse_scenario(hand_unitary_payload(determinant={})))
+    assert type(info.value) is ValidationError and str(info.value) == "sampling radius must be at least 1 + 1e-8"
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(hand_unitary_payload(determinant={})))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}: schema error: sampling radius must be at least 1 + 1e-8\n")
 
 
 @pytest.mark.parametrize("kind", ["dissipative_pair", "schrodinger"])
