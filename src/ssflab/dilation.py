@@ -53,6 +53,7 @@ from .linalg import (
     _PSI,
     _SKEW_TOL,
     _STRIP,
+    CayleyProblem,
     Contraction,
     Unitary,
     _eig,
@@ -62,7 +63,6 @@ from .linalg import (
     defect_values,
     hermitize,
     phase_clusters,
-    unitary_spectrum,
 )
 
 # largest ||J^T - S J S||_F at which the eigensolve tries the real fold: far
@@ -199,8 +199,8 @@ class FiniteDilation:
             return None
         return normal_diagonal(self.julia)
 
-    def eigenphases(self) -> list[tuple[float, int]]:
-        """Eigenphases of u as `linalg.eigenphases` gives them, from one `unitary_spectrum` call.
+    def cayley_problem(self) -> CayleyProblem:
+        """u as `linalg.unitary_spectrum` takes it, for `eigenphases` and `ssf_circle.dilation_ssf`.
 
         The dilation solved is u, or for a normal T whose certificate holds
         the similar stack of the n scalar dilations of its eigenvalues,
@@ -225,7 +225,11 @@ class FiniteDilation:
             d = FiniteDilation(np.stack([np.stack([c, -tau.conj()], -1), np.stack([tau, c], -1)], -2), self.m)
         fold = d.fold if d.complex_symmetric else None
         psi = np.pi / self.m if self.m % 2 == 0 else 0.0
-        return phase_clusters(unitary_spectrum(d.shifted_inverse, lambda: self.u.m, fold, psi))
+        return CayleyProblem(d.shifted_inverse, lambda: self.u.m, fold, psi, d.m * d.n)
+
+    def eigenphases(self) -> list[tuple[float, int]]:
+        """Eigenphases of u as `linalg.eigenphases` gives them, from one `unitary_spectrum` of `cayley_problem`."""
+        return phase_clusters(self.cayley_problem().spectrum())
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:
         """Corner blocks of u, u^2, ..., u^k_max by a recurrence on the top block row.

@@ -6,6 +6,8 @@ below are thin validated wrappers that freeze their matrix at construction.
 
 from __future__ import annotations
 
+import ctypes
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -191,22 +193,69 @@ def _cluster_circle(phases: np.ndarray, weights: np.ndarray):
     return list(zip(reps.tolist(), sums.tolist()))
 
 
+def _lapack_values_solvers() -> Optional[dict]:
+    """The values-only Hermitian solves of the LAPACK numpy loaded, by dtype: LAPACKE's
+    zheevd and dsyevd with ILP64 arguments, or None on a numpy build without them."""
+    try:
+        lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        solvers = {
+            np.dtype(np.complex128): lapack.scipy_LAPACKE_zheevd64_,
+            np.dtype(np.float64): lapack.scipy_LAPACKE_dsyevd64_,
+        }
+    except (AttributeError, OSError):
+        return None
+    for solver in solvers.values():
+        # (layout, jobz, uplo, n, a, lda, w) -> info
+        solver.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char) + (ctypes.c_int64, ctypes.c_void_p) * 2
+        solver.restype = ctypes.c_int64
+    return solvers
+
+
+_VALUES_SOLVERS = _lapack_values_solvers()
+# LAPACKE's LAPACK_COL_MAJOR
+_COLUMN_MAJOR = 102
+
+
+def hermitian_values(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix whose lower triangle a holds, or of each in a stack.
+
+    A square complex128 or float64 matrix goes to one values-only LAPACK
+    call, ?heevd or ?syevd with JOBZ = N and UPLO = L, made through ctypes on
+    the LAPACK numpy loaded; a foreign call releases the GIL. The call works
+    in place, overwriting a's lower triangle, when a is column-major and
+    writable, else on a column-major copy. A nonzero info raises
+    LinAlgError. Anything else, or any matrix on a numpy build without those
+    symbols, goes to np.linalg.eigvalsh: the same routine on the same
+    triangle, so the same bits.
+    """
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    solver = _VALUES_SOLVERS.get(a.dtype) if _VALUES_SOLVERS is not None and square else None
+    if solver is None:
+        return np.linalg.eigvalsh(a)
+    a = np.require(a, requirements="FAW")
+    w = np.empty(len(a))
+    info = solver(_COLUMN_MAJOR, b"N", b"L", len(a), a.ctypes.data, max(len(a), 1), w.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge" if info > 0 else f"LAPACKE argument {-info} refused")
+    return w
+
+
 # Eigenvalues of a unitary U come from the Cayley transform of W = e^(-i psi) U,
 # A = i (I - W)(I + W)^(-1) = 2i (I + e^(-i psi) U)^(-1) - iI. A is Hermitian
 # and has the eigenvalue tan((theta - psi) / 2) wherever U has e^(i theta);
-# that map is monotone, so eigvalsh alone gives every phase with its
+# that map is monotone, so hermitian_values alone gives every phase with its
 # multiplicity. psi is an irrational multiple of pi, so the pole
 # theta = psi + pi misses every angle that is a rational multiple of pi.
 #
 # When a permutation P gives P U P = U^T, A^T = P A P, and for a Hermitian A
 # that is conj(A) = P A P. A caller that knows such a P passes fold(a), which
 # replaces a by V* a V in place for a unitary V with conj(V) = P V; then
-# B = V* A V is real symmetric, and eigvalsh runs on a real matrix at about a
-# quarter of the complex cost. In floating point B = X + iY: the skew of A is
-# ||B - B*||_F, which the unitary V leaves unchanged, and the Hermitian part
-# of B differs from the real (X + X^T)/2 by i (Y - Y^T)/2. By Weyl that moves
-# every eigenvalue by at most ||(Y - Y^T)/2||_2, and every phase
-# psi + 2 arctan(a) by at most twice that, so ||Y - Y^T||_F, twice the
+# B = V* A V is real symmetric, and hermitian_values runs on a real matrix at
+# about a quarter of the complex cost. In floating point B = X + iY: the skew
+# of A is ||B - B*||_F, which the unitary V leaves unchanged, and the
+# Hermitian part of B differs from the real (X + X^T)/2 by i (Y - Y^T)/2. By
+# Weyl that moves every eigenvalue by at most ||(Y - Y^T)/2||_2, and every
+# phase psi + 2 arctan(a) by at most twice that, so ||Y - Y^T||_F, twice the
 # Frobenius norm of the imaginary part of B's Hermitian part, is the fold's
 # certificate. One pass over B forms that Hermitian part, the skew and the
 # certificate. The real solve takes the real part of that Hermitian part
@@ -228,6 +277,10 @@ _SKEW_TOL = 1e-9
 # columns per strip of the in-place Hermitian part: the strip's temporaries
 # stay a small share of the matrix
 _STRIP = 64
+# fewest rows of the smaller Cayley matrix at which unitary_spectrum_pair
+# solves a pair's first tries at once: one BLAS thread on 2 cores, generated
+# pair files at 63-90 rows ran within 5% either way, at 96 and more 5-31% faster
+_CONCURRENT_N = 96
 
 
 class _CayleySolve(NamedTuple):
@@ -236,20 +289,34 @@ class _CayleySolve(NamedTuple):
     skew: np.ndarray
 
 
+class _CayleyMatrix(NamedTuple):
+    """A's Hermitian part as hermitian_values takes it, column-major, at the pole psi + pi, with its skew."""
+
+    hermitian: np.ndarray
+    psi: float
+    skew: np.ndarray
+
+    def solved(self, w: np.ndarray) -> _CayleySolve:
+        """The phases psi + 2 arctan(a) over hermitian's eigenvalues w; pole is the largest |a|."""
+        return _CayleySolve(self.psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), self.skew)
+
+
 def _square_sum(x: np.ndarray) -> np.ndarray:
     """||x||_F^2 of a real matrix, or of each in a stack."""
     return np.einsum("...ij,...ij->...", x, x)
 
 
-def _hermitian_lower(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lower triangle of H = (A + A*)/2 into a's, in place; ||A - A*||_F and 2 ||Im H||_F per matrix.
+def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H = (A + A*)/2 into a in place, where a's transpose holds it; ||A - A*||_F and 2 ||Im H||_F per matrix.
 
     Works one strip of _STRIP columns at a time: the entries below the
-    strip's diagonal block meet the conjugates of those right of it. The
-    upper triangle outside the diagonal blocks keeps A's entries, which
-    eigvalsh (UPLO="L") never reads. For a folded A = X + iY the real part
-    of that lower triangle is bitwise the one of (X + X^T)/2, and
-    2 ||Im H||_F = ||Y - Y^T||_F is the fold's Weyl certificate.
+    strip's diagonal block meet the conjugates of those right of it, and
+    the block of H's lower triangle formed there is copied, transposed,
+    right of it. So the lower triangle of a.swapaxes(-1, -2), which is
+    column-major for a C-ordered a, is H's: hermitian_values reads it with
+    no copy. For a folded A = X + iY the real part of that triangle is
+    bitwise the one of (X + X^T)/2, and 2 ||Im H||_F = ||Y - Y^T||_F is the
+    fold's Weyl certificate.
     """
     size = a.shape[-1]
     squares, imag_squares = np.zeros(a.shape[:-2]), np.zeros(a.shape[:-2])
@@ -265,17 +332,17 @@ def _hermitian_lower(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.add(above, below, out=below)
             below *= 0.5
             imag_squares += weight * _square_sum(below.imag)
+            right[...] = below.swapaxes(-1, -2)
     return np.sqrt(squares), 2.0 * np.sqrt(imag_squares)
 
 
-def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None):
-    """Phases psi + 2 arctan(a) over the eigenvalues a of A's Hermitian part; None if I + W is singular.
+def _cayley_matrix(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None) -> Optional[_CayleyMatrix]:
+    """A's Hermitian part ready for hermitian_values; None if I + W is singular or the skew is not finite.
 
-    A is formed in the buffer shifted_inverse returns, and eigvalsh reads
-    the Hermitian part from its lower triangle. With fold, A is folded
-    first, and eigvalsh runs on the real part of that lower triangle when
-    skew plus Weyl certificate stay within _SKEW_TOL. pole is the largest
-    |a| over the whole stack.
+    A is formed in the buffer shifted_inverse returns, and the Hermitian
+    part handed on is that buffer's transpose, no copy. With fold, A is
+    folded first, and the real part of that Hermitian part, copied, is
+    handed on instead when skew plus Weyl certificate stay within _SKEW_TOL.
     """
     try:
         a = shifted_inverse(np.exp(-1j * psi))
@@ -286,12 +353,19 @@ def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable
     a[..., diag, diag] -= 1j
     if fold is not None:
         fold(a)
-    skew, weyl = _hermitian_lower(a)
+    skew, weyl = _hermitian_part(a)
     if not np.all(np.isfinite(skew)):
         return None
-    real = fold is not None and np.all(skew + weyl <= _SKEW_TOL)
-    w = _eig(np.linalg.eigvalsh, a.real if real else a)
-    return _CayleySolve(psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), skew)
+    if fold is not None and np.all(skew + weyl <= _SKEW_TOL):
+        a = a.real.copy()
+    return _CayleyMatrix(a.swapaxes(-1, -2), psi, skew)
+
+
+def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None) -> Optional[_CayleySolve]:
+    """Phases psi + 2 arctan(a) over hermitian_values of `_cayley_matrix`, pole the largest |a| over the whole
+    stack; None where `_cayley_matrix` is None."""
+    matrix = _cayley_matrix(shifted_inverse, psi, fold)
+    return None if matrix is None else matrix.solved(_eig(hermitian_values, matrix.hermitian))
 
 
 def _pole_in_widest_gap(theta: np.ndarray) -> float:
@@ -305,7 +379,7 @@ def _pole_in_widest_gap(theta: np.ndarray) -> float:
 def unitary_spectrum(
     shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None, psi: float = _PSI
 ) -> np.ndarray:
-    """Eigenvalues of a unitary U, or of a stack of them, from one eigvalsh of a Cayley transform.
+    """Eigenvalues of a unitary U, or of a stack of them, from one hermitian_values of a Cayley transform.
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
     never has to be dense; for a stack it returns one inverse per member.
@@ -325,12 +399,57 @@ def unitary_spectrum(
     the comment above _PSI describes. A stack's eigenvalues come member by
     member in one flat array.
     """
-    solve = _cayley_solve(shifted_inverse, psi, fold)
+    return _settled(_cayley_solve(shifted_inverse, psi, fold), shifted_inverse, dense, fold)
+
+
+def _settled(
+    solve: Optional[_CayleySolve], shifted_inverse: Callable, dense: Callable, fold: Optional[Callable]
+) -> np.ndarray:
+    """unitary_spectrum from the result of its first Cayley try: the retry, then the dense fallback."""
     if solve is not None and solve.pole > _POLE_LIMIT:
         solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta), fold)
     if solve is None or solve.pole > _POLE_LIMIT or np.any(solve.skew > _SKEW_TOL):
         return _eig(np.linalg.eigvals, dense())
     return np.exp(1j * solve.theta).ravel()
+
+
+class CayleyProblem(NamedTuple):
+    """unitary_spectrum's arguments for one unitary or stack, and the rows of each of its Cayley matrices."""
+
+    shifted_inverse: Callable
+    dense: Callable
+    fold: Optional[Callable]
+    psi: float
+    rows: int
+
+    def spectrum(self) -> np.ndarray:
+        return unitary_spectrum(self.shifted_inverse, self.dense, self.fold, self.psi)
+
+
+def unitary_spectrum_pair(first: CayleyProblem, second: CayleyProblem) -> tuple[np.ndarray, np.ndarray]:
+    """first.spectrum() and second.spectrum(), with the two first Cayley tries solved at once.
+
+    When hermitian_values has its GIL-free LAPACK call and both problems'
+    Cayley matrices have at least _CONCURRENT_N rows, first's matrix is
+    formed here and its hermitian_values call alone runs on a worker
+    thread, while second's first try is formed and solved here; then the
+    worker is joined. Each member's retry and dense fallback follow here,
+    first's before second's. Every step computes what it computes in the
+    two calls in turn, so the eigenvalues are bitwise theirs. A smaller
+    pair takes those two calls: below _CONCURRENT_N rows the worker costs
+    more than the overlap gains.
+    """
+    if _VALUES_SOLVERS is None or min(first.rows, second.rows) < _CONCURRENT_N:
+        return first.spectrum(), second.spectrum()
+    matrix = _cayley_matrix(first.shifted_inverse, first.psi, first.fold)
+    with ThreadPoolExecutor(1) as worker:
+        solving = None if matrix is None else worker.submit(_eig, hermitian_values, matrix.hermitian)
+        second_try = _cayley_solve(second.shifted_inverse, second.psi, second.fold)
+        first_try = None if matrix is None else matrix.solved(solving.result())
+    return (
+        _settled(first_try, first.shifted_inverse, first.dense, first.fold),
+        _settled(second_try, second.shifted_inverse, second.dense, second.fold),
+    )
 
 
 def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:

@@ -41,10 +41,12 @@ from .linalg import (
     defect_operators,
     eigenphases,
     operator_norm,
+    phase_clusters,
     poly_derivative,
     poly_scalar,
     same_dimension,
     schatten_norm,
+    unitary_spectrum_pair,
     weighted_norm,
 )
 
@@ -185,9 +187,10 @@ def contraction_ssf(t0: Contraction, t1: Contraction, m: int) -> StepSSF:
 
 
 def dilation_ssf(d0: FiniteDilation, d1: FiniteDilation) -> StepSSF:
-    """Eigenphase-counting SSF of two dilations of one block layout (n, m), one structured eigensolve each."""
+    """Eigenphase-counting SSF of two dilations of one block layout (n, m) from d0.eigenphases() and
+    d1.eigenphases(), whose first Cayley solves `linalg.unitary_spectrum_pair` runs at once."""
     same_dimension((d0.n, d0.m), (d1.n, d1.m))
-    return _step_ssf(d0.eigenphases(), d1.eigenphases())
+    return _step_ssf(*map(phase_clusters, unitary_spectrum_pair(d0.cayley_problem(), d1.cayley_problem())))
 
 
 def perturbation_determinant(t0, t1, zeta):

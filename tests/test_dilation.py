@@ -276,15 +276,15 @@ def test_symmetric_dilation_eigenphases_match_eigvals(seed, n, m, normal):
     assert_phases_match(d.eigenphases(), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-10)
 
 
-def _recording_eigvalsh(monkeypatch):
+def _recording_solves(monkeypatch):
     solves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.dtype) or eigvalsh(a))
+    solve = linalg.hermitian_values
+    monkeypatch.setattr(linalg, "hermitian_values", lambda a: solves.append(a.dtype) or solve(a))
     return solves
 
 
 def test_nearly_symmetric_dilation_takes_the_complex_solve(monkeypatch):
-    solves = _recording_eigvalsh(monkeypatch)
+    solves = _recording_solves(monkeypatch)
     rng = np.random.default_rng(8)
     for m in (5, 8):
         t = symmetric_contraction(rng, 4, rng.uniform(0.0, 0.9, 4)).m
@@ -302,7 +302,7 @@ def test_a_fold_without_the_symmetry_fails_its_certificate(monkeypatch):
     # folding a non-symmetric dilation leaves conj(B) != B; the certificate
     # sends the solve to the complex Hermitian part of the folded matrix,
     # which has the same eigenvalues
-    solves = _recording_eigvalsh(monkeypatch)
+    solves = _recording_solves(monkeypatch)
     rng = np.random.default_rng(9)
     for n, m in ((2, 3), (3, 6), (4, 9)):
         d = finite_schaffer_dilation(random_contraction(rng, n), m)
@@ -330,12 +330,12 @@ def _full_matrix_real_fold(a, fold):
 
 
 def test_the_one_hermitian_pass_picks_the_real_route_of_the_full_matrix_fold(monkeypatch):
-    # the real route hands eigvalsh a lower triangle bitwise equal to the
-    # full-matrix (X + X^T)/2, and is taken on exactly the dilations where
+    # the real route hands hermitian_values a lower triangle bitwise equal to
+    # the full-matrix (X + X^T)/2, and is taken on exactly the dilations where
     # the full-matrix certificate holds: the folded complex-symmetric ones
     handed = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: handed.append(a.copy()) or eigvalsh(a))
+    solve = linalg.hermitian_values
+    monkeypatch.setattr(linalg, "hermitian_values", lambda a: handed.append(a.copy()) or solve(a))
     rng = np.random.default_rng(21)
     for n in range(1, 9):
         for m in range(3, 13):
@@ -576,7 +576,7 @@ def test_unit_singular_values_reach_the_fold_and_the_normal_route(monkeypatch):
     # a singular value within n eps of 1 has defect exactly 0, so D_T keeps
     # the symmetry and the normality of T
     shapes = _normal_route_solves(monkeypatch)
-    solves = _recording_eigvalsh(monkeypatch)
+    solves = _recording_solves(monkeypatch)
     rng = np.random.default_rng(17)
     for n, m in ((3, 6), (4, 9)):
         d = finite_schaffer_dilation(symmetric_contraction(rng, n, [1.0, 1.0] + [0.5] * (n - 2)), m)
@@ -614,8 +614,8 @@ def test_one_buffer_cayley_matrix_matches_the_kron_build_bitwise(monkeypatch):
         return h
 
     handed = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: handed.append(a.copy()) or eigvalsh(a))
+    solve = linalg.hermitian_values
+    monkeypatch.setattr(linalg, "hermitian_values", lambda a: handed.append(a.copy()) or solve(a))
     rng = np.random.default_rng(55)
     # sizes on both sides of one strip of the in-place Hermitian part
     for n, m in ((2, 5), (3, 24), (24, 24)):
