@@ -42,9 +42,9 @@ from .linalg import (
     hermitian_sqrt,
     inverse_cayley,
     operator_norm,
-    polar_factors,
     schatten_norm,
     singular_value_commute_check,
+    unitary_factor,
     unitary_spectrum,
 )
 from .dilation import (

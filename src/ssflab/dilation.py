@@ -11,7 +11,7 @@ intend to ask about.
 block, which holds T and its defect pair. Everything a run needs works on the
 blocks: the unitarity check on that Julia block, the corner powers by a
 recurrence on the top block row, and the shifted inverse (I + alpha U)^(-1)
-from one 2n-square solve, whose Cayley transform `linalg.unitary_spectrum`
+from one 2n-square solve, whose Cayley transform `linalg.CayleyProblem`
 takes the eigenphases from. The dense (m n)-square unitary `u` is built only
 when something reads it (tests, demos, and the dense eigvals fallback of
 that eigensolve).
@@ -200,7 +200,7 @@ class FiniteDilation:
         return normal_diagonal(self.julia)
 
     def cayley_problem(self) -> CayleyProblem:
-        """u as `linalg.unitary_spectrum` takes it, for `eigenphases` and `ssf_circle.dilation_ssf`.
+        """u's eigenproblem as a `linalg.CayleyProblem`, for `eigenphases` and `ssf_circle.dilation_ssf`.
 
         The dilation solved is u, or for a normal T whose certificate holds
         the similar stack of the n scalar dilations of its eigenvalues,
@@ -228,7 +228,7 @@ class FiniteDilation:
         return CayleyProblem(d.shifted_inverse, lambda: self.u.m, fold, psi, d.m * d.n)
 
     def eigenphases(self) -> list[tuple[float, int]]:
-        """Eigenphases of u as `linalg.eigenphases` gives them, from one `unitary_spectrum` of `cayley_problem`."""
+        """Eigenphases of u as `linalg.eigenphases` gives them, from the `spectrum` of `cayley_problem`."""
         return phase_clusters(self.cayley_problem().spectrum())
 
     def compressed_powers(self, k_max: int) -> list[np.ndarray]:

@@ -55,7 +55,7 @@ def check_exponents(alpha: float, beta: float, p: float, sigma: Optional[float] 
     if sigma is not None and not 0.0 < sigma < 1.0:
         raise InvalidExponent(f"sigma must lie in (0, 1), got {sigma}")
     lo = 0.5 if sigma is None else 1.0 - sigma
-    if alpha < 0 or beta < 0 or p < 1 or not lo < alpha + beta <= 1.0:
+    if alpha < 0 or beta < 0 or not p >= 1 or not lo < alpha + beta <= 1.0:
         raise InvalidExponent(f"need alpha, beta >= 0, p >= 1 and alpha + beta in ({lo}, 1]; got {alpha}, {beta}, {p}")
 
 
@@ -93,8 +93,13 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def schatten_norm(a, p: float = 2) -> float:
-    """Schatten p-norm (sum of p-th powers of singular values, p-th root)."""
-    if p < 1:
+    """Schatten p-norm (sum of p-th powers of singular values, p-th root), for p in [1, inf].
+
+    Outside p = 1 and 2 the sum is scaled by the largest singular value s_0,
+    s_0 (sum (s / s_0)^p)^(1/p), so no power underflows or overflows; at
+    p = inf that is s_0. A zero matrix has norm 0.
+    """
+    if not p >= 1:
         raise InvalidExponent(f"Schatten exponent must be >= 1, got {p}")
     m = np.asarray(getattr(a, "m", a), dtype=np.complex128)
     s = np.linalg.svd(m, compute_uv=False)
@@ -102,7 +107,8 @@ def schatten_norm(a, p: float = 2) -> float:
         return float(np.sum(s))
     if p == 2:
         return float(np.sqrt(np.sum(s * s)))
-    return float(np.sum(s**p) ** (1.0 / p))
+    top = float(s.max(initial=0.0))
+    return top * float(np.sum((s / top) ** p) ** (1.0 / p)) if top > 0 else 0.0
 
 
 def _eig(solver, a: np.ndarray):
@@ -289,18 +295,6 @@ class _CayleySolve(NamedTuple):
     skew: np.ndarray
 
 
-class _CayleyMatrix(NamedTuple):
-    """A's Hermitian part as hermitian_values takes it, column-major, at the pole psi + pi, with its skew."""
-
-    hermitian: np.ndarray
-    psi: float
-    skew: np.ndarray
-
-    def solved(self, w: np.ndarray) -> _CayleySolve:
-        """The phases psi + 2 arctan(a) over hermitian's eigenvalues w; pole is the largest |a|."""
-        return _CayleySolve(self.psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), self.skew)
-
-
 def _square_sum(x: np.ndarray) -> np.ndarray:
     """||x||_F^2 of a real matrix, or of each in a stack."""
     return np.einsum("...ij,...ij->...", x, x)
@@ -336,36 +330,14 @@ def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(squares), 2.0 * np.sqrt(imag_squares)
 
 
-def _cayley_matrix(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None) -> Optional[_CayleyMatrix]:
-    """A's Hermitian part ready for hermitian_values; None if I + W is singular or the skew is not finite.
-
-    A is formed in the buffer shifted_inverse returns, and the Hermitian
-    part handed on is that buffer's transpose, no copy. With fold, A is
-    folded first, and the real part of that Hermitian part, copied, is
-    handed on instead when skew plus Weyl certificate stay within _SKEW_TOL.
-    """
-    try:
-        a = shifted_inverse(np.exp(-1j * psi))
-    except np.linalg.LinAlgError:
+def _cayley_solve(problem: CayleyProblem, psi: float, values: Optional[Callable] = None) -> Optional[_CayleySolve]:
+    """One try at the pole psi + pi: phases psi + 2 arctan(a) over the eigenvalues a of `problem.matrix(psi)`
+    (values, else hermitian_values), pole the largest |a| over the whole stack; None where that matrix is None."""
+    matrix = problem.matrix(psi)
+    if matrix is None:
         return None
-    a *= 2j
-    diag = np.arange(a.shape[-1])
-    a[..., diag, diag] -= 1j
-    if fold is not None:
-        fold(a)
-    skew, weyl = _hermitian_part(a)
-    if not np.all(np.isfinite(skew)):
-        return None
-    if fold is not None and np.all(skew + weyl <= _SKEW_TOL):
-        a = a.real.copy()
-    return _CayleyMatrix(a.swapaxes(-1, -2), psi, skew)
-
-
-def _cayley_solve(shifted_inverse: Callable, psi: float, fold: Optional[Callable] = None) -> Optional[_CayleySolve]:
-    """Phases psi + 2 arctan(a) over hermitian_values of `_cayley_matrix`, pole the largest |a| over the whole
-    stack; None where `_cayley_matrix` is None."""
-    matrix = _cayley_matrix(shifted_inverse, psi, fold)
-    return None if matrix is None else matrix.solved(_eig(hermitian_values, matrix.hermitian))
+    w = _eig(values or hermitian_values, matrix[0])
+    return _CayleySolve(psi + 2.0 * np.arctan(w), float(np.abs(w).max(initial=0.0)), matrix[1])
 
 
 def _pole_in_widest_gap(theta: np.ndarray) -> float:
@@ -376,80 +348,98 @@ def _pole_in_widest_gap(theta: np.ndarray) -> float:
     return float(t[k] + 0.5 * gaps[k] - np.pi)
 
 
-def unitary_spectrum(
-    shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None, psi: float = _PSI
-) -> np.ndarray:
-    """Eigenvalues of a unitary U, or of a stack of them, from one hermitian_values of a Cayley transform.
+class CayleyProblem(NamedTuple):
+    """The eigenproblem of a unitary U, or of a stack of unitaries of one size, solved by `spectrum`.
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
-    never has to be dense; for a stack it returns one inverse per member.
-    With alpha = e^(-i psi) it gives the Hermitian A = 2i (I + alpha U)^(-1)
-    - iI, whose eigenvalues a give the phases psi + 2 arctan(a), psi = _PSI
-    unless the caller knows an emptier place for the first pole psi + pi.
-    An eigenvalue near the pole (|a| above _POLE_LIMIT) costs the others
-    accuracy, so the solve is repeated once, the whole stack at one pole in
-    the widest gap of all the phases just found. The skew ||A - A*||_F
-    bounds every phase error: a U that passed `Unitary`'s check may carry a
-    defect up to 1e-10, and
-    A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1). When any skew is
-    beyond _SKEW_TOL, when the second try still meets the pole, or when
-    I + alpha U is singular, the eigenvalues are those of one dense matrix,
-    eigvals(dense()): the dense U, or for a stack one matrix with the same
-    spectrum. fold, when given, folds every A to a real symmetric matrix as
-    the comment above _PSI describes. A stack's eigenvalues come member by
-    member in one flat array.
+    never has to be dense; for a stack, one inverse per member. dense()
+    returns U, or for a stack one matrix with the same spectrum. fold, when
+    given, folds every Cayley matrix as the comment above _PSI describes.
+    psi + pi is the first pole, and rows the rows of each Cayley matrix.
     """
-    return _settled(_cayley_solve(shifted_inverse, psi, fold), shifted_inverse, dense, fold)
-
-
-def _settled(
-    solve: Optional[_CayleySolve], shifted_inverse: Callable, dense: Callable, fold: Optional[Callable]
-) -> np.ndarray:
-    """unitary_spectrum from the result of its first Cayley try: the retry, then the dense fallback."""
-    if solve is not None and solve.pole > _POLE_LIMIT:
-        solve = _cayley_solve(shifted_inverse, _pole_in_widest_gap(solve.theta), fold)
-    if solve is None or solve.pole > _POLE_LIMIT or np.any(solve.skew > _SKEW_TOL):
-        return _eig(np.linalg.eigvals, dense())
-    return np.exp(1j * solve.theta).ravel()
-
-
-class CayleyProblem(NamedTuple):
-    """unitary_spectrum's arguments for one unitary or stack, and the rows of each of its Cayley matrices."""
 
     shifted_inverse: Callable
     dense: Callable
-    fold: Optional[Callable]
-    psi: float
-    rows: int
+    fold: Optional[Callable] = None
+    psi: float = _PSI
+    rows: int = 0
 
-    def spectrum(self) -> np.ndarray:
-        return unitary_spectrum(self.shifted_inverse, self.dense, self.fold, self.psi)
+    def matrix(self, psi: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """A's Hermitian part at the pole psi + pi, as hermitian_values takes it, and its skew;
+        None if I + e^(-i psi) U is singular or the skew is not finite.
+
+        A is formed in the buffer shifted_inverse returns, and the Hermitian
+        part handed on is that buffer's transpose, no copy. With fold, A is
+        folded first, and the real part of that Hermitian part, copied, is
+        handed on instead when skew plus Weyl certificate stay within _SKEW_TOL.
+        """
+        try:
+            a = self.shifted_inverse(np.exp(-1j * psi))
+        except np.linalg.LinAlgError:
+            return None
+        a *= 2j
+        diag = np.arange(a.shape[-1])
+        a[..., diag, diag] -= 1j
+        if self.fold is not None:
+            self.fold(a)
+        skew, weyl = _hermitian_part(a)
+        if not np.all(np.isfinite(skew)):
+            return None
+        if self.fold is not None and np.all(skew + weyl <= _SKEW_TOL):
+            a = a.real.copy()
+        return a.swapaxes(-1, -2), skew
+
+    def spectrum(self, first_values: Optional[Callable] = None) -> np.ndarray:
+        """The eigenvalues of U, from one hermitian_values of a Cayley transform; a stack's member by member.
+
+        With alpha = e^(-i psi), A = 2i (I + alpha U)^(-1) - iI is Hermitian,
+        and its eigenvalues a, first_values(H) of its Hermitian part H on the
+        first try, give the phases psi + 2 arctan(a). An eigenvalue near the
+        pole (|a| above _POLE_LIMIT) costs the others accuracy, so the solve
+        is repeated once, the whole stack at one pole in the widest gap of
+        all the phases just found. The skew ||A - A*||_F bounds every phase
+        error: a U that passed `Unitary`'s check may carry a defect up to
+        1e-10, and A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1).
+        When any skew is beyond _SKEW_TOL, when the second try still meets
+        the pole, or when I + alpha U is singular, the eigenvalues are
+        eigvals(dense()).
+        """
+        solve = _cayley_solve(self, self.psi, first_values)
+        if solve is not None and solve.pole > _POLE_LIMIT:
+            solve = _cayley_solve(self, _pole_in_widest_gap(solve.theta))
+        if solve is None or solve.pole > _POLE_LIMIT or np.any(solve.skew > _SKEW_TOL):
+            return _eig(np.linalg.eigvals, self.dense())
+        return np.exp(1j * solve.theta).ravel()
+
+
+def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None) -> np.ndarray:
+    """`CayleyProblem(shifted_inverse, dense, fold).spectrum()`."""
+    return CayleyProblem(shifted_inverse, dense, fold).spectrum()
 
 
 def unitary_spectrum_pair(first: CayleyProblem, second: CayleyProblem) -> tuple[np.ndarray, np.ndarray]:
-    """first.spectrum() and second.spectrum(), with the two first Cayley tries solved at once.
+    """first.spectrum() and second.spectrum(), with first's first solve on a worker thread.
 
     When hermitian_values has its GIL-free LAPACK call and both problems'
-    Cayley matrices have at least _CONCURRENT_N rows, first's matrix is
-    formed here and its hermitian_values call alone runs on a worker
-    thread, while second's first try is formed and solved here; then the
-    worker is joined. Each member's retry and dense fallback follow here,
-    first's before second's. Every step computes what it computes in the
-    two calls in turn, so the eigenvalues are bitwise theirs. A smaller
-    pair takes those two calls: below _CONCURRENT_N rows the worker costs
-    more than the overlap gains.
+    Cayley matrices have at least _CONCURRENT_N rows, first's first Cayley
+    matrix is formed here and its hermitian_values call alone runs on a
+    worker thread, while second.spectrum() runs here. Every step computes
+    what the two calls in turn compute, so the eigenvalues are bitwise
+    theirs. Below _CONCURRENT_N rows the worker costs more than it gains.
     """
     if _VALUES_SOLVERS is None or min(first.rows, second.rows) < _CONCURRENT_N:
         return first.spectrum(), second.spectrum()
-    matrix = _cayley_matrix(first.shifted_inverse, first.psi, first.fold)
+    seconds = []
+
+    def beside_second(h: np.ndarray) -> np.ndarray:
+        solving = worker.submit(hermitian_values, h)
+        seconds.append(second.spectrum())
+        return solving.result()
+
     with ThreadPoolExecutor(1) as worker:
-        solving = None if matrix is None else worker.submit(_eig, hermitian_values, matrix.hermitian)
-        second_try = _cayley_solve(second.shifted_inverse, second.psi, second.fold)
-        first_try = None if matrix is None else matrix.solved(solving.result())
-    return (
-        _settled(first_try, first.shifted_inverse, first.dense, first.fold),
-        _settled(second_try, second.shifted_inverse, second.dense, second.fold),
-    )
+        spectrum = first.spectrum(beside_second)
+    # first's first matrix is None when I + alpha U is singular: second was not solved yet
+    return spectrum, seconds[0] if seconds else second.spectrum()
 
 
 def phase_clusters(eigs: np.ndarray) -> list[tuple[float, int]]:
@@ -469,24 +459,24 @@ def eigenphases(u) -> list[tuple[float, int]]:
     Phases live in (0, 2pi], with phase 0 reported as 2pi. Eigenvalues at
     circular distance below CLUSTER_TOL merge into one entry whose
     multiplicity is the cluster size. The eigenvalues come from
-    unitary_spectrum, which falls back to eigvals of u when u is too far
-    from unitary for the Cayley route; a `Unitary` u gives its cached
-    `spectrum`.
+    `CayleyProblem.spectrum`, which falls back to eigvals of u when u is
+    too far from unitary for the Cayley route; a `Unitary` u gives its
+    cached `spectrum`.
     """
     return phase_clusters(u.spectrum if isinstance(u, Unitary) else _dense_unitary_spectrum(as_matrix(u)))
 
 
 def _dense_unitary_spectrum(m: np.ndarray) -> np.ndarray:
-    """unitary_spectrum of a dense matrix m, with eigvals(m) as its fallback."""
+    """The spectrum of a dense matrix m as a `CayleyProblem`, with eigvals(m) as its fallback."""
     eye = np.eye(m.shape[0])
-    return unitary_spectrum(lambda a: np.linalg.inv(eye + a * m), lambda: m)
+    return CayleyProblem(lambda a: np.linalg.inv(eye + a * m), lambda: m).spectrum()
 
 
 class Unitary:
     """Square matrix with ||U*U - I||_F, its `defect`, at most 1e-10.
 
-    `spectrum`, its eigenvalues from `unitary_spectrum`, is cached, read-only
-    and computed on first use; `eigenphases` and `determinant_ssf` both read it.
+    `spectrum`, its eigenvalues from `CayleyProblem.spectrum`, is cached,
+    read-only, computed on first use, and read by `eigenphases` and `determinant_ssf`.
     """
 
     def __init__(self, m):
@@ -501,7 +491,7 @@ class Unitary:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """The eigenvalues from `unitary_spectrum`, dense `eigvals` of m only as its fallback."""
+        """The eigenvalues from `CayleyProblem.spectrum`, dense `eigvals` of m only as its fallback."""
         return _frozen(_dense_unitary_spectrum(self.m))
 
 
@@ -637,26 +627,10 @@ def defect_operators(t) -> DefectPair:
     return as_operator(Contraction, t).defects
 
 
-class PolarFactors(NamedTuple):
-    partial_isometry: np.ndarray
-    modulus: np.ndarray
-    rank_deficient: bool
-
-
-def polar_factors(a) -> PolarFactors:
-    """Polar decomposition a = V |a| with |a| = (a*a)^(1/2).
-
-    V is unitary (the canonical completion on the kernel); rank_deficient
-    flags a smallest singular value of at most 1e-12 max(1, ||a||), where the
-    completion on the kernel is one of many valid choices.
-    """
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
-    v = u @ vh
-    modulus = hermitize((vh.conj().T * s) @ vh)
-    scale = float(s.max()) if s.size else 0.0
-    deficient = bool(s.size and float(s.min()) <= 1e-12 * max(1.0, scale))
-    return PolarFactors(v, modulus, deficient)
+def unitary_factor(a) -> np.ndarray:
+    """The unitary factor V of the polar decomposition a = V |a|: U V* from the SVD a = U diag(s) V*."""
+    u, _, vh = np.linalg.svd(as_matrix(a))
+    return u @ vh
 
 
 def analytic_poly_eval(t, coeffs: Sequence[complex]) -> np.ndarray:

@@ -48,7 +48,7 @@ from .linalg import (
     check_exponents,
     hermitize,
     operator_norm,
-    polar_factors,
+    unitary_factor,
 )
 from .schrodinger import (
     POTENTIAL_KEYS,
@@ -263,7 +263,7 @@ def _gaussian_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _draw_matrix(rng: np.random.Generator, dim: int, klass: str, allow_boundary: bool = False) -> np.ndarray:
     g = _gaussian_matrix(rng, dim)
     if klass == "unitary":
-        return polar_factors(g).partial_isometry
+        return unitary_factor(g)
     if klass == "contraction":
         top = float(np.linalg.svd(g, compute_uv=False)[0])
         return g / (top if allow_boundary else top + 0.1)
@@ -271,7 +271,7 @@ def _draw_matrix(rng: np.random.Generator, dim: int, klass: str, allow_boundary:
         b = _gaussian_matrix(rng, dim)
         return hermitize(g) + 1j * (b @ b.conj().T) / dim
     # psd_contraction: _random_pair refuses every class outside MATRIX_CLASSES
-    u = polar_factors(g).partial_isometry
+    u = unitary_factor(g)
     return hermitize((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T)
 
 
@@ -733,7 +733,7 @@ def _run_contraction_pair(sc: Scenario, run: _Run) -> None:
         t0, t1, sc.exponents["alpha"], sc.exponents["beta"], sc.exponents["p"]
     )
     run("defect-identity", conditions.identity_residual, 0.0)
-    run.flags.update(block_count=sc.dilation_order, **_fields(conditions, "alpha", "beta", "p", "identity_residual"))
+    run.flags.update(block_count=sc.dilation_order, **_fields(conditions, "identity_residual"))
     _circle_pair_checks(sc, run, dilation_ssf(d0, d1), (t0, t1))
 
 

@@ -329,9 +329,6 @@ def hardy_gauge_check(k: int, coeffs: Sequence[complex]) -> complex:
 class RealSsfConditions:
     """Checkable hypotheses for a contraction pair to carry a real integrable SSF."""
 
-    alpha: float
-    beta: float
-    p: float
     min_defect_eig: float
     kernel_certified: bool
     weighted_diff_norm: Optional[float]
@@ -373,9 +370,6 @@ def real_ssf_conditions_report(
     lhs = (eye - t1.m.conj().T @ t1.m) - (eye - t0.m.conj().T @ t0.m)
     rhs = -diff.conj().T @ t0.m - t1.m.conj().T @ diff
     return RealSsfConditions(
-        alpha=alpha,
-        beta=beta,
-        p=p,
         min_defect_eig=min_eig,
         kernel_certified=bool(min_eig > 1e-8),
         weighted_diff_norm=weighted,

@@ -205,7 +205,7 @@ def test_a_pair_that_takes_the_pole_retry_matches_the_solves_in_turn(monkeypatch
     d0, d1 = dilation_pair(on_pole(), on_pole(), 6)
     for d in (d0, d1):
         p = d.cayley_problem()
-        assert linalg._cayley_solve(p.shifted_inverse, p.psi, p.fold).pole > linalg._POLE_LIMIT
+        assert linalg._cayley_solve(p, p.psi).pole > linalg._POLE_LIMIT
     # two first tries, then two retries
     assert_pair_matches_the_solves_in_turn(monkeypatch, d0, d1, 4)
 

@@ -22,6 +22,7 @@ from ssflab.linalg import (
     analytic_poly_eval,
     as_matrix,
     cayley,
+    check_exponents,
     defect_operators,
     eigenphases,
     hermitian_power,
@@ -30,10 +31,10 @@ from ssflab.linalg import (
     inverse_cayley,
     operator_norm,
     phase_clusters,
-    polar_factors,
     poly_scalar,
     schatten_norm,
     singular_value_commute_check,
+    unitary_factor,
     unitary_spectrum,
     weighted_norm,
 )
@@ -186,6 +187,31 @@ def test_the_operator_norm_of_an_empty_matrix_is_zero():
 def test_schatten_rejects_quasinorm():
     with pytest.raises(InvalidExponent):
         schatten_norm(np.eye(2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "s, p, want",
+    [
+        # sum s^p underflows to 0 (0.5^2000) or overflows to inf (3^700) unscaled
+        ([0.5, 0.5, 0.5], 2000, 0.5 * 3.0 ** (1 / 2000)),
+        ([3.0, 1.0], 700, 3.0),
+        ([2.0, 2.0, 1.0], 1e6, 2.0 * 2.0**1e-6),
+        ([3.0, 1.0, 0.5], np.inf, 3.0),
+        ([0.0, 0.0], 2000, 0.0),
+    ],
+    ids=["underflow", "overflow", "p-1e6", "p-inf", "zero"],
+)
+def test_schatten_at_large_and_infinite_p_scales_by_the_largest_singular_value(s, p, want):
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((len(s), len(s))))
+    assert schatten_norm(np.diag(s), p) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert schatten_norm((q * s) @ q.T, p) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+def test_a_nan_exponent_is_refused():
+    with pytest.raises(InvalidExponent):
+        schatten_norm(np.eye(2), np.nan)
+    with pytest.raises(InvalidExponent):
+        check_exponents(0.5, 0.5, np.nan)
 
 
 def test_schatten_monotone_in_p():
@@ -629,25 +655,24 @@ def test_defect_vanishes_on_unitary():
 
 def test_polar_oracle():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    pf = polar_factors(rot)
-    assert np.allclose(pf.partial_isometry, rot, atol=1e-14)
-    assert np.allclose(pf.modulus, np.eye(2), atol=1e-14)
-    assert not pf.rank_deficient
-    assert polar_factors(np.diag([3.0, 0.0])).rank_deficient
+    assert np.allclose(unitary_factor(rot), rot, atol=1e-14)
+    # the kernel of diag(3, 0) gets a unitary completion
+    v = unitary_factor(np.diag([3.0, 0.0]))
+    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
+    assert np.allclose(v.conj().T @ np.diag([3.0, 0.0]), np.diag([3.0, 0.0]), atol=1e-14)
 
 
 def test_polar_reconstructs():
+    # V* a is the modulus |a|: Hermitian and positive semidefinite
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 8))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pf = polar_factors(a)
-        assert np.linalg.norm(pf.partial_isometry @ pf.modulus - a) <= 1e-12 * (
-            1 + np.linalg.norm(a)
-        )
-        eye = np.eye(n)
-        assert np.linalg.norm(pf.partial_isometry.conj().T @ pf.partial_isometry - eye) <= 1e-13
-        assert np.linalg.eigvalsh(pf.modulus).min() >= -1e-13
+        v = unitary_factor(a)
+        modulus = v.conj().T @ a
+        assert np.linalg.norm(modulus - modulus.conj().T) <= 1e-12 * (1 + np.linalg.norm(a))
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-13
+        assert np.linalg.eigvalsh(hermitize(modulus)).min() >= -1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def test_every_corpus_file_parses(make_corpus, tmp_path, capsys):
     assert make_corpus.main([str(tmp_path)]) == 0
     files = sorted(tmp_path.glob("*.json"))
     generated = len(KINDS) * len(make_corpus.SEEDS) * len(make_corpus.DIMS)
-    assert len(files) == generated + 23
+    assert len(files) == generated + 25
     assert f"{len(files)} scenario files" in capsys.readouterr().out
     scenarios = [load_scenario(f) for f in files]
     assert {sc.name for sc in scenarios} == {f.stem for f in files}

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssflab.dilation import finite_schaffer_dilation
-from ssflab.linalg import _POLE_LIMIT, TWO_PI, Contraction, Dissipative, hermitize, polar_factors
+from ssflab.linalg import _POLE_LIMIT, TWO_PI, Contraction, Dissipative, cayley, hermitize, unitary_factor
 from ssflab.schrodinger import discrete_schrodinger_pair, potential_values
 from ssflab.ssf_circle import StepSSF, contraction_ssf, determinant_ssf, unitary_ssf
 from ssflab.ssf_line import dissipative_ssf
@@ -50,7 +50,7 @@ def _contraction(rng, n, route):
     """A strict contraction whose dilation eigensolve takes `route`."""
     g = _gaussian(rng, n)
     if route == "normal":
-        q = polar_factors(g).partial_isometry
+        q = unitary_factor(g)
         tau = rng.uniform(0.0, 0.9, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
         return (q * tau) @ q.conj().T
     return _scaled(g + g.T if route == "fold" else g)
@@ -67,7 +67,7 @@ def assert_negated(step, swapped):
 @given(n=st.integers(1, 6), seed=seeds, shared=st.integers(0, 6))
 def test_swapping_a_unitary_pair_negates_its_ssf(n, seed, shared):
     rng = np.random.default_rng(seed)
-    q = polar_factors(_gaussian(rng, n)).partial_isometry
+    q = unitary_factor(_gaussian(rng, n))
     phases = rng.uniform(0.0, TWO_PI, (2, n))
     # the first `shared` eigenphases coincide, so their jumps cancel in both orders
     phases[1, :shared] = phases[0, :shared]
@@ -144,7 +144,7 @@ def assert_within_roundoff(distance, dim, *operators):
 
 
 def _haar(rng, n):
-    return polar_factors(_gaussian(rng, n)).partial_isometry
+    return unitary_factor(_gaussian(rng, n))
 
 
 def _conjugate(v, *ts):
@@ -230,6 +230,24 @@ def test_a_direct_sum_of_contraction_pairs_adds_their_ssfs_at_a_shared_m(n, k, s
     assert_within_roundoff(distance, m * (n + k), t0, t1, s0, s1)
 
 
+def _line_pair(rng, n, lattice):
+    return _lattice_pair(rng, n) if lattice else (_dissipative(rng, n), _dissipative(rng, n))
+
+
+@EXAMPLES
+@given(n=st.integers(2, 4), k=st.integers(2, 3), seed=seeds, m=blocks, lattice=st.booleans())
+def test_a_direct_sum_of_dissipative_pairs_adds_their_line_ssfs_at_a_shared_m(n, k, seed, m, lattice):
+    # the Cayley image of a direct sum is the direct sum of the Cayley images,
+    # which are contractions: their norm 1 bounds the roundoff
+    rng = np.random.default_rng(seed)
+    (l0, l1), (s0, s1) = _line_pair(rng, n, lattice), _line_pair(rng, k, lattice)
+    summed = dissipative_ssf(*(Dissipative(_direct_sum(a.m, b.m)) for a, b in ((l0, s0), (l1, s1))), m)
+    parts = dissipative_ssf(l0, l1, m), dissipative_ssf(s0, s1, m)
+    assert summed.mass_at_infinity == parts[0].mass_at_infinity + parts[1].mass_at_infinity
+    distance = l1_distance(summed.source, *(part.source for part in parts))
+    assert_within_roundoff(distance, m * (n + k), *(cayley(l) for l in (l0, l1, s0, s1)))
+
+
 @EXAMPLES
 @given(n=st.integers(1, 4), k=st.integers(1, 3), seed=seeds, radius=st.sampled_from([1.0 + 1e-4, 1.5]))
 def test_a_direct_sum_multiplies_determinants_and_adds_their_ssfs(n, k, seed, radius):
@@ -258,3 +276,16 @@ def test_the_chain_rule_of_contraction_ssfs_at_a_shared_m(n, seed, m, route):
     t0, t1, t2 = (_contraction(rng, n, route) for _ in range(3))
     distance = l1_distance(contraction_ssf(t0, t2, m), contraction_ssf(t0, t1, m), contraction_ssf(t1, t2, m))
     assert_within_roundoff(distance, m * n, t0, t1, t2)
+
+
+@EXAMPLES
+@given(n=st.integers(2, 5), seed=seeds, m=blocks, lattice=st.booleans())
+def test_the_chain_rule_of_line_ssfs_at_a_shared_m(n, seed, m, lattice):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        # two lattice pairs on one grid share their free operator L0
+        (l0, l1), (_, l2) = _lattice_pair(rng, n), _lattice_pair(rng, n)
+    else:
+        l0, l1, l2 = (_dissipative(rng, n) for _ in range(3))
+    ssfs = (dissipative_ssf(a, b, m).source for a, b in ((l0, l2), (l0, l1), (l1, l2)))
+    assert_within_roundoff(l1_distance(*ssfs), m * n, *(cayley(l) for l in (l0, l1, l2)))

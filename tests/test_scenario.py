@@ -113,6 +113,40 @@ def test_fractional_scalar_witness_example():
     assert report.flags["corollary_form"] is True
 
 
+def _numbers(flags):
+    """Every int or float among the flags, nested ones included."""
+    for v in flags.values() if isinstance(flags, dict) else flags:
+        if isinstance(v, (dict, list, tuple)):
+            yield from _numbers(v)
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield v
+
+
+@pytest.mark.parametrize("kind", ["contraction_pair", "fractional"])
+def test_a_schatten_exponent_of_2000_gives_finite_flags_and_the_exact_norm(kind):
+    # sum s^p over the singular values overflows (contraction pair) or
+    # underflows to 0 (fractional) unless scaled by the largest one
+    exponents = {
+        "contraction_pair": {"alpha": 0.5, "beta": 0.5},
+        "fractional": {"sigma": 0.5, "alpha": 0.5, "beta": 0.25},
+    }
+    sc = parse_scenario(generate_scenario(kind, 5, 4) | {"exponents": {**exponents[kind], "p": 2000.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_scenario(sc)
+    assert report.all_pass
+    assert all(np.isfinite(v) for v in _numbers(report.flags))
+    if kind == "fractional":
+        # (sum |lambda|^p)^(1/p) over the eigenvalues of the Hermitian Y^s - X^s, in logarithms
+        x, y = (np.linalg.eigh(m) for m in sc.matrices)
+        diff = [(v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T for w, v in (y, x)]
+        lam = np.linalg.eigvalsh(diff[0] - diff[1])
+        want = np.exp(np.logaddexp.reduce(2000.0 * np.log(np.abs(lam))) / 2000.0)
+        lhs = next(r.lhs for r in report.records if r.check_id == "fractional-bound")
+        assert lhs.real == report.flags["lhs"] == pytest.approx(want, rel=1e-12)
+        assert report.flags["lhs"] > 0.3
+
+
 def test_dissipative_rank_one_bump_flag():
     l0 = [[1.0, 0.0], [0.0, 2.0]]
     l1 = [[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]

@@ -17,8 +17,8 @@ from ssflab.linalg import (
     analytic_poly_eval,
     hermitian_power,
     operator_norm,
-    polar_factors,
     schatten_norm,
+    unitary_factor,
 )
 from ssflab.scenario import generate_scenario, parse_scenario, run_scenario
 from ssflab.schrodinger import Grid1D
@@ -374,7 +374,7 @@ def test_a_unitary_pole_spectrum_keeps_the_lu_record(monkeypatch):
     rng = np.random.default_rng(8192)
 
     def haar(n):
-        return polar_factors((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)).partial_isometry
+        return unitary_factor((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0))
 
     u0 = Unitary(np.block([[haar(1), np.zeros((1, 3))], [np.zeros((3, 1)), haar(3)]]))
     u1 = Unitary(haar(4))

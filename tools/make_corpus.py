@@ -6,9 +6,12 @@ The corpus holds every kind at dims 1, 2, 3, 5, 8, 12 and 24 for seeds 1
 and 2, each asking for json, csv and svg, plus edge files that generated
 files never reach: a fractional bound with beta = 0 (the corollary form), a
 generated fractional pair at dim 64 (the generator's limit, where the
-quadrature pass scales most with n), a truncate ladder, a kernel at spectral point -2.5, a kernel file without a
-grid (the schema default of 1,024 Gauss nodes), a bump kernel on a
-257-node trapezoid grid, a table-potential kernel, a Schrodinger file with
+quadrature pass scales most with n), a fractional file and a contraction
+pair at the Schatten exponent p = 2000 (where the norms' sum of p-th
+powers needs scaling by the largest singular value), a truncate ladder, a
+kernel at spectral point -2.5, a kernel file without a grid (the schema
+default of 1,024 Gauss nodes), a bump kernel on a 257-node trapezoid
+grid, a table-potential kernel, a Schrodinger file with
 a complex table potential, a dissipative pair whose Im L is singular (the
 condition report becomes an error string), a determinant block on both
 circle kinds, one at the smallest grid (256) and one at the schema's
@@ -68,8 +71,8 @@ def _decimal(matrices) -> list:
 
 
 def _edge_files() -> list[dict]:
-    def generated(kind, name, drop=None, **keys):
-        payload = generate_scenario(kind, 3, 4)
+    def generated(kind, name, drop=None, seed=3, **keys):
+        payload = generate_scenario(kind, seed, 4)
         payload.pop(drop, None)
         payload.update(name=f"edge-{name}", outputs=OUTPUTS, **keys)
         return payload
@@ -96,6 +99,10 @@ def _edge_files() -> list[dict]:
     return [
         generated("fractional", "fractional-beta0", exponents={"sigma": 0.5, "alpha": 0.75, "beta": 0.0, "p": 1.0}),
         generate_scenario("fractional", 3, 64) | {"name": "edge-fractional-dim64", "outputs": OUTPUTS},
+        generated(
+            "fractional", "fractional-p2000", seed=5, exponents={"sigma": 0.5, "alpha": 0.5, "beta": 0.25, "p": 2000.0}
+        ),
+        generated("contraction_pair", "contraction-p2000", seed=5, exponents={"alpha": 0.5, "beta": 0.5, "p": 2000.0}),
         generated("kernel_trace", "truncate-ladder", monotone={"n": [2, 4, 8, 16, 32], "variant": "truncate"}),
         generated("kernel_trace", "spectral-point", spectral_point=-2.5),
         generated("kernel_trace", "default-grid-kernel", drop="grid"),
