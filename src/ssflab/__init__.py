@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    CayleyProblem,
     Contraction,
     Dissipative,
     PsdContraction,
@@ -45,7 +46,6 @@ from .linalg import (
     schatten_norm,
     singular_value_commute_check,
     unitary_factor,
-    unitary_spectrum,
 )
 from .dilation import (
     FiniteDilation,
@@ -97,7 +97,7 @@ from .schrodinger import (
     potential_values,
 )
 from .scenario import (
-    ANCHOR_REGISTRY,
+    ANCHOR_CHECKS,
     Report,
     Scenario,
     generate_scenario,

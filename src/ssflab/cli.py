@@ -5,16 +5,17 @@ the largest residual / tolerance among its records. Exit codes for `run`:
 0 when every record of every report passes, 1 when some numeric check
 failed (reports are still written), an output could not be written or a
 file crashed, 2 when the scenario schema or the file's kind refuses a file
-(any ValidationError). A crash (any other `Exception`; Ctrl-C still ends
-the batch) prints `<path>: internal error: <type>: <message>` to stderr,
-then its traceback indented by two spaces, and the batch goes on. After
-the last file, one `batch:` line on stderr counts the files that passed,
-failed, were refused or crashed, and gives the batch's worst headroom. A
-`--threads` below 1 or a `--tolerance-scale` that is not positive and
-finite is refused before any file runs, exit 2, with no batch line. A
-scenario name names the output files, so within one run a file that
-repeats the name of an earlier file in argument order is a schema error
-too, and nothing is written for it.
+(any ValidationError). A crash (any other `Exception`) prints
+`<path>: internal error: <type>: <message>` to stderr, then its traceback
+indented by two spaces, and the batch goes on. Ctrl-C ends the batch at
+any `--threads`: files already running finish, files not yet started are
+dropped. After the last file, one `batch:` line on stderr counts the files
+that passed, failed, were refused or crashed, and gives the batch's worst
+headroom. A `--threads` below 1 or a `--tolerance-scale` that is not
+positive and finite is refused before any file runs, exit 2, with no batch
+line. A scenario name names the output files, so within one run a file
+that repeats the name of an earlier file in argument order is a schema
+error too, and nothing is written for it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _cmd_run(args) -> int:
     owners: dict[str, str] = {}
     counts = dict.fromkeys(("passed", "failed", "schema", "io", "internal"), 0)
     batch_ratios: list[float] = []
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    pool = ThreadPoolExecutor(max_workers=args.threads)
+    try:
         # each outcome runs its file now, or waits for the worker that runs it
         outcomes = [pool.submit(run, p).result if parallel else partial(run, p) for p in args.files]
         for path, outcome in zip(args.files, outcomes):
@@ -109,6 +111,8 @@ def _cmd_run(args) -> int:
                     print(f"  {report.flags['numeric_error']}")
             else:
                 print(f"{sc.name}: PASS ({len(report.records)} checks), {worst}")
+    finally:  # a file no worker has started yet is dropped
+        pool.shutdown(cancel_futures=True)
     print(
         f"batch: files {len(args.files)}, passed {counts['passed']}, failed {counts['failed']}, "
         f"schema errors {counts['schema']}, io errors {counts['io']}, internal errors {counts['internal']}, "

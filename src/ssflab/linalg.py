@@ -246,33 +246,8 @@ def hermitian_values(a: np.ndarray) -> np.ndarray:
     return w
 
 
-# Eigenvalues of a unitary U come from the Cayley transform of W = e^(-i psi) U,
-# A = i (I - W)(I + W)^(-1) = 2i (I + e^(-i psi) U)^(-1) - iI. A is Hermitian
-# and has the eigenvalue tan((theta - psi) / 2) wherever U has e^(i theta);
-# that map is monotone, so hermitian_values alone gives every phase with its
-# multiplicity. psi is an irrational multiple of pi, so the pole
-# theta = psi + pi misses every angle that is a rational multiple of pi.
-#
-# When a permutation P gives P U P = U^T, A^T = P A P, and for a Hermitian A
-# that is conj(A) = P A P. A caller that knows such a P passes fold(a), which
-# replaces a by V* a V in place for a unitary V with conj(V) = P V; then
-# B = V* A V is real symmetric, and hermitian_values runs on a real matrix at
-# about a quarter of the complex cost. In floating point B = X + iY: the skew
-# of A is ||B - B*||_F, which the unitary V leaves unchanged, and the
-# Hermitian part of B differs from the real (X + X^T)/2 by i (Y - Y^T)/2. By
-# Weyl that moves every eigenvalue by at most ||(Y - Y^T)/2||_2, and every
-# phase psi + 2 arctan(a) by at most twice that, so ||Y - Y^T||_F, twice the
-# Frobenius norm of the imaginary part of B's Hermitian part, is the fold's
-# certificate. One pass over B forms that Hermitian part, the skew and the
-# certificate. The real solve takes the real part of that Hermitian part
-# only when skew plus certificate stays within _SKEW_TOL; otherwise the
-# complex solve takes the Hermitian part itself, which has A's eigenvalues.
-#
-# The solve also takes a stack of unitaries of one size: shifted_inverse then
-# returns one matrix per member, every member shares the one pole, and fold
-# folds every member. A retry solves the whole stack again; the real solve
-# runs only when every member certifies it, and the Cayley route only when
-# every member passes its skew certificate.
+# psi is an irrational multiple of pi, so the first pole theta = psi + pi
+# misses every angle that is a rational multiple of pi
 _PSI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)
 # a |tan| beyond this puts an eigenvalue near the pole, where the solve loses
 # the others' accuracy; the pole then moves into the widest gap
@@ -353,9 +328,38 @@ class CayleyProblem(NamedTuple):
 
     shifted_inverse(alpha) returns (I + alpha U)^(-1), so a structured U
     never has to be dense; for a stack, one inverse per member. dense()
-    returns U, or for a stack one matrix with the same spectrum. fold, when
-    given, folds every Cayley matrix as the comment above _PSI describes.
-    psi + pi is the first pole, and rows the rows of each Cayley matrix.
+    returns U, or for a stack one matrix with the same spectrum. psi + pi
+    is the first pole, and rows the rows of each Cayley matrix.
+
+    With alpha = e^(-i psi), the Cayley transform of W = alpha U,
+    A = i (I - W)(I + W)^(-1) = 2i (I + alpha U)^(-1) - iI, is Hermitian and
+    has the eigenvalue a = tan((theta - psi) / 2) wherever U has e^(i theta).
+    That map is monotone, so hermitian_values of A alone gives every phase
+    psi + 2 arctan(a) with its multiplicity. An eigenvalue near the pole
+    (|a| above _POLE_LIMIT) costs the others accuracy, so the solve is
+    repeated once, at a pole in the widest gap of all the phases just
+    found. The skew ||A - A*||_F bounds every phase error: a U that passed
+    `Unitary`'s check may carry a defect up to 1e-10, and
+    A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1). When any skew is
+    beyond _SKEW_TOL, when the second try still meets the pole, or when
+    I + alpha U is singular, the eigenvalues are eigvals(dense()).
+
+    fold is given for a U with a permutation P such that P U P = U^T. Then
+    A^T = P A P, which for a Hermitian A is conj(A) = P A P, and fold(a)
+    replaces a in place by B = V* A V for a unitary V with conj(V) = P V.
+    B is real symmetric, and hermitian_values of a real matrix costs about
+    a quarter of the complex one. In floating point B = X + iY: its skew
+    ||B - B*||_F is A's, since V is unitary, and its Hermitian part differs
+    from the real (X + X^T)/2 by i (Y - Y^T)/2. By Weyl that moves every
+    eigenvalue by at most ||(Y - Y^T)/2||_2, and every phase by at most
+    twice that, so ||Y - Y^T||_F is the fold's certificate. The real
+    (X + X^T)/2 is solved only when skew plus certificate stay within
+    _SKEW_TOL; otherwise B's Hermitian part, which has A's eigenvalues.
+
+    A stack's members share the one pole, fold folds every member, and a
+    retry solves the whole stack again. The real solve runs only when every
+    member certifies it, and the Cayley route only when every member passes
+    its skew certificate.
     """
 
     shifted_inverse: Callable
@@ -369,9 +373,8 @@ class CayleyProblem(NamedTuple):
         None if I + e^(-i psi) U is singular or the skew is not finite.
 
         A is formed in the buffer shifted_inverse returns, and the Hermitian
-        part handed on is that buffer's transpose, no copy. With fold, A is
-        folded first, and the real part of that Hermitian part, copied, is
-        handed on instead when skew plus Weyl certificate stay within _SKEW_TOL.
+        part handed on is that buffer's transpose, no copy; a folded real
+        part is a copy.
         """
         try:
             a = self.shifted_inverse(np.exp(-1j * psi))
@@ -390,31 +393,13 @@ class CayleyProblem(NamedTuple):
         return a.swapaxes(-1, -2), skew
 
     def spectrum(self, first_values: Optional[Callable] = None) -> np.ndarray:
-        """The eigenvalues of U, from one hermitian_values of a Cayley transform; a stack's member by member.
-
-        With alpha = e^(-i psi), A = 2i (I + alpha U)^(-1) - iI is Hermitian,
-        and its eigenvalues a, first_values(H) of its Hermitian part H on the
-        first try, give the phases psi + 2 arctan(a). An eigenvalue near the
-        pole (|a| above _POLE_LIMIT) costs the others accuracy, so the solve
-        is repeated once, the whole stack at one pole in the widest gap of
-        all the phases just found. The skew ||A - A*||_F bounds every phase
-        error: a U that passed `Unitary`'s check may carry a defect up to
-        1e-10, and A - A* = 2i X*(I - U*U)X with X = (I + alpha U)^(-1).
-        When any skew is beyond _SKEW_TOL, when the second try still meets
-        the pole, or when I + alpha U is singular, the eigenvalues are
-        eigvals(dense()).
-        """
+        """The eigenvalues of U, a stack's member by member; first_values replaces hermitian_values on the first try."""
         solve = _cayley_solve(self, self.psi, first_values)
         if solve is not None and solve.pole > _POLE_LIMIT:
             solve = _cayley_solve(self, _pole_in_widest_gap(solve.theta))
         if solve is None or solve.pole > _POLE_LIMIT or np.any(solve.skew > _SKEW_TOL):
             return _eig(np.linalg.eigvals, self.dense())
         return np.exp(1j * solve.theta).ravel()
-
-
-def unitary_spectrum(shifted_inverse: Callable, dense: Callable, fold: Optional[Callable] = None) -> np.ndarray:
-    """`CayleyProblem(shifted_inverse, dense, fold).spectrum()`."""
-    return CayleyProblem(shifted_inverse, dense, fold).spectrum()
 
 
 def unitary_spectrum_pair(first: CayleyProblem, second: CayleyProblem) -> tuple[np.ndarray, np.ndarray]:

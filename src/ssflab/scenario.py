@@ -136,8 +136,6 @@ ANCHOR_CHECKS = {
         "numeric-completion", 0.0, "the scenario's numerics ran to the end without a numeric exception"
     ),
 }
-ANCHOR_REGISTRY = {anchor: statement for anchor, (_, _, statement) in ANCHOR_CHECKS.items()}
-ANCHORS = frozenset(ANCHOR_REGISTRY)
 
 # A line kind's file without a dilation_order takes the least m in [3, LINE_BLOCKS] whose exact truncation
 # error is at most 1/TRUNCATION_MARGIN of every resolvent record's effective tolerance, else LINE_BLOCKS.

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,11 +82,15 @@ def test_main_runs_the_benchmark_files_length_and_metrics_alternating_sides(benc
     (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
     calls = []
 
-    def run_once(checkout, workload, seed, seconds):
-        calls.append((checkout.name, workload, seed, seconds))
-        return _result(1.0 if checkout == parent else 0.5)
+    def run(cmd, cwd, **kwargs):
+        # a perfbench run prints its environment line, then its result as its last line
+        option = dict(zip(cmd[2::2], cmd[3::2]))
+        calls.append((cwd.name, option["--workload"], int(option["--seed"]), float(option["--seconds"])))
+        result = _result(1.0 if cwd == parent else 0.5)
+        stdout = f"workload w\nenvironment: {cwd.name} seed {option['--seed']}\n  batch_s = 1\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--seed", "40"]
     assert bench_pairs.main(argv) == 0
     assert calls == [
@@ -96,3 +101,5 @@ def test_main_runs_the_benchmark_files_length_and_metrics_alternating_sides(benc
     out = capsys.readouterr().out
     assert "w, 3 pairs of 7 s runs:" in out
     assert "| `batch_s` | 1 | 0.5 | -50.0% | 0 | 3/3 | gain |" in out
+    # under the table, each side's environment line from its first run
+    assert out.splitlines()[-2:] == ["parent environment: parent seed 40", "change environment: change seed 40"]

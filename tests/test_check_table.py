@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ssflab import cli, scenario
-from ssflab.scenario import ANCHOR_REGISTRY, KINDS, generate_scenario, parse_scenario, run_scenario
+from ssflab.scenario import ANCHOR_CHECKS, KINDS, generate_scenario, parse_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -142,7 +142,7 @@ def test_a_generated_block_count_is_the_kinds_rule(payload):
 
 def test_every_anchor_is_cited_by_some_kind():
     cited = {anchor for payload in GENERATED + EDGE_FILES for anchor, _ in parse_scenario(payload).checks.values()}
-    assert cited == set(ANCHOR_REGISTRY)
+    assert cited == set(ANCHOR_CHECKS)
 
 
 def test_an_override_replaces_only_its_own_tolerance():

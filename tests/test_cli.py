@@ -4,8 +4,11 @@ import dataclasses
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -17,7 +20,7 @@ from ssflab.cli import main
 from ssflab.errors import SchemaError
 from ssflab.export import read_ssf_csv, table_array, write_ssf_csv
 from ssflab.linalg import TWO_PI
-from ssflab.scenario import ANCHORS, KINDS
+from ssflab.scenario import ANCHOR_CHECKS, KINDS
 from ssflab.ssf_circle import SampledSSF, StepSSF
 from ssflab.ssf_line import LineSSF
 
@@ -65,7 +68,7 @@ def test_run_success_writes_all_outputs(tmp_path, capsys):
     report = json.loads((tmp_path / "hand.report.json").read_text())
     assert report["all_pass"] is True
     assert report["scenario"] == "hand"
-    assert {r["anchor"] for r in report["records"]} <= ANCHORS
+    assert {r["anchor"] for r in report["records"]} <= ANCHOR_CHECKS.keys()
     assert len(report["provenance"]["config_hash"]) == 64
 
     kind, rows = read_ssf_csv(tmp_path / "hand.ssf.csv")
@@ -241,6 +244,30 @@ def test_ctrl_c_in_a_file_ends_the_batch(tmp_path, monkeypatch, threads):
     with_runner(monkeypatch, "unitary_pair", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["run", *map(str, three_kinds(tmp_path)), "--threads", threads, "--out-dir", str(tmp_path / "out")])
+
+
+def test_ctrl_c_drops_the_files_no_worker_has_started(tmp_path, monkeypatch):
+    # Ctrl-C reaches the main thread while two workers run the first two of
+    # eight files: those two finish, and no worker starts another
+    main_thread, ran = threading.main_thread().ident, []
+
+    def ctrl_c_in_the_first(sc, record):
+        if sc.name == "f0":
+            signal.pthread_kill(main_thread, signal.SIGINT)
+        else:
+            ran.append(sc.name)
+        time.sleep(0.2)
+
+    with_runner(monkeypatch, "unitary_pair", ctrl_c_in_the_first)
+    payload = scenario.generate_scenario("unitary_pair", 1, 2)
+    files = [str(write_json(tmp_path / f"f{i}.json", payload | {"name": f"f{i}"})) for i in range(8)]
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", *files, "--threads", "2", "--out-dir", str(tmp_path / "out")])
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert len(ran) <= 1
 
 
 def test_the_batch_line_counts_every_outcome_and_gives_the_worst_headroom(tmp_path, capsys):

@@ -16,12 +16,12 @@ from ssflab import dilation, linalg
 from ssflab.errors import InvalidOrder, ValidationError
 from ssflab.linalg import (
     TWO_PI,
+    CayleyProblem,
     Contraction,
     cayley,
     operator_norm,
     phase_clusters,
     schatten_norm,
-    unitary_spectrum,
 )
 from ssflab.schrodinger import discrete_schrodinger_pair
 
@@ -308,7 +308,7 @@ def test_a_fold_without_the_symmetry_fails_its_certificate(monkeypatch):
         d = finite_schaffer_dilation(random_contraction(rng, n), m)
         assert not d.complex_symmetric
         solves.clear()
-        lam = unitary_spectrum(d.shifted_inverse, lambda: pytest.fail("dense fallback"), d.fold)
+        lam = CayleyProblem(d.shifted_inverse, lambda: pytest.fail("dense fallback"), d.fold).spectrum()
         assert_phases_match(phase_clusters(lam), phase_clusters(np.linalg.eigvals(d.u.m)), 1e-12)
         assert set(solves) == {np.dtype(np.complex128)}
 
@@ -348,7 +348,7 @@ def test_the_one_hermitian_pass_picks_the_real_route_of_the_full_matrix_fold(mon
                 want = _full_matrix_real_fold(a, d.fold)
                 assert (want is not None) == symmetric
                 handed.clear()
-                unitary_spectrum(d.shifted_inverse, lambda: d.u.m, d.fold)
+                CayleyProblem(d.shifted_inverse, lambda: d.u.m, d.fold).spectrum()
                 assert handed[0].dtype == (np.float64 if symmetric else np.complex128)
                 if symmetric:
                     assert np.tril(handed[0]).tobytes() == np.tril(want).tobytes()

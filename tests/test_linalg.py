@@ -14,6 +14,7 @@ from ssflab.errors import (
     ValidationError,
 )
 from ssflab.linalg import (
+    CayleyProblem,
     Contraction,
     _cluster_circle,
     Dissipative,
@@ -35,7 +36,6 @@ from ssflab.linalg import (
     schatten_norm,
     singular_value_commute_check,
     unitary_factor,
-    unitary_spectrum,
     weighted_norm,
 )
 
@@ -270,7 +270,7 @@ def test_eigenphases_total_multiplicity_and_range():
 # the pole moved off an eigenvalue) against dense eigvals as the oracle, on
 # unitaries with planted structure.
 
-_PHI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)  # the rotation unitary_spectrum uses
+_PHI = 0.5 * np.pi * (np.sqrt(5.0) - 1.0)  # the rotation CayleyProblem uses
 _POLE = _PHI + np.pi  # where its Cayley transform has its pole
 
 
@@ -376,7 +376,7 @@ def test_eigenphases_with_an_eigenvalue_at_or_near_the_pole(seed, offset, others
     u = _planted(seed, [_POLE + offset] * copies + others)
     _assert_matches_oracle(u)
     shifted_inverse = _counting_inverse(u)
-    lam = unitary_spectrum(shifted_inverse, lambda: u)
+    lam = CayleyProblem(shifted_inverse, lambda: u).spectrum()
     assert shifted_inverse.calls == 2
     assert phase_clusters(lam) == [(p, k) for p, k in eigenphases(u)]
 
@@ -385,7 +385,7 @@ def test_unitary_spectrum_reads_the_dense_matrix_when_the_shift_is_singular():
     u = _haar(11, 5)
     shifted_inverse = _counting_inverse(u, fail_first=True)
     dense_calls = []
-    lam = unitary_spectrum(shifted_inverse, lambda: dense_calls.append(1) or u)
+    lam = CayleyProblem(shifted_inverse, lambda: dense_calls.append(1) or u).spectrum()
     assert shifted_inverse.calls == 1 and len(dense_calls) == 1
     got = phase_clusters(lam)
     want = _oracle(u)
@@ -398,7 +398,7 @@ def test_unitary_spectrum_reads_the_dense_matrix_when_the_skew_is_not_finite():
     u = _haar(11, 5)
     shifted_inverse = _counting_inverse(u, nan=True)
     dense_calls = []
-    lam = unitary_spectrum(shifted_inverse, lambda: dense_calls.append(1) or u)
+    lam = CayleyProblem(shifted_inverse, lambda: dense_calls.append(1) or u).spectrum()
     assert shifted_inverse.calls == 1 and len(dense_calls) == 1
     assert phase_clusters(lam) == _oracle(u)
 
@@ -450,7 +450,7 @@ def test_unitary_spectrum_reads_the_dense_matrix_only_when_the_certificate_fails
     assert np.linalg.norm(near_pole.conj().T @ near_pole - np.eye(2)) < 1e-10
     for m, calls in ((_haar(5, 6), 0), (near_pole, 1)):
         dense = dense_of(m)
-        lam = unitary_spectrum(lambda a: np.linalg.inv(np.eye(len(m)) + a * m), dense)
+        lam = CayleyProblem(lambda a: np.linalg.inv(np.eye(len(m)) + a * m), dense).spectrum()
         assert dense.calls == calls
         assert np.sort(np.angle(lam)) == pytest.approx(np.sort(np.angle(np.linalg.eigvals(m))), abs=1e-12)
 

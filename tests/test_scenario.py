@@ -18,8 +18,7 @@ from ssflab.export import dump_json, report_to_dict
 from ssflab.linalg import Unitary
 from ssflab.scenario import (
     _KINDS,
-    ANCHOR_REGISTRY,
-    ANCHORS,
+    ANCHOR_CHECKS,
     KINDS,
     generate_scenario,
     parse_scenario,
@@ -325,8 +324,8 @@ def test_every_record_anchor_is_registered():
     for payload in payloads:
         report = run_scenario(parse_scenario(payload))
         for r in report.records:
-            assert r.anchor in ANCHORS
-    assert all(isinstance(v, str) and v for v in ANCHOR_REGISTRY.values())
+            assert r.anchor in ANCHOR_CHECKS
+    assert all(isinstance(statement, str) and statement for _, _, statement in ANCHOR_CHECKS.values())
 
 
 def test_provenance_and_report_determinism():
@@ -885,7 +884,7 @@ def test_numeric_exception_becomes_one_failing_record():
     assert not report.all_pass
     (failed,) = report.failed()
     assert failed.check_id == failed.anchor == "numeric-completion"
-    assert failed.anchor in ANCHORS
+    assert failed.anchor in ANCHOR_CHECKS
     assert failed.residual is None
     assert report.flags["numeric_error"].startswith("KernelViolation: ")
     assert report.tables == {}

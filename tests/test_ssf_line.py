@@ -265,7 +265,7 @@ def test_resolvent_residual_geometric_decay():
     assert coarse / max(fine, 1e-300) >= 1e3
 
 
-# generated contraction pairs (m = 6) whose solves moved the fixed first pole of unitary_spectrum
+# generated contraction pairs (m = 6) whose solves moved the fixed first pole of CayleyProblem
 _RETRIED_CONTRACTION_FILES = [(200, 32), (200, 64), (500, 48), (500, 64), (1400, 32), (1400, 48), (1400, 64)]
 
 
@@ -274,7 +274,7 @@ _RETRIED_CONTRACTION_FILES = [(200, 32), (200, 64), (500, 48), (500, 64), (1400,
     [*range(16, 25), *(pytest.param(f, id=f"contraction_pair-{f[0]}-{f[1]}") for f in _RETRIED_CONTRACTION_FILES)],
 )
 def test_the_line_dilations_first_pole_is_not_moved(monkeypatch, case):
-    # with the fixed first pole of unitary_spectrum, solves of these line
+    # with the fixed first pole of CayleyProblem, solves of these line
     # pairs moved it at m = 20 and 21, and so did solves of those generated
     # contraction files
     solve, solves = linalg.hermitian_values, []

@@ -23,8 +23,9 @@ pairs the change won (ties count for neither side) and a verdict:
   median), unless every change run is better than every parent run;
 - within bound: anything else.
 
-It also prints the failed and attempted calls of each side. The exit status is 1
-when a run fails or prints no result, otherwise 0.
+It also prints the failed and attempted calls of each side and, under the table,
+the `environment:` line (numpy, BLAS, thread settings) of each side's first run.
+The exit status is 1 when a run fails or prints no result, otherwise 0.
 """
 
 from __future__ import annotations
@@ -103,14 +104,17 @@ def table(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in a checkout; its last line of output, parsed."""
+    """One perfbench run in a checkout: its last line of output, parsed, with its `environment:` line, or None,
+    under "environment"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["environment"] = next((line for line in lines if line.startswith("environment: ")), None)
+    return result
 
 
 def main(argv=None) -> int:
@@ -142,6 +146,9 @@ def main(argv=None) -> int:
         return 1
     print(f"\n{args.workload}, {len(pairs)} pairs of {seconds:g} s runs:")
     print("\n".join(table(pairs, metrics)))
+    # the first pair holds each side's first run
+    for name, result in zip(("parent", "change"), pairs[0]):
+        print(f"{name} {result['environment']}")
     return 0
 
 
