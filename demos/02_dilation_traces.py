@@ -18,8 +18,9 @@ from ssflab import (
     default_block_count,
     dilation_pair,
     finite_schaffer_dilation,
-    observed_trace_degree,
     operator_norm,
+    parse_scenario,
+    run_scenario,
     ssf_trace_integral,
 )
 
@@ -60,9 +61,18 @@ print(f"  residual {abs(lhs - rhs):.3e}")
 
 # the two dilations share the shift part, so their difference sits in the
 # four Julia positions and the step SSF is real and integrable by
-# construction; the observed degree shows where the identity actually stops
-print("\nobserved exact trace degree (certified is m - 2 = %d): %d"
-      % (blocks - 2, observed_trace_degree(t0, t1, blocks)))
+# construction; a report on z, ..., z^(m+2) at m blocks shows where the
+# identity actually stops: record trace-poly-j checks z^(j+1)
+report = run_scenario(parse_scenario({
+    "name": "degree-budget",
+    "kind": "contraction_pair",
+    "matrices": [[[[z.real, z.imag] for z in row] for row in t.m.tolist()] for t in (t0, t1)],
+    "dilation_order": blocks,
+    "test_polynomials": [[0] * k + [1] for k in range(1, blocks + 3)],
+}))
+passed = {r.check_id: r.passed for r in report.records}
+degree = next((j for j in range(blocks + 2) if not passed[f"trace-poly-{j}"]), blocks + 2)
+print("\nobserved exact trace degree (certified is m - 2 = %d): %d" % (blocks - 2, degree))
 
 d0, d1 = dilation_pair(t0, t1, blocks)
 diff = d1.u.m - d0.u.m

@@ -23,7 +23,6 @@ from .errors import (
     NegativePotential,
     NonzeroWinding,
     NotHermitian,
-    OnePointSpectrum,
     QuadratureDivergence,
     SchemaError,
     ValidationError,
@@ -41,7 +40,6 @@ from .linalg import (
     hermitian_function,
     hermitian_power,
     hermitian_sqrt,
-    inverse_cayley,
     operator_norm,
     schatten_norm,
     singular_value_commute_check,
@@ -53,7 +51,6 @@ from .dilation import (
     dilation_pair,
     finite_schaffer_dilation,
     julia_block,
-    observed_trace_degree,
 )
 from .ssf_circle import (
     SampledSSF,

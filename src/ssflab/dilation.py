@@ -335,25 +335,3 @@ def shifted_inverse_excess(t: Contraction, alpha: complex, blocks) -> np.ndarray
 def default_block_count(degree: int) -> int:
     """Block count for a requested polynomial degree, with one block of margin."""
     return max(int(degree), 0) + 3
-
-
-def observed_trace_degree(t0: Contraction, t1: Contraction, m: int) -> int:
-    """Largest k with trace(U1^k - U0^k) = trace(T1^k - T0^k) within 1e-9 (1 + |rhs|), scanned from 1.
-
-    The certified range is k <= m - 2; this reports where the identity
-    actually stops holding for the given pair, which is informative because
-    the wrap-around term can vanish by accident. tr U^k is read off the
-    eigenphases as the sum of multiplicity times e^(i k theta).
-    """
-    t0, t1 = as_pair(Contraction, t0, t1)
-    traces = []
-    for d in dilation_pair(t0, t1, m):
-        theta, mult = np.array(d.eigenphases()).T
-        traces.append(np.exp(1j * np.outer(np.arange(1, m + 3), theta)) @ mult)
-    pt0, pt1 = t0.m, t1.m
-    for k in range(1, m + 3):
-        rhs = np.trace(pt1) - np.trace(pt0)
-        if abs(traces[1][k - 1] - traces[0][k - 1] - rhs) > 1e-9 * (1.0 + abs(rhs)):
-            return k - 1
-        pt0, pt1 = pt0 @ t0.m, pt1 @ t1.m
-    return m + 2

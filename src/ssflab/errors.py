@@ -35,10 +35,6 @@ class NearSingular(ArithmeticError):
     """A resolvent or shifted inverse was requested too close to the spectrum."""
 
 
-class OnePointSpectrum(ArithmeticError):
-    """Inverse Cayley transform of a contraction with 1 in (or too near) its spectrum."""
-
-
 class NonzeroWinding(ArithmeticError):
     """The perturbation determinant winds around 0 on the sampling circle: the
     two operators have different eigenvalue counts inside it."""

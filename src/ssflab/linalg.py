@@ -20,7 +20,6 @@ from .errors import (
     KernelViolation,
     NearSingular,
     NotHermitian,
-    OnePointSpectrum,
     ValidationError,
 )
 
@@ -646,21 +645,6 @@ def poly_derivative(coeffs: Sequence[complex]) -> np.ndarray:
 def cayley(l) -> Contraction:
     """Cayley transform T = (L - iI)(L + iI)^(-1) of a dissipative matrix: `Dissipative.cayley_image`."""
     return as_operator(Dissipative, l).cayley_image
-
-
-def inverse_cayley(t) -> Dissipative:
-    """Inverse Cayley transform L = i(I + T)(I - T)^(-1); OnePointSpectrum when
-    the smallest singular value of I - T is below 1e-10."""
-    mat = as_operator(Contraction, t).m
-    eye = np.eye(mat.shape[0])
-    id_minus = eye - mat
-    s = np.linalg.svd(id_minus, compute_uv=False)
-    if s.size and float(s.min()) < 1e-10:
-        raise OnePointSpectrum(
-            f"smallest singular value of I - T is {s.min():.3e}, spectrum touches 1"
-        )
-    l = 1j * np.linalg.solve(id_minus.T, (eye + mat).T).T
-    return Dissipative(l)
 
 
 def singular_value_commute_check(t1, t2) -> float:

@@ -103,3 +103,34 @@ def test_main_runs_the_benchmark_files_length_and_metrics_alternating_sides(benc
     assert "| `batch_s` | 1 | 0.5 | -50.0% | 0 | 3/3 | gain |" in out
     # under the table, each side's environment line from its first run
     assert out.splitlines()[-2:] == ["parent environment: parent seed 40", "change environment: change seed 40"]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_pair_count_below_one_is_refused_before_any_run(bench_pairs, tmp_path, monkeypatch, capsys, count):
+    def run_once(*args):
+        raise AssertionError("run_once called")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", count])
+    assert exit_info.value.code == 2
+    assert f"argument --pairs: needs at least 1 pair, got {int(count)}" in capsys.readouterr().err
+
+
+def test_one_checkout_on_both_sides_keeps_each_pairs_two_runs(bench_pairs, tmp_path, monkeypatch, capsys):
+    # an A/A noise run: every call returns a new value, so a pair that read one run twice shows it
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 7, "end_to_end": [{"name": "batch_s", "better": "lower", "bound": 0.25}]})
+    )
+    values = iter(range(1, 7))
+
+    def run_once(checkout, workload, seed, seconds):
+        return dict(_result(float(next(values))), environment=f"environment: seed {seed}")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the parent runs first in pairs 1 and 3, the change first in pair 2
+    assert [line.split(": ", 1)[1] for line in out[:3]] == ["batch_s 1 -> 2", "batch_s 4 -> 3", "batch_s 5 -> 6"]
+    # parent runs 1, 4, 5 against change runs 2, 3, 6
+    assert "| `batch_s` | 4 | 3 | -25.0% | 2 | 1/3 | unresolved |" in out

@@ -10,7 +10,6 @@ from ssflab.dilation import (
     dilation_pair,
     finite_schaffer_dilation,
     julia_block,
-    observed_trace_degree,
 )
 from ssflab import dilation, linalg
 from ssflab.errors import InvalidOrder, ValidationError
@@ -23,6 +22,7 @@ from ssflab.linalg import (
     phase_clusters,
     schatten_norm,
 )
+from ssflab.scenario import parse_scenario, run_scenario
 from ssflab.schrodinger import discrete_schrodinger_pair
 
 
@@ -722,50 +722,42 @@ def test_trace_identity_up_to_m_minus_2():
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
 
-def test_observed_trace_degree_generic_boundary():
-    # at m = 5 the wrap-around generically spoils k = 4: the scalar dilation of
-    # a strict contraction satisfies trace(U^k) = trace(T^k) only for k <= 3
-    t0 = Contraction(np.zeros((1, 1)))
-    t1 = Contraction(np.array([[0.5]]))
-    assert observed_trace_degree(t0, t1, 5) == 3
-    rng = np.random.default_rng(8)
-    a = random_contraction(rng, 2, scale=0.7)
-    b = random_contraction(rng, 2, scale=0.7)
-    assert observed_trace_degree(a, b, 6) == 4
+def _trace_poly_passes(t0, t1, m):
+    """Pass or fail of record trace-poly-{k-1}, for k = 1 .. m + 2, in a contraction_pair report
+    on (t0, t1) at m blocks with test polynomials z, ..., z^(m+2)."""
+    report = run_scenario(parse_scenario({
+        "name": "degree-budget",
+        "kind": "contraction_pair",
+        "matrices": [[[[z.real, z.imag] for z in row] for row in t.tolist()] for t in (t0, t1)],
+        "dilation_order": m,
+        "test_polynomials": [[0] * k + [1] for k in range(1, m + 3)],
+    }))
+    passed = {r.check_id: r.passed for r in report.records}
+    return [passed[f"trace-poly-{k - 1}"] for k in range(1, m + 3)]
 
 
-def _dense_trace_degree(t0, t1, m, tol=1e-9):
-    """The dense power loop observed_trace_degree replaced: powers of the (m n)-square dilations."""
-    d0, d1 = dilation_pair(t0, t1, m)
-    pu0, pu1, pt0, pt1 = np.eye(m * t0.n), np.eye(m * t0.n), np.eye(t0.n), np.eye(t0.n)
-    for k in range(1, m + 3):
-        pu0, pu1, pt0, pt1 = pu0 @ d0.u.m, pu1 @ d1.u.m, pt0 @ t0.m, pt1 @ t1.m
-        rhs = np.trace(pt1) - np.trace(pt0)
-        if abs(np.trace(pu1) - np.trace(pu0) - rhs) > tol * (1.0 + abs(rhs)):
-            return k - 1
-    return m + 2
+@pytest.mark.parametrize("seed", range(8))
+def test_a_generic_pairs_report_holds_the_trace_identity_exactly_to_degree_m_minus_2(seed):
+    # the wrap-around term generically spoils k = m - 1
+    rng = np.random.default_rng(700 + seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(3, 23))
+    if seed == 0:
+        # the scalar dilation of a strict contraction: trace(U^k) = trace(T^k) only for k <= 3 at m = 5
+        pair, m = (np.zeros((1, 1)), np.array([[0.5]])), 5
+    else:
+        pair = (random_contraction(rng, n).m, random_contraction(rng, n).m)
+    assert _trace_poly_passes(*pair, m)[: m - 1] == [True] * (m - 2) + [False]
 
 
-def test_observed_trace_degree_reads_phases_and_matches_the_dense_power_loop(monkeypatch):
-    rng = np.random.default_rng(2025)
-    cases = []
-    for i in range(200):
-        n, m = int(rng.integers(1, 6)), int(rng.integers(3, 10))
-        if i % 4 == 0:
-            # T0 = 0 with T1 nilpotent: the wrap-around vanishes and the identity holds past m - 2
-            t1 = np.triu(random_contraction(rng, n).m, 1)
-            cases.append((Contraction(np.zeros((n, n))), Contraction(t1), m))
-        else:
-            cases.append((random_contraction(rng, n), random_contraction(rng, n), m))
-    want = [_dense_trace_degree(*case) for case in cases]
-
-    def dense(self):
-        raise AssertionError("observed_trace_degree read FiniteDilation.u")
-
-    monkeypatch.setattr(dilation.FiniteDilation, "u", property(dense))
-    assert [observed_trace_degree(*case) for case in cases] == want
-    # the cases reach both the certified m - 2 and the whole scanned range m + 2
-    assert {w - case[2] for w, case in zip(want, cases)} >= {-2, 2}
+@pytest.mark.parametrize("seed", range(8))
+def test_a_nilpotent_pairs_report_holds_the_trace_identity_one_degree_past_m_minus_2(seed):
+    # T0 = 0 with T1 strictly upper triangular: the wrap-around vanishes at k = m - 1, and at
+    # k = m the block shift of T0's dilation closes its cycle, tr U0^m = m n
+    rng = np.random.default_rng(800 + seed)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(3, 23))
+    u = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    passes = _trace_poly_passes(np.zeros((n, n)), 0.9 * u / (operator_norm(u) + 0.1), m)
+    assert passes[:m] == [True] * (m - 1) + [False]
 
 
 def test_default_block_count():

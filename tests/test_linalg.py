@@ -10,7 +10,6 @@ from ssflab.errors import (
     InvalidExponent,
     KernelViolation,
     NotHermitian,
-    OnePointSpectrum,
     ValidationError,
 )
 from ssflab.linalg import (
@@ -29,7 +28,6 @@ from ssflab.linalg import (
     hermitian_power,
     hermitian_sqrt,
     hermitize,
-    inverse_cayley,
     operator_norm,
     phase_clusters,
     poly_scalar,
@@ -707,21 +705,15 @@ def test_cayley_scalar_oracle():
     assert t.m[0, 0] == pytest.approx(-1j, abs=1e-15)
 
 
-def test_inverse_cayley_scalar_oracles():
-    assert inverse_cayley(Contraction(np.zeros((1, 1)))).m[0, 0] == pytest.approx(1j, abs=1e-15)
-    assert inverse_cayley(Contraction(np.array([[-1.0 + 0j]]))).m[0, 0] == pytest.approx(
-        0.0, abs=1e-15
-    )
-
-
 def test_cayley_round_trip():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
         l = random_dissipative(rng, n)
-        t = cayley(l)
-        back = inverse_cayley(t)
-        assert np.linalg.norm(back.m - l.m) <= 1e-9 * (1 + np.linalg.norm(l.m))
+        t = cayley(l).m
+        # the inverse transform L = i(I + T)(I - T)^(-1)
+        back = 1j * np.linalg.solve((np.eye(n) - t).T, (np.eye(n) + t).T).T
+        assert np.linalg.norm(back - l.m) <= 1e-9 * (1 + np.linalg.norm(l.m))
 
 
 def test_cayley_hermitian_gives_unitary():
@@ -730,11 +722,6 @@ def test_cayley_hermitian_gives_unitary():
         h = random_hermitian(rng, 6)
         t = cayley(Dissipative(h))
         assert np.linalg.norm(t.m.conj().T @ t.m - np.eye(6)) <= 1e-9
-
-
-def test_inverse_cayley_rejects_spectrum_at_one():
-    with pytest.raises(OnePointSpectrum):
-        inverse_cayley(Contraction(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------

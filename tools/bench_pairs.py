@@ -117,26 +117,36 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def pair_count(text: str) -> int:
+    """--pairs: a count of at least 1, else argparse's usage error (exit 2)."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 pair, got {count}")
+    return count
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--pairs", type=pair_count, required=True)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
     args = p.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
-    pairs = []
+    checkouts, pairs = (args.parent, args.change), []
     try:
         for i in range(args.pairs):
             seed = args.seed + i
-            order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
-            results = {side: run_once(side, args.workload, seed, seconds) for side in order}
-            pairs.append((results[args.parent], results[args.change]))
+            # kept by side, not by path: an A/A run names one checkout twice
+            pair = [None, None]
+            for k in (0, 1) if i % 2 == 0 else (1, 0):
+                pair[k] = run_once(checkouts[k], args.workload, seed, seconds)
+            pairs.append(tuple(pair))
             values = ", ".join(
-                f"{m['name']} {results[args.parent]['metrics'][m['name']]['value']:.4g}"
-                f" -> {results[args.change]['metrics'][m['name']]['value']:.4g}"
+                f"{m['name']} {pair[0]['metrics'][m['name']]['value']:.4g}"
+                f" -> {pair[1]['metrics'][m['name']]['value']:.4g}"
                 for m in metrics
             )
             first = "parent" if i % 2 == 0 else "change"
